@@ -231,7 +231,7 @@ void bf_knn_stream(const float* q, const Matrix<float>& X, M metric,
           static_cast<std::uint64_t>(nt));
       // InnerProduct stays on the functor loop here: the kernel prefilter
       // would need a max-row-norm slack this one-shot path has no cache
-      // for (the functor's compile-time dot is already vectorized).
+      // for.
       if constexpr (kernel_metric<M> && !std::is_same_v<M, InnerProduct>) {
         kernel_scan_rows(q, X, lo, hi, metric, mine);
         counters::add_dist_evals(hi - lo);

@@ -140,4 +140,18 @@ void pack_tile(const float* const* rows, index_t count, index_t d,
           rows[t < count ? t : 0][i];
 }
 
+void pack_lanes(const float* x, std::size_t stride, index_t n, index_t d,
+                float* lanes) {
+  const std::size_t blocks = (n + kLanes - 1) / kLanes;
+  for (std::size_t b = 0; b < blocks; ++b) {
+    float* block = lanes + b * d * kLanes;
+    for (index_t l = 0; l < kLanes; ++l) {
+      const std::size_t row = b * kLanes + l;
+      for (index_t i = 0; i < d; ++i)
+        block[static_cast<std::size_t>(i) * kLanes + l] =
+            row < n ? x[row * stride + i] : 0.0f;
+    }
+  }
+}
+
 }  // namespace rbc::dispatch

@@ -10,7 +10,32 @@
 // the compiler can target them) — selected **at runtime** from CPUID, so one
 // binary runs the best kernels the executing host actually has.
 //
-// Kernel shapes (all squared L2 — the form every dense scan reduces to):
+// Two contracts. Every shape below belongs to exactly one of them.
+//
+// 1. Prefilter shapes (everything except l2_lanes). Outputs differ from the
+//    scalar reference (distance/kernels.hpp) by association-order and FMA
+//    rounding, bounded by tile_margin / gemm_margin_scale below. Callers
+//    compare against an inflated bound and re-measure every surviving
+//    candidate with the scalar metric, so returned (distance, id) results
+//    are bit-identical to the never-vectorized path under every ISA. Used
+//    by every candidate scan: brute force, RBC stage-3 list and overflow
+//    scans, one-shot probes, the compressed tier and MutableIndex's delta
+//    scan (through bruteforce/kernel_scan.hpp or the blocked batch path).
+//    tests/test_kernels.cpp fuzzes the raw kernels against their margins;
+//    tests/test_rbc_blocked.cpp pins end-to-end parity per ISA.
+//
+// 2. The bit-exact lane shape (l2_lanes). Vectorized across rows instead
+//    of across features: each lane runs the reference's per-pair loop —
+//    feature order, a separate multiply and add (no contraction; rbc_core
+//    builds with -ffp-contract=off), then a correctly rounded sqrt — so
+//    every output equals Euclidean{}(q, x) bit for bit on every ISA and
+//    needs no re-measure. Used where the distances themselves are the
+//    product: the exact RBC's BF(X, R) at build (owners, list distances,
+//    psi) and BF(q, R) in stage 1 (the pruning bounds), on the SIMD tables.
+//    Under the scalar table the RBC keeps the functor loop over row-major
+//    rows: the scalar l2_lanes is that loop read with a stride, and slower.
+//
+// Prefilter shapes (all squared L2 — the form every dense scan reduces to):
 //
 //   tile       16 transposed queries x database rows. Each row load is
 //              amortized 16 ways across independent FMA chains; the shape of
@@ -47,13 +72,14 @@
 // The tile shapes stay squared-L2 only (the GEMM formulation has no L1
 // analogue); cosine runs entirely through the L2 shapes on normalized rows.
 //
-// Exactness contract: kernels are *prefilters*. Their outputs differ from
-// the scalar reference only by association-order rounding (bounded by
-// tile_margin / gemm_margin_scale below); callers compare against an
-// inflated bound and re-measure every surviving candidate with the scalar
-// metric, so returned (distance, id) results are bit-identical to the
-// never-vectorized path under every ISA. tests/test_kernels.cpp fuzzes the
-// raw kernels; tests/test_rbc_blocked.cpp pins end-to-end parity per ISA.
+// Bit-exact shape:
+//
+//   l2_lanes   one query x rows stored dimension-major in blocks of kLanes
+//              (pack_lanes). AVX-512 runs a block as one 16-lane register,
+//              AVX2 as two 8-lane halves, the scalar table as the per-pair
+//              loop. tests/test_kernels.cpp fuzzes it bitwise against
+//              Euclidean{}; tests/test_rbc_exact.cpp rebuilds the exact
+//              index under every ISA and compares lists, psi and saved bytes.
 //
 // Selection: active_isa() == the best compiled-in ISA the CPU reports,
 // unless overridden by the RBC_FORCE_ISA environment variable
@@ -80,6 +106,10 @@ inline constexpr index_t kTile = 16;
 /// Rows processed per block by the `rows` shape (8 independent accumulator
 /// chains — enough to hide FMA latency on every supported ISA).
 inline constexpr index_t kRowBlock = 8;
+
+/// Rows per block of the lane-blocked layout the `l2_lanes` shape reads:
+/// one 16-lane AVX-512 register, or two 8-lane AVX2 halves.
+inline constexpr index_t kLanes = 16;
 
 /// One ISA's kernel table. `x` is the base pointer of a row-major matrix
 /// whose rows are `stride` floats apart (rbc::Matrix layout: padding lanes
@@ -159,6 +189,13 @@ struct KernelOps {
                        std::size_t stride, const float* scale,
                        const float* offset, const index_t* ids, index_t count,
                        float* out);
+
+  /// Bit-exact Euclidean distances (contract 2 in the file comment):
+  /// out[j] = Euclidean{}(q, x_j) for j in [0, n), bit for bit, where the
+  /// n rows are stored lane-blocked in `lanes` (pack_lanes; lanes_size(n, d)
+  /// floats). Writes exactly n values; padding lanes are never stored.
+  void (*l2_lanes)(const float* q, index_t d, const float* lanes, index_t n,
+                   float* out);
 };
 
 /// Human-readable ISA name ("scalar" / "avx2" / "avx512").
@@ -210,11 +247,26 @@ inline bool fast_kernel() noexcept { return active_isa() != Isa::kScalar; }
 /// computes something harmless. `qt` must hold d * kTile floats.
 void pack_tile(const float* const* rows, index_t count, index_t d, float* qt);
 
+/// Floats the lane-blocked layout of n rows x d features occupies: n
+/// rounded up to whole kLanes blocks, d * kLanes floats per block.
+inline std::size_t lanes_size(index_t n, index_t d) noexcept {
+  return static_cast<std::size_t>((n + kLanes - 1) / kLanes) * kLanes * d;
+}
+
+/// Packs n row-major rows (`stride` floats apart) into the lane-blocked
+/// layout `l2_lanes` reads: block b holds rows [b * kLanes, (b+1) * kLanes)
+/// dimension-major, lanes[(b * d + i) * kLanes + l] = x[b * kLanes + l][i].
+/// Padding lanes of the last block are zero. `lanes` must hold
+/// lanes_size(n, d) floats.
+void pack_lanes(const float* x, std::size_t stride, index_t n, index_t d,
+                float* lanes);
+
 // ------------------------------------------------------------- tolerances ---
 //
-// Callers filtering with kernel outputs must inflate their squared-distance
-// bound by these margins; anything inside the inflated bound is re-measured
-// with the scalar metric (exactness contract above).
+// Callers filtering with prefilter-shape outputs must inflate their
+// squared-distance bound by these margins; anything inside the inflated
+// bound is re-measured with the scalar metric (contract 1 in the file
+// comment). l2_lanes outputs are exact and need none.
 
 /// Relative margin covering association-order + FMA-contraction rounding of
 /// the difference-form kernels (tile/rows/gather): sums of non-negative

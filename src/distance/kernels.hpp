@@ -1,34 +1,23 @@
-// Low-level distance kernels between two dense float vectors.
+// Low-level distance kernels between two dense float vectors: the one scalar
+// reference every metric functor (distance/metrics.hpp) computes with.
 //
-// Each kernel ships in two forms:
-//   *_scalar — portable reference implementation, used by tests as ground
-//              truth and by builds without AVX2;
-//   the unsuffixed name — AVX2+FMA vectorized when the target supports it
-//              (RBC_NATIVE build on this host), otherwise an alias of the
-//              scalar form.
-//
-// Kernels accept arbitrary d (main 8-wide loop + scalar tail); rows handed in
-// by Matrix are 64-byte aligned but alignment is not required for
-// correctness (loads are unaligned ops).
+// Each kernel is a plain sequential loop — one multiply and one add per
+// feature, accumulated in feature order — so a functor gives the same bits
+// whatever -march the including translation unit is compiled for (rbc_core
+// builds with -ffp-contract=off, so no multiply-add pair is fused). The
+// vectorized forms live in the runtime-dispatched kernel layer
+// (distance/dispatch.hpp): prefilter shapes whose candidates are re-measured
+// with these functions, and the bit-exact `l2_lanes` shape, which
+// reproduces sq_l2's per-pair order across lanes instead of across features.
 #pragma once
 
 #include <cmath>
-#include <cstddef>
 
 #include "common/types.hpp"
 
-#if defined(__AVX2__) && defined(__FMA__)
-#define RBC_HAVE_AVX2 1
-#include <immintrin.h>
-#else
-#define RBC_HAVE_AVX2 0
-#endif
-
 namespace rbc::kernels {
 
-// ---------------------------------------------------------------- scalar ---
-
-inline float sq_l2_scalar(const float* a, const float* b, index_t d) {
+inline float sq_l2(const float* a, const float* b, index_t d) {
   float acc = 0.0f;
   for (index_t i = 0; i < d; ++i) {
     const float diff = a[i] - b[i];
@@ -37,13 +26,13 @@ inline float sq_l2_scalar(const float* a, const float* b, index_t d) {
   return acc;
 }
 
-inline float l1_scalar(const float* a, const float* b, index_t d) {
+inline float l1(const float* a, const float* b, index_t d) {
   float acc = 0.0f;
   for (index_t i = 0; i < d; ++i) acc += std::fabs(a[i] - b[i]);
   return acc;
 }
 
-inline float linf_scalar(const float* a, const float* b, index_t d) {
+inline float linf(const float* a, const float* b, index_t d) {
   float acc = 0.0f;
   for (index_t i = 0; i < d; ++i) {
     const float diff = std::fabs(a[i] - b[i]);
@@ -52,124 +41,10 @@ inline float linf_scalar(const float* a, const float* b, index_t d) {
   return acc;
 }
 
-inline float dot_scalar(const float* a, const float* b, index_t d) {
+inline float dot(const float* a, const float* b, index_t d) {
   float acc = 0.0f;
   for (index_t i = 0; i < d; ++i) acc += a[i] * b[i];
   return acc;
 }
-
-// ------------------------------------------------------------------ AVX2 ---
-
-#if RBC_HAVE_AVX2
-
-namespace detail {
-
-/// Horizontal sum of an 8-lane register.
-inline float hsum(__m256 v) {
-  const __m128 lo = _mm256_castps256_ps128(v);
-  const __m128 hi = _mm256_extractf128_ps(v, 1);
-  __m128 sum = _mm_add_ps(lo, hi);
-  sum = _mm_hadd_ps(sum, sum);
-  sum = _mm_hadd_ps(sum, sum);
-  return _mm_cvtss_f32(sum);
-}
-
-/// Horizontal max of an 8-lane register.
-inline float hmax(__m256 v) {
-  const __m128 lo = _mm256_castps256_ps128(v);
-  const __m128 hi = _mm256_extractf128_ps(v, 1);
-  __m128 m = _mm_max_ps(lo, hi);
-  m = _mm_max_ps(m, _mm_movehl_ps(m, m));
-  m = _mm_max_ss(m, _mm_shuffle_ps(m, m, 1));
-  return _mm_cvtss_f32(m);
-}
-
-inline __m256 abs_ps(__m256 v) {
-  const __m256 mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
-  return _mm256_and_ps(v, mask);
-}
-
-}  // namespace detail
-
-inline float sq_l2(const float* a, const float* b, index_t d) {
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
-  index_t i = 0;
-  for (; i + 16 <= d; i += 16) {
-    const __m256 d0 =
-        _mm256_sub_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i));
-    const __m256 d1 =
-        _mm256_sub_ps(_mm256_loadu_ps(a + i + 8), _mm256_loadu_ps(b + i + 8));
-    acc0 = _mm256_fmadd_ps(d0, d0, acc0);
-    acc1 = _mm256_fmadd_ps(d1, d1, acc1);
-  }
-  for (; i + 8 <= d; i += 8) {
-    const __m256 diff =
-        _mm256_sub_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i));
-    acc0 = _mm256_fmadd_ps(diff, diff, acc0);
-  }
-  float acc = detail::hsum(_mm256_add_ps(acc0, acc1));
-  for (; i < d; ++i) {
-    const float diff = a[i] - b[i];
-    acc += diff * diff;
-  }
-  return acc;
-}
-
-inline float l1(const float* a, const float* b, index_t d) {
-  __m256 acc = _mm256_setzero_ps();
-  index_t i = 0;
-  for (; i + 8 <= d; i += 8) {
-    const __m256 diff =
-        _mm256_sub_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i));
-    acc = _mm256_add_ps(acc, detail::abs_ps(diff));
-  }
-  float total = detail::hsum(acc);
-  for (; i < d; ++i) total += std::fabs(a[i] - b[i]);
-  return total;
-}
-
-inline float linf(const float* a, const float* b, index_t d) {
-  __m256 acc = _mm256_setzero_ps();
-  index_t i = 0;
-  for (; i + 8 <= d; i += 8) {
-    const __m256 diff =
-        _mm256_sub_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i));
-    acc = _mm256_max_ps(acc, detail::abs_ps(diff));
-  }
-  float total = detail::hmax(acc);
-  for (; i < d; ++i) {
-    const float diff = std::fabs(a[i] - b[i]);
-    if (diff > total) total = diff;
-  }
-  return total;
-}
-
-inline float dot(const float* a, const float* b, index_t d) {
-  __m256 acc = _mm256_setzero_ps();
-  index_t i = 0;
-  for (; i + 8 <= d; i += 8)
-    acc = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i), acc);
-  float total = detail::hsum(acc);
-  for (; i < d; ++i) total += a[i] * b[i];
-  return total;
-}
-
-#else  // !RBC_HAVE_AVX2
-
-inline float sq_l2(const float* a, const float* b, index_t d) {
-  return sq_l2_scalar(a, b, d);
-}
-inline float l1(const float* a, const float* b, index_t d) {
-  return l1_scalar(a, b, d);
-}
-inline float linf(const float* a, const float* b, index_t d) {
-  return linf_scalar(a, b, d);
-}
-inline float dot(const float* a, const float* b, index_t d) {
-  return dot_scalar(a, b, d);
-}
-
-#endif  // RBC_HAVE_AVX2
 
 }  // namespace rbc::kernels

@@ -10,12 +10,15 @@
 //   rows       eight accumulators, one per database row, vectorized along
 //              the feature axis — the single-query shape with the chains a
 //              lone scan lacks;
-//   gather     the `rows` inner body applied through an id indirection.
+//   gather     the `rows` inner body applied through an id indirection;
+//   l2_lanes   four 8-lane accumulators: two 16-row blocks, each split into
+//              two halves, vectorized along the rows (bit-exact shape).
 #include "distance/isa_tables.hpp"
 
 #if defined(__AVX2__) && defined(__FMA__)
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 
@@ -550,13 +553,68 @@ float gather_int8_avx2(const float* q, index_t d, const std::int8_t* x,
   return best;
 }
 
+// ------------------------------------------------------------ l2_lanes ---
+//
+// A 16-row block is two 8-lane halves, each accumulated as acc = acc +
+// diff * diff with a separate multiply and add — never _mm256_fmadd_ps, and
+// rbc_core's -ffp-contract=off keeps GCC from fusing the pair under -mfma —
+// so every lane repeats Euclidean{}'s per-pair rounding. Two blocks run at
+// once: four independent add chains sharing one broadcast query feature.
+
+inline __m256 lanes_step(__m256 acc, __m256 qi, const float* x) {
+  const __m256 diff = _mm256_sub_ps(qi, _mm256_loadu_ps(x));
+  return _mm256_add_ps(acc, _mm256_mul_ps(diff, diff));
+}
+
+void l2_lanes_avx2(const float* q, index_t d, const float* lanes, index_t n,
+                   float* out) {
+  const std::size_t block = static_cast<std::size_t>(d) * kLanes;
+  const index_t blocks = (n + kLanes - 1) / kLanes;
+  index_t b = 0;
+  for (; b + 2 <= n / kLanes; b += 2) {
+    const float* x = lanes + b * block;
+    __m256 a0 = _mm256_setzero_ps(), a1 = a0, a2 = a0, a3 = a0;
+    for (index_t i = 0; i < d; ++i) {
+      const __m256 qi = _mm256_set1_ps(q[i]);
+      const float* xi = x + static_cast<std::size_t>(i) * kLanes;
+      a0 = lanes_step(a0, qi, xi);
+      a1 = lanes_step(a1, qi, xi + 8);
+      a2 = lanes_step(a2, qi, xi + block);
+      a3 = lanes_step(a3, qi, xi + block + 8);
+    }
+    float* o = out + static_cast<std::size_t>(b) * kLanes;
+    _mm256_storeu_ps(o, _mm256_sqrt_ps(a0));
+    _mm256_storeu_ps(o + 8, _mm256_sqrt_ps(a1));
+    _mm256_storeu_ps(o + kLanes, _mm256_sqrt_ps(a2));
+    _mm256_storeu_ps(o + kLanes + 8, _mm256_sqrt_ps(a3));
+  }
+  for (; b < blocks; ++b) {
+    const float* x = lanes + b * block;
+    __m256 lo = _mm256_setzero_ps(), hi = lo;
+    for (index_t i = 0; i < d; ++i) {
+      const __m256 qi = _mm256_set1_ps(q[i]);
+      const float* xi = x + static_cast<std::size_t>(i) * kLanes;
+      lo = lanes_step(lo, qi, xi);
+      hi = lanes_step(hi, qi, xi + 8);
+    }
+    // The last block may be partial: store its live lanes only.
+    alignas(32) float dist[kLanes];
+    _mm256_store_ps(dist, _mm256_sqrt_ps(lo));
+    _mm256_store_ps(dist + 8, _mm256_sqrt_ps(hi));
+    const index_t live = std::min<index_t>(kLanes, n - b * kLanes);
+    std::memcpy(out + static_cast<std::size_t>(b) * kLanes, dist,
+                sizeof(float) * live);
+  }
+}
+
 constexpr KernelOps kAvx2Ops = {
     tile_avx2,    tile_gemm_avx2,
     rows_avx2,    gather_avx2,
     rows_metric_avx2<L1LaneOp>, gather_metric_avx2<L1LaneOp>,
     rows_metric_avx2<IpLaneOp>, gather_metric_avx2<IpLaneOp>,
     rows_fp16_avx2, gather_fp16_avx2,
-    rows_int8_avx2, gather_int8_avx2};
+    rows_int8_avx2, gather_int8_avx2,
+    l2_lanes_avx2};
 
 }  // namespace
 

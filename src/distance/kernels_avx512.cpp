@@ -8,6 +8,7 @@
 #if defined(__AVX512F__)
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 
@@ -518,13 +519,63 @@ float gather_int8_avx512(const float* q, index_t d, const std::int8_t* x,
   return best;
 }
 
+// ------------------------------------------------------------ l2_lanes ---
+//
+// One zmm accumulator per 16-row block, updated as acc = acc + diff * diff
+// with a separate multiply and add (rbc_core's -ffp-contract=off keeps GCC
+// from fusing them), so every lane repeats Euclidean{}'s per-pair rounding.
+// Four blocks run at once: four independent add chains hide the add
+// latency, and the broadcast query feature is shared by all four.
+
+inline __m512 lanes_step(__m512 acc, __m512 qi, const float* x) {
+  const __m512 diff = _mm512_sub_ps(qi, _mm512_loadu_ps(x));
+  return _mm512_add_ps(acc, _mm512_mul_ps(diff, diff));
+}
+
+void l2_lanes_avx512(const float* q, index_t d, const float* lanes,
+                     index_t n, float* out) {
+  const std::size_t block = static_cast<std::size_t>(d) * kLanes;
+  const index_t blocks = (n + kLanes - 1) / kLanes;
+  index_t b = 0;
+  for (; b + 4 <= n / kLanes; b += 4) {
+    const float* x = lanes + b * block;
+    __m512 a0 = _mm512_setzero_ps(), a1 = a0, a2 = a0, a3 = a0;
+    for (index_t i = 0; i < d; ++i) {
+      const __m512 qi = _mm512_set1_ps(q[i]);
+      const float* xi = x + static_cast<std::size_t>(i) * kLanes;
+      a0 = lanes_step(a0, qi, xi);
+      a1 = lanes_step(a1, qi, xi + block);
+      a2 = lanes_step(a2, qi, xi + 2 * block);
+      a3 = lanes_step(a3, qi, xi + 3 * block);
+    }
+    float* o = out + static_cast<std::size_t>(b) * kLanes;
+    _mm512_storeu_ps(o, _mm512_sqrt_ps(a0));
+    _mm512_storeu_ps(o + kLanes, _mm512_sqrt_ps(a1));
+    _mm512_storeu_ps(o + 2 * kLanes, _mm512_sqrt_ps(a2));
+    _mm512_storeu_ps(o + 3 * kLanes, _mm512_sqrt_ps(a3));
+  }
+  for (; b < blocks; ++b) {
+    const float* x = lanes + b * block;
+    __m512 acc = _mm512_setzero_ps();
+    for (index_t i = 0; i < d; ++i)
+      acc = lanes_step(acc, _mm512_set1_ps(q[i]),
+                       x + static_cast<std::size_t>(i) * kLanes);
+    // The last block may be partial: store its live lanes only.
+    const index_t live = std::min<index_t>(kLanes, n - b * kLanes);
+    _mm512_mask_storeu_ps(out + static_cast<std::size_t>(b) * kLanes,
+                          static_cast<__mmask16>((1u << live) - 1u),
+                          _mm512_sqrt_ps(acc));
+  }
+}
+
 constexpr KernelOps kAvx512Ops = {
     tile_avx512,  tile_gemm_avx512,
     rows_avx512,  gather_avx512,
     rows_metric_avx512<L1LaneOp>, gather_metric_avx512<L1LaneOp>,
     rows_metric_avx512<IpLaneOp>, gather_metric_avx512<IpLaneOp>,
     rows_fp16_avx512, gather_fp16_avx512,
-    rows_int8_avx512, gather_int8_avx512};
+    rows_int8_avx512, gather_int8_avx512,
+    l2_lanes_avx512};
 
 }  // namespace
 

@@ -11,6 +11,7 @@
 #include <string>
 #include <utility>
 
+#include "bruteforce/kernel_scan.hpp"
 #include "bruteforce/topk.hpp"
 #include "distance/metrics.hpp"
 #include "metricspace/space.hpp"
@@ -191,6 +192,28 @@ dist_t MutableIndex::delta_distance(const float* a, const float* b,
   }
 }
 
+void MutableIndex::scan_delta(const float* q, const DeltaState& delta,
+                              TopK& top) const {
+  const index_t n = static_cast<index_t>(delta.ids.size());
+  const auto id_of = [&delta](index_t j) { return delta.ids[j]; };
+  switch (kind_) {
+    case metric::Kind::kL1:
+      kernel_scan_rows(q, delta.rows, 0, n, L1{}, top, id_of);
+      return;
+    case metric::Kind::kIp:
+      // The negated-dot prefilter needs a row-norm slack (kernel_scan.hpp)
+      // the delta keeps no cache for; ip stays on the functor loop.
+      for (index_t j = 0; j < n; ++j)
+        top.push(InnerProduct{}(q, delta.rows.row(j), delta.rows.cols()),
+                 delta.ids[j]);
+      return;
+    default:
+      // l2, and cosine over the pre-normalized delta rows.
+      kernel_scan_rows(q, delta.rows, 0, n, Euclidean{}, top, id_of);
+      return;
+  }
+}
+
 // ------------------------------------------------------------------ search
 
 SearchResponse MutableIndex::knn_search(const SearchRequest& request) const {
@@ -267,10 +290,7 @@ SearchResponse MutableIndex::knn_search(const SearchRequest& request) const {
     std::vector<index_t> delta_i(k_delta);
     if (k_delta > 0) {
       TopK top(k_delta);
-      const float* q = tq.row(qi);
-      for (index_t j = 0; j < delta_n; ++j)
-        top.push(delta_distance(q, s.delta->rows.row(j), dim),
-                 s.delta->ids[j]);
+      scan_delta(tq.row(qi), *s.delta, top);
       top.extract_sorted(delta_d.data(), delta_i.data());
     }
     const std::array<shard::MergeCursorInput, 2> streams{{

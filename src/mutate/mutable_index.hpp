@@ -39,6 +39,7 @@
 #include "api/index.hpp"
 #include "api/metrics.hpp"
 #include "api/registry.hpp"
+#include "bruteforce/topk.hpp"
 #include "common/matrix.hpp"
 
 namespace rbc::mutate {
@@ -124,6 +125,10 @@ class MutableIndex final : public Index {
   Snapshot snapshot() const;
   void build_internal(const Matrix<float>& X, std::vector<index_t> ids);
   dist_t delta_distance(const float* a, const float* b, index_t d) const;
+  /// BF(q, delta) into `top`: the bruteforce backend's prefilter plus exact
+  /// re-measure for l2/cosine and l1, the functor loop for ip. Same heap
+  /// as pushing delta_distance for every row.
+  void scan_delta(const float* q, const DeltaState& delta, TopK& top) const;
   /// Freezes the current live set for a merge; caller holds the unique
   /// lock and checked !merging_. Sets merging_.
   MergeJob freeze_locked();

@@ -77,24 +77,28 @@ class RbcExactIndex {
 
     reps_ = Matrix<float>(nr, dim_);
     for (index_t r = 0; r < nr; ++r) reps_.copy_row_from(X, rep_ids_[r], r);
+    pack_rep_lanes();
 
     // BF(X, R): nearest representative of every database point (paper §4:
-    // "this routine is simply a call to BF(X, R)"). Parallel over X.
+    // "this routine is simply a call to BF(X, R)"). Parallel over X, one
+    // distance buffer per block of rows.
     std::vector<index_t> owner(n_);
     std::vector<dist_t> owner_dist(n_);
-    parallel_for(0, n_, [&](index_t x) {
-      const float* px = X.row(x);
-      dist_t best = kInfDist;
-      index_t best_rep = 0;
-      for (index_t r = 0; r < nr; ++r) {
-        const dist_t d = metric_(px, reps_.row(r), dim_);
-        if (d < best) {  // ties resolve to the lowest rep index (scan order)
-          best = d;
-          best_rep = r;
+    parallel_for_blocked(0, n_, 256, [&](index_t lo, index_t hi) {
+      std::vector<dist_t> dists(nr);
+      for (index_t x = lo; x < hi; ++x) {
+        rep_distances(X.row(x), dists.data());
+        dist_t best = kInfDist;
+        index_t best_rep = 0;
+        for (index_t r = 0; r < nr; ++r) {
+          if (dists[r] < best) {  // ties resolve to the lowest rep index
+            best = dists[r];
+            best_rep = r;
+          }
         }
+        owner[x] = best_rep;
+        owner_dist[x] = best;
       }
-      owner[x] = best_rep;
-      owner_dist[x] = best;
     });
     counters::add_dist_evals(static_cast<std::uint64_t>(n_) * nr);
 
@@ -204,12 +208,13 @@ class RbcExactIndex {
   /// ids [0, n); inserts continue from there). Requires a built index.
   index_t insert(const float* point) {
     const index_t nr = reps_.rows();
+    std::vector<dist_t> dists(nr);
+    rep_distances(point, dists.data());
     dist_t best = kInfDist;
     index_t best_rep = 0;
     for (index_t r = 0; r < nr; ++r) {
-      const dist_t d = metric_(point, reps_.row(r), dim_);
-      if (d < best) {
-        best = d;
+      if (dists[r] < best) {
+        best = dists[r];
         best_rep = r;
       }
     }
@@ -358,7 +363,7 @@ class RbcExactIndex {
   /// distance at a time.
   ///
   /// Results are IDENTICAL to the per-query path, ties included:
-  ///  * stage 1 and the prune rules use the same scalar-exact distances and
+  ///  * stage 1 and the prune rules use the same bit-exact distances and
   ///    the same strict comparisons;
   ///  * bounds are refreshed per representative instead of per point, which
   ///    loosens pruning only in the safe direction (extra candidates
@@ -381,20 +386,19 @@ class RbcExactIndex {
     const float mrel = 1.0f + dispatch::tile_margin(dim_);
     const float mabs = dispatch::gemm_margin_scale(dim_);
 
-    // ---- stage 1, whole batch: BF(Q, R) with exact scalar distances
-    // (they feed pruning bounds, which must match the per-query path).
+    // ---- stage 1, whole batch: BF(Q, R) with exact distances (they feed
+    // pruning bounds, which must match the per-query path).
     Matrix<dist_t> rep_d(nq, nr);
     std::vector<dist_t> gamma1(nq), bound_k(nq);
     std::vector<index_t> nearest_rep(nq);
     parallel_for_dynamic(0, nq, [&](index_t qi) {
-      const float* q = Q.row(qi);
       dist_t* row = rep_d.row(qi);
+      rep_distances(Q.row(qi), row);
       TopK rep_top(k);
       dist_t g1 = kInfDist;
       index_t g1_rep = 0;
       for (index_t r = 0; r < nr; ++r) {
-        const dist_t d = metric_(q, reps_.row(r), dim_);
-        row[r] = d;
+        const dist_t d = row[r];
         if (!erased_[rep_ids_[r]]) rep_top.push(d, r);
         if (d < g1) {
           g1 = d;
@@ -645,11 +649,11 @@ class RbcExactIndex {
     // gamma_1 = distance to the nearest representative; rep_bound = k-th
     // smallest representative distance (an upper bound on the k-th NN
     // distance, since representatives are database points).
+    rep_distances(q, scratch.rep_dists.data());
     TopK rep_top(k);
     dist_t gamma1 = kInfDist;
     for (index_t r = 0; r < nr; ++r) {
-      const dist_t d = metric_(q, reps_.row(r), dim_);
-      scratch.rep_dists[r] = d;
+      const dist_t d = scratch.rep_dists[r];
       // rep_bound must be a k-th distance among *live* database points, so
       // erased representatives do not feed it; gamma1 is a routing quantity
       // and may use every representative.
@@ -882,10 +886,12 @@ class RbcExactIndex {
   /// rho(q, x) <= radius, sorted ascending by id.
   std::vector<index_t> range_search(const float* q, dist_t radius) const {
     const index_t nr = reps_.rows();
+    std::vector<dist_t> rep_dists(nr);
+    rep_distances(q, rep_dists.data());
+    counters::add_dist_evals(nr);
     std::vector<index_t> hits;
     for (index_t r = 0; r < nr; ++r) {
-      const dist_t dr = metric_(q, reps_.row(r), dim_);
-      counters::add_dist_evals(1);
+      const dist_t dr = rep_dists[r];
       // Every member of L_r is within psi_r of r, so the closest any member
       // can be to q is dr - psi_r.
       if (dr > radius + psi_[r]) continue;
@@ -937,7 +943,8 @@ class RbcExactIndex {
            packed_dist_.size() * sizeof(dist_t) +
            offsets_.size() * sizeof(index_t) + psi_.size() * sizeof(dist_t) +
            rep_ids_.size() * sizeof(index_t) +
-           packed_sq_norms_.size() * sizeof(float) + qstore_.memory_bytes();
+           packed_sq_norms_.size() * sizeof(float) +
+           rep_lanes_.size() * sizeof(float) + qstore_.memory_bytes();
   }
 
   // ------------------------------------------------------- serialization ---
@@ -983,7 +990,12 @@ class RbcExactIndex {
     io::read_vec(is, idx.packed_dist_);
     idx.reps_ = io::read_matrix(is);
     idx.packed_ = io::read_matrix(is);
+    // The lane-blocked representatives are derived from dim_-wide rows.
+    if (idx.reps_.cols() != idx.dim_ || idx.packed_.cols() != idx.dim_)
+      throw std::runtime_error(
+          "rbc::io: corrupt RbcExactIndex (row width disagrees with dim)");
     // Derived, not serialized (keeps the format stable across versions).
+    idx.pack_rep_lanes();
     idx.packed_sq_norms_ = detail::kernel_row_sq_norms(idx.packed_);
     idx.packed_sq_max_ = idx.packed_sq_norms_.empty()
                              ? 0.0f
@@ -1007,12 +1019,41 @@ class RbcExactIndex {
     return overflow_data_.data() + ov * reps_.stride();
   }
 
+  /// Derives the lane-blocked copy of the representatives that
+  /// rep_distances reads (Euclidean only; other metrics keep it empty).
+  void pack_rep_lanes() {
+    if constexpr (std::is_same_v<M, Euclidean>) {
+      rep_lanes_ = AlignedBuffer<float>(
+          dispatch::lanes_size(reps_.rows(), dim_), /*zero=*/true);
+      dispatch::pack_lanes(reps_.data(), reps_.stride(), reps_.rows(), dim_,
+                           rep_lanes_.data());
+    }
+  }
+
+  /// BF(q, R): out[r] = metric_(q, rep r) for every representative, in the
+  /// metric functor's exact bits. Euclidean runs the dispatched bit-exact
+  /// l2_lanes shape over rep_lanes_ on a SIMD table; other metrics, and the
+  /// scalar table (whose l2_lanes is this same loop, only strided, and
+  /// slower), run the per-pair functor over the row-major copies.
+  /// Callers account the nr distance evaluations.
+  void rep_distances(const float* q, dist_t* out) const {
+    const index_t nr = reps_.rows();
+    if constexpr (std::is_same_v<M, Euclidean>) {
+      if (dispatch::fast_kernel()) {
+        dispatch::ops().l2_lanes(q, dim_, rep_lanes_.data(), nr, out);
+        return;
+      }
+    }
+    for (index_t r = 0; r < nr; ++r) out[r] = metric_(q, reps_.row(r), dim_);
+  }
+
   M metric_{};
   RbcParams params_{};
   index_t n_ = 0;
   index_t dim_ = 0;
 
   Matrix<float> reps_;              // nr x d copies of representative rows
+  AlignedBuffer<float> rep_lanes_;  // reps_ lane-blocked (pack_rep_lanes)
   std::vector<index_t> rep_ids_;    // original ids of representatives
   std::vector<dist_t> psi_;         // list radii
   std::vector<index_t> offsets_;    // CSR: nr + 1

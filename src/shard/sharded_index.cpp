@@ -121,6 +121,7 @@ void ShardedIndex::build_id_native(const Matrix<float>& X,
   for (index_t s = 0; s < options_.num_shards; ++s)
     for (index_t id : shard_ids[s]) owners.emplace(id, s);
 
+  std::lock_guard compacting(compact_mutex_);
   std::unique_lock lock(mutex_);
   shards_ = std::move(shards);
   id_to_shard_ = std::move(owners);
@@ -163,6 +164,7 @@ void ShardedIndex::build(const Matrix<float>& X) {
       [&](index_t s) { build_shard(X, shards[s].global_ids, shards[s]); },
       /*chunk=*/1);
 
+  std::lock_guard compacting(compact_mutex_);
   std::unique_lock lock(mutex_);
   shards_ = std::move(shards);
   id_to_shard_.clear();
@@ -222,6 +224,7 @@ void ShardedIndex::build_payload(const metricspace::DatasetHandle& data) {
       },
       /*chunk=*/1);
 
+  std::lock_guard compacting(compact_mutex_);
   std::unique_lock lock(mutex_);
   shards_ = std::move(shards);
   id_to_shard_.clear();
@@ -355,6 +358,7 @@ RangeResponse ShardedIndex::range_search(const RangeRequest& request) const {
 void ShardedIndex::insert(const Matrix<float>& rows,
                           std::span<const index_t> ids) {
   if (!mutable_mode_) return Index::insert(rows, ids);  // uniform error
+  std::lock_guard compacting(compact_mutex_);
   std::unique_lock lock(mutex_);
   if (!built_) fail("insert on an unbuilt index (call build first)");
   if (rows.cols() != dim_)
@@ -394,6 +398,7 @@ void ShardedIndex::insert(const Matrix<float>& rows,
 
 index_t ShardedIndex::remove(std::span<const index_t> ids) {
   if (!mutable_mode_) return Index::remove(ids);  // uniform error
+  std::lock_guard compacting(compact_mutex_);
   std::unique_lock lock(mutex_);
   if (!built_) fail("remove on an unbuilt index (call build first)");
 
@@ -425,7 +430,10 @@ index_t ShardedIndex::remove(std::span<const index_t> ids) {
 void ShardedIndex::compact() {
   if (!mutable_mode_) return Index::compact();  // uniform error
   // Shared lock: compaction changes no live set and no routing, only each
-  // shard's internal layout — searches keep running alongside it.
+  // shard's internal layout — searches keep running alongside it. Writers
+  // wait on compact_mutex_ meanwhile, so none queues on mutex_ and holds
+  // new searches back until the compaction ends.
+  std::lock_guard compacting(compact_mutex_);
   std::shared_lock lock(mutex_);
   if (!built_) fail("compact on an unbuilt index (call build first)");
   for (const Shard& shard : shards_) shard.index->compact();

@@ -39,6 +39,7 @@
 
 #include <iosfwd>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <span>
 #include <string>
@@ -47,6 +48,7 @@
 #include <vector>
 
 #include "api/index.hpp"
+#include "common/writer_priority_mutex.hpp"
 
 namespace rbc::shard {
 
@@ -147,7 +149,14 @@ class ShardedIndex final : public Index {
   /// entry points are live and the dense ones are rejected.
   bool payload_ = false;
 
-  mutable std::shared_mutex mutex_;  // guards everything below
+  /// Held by compact() for its whole run and taken by every writer before
+  /// mutex_: a writer that arrives during a compaction waits here instead
+  /// of queueing on mutex_, so searches keep running beside the compaction.
+  std::mutex compact_mutex_;
+  /// Guards everything below. Searches hold the shared side across their
+  /// whole fan-out, so a waiting writer must keep new searches out or
+  /// overlapping ones starve it (writer_priority_mutex.hpp).
+  mutable WriterPriorityMutex mutex_;
   std::vector<Shard> shards_;  // id-native: all num_shards; legacy: non-empty
   /// id-native mode only: which shard owns each live id (insert routing,
   /// remove dispatch, duplicate-id detection).

@@ -4,9 +4,14 @@
 // same build the sanitizer CI would use.)
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <mutex>
+#include <shared_mutex>
 #include <thread>
 #include <vector>
 
+#include "common/writer_priority_mutex.hpp"
 #include "dist/distributed_rbc.hpp"
 #include "rbc/rbc.hpp"
 #include "test_util.hpp"
@@ -107,6 +112,64 @@ TEST(Concurrency, DistributedSearchFromMultipleThreads) {
   for (auto& thread : threads) thread.join();
   for (const KnnResult& r : results)
     EXPECT_TRUE(testutil::knn_equal(reference, r));
+}
+
+// The lock ShardedIndex guards its routing state with: once a writer
+// queues, no reader arriving after it gets in until the writer is done, so
+// overlapping searches cannot hold a writer off indefinitely (with
+// std::shared_mutex they can). No sleeps: the test waits until
+// try_lock_shared() reports the writer queued, and every assertion holds
+// under any scheduling.
+TEST(Concurrency, WriterPriorityMutexQueuesNewReadersBehindAWaitingWriter) {
+  using namespace std::chrono_literals;
+  WriterPriorityMutex mutex;
+  std::atomic<int> step{0};
+  int writer_saw = -1, late_reader_saw = -1;
+
+  std::shared_lock first_reader(mutex);
+  EXPECT_FALSE(mutex.try_lock()) << "a writer got in beside a reader";
+  std::thread writer([&] {
+    std::unique_lock lock(mutex);
+    writer_saw = step.fetch_add(1);
+  });
+  // New readers get in until the writer has queued, and none after. A
+  // reader-preferring lock keeps admitting them until the deadline.
+  const auto deadline = std::chrono::steady_clock::now() + 30s;
+  bool queued = false;
+  while (!queued && std::chrono::steady_clock::now() < deadline) {
+    queued = !mutex.try_lock_shared();
+    if (!queued) {
+      mutex.unlock_shared();
+      std::this_thread::yield();
+    }
+  }
+  std::thread late_reader([&] {
+    std::shared_lock lock(mutex);
+    late_reader_saw = step.fetch_add(1);
+  });
+  EXPECT_EQ(step.load(), 0) << "someone entered while a reader held the lock";
+  first_reader.unlock();
+  writer.join();
+  late_reader.join();
+  EXPECT_TRUE(queued) << "new readers still got in beside a waiting writer";
+  EXPECT_EQ(writer_saw, 0) << "the late reader overtook the queued writer";
+  EXPECT_EQ(late_reader_saw, 1);
+
+  // Readers still share the lock with each other.
+  {
+    std::shared_lock a(mutex);
+    EXPECT_TRUE(mutex.try_lock_shared());
+    mutex.unlock_shared();
+    std::thread other([&] { std::shared_lock b(mutex); });
+    other.join();
+  }
+  // A writer holding the lock keeps everyone else out.
+  ASSERT_TRUE(mutex.try_lock());
+  EXPECT_FALSE(mutex.try_lock());
+  EXPECT_FALSE(mutex.try_lock_shared());
+  mutex.unlock();
+  EXPECT_TRUE(mutex.try_lock_shared());
+  mutex.unlock_shared();
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
-// SIMD kernels vs scalar references, across dimensionalities that exercise
-// every tail-handling path (d % 16, d % 8, scalar tail) — both the
-// compile-time kernels (distance/kernels.hpp) and every shape x ISA of the
-// runtime-dispatched kernel layer (distance/dispatch.hpp).
+// The scalar reference kernels (distance/kernels.hpp) and every shape x ISA
+// of the runtime-dispatched kernel layer (distance/dispatch.hpp): the
+// prefilter shapes within their documented margins, the l2_lanes shape bit
+// for bit, across dimensionalities that exercise every tail-handling path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -14,12 +15,11 @@
 #include "common/rng.hpp"
 #include "distance/dispatch.hpp"
 #include "distance/kernels.hpp"
+#include "distance/metrics.hpp"
 #include "distance/quantized.hpp"
 
 namespace rbc {
 namespace {
-
-class KernelDimTest : public ::testing::TestWithParam<index_t> {};
 
 std::vector<float> random_vec(index_t d, std::uint64_t seed) {
   std::vector<float> v(d);
@@ -27,59 +27,6 @@ std::vector<float> random_vec(index_t d, std::uint64_t seed) {
   for (auto& x : v) x = rng.uniform_float(-3.0f, 3.0f);
   return v;
 }
-
-TEST_P(KernelDimTest, SqL2MatchesScalar) {
-  const index_t d = GetParam();
-  for (std::uint64_t trial = 0; trial < 20; ++trial) {
-    const auto a = random_vec(d, 2 * trial);
-    const auto b = random_vec(d, 2 * trial + 1);
-    const float simd = kernels::sq_l2(a.data(), b.data(), d);
-    const float scalar = kernels::sq_l2_scalar(a.data(), b.data(), d);
-    // FMA + different association order: allow tight relative tolerance.
-    EXPECT_NEAR(simd, scalar, 1e-4f * std::max(1.0f, scalar));
-  }
-}
-
-TEST_P(KernelDimTest, L1MatchesScalar) {
-  const index_t d = GetParam();
-  for (std::uint64_t trial = 0; trial < 20; ++trial) {
-    const auto a = random_vec(d, 100 + 2 * trial);
-    const auto b = random_vec(d, 101 + 2 * trial);
-    const float simd = kernels::l1(a.data(), b.data(), d);
-    const float scalar = kernels::l1_scalar(a.data(), b.data(), d);
-    EXPECT_NEAR(simd, scalar, 1e-4f * std::max(1.0f, scalar));
-  }
-}
-
-TEST_P(KernelDimTest, LInfMatchesScalarExactly) {
-  const index_t d = GetParam();
-  for (std::uint64_t trial = 0; trial < 20; ++trial) {
-    const auto a = random_vec(d, 200 + 2 * trial);
-    const auto b = random_vec(d, 201 + 2 * trial);
-    // max is order-independent: results must be bit-identical.
-    EXPECT_EQ(kernels::linf(a.data(), b.data(), d),
-              kernels::linf_scalar(a.data(), b.data(), d));
-  }
-}
-
-TEST_P(KernelDimTest, DotMatchesScalar) {
-  const index_t d = GetParam();
-  for (std::uint64_t trial = 0; trial < 20; ++trial) {
-    const auto a = random_vec(d, 300 + 2 * trial);
-    const auto b = random_vec(d, 301 + 2 * trial);
-    const float simd = kernels::dot(a.data(), b.data(), d);
-    const float scalar = kernels::dot_scalar(a.data(), b.data(), d);
-    EXPECT_NEAR(simd, scalar, 1e-3f * std::max(1.0f, std::fabs(scalar)));
-  }
-}
-
-// Dimensions chosen to hit: tiny scalar-only, 8-lane exact, 16-lane exact,
-// 8+tail, 16+8, 16+8+tail, the paper's dataset dims (21, 54, 74, 78), and a
-// large one.
-INSTANTIATE_TEST_SUITE_P(Dims, KernelDimTest,
-                         ::testing::Values(1, 2, 3, 4, 7, 8, 9, 15, 16, 17,
-                                           21, 23, 24, 31, 32, 54, 74, 78,
-                                           128, 333));
 
 TEST(Kernels, ZeroDimension) {
   const float x = 1.0f;
@@ -146,9 +93,9 @@ TEST_P(DispatchFuzzTest, TileShapesMatchScalarReference) {
   float q_sq[dispatch::kTile];
   std::vector<float> x_sq(rows);
   for (index_t t = 0; t < dispatch::kTile; ++t)
-    q_sq[t] = kernels::dot_scalar(Q.row(t), Q.row(t), d);
+    q_sq[t] = kernels::dot(Q.row(t), Q.row(t), d);
   for (index_t p = 0; p < rows; ++p)
-    x_sq[p] = kernels::dot_scalar(X.row(p), X.row(p), d);
+    x_sq[p] = kernels::dot(X.row(p), X.row(p), d);
 
   const float mrel = dispatch::tile_margin(d);
   const float mabs = dispatch::gemm_margin_scale(d);
@@ -164,7 +111,7 @@ TEST_P(DispatchFuzzTest, TileShapesMatchScalarReference) {
                   rows, gemm_out.data(), gemm_min);
     for (index_t p = 0; p < rows; ++p)
       for (index_t t = 0; t < dispatch::kTile; ++t) {
-        const float ref = kernels::sq_l2_scalar(Q.row(t), X.row(p), d);
+        const float ref = kernels::sq_l2(Q.row(t), X.row(p), d);
         const std::size_t at =
             static_cast<std::size_t>(p) * dispatch::kTile + t;
         EXPECT_NEAR(tile_out[at], ref, 1e-6f + mrel * ref)
@@ -196,7 +143,7 @@ TEST_P(DispatchFuzzTest, RowAndGatherShapesMatchScalarReference) {
     std::vector<float> out(rows);
     ops.rows(Q.row(0), d, X.data(), X.stride(), 0, rows, out.data());
     for (index_t p = 0; p < rows; ++p) {
-      const float ref = kernels::sq_l2_scalar(Q.row(0), X.row(p), d);
+      const float ref = kernels::sq_l2(Q.row(0), X.row(p), d);
       EXPECT_NEAR(out[p], ref, 1e-6f + mrel * ref)
           << "rows " << dispatch::isa_name(isa) << " d=" << d << " p=" << p;
     }
@@ -204,7 +151,7 @@ TEST_P(DispatchFuzzTest, RowAndGatherShapesMatchScalarReference) {
     if (rows > 9) {
       ops.rows(Q.row(0), d, X.data(), X.stride(), 9, rows, out.data());
       for (index_t p = 9; p < rows; ++p) {
-        const float ref = kernels::sq_l2_scalar(Q.row(0), X.row(p), d);
+        const float ref = kernels::sq_l2(Q.row(0), X.row(p), d);
         EXPECT_NEAR(out[p - 9], ref, 1e-6f + mrel * ref)
             << "rows(lo=9) " << dispatch::isa_name(isa) << " d=" << d;
       }
@@ -213,7 +160,7 @@ TEST_P(DispatchFuzzTest, RowAndGatherShapesMatchScalarReference) {
     ops.gather(Q.row(0), d, X.data(), X.stride(), ids.data(),
                static_cast<index_t>(ids.size()), gout.data());
     for (std::size_t j = 0; j < ids.size(); ++j) {
-      const float ref = kernels::sq_l2_scalar(Q.row(0), X.row(ids[j]), d);
+      const float ref = kernels::sq_l2(Q.row(0), X.row(ids[j]), d);
       EXPECT_NEAR(gout[j], ref, 1e-6f + mrel * ref)
           << "gather " << dispatch::isa_name(isa) << " d=" << d;
     }
@@ -236,7 +183,7 @@ TEST_P(DispatchFuzzTest, L1AndIpShapesMatchScalarReference) {
     if (p % 2 == 0) ids.push_back(p);
 
   const float mrel = dispatch::tile_margin(d);
-  const float q_norm = std::sqrt(kernels::dot_scalar(q, q, d));
+  const float q_norm = std::sqrt(kernels::dot(q, q, d));
   for (const dispatch::Isa isa : runnable_isas()) {
     const dispatch::KernelOps& ops = *dispatch::ops_for(isa);
     std::vector<float> out(rows);
@@ -245,7 +192,7 @@ TEST_P(DispatchFuzzTest, L1AndIpShapesMatchScalarReference) {
         ops.rows_l1(q, d, X.data(), X.stride(), 0, rows, out.data());
     float written_min = kInfDist;
     for (index_t p = 0; p < rows; ++p) {
-      const float ref = kernels::l1_scalar(q, X.row(p), d);
+      const float ref = kernels::l1(q, X.row(p), d);
       EXPECT_NEAR(out[p], ref, 1e-6f + mrel * ref)
           << "rows_l1 " << dispatch::isa_name(isa) << " d=" << d;
       written_min = std::min(written_min, out[p]);
@@ -256,9 +203,9 @@ TEST_P(DispatchFuzzTest, L1AndIpShapesMatchScalarReference) {
         ops.rows_ip(q, d, X.data(), X.stride(), 0, rows, out.data());
     written_min = kInfDist;
     for (index_t p = 0; p < rows; ++p) {
-      const float ref = -kernels::dot_scalar(q, X.row(p), d);
+      const float ref = -kernels::dot(q, X.row(p), d);
       const float x_norm =
-          std::sqrt(kernels::dot_scalar(X.row(p), X.row(p), d));
+          std::sqrt(kernels::dot(X.row(p), X.row(p), d));
       EXPECT_NEAR(out[p], ref, 1e-6f + mrel * q_norm * x_norm)
           << "rows_ip " << dispatch::isa_name(isa) << " d=" << d;
       written_min = std::min(written_min, out[p]);
@@ -269,16 +216,16 @@ TEST_P(DispatchFuzzTest, L1AndIpShapesMatchScalarReference) {
     ops.gather_l1(q, d, X.data(), X.stride(), ids.data(),
                   static_cast<index_t>(ids.size()), gout.data());
     for (std::size_t j = 0; j < ids.size(); ++j) {
-      const float ref = kernels::l1_scalar(q, X.row(ids[j]), d);
+      const float ref = kernels::l1(q, X.row(ids[j]), d);
       EXPECT_NEAR(gout[j], ref, 1e-6f + mrel * ref)
           << "gather_l1 " << dispatch::isa_name(isa) << " d=" << d;
     }
     ops.gather_ip(q, d, X.data(), X.stride(), ids.data(),
                   static_cast<index_t>(ids.size()), gout.data());
     for (std::size_t j = 0; j < ids.size(); ++j) {
-      const float ref = -kernels::dot_scalar(q, X.row(ids[j]), d);
+      const float ref = -kernels::dot(q, X.row(ids[j]), d);
       const float x_norm = std::sqrt(
-          kernels::dot_scalar(X.row(ids[j]), X.row(ids[j]), d));
+          kernels::dot(X.row(ids[j]), X.row(ids[j]), d));
       EXPECT_NEAR(gout[j], ref, 1e-6f + mrel * q_norm * x_norm)
           << "gather_ip " << dispatch::isa_name(isa) << " d=" << d;
     }
@@ -286,7 +233,7 @@ TEST_P(DispatchFuzzTest, L1AndIpShapesMatchScalarReference) {
     if (rows > 9) {
       ops.rows_l1(q, d, X.data(), X.stride(), 9, rows, out.data());
       for (index_t p = 9; p < rows; ++p) {
-        const float ref = kernels::l1_scalar(q, X.row(p), d);
+        const float ref = kernels::l1(q, X.row(p), d);
         EXPECT_NEAR(out[p - 9], ref, 1e-6f + mrel * ref)
             << "rows_l1(lo=9) " << dispatch::isa_name(isa) << " d=" << d;
       }
@@ -313,7 +260,7 @@ TEST_P(DispatchFuzzTest, QuantizedShapesMatchDequantizedReference) {
   const Matrix<float> Q = random_points(1, d, 8'000 + d);
   const float* q = Q.row(0);
   const double q_norm = std::sqrt(
-      static_cast<double>(kernels::dot_scalar(q, q, d)));
+      static_cast<double>(kernels::dot(q, q, d)));
 
   std::vector<index_t> ids;  // gather pattern: every other row, reversed
   for (index_t p = rows; p-- > 0;)
@@ -424,6 +371,78 @@ TEST_P(DispatchFuzzTest, QuantizedShapesMatchDequantizedReference) {
 INSTANTIATE_TEST_SUITE_P(Dims, DispatchFuzzTest,
                          ::testing::Values(1, 2, 7, 8, 15, 16, 17, 21, 31,
                                            32, 54, 74, 128, 333));
+
+// ------------------------------------------- bit-exact l2_lanes shape ---
+//
+// Contract 2 of dispatch.hpp: on every runnable ISA each l2_lanes output
+// equals Euclidean{}(q, x) bit for bit — the exact RBC stores these values
+// (owners, list distances, psi) and prunes with them, so "close" is a bug.
+// A fused multiply-add anywhere in a lane (e.g. from FP contraction under
+// -mfma) changes the rounding of almost every random input and fails here.
+//
+// Rows are q plus a per-row perturbation of magnitude 2^e, with e swept
+// from the smallest subnormal to past the float range, across query scales
+// from subnormal to 2^70: differences that vanish, subnormal differences
+// and products, ordinary values, and sums that overflow to +inf. Rows equal
+// to q (distance 0) and plain random rows ride along. Row counts cover a
+// partial first block, exact blocks, and every grouping remainder.
+
+std::uint32_t bits(float v) { return std::bit_cast<std::uint32_t>(v); }
+
+class LanesFuzzTest : public ::testing::TestWithParam<index_t> {};
+
+TEST_P(LanesFuzzTest, L2LanesEqualsEuclideanBitwise) {
+  const index_t d = GetParam();
+  constexpr int kExponents[] = {-149, -140, -130, -100, -75, -70, -64,
+                                -40,  -20,  0,    20,   40,  62,  63,
+                                64,   70};
+  constexpr int kQueryScales[] = {-140, -70, 0, 60, 70};
+  constexpr index_t kRowCounts[] = {1, 15, 16, 17, 47, 100, 131};
+  const Euclidean euclid{};
+  for (const int qs : kQueryScales) {
+    Rng rng(static_cast<std::uint64_t>(d) * 1'000 + qs + 200);
+    std::vector<float> q(d);
+    for (auto& v : q) v = std::ldexp(rng.uniform_float(-1.0f, 1.0f), qs);
+    for (const index_t n : kRowCounts) {
+      Matrix<float> X(n, d);
+      for (index_t j = 0; j < n; ++j) {
+        const index_t kind = j % (std::size(kExponents) + 2);
+        for (index_t i = 0; i < d; ++i) {
+          if (kind == std::size(kExponents))
+            X.at(j, i) = q[i];  // identical row: distance 0
+          else if (kind == std::size(kExponents) + 1)
+            X.at(j, i) = rng.uniform_float(-3.0f, 3.0f);
+          else
+            X.at(j, i) =
+                q[i] + std::ldexp(rng.uniform_float(-1.0f, 1.0f),
+                                  kExponents[kind]);
+        }
+      }
+      std::vector<float> lanes(dispatch::lanes_size(n, d));
+      dispatch::pack_lanes(X.data(), X.stride(), n, d, lanes.data());
+      for (const dispatch::Isa isa : runnable_isas()) {
+        // One sentinel block past n: the shape must write exactly n values.
+        std::vector<float> out(n + dispatch::kLanes, -1.0f);
+        dispatch::ops_for(isa)->l2_lanes(q.data(), d, lanes.data(), n,
+                                          out.data());
+        for (index_t j = 0; j < n; ++j) {
+          const float ref = euclid(q.data(), X.row(j), d);
+          ASSERT_EQ(bits(out[j]), bits(ref))
+              << dispatch::isa_name(isa) << " d=" << d << " n=" << n
+              << " row=" << j << " query scale 2^" << qs << ": " << out[j]
+              << " vs " << ref;
+        }
+        for (index_t j = n; j < n + dispatch::kLanes; ++j)
+          ASSERT_EQ(out[j], -1.0f) << dispatch::isa_name(isa)
+                                   << " wrote past n=" << n;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, LanesFuzzTest,
+                         ::testing::Values(1, 7, 15, 16, 17, 21, 54, 74,
+                                           129));
 
 // The software binary16 codec underpinning the scalar table (and the err
 // bounds of every store): known encodings, saturation, subnormals, and
@@ -549,6 +568,11 @@ TEST(Dispatch, ZeroDimensionAndEmptyRangesAreSafe) {
     ops.rows_ip(&x, 1, &x, 1, 0, 0, out);
     ops.gather_l1(&x, 1, &x, 1, nullptr, 0, out);
     ops.gather_ip(&x, 1, &x, 1, nullptr, 0, out);
+    ops.l2_lanes(&x, 0, nullptr, 1, out);  // d == 0: distance is 0
+    EXPECT_EQ(out[0], 0.0f) << dispatch::isa_name(isa);
+    out[0] = -1.0f;
+    ops.l2_lanes(&x, 1, nullptr, 0, out);  // no rows: no write
+    EXPECT_EQ(out[0], -1.0f) << dispatch::isa_name(isa);
   }
 }
 

@@ -70,7 +70,7 @@ TEST(RbcBlocked, TileKernelMatchesScalarWithinContractionSlack) {
 
     for (index_t p = 0; p < X.rows(); ++p)
       for (index_t t = 0; t < dispatch::kTile; ++t) {
-        const float ref = kernels::sq_l2_scalar(Q.row(t), X.row(p), d);
+        const float ref = kernels::sq_l2(Q.row(t), X.row(p), d);
         const float got =
             out[static_cast<std::size_t>(p) * dispatch::kTile + t];
         EXPECT_NEAR(got, ref, 1e-5f + 1e-6f * ref)

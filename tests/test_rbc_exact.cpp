@@ -3,15 +3,75 @@
 // equal brute force under the (distance, id) order — ties included.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <numeric>
+#include <sstream>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "data/generators.hpp"
+#include "distance/dispatch.hpp"
 #include "rbc/rbc.hpp"
 #include "test_util.hpp"
 
 namespace rbc {
 namespace {
+
+std::uint32_t bits(float v) { return std::bit_cast<std::uint32_t>(v); }
+
+/// Scalar BF(X, R) with the Euclidean functor, straight from paper §4: each
+/// point joins its nearest representative, the lowest representative index
+/// winning ties; lists are ordered by (distance, id) and psi is the
+/// largest member distance (0 for an empty list).
+struct BuildModel {
+  std::vector<std::vector<std::pair<dist_t, index_t>>> lists;
+  std::vector<dist_t> psi;
+};
+
+BuildModel scalar_build_model(const Matrix<float>& X,
+                              const std::vector<index_t>& rep_ids) {
+  const Euclidean m{};
+  BuildModel model;
+  model.lists.resize(rep_ids.size());
+  for (index_t x = 0; x < X.rows(); ++x) {
+    dist_t best = kInfDist;
+    std::size_t owner = 0;
+    for (std::size_t r = 0; r < rep_ids.size(); ++r) {
+      const dist_t d = m(X.row(x), X.row(rep_ids[r]), X.cols());
+      if (d < best) {
+        best = d;
+        owner = r;
+      }
+    }
+    model.lists[owner].emplace_back(best, x);
+  }
+  for (auto& list : model.lists) {
+    std::sort(list.begin(), list.end());
+    model.psi.push_back(list.empty() ? 0.0f : list.back().first);
+  }
+  return model;
+}
+
+/// Every list of `index` equals the model's, ids in order and distances
+/// and psi bitwise.
+void expect_matches_model(const RbcExactIndex<>& index,
+                          const BuildModel& model, const std::string& what) {
+  ASSERT_EQ(static_cast<std::size_t>(index.num_reps()), model.lists.size());
+  for (index_t r = 0; r < index.num_reps(); ++r) {
+    const auto ids = index.list_ids(r);
+    const auto dists = index.list_dists(r);
+    const auto& want = model.lists[r];
+    ASSERT_EQ(ids.size(), want.size()) << what << " list " << r;
+    for (std::size_t j = 0; j < want.size(); ++j) {
+      EXPECT_EQ(ids[j], want[j].second) << what << " list " << r;
+      EXPECT_EQ(bits(dists[j]), bits(want[j].first)) << what << " list " << r;
+    }
+    EXPECT_EQ(bits(index.psi(r)), bits(model.psi[r])) << what << " psi " << r;
+  }
+}
 
 // ---------------------------------------------------------------- build ---
 
@@ -28,22 +88,92 @@ TEST(RbcExactBuild, ListsPartitionTheDatabase) {
 }
 
 TEST(RbcExactBuild, EveryPointOwnedByItsNearestRepresentative) {
-  const Matrix<float> X = testutil::clustered_matrix(300, 8, 4, 2);
+  // Duplicated rows make representatives tie: the owner must then be the
+  // lowest-index nearest one, at the functor's exact distance.
+  const Matrix<float> X =
+      testutil::with_duplicates(testutil::clustered_matrix(300, 8, 4, 2), 150);
   RbcExactIndex<> index;
-  index.build(X, {.num_reps = 15, .seed = 7});
+  index.build(X, {.num_reps = 40, .seed = 7});
+  expect_matches_model(index, scalar_build_model(X, index.rep_ids()),
+                       dispatch::isa_name(dispatch::active_isa()));
+}
 
-  const Euclidean m{};
-  // Owner of x must be (one of) the nearest representative(s).
-  for (index_t r = 0; r < index.num_reps(); ++r) {
-    for (const index_t x : index.list_ids(r)) {
-      const dist_t owner_dist = m(X.row(x), X.row(index.rep_ids()[r]), 8);
-      for (index_t r2 = 0; r2 < index.num_reps(); ++r2) {
-        const dist_t other = m(X.row(x), X.row(index.rep_ids()[r2]), 8);
-        EXPECT_GE(other, owner_dist)
-            << "point " << x << " closer to rep " << r2 << " than its owner";
+// BF(X, R) and stage 1 run the dispatched bit-exact l2_lanes shape. Under
+// every runnable ISA the built structure must equal a scalar BF(X, R) —
+// owners with ties to the lowest representative, list distances and psi
+// bitwise — and the saved bytes, the answers and the per-query work counts
+// must be identical across ISAs. Representative counts leave partial lane blocks
+// and cover the 4-block groups of the AVX-512 kernel; the lattice data
+// makes exact distance ties between distinct representatives common.
+TEST(RbcExactBuild, EveryIsaBuildsTheScalarModelBitForBit) {
+  Matrix<float> lattice(4 * 4 * 4 * 4, 4);
+  for (index_t p = 0; p < lattice.rows(); ++p)
+    for (index_t j = 0; j < 4; ++j)
+      lattice.at(p, j) = static_cast<float>((p >> (2 * j)) & 3u);
+  struct Case {
+    const char* name;
+    Matrix<float> X;
+    index_t num_reps;
+  };
+  Case cases[] = {
+      {"clustered+dups",
+       testutil::with_duplicates(testutil::clustered_matrix(900, 21, 6, 31),
+                                 300),
+       75},
+      {"lattice+dups", testutil::with_duplicates(lattice, 128), 37},
+      {"high_dim", testutil::clustered_matrix(500, 74, 5, 32), 16},
+  };
+  const dispatch::Isa entry_isa = dispatch::active_isa();
+  for (const Case& c : cases) {
+    const Matrix<float> Q =
+        testutil::random_matrix(64, c.X.cols(), 33, -6.0f, 6.0f);
+    std::string first_bytes;
+    KnnResult first_result;
+    SearchStats first_stats;
+    for (const dispatch::Isa isa :
+         {dispatch::Isa::kScalar, dispatch::Isa::kAvx2,
+          dispatch::Isa::kAvx512}) {
+      if (!dispatch::isa_available(isa)) continue;
+      dispatch::force_isa(isa);
+      const std::string what =
+          std::string(c.name) + " under " + dispatch::isa_name(isa);
+      RbcExactIndex<> index;
+      index.build(c.X, {.num_reps = c.num_reps, .seed = 1234});
+      expect_matches_model(index, scalar_build_model(c.X, index.rep_ids()),
+                           what);
+
+      std::ostringstream os;
+      index.save(os);
+      // Per-query path on every ISA (search() would switch to the blocked
+      // batch path on SIMD ISAs, whose work counts differ by design).
+      constexpr index_t k = 5;
+      KnnResult result(Q.rows(), k);
+      SearchStats stats;
+      RbcExactIndex<>::Scratch scratch;
+      TopK top(k);
+      for (index_t qi = 0; qi < Q.rows(); ++qi) {
+        top.reset();
+        index.search_one(Q.row(qi), k, top, scratch, &stats);
+        top.extract_sorted(result.dists.row(qi), result.ids.row(qi));
       }
+      if (first_bytes.empty()) {
+        first_bytes = os.str();
+        first_result = std::move(result);
+        first_stats = stats;
+        continue;
+      }
+      EXPECT_EQ(os.str(), first_bytes) << what << ": saved bytes differ";
+      EXPECT_TRUE(testutil::knn_equal(first_result, result)) << what;
+      EXPECT_EQ(stats.rep_dist_evals, first_stats.rep_dist_evals) << what;
+      EXPECT_EQ(stats.list_dist_evals, first_stats.list_dist_evals) << what;
+      EXPECT_EQ(stats.reps_pruned_overlap, first_stats.reps_pruned_overlap)
+          << what;
+      EXPECT_EQ(stats.reps_pruned_lemma, first_stats.reps_pruned_lemma)
+          << what;
+      EXPECT_EQ(stats.reps_scanned, first_stats.reps_scanned) << what;
     }
   }
+  dispatch::force_isa(entry_isa);
 }
 
 TEST(RbcExactBuild, ListsSortedAndPsiIsMaxMemberDistance) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
+#include <string>
 
 #include "rbc/rbc.hpp"
 #include "test_util.hpp"
@@ -96,6 +98,29 @@ TEST(Serialize, RejectsTruncatedStream) {
   const std::string full = stream.str();
   std::stringstream truncated(full.substr(0, full.size() / 2));
   EXPECT_THROW((void)RbcExactIndex<>::load(truncated), std::runtime_error);
+}
+
+TEST(Serialize, RejectsDimDisagreeingWithRowWidth) {
+  // load() derives the lane-blocked representatives from dim-wide rows, so
+  // a header dim that disagrees with the stored matrices must be refused
+  // before anything reads past a row.
+  const Matrix<float> X = testutil::random_matrix(200, 6, 16);
+  RbcExactIndex<> index;
+  index.build(X, {.num_reps = 10, .seed = 17});
+  std::stringstream stream;
+  index.save(stream);
+  std::string bytes = stream.str();
+  // magic (4) + version (4) + metric tag (8-byte length + "l2") + n (4).
+  const std::size_t dim_at = 4 + 4 + 8 + 2 + 4;
+  index_t dim = 0;
+  std::memcpy(&dim, bytes.data() + dim_at, sizeof(dim));
+  ASSERT_EQ(dim, 6u);
+  for (const index_t bad : {index_t{5}, index_t{7}, index_t{1u << 30}}) {
+    std::memcpy(bytes.data() + dim_at, &bad, sizeof(bad));
+    std::stringstream corrupt(bytes);
+    EXPECT_THROW((void)RbcExactIndex<>::load(corrupt), std::runtime_error)
+        << "dim " << bad;
+  }
 }
 
 }  // namespace
