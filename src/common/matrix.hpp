@@ -81,7 +81,10 @@ class Matrix {
   /// multi-GB copies; cloning is explicit).
   Matrix clone() const {
     Matrix out(rows_, cols_);
-    std::memcpy(out.data(), data(), sizeof(T) * data_.size());
+    // An empty matrix owns no buffer, and memcpy from null is undefined
+    // even for zero bytes.
+    if (data_.size() != 0)
+      std::memcpy(out.data(), data(), sizeof(T) * data_.size());
     return out;
   }
 

@@ -44,6 +44,15 @@ index_t position_of(const std::vector<index_t>& sorted, index_t id) {
   return static_cast<index_t>(it - sorted.begin());
 }
 
+/// The ascending union of two disjoint ascending id sets, as a fresh
+/// snapshot vector (copy-on-write: the old one may still be searched).
+std::shared_ptr<const std::vector<index_t>> merged(
+    const std::vector<index_t>& a, const std::vector<index_t>& b) {
+  auto out = std::make_shared<std::vector<index_t>>(a.size() + b.size());
+  std::merge(a.begin(), a.end(), b.begin(), b.end(), out->begin());
+  return out;
+}
+
 void check_ascending_unique(const std::vector<index_t>& ids,
                             const char* what) {
   for (std::size_t i = 0; i < ids.size(); ++i) {
@@ -169,13 +178,14 @@ void MutableIndex::build_internal(const Matrix<float>& X,
   main_ = std::move(main);
   delta_ = std::make_shared<DeltaState>();
   tombs_ = std::make_shared<std::vector<index_t>>();
+  dead_ = tombs_;
   merging_ = false;
   frozen_ids_.clear();
 }
 
 MutableIndex::Snapshot MutableIndex::snapshot() const {
   std::shared_lock lock(mutex_);
-  return {main_, delta_, tombs_};
+  return {main_, delta_, tombs_, dead_};
 }
 
 dist_t MutableIndex::delta_distance(const float* a, const float* b,
@@ -224,15 +234,13 @@ SearchResponse MutableIndex::knn_search(const SearchRequest& request) const {
     std::shared_lock lock(mutex_);
     built = built_;
     dim = dim_;
-    s = {main_, delta_, tombs_};
+    s = {main_, delta_, tombs_, dead_};
   }
   if (!built)  // always throws (uniform unbuilt-index message)
     validate_knn(request, dim, 0, false, name_.c_str(), options_.metric);
 
   const std::vector<index_t>& main_ids = s.main->ids;
-  std::vector<index_t> dead;  // tombstoned ids present in the main structure
-  std::set_intersection(s.tombs->begin(), s.tombs->end(), main_ids.begin(),
-                        main_ids.end(), std::back_inserter(dead));
+  const std::vector<index_t>& dead = *s.dead;
   const index_t main_n = static_cast<index_t>(main_ids.size());
   const index_t dead_n = static_cast<index_t>(dead.size());
   const index_t main_live = main_n - dead_n;
@@ -245,43 +253,76 @@ SearchResponse MutableIndex::knn_search(const SearchRequest& request) const {
   metric::QueryTransform qt(kind_, *request.queries);
   const Matrix<float>& tq = qt.queries();
 
-  // Over-fetch k + |dead| from the inner structure: even if every tombstoned
-  // row lands in the top of the inner answer, k live main candidates remain
-  // (clamped to the structure size).
-  SearchResponse inner_resp;
+  // Main stream. An inner answer is the (distance, id) prefix over every
+  // main row, dead ones included, so when the top-k already holds
+  // min(k, main_live) live rows they are exactly the rows a deeper search
+  // would keep. Only rows left short (tombstones ranked into the top, or an
+  // approximate inner padded) are searched again at k + |dead|: even if
+  // every dead row ranks first, k live main candidates remain (clamped to
+  // the structure size).
   const bool have_inner = s.main->inner != nullptr && main_live > 0;
-  index_t k_inner = 0;
-  if (have_inner) {
-    k_inner = std::min<index_t>(k + dead_n, main_n);
+  const index_t k_first = std::min(k, main_n);
+  const index_t k_retry = std::min<index_t>(k + dead_n, main_n);
+  const auto search_inner = [&](const Matrix<float>& queries, index_t kk) {
     SearchRequest inner_request;
-    inner_request.queries = &tq;
-    inner_request.k = k_inner;
+    inner_request.queries = &queries;
+    inner_request.k = kk;
     inner_request.options.collect_stats = request.options.collect_stats;
-    inner_resp = s.main->inner->knn_search(inner_request);
+    return s.main->inner->knn_search(inner_request);
+  };
+  const auto is_live = [&](index_t local) {
+    // Approximate inners (rbc-oneshot) pad under-filled rows with
+    // kInvalidIndex at +inf: padding is never a live row.
+    return local != kInvalidIndex && !contains(dead, main_ids[local]);
+  };
+  SearchResponse first;
+  SearchResponse retry;
+  std::vector<index_t> retry_row(nq, kInvalidIndex);  // query -> retry row
+  if (have_inner) {
+    first = search_inner(tq, k_first);
+    if (k_retry > k_first) {
+      const index_t want = std::min(k, main_live);
+      std::vector<index_t> short_rows;
+      for (index_t qi = 0; qi < nq; ++qi) {
+        const index_t* ids = first.knn.ids.row(qi);
+        const auto live = std::count_if(ids, ids + k_first, is_live);
+        if (static_cast<index_t>(live) >= want) continue;
+        retry_row[qi] = static_cast<index_t>(short_rows.size());
+        short_rows.push_back(qi);
+      }
+      if (!short_rows.empty()) {
+        // One sub-block of the transformed queries (normalized under cosine).
+        Matrix<float> again(static_cast<index_t>(short_rows.size()),
+                            tq.cols());
+        for (index_t i = 0; i < again.rows(); ++i)
+          again.copy_row_from(tq, short_rows[i], i);
+        retry = search_inner(again, k_retry);
+      }
+    }
   }
 
   SearchResponse response;
   response.knn = KnnResult(nq, k);
   parallel_for_dynamic(0, nq, [&](index_t qi) {
-    // Main stream: drop tombstoned rows, remap local -> global. The remap is
-    // monotone (ids_ ascending), so the stream stays sorted under the global
+    // Drop tombstoned rows, remap local -> global. The remap is monotone
+    // (ids_ ascending), so the stream stays sorted under the global
     // (distance, id) order.
     std::vector<dist_t> main_d;
     std::vector<index_t> main_i;
     if (have_inner) {
       main_d.reserve(k);
       main_i.reserve(k);
-      const dist_t* dists = inner_resp.knn.dists.row(qi);
-      const index_t* ids = inner_resp.knn.ids.row(qi);
+      const bool retried = retry_row[qi] != kInvalidIndex;
+      const KnnResult& inner = retried ? retry.knn : first.knn;
+      const index_t row = retried ? retry_row[qi] : qi;
+      const index_t k_inner = retried ? k_retry : k_first;
+      const dist_t* dists = inner.dists.row(row);
+      const index_t* ids = inner.ids.row(row);
       for (index_t j = 0;
            j < k_inner && static_cast<index_t>(main_i.size()) < k; ++j) {
-        // Approximate inners (rbc-oneshot) pad under-filled rows with
-        // kInvalidIndex at +inf; skip the padding instead of remapping it.
-        if (ids[j] == kInvalidIndex) continue;
-        const index_t gid = main_ids[ids[j]];
-        if (contains(dead, gid)) continue;
+        if (!is_live(ids[j])) continue;
         main_d.push_back(dists[j]);
-        main_i.push_back(gid);
+        main_i.push_back(main_ids[ids[j]]);
       }
     }
     // Delta stream: brute-force top-k over the write buffer.
@@ -309,7 +350,8 @@ SearchResponse MutableIndex::knn_search(const SearchRequest& request) const {
   qt.finish(response.knn.dists);
 
   if (request.options.collect_stats) {
-    response.stats = inner_resp.stats;
+    response.stats = first.stats;
+    response.stats.merge(retry.stats);
     response.stats.queries = nq;
     response.stats.list_dist_evals +=
         static_cast<std::uint64_t>(nq) * static_cast<std::uint64_t>(delta_n);
@@ -328,14 +370,12 @@ RangeResponse MutableIndex::range_search(const RangeRequest& request) const {
     std::shared_lock lock(mutex_);
     built = built_;
     dim = dim_;
-    s = {main_, delta_, tombs_};
+    s = {main_, delta_, tombs_, dead_};
   }
   validate_range(request, dim, built, name_.c_str(), options_.metric);
 
   const std::vector<index_t>& main_ids = s.main->ids;
-  std::vector<index_t> dead;
-  std::set_intersection(s.tombs->begin(), s.tombs->end(), main_ids.begin(),
-                        main_ids.end(), std::back_inserter(dead));
+  const std::vector<index_t>& dead = *s.dead;
   const index_t main_live =
       static_cast<index_t>(main_ids.size() - dead.size());
   const index_t delta_n = static_cast<index_t>(s.delta->ids.size());
@@ -469,6 +509,7 @@ index_t MutableIndex::remove(std::span<const index_t> ids) {
 
   std::vector<index_t> drop_delta;  // delta positions to drop (ascending)
   std::vector<index_t> new_tombs;   // ids to tombstone (ascending)
+  std::vector<index_t> new_dead;    // the new tombstones masking main rows
   index_t count = 0;
   for (const index_t id : request) {
     if (id == kInvalidIndex) continue;  // never live
@@ -482,18 +523,15 @@ index_t MutableIndex::remove(std::span<const index_t> ids) {
     // Tombstone when dropping the delta row alone cannot mask the id: it
     // lives in the current main structure, or in the frozen set an
     // in-flight merge is building the next main from.
-    if (!tombed && (in_main || (merging_ && contains(frozen_ids_, id))))
+    if (!tombed && (in_main || (merging_ && contains(frozen_ids_, id)))) {
       new_tombs.push_back(id);
+      if (in_main) new_dead.push_back(id);
+    }
   }
   if (count == 0) return 0;
 
-  if (!new_tombs.empty()) {
-    auto next = std::make_shared<std::vector<index_t>>(tombs_->size() +
-                                                       new_tombs.size());
-    std::merge(tombs_->begin(), tombs_->end(), new_tombs.begin(),
-               new_tombs.end(), next->begin());
-    tombs_ = std::move(next);
-  }
+  if (!new_tombs.empty()) tombs_ = merged(*tombs_, new_tombs);
+  if (!new_dead.empty()) dead_ = merged(*dead_, new_dead);
   if (!drop_delta.empty()) {
     const DeltaState& old = *delta_;
     auto next = std::make_shared<DeltaState>();
@@ -515,7 +553,7 @@ index_t MutableIndex::remove(std::span<const index_t> ids) {
 
 MutableIndex::MergeJob MutableIndex::freeze_locked() {
   MergeJob job;
-  job.snap = {main_, delta_, tombs_};
+  job.snap = {main_, delta_, tombs_, dead_};
   std::vector<index_t> main_live;
   std::set_difference(main_->ids.begin(), main_->ids.end(), tombs_->begin(),
                       tombs_->end(), std::back_inserter(main_live));
@@ -594,6 +632,7 @@ void MutableIndex::merge_once(const MergeJob& job) {
   main_ = std::move(next_main);
   delta_ = std::move(next_delta);
   tombs_ = std::move(next_tombs);
+  dead_ = tombs_;  // every surviving tombstone masks a row of the new main
   merging_ = false;
   frozen_ids_.clear();
 }
@@ -626,7 +665,7 @@ std::vector<index_t> MutableIndex::live_ids() const {
   {
     std::shared_lock lock(mutex_);
     built = built_;
-    s = {main_, delta_, tombs_};
+    s = {main_, delta_, tombs_, dead_};
   }
   if (!built) return {};
   std::vector<index_t> main_live;
@@ -649,7 +688,7 @@ IndexInfo MutableIndex::info() const {
     std::shared_lock lock(mutex_);
     built = built_;
     dim = dim_;
-    s = {main_, delta_, tombs_};
+    s = {main_, delta_, tombs_, dead_};
   }
   IndexInfo out = built && s.main->inner != nullptr ? s.main->inner->info()
                                                     : probe_->info();
@@ -657,15 +696,11 @@ IndexInfo MutableIndex::info() const {
   out.metric = options_.metric;  // the inner may run the mapped (l2) metric
   out.supports_mutation = true;
   if (built) {
-    std::vector<index_t> dead;
-    std::set_intersection(s.tombs->begin(), s.tombs->end(),
-                          s.main->ids.begin(), s.main->ids.end(),
-                          std::back_inserter(dead));
-    out.size = static_cast<index_t>(s.main->ids.size() - dead.size() +
+    out.size = static_cast<index_t>(s.main->ids.size() - s.dead->size() +
                                     s.delta->ids.size());
     out.dim = dim;
     out.delta_rows = static_cast<index_t>(s.delta->ids.size());
-    out.tombstones = static_cast<index_t>(dead.size());
+    out.tombstones = static_cast<index_t>(s.dead->size());
     out.memory_bytes += s.main->rows.size() * sizeof(float) +
                         s.main->ids.size() * sizeof(index_t) +
                         s.delta->rows.size() * sizeof(float) +
@@ -689,7 +724,7 @@ void MutableIndex::save(std::ostream& os) const {
     std::shared_lock lock(mutex_);
     built = built_;
     dim = dim_;
-    s = {main_, delta_, tombs_};
+    s = {main_, delta_, tombs_, dead_};
   }
   if (!built) fail(name_, "save on an unbuilt index (call build first)");
 
@@ -722,14 +757,11 @@ void MutableIndex::save(std::ostream& os) const {
   // State: transform-space rows with explicit global ids. Only tombstones
   // that mask main rows are persisted (a transient merge-frozen extra means
   // nothing to a fresh load).
-  std::vector<index_t> dead;
-  std::set_intersection(s.tombs->begin(), s.tombs->end(), s.main->ids.begin(),
-                        s.main->ids.end(), std::back_inserter(dead));
   io::write_vec(os, s.main->ids);
   io::write_matrix(os, s.main->rows);
   io::write_vec(os, s.delta->ids);
   io::write_matrix(os, s.delta->rows);
-  io::write_vec(os, dead);
+  io::write_vec(os, *s.dead);
 }
 
 std::unique_ptr<Index> MutableIndex::load(std::istream& is,
@@ -829,6 +861,7 @@ std::unique_ptr<Index> MutableIndex::load(std::istream& is,
   index->main_ = std::move(main);
   index->delta_ = std::move(delta);
   index->tombs_ = std::make_shared<std::vector<index_t>>(std::move(tombs));
+  index->dead_ = index->tombs_;  // checked above: every tombstone masks main
   return index;
 }
 

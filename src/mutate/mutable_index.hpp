@@ -10,7 +10,8 @@
 //
 //   writes  ──► delta shard (brute-force scanned, <= max_delta rows)
 //   deletes ──► tombstones  (mask main-structure rows at merge time)
-//   search  ──► snapshot {main, delta, tombs}; inner top-(k + dead) +
+//   search  ──► snapshot {main, delta, tombs, dead}; inner top-k (again
+//               top-(k + dead) only for rows it left short of live ids) +
 //               delta top-k ──► shard::merge_topk_row (exact, ties incl.)
 //   merge   ──► background thread rebuilds the raw structure over the live
 //               set, swaps it in under the lock (shared_ptr snapshots), so
@@ -58,7 +59,7 @@ BackendEntry wrap(BackendEntry raw);
 ///
 /// Concurrency contract: const searches (knn/range/info/live_ids/save) may
 /// run from any number of threads, concurrently with mutators and with the
-/// background merge — they snapshot three shared_ptrs under a brief shared
+/// background merge — they snapshot four shared_ptrs under a brief shared
 /// lock and never wait on structure builds. Mutators (insert/remove/
 /// compact/build) are serialized against each other internally.
 class MutableIndex final : public Index {
@@ -115,6 +116,9 @@ class MutableIndex final : public Index {
     std::shared_ptr<const MainState> main;
     std::shared_ptr<const DeltaState> delta;
     std::shared_ptr<const std::vector<index_t>> tombs;
+    /// The tombstones that mask main rows (tombs ∩ main ids), ascending.
+    /// tombs may also hold ids only an in-flight merge's frozen set has.
+    std::shared_ptr<const std::vector<index_t>> dead;
   };
   /// Everything a merge needs, captured at freeze time.
   struct MergeJob {
@@ -155,6 +159,7 @@ class MutableIndex final : public Index {
   std::shared_ptr<const MainState> main_;
   std::shared_ptr<const DeltaState> delta_;
   std::shared_ptr<const std::vector<index_t>> tombs_;
+  std::shared_ptr<const std::vector<index_t>> dead_;  // Snapshot::dead
   bool merging_ = false;
   std::vector<index_t> frozen_ids_;  // the in-flight merge's new main set
 

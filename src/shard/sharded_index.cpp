@@ -1,6 +1,7 @@
 #include "shard/sharded_index.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <istream>
 #include <mutex>
 #include <ostream>
@@ -11,6 +12,7 @@
 #include "metricspace/dataset.hpp"
 #include "metricspace/space.hpp"
 #include "parallel/parallel_for.hpp"
+#include "parallel/runtime.hpp"
 #include "rbc/serialize_io.hpp"
 #include "shard/merge.hpp"
 
@@ -280,21 +282,31 @@ SearchResponse ShardedIndex::knn_search(const SearchRequest& request) const {
   const index_t nq = Q.rows();
   const index_t k = request.k;
 
-  // Fan-out: every live shard answers the full query block. Each shard's
-  // batch search fills its own per-query top-k heaps (inner backends never
-  // share state), so this stage is lock-free; with k clamped to the shard's
-  // live row count every returned row is fully populated — no padding
-  // reaches the merge. Shards with zero live rows (drained by remove(), or
-  // excess shards awaiting inserts) are skipped: they have nothing to
-  // contribute and k >= 1 would fail their validation.
+  // Fan-out: every live shard answers the query block, with k clamped to
+  // its live row count so every returned row is fully populated — no
+  // padding reaches the merge. Shards with zero live rows (drained by
+  // remove(), or excess shards awaiting inserts) are skipped: they have
+  // nothing to contribute and k >= 1 would fail their validation. Each
+  // (query, shard) pair fills its own top-k (inner backends never share
+  // state), so the fan-out is lock-free whichever way it is scheduled.
   std::vector<SearchResponse> fanout(shards_.size());
   std::vector<index_t> shard_k(shards_.size(), 0);
+  std::vector<std::size_t> live;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     if (shards_[s].live == 0) continue;
-    SearchRequest sub = request;
     shard_k[s] = std::min<index_t>(k, shards_[s].live);
-    sub.k = shard_k[s];
-    fanout[s] = shards_[s].index->knn_search(sub);
+    live.push_back(s);
+  }
+  if (live.size() > 1 && nq < static_cast<index_t>(max_threads())) {
+    knn_rows_fanout(request, live, shard_k, fanout);
+  } else {
+    // Shard after shard, each searching the whole block with the team's
+    // query-level parallelism.
+    for (const std::size_t s : live) {
+      SearchRequest sub = request;
+      sub.k = shard_k[s];
+      fanout[s] = shards_[s].index->knn_search(sub);
+    }
   }
 
   // Exact k-way merge under the global (distance, id) order — shared with
@@ -305,12 +317,10 @@ SearchResponse ShardedIndex::knn_search(const SearchRequest& request) const {
   // ascending global). validate_knn guarantees k <= live size, so the
   // merge preconditions hold either way.
   std::vector<MergeInput> inputs;
-  inputs.reserve(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (shard_k[s] == 0) continue;
+  inputs.reserve(live.size());
+  for (const std::size_t s : live)
     inputs.push_back({&fanout[s].knn, shard_k[s],
                       mutable_mode_ ? nullptr : &shards_[s].global_ids});
-  }
   SearchResponse response;
   response.knn = merge_shard_topk(nq, k, inputs);
 
@@ -319,6 +329,54 @@ SearchResponse ShardedIndex::knn_search(const SearchRequest& request) const {
     response.stats.queries = nq;  // each query answered once, not once/shard
   }
   return response;
+}
+
+void ShardedIndex::knn_rows_fanout(const SearchRequest& request,
+                                   const std::vector<std::size_t>& live,
+                                   const std::vector<index_t>& shard_k,
+                                   std::vector<SearchResponse>& fanout) const {
+  // Fewer rows than threads: the per-query loop inside one shard's search
+  // would leave threads idle (and its chunk of 8 puts up to 8 rows on one
+  // thread), so the team splits (shard, row) pairs instead. Each pair is a
+  // one-row search on its shard; the inner backend's own OpenMP loops nest
+  // inside this region and run serially, as in the parallel shard builds.
+  const Matrix<float>& Q = *request.queries;
+  const index_t nq = Q.rows();
+  std::vector<Matrix<float>> rows(nq);
+  for (index_t qi = 0; qi < nq; ++qi) {
+    rows[qi] = Matrix<float>(1, Q.cols());
+    rows[qi].copy_row_from(Q, qi, 0);
+  }
+  for (const std::size_t s : live) fanout[s].knn = KnnResult(nq, shard_k[s]);
+
+  const std::size_t pairs = live.size() * nq;
+  std::vector<SearchStats> stats(pairs);
+  // An exception escaping an OpenMP region terminates the process: each
+  // pair parks its own, and the first (in pair order) is rethrown below.
+  std::vector<std::exception_ptr> errors(pairs);
+  parallel_for_dynamic(
+      0, static_cast<std::int64_t>(pairs),
+      [&](index_t p) {
+        const std::size_t s = live[p / nq];
+        const index_t qi = p % nq;
+        try {
+          SearchRequest sub = request;
+          sub.queries = &rows[qi];
+          sub.k = shard_k[s];
+          const SearchResponse r = shards_[s].index->knn_search(sub);
+          std::copy_n(r.knn.dists.row(0), shard_k[s],
+                      fanout[s].knn.dists.row(qi));
+          std::copy_n(r.knn.ids.row(0), shard_k[s], fanout[s].knn.ids.row(qi));
+          stats[p] = r.stats;
+        } catch (...) {
+          errors[p] = std::current_exception();
+        }
+      },
+      /*chunk=*/1);
+  for (const std::exception_ptr& error : errors)
+    if (error) std::rethrow_exception(error);
+  for (std::size_t p = 0; p < pairs; ++p)
+    fanout[live[p / nq]].stats.merge(stats[p]);
 }
 
 RangeResponse ShardedIndex::range_search(const RangeRequest& request) const {

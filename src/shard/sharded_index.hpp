@@ -9,10 +9,15 @@
 // shard. Each (query, shard) pair fills its own top-k — shard results never
 // share mutable state, so the fan-out is lock-free by construction — and an
 // exact k-way merge remaps shard-local row ids to global ids under the
-// library-wide (distance, id) order. Because every inner backend re-measures
-// candidates with the same scalar metric over the same row bytes, the merged
-// answer is bit-identical (ids, distances, tie order) to the wrapped backend
-// run unsharded, for every shard count and partition scheme.
+// library-wide (distance, id) order. The fan-out follows the batch size: a
+// block of at least max_threads() rows (or a single live shard) searches
+// shard after shard, each shard parallel over its queries; a smaller block
+// over several shards (a served read of one or two rows) runs one task per
+// (shard, row) pair, so every thread of the team has work. Because every
+// inner backend re-measures candidates with the same scalar metric over the
+// same row bytes, the merged answer is bit-identical (ids, distances, tie
+// order) to the wrapped backend run unsharded, for every shard count and
+// partition scheme.
 //
 //   auto index = rbc::make_index("sharded:rbc-exact", {.num_shards = 8});
 //   index->build(database);               // 8 rbc-exact indices, built in
@@ -131,6 +136,13 @@ class ShardedIndex final : public Index {
                             Shard& shard) const;
   void build_id_native(const Matrix<float>& X,
                        const std::vector<index_t>& ids);
+  /// knn_search's path for batches of fewer rows than threads: one task per
+  /// (live shard, query row) pair. Fills fanout[s] (all nq rows, shard_k[s]
+  /// columns, stats) for every s in `live`, as a block search would.
+  void knn_rows_fanout(const SearchRequest& request,
+                       const std::vector<std::size_t>& live,
+                       const std::vector<index_t>& shard_k,
+                       std::vector<SearchResponse>& fanout) const;
   IndexInfo info_locked() const;
   [[noreturn]] void fail(const std::string& what) const;
 

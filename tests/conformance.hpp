@@ -19,6 +19,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
@@ -31,6 +33,7 @@
 #include "api/metrics.hpp"
 #include "metricspace/dataset.hpp"
 #include "metricspace/space.hpp"
+#include "parallel/runtime.hpp"
 #include "test_util.hpp"
 
 namespace rbc::conformance {
@@ -593,7 +596,9 @@ inline std::unique_ptr<Index> rebuild_from_mirror(const std::string& backend,
 /// bit-for-bit whenever the structure is provably identical (delta empty,
 /// unsharded: the merge assembles rows in ascending-id order, exactly the
 /// scratch build's input, under the same seed) and satisfy the result
-/// invariants (live ids only, sorted, no duplicates) otherwise.
+/// invariants (live ids only, sorted, no duplicates) otherwise. Every
+/// backend must also answer each query row searched alone with the block
+/// answer's exact bits.
 inline void verify_mutation_checkpoint(Index& index,
                                        const std::string& backend,
                                        const IndexOptions& options,
@@ -611,7 +616,23 @@ inline void verify_mutation_checkpoint(Index& index,
   const auto k = static_cast<index_t>(
       std::min<std::size_t>(5, mirror.size()));
   ASSERT_GE(k, 1u);
+  // Four threads on any runner: the block (more rows than threads) takes
+  // the per-query loop, and each one-row search the sharded composite's
+  // (shard, row) fan-out.
+  const ThreadLimit threads(4);
   const KnnResult result = index.knn_search({.queries = &Q, .k = k}).knn;
+  for (index_t qi = 0; qi < Q.rows(); ++qi) {
+    Matrix<float> one(1, dim);
+    one.copy_row_from(Q, qi, 0);
+    const KnnResult alone = index.knn_search({.queries = &one, .k = k}).knn;
+    for (index_t j = 0; j < k; ++j) {
+      EXPECT_EQ(alone.ids.at(0, j), result.ids.at(qi, j))
+          << backend << ": row " << qi << " searched alone, slot " << j;
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(alone.dists.at(0, j)),
+                std::bit_cast<std::uint32_t>(result.dists.at(qi, j)))
+          << backend << ": row " << qi << " searched alone, slot " << j;
+    }
+  }
 
   auto scratch = rebuild_from_mirror(backend, options, mirror, dim);
   const KnnResult reference = scratch->knn_search({.queries = &Q, .k = k}).knn;

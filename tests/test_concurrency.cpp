@@ -82,7 +82,9 @@ TEST(Concurrency, ConcurrentRangeSearches) {
     reference[qi] = index.range_search(Q.row(qi), 2.0f);
 
   std::vector<std::thread> threads;
-  std::vector<bool> ok(4, false);
+  // char, not bool: std::vector<bool> packs neighbouring flags into one
+  // word, so four threads writing their own flag would race.
+  std::vector<char> ok(4, 0);
   for (int t = 0; t < 4; ++t)
     threads.emplace_back([&, t] {
       bool all_equal = true;
@@ -92,7 +94,7 @@ TEST(Concurrency, ConcurrentRangeSearches) {
       ok[static_cast<std::size_t>(t)] = all_equal;
     });
   for (auto& thread : threads) thread.join();
-  for (const bool flag : ok) EXPECT_TRUE(flag);
+  for (const char flag : ok) EXPECT_TRUE(flag);
 }
 
 TEST(Concurrency, DistributedSearchFromMultipleThreads) {

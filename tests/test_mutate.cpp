@@ -34,6 +34,20 @@ IndexOptions inline_merge_options(index_t max_delta) {
   return options;
 }
 
+/// A scratch build over exactly `index`'s live ids, where id i is pool row i.
+std::unique_ptr<Index> rebuild_live(const std::string& backend,
+                                    const IndexOptions& options,
+                                    const Index& index,
+                                    const Matrix<float>& pool) {
+  const std::vector<index_t> live = index.live_ids();
+  Matrix<float> rows(static_cast<index_t>(live.size()), pool.cols());
+  for (index_t i = 0; i < rows.rows(); ++i)
+    rows.copy_row_from(pool, live[i], i);
+  auto scratch = make_index(backend, options);
+  scratch->build_with_ids(rows, live);
+  return scratch;
+}
+
 TEST(MutableIndex, DeltaAndTombstoneAccounting) {
   const Matrix<float> pool = testutil::clustered_matrix(40, 6, 4, 301);
   auto index = make_index("bruteforce", inline_merge_options(1024));
@@ -145,6 +159,94 @@ TEST(MutableIndex, RangeSearchSeesDeltaAndMasksTombstones) {
     for (std::size_t qi = 0; qi < a.ids.size(); ++qi)
       EXPECT_EQ(a.ids[qi], b.ids[qi]) << "radius=" << radius << " qi=" << qi;
   }
+}
+
+// The main-structure read asks the inner index for the top-k first and
+// searches again at k + |dead| only for the rows that answer left short of
+// live ids. The next three tests pin that rule's edges.
+
+TEST(MutableIndex, RemovingTwoQueriesWholeTopKSearchesPastTheDeadRows) {
+  const Matrix<float> pool = testutil::clustered_matrix(200, 6, 5, 315);
+  const Matrix<float> Q = testutil::random_matrix(6, 6, 316);
+  const index_t k = 5;
+  const std::vector<std::string> metrics =
+      make_index("rbc-exact")->info().supported_metrics;
+  for (const std::string& metric : metrics) {
+    SCOPED_TRACE(metric);
+    IndexOptions options = inline_merge_options(1024);
+    options.metric = metric;
+    auto index = make_index("rbc-exact", options);
+    index->build(pool);
+
+    // Queries 1 and 4 lose their whole top-k, so their first pass returns
+    // only dead rows; the other four keep theirs, so the second search is a
+    // strict sub-block of the (transformed) queries.
+    const KnnResult before = index->knn_search({.queries = &Q, .k = k}).knn;
+    std::vector<index_t> drop;
+    for (const index_t qi : {1u, 4u})
+      for (index_t j = 0; j < k; ++j) drop.push_back(before.ids.at(qi, j));
+    EXPECT_GT(index->remove(drop), 0u);
+
+    const KnnResult after = index->knn_search({.queries = &Q, .k = k}).knn;
+    const KnnResult reference =
+        rebuild_live("rbc-exact", options, *index, pool)
+            ->knn_search({.queries = &Q, .k = k})
+            .knn;
+    EXPECT_TRUE(testutil::knn_equal(reference, after));
+  }
+}
+
+TEST(MutableIndex, DeltaFillsTheAnswerWhenFewerThanKMainRowsLive) {
+  const Matrix<float> pool = testutil::clustered_matrix(30, 6, 3, 317);
+  const Matrix<float> Q = testutil::random_matrix(4, 6, 318);
+  for (const std::string backend : {"bruteforce", "rbc-exact"}) {
+    SCOPED_TRACE(backend);
+    const IndexOptions options = inline_merge_options(1024);
+    auto index = make_index(backend, options);
+    index->build(rows_of(pool, 0, 10));
+    const std::vector<index_t> drop{0, 1, 2, 3, 4, 5, 6, 7};
+    ASSERT_EQ(index->remove(drop), 8u);
+    const std::vector<index_t> fresh{10, 11, 12, 13, 14, 15};
+    index->insert(rows_of(pool, 10, 6), fresh);
+    ASSERT_EQ(index->info().tombstones, 8u);
+    ASSERT_EQ(index->info().delta_rows, 6u);
+
+    // Two live main rows against k = 6 and 8: the delta supplies the rest.
+    auto scratch = rebuild_live(backend, options, *index, pool);
+    for (const index_t k : {6u, 8u}) {
+      const KnnResult got = index->knn_search({.queries = &Q, .k = k}).knn;
+      const KnnResult want = scratch->knn_search({.queries = &Q, .k = k}).knn;
+      EXPECT_TRUE(testutil::knn_equal(want, got)) << "k=" << k;
+    }
+  }
+}
+
+TEST(MutableIndex, RemovingRowsOutsideEveryAnswerAddsNoEvaluations) {
+  // Tombstones that no query's top-k reaches leave the inner search alone:
+  // same k, same pruning, same distance evaluations (a search at
+  // k + |dead| would loosen the RBC's pruning bound).
+  const auto [X, Q] =
+      testutil::split_rows(testutil::clustered_matrix(1'000, 8, 6, 319), 960);
+  auto index = make_index("rbc-exact", inline_merge_options(1024));
+  index->build(X);
+  SearchRequest request{.queries = &Q, .k = 5};
+  request.options.collect_stats = true;
+  const SearchResponse before = index->knn_search(request);
+
+  std::set<index_t> answered;
+  for (index_t qi = 0; qi < Q.rows(); ++qi)
+    for (index_t j = 0; j < request.k; ++j)
+      answered.insert(before.knn.ids.at(qi, j));
+  std::vector<index_t> drop;
+  for (index_t id = 0; id < X.rows() && drop.size() < 60; ++id)
+    if (answered.count(id) == 0) drop.push_back(id);
+  ASSERT_EQ(index->remove(drop), 60u);
+  ASSERT_EQ(index->info().tombstones, 60u);
+
+  const SearchResponse after = index->knn_search(request);
+  EXPECT_TRUE(testutil::knn_equal(before.knn, after.knn));
+  EXPECT_EQ(after.stats.rep_dist_evals, before.stats.rep_dist_evals);
+  EXPECT_EQ(after.stats.list_dist_evals, before.stats.list_dist_evals);
 }
 
 TEST(ShardedMutation, InsertsRouteToTheLeastFullShard) {

@@ -114,13 +114,25 @@ void run_stress(const std::string& backend) {
   std::vector<std::thread> readers;
   std::vector<int> searches(kReaders, 0);
   readers.reserve(kReaders);
+  // Sharded readers alternate four-row blocks with one-row ones, so the
+  // composite's small-batch (shard, row) fan-out races the writer too.
+  const bool sharded = backend.rfind("sharded:", 0) == 0;
   for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&, t] {
-      const Matrix<float> Q = testutil::random_matrix(4, kDim, 400 + t);
+      const Matrix<float> block = testutil::random_matrix(4, kDim, 400 + t);
+      std::vector<Matrix<float>> singles;
+      for (index_t qi = 0; qi < block.rows(); ++qi) {
+        singles.emplace_back(1, kDim);
+        singles.back().copy_row_from(block, qi, 0);
+      }
       const index_t k = 6;
       std::vector<float> row(kDim);
       while (!writers_done.load(std::memory_order_seq_cst) ||
              searches[t] < 50) {
+        const Matrix<float>& Q =
+            sharded && searches[t] % 2 == 1
+                ? singles[static_cast<std::size_t>(searches[t] / 2) % 4]
+                : block;
         const index_t removed_before =
             removed_floor.load(std::memory_order_seq_cst);
         const KnnResult r = index->knn_search({.queries = &Q, .k = k}).knn;

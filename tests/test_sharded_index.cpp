@@ -1,19 +1,45 @@
 // ShardedIndex internals the conformance suite doesn't reach: the
 // partition math, k clamping when shards are smaller than k, range-search
-// fan-out, IndexInfo aggregation, shard-parameter validation, and the
-// generic "sharded:<inner>" factory fallback for user-registered backends.
+// fan-out, IndexInfo aggregation, shard-parameter validation, the generic
+// "sharded:<inner>" factory fallback for user-registered backends, and a
+// shard's search failure reaching the caller from either fan-out.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
 
 #include "api/api.hpp"
+#include "parallel/runtime.hpp"
 #include "rbc/serialize_io.hpp"
 #include "shard/sharded_index.hpp"
 #include "test_util.hpp"
 
 namespace rbc {
 namespace {
+
+struct ShardFault : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// A read-only bruteforce whose every k-NN search throws ShardFault.
+class FaultyIndex final : public Index {
+ public:
+  void build(const Matrix<float>& X) override { inner_->build(X); }
+  SearchResponse knn_search(const SearchRequest&) const override {
+    throw ShardFault("faulty-knn: shard search failed");
+  }
+  IndexInfo info() const override {
+    IndexInfo info = inner_->info();
+    info.backend = "faulty-knn";
+    info.supports_mutation = false;
+    return info;
+  }
+
+ private:
+  std::unique_ptr<Index> inner_ = make_index("bruteforce");
+};
 
 TEST(ShardPartition, ContiguousCoversEveryRowOnceInOrder) {
   for (index_t n : {0u, 1u, 5u, 7u, 100u}) {
@@ -176,6 +202,33 @@ TEST(ShardedIndex, UserRegisteredBackendsShardThroughTheGenericFallback) {
   EXPECT_TRUE(testutil::knn_equal(
       testutil::naive_knn(Q, X, 2),
       index->knn_search({.queries = &Q, .k = 2}).knn));
+}
+
+TEST(ShardedIndex, ShardSearchFailureReachesTheCallerFromEitherFanOut) {
+  // A one-row batch on four threads runs one task per (shard, row) pair
+  // inside an OpenMP region, where an escaping exception would terminate
+  // the process; the block takes the shard-after-shard loop. Both must
+  // hand the caller the shard's own exception.
+  register_backend({.name = "faulty-knn",
+                    .create = [](const IndexOptions&) -> std::unique_ptr<Index> {
+                      return std::make_unique<FaultyIndex>();
+                    },
+                    .magic = 0,
+                    .load = nullptr});
+  auto index = make_index("sharded:faulty-knn", {.num_shards = 4});
+  index->build(testutil::random_matrix(40, 5, 15));
+  ASSERT_EQ(index->info().shards, 4u);
+
+  const ThreadLimit threads(4);
+  for (const index_t rows : {1u, 8u}) {
+    const Matrix<float> Q = testutil::random_matrix(rows, 5, 16);
+    try {
+      (void)index->knn_search({.queries = &Q, .k = 2});
+      FAIL() << rows << "-row search swallowed the shard's exception";
+    } catch (const ShardFault& e) {
+      EXPECT_STREQ(e.what(), "faulty-knn: shard search failed") << rows;
+    }
+  }
 }
 
 TEST(ShardedIndex, ShardedMagicCannotBeClaimedByARegistration) {
