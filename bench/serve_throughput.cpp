@@ -83,7 +83,7 @@ RunResult run_config(const Index& shared, const Matrix<float>& queries,
                      int workers = 1) {
   serve::SearchService service(
       std::make_unique<SharedIndexView>(&shared),
-      {.max_batch = max_batch, .max_wait_us = 300, .workers = workers});
+      {.max_batch = max_batch, .workers = workers});
 
   const index_t total = queries.rows();
   const index_t per_client = total / static_cast<index_t>(clients);
@@ -153,7 +153,7 @@ MutateRunResult run_mutate_config(const Matrix<float>& database,
   index->build(database);
   serve::SearchService service(
       std::move(index),
-      {.max_batch = max_batch, .max_wait_us = 300, .workers = 2});
+      {.max_batch = max_batch, .workers = 2});
 
   const index_t total = queries.rows();
   const index_t per_client = total / static_cast<index_t>(clients);
@@ -230,7 +230,7 @@ NetRunResult run_net_config(const Index& shared, const Matrix<float>& queries,
                             int clients, index_t max_batch, index_t k) {
   serve::net::RbcServer server(
       std::make_unique<SharedIndexView>(&shared), {.port = 0},
-      {.max_batch = max_batch, .max_wait_us = 300, .workers = 2});
+      {.max_batch = max_batch, .workers = 2});
   const std::uint16_t port = server.port();
 
   const index_t total = queries.rows();
@@ -329,8 +329,7 @@ FaultRunResult run_fault_config(
       servers[s].push_back(std::make_unique<serve::net::RbcServer>(
           std::make_unique<SharedIndexView>(shard_indexes[s].get()),
           serve::net::ServerOptions{.port = 0},
-          serve::ServiceOptions{.max_batch = 64, .max_wait_us = 300,
-                                .workers = 2}));
+          serve::ServiceOptions{.max_batch = 64, .workers = 2}));
       std::uint16_t port = servers[s].back()->port();
       if (slow_ms > 0 && s == num_shards - 1 && r == 0) {
         proxy = std::make_unique<rbc::testing::FaultProxy>("127.0.0.1", port);
@@ -494,8 +493,8 @@ int main(int argc, char** argv) {
   // Network scaling sweep: the same index behind an RbcServer on loopback,
   // closed-loop single-row clients at increasing client counts. This is the
   // wire-level counterpart of the in-process client sweep above: each added
-  // client deepens the coalescing window, so queries/sec should grow with
-  // client count until the service saturates. Latencies are client-observed
+  // client deepens the queue that forms behind a busy worker, so queries/sec
+  // should grow with client count until the service saturates. Latencies are client-observed
   // round trips; kOverloaded rejections are honored-and-retried and the
   // rejection count is recorded so backpressure is accounted for, not
   // hidden.

@@ -188,8 +188,7 @@ int run_string_demo(const std::string& backend, int clients,
               "unit: %s)\n",
               backend.c_str(), n, info.cost_unit.c_str());
 
-  serve::SearchService service(std::move(index),
-                               {.max_batch = max_batch, .max_wait_us = 300});
+  serve::SearchService service(std::move(index), {.max_batch = max_batch});
 
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(clients));
@@ -204,9 +203,8 @@ int run_string_demo(const std::string& backend, int clients,
   service.drain();
 
   const serve::ServiceStats stats = service.stats();
-  std::printf("\n%d clients x %u typo lookups, max_batch=%u max_wait=%uus\n",
-              clients, per_client, service.options().max_batch,
-              service.options().max_wait_us);
+  std::printf("\n%d clients x %u typo lookups, max_batch=%u\n", clients,
+              per_client, service.options().max_batch);
   std::printf("  completed:   %llu queries in %.2fs  (%.0f queries/s)\n",
               static_cast<unsigned long long>(stats.completed),
               stats.wall_seconds, stats.throughput_qps);
@@ -266,8 +264,7 @@ int main(int argc, char** argv) {
               backend.c_str(), n, dim, info.metric.c_str(),
               info.kernel_isa.empty() ? "n/a" : info.kernel_isa.c_str());
 
-  serve::SearchService service(std::move(index),
-                               {.max_batch = max_batch, .max_wait_us = 300});
+  serve::SearchService service(std::move(index), {.max_batch = max_batch});
 
   // The clients. Each one is strictly sequential — the batching is entirely
   // the service's doing.
@@ -286,9 +283,8 @@ int main(int argc, char** argv) {
   service.drain();
 
   const serve::ServiceStats stats = service.stats();
-  std::printf("\n%d clients x %u queries, max_batch=%u max_wait=%uus\n",
-              clients, per_client, service.options().max_batch,
-              service.options().max_wait_us);
+  std::printf("\n%d clients x %u queries, max_batch=%u\n", clients,
+              per_client, service.options().max_batch);
   std::printf("  completed:   %llu queries in %.2fs  (%.0f queries/s)\n",
               static_cast<unsigned long long>(stats.completed),
               stats.wall_seconds, stats.throughput_qps);

@@ -12,7 +12,6 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
-#include <future>
 #include <stdexcept>
 #include <system_error>
 #include <utility>
@@ -34,12 +33,25 @@ void set_nonblocking(int fd) {
     throw_errno("fcntl(O_NONBLOCK)");
 }
 
+// Called inside a catch block: the kInternal reply for the exception in
+// flight. Any type is caught, so every admitted request gets its reply.
+std::vector<std::uint8_t> internal_error(std::uint64_t request_id,
+                                         std::uint8_t version) {
+  std::string what = "unknown error";
+  try {
+    throw;
+  } catch (const std::exception& e) {
+    what = e.what();
+  } catch (...) {
+  }
+  return encode_error(request_id, {ErrorCode::kInternal, 0, what}, version);
+}
+
 }  // namespace
 
 RbcServer::RbcServer(std::unique_ptr<Index> index, ServerOptions options,
                      ServiceOptions service_options)
     : options_(options), service_options_(service_options) {
-  if (options_.completers < 1) options_.completers = 1;
   service_ =
       std::make_shared<SearchService>(std::move(index), service_options_);
 
@@ -104,9 +116,6 @@ RbcServer::RbcServer(std::unique_ptr<Index> index, ServerOptions options,
   if (epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_event_fd_, &ev) < 0)
     fail("epoll_ctl(ADD wake eventfd)");
 
-  completer_threads_.reserve(static_cast<std::size_t>(options_.completers));
-  for (int c = 0; c < options_.completers; ++c)
-    completer_threads_.emplace_back([this] { completer_loop(); });
   loop_thread_ = std::thread([this] { event_loop(); });
 }
 
@@ -144,14 +153,9 @@ void RbcServer::stop() {
     [[maybe_unused]] ssize_t n = write(stop_event_fd_, &one, sizeof one);
     loop_thread_.join();
   }
-  {
-    std::lock_guard<std::mutex> lock(tasks_mutex_);
-    tasks_stop_ = true;
-  }
-  tasks_cv_.notify_all();
-  for (std::thread& t : completer_threads_)
-    if (t.joinable()) t.join();
-  completer_threads_.clear();
+  // A reload counts as in flight, so a drained loop has seen its reply and
+  // this join returns at once.
+  if (reload_thread_.joinable()) reload_thread_.join();
   if (listen_fd_ >= 0) { close(listen_fd_); listen_fd_ = -1; }
   if (epoll_fd_ >= 0) { close(epoll_fd_); epoll_fd_ = -1; }
   if (wake_event_fd_ >= 0) { close(wake_event_fd_); wake_event_fd_ = -1; }
@@ -391,66 +395,23 @@ bool RbcServer::handle_frame(Connection& conn, const FrameHeader& header,
   // sees a v2 layout (or the v2-only kDeadlineExceeded code), a v2 peer
   // gets the coverage trailer it expects.
   const std::uint8_t version = header.version;
-  std::shared_ptr<SearchService> svc = service();
+  const auto refuse_if_draining = [&] {
+    if (draining_)
+      send_error(conn, id, ErrorCode::kShuttingDown, "server draining",
+                 version);
+    return draining_;
+  };
 
   try {
     switch (header.op) {
       case Op::kKnnRequest: {
         KnnRequestMsg msg = decode_knn_request(payload, version);
-        if (draining_) {
-          send_error(conn, id, ErrorCode::kShuttingDown, "server draining",
-                     version);
-          return true;
-        }
-        std::future<KnnResult> future;
-        const Admission admission =
-            svc->try_submit_batch(msg.queries, msg.k, future);
-        if (admission == Admission::kOverloaded) {
-          conn.counters.rejected += 1;
-          {
-            std::lock_guard<std::mutex> lock(stats_mutex_);
-            stats_.rejected += 1;
-          }
-          send_reply(conn, encode_error(id,
-                                        {ErrorCode::kOverloaded,
-                                         options_.retry_after_ms,
-                                         "admission queue full"},
-                                        version));
-          return true;
-        }
-        if (admission == Admission::kStopped) {
-          send_error(conn, id, ErrorCode::kShuttingDown, "service stopped",
-                     version);
-          return true;
-        }
-        conn.counters.requests += 1;
-        in_flight_ += 1;
-        {
-          std::lock_guard<std::mutex> lock(stats_mutex_);
-          stats_.requests += 1;
-        }
-        const auto deadline = request_deadline(msg.deadline_ms);
-        // shared_ptr because std::function requires a copyable target and
-        // futures are move-only.
-        auto shared_future =
-            std::make_shared<std::future<KnnResult>>(std::move(future));
-        post_task([this, conn_id, id, version, deadline, shared_future] {
-          std::vector<std::uint8_t> frame;
-          try {
-            KnnResult result = shared_future->get();
-            // Shed at completion: the dispatcher already ran the batch (it
-            // cannot un-coalesce one member), but a peer past its budget
-            // has stopped listening — tell it so instead of shipping a
-            // payload it will discard.
-            if (deadline && std::chrono::steady_clock::now() > *deadline)
-              frame = deadline_error(id, version);
-            else
-              frame = encode_knn_response(id, result, {1, 1}, version);
-          } catch (const std::exception& e) {
-            frame = encode_error(id, {ErrorCode::kInternal, 0, e.what()},
-                                 version);
-          }
-          post_reply(conn_id, std::move(frame), /*in_flight_done=*/true);
+        if (refuse_if_draining()) return true;
+        const Deadline deadline = request_deadline(msg.deadline_ms);
+        admit(conn, id, version, [&](SearchService& svc) {
+          return svc.try_submit_batch(
+              msg.queries, msg.k,
+              knn_completion(conn_id, id, version, deadline));
         });
         return true;
       }
@@ -462,103 +423,51 @@ bool RbcServer::handle_frame(Connection& conn, const FrameHeader& header,
         // exactly (the response is an ordinary kKnnResponse).
         KnnPayloadRequestMsg msg = decode_knn_payload_request(payload,
                                                               version);
-        if (draining_) {
-          send_error(conn, id, ErrorCode::kShuttingDown, "server draining",
-                     version);
-          return true;
-        }
-        std::future<KnnResult> future;
-        const Admission admission =
-            svc->try_submit_payload_batch(msg.queries, msg.k, future);
-        if (admission == Admission::kOverloaded) {
-          conn.counters.rejected += 1;
-          {
-            std::lock_guard<std::mutex> lock(stats_mutex_);
-            stats_.rejected += 1;
-          }
-          send_reply(conn, encode_error(id,
-                                        {ErrorCode::kOverloaded,
-                                         options_.retry_after_ms,
-                                         "admission queue full"},
-                                        version));
-          return true;
-        }
-        if (admission == Admission::kStopped) {
-          send_error(conn, id, ErrorCode::kShuttingDown, "service stopped",
-                     version);
-          return true;
-        }
-        conn.counters.requests += 1;
-        in_flight_ += 1;
-        {
-          std::lock_guard<std::mutex> lock(stats_mutex_);
-          stats_.requests += 1;
-        }
-        const auto deadline = request_deadline(msg.deadline_ms);
-        auto shared_future =
-            std::make_shared<std::future<KnnResult>>(std::move(future));
-        post_task([this, conn_id, id, version, deadline, shared_future] {
-          std::vector<std::uint8_t> frame;
-          try {
-            KnnResult result = shared_future->get();
-            if (deadline && std::chrono::steady_clock::now() > *deadline)
-              frame = deadline_error(id, version);
-            else
-              frame = encode_knn_response(id, result, {1, 1}, version);
-          } catch (const std::exception& e) {
-            frame = encode_error(id, {ErrorCode::kInternal, 0, e.what()},
-                                 version);
-          }
-          post_reply(conn_id, std::move(frame), /*in_flight_done=*/true);
+        if (refuse_if_draining()) return true;
+        const Deadline deadline = request_deadline(msg.deadline_ms);
+        admit(conn, id, version, [&](SearchService& svc) {
+          return svc.try_submit_payload_batch(
+              msg.queries, msg.k,
+              knn_completion(conn_id, id, version, deadline));
         });
         return true;
       }
 
       case Op::kRangeRequest: {
-        RangeRequestMsg msg = decode_range_request(payload, version);
-        if (draining_) {
-          send_error(conn, id, ErrorCode::kShuttingDown, "server draining",
-                     version);
-          return true;
-        }
-        // Range queries bypass the coalescing dispatcher (no range batch
-        // path exists yet); they run directly against the index snapshot on
-        // a completer thread. The captured service shared_ptr keeps that
-        // snapshot alive across a concurrent reload.
-        conn.counters.requests += 1;
-        in_flight_ += 1;
-        {
-          std::lock_guard<std::mutex> lock(stats_mutex_);
-          stats_.requests += 1;
-        }
-        const auto deadline = request_deadline(msg.deadline_ms);
-        auto shared_msg =
-            std::make_shared<RangeRequestMsg>(std::move(msg));  // Matrix is
-                                                                // move-only
-        post_task([this, conn_id, id, version, deadline, svc, shared_msg] {
+        RangeRequestMsg decoded = decode_range_request(payload, version);
+        if (refuse_if_draining()) return true;
+        const Deadline deadline = request_deadline(decoded.deadline_ms);
+        const index_t rows = decoded.queries.rows();
+        // Range queries do not coalesce; each runs alone on a service
+        // worker, under the same admission bound as knn. shared_ptr because
+        // std::function needs a copyable target and Matrix is move-only.
+        auto msg = std::make_shared<RangeRequestMsg>(std::move(decoded));
+        const Task task = [this, conn_id, id, version, deadline,
+                           msg](const Index& index) {
           std::vector<std::uint8_t> frame;
           try {
             // Shed before execution: unlike knn (already coalesced into a
             // batch), the range scan has not started — skipping it frees
-            // the completer for requests that can still make their budget.
+            // the worker for requests that can still make their budget.
             if (deadline && std::chrono::steady_clock::now() > *deadline) {
               frame = deadline_error(id, version);
             } else {
-              RangeRequest request{.queries = &shared_msg->queries,
-                                   .radius = shared_msg->radius,
+              RangeRequest request{.queries = &msg->queries,
+                                   .radius = msg->radius,
                                    .options = {}};
               frame = encode_range_response(
-                  id, svc->index().range_search(request).ids, {1, 1},
-                  version);
+                  id, index.range_search(request).ids, {1, 1}, version);
             }
           } catch (const std::invalid_argument& e) {
             frame = encode_error(id, {ErrorCode::kBadRequest, 0, e.what()},
                                  version);
-          } catch (const std::exception& e) {
-            frame = encode_error(id, {ErrorCode::kInternal, 0, e.what()},
-                                 version);
+          } catch (...) {
+            frame = internal_error(id, version);
           }
-          post_reply(conn_id, std::move(frame), /*in_flight_done=*/true);
+          post_reply(conn_id, std::move(frame));
+        };
+        admit(conn, id, version, [&](SearchService& svc) {
+          return svc.try_submit_task(rows, task);
         });
         return true;
       }
@@ -569,38 +478,24 @@ bool RbcServer::handle_frame(Connection& conn, const FrameHeader& header,
 
       case Op::kReloadRequest: {
         const std::string path = decode_reload_request(payload);
+        if (reloading_.load()) {
+          send_overloaded(conn, id, version, "reload already in progress");
+          return true;
+        }
+        // The previous reload cleared reloading_ as its last step but one,
+        // so this join waits at most for its reply post.
+        if (reload_thread_.joinable()) reload_thread_.join();
+        reloading_.store(true);
+        try {
+          reload_thread_ = std::thread(
+              [this, conn_id, id, version, path] {
+                reload(conn_id, id, version, path);
+              });
+        } catch (...) {
+          reloading_.store(false);
+          throw;
+        }
         in_flight_ += 1;
-        post_task([this, conn_id, id, version, path] {
-          std::vector<std::uint8_t> frame;
-          try {
-            std::ifstream is(path, std::ios::binary);
-            if (!is)
-              throw std::runtime_error("cannot open index file '" + path +
-                                       "'");
-            auto fresh = std::make_shared<SearchService>(rbc::load_index(is),
-                                                         service_options_);
-            std::shared_ptr<SearchService> old;
-            {
-              std::lock_guard<std::mutex> lock(service_mutex_);
-              old = std::move(service_);
-              service_ = std::move(fresh);
-            }
-            // New arrivals already land on the fresh snapshot; finish
-            // whatever the old one accepted, then let it die with the last
-            // shared_ptr (completer tasks may still hold one).
-            old->drain();
-            old->stop();
-            {
-              std::lock_guard<std::mutex> lock(stats_mutex_);
-              stats_.reloads += 1;
-            }
-            frame = encode_reload_response(id, version);
-          } catch (const std::exception& e) {
-            frame = encode_error(id, {ErrorCode::kInternal, 0, e.what()},
-                                 version);
-          }
-          post_reply(conn_id, std::move(frame), /*in_flight_done=*/true);
-        });
         return true;
       }
 
@@ -631,6 +526,90 @@ bool RbcServer::handle_frame(Connection& conn, const FrameHeader& header,
   }
 }
 
+template <class Submit>
+void RbcServer::admit(Connection& conn, std::uint64_t request_id,
+                      std::uint8_t version, Submit submit) {
+  Admission admission = submit(*service());
+  // Only a reload stops a service while the loop runs, and it publishes
+  // the successor first: a snapshot retired between service() and the
+  // submit is retried once on the new one.
+  if (admission == Admission::kStopped) admission = submit(*service());
+  switch (admission) {
+    case Admission::kAccepted:
+      conn.counters.requests += 1;
+      in_flight_ += 1;
+      {
+        std::lock_guard<std::mutex> lock(stats_mutex_);
+        stats_.requests += 1;
+      }
+      return;
+    case Admission::kOverloaded:
+      send_overloaded(conn, request_id, version, "admission queue full");
+      return;
+    case Admission::kStopped:
+      send_error(conn, request_id, ErrorCode::kShuttingDown,
+                 "service stopped", version);
+      return;
+  }
+}
+
+Completion RbcServer::knn_completion(std::uint64_t conn_id,
+                                     std::uint64_t request_id,
+                                     std::uint8_t version, Deadline deadline) {
+  return [this, conn_id, request_id, version, deadline](
+             KnnResult result, std::exception_ptr error) {
+    std::vector<std::uint8_t> frame;
+    try {
+      if (error) std::rethrow_exception(error);
+      // Shed at completion: the batch already ran (a worker cannot
+      // un-coalesce one member), but a peer past its budget has stopped
+      // listening — tell it so instead of shipping a payload it will
+      // discard.
+      if (deadline && std::chrono::steady_clock::now() > *deadline)
+        frame = deadline_error(request_id, version);
+      else
+        frame = encode_knn_response(request_id, result, {1, 1}, version);
+    } catch (...) {
+      frame = internal_error(request_id, version);
+    }
+    post_reply(conn_id, std::move(frame));
+  };
+}
+
+void RbcServer::reload(std::uint64_t conn_id, std::uint64_t request_id,
+                       std::uint8_t version, const std::string& path) {
+  std::vector<std::uint8_t> frame;
+  try {
+    std::ifstream is(path, std::ios::binary);
+    if (!is)
+      throw std::runtime_error("cannot open index file '" + path + "'");
+    auto fresh = std::make_shared<SearchService>(rbc::load_index(is),
+                                                 service_options_);
+    std::shared_ptr<SearchService> old;
+    {
+      std::lock_guard<std::mutex> lock(service_mutex_);
+      old = std::move(service_);
+      service_ = std::move(fresh);
+    }
+    // New arrivals already land on the fresh snapshot; finish whatever the
+    // old one accepted (its workers post those replies), then let it die
+    // with the last shared_ptr.
+    old->drain();
+    old->stop();
+    {
+      std::lock_guard<std::mutex> lock(stats_mutex_);
+      stats_.reloads += 1;
+    }
+    frame = encode_reload_response(request_id, version);
+  } catch (...) {
+    frame = internal_error(request_id, version);
+  }
+  // Before the reply: a client that reloads again on reading it must not
+  // find the previous reload still marked running.
+  reloading_.store(false);
+  post_reply(conn_id, std::move(frame));
+}
+
 InfoMsg RbcServer::make_info(const Connection& conn) const {
   std::shared_ptr<SearchService> svc = service();
   const IndexInfo index_info = svc->index().info();
@@ -658,6 +637,19 @@ void RbcServer::send_error(Connection& conn, std::uint64_t request_id,
                            std::uint8_t version) {
   conn.counters.errors += 1;
   send_reply(conn, encode_error(request_id, {code, 0, message}, version));
+}
+
+void RbcServer::send_overloaded(Connection& conn, std::uint64_t request_id,
+                                std::uint8_t version, const std::string& why) {
+  conn.counters.rejected += 1;
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    stats_.rejected += 1;
+  }
+  send_reply(conn, encode_error(request_id,
+                                {ErrorCode::kOverloaded,
+                                 options_.retry_after_ms, why},
+                                version));
 }
 
 std::vector<std::uint8_t> RbcServer::deadline_error(std::uint64_t request_id,
@@ -766,7 +758,7 @@ void RbcServer::drain_replies() {
     batch.swap(replies_);
   }
   for (Reply& reply : batch) {
-    if (reply.in_flight_done) in_flight_ -= 1;
+    in_flight_ -= 1;
     auto it = conns_.find(reply.conn_id);
     if (it == conns_.end()) continue;  // connection gone: drop the reply
     Connection& conn = *it->second;
@@ -775,37 +767,17 @@ void RbcServer::drain_replies() {
   }
 }
 
-// ------------------------------------------------------------ completers ---
-
-void RbcServer::post_task(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(tasks_mutex_);
-    tasks_.push_back(std::move(task));
-  }
-  tasks_cv_.notify_one();
-}
-
-void RbcServer::completer_loop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(tasks_mutex_);
-      tasks_cv_.wait(lock, [this] { return tasks_stop_ || !tasks_.empty(); });
-      if (tasks_.empty()) return;  // tasks_stop_ and everything ran
-      task = std::move(tasks_.front());
-      tasks_.pop_front();
-    }
-    task();
-  }
-}
-
 void RbcServer::post_reply(std::uint64_t conn_id,
-                           std::vector<std::uint8_t> frame,
-                           bool in_flight_done) {
+                           std::vector<std::uint8_t> frame) {
+  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(replies_mutex_);
-    replies_.push_back({conn_id, std::move(frame), in_flight_done});
+    // Only the first reply into an empty queue wakes the loop: it drains
+    // the whole queue, so the rest of a batch rides the same wakeup.
+    wake = replies_.empty();
+    replies_.push_back({conn_id, std::move(frame)});
   }
+  if (!wake) return;
   const std::uint64_t one = 1;
   [[maybe_unused]] ssize_t n = write(wake_event_fd_, &one, sizeof one);
 }

@@ -2,20 +2,20 @@
 //
 // An epoll-driven, single-event-loop TCP server speaking the framed binary
 // protocol of serve/net/protocol.hpp. Decoded KNN requests feed straight
-// into the owned SearchService's coalescing dispatcher via the non-blocking
-// try_submit_batch seam, so many independent network clients become the
-// large BF(Q, X) query blocks the paper's batching argument rewards —
-// exactly like in-process submitters, but across process and machine
-// boundaries.
+// into the owned SearchService via the non-blocking try_submit_batch seam,
+// so many independent network clients become the large BF(Q, X) query
+// blocks the paper's batching argument rewards — exactly like in-process
+// submitters, but across process and machine boundaries.
 //
 //   auto index = rbc::load_index(file);
 //   rbc::serve::net::RbcServer server(std::move(index), {.port = 9172});
 //   ... server.port(), server.wait(), server.stop() ...
 //
 // Robustness properties (all tested in tests/test_net_server.cpp):
-//   * Admission control: when the service's bounded queue is full the
-//     request is answered with an kOverloaded error frame carrying a
-//     retry_after_ms hint — the event loop never blocks on backpressure.
+//   * Admission control: when the service's bounded queue is full a knn or
+//     range request is answered with a kOverloaded error frame carrying a
+//     retry_after_ms hint — the event loop never blocks on backpressure,
+//     and pipelined frames cannot queue without bound.
 //   * Malformed-frame hardening: undecodable bytes get an error frame and
 //     the connection is closed; the server survives arbitrary garbage.
 //   * Per-connection timeouts: a stalled partial frame (slow-loris) or a
@@ -31,23 +31,29 @@
 //     listener, answers new data frames with kShuttingDown, finishes every
 //     in-flight request, flushes outboxes, then drains the service.
 //   * Zero-downtime reload: a kReloadRequest loads the index file on a
-//     completer thread, builds a fresh SearchService, atomically swaps it
-//     in, and drains the old one — queries in flight on the old snapshot
-//     finish normally; new arrivals land on the new one. Serving never
-//     pauses.
+//     reload thread of its own, builds a fresh SearchService, atomically
+//     swaps it in, and drains the old one — queries in flight on the old
+//     snapshot finish normally; new arrivals land on the new one. Serving
+//     never pauses. One reload runs at a time; a second request meanwhile
+//     gets kOverloaded with retry_after_ms.
 //
 // Threading model: one event loop thread owns every socket and all
-// connection state; `completers` threads wait on search futures, execute
-// range queries and reloads, and hand encoded replies back to the loop
-// through a wakeup eventfd. Connection counters (serve/stats.hpp
-// ConnCounters) are therefore single-writer by construction.
+// connection state; the SearchService's `workers` threads run every knn,
+// payload-knn and range request. The completion of each (see
+// serve/service.hpp) encodes its reply on the worker — deadline shedding
+// and error frames included — and posts it to the loop through a wakeup
+// eventfd, which only the first reply into an empty queue writes: the rest
+// of a batch rides that wakeup. So a wire knn crosses two thread hand-offs,
+// loop -> worker -> loop. A running server holds the loop and the workers,
+// plus the reload thread while a reload runs. Connection counters
+// (serve/stats.hpp ConnCounters) are single-writer by construction.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -76,8 +82,6 @@ struct ServerOptions {
   std::uint32_t write_timeout_ms = 30'000;
   /// Hint stamped into kOverloaded error frames.
   std::uint32_t retry_after_ms = 50;
-  /// Completer threads (future waiters / range executors / reload workers).
-  int completers = 2;
   std::size_t max_connections = 1024;
 };
 
@@ -162,12 +166,12 @@ class RbcServer {
     ConnCounters counters;
   };
 
-  // A reply produced off-loop (completer threads), routed back by conn id —
-  // the connection may be gone by delivery time, in which case it's dropped.
+  // The answer to an admitted request, produced off-loop (a service worker
+  // or the reload thread) and routed back by conn id — the connection may be
+  // gone by delivery time, in which case it's dropped.
   struct Reply {
     std::uint64_t conn_id = 0;
     std::vector<std::uint8_t> frame;
-    bool in_flight_done = false;  // decrements the drain counter
   };
 
   void event_loop();
@@ -182,6 +186,15 @@ class RbcServer {
   void send_error(Connection& conn, std::uint64_t request_id, ErrorCode code,
                   const std::string& message,
                   std::uint8_t version = kNetVersion);
+  // Counts a refusal and answers kOverloaded with the retry_after_ms hint.
+  void send_overloaded(Connection& conn, std::uint64_t request_id,
+                       std::uint8_t version, const std::string& why);
+  // Offers a request to the current service via `submit` (SearchService& ->
+  // Admission) and answers a refusal; an admitted request counts as in
+  // flight until its reply is drained.
+  template <class Submit>
+  void admit(Connection& conn, std::uint64_t request_id, std::uint8_t version,
+             Submit submit);
   // Writes out as much of the outbox as the socket accepts. Never calls
   // close_conn(): on a fatal send error it marks the connection dead and
   // returns, leaving destruction to the top-level caller (see
@@ -197,23 +210,26 @@ class RbcServer {
   void drain_replies();
   void update_epoll(Connection& conn);
 
-  // Completer-side helpers.
-  void post_task(std::function<void()> task);
-  void completer_loop();
-  void post_reply(std::uint64_t conn_id, std::vector<std::uint8_t> frame,
-                  bool in_flight_done);
+  // Off-loop helpers (service workers, the reload thread).
+  void post_reply(std::uint64_t conn_id, std::vector<std::uint8_t> frame);
+  void reload(std::uint64_t conn_id, std::uint64_t request_id,
+              std::uint8_t version, const std::string& path);
   InfoMsg make_info(const Connection& conn) const;
 
   // Deadline helpers: a v2 request's deadline_ms (remaining budget at send
   // time, 0 = none) becomes an absolute steady_clock point at decode.
-  static std::optional<std::chrono::steady_clock::time_point>
-  request_deadline(std::uint32_t deadline_ms) {
+  using Deadline = std::optional<std::chrono::steady_clock::time_point>;
+  static Deadline request_deadline(std::uint32_t deadline_ms) {
     if (deadline_ms == 0) return std::nullopt;
     return std::chrono::steady_clock::now() +
            std::chrono::milliseconds(deadline_ms);
   }
+  // The completion of a knn or payload-knn request: encodes its reply (or
+  // sheds it past the deadline) on the worker and posts it.
+  Completion knn_completion(std::uint64_t conn_id, std::uint64_t request_id,
+                            std::uint8_t version, Deadline deadline);
   // Counts the shed and encodes the kDeadlineExceeded reply (thread-safe;
-  // called from completer threads).
+  // called from service workers).
   std::vector<std::uint8_t> deadline_error(std::uint64_t request_id,
                                            std::uint8_t version);
 
@@ -224,7 +240,7 @@ class RbcServer {
   int epoll_fd_ = -1;
   int listen_fd_ = -1;
   int stop_event_fd_ = -1;   // external stop requests (signal-safe)
-  int wake_event_fd_ = -1;   // completer -> loop reply notifications
+  int wake_event_fd_ = -1;   // workers/reload -> loop reply notifications
 
   mutable std::mutex service_mutex_;
   std::shared_ptr<SearchService> service_;
@@ -244,10 +260,9 @@ class RbcServer {
   std::mutex replies_mutex_;
   std::vector<Reply> replies_;
 
-  std::mutex tasks_mutex_;
-  std::condition_variable tasks_cv_;
-  std::deque<std::function<void()>> tasks_;
-  bool tasks_stop_ = false;
+  // Set by the loop when it starts a reload, cleared by the reload thread
+  // just before it posts the reply.
+  std::atomic<bool> reloading_{false};
 
   mutable std::mutex stats_mutex_;
   NetServerStats stats_;
@@ -258,7 +273,7 @@ class RbcServer {
   std::condition_variable done_cv_;
 
   std::thread loop_thread_;
-  std::vector<std::thread> completer_threads_;
+  std::thread reload_thread_;  // joined by the next reload or by stop()
 };
 
 }  // namespace rbc::serve::net

@@ -1,8 +1,10 @@
 #include "serve/service.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "parallel/runtime.hpp"
@@ -27,7 +29,6 @@ SearchService::SearchService(std::unique_ptr<Index> index,
   if (options_.workers < 1) options_.workers = 1;
   if (options_.max_queue < 1) options_.max_queue = 1;
 
-  dispatcher_ = std::thread([this] { dispatch_loop(); });
   workers_.reserve(static_cast<std::size_t>(options_.workers));
   for (int w = 0; w < options_.workers; ++w)
     workers_.emplace_back([this] { worker_loop(); });
@@ -89,6 +90,60 @@ void SearchService::compact() {
   index_->compact();
 }
 
+namespace {
+
+// The completion behind a future-returning submit: the whole block, or the
+// only row of a single-query job.
+template <class Result>
+Completion fulfil(std::shared_ptr<std::promise<Result>> promise) {
+  return [promise](KnnResult result, std::exception_ptr error) {
+    if (error) {
+      promise->set_exception(error);
+    } else if constexpr (std::is_same_v<Result, QueryResult>) {
+      const index_t k = result.ids.cols();
+      QueryResult single;
+      single.ids.assign(result.ids.row(0), result.ids.row(0) + k);
+      single.dists.assign(result.dists.row(0), result.dists.row(0) + k);
+      promise->set_value(std::move(single));
+    } else {
+      promise->set_value(std::move(result));
+    }
+  };
+}
+
+}  // namespace
+
+SearchService::Job SearchService::dense_job(const Matrix<float>& queries,
+                                            index_t k) const {
+  Job job;
+  job.data.resize(static_cast<std::size_t>(queries.rows()) * dim_);
+  for (index_t i = 0; i < queries.rows(); ++i)
+    std::memcpy(job.data.data() + static_cast<std::size_t>(i) * dim_,
+                queries.row(i), sizeof(float) * dim_);
+  job.nq = queries.rows();
+  job.k = k;
+  return job;
+}
+
+SearchService::Job SearchService::payload_job(
+    const std::vector<std::string>& queries, index_t k) const {
+  Job job;
+  job.payloads = queries;
+  job.nq = static_cast<index_t>(queries.size());
+  job.k = k;
+  return job;
+}
+
+template <class Result>
+std::future<Result> SearchService::submit_for_future(Job job) {
+  auto promise = std::make_shared<std::promise<Result>>();
+  std::future<Result> future = promise->get_future();
+  job.done = fulfil(std::move(promise));
+  if (enqueue(job, /*block=*/true) == Admission::kStopped)
+    throw std::runtime_error("rbc::serve::SearchService: submit after stop()");
+  return future;
+}
+
 std::future<QueryResult> SearchService::submit(std::span<const float> query,
                                                index_t k) {
   validate_submission(1, static_cast<index_t>(query.size()), k);
@@ -96,62 +151,21 @@ std::future<QueryResult> SearchService::submit(std::span<const float> query,
   job.data.assign(query.begin(), query.end());
   job.nq = 1;
   job.k = k;
-  job.single = true;
-  std::future<QueryResult> future = job.single_promise.get_future();
-  enqueue(std::move(job));
-  return future;
+  return submit_for_future<QueryResult>(std::move(job));
 }
 
 std::future<KnnResult> SearchService::submit_batch(
     const Matrix<float>& queries, index_t k) {
   validate_submission(queries.rows(), queries.cols(), k);
-  if (queries.rows() == 0) {
-    std::promise<KnnResult> done;
-    done.set_value(KnnResult(0, k));
-    return done.get_future();
-  }
-  Job job;
-  job.data.resize(static_cast<std::size_t>(queries.rows()) * dim_);
-  for (index_t i = 0; i < queries.rows(); ++i)
-    std::memcpy(job.data.data() + static_cast<std::size_t>(i) * dim_,
-                queries.row(i), sizeof(float) * dim_);
-  job.nq = queries.rows();
-  job.k = k;
-  job.single = false;
-  std::future<KnnResult> future = job.block_promise.get_future();
-  enqueue(std::move(job));
-  return future;
+  return submit_for_future<KnnResult>(dense_job(queries, k));
 }
 
 Admission SearchService::try_submit_batch(const Matrix<float>& queries,
-                                          index_t k,
-                                          std::future<KnnResult>& out) {
+                                          index_t k, Completion done) {
   validate_submission(queries.rows(), queries.cols(), k);
-  if (queries.rows() == 0) {
-    std::promise<KnnResult> done;
-    done.set_value(KnnResult(0, k));
-    out = done.get_future();
-    return Admission::kAccepted;
-  }
-  Job job;
-  job.data.resize(static_cast<std::size_t>(queries.rows()) * dim_);
-  for (index_t i = 0; i < queries.rows(); ++i)
-    std::memcpy(job.data.data() + static_cast<std::size_t>(i) * dim_,
-                queries.row(i), sizeof(float) * dim_);
-  job.nq = queries.rows();
-  job.k = k;
-  job.single = false;
-  std::future<KnnResult> future = job.block_promise.get_future();
-  const std::size_t rows = job.nq;
-  const Admission admission = enqueue_try(job);
-  if (admission == Admission::kAccepted) {
-    out = std::move(future);
-    recorder_.record_submitted(rows);
-    cv_pending_.notify_one();
-  } else {
-    recorder_.record_rejected(rows);
-  }
-  return admission;
+  Job job = dense_job(queries, k);
+  job.done = std::move(done);
+  return enqueue(job, /*block=*/false);
 }
 
 std::future<QueryResult> SearchService::submit_payload(std::string_view query,
@@ -161,180 +175,131 @@ std::future<QueryResult> SearchService::submit_payload(std::string_view query,
   job.payloads.emplace_back(query);
   job.nq = 1;
   job.k = k;
-  job.single = true;
-  std::future<QueryResult> future = job.single_promise.get_future();
-  enqueue(std::move(job));
-  return future;
+  return submit_for_future<QueryResult>(std::move(job));
 }
 
 std::future<KnnResult> SearchService::submit_payload_batch(
     const std::vector<std::string>& queries, index_t k) {
   validate_payload_submission(static_cast<index_t>(queries.size()), k);
-  if (queries.empty()) {
-    std::promise<KnnResult> done;
-    done.set_value(KnnResult(0, k));
-    return done.get_future();
-  }
-  Job job;
-  job.payloads = queries;
-  job.nq = static_cast<index_t>(queries.size());
-  job.k = k;
-  job.single = false;
-  std::future<KnnResult> future = job.block_promise.get_future();
-  enqueue(std::move(job));
-  return future;
+  return submit_for_future<KnnResult>(payload_job(queries, k));
 }
 
 Admission SearchService::try_submit_payload_batch(
-    const std::vector<std::string>& queries, index_t k,
-    std::future<KnnResult>& out) {
+    const std::vector<std::string>& queries, index_t k, Completion done) {
   validate_payload_submission(static_cast<index_t>(queries.size()), k);
-  if (queries.empty()) {
-    std::promise<KnnResult> done;
-    done.set_value(KnnResult(0, k));
-    out = done.get_future();
+  Job job = payload_job(queries, k);
+  job.done = std::move(done);
+  return enqueue(job, /*block=*/false);
+}
+
+Admission SearchService::try_submit_task(index_t rows, Task task) {
+  Job job;
+  // At least one row, so drain() and the admission bound see the task.
+  job.nq = std::max<index_t>(rows, 1);
+  job.task = std::move(task);
+  return enqueue(job, /*block=*/false);
+}
+
+Admission SearchService::enqueue(Job& job, bool block) {
+  if (job.nq == 0) {  // only a zero-row knn block: nothing to search
+    job.done(KnnResult(0, job.k), nullptr);
     return Admission::kAccepted;
   }
-  Job job;
-  job.payloads = queries;
-  job.nq = static_cast<index_t>(queries.size());
-  job.k = k;
-  job.single = false;
-  std::future<KnnResult> future = job.block_promise.get_future();
-  const std::size_t rows = job.nq;
-  const Admission admission = enqueue_try(job);
-  if (admission == Admission::kAccepted) {
-    out = std::move(future);
-    recorder_.record_submitted(rows);
-    cv_pending_.notify_one();
-  } else {
-    recorder_.record_rejected(rows);
-  }
-  return admission;
-}
-
-Admission SearchService::enqueue_try(Job& job) {
-  const std::size_t rows = job.nq;
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (stopping_) return Admission::kStopped;
-  // Same backpressure bound as the blocking path (an oversized block is
-  // admitted alone rather than being unserveable), but expressed as an
-  // immediate answer: the caller translates kOverloaded into a
-  // retry-after rejection instead of parking a thread here.
-  if (outstanding_ != 0 && outstanding_ + rows > options_.max_queue)
-    return Admission::kOverloaded;
-  job.enqueued = std::chrono::steady_clock::now();
-  outstanding_ += rows;
-  pending_rows_[job.k] += rows;
-  pending_.push_back(std::move(job));
-  recorder_.set_queue_depth(outstanding_);
-  return Admission::kAccepted;
-}
-
-void SearchService::enqueue(Job job) {
   const std::size_t rows = job.nq;
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    // Backpressure: hold the submitter until the service catches up (an
-    // oversized block is admitted alone rather than deadlocking).
-    cv_done_.wait(lock, [&] {
-      return stopping_ || outstanding_ == 0 ||
-             outstanding_ + rows <= options_.max_queue;
-    });
-    if (stopping_)
-      throw std::runtime_error(
-          "rbc::serve::SearchService: submit after stop()");
+    // Backpressure; an oversized block is admitted alone rather than being
+    // unserveable. The non-blocking form answers at once instead of parking
+    // the caller: the server turns kOverloaded into a retry-after reply.
+    const auto fits = [&] {
+      return outstanding_ == 0 || outstanding_ + rows <= options_.max_queue;
+    };
+    if (block) cv_done_.wait(lock, [&] { return stopping_ || fits(); });
+    const Admission admission = stopping_ ? Admission::kStopped
+                                : fits()  ? Admission::kAccepted
+                                          : Admission::kOverloaded;
+    if (admission != Admission::kAccepted) {
+      if (!block) recorder_.record_rejected(rows);
+      return admission;
+    }
     job.enqueued = std::chrono::steady_clock::now();
     outstanding_ += rows;
-    pending_rows_[job.k] += rows;
     pending_.push_back(std::move(job));
+    recorder_.record_submitted(rows);
     recorder_.set_queue_depth(outstanding_);
   }
-  recorder_.record_submitted(rows);
   cv_pending_.notify_one();
-}
-
-index_t SearchService::matching_rows_locked(index_t k) const {
-  const auto it = pending_rows_.find(k);
-  return it == pending_rows_.end() ? 0 : static_cast<index_t>(it->second);
-}
-
-void SearchService::dispatch_loop() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    cv_pending_.wait(lock, [&] { return stopping_ || !pending_.empty(); });
-    if (pending_.empty()) break;  // stopping_ && nothing left to flush
-
-    // Don't chop the queue into stale mini-batches while every worker is
-    // busy: hold off until a dispatched batch would start promptly, letting
-    // pending_ accumulate into the largest batch the backlog allows — this
-    // is where the batching win comes from under load.
-    cv_pending_.wait(lock, [&] {
-      return stopping_ ||
-             ready_.size() < static_cast<std::size_t>(options_.workers);
-    });
-
-    // Batching window: give the front query's batch up to max_wait_us to
-    // fill with co-riders of the same k. A stop() flushes immediately.
-    const index_t k = pending_.front().k;
-    if (options_.max_wait_us > 0 &&
-        matching_rows_locked(k) < options_.max_batch) {
-      const auto deadline = pending_.front().enqueued +
-                            std::chrono::microseconds(options_.max_wait_us);
-      cv_pending_.wait_until(lock, deadline, [&] {
-        return stopping_ || matching_rows_locked(k) >= options_.max_batch;
-      });
-    }
-
-    // Form one batch: FIFO over jobs of the front k, never splitting a job,
-    // never exceeding max_batch rows (except a lone oversized block).
-    Batch batch;
-    batch.k = k;
-    for (auto it = pending_.begin(); it != pending_.end();) {
-      if (it->k != k) {
-        ++it;
-        continue;
-      }
-      if (!batch.jobs.empty() && batch.rows + it->nq > options_.max_batch)
-        break;
-      batch.rows += it->nq;
-      batch.jobs.push_back(std::move(*it));
-      it = pending_.erase(it);
-      if (batch.rows >= options_.max_batch) break;
-    }
-    const auto pending_k = pending_rows_.find(k);
-    if (pending_k->second <= batch.rows)
-      pending_rows_.erase(pending_k);
-    else
-      pending_k->second -= batch.rows;
-    ready_.push_back(std::move(batch));
-    cv_ready_.notify_one();
-  }
-  dispatcher_done_ = true;
-  cv_ready_.notify_all();
+  return Admission::kAccepted;
 }
 
 void SearchService::worker_loop() {
   if (options_.backend_threads > 0) set_num_threads(options_.backend_threads);
-  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    cv_ready_.wait(lock, [&] { return dispatcher_done_ || !ready_.empty(); });
-    if (ready_.empty()) break;  // dispatcher exited and everything ran
-    Batch batch = std::move(ready_.front());
-    ready_.pop_front();
-    cv_pending_.notify_one();  // a worker slot freed: dispatcher may proceed
-    lock.unlock();
+    Batch batch;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      cv_pending_.wait(lock, [&] { return stopping_ || !pending_.empty(); });
+      if (pending_.empty()) return;  // stopping_, and every accepted job ran
+      batch = take_batch_locked();
+      // What is left (another k, or past max_batch) is another idle
+      // worker's to take now, not after this batch.
+      if (!pending_.empty()) cv_pending_.notify_one();
+    }
 
     execute(batch);
 
-    lock.lock();
-    outstanding_ -= batch.rows;
-    recorder_.set_queue_depth(outstanding_);
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      outstanding_ -= batch.rows;
+      recorder_.set_queue_depth(outstanding_);
+    }
     cv_done_.notify_all();
   }
 }
 
+SearchService::Batch SearchService::take_batch_locked() {
+  // FIFO over jobs of the front job's k, never splitting a job, never past
+  // max_batch rows (except a lone oversized block). A task goes alone.
+  Batch batch;
+  batch.k = pending_.front().k;
+  for (auto it = pending_.begin(); it != pending_.end();) {
+    if (it->k != batch.k) {
+      ++it;
+      continue;
+    }
+    if (!batch.jobs.empty() && batch.rows + it->nq > options_.max_batch)
+      break;
+    batch.rows += it->nq;
+    batch.jobs.push_back(std::move(*it));
+    it = pending_.erase(it);
+    if (batch.k == 0 || batch.rows >= options_.max_batch) break;
+  }
+  return batch;
+}
+
+template <class F>
+void SearchService::run_guarded(F&& f) {
+  try {
+    f();
+  } catch (...) {
+    recorder_.record_callback_error();
+  }
+}
+
 void SearchService::execute(Batch& batch) {
+  const auto since_enqueued_ms = [](const Job& job) {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - job.enqueued)
+        .count();
+  };
+  if (batch.k == 0) {
+    Job& job = batch.jobs.front();
+    run_guarded([&] { job.task(*index_); });
+    recorder_.record_batch(batch.rows, {since_enqueued_ms(job)},
+                           /*failed=*/false);
+    return;
+  }
+
   // Assemble the coalesced query block. A service's jobs are all one kind
   // (the index is either dense- or payload-built), so the batch is too:
   // payload jobs concatenate into one string vector, dense jobs into one
@@ -357,20 +322,13 @@ void SearchService::execute(Batch& batch) {
   }
 
   // Stamp the batch with the index's metric: the shared validator then
-  // enforces end-to-end that the dispatcher and backend agree on what the
+  // enforces end-to-end that the service and backend agree on what the
   // returned distances mean.
   SearchRequest request{.queries = &block, .k = batch.k, .options = {}};
   request.options.metric = metric_;
   PayloadSearchRequest payload_request{
       .queries = &payload_block, .k = batch.k, .options = {}};
   payload_request.options.metric = metric_;
-  std::vector<double> latencies_ms;
-  latencies_ms.reserve(batch.jobs.size());
-  const auto finish_time = [&latencies_ms](const Job& job) {
-    latencies_ms.push_back(std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - job.enqueued)
-                               .count());
-  };
 
   SearchResponse response;
   std::exception_ptr error;
@@ -381,33 +339,26 @@ void SearchService::execute(Batch& batch) {
     error = std::current_exception();
   }
 
-  // Stats are recorded BEFORE any promise resolves: a client that joins on
-  // its futures and then reads stats() must see those queries counted.
-  for (const Job& job : batch.jobs) finish_time(job);
+  // Stats are recorded BEFORE any completion runs: a completion, or a
+  // client joining on its future and then reading stats(), must see its
+  // query counted.
+  std::vector<double> latencies_ms;
+  latencies_ms.reserve(batch.jobs.size());
+  for (const Job& job : batch.jobs)
+    latencies_ms.push_back(since_enqueued_ms(job));
   recorder_.record_batch(batch.rows, latencies_ms, /*failed=*/error != nullptr);
 
   row = 0;
   for (Job& job : batch.jobs) {
-    if (error) {
-      if (job.single)
-        job.single_promise.set_exception(error);
-      else
-        job.block_promise.set_exception(error);
-    } else if (job.single) {
-      QueryResult result;
-      result.ids.assign(response.knn.ids.row(row),
-                        response.knn.ids.row(row) + batch.k);
-      result.dists.assign(response.knn.dists.row(row),
-                          response.knn.dists.row(row) + batch.k);
-      job.single_promise.set_value(std::move(result));
-    } else {
-      KnnResult result(job.nq, batch.k);
+    KnnResult result;
+    if (!error) {
+      result = KnnResult(job.nq, batch.k);
       for (index_t i = 0; i < job.nq; ++i) {
         result.ids.copy_row_from(response.knn.ids, row + i, i);
         result.dists.copy_row_from(response.knn.dists, row + i, i);
       }
-      job.block_promise.set_value(std::move(result));
     }
+    run_guarded([&] { job.done(std::move(result), error); });
     row += job.nq;
   }
 }
@@ -428,8 +379,6 @@ void SearchService::stop() {
   }
   cv_pending_.notify_all();
   cv_done_.notify_all();
-  if (dispatcher_.joinable()) dispatcher_.join();
-  cv_ready_.notify_all();
   for (std::thread& worker : workers_)
     if (worker.joinable()) worker.join();
   workers_.clear();

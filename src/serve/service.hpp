@@ -7,10 +7,9 @@
 // bandwidth-bound vector work. A live service, however, receives queries one
 // at a time from many independent callers. SearchService closes that gap: it
 // owns any rbc::Index, accepts asynchronous submissions from any number of
-// client threads, and a batching dispatcher coalesces whatever is pending
-// into one large SearchRequest per dispatch (bounded by max_batch rows and
-// max_wait_us of added latency), so the backend always sees paper-style
-// query blocks.
+// client threads, and each worker that frees up coalesces whatever is
+// pending into one SearchRequest (at most max_batch rows), so under load the
+// backend sees paper-style query blocks.
 //
 //   auto index = rbc::make_index("rbc-exact");
 //   index->build(database);
@@ -21,14 +20,29 @@
 //   ...
 //   rbc::serve::QueryResult r = f.get();   // ids/dists, ascending
 //
-// Threading model: submitters enqueue under a mutex and return immediately
-// with a future; one dispatcher thread forms batches; `workers` executor
-// threads run Index::knn_search on assembled batches (the Index contract —
-// immutable after build, concurrent const queries safe — is what makes
-// multiple executors sound). Intra-batch parallelism belongs to the backend
-// (src/parallel/ OpenMP loops); the worker pool provides inter-batch
-// concurrency, so keep `workers` small for CPU backends that already use
-// every core, or set `backend_threads` to partition cores between workers.
+// Threading model: submitters enqueue under a mutex and return at once.
+// `workers` threads each loop: an idle worker takes the front job's k and
+// every pending job with that k (FIFO, never splitting a job, up to
+// max_batch rows), runs Index::knn_search on the block, records stats, and
+// completes each job. An idle worker dispatches at once — nothing waits for
+// co-riders — so jobs coalesce exactly while every worker is busy, which is
+// when waiting costs nothing (the Index contract — immutable after build,
+// concurrent const queries safe — is what makes several workers sound).
+// Intra-batch parallelism belongs to the backend (src/parallel/ OpenMP
+// loops); the worker pool provides inter-batch concurrency, so keep
+// `workers` small for CPU backends that already use every core, or set
+// `backend_threads` to partition cores between workers.
+//
+// Completion contract: every accepted job carries a Completion, which its
+// worker calls exactly once, outside the service lock and after stats()
+// counts the job, with either the job's rows or the backend's exception.
+// drain() and stop() return only after the completions of the jobs they
+// wait for have returned. A completion that throws neither ends its worker
+// nor vanishes: the worker catches it and counts it in
+// stats().callback_errors. Completions run on a worker, so they must not
+// block on the service (drain(), stop(), a blocking submit) or destroy it.
+// The future-returning submit* calls are thin wrappers whose completion
+// fulfils a promise.
 //
 // See docs/ARCHITECTURE.md for the full request lifecycle and
 // bench/serve_throughput.cpp for the measured batched-vs-singleton win.
@@ -39,6 +53,8 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -46,7 +62,6 @@
 #include <string>
 #include <string_view>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "api/index.hpp"
@@ -57,17 +72,12 @@ namespace rbc::serve {
 /// Tuning knobs of a SearchService. Defaults favor throughput on a CPU
 /// backend whose own OpenMP loops use every core.
 struct ServiceOptions {
-  /// Maximum query rows coalesced into one backend SearchRequest. 1 disables
-  /// batching (every submission dispatches alone — the baseline
+  /// Maximum query rows a worker coalesces into one backend SearchRequest.
+  /// 1 disables batching (every submission dispatches alone — the baseline
   /// bench/serve_throughput.cpp measures against). A single submit_batch
   /// larger than max_batch is never split: it dispatches as one oversized
   /// request.
   index_t max_batch = 256;
-
-  /// How long the oldest pending query may wait for co-riders before its
-  /// batch dispatches anyway — the latency price of batching. 0 dispatches
-  /// immediately (still coalescing whatever is already pending).
-  std::uint32_t max_wait_us = 200;
 
   /// Batch-executor threads. Values < 1 clamp to 1. More workers overlap
   /// independent batches; for backends that parallelize internally, 1–2 is
@@ -93,16 +103,27 @@ struct QueryResult {
   std::vector<dist_t> dists;
 };
 
-/// Outcome of a non-blocking submission attempt (try_submit_batch).
+/// Outcome of a non-blocking submission attempt (the try_submit_* calls).
 enum class Admission : std::uint8_t {
-  kAccepted = 0,    ///< job queued; the out-future resolves it
+  kAccepted = 0,    ///< job queued; its completion will run exactly once
   kOverloaded = 1,  ///< queue full — caller should retry later
   kStopped = 2,     ///< service stopped — no further submissions possible
 };
 
-/// A search service over one built index. Construction spawns the
-/// dispatcher and worker threads; destruction (or stop()) drains every
-/// accepted query and joins them. All public methods are thread-safe.
+/// How a knn job ends, called exactly once on the worker that ran it (see
+/// the completion contract above): either `error` is null and `result` holds
+/// the job's nq x k rows in ascending (distance, id) order, or `error` holds
+/// the backend's exception and `result` is empty.
+using Completion =
+    std::function<void(KnnResult result, std::exception_ptr error)>;
+
+/// Work that runs on a worker against the owned index without joining a knn
+/// batch (the network server's range requests).
+using Task = std::function<void(const Index& index)>;
+
+/// A search service over one built index. Construction spawns the worker
+/// threads; destruction (or stop()) drains every accepted query and joins
+/// them. All public methods are thread-safe.
 class SearchService {
  public:
   /// Takes ownership of a *built* index. Throws std::invalid_argument if
@@ -131,16 +152,17 @@ class SearchService {
   /// immediately with an empty result.
   std::future<KnnResult> submit_batch(const Matrix<float>& queries, index_t k);
 
-  /// Non-blocking, admission-controlled variant of submit_batch for callers
+  /// Non-blocking, admission-controlled form of submit_batch for callers
   /// that must never block (the network server's event loop). Instead of
   /// waiting out backpressure it returns kOverloaded — recording the
   /// rejection in stats().rejected — when admitting the block would push
   /// pending + in-flight rows past options.max_queue, and kStopped after
-  /// stop(). On kAccepted, `out` receives the future. Malformed submissions
-  /// throw std::invalid_argument exactly like submit_batch; a zero-row block
-  /// is accepted immediately with an empty result.
+  /// stop(); `done` is then dropped uncalled. On kAccepted, `done` runs once
+  /// on a worker. Malformed submissions throw std::invalid_argument exactly
+  /// like submit_batch; a zero-row block is accepted and `done` runs at once
+  /// on the calling thread with an empty result.
   Admission try_submit_batch(const Matrix<float>& queries, index_t k,
-                             std::future<KnnResult>& out);
+                             Completion done);
 
   /// Payload counterparts of submit / submit_batch / try_submit_batch, live
   /// when the owned index is payload-built (info().payload; strings under
@@ -150,12 +172,19 @@ class SearchService {
   /// std::invalid_argument on k == 0 / k > database size, and on calling
   /// these on a dense service (or the dense entry points on a payload one).
   /// Per-metric payload validity (e.g. a graph node id out of range) is the
-  /// backend's check and surfaces through the future.
+  /// backend's check and surfaces through the future or completion.
   std::future<QueryResult> submit_payload(std::string_view query, index_t k);
   std::future<KnnResult> submit_payload_batch(
       const std::vector<std::string>& queries, index_t k);
   Admission try_submit_payload_batch(const std::vector<std::string>& queries,
-                                     index_t k, std::future<KnnResult>& out);
+                                     index_t k, Completion done);
+
+  /// Runs `task` once on a worker, alone (never coalesced), under the same
+  /// non-blocking admission as try_submit_batch: it counts max(rows, 1)
+  /// against options.max_queue while pending or running, and in stats()
+  /// like a batch of that many queries once it returns. A task that throws
+  /// is caught and counted in stats().callback_errors, like a completion.
+  Admission try_submit_task(index_t rows, Task task);
 
   /// Forwards an insert to the owned index (Index::insert contract: new
   /// unique ids, rows copied). Mutation-capable backends apply it without
@@ -176,20 +205,20 @@ class SearchService {
   /// delta rows or tombstones. Searches keep being served meanwhile.
   void compact();
 
-  /// Blocks until every query accepted so far has completed. Submissions
-  /// from other threads may keep arriving; drain() returns once the queue is
-  /// momentarily empty.
+  /// Blocks until every query accepted so far has completed and its
+  /// completion has returned. Submissions from other threads may keep
+  /// arriving; drain() returns once the queue is momentarily empty.
   void drain();
 
   /// Stops accepting new submissions (further submits throw
-  /// std::runtime_error; try_submit_batch returns kStopped), completes
-  /// everything already accepted, and joins the dispatcher and workers.
-  /// Idempotent, and race-free against concurrent submitters — the
-  /// server's drain path (drain(), then stop(), while connections may
-  /// still be submitting) relies on this contract: a submission racing
-  /// with stop() either lands before the cutoff and completes normally,
-  /// or observes the stop and fails with the clean "submit after stop()"
-  /// error — never an assert, a lost future, or a torn queue.
+  /// std::runtime_error; the try_submit_* calls return kStopped), completes
+  /// everything already accepted, and joins the workers. Idempotent, and
+  /// race-free against concurrent submitters — the server's drain path
+  /// (drain(), then stop(), while connections may still be submitting)
+  /// relies on this contract: a submission racing with stop() either lands
+  /// before the cutoff and completes normally, or observes the stop and
+  /// fails with the clean "submit after stop()" error — never an assert, a
+  /// lost completion, or a torn queue.
   void stop();
 
   /// Counter snapshot (see serve/stats.hpp). Cheap; callable any time.
@@ -207,18 +236,17 @@ class SearchService {
   const ServiceOptions& options() const { return options_; }
 
  private:
-  // One submission: a packed row block (dense) or a payload list, plus the
-  // promise that resolves it. A service's jobs are all one kind — the index
-  // is either dense- or payload-built — so batches never mix.
+  // One submission: a packed row block (dense), a payload list, or a task,
+  // plus how it completes. A service's knn jobs are all one kind — the
+  // index is either dense- or payload-built — so batches never mix.
   struct Job {
     std::vector<float> data;  // nq * dim, tightly packed row-major (dense)
     std::vector<std::string> payloads;  // nq payload strings (payload mode)
     index_t nq = 0;
-    index_t k = 0;
+    index_t k = 0;  // 0 marks a task: valid knn jobs have k >= 1
     std::chrono::steady_clock::time_point enqueued;
-    bool single = false;
-    std::promise<QueryResult> single_promise;  // used when single
-    std::promise<KnnResult> block_promise;     // used when !single
+    Completion done;  // knn jobs
+    Task task;        // tasks
   };
 
   struct Batch {
@@ -227,15 +255,24 @@ class SearchService {
     index_t k = 0;
   };
 
-  void enqueue(Job job);
-  // Queues `job` under the lock without blocking; the Admission result says
-  // whether it was taken (kOverloaded/kStopped leave `job` untouched).
-  Admission enqueue_try(Job& job);
-  void dispatch_loop();
+  Job dense_job(const Matrix<float>& queries, index_t k) const;
+  Job payload_job(const std::vector<std::string>& queries, index_t k) const;
+  // Wraps `job` so its completion fulfils the returned future, and queues it
+  // under backpressure; throws std::runtime_error after stop().
+  template <class Result>
+  std::future<Result> submit_for_future(Job job);
+  // Queues `job`. With `block`, waits out backpressure; otherwise answers
+  // kOverloaded at once (recording the refusal). A zero-row knn job
+  // completes on the calling thread without queueing.
+  Admission enqueue(Job& job, bool block);
   void worker_loop();
+  // Removes the next batch from pending_ (which must be non-empty).
+  Batch take_batch_locked();
   void execute(Batch& batch);
-  // Total rows of pending jobs with this k (what the next batch could hold).
-  index_t matching_rows_locked(index_t k) const;
+  // Runs a caller-supplied completion or task; an exception escaping it is
+  // counted instead of ending the worker.
+  template <class F>
+  void run_guarded(F&& f);
   void validate_submission(index_t nq, index_t cols, index_t k) const;
   void validate_payload_submission(index_t nq, index_t k) const;
 
@@ -255,21 +292,13 @@ class SearchService {
 
   std::mutex stop_mutex_;  // serializes stop() (see service.cpp)
   mutable std::mutex mutex_;
-  std::condition_variable cv_pending_;  // dispatcher <- submitters
-  std::condition_variable cv_ready_;    // workers <- dispatcher
+  std::condition_variable cv_pending_;  // idle workers <- submitters
   std::condition_variable cv_done_;     // drain()/backpressure <- workers
   std::deque<Job> pending_;
-  // Pending rows per k, maintained incrementally so the dispatcher's
-  // batching predicate is O(1) under a deep queue (pending_ itself can hold
-  // tens of thousands of jobs at max_queue depth).
-  std::unordered_map<index_t, std::size_t> pending_rows_;
-  std::deque<Batch> ready_;
-  std::size_t outstanding_ = 0;  // rows accepted, future not yet fulfilled
+  std::size_t outstanding_ = 0;  // rows accepted, completion not yet returned
   bool stopping_ = false;
-  bool dispatcher_done_ = false;
 
   StatsRecorder recorder_;
-  std::thread dispatcher_;
   std::vector<std::thread> workers_;
 };
 

@@ -69,6 +69,11 @@ void StatsRecorder::set_queue_depth(std::size_t depth) {
   base_.max_queue_depth = std::max(base_.max_queue_depth, depth);
 }
 
+void StatsRecorder::record_callback_error() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  base_.callback_errors += 1;
+}
+
 ServiceStats StatsRecorder::snapshot() const {
   ServiceStats out;
   std::vector<double> window;

@@ -33,19 +33,22 @@ struct ServiceStats {
   static constexpr std::size_t kHistBuckets = 12;  // 1 .. 2048+
 
   std::uint64_t submitted = 0;   ///< queries accepted by submit/submit_batch
-  std::uint64_t completed = 0;   ///< queries whose future was fulfilled
-  std::uint64_t failed = 0;      ///< queries whose future got an exception
-  /// Queries refused by try_submit_batch admission control (queue full or
+  std::uint64_t completed = 0;   ///< queries answered with results
+  std::uint64_t failed = 0;      ///< queries answered with the backend's error
+  /// Queries refused by try_submit_* admission control (queue full or
   /// service stopped) — the network server's reject-with-retry-after path.
   /// Rejected queries are never counted as submitted.
   std::uint64_t rejected = 0;
-  std::uint64_t batches = 0;     ///< SearchRequests dispatched to the backend
+  std::uint64_t batches = 0;     ///< backend requests run (batches and tasks)
+  /// Completions and tasks that threw; each was caught on its worker, which
+  /// kept serving.
+  std::uint64_t callback_errors = 0;
   std::size_t queue_depth = 0;   ///< queries pending or in flight right now
   std::size_t max_queue_depth = 0;  ///< high-water mark of queue_depth
 
   std::array<std::uint64_t, kHistBuckets> batch_hist{};
 
-  /// End-to-end latency (submit -> future fulfilled) over the most recent
+  /// End-to-end latency (submit -> batch answered) over the most recent
   /// kLatencyWindow completions, milliseconds. Zero until first completion.
   double latency_p50_ms = 0.0;
   double latency_p99_ms = 0.0;
@@ -90,6 +93,7 @@ class StatsRecorder {
   void record_batch(std::size_t rows,
                     const std::vector<double>& latencies_ms, bool failed);
   void set_queue_depth(std::size_t depth);
+  void record_callback_error();
 
   /// Consistent snapshot; percentiles are computed here (snapshot time), not
   /// on the hot path.

@@ -3,7 +3,8 @@
 //   * client answers are bit-identical to direct Index::knn_search;
 //   * malformed frames, oversized frames and bad requests get error frames
 //     without killing the server;
-//   * admission control rejects with retry_after under overload;
+//   * admission control rejects knn and range frames with retry_after
+//     under overload;
 //   * stalled connections are closed by the read timeout;
 //   * a kReloadRequest hot-swaps the index with zero downtime under load;
 //   * graceful drain via the async-signal-safe stop_fd;
@@ -130,11 +131,30 @@ class DelayIndex final : public Index {
     std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms_));
     return inner_->knn_search(request);
   }
+  RangeResponse range_search(const RangeRequest& request) const override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms_));
+    return inner_->range_search(request);
+  }
   IndexInfo info() const override { return inner_->info(); }
 
  private:
   std::unique_ptr<Index> inner_;
   int delay_ms_;
+};
+
+/// An index whose searches throw something that is not a std::exception.
+class ThrowsIntIndex final : public Index {
+ public:
+  explicit ThrowsIntIndex(std::unique_ptr<Index> inner)
+      : inner_(std::move(inner)) {}
+
+  void build(const Matrix<float>& X) override { inner_->build(X); }
+  SearchResponse knn_search(const SearchRequest&) const override { throw 42; }
+  RangeResponse range_search(const RangeRequest&) const override { throw 42; }
+  IndexInfo info() const override { return inner_->info(); }
+
+ private:
+  std::unique_ptr<Index> inner_;
 };
 
 // ------------------------------------------------------------------ tests --
@@ -296,6 +316,26 @@ TEST(NetServer, ExpiredDeadlineIsShedWithDeadlineExceeded) {
   EXPECT_EQ(client.knn(queries, 3, /*deadline_ms=*/60'000).ids.rows(), 2u);
 }
 
+TEST(NetServer, BackendThrowingANonStdExceptionGetsInternalErrorFrames) {
+  RbcServer server(std::make_unique<ThrowsIntIndex>(built_index("bruteforce")));
+  RbcClient client("127.0.0.1", server.port());
+  const Matrix<float> queries = test_queries(2);
+  for (const bool range : {false, true}) {
+    try {
+      if (range)
+        (void)client.range(queries, 1.0f);
+      else
+        (void)client.knn(queries, 3);
+      FAIL() << "expected RemoteError";
+    } catch (const RemoteError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInternal);
+    }
+  }
+  // Both requests were answered, so the graceful drain has nothing to wait
+  // for.
+  server.stop();
+}
+
 TEST(NetServer, BadRequestGetsErrorFrameAndConnectionSurvives) {
   RbcServer server(built_index("bruteforce"));
   RbcClient client("127.0.0.1", server.port());
@@ -422,8 +462,7 @@ TEST(NetServer, OverloadRejectsWithRetryAfterAndRetrySucceeds) {
   auto slow = std::make_unique<DelayIndex>(built_index("bruteforce"),
                                            /*delay_ms=*/150);
   RbcServer server(std::move(slow), {.retry_after_ms = 20},
-                   {.max_batch = 1, .max_wait_us = 0, .workers = 1,
-                    .max_queue = 1});
+                   {.max_batch = 1, .workers = 1, .max_queue = 1});
 
   const Matrix<float> one = test_queries(1);
   // Keep the single service slot busy for ~0.5s of wall clock. The occupant
@@ -481,6 +520,59 @@ TEST(NetServer, OverloadRejectsWithRetryAfterAndRetrySucceeds) {
   const InfoMsg info = b.info();
   EXPECT_GE(info.conn_rejected, 1u);  // per-connection counter, over the wire
   EXPECT_GE(info.rejected, 1u);       // service-wide counter
+}
+
+TEST(NetServer, PipelinedRangeFramesBeyondTheQueueBoundAreRefused) {
+  // Range requests pass the same max_queue admission as knn: a client
+  // pipelining range frames at a busy server gets OVERLOADED with the
+  // retry hint for every frame past the bound, instead of growing server
+  // memory by one decoded query block per frame.
+  auto index = built_index("bruteforce");
+  const Matrix<float> one = test_queries(1);
+  RangeRequest range_request{.queries = &one, .radius = 1.5f, .options = {}};
+  const RangeResponse direct = index->range_search(range_request);
+  RbcServer server(
+      std::make_unique<DelayIndex>(std::move(index), /*delay_ms=*/200),
+      {.retry_after_ms = 20}, {.workers = 1, .max_queue = 1});
+
+  constexpr std::uint64_t kFrames = 8;
+  std::vector<std::uint8_t> burst;
+  for (std::uint64_t id = 1; id <= kFrames; ++id) {
+    const std::vector<std::uint8_t> frame =
+        serve::net::encode_range_request(id, one, range_request.radius);
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  }
+  const int fd = raw_connect(server.port());
+  ASSERT_EQ(send(fd, burst.data(), burst.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(burst.size()));
+
+  std::uint64_t answered = 0, overloaded = 0;
+  for (std::uint64_t reply = 0; reply < kFrames; ++reply) {
+    std::uint8_t raw[serve::net::kHeaderSize];
+    ASSERT_TRUE(read_exact(fd, raw, sizeof raw));
+    const auto header = serve::net::parse_header({raw, sizeof raw});
+    ASSERT_TRUE(header.has_value());
+    std::vector<std::uint8_t> payload(header->payload_len);
+    ASSERT_TRUE(read_exact(fd, payload.data(), payload.size()));
+    if (header->op == serve::net::Op::kError) {
+      const auto error = serve::net::decode_error(payload);
+      EXPECT_EQ(error.code, ErrorCode::kOverloaded);
+      EXPECT_EQ(error.retry_after_ms, 20u);
+      overloaded += 1;
+    } else {
+      ASSERT_EQ(header->op, serve::net::Op::kRangeResponse);
+      EXPECT_EQ(serve::net::decode_range_response(payload, header->version)
+                    .ids,
+                direct.ids);
+      answered += 1;
+    }
+  }
+  close(fd);
+  EXPECT_GE(answered, 1u);
+  EXPECT_GE(overloaded, 1u);
+  EXPECT_EQ(answered + overloaded, kFrames);
+  EXPECT_EQ(server.stats().rejected, overloaded);
+  EXPECT_EQ(server.service()->stats().rejected, overloaded);
 }
 
 TEST(NetServer, StalledPartialFrameIsClosedByReadTimeout) {

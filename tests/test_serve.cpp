@@ -1,8 +1,9 @@
 // The batched search service: submissions from many threads match the
-// single-threaded ground truth, the dispatcher respects max_batch /
-// max_wait_us, errors propagate (synchronously for malformed submissions,
-// through the future for backend failures), and shutdown/drain complete
-// every accepted query under in-flight load.
+// single-threaded ground truth, workers coalesce behind a busy worker up to
+// max_batch, errors propagate (synchronously for malformed submissions,
+// through the future or completion for backend failures), every accepted
+// job completes exactly once, and shutdown/drain complete every accepted
+// query under in-flight load.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +12,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/api.hpp"
@@ -32,14 +34,16 @@ std::unique_ptr<Index> built_index(const char* backend,
   return index;
 }
 
-/// Test double: forwards to brute force after an optional sleep, recording
-/// the row count of every request it sees — makes batch formation
-/// observable and lets tests hold a worker busy deterministically.
+/// Test double: forwards to brute force after an optional sleep, or after
+/// `gate` opens, recording the row count of every request it sees — makes
+/// batch formation observable and lets tests hold a worker busy
+/// deterministically.
 class SlowRecordingIndex final : public Index {
  public:
   SlowRecordingIndex(int sleep_ms, std::vector<index_t>* sizes,
-                     std::mutex* mutex)
-      : sleep_ms_(sleep_ms), sizes_(sizes), mutex_(mutex) {}
+                     std::mutex* mutex, std::shared_future<void> gate = {})
+      : sleep_ms_(sleep_ms), sizes_(sizes), mutex_(mutex),
+        gate_(std::move(gate)) {}
 
   void build(const Matrix<float>& X) override { inner_->build(X); }
 
@@ -48,6 +52,7 @@ class SlowRecordingIndex final : public Index {
       std::lock_guard<std::mutex> lock(*mutex_);
       sizes_->push_back(request.queries->rows());
     }
+    if (gate_.valid()) gate_.wait();
     if (sleep_ms_ > 0)
       std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms_));
     return inner_->knn_search(request);
@@ -64,7 +69,35 @@ class SlowRecordingIndex final : public Index {
   int sleep_ms_;
   std::vector<index_t>* sizes_;
   std::mutex* mutex_;
+  std::shared_future<void> gate_;
 };
+
+/// Blocks until the recording index has seen `n` requests.
+void wait_for_requests(const std::vector<index_t>& sizes, std::mutex& mutex,
+                       std::size_t n) {
+  for (;;) {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      if (sizes.size() >= n) return;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+/// A completion that fulfils the returned future, as the future-returning
+/// submits do internally.
+std::pair<serve::Completion, std::future<KnnResult>> completion_and_future() {
+  auto promise = std::make_shared<std::promise<KnnResult>>();
+  std::future<KnnResult> future = promise->get_future();
+  serve::Completion done = [promise](KnnResult result,
+                                     std::exception_ptr error) {
+    if (error)
+      promise->set_exception(error);
+    else
+      promise->set_value(std::move(result));
+  };
+  return {std::move(done), std::move(future)};
+}
 
 class ThrowingIndex final : public Index {
  public:
@@ -91,7 +124,7 @@ TEST(ServeConcurrency, ManySubmitterThreadsMatchGroundTruth) {
   const KnnResult reference = testutil::naive_knn(Q, X, k);
 
   SearchService service(built_index("rbc-exact", X),
-                        {.max_batch = 64, .max_wait_us = 500, .workers = 2});
+                        {.max_batch = 64, .workers = 2});
 
   constexpr int kThreads = 8;
   std::vector<std::string> failures(kThreads);
@@ -137,7 +170,7 @@ TEST(ServeBatching, SubmitBatchMatchesGroundTruthAndMixedKCoalescesSafely) {
   const KnnResult ref3 = testutil::naive_knn(Q, X, 3);
 
   SearchService service(built_index("bruteforce", X),
-                        {.max_batch = 32, .max_wait_us = 2'000, .workers = 2});
+                        {.max_batch = 32, .workers = 2});
 
   // Interleave block submissions of different k: the dispatcher may only
   // coalesce same-k jobs, never mix them into one request.
@@ -156,33 +189,28 @@ TEST(ServeBatching, RespectsMaxBatchAndCoalescesUnderBusyWorker) {
 
   std::vector<index_t> sizes;
   std::mutex mutex;
-  auto slow =
-      std::make_unique<SlowRecordingIndex>(/*sleep_ms=*/80, &sizes, &mutex);
+  std::promise<void> release;
+  auto slow = std::make_unique<SlowRecordingIndex>(
+      /*sleep_ms=*/0, &sizes, &mutex, release.get_future().share());
   slow->build(X);
-  SearchService service(
-      std::move(slow),
-      {.max_batch = 16, .max_wait_us = 20'000, .workers = 1});
+  SearchService service(std::move(slow), {.max_batch = 16, .workers = 1});
 
-  // First query dispatches alone (nothing else pending) and parks the only
-  // worker in the backend for 80ms...
+  // The idle worker dispatches the first query alone, at once, and the gate
+  // holds it in the backend: once the index has seen that batch, the only
+  // worker is known to be busy...
   auto first = service.submit({Q.row(0), Q.cols()}, 1);
-  (void)first.get();
-  // ...so these 32 all land in the queue together and must come out as
-  // exactly two full max_batch-sized requests.
+  wait_for_requests(sizes, mutex, 1);
+  // ...so these 32 all queue behind it and must come out as exactly two
+  // full max_batch-sized requests.
   std::vector<std::future<QueryResult>> futures;
   for (index_t qi = 1; qi < Q.rows(); ++qi)
     futures.push_back(service.submit({Q.row(qi), Q.cols()}, 1));
+  release.set_value();
+  (void)first.get();
   for (auto& f : futures) (void)f.get();
 
   std::lock_guard<std::mutex> lock(mutex);
-  index_t total = 0;
-  for (index_t rows : sizes) {
-    EXPECT_LE(rows, 16u) << "batch exceeded max_batch";
-    total += rows;
-  }
-  EXPECT_EQ(total, Q.rows());
-  ASSERT_EQ(sizes.size(), 3u);  // 1 (lone first) + 16 + 16
-  EXPECT_EQ(sizes[0], 1u);
+  EXPECT_EQ(sizes, (std::vector<index_t>{1, 16, 16}));
 
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.batches, 3u);
@@ -199,7 +227,7 @@ TEST(ServeBatching, OversizedBlockIsNeverSplit) {
   auto slow =
       std::make_unique<SlowRecordingIndex>(/*sleep_ms=*/0, &sizes, &mutex);
   slow->build(X);
-  SearchService service(std::move(slow), {.max_batch = 8, .max_wait_us = 0, .workers = 1});
+  SearchService service(std::move(slow), {.max_batch = 8, .workers = 1});
 
   EXPECT_TRUE(testutil::knn_equal(testutil::naive_knn(Q, X, 2),
                                   service.submit_batch(Q, 2).get()));
@@ -247,7 +275,7 @@ TEST(ServeShutdown, StopDrainsInFlightLoadAndRejectsLateSubmissions) {
   auto slow =
       std::make_unique<SlowRecordingIndex>(/*sleep_ms=*/5, &sizes, &mutex);
   slow->build(X);
-  SearchService service(std::move(slow), {.max_batch = 4, .max_wait_us = 1'000, .workers = 2});
+  SearchService service(std::move(slow), {.max_batch = 4, .workers = 2});
 
   std::vector<std::future<QueryResult>> futures;
   for (index_t qi = 0; qi < Q.rows(); ++qi)
@@ -277,7 +305,7 @@ TEST(ServeShutdown, DrainWaitsForOutstandingWork) {
   auto slow =
       std::make_unique<SlowRecordingIndex>(/*sleep_ms=*/10, &sizes, &mutex);
   slow->build(X);
-  SearchService service(std::move(slow), {.max_batch = 8, .max_wait_us = 500, .workers = 1});
+  SearchService service(std::move(slow), {.max_batch = 8, .workers = 1});
 
   std::vector<std::future<QueryResult>> futures;
   for (index_t qi = 0; qi < Q.rows(); ++qi)
@@ -304,7 +332,7 @@ TEST(ServeShutdown, SubmissionsRacingWithStopEitherCompleteOrFailCleanly) {
   for (int round = 0; round < 8; ++round) {
     auto service = std::make_unique<SearchService>(
         built_index("bruteforce", X),
-        ServiceOptions{.max_batch = 16, .max_wait_us = 50, .workers = 2});
+        ServiceOptions{.max_batch = 16, .workers = 2});
 
     std::atomic<bool> go{false}, done{false};
     std::atomic<int> completed{0}, refused{0};
@@ -321,9 +349,9 @@ TEST(ServeShutdown, SubmissionsRacingWithStopEitherCompleteOrFailCleanly) {
               if (r.ids.size() != 3) failures[t] = "short result";
               completed.fetch_add(1);
             } else {
-              std::future<KnnResult> f;
+              auto [done, f] = completion_and_future();
               const serve::Admission admission =
-                  service->try_submit_batch(one_query, 3, f);
+                  service->try_submit_batch(one_query, 3, std::move(done));
               if (admission == serve::Admission::kAccepted) {
                 if (f.get().ids.cols() != 3) failures[t] = "short result";
                 completed.fetch_add(1);
@@ -361,24 +389,24 @@ TEST(ServeAdmission, TrySubmitRejectsOverloadWithoutBlocking) {
   auto slow =
       std::make_unique<SlowRecordingIndex>(/*sleep_ms=*/100, &sizes, &mutex);
   slow->build(X);
-  SearchService service(
-      std::move(slow),
-      {.max_batch = 1, .max_wait_us = 0, .workers = 1, .max_queue = 1});
+  SearchService service(std::move(slow),
+                        {.max_batch = 1, .workers = 1, .max_queue = 1});
 
   Matrix<float> q = testutil::random_matrix(1, 6, 62);
-  std::future<KnnResult> first;
-  ASSERT_EQ(service.try_submit_batch(q, 2, first),
+  auto [first_done, first] = completion_and_future();
+  ASSERT_EQ(service.try_submit_batch(q, 2, std::move(first_done)),
             serve::Admission::kAccepted);
 
   // The slot is taken: the non-blocking path answers kOverloaded im-
-  // mediately (well under the 100ms the in-flight search needs).
-  std::future<KnnResult> second;
+  // mediately (well under the 100ms the in-flight search needs), and the
+  // refused completion is dropped uncalled.
+  std::atomic<int> refused_calls{0};
   const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_EQ(service.try_submit_batch(q, 2, second),
+  EXPECT_EQ(service.try_submit_batch(
+                q, 2, [&](KnnResult, std::exception_ptr) { ++refused_calls; }),
             serve::Admission::kOverloaded);
   EXPECT_LT(std::chrono::steady_clock::now() - t0,
             std::chrono::milliseconds(90));
-  EXPECT_FALSE(second.valid());
 
   EXPECT_EQ(first.get().ids.rows(), 1u);
   EXPECT_EQ(service.stats().rejected, 1u);
@@ -386,14 +414,103 @@ TEST(ServeAdmission, TrySubmitRejectsOverloadWithoutBlocking) {
 
   // Admission reopens once the queue drains; after stop() it's kStopped.
   service.drain();
-  std::future<KnnResult> third;
-  EXPECT_EQ(service.try_submit_batch(q, 2, third),
+  auto [third_done, third] = completion_and_future();
+  EXPECT_EQ(service.try_submit_batch(q, 2, std::move(third_done)),
             serve::Admission::kAccepted);
   EXPECT_EQ(third.get().ids.rows(), 1u);
   service.stop();
-  std::future<KnnResult> after;
-  EXPECT_EQ(service.try_submit_batch(q, 2, after),
+  EXPECT_EQ(service.try_submit_batch(
+                q, 2, [&](KnnResult, std::exception_ptr) { ++refused_calls; }),
             serve::Admission::kStopped);
+  EXPECT_EQ(refused_calls.load(), 0);
+}
+
+TEST(ServeCompletion, EachAcceptedJobCompletesOnceAfterStatsBeforeDrainOrStop) {
+  // The completion contract, on success and on backend failure: exactly one
+  // call per accepted job; stats() already counts the job inside its
+  // completion; every completion has returned when drain() or stop() does.
+  const Matrix<float> X = testutil::clustered_matrix(300, 6, 4, 63);
+  const Matrix<float> Q = testutil::random_matrix(24, 6, 64);
+  const KnnResult reference = testutil::naive_knn(Q, X, 2);
+
+  for (const bool backend_fails : {false, true}) {
+    SCOPED_TRACE(backend_fails ? "failing backend" : "healthy backend");
+    std::unique_ptr<Index> index;
+    if (backend_fails) {
+      index = std::make_unique<ThrowingIndex>();
+      index->build(X);
+    } else {
+      index = built_index("bruteforce", X);
+    }
+    SearchService service(std::move(index), {.max_batch = 4, .workers = 2});
+
+    std::vector<std::atomic<int>> calls(Q.rows());
+    std::atomic<int> entered{0}, returned{0}, broken{0};
+    const auto submit_rows = [&](index_t begin, index_t end) {
+      for (index_t qi = begin; qi < end; ++qi) {
+        Matrix<float> one(1, Q.cols());
+        one.copy_row_from(Q, qi, 0);
+        const auto admission = service.try_submit_batch(
+            one, 2, [&, qi](KnnResult result, std::exception_ptr error) {
+              const auto seen = static_cast<std::uint64_t>(++entered);
+              calls[qi].fetch_add(1);
+              const ServiceStats stats = service.stats();
+              if (stats.completed + stats.failed < seen) ++broken;
+              const bool answered =
+                  backend_fails
+                      ? error != nullptr && result.ids.rows() == 0
+                      : error == nullptr &&
+                            result.ids.at(0, 0) == reference.ids.at(qi, 0);
+              if (!answered) ++broken;
+              // A slow completion: drain()/stop() must still outwait it.
+              std::this_thread::sleep_for(std::chrono::milliseconds(1));
+              ++returned;
+            });
+        EXPECT_EQ(admission, serve::Admission::kAccepted);
+      }
+    };
+
+    submit_rows(0, Q.rows() / 2);
+    service.drain();
+    EXPECT_EQ(returned.load(), static_cast<int>(Q.rows() / 2));
+    submit_rows(Q.rows() / 2, Q.rows());
+    service.stop();
+    EXPECT_EQ(returned.load(), static_cast<int>(Q.rows()));
+    for (const std::atomic<int>& c : calls) EXPECT_EQ(c.load(), 1);
+    EXPECT_EQ(broken.load(), 0);
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(backend_fails ? stats.failed : stats.completed,
+              static_cast<std::uint64_t>(Q.rows()));
+    EXPECT_EQ(stats.callback_errors, 0u);
+  }
+}
+
+TEST(ServeCompletion, ThrowingCallbackIsCountedAndTheWorkerKeepsServing) {
+  const Matrix<float> X = testutil::clustered_matrix(200, 6, 4, 65);
+  Matrix<float> q = testutil::random_matrix(1, 6, 66);
+  SearchService service(built_index("bruteforce", X), {.workers = 1});
+
+  EXPECT_EQ(service.try_submit_batch(q, 2,
+                                     [](KnnResult, std::exception_ptr) {
+                                       throw std::runtime_error("caller bug");
+                                     }),
+            serve::Admission::kAccepted);
+  EXPECT_EQ(service.try_submit_task(
+                1, [](const Index&) { throw std::logic_error("task bug"); }),
+            serve::Admission::kAccepted);
+  service.drain();
+  EXPECT_EQ(service.stats().callback_errors, 2u);
+
+  // The only worker survived both: later submissions are still answered.
+  EXPECT_EQ(service.submit_batch(q, 2).get().ids.rows(), 1u);
+  std::atomic<bool> ran{false};
+  EXPECT_EQ(service.try_submit_task(1, [&](const Index& index) {
+              ran = index.info().size == X.rows();
+            }),
+            serve::Admission::kAccepted);
+  service.stop();
+  EXPECT_TRUE(ran.load());
+  EXPECT_EQ(service.stats().callback_errors, 2u);
 }
 
 TEST(ServeStats, SnapshotReportsLatencyAndThroughput) {
@@ -401,7 +518,7 @@ TEST(ServeStats, SnapshotReportsLatencyAndThroughput) {
       testutil::split_rows(testutil::clustered_matrix(1'032, 8, 5, 43),
                            1'000);
   SearchService service(built_index("rbc-exact", X),
-                        {.max_batch = 128, .max_wait_us = 200});
+                        {.max_batch = 128});
 
   for (int round = 0; round < 4; ++round)
     (void)service.submit_batch(Q, 3).get();
