@@ -90,9 +90,8 @@ class RbcExactBackend final : public Index {
 
   void save(std::ostream& os) const override {
     io::write_pod(os, io::kMagicExact);
-    // The header advertises a code store only when one is live (a store can
-    // be invalidated by concrete-level mutation; the float rows then serve
-    // every scan and the file degrades to the plain version-2 layout).
+    // The header advertises a code store only when one is live; a float32
+    // index writes the plain version-2 layout.
     const quant::Storage live = live_storage();
     io::write_storage_header(os, metric::name(kind_), quant::name(live));
     std::visit([&](const auto& index) { index.save(os); }, index_);
@@ -186,9 +185,9 @@ class RbcExactBackend final : public Index {
   index_t dim() const {
     return std::visit([](const auto& index) { return index.dim(); }, index_);
   }
-  /// The storage mode actually backing scans right now: the requested mode
-  /// while the concrete code store is live, float32 once invalidated (or
-  /// for an empty build, where there are no codes to scan).
+  /// The storage mode backing scans: the concrete code store's mode, or
+  /// the requested mode before a build and for an empty build, where there
+  /// are no codes to scan.
   quant::Storage live_storage() const {
     if (storage_ == quant::Storage::kFloat32) return storage_;
     const auto& index = std::get<RbcExactIndex<Euclidean>>(index_);

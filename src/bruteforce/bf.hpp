@@ -11,7 +11,7 @@
 //     inverted-binary-tree comparison step).
 //
 // Subset search BF(q, X[L]) — the building block of both RBC search
-// algorithms — is provided in gather form (indirect ids into X) and in
+// algorithms — is provided in subset form (indirect ids into X) and in
 // contiguous form (a packed row range), the latter being what the RBC
 // indexes use on their permuted copies of the database.
 #pragma once

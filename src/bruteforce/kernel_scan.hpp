@@ -2,7 +2,8 @@
 // kernel layer (distance/dispatch.hpp) and the TopK selection step.
 //
 // Every dense scan in the library has the same skeleton — compute distances
-// from one query to a run of database rows, offer each to a bounded heap.
+// from one query to a contiguous run of database rows (a whole matrix, a
+// delta shard, a packed ownership list), offer each to a bounded heap.
 // These helpers run that skeleton through the dispatched kernels as a
 // *prefilter*: the kernel fills a chunk of approximate values, candidates
 // inside the margin-inflated heap bound are re-measured with the caller's
@@ -15,12 +16,12 @@
 // Which kernel a metric routes through, and how its heap bound maps into
 // kernel space, is described by ScanTraits<M>:
 //
-//   Euclidean     squared-L2 `rows`/`gather`; bound maps by squaring,
-//                 inflated by the relative association-order margin.
-//   SqEuclidean   same kernels, identity bound map.
-//   L1            `rows_l1`/`gather_l1`; identity map, relative margin
-//                 (sums of non-negative terms — error is relative).
-//   InnerProduct  `rows_ip`/`gather_ip` (negated dot); identity map plus a
+//   Euclidean     squared-L2 `rows`; bound maps by squaring, inflated by
+//                 the relative association-order margin.
+//   SqEuclidean   same kernel, identity bound map.
+//   L1            `rows_l1`; identity map, relative margin (sums of
+//                 non-negative terms — error is relative).
+//   InnerProduct  `rows_ip` (negated dot); identity map plus a
 //                 caller-supplied ABSOLUTE slack: dot products cancel, so
 //                 the rounding error scales with ||q||*||x||, not with the
 //                 result. Callers pass tile_margin(d) * ||q|| * max||x||
@@ -61,11 +62,6 @@ struct ScanTraits<Euclidean> {
                     index_t hi, float* out) {
     return ops.rows(q, d, x, stride, lo, hi, out);
   }
-  static float gather(const dispatch::KernelOps& ops, const float* q,
-                      index_t d, const float* x, std::size_t stride,
-                      const index_t* ids, index_t count, float* out) {
-    return ops.gather(q, d, x, stride, ids, count, out);
-  }
 };
 
 template <>
@@ -77,11 +73,6 @@ struct ScanTraits<SqEuclidean> {
                     index_t hi, float* out) {
     return ops.rows(q, d, x, stride, lo, hi, out);
   }
-  static float gather(const dispatch::KernelOps& ops, const float* q,
-                      index_t d, const float* x, std::size_t stride,
-                      const index_t* ids, index_t count, float* out) {
-    return ops.gather(q, d, x, stride, ids, count, out);
-  }
 };
 
 template <>
@@ -92,11 +83,6 @@ struct ScanTraits<L1> {
                     const float* x, std::size_t stride, index_t lo,
                     index_t hi, float* out) {
     return ops.rows_l1(q, d, x, stride, lo, hi, out);
-  }
-  static float gather(const dispatch::KernelOps& ops, const float* q,
-                      index_t d, const float* x, std::size_t stride,
-                      const index_t* ids, index_t count, float* out) {
-    return ops.gather_l1(q, d, x, stride, ids, count, out);
   }
 };
 
@@ -110,11 +96,6 @@ struct ScanTraits<InnerProduct> {
                     const float* x, std::size_t stride, index_t lo,
                     index_t hi, float* out) {
     return ops.rows_ip(q, d, x, stride, lo, hi, out);
-  }
-  static float gather(const dispatch::KernelOps& ops, const float* q,
-                      index_t d, const float* x, std::size_t stride,
-                      const index_t* ids, index_t count, float* out) {
-    return ops.gather_ip(q, d, x, stride, ids, count, out);
   }
 };
 
@@ -139,7 +120,7 @@ inline constexpr bool gemm_metric =
 
 /// Maps a heap bound (metric space) into squared-L2 space for the tile_gemm
 /// filter passes — the same map ScanTraits defines, restricted to the gemm
-/// subset so batch and row/gather paths can never disagree on it.
+/// subset so the batch and row paths can never disagree on it.
 template <class M>
 inline float sq_threshold(float bound) noexcept {
   static_assert(gemm_metric<M>);
@@ -190,32 +171,6 @@ void kernel_scan_rows(const float* q, const Matrix<float>& X, index_t lo,
     for (index_t p = c; p < ce; ++p) {
       if (buf[p - c] > scan_bound<M>(out.worst(), d, abs_slack)) continue;
       out.push(metric(q, X.row(p), d), id_of(p));
-    }
-  }
-}
-
-/// Gather-form variant: scans the `count` rows of the raw row-major buffer
-/// `x` (rows `stride` floats apart) addressed by `rows`, pushing
-/// (metric, id_of(rows[j])). Raw-pointer form because overflow rows
-/// (dynamic inserts) live outside any Matrix. Caller accounts the evals.
-template <DenseMetric M, class IdOf = detail::IdentityId>
-void kernel_scan_gather(const float* q, index_t d, const float* x,
-                        std::size_t stride, const index_t* rows,
-                        index_t count, M metric, TopK& out, IdOf id_of = {},
-                        float abs_slack = 0.0f) {
-  static_assert(kernel_metric<M>);
-  constexpr index_t kChunk = 512;
-  float buf[kChunk];
-  const dispatch::KernelOps& ops = dispatch::ops();
-  for (index_t c = 0; c < count; c += kChunk) {
-    const index_t ce = std::min<index_t>(count, c + kChunk);
-    const float chunk_min =
-        ScanTraits<M>::gather(ops, q, d, x, stride, rows + c, ce - c, buf);
-    if (chunk_min > scan_bound<M>(out.worst(), d, abs_slack)) continue;
-    for (index_t j = c; j < ce; ++j) {
-      if (buf[j - c] > scan_bound<M>(out.worst(), d, abs_slack)) continue;
-      out.push(metric(q, x + static_cast<std::size_t>(rows[j]) * stride, d),
-               id_of(rows[j]));
     }
   }
 }
@@ -291,19 +246,6 @@ inline float quant_rows(const dispatch::KernelOps& ops, const float* q,
                        store.scale.data(), store.offset.data(), lo, hi, out);
 }
 
-inline float quant_gather(const dispatch::KernelOps& ops, const float* q,
-                          index_t d, const quant::QuantizedStore& store,
-                          const index_t* ids, index_t count, float* out) {
-  if (store.mode == quant::Storage::kFp16)
-    return ops.gather_fp16(q, d, store.fp16.data(),
-                           static_cast<std::size_t>(store.cols), ids, count,
-                           out);
-  return ops.gather_int8(q, d, store.int8.data(),
-                         static_cast<std::size_t>(store.cols),
-                         store.scale.data(), store.offset.data(), ids, count,
-                         out);
-}
-
 }  // namespace detail
 
 /// BF(q, X[lo..hi)) through the compressed store: the kernel scans codes,
@@ -334,40 +276,6 @@ void quantized_scan_rows(const float* q, const Matrix<float>& X,
       if (buf[p - c] > detail::quant_accept(b, store.err[p], amp, q_norm, d))
         continue;
       out.push(metric(q, X.row(p), d), id_of(p));
-    }
-  }
-}
-
-/// Gather-form variant: compressed rows addressed by `rows`, re-measured
-/// against the float buffer `x` (rows `stride` floats apart). Caller
-/// accounts the evals.
-template <DenseMetric M, class IdOf = detail::IdentityId>
-void quantized_scan_gather(const float* q, index_t d, const float* x,
-                           std::size_t stride,
-                           const quant::QuantizedStore& store,
-                           const index_t* rows, index_t count, M metric,
-                           TopK& out, IdOf id_of = {}) {
-  static_assert(quantized_metric<M>);
-  constexpr index_t kChunk = 512;
-  float buf[kChunk];
-  const dispatch::KernelOps& ops = dispatch::ops();
-  const float q_norm = detail::quant_q_norm(q, d);
-  for (index_t c = 0; c < count; c += kChunk) {
-    const index_t ce = std::min<index_t>(count, c + kChunk);
-    const float chunk_min =
-        detail::quant_gather(ops, q, d, store, rows + c, ce - c, buf);
-    const float chunk_bound = detail::quant_l2_bound<M>(out.worst());
-    if (chunk_min > detail::quant_accept(chunk_bound, store.err_max,
-                                         store.amp_max, q_norm, d))
-      continue;
-    for (index_t j = c; j < ce; ++j) {
-      const index_t p = rows[j];
-      const float b = detail::quant_l2_bound<M>(out.worst());
-      const float amp = store.amp.empty() ? 0.0f : store.amp[p];
-      if (buf[j - c] > detail::quant_accept(b, store.err[p], amp, q_norm, d))
-        continue;
-      out.push(metric(q, x + static_cast<std::size_t>(p) * stride, d),
-               id_of(p));
     }
   }
 }

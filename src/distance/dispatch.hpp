@@ -18,9 +18,9 @@
 //    compare against an inflated bound and re-measure every surviving
 //    candidate with the scalar metric, so returned (distance, id) results
 //    are bit-identical to the never-vectorized path under every ISA. Used
-//    by every candidate scan: brute force, RBC stage-3 list and overflow
-//    scans, one-shot probes, the compressed tier and MutableIndex's delta
-//    scan (through bruteforce/kernel_scan.hpp or the blocked batch path).
+//    by every candidate scan: brute force, RBC stage-3 list scans, one-shot
+//    probes, the compressed tier and MutableIndex's delta scan (through
+//    bruteforce/kernel_scan.hpp or the blocked batch path).
 //    tests/test_kernels.cpp fuzzes the raw kernels against their margins;
 //    tests/test_rbc_blocked.cpp pins end-to-end parity per ISA.
 //
@@ -38,9 +38,9 @@
 // Prefilter shapes (all squared L2 — the form every dense scan reduces to):
 //
 //   tile       16 transposed queries x database rows. Each row load is
-//              amortized 16 ways across independent FMA chains; the shape of
-//              the exact index's blocked batch path and of BF(Q, X) over
-//              coalesced serving batches.
+//              amortized 16 ways across independent FMA chains. No library
+//              scan calls it (the batch paths run tile_gemm); the kernel
+//              tests and the micro bench measure it.
 //   tile_gemm  the same tile in the GEMM formulation of §3,
 //              ||q||^2 + ||x||^2 - 2 q.x, with both norms precomputed
 //              (see pairwise_gemm.hpp). Drops the per-element subtract, the
@@ -49,25 +49,23 @@
 //   rows       one query x a block of 8 consecutive rows, each row with its
 //              own accumulator chain. What makes SMALL batches and stream
 //              mode stop being latency-bound: a single-query scan has one
-//              dependent FMA chain, this one has eight.
-//   gather     one query x rows addressed through an index array — the
-//              overflow-list (dynamic insert) scan shape.
+//              dependent FMA chain, this one has eight. Every single-query
+//              scan reads contiguous rows, so there is no index-array form.
 //
 // Metric variants (the unified API's runtime-selectable metrics,
-// api/metrics.hpp): the single-query shapes additionally ship as
+// api/metrics.hpp): the single-query shape additionally ships as
 //
-//   rows_l1 / gather_l1   Manhattan distance, sum |q_i - x_i|;
-//   rows_ip / gather_ip   negated inner product -<q, x> — ascending order
-//                         ranks the largest dot product first, so every
-//                         heap/merge structure works unchanged.
+//   rows_l1    Manhattan distance, sum |q_i - x_i|;
+//   rows_ip    negated inner product -<q, x> — ascending order ranks the
+//              largest dot product first, so every heap/merge structure
+//              works unchanged.
 //
 // Compressed variants (the quantized scan tier, distance/quantized.hpp):
 //
-//   rows_fp16 / gather_fp16   squared L2 over binary16 row codes (2 B per
-//                             feature), dequantized in registers;
-//   rows_int8 / gather_int8   squared L2 over int8 codes with per-row
-//                             scale/offset (1 B per feature), fused
-//                             dequantize-and-accumulate.
+//   rows_fp16  squared L2 over binary16 row codes (2 B per feature),
+//              dequantized in registers;
+//   rows_int8  squared L2 over int8 codes with per-row scale/offset (1 B
+//              per feature), fused dequantize-and-accumulate.
 //
 // The tile shapes stay squared-L2 only (the GEMM formulation has no L1
 // analogue); cosine runs entirely through the L2 shapes on normalized rows.
@@ -140,19 +138,10 @@ struct KernelOps {
   float (*rows)(const float* q, index_t d, const float* x, std::size_t stride,
                 index_t lo, index_t hi, float* out);
 
-  /// out[j] = ||q - x_{ids[j]}||^2 for j in [0, count). Returns the
-  /// minimum of the written values (+inf when count == 0), as `rows` does.
-  float (*gather)(const float* q, index_t d, const float* x,
-                  std::size_t stride, const index_t* ids, index_t count,
-                  float* out);
-
-  /// Manhattan variants of `rows`/`gather`: out = sum_i |q_i - x_i|. Same
-  /// signatures and min-return contract.
+  /// Manhattan variant of `rows`: out = sum_i |q_i - x_i|. Same signature
+  /// and min-return contract.
   float (*rows_l1)(const float* q, index_t d, const float* x,
                    std::size_t stride, index_t lo, index_t hi, float* out);
-  float (*gather_l1)(const float* q, index_t d, const float* x,
-                     std::size_t stride, const index_t* ids, index_t count,
-                     float* out);
 
   /// Negated-inner-product variants: out = -<q, x_p>. Outputs may be
   /// negative; the returned minimum is the best (largest) dot product.
@@ -161,20 +150,14 @@ struct KernelOps {
   /// not the result — see kernel_scan.hpp).
   float (*rows_ip)(const float* q, index_t d, const float* x,
                    std::size_t stride, index_t lo, index_t hi, float* out);
-  float (*gather_ip)(const float* q, index_t d, const float* x,
-                     std::size_t stride, const index_t* ids, index_t count,
-                     float* out);
 
   /// Compressed scan tier (distance/quantized.hpp): fused
   /// dequantize-and-accumulate squared L2 over binary16 row codes. Same
-  /// blocking and min-return contract as `rows`/`gather`; `x` is a packed
+  /// blocking and min-return contract as `rows`; `x` is a packed
   /// code matrix whose rows are `stride` codes apart. Half decode is exact
   /// in float, so the rounding model (and tile_margin) matches `rows`.
   float (*rows_fp16)(const float* q, index_t d, const std::uint16_t* x,
                      std::size_t stride, index_t lo, index_t hi, float* out);
-  float (*gather_fp16)(const float* q, index_t d, const std::uint16_t* x,
-                       std::size_t stride, const index_t* ids, index_t count,
-                       float* out);
 
   /// int8 variants: row p dequantizes as x̂_i = codes_i * scale[p] +
   /// offset[p] (scale/offset indexed by absolute row id), accumulated in
@@ -185,10 +168,6 @@ struct KernelOps {
   float (*rows_int8)(const float* q, index_t d, const std::int8_t* x,
                      std::size_t stride, const float* scale,
                      const float* offset, index_t lo, index_t hi, float* out);
-  float (*gather_int8)(const float* q, index_t d, const std::int8_t* x,
-                       std::size_t stride, const float* scale,
-                       const float* offset, const index_t* ids, index_t count,
-                       float* out);
 
   /// Bit-exact Euclidean distances (contract 2 in the file comment):
   /// out[j] = Euclidean{}(q, x_j) for j in [0, n), bit for bit, where the
@@ -269,7 +248,7 @@ void pack_lanes(const float* x, std::size_t stride, index_t n, index_t d,
 // comment). l2_lanes outputs are exact and need none.
 
 /// Relative margin covering association-order + FMA-contraction rounding of
-/// the difference-form kernels (tile/rows/gather): sums of non-negative
+/// the difference-form kernels (tile/rows): sums of non-negative
 /// terms, so the relative error is bounded by ~d ulps regardless of
 /// summation order. Keep if  approx <= bound_sq * (1 + tile_margin(d)).
 inline float tile_margin(index_t d) noexcept {

@@ -10,7 +10,6 @@
 //   rows       eight accumulators, one per database row, vectorized along
 //              the feature axis — the single-query shape with the chains a
 //              lone scan lacks;
-//   gather     the `rows` inner body applied through an id indirection;
 //   l2_lanes   four 8-lane accumulators: two 16-row blocks, each split into
 //              two halves, vectorized along the rows (bit-exact shape).
 #include "distance/isa_tables.hpp"
@@ -97,8 +96,7 @@ void tile_gemm_avx2(const float* qt, const float* q_sq, index_t d,
   _mm256_storeu_ps(lane_min + 8, min1);
 }
 
-/// One query against one row, two accumulator chains (remainder rows and
-/// the gather shape).
+/// One query against one row, two accumulator chains (remainder rows).
 inline float sq_l2_one(const float* q, const float* row, index_t d) {
   __m256 acc0 = _mm256_setzero_ps();
   __m256 acc1 = _mm256_setzero_ps();
@@ -169,19 +167,6 @@ float rows_avx2(const float* q, index_t d, const float* x,
     const float v =
         sq_l2_one(q, x + static_cast<std::size_t>(p) * stride, d);
     out[p - lo] = v;
-    if (v < best) best = v;
-  }
-  return best;
-}
-
-float gather_avx2(const float* q, index_t d, const float* x,
-                  std::size_t stride, const index_t* ids, index_t count,
-                  float* out) {
-  float best = kInfDist;
-  for (index_t j = 0; j < count; ++j) {
-    const float v =
-        sq_l2_one(q, x + static_cast<std::size_t>(ids[j]) * stride, d);
-    out[j] = v;
     if (v < best) best = v;
   }
   return best;
@@ -297,20 +282,6 @@ float rows_metric_avx2(const float* q, index_t d, const float* x,
   for (; p < hi; ++p) {
     const float v = Op::one(q, x + static_cast<std::size_t>(p) * stride, d);
     out[p - lo] = v;
-    if (v < best) best = v;
-  }
-  return best;
-}
-
-template <class Op>
-float gather_metric_avx2(const float* q, index_t d, const float* x,
-                         std::size_t stride, const index_t* ids,
-                         index_t count, float* out) {
-  float best = kInfDist;
-  for (index_t j = 0; j < count; ++j) {
-    const float v =
-        Op::one(q, x + static_cast<std::size_t>(ids[j]) * stride, d);
-    out[j] = v;
     if (v < best) best = v;
   }
   return best;
@@ -472,19 +443,6 @@ float rows_fp16_avx2(const float* q, index_t d, const std::uint16_t* x,
   return best;
 }
 
-float gather_fp16_avx2(const float* q, index_t d, const std::uint16_t* x,
-                       std::size_t stride, const index_t* ids, index_t count,
-                       float* out) {
-  float best = kInfDist;
-  for (index_t j = 0; j < count; ++j) {
-    const float v =
-        fp16_one(q, x + static_cast<std::size_t>(ids[j]) * stride, d);
-    out[j] = v;
-    if (v < best) best = v;
-  }
-  return best;
-}
-
 // int8 rows block four rows, not kRowBlock: per row the loop keeps an
 // accumulator plus broadcast scale and offset live, and 3 x 8 ymm registers
 // would spill (AVX2 has 16); 3 x 4 plus the shared query vector fits.
@@ -533,21 +491,6 @@ float rows_int8_avx2(const float* q, index_t d, const std::int8_t* x,
     const float v = int8_one(q, x + static_cast<std::size_t>(p) * stride, d,
                              scale[p], offset[p]);
     out[p - lo] = v;
-    if (v < best) best = v;
-  }
-  return best;
-}
-
-float gather_int8_avx2(const float* q, index_t d, const std::int8_t* x,
-                       std::size_t stride, const float* scale,
-                       const float* offset, const index_t* ids, index_t count,
-                       float* out) {
-  float best = kInfDist;
-  for (index_t j = 0; j < count; ++j) {
-    const index_t p = ids[j];
-    const float v = int8_one(q, x + static_cast<std::size_t>(p) * stride, d,
-                             scale[p], offset[p]);
-    out[j] = v;
     if (v < best) best = v;
   }
   return best;
@@ -608,13 +551,10 @@ void l2_lanes_avx2(const float* q, index_t d, const float* lanes, index_t n,
 }
 
 constexpr KernelOps kAvx2Ops = {
-    tile_avx2,    tile_gemm_avx2,
-    rows_avx2,    gather_avx2,
-    rows_metric_avx2<L1LaneOp>, gather_metric_avx2<L1LaneOp>,
-    rows_metric_avx2<IpLaneOp>, gather_metric_avx2<IpLaneOp>,
-    rows_fp16_avx2, gather_fp16_avx2,
-    rows_int8_avx2, gather_int8_avx2,
-    l2_lanes_avx2};
+    tile_avx2,                  tile_gemm_avx2,
+    rows_avx2,                  rows_metric_avx2<L1LaneOp>,
+    rows_metric_avx2<IpLaneOp>, rows_fp16_avx2,
+    rows_int8_avx2,             l2_lanes_avx2};
 
 }  // namespace
 

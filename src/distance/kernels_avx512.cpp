@@ -157,19 +157,6 @@ float rows_avx512(const float* q, index_t d, const float* x,
   return best;
 }
 
-float gather_avx512(const float* q, index_t d, const float* x,
-                    std::size_t stride, const index_t* ids, index_t count,
-                    float* out) {
-  float best = kInfDist;
-  for (index_t j = 0; j < count; ++j) {
-    const float v =
-        sq_l2_one(q, x + static_cast<std::size_t>(ids[j]) * stride, d);
-    out[j] = v;
-    if (v < best) best = v;
-  }
-  return best;
-}
-
 inline __m512 abs_ps512(__m512 v) {
   return _mm512_abs_ps(v);
 }
@@ -283,20 +270,6 @@ float rows_metric_avx512(const float* q, index_t d, const float* x,
   for (; p < hi; ++p) {
     const float v = Op::one(q, x + static_cast<std::size_t>(p) * stride, d);
     out[p - lo] = v;
-    if (v < best) best = v;
-  }
-  return best;
-}
-
-template <class Op>
-float gather_metric_avx512(const float* q, index_t d, const float* x,
-                           std::size_t stride, const index_t* ids,
-                           index_t count, float* out) {
-  float best = kInfDist;
-  for (index_t j = 0; j < count; ++j) {
-    const float v =
-        Op::one(q, x + static_cast<std::size_t>(ids[j]) * stride, d);
-    out[j] = v;
     if (v < best) best = v;
   }
   return best;
@@ -441,19 +414,6 @@ float rows_fp16_avx512(const float* q, index_t d, const std::uint16_t* x,
   return best;
 }
 
-float gather_fp16_avx512(const float* q, index_t d, const std::uint16_t* x,
-                         std::size_t stride, const index_t* ids,
-                         index_t count, float* out) {
-  float best = kInfDist;
-  for (index_t j = 0; j < count; ++j) {
-    const float v =
-        fp16_one(q, x + static_cast<std::size_t>(ids[j]) * stride, d);
-    out[j] = v;
-    if (v < best) best = v;
-  }
-  return best;
-}
-
 float rows_int8_avx512(const float* q, index_t d, const std::int8_t* x,
                        std::size_t stride, const float* scale,
                        const float* offset, index_t lo, index_t hi,
@@ -499,21 +459,6 @@ float rows_int8_avx512(const float* q, index_t d, const std::int8_t* x,
     const float v = int8_one(q, x + static_cast<std::size_t>(p) * stride, d,
                              scale[p], offset[p]);
     out[p - lo] = v;
-    if (v < best) best = v;
-  }
-  return best;
-}
-
-float gather_int8_avx512(const float* q, index_t d, const std::int8_t* x,
-                         std::size_t stride, const float* scale,
-                         const float* offset, const index_t* ids,
-                         index_t count, float* out) {
-  float best = kInfDist;
-  for (index_t j = 0; j < count; ++j) {
-    const index_t p = ids[j];
-    const float v = int8_one(q, x + static_cast<std::size_t>(p) * stride, d,
-                             scale[p], offset[p]);
-    out[j] = v;
     if (v < best) best = v;
   }
   return best;
@@ -569,13 +514,10 @@ void l2_lanes_avx512(const float* q, index_t d, const float* lanes,
 }
 
 constexpr KernelOps kAvx512Ops = {
-    tile_avx512,  tile_gemm_avx512,
-    rows_avx512,  gather_avx512,
-    rows_metric_avx512<L1LaneOp>, gather_metric_avx512<L1LaneOp>,
-    rows_metric_avx512<IpLaneOp>, gather_metric_avx512<IpLaneOp>,
-    rows_fp16_avx512, gather_fp16_avx512,
-    rows_int8_avx512, gather_int8_avx512,
-    l2_lanes_avx512};
+    tile_avx512,                  tile_gemm_avx512,
+    rows_avx512,                  rows_metric_avx512<L1LaneOp>,
+    rows_metric_avx512<IpLaneOp>, rows_fp16_avx512,
+    rows_int8_avx512,             l2_lanes_avx512};
 
 }  // namespace
 

@@ -12,8 +12,6 @@ namespace rbc::dispatch::detail {
 
 namespace {
 
-inline float abs_diff(float a, float b) { return a < b ? b - a : a - b; }
-
 void tile_scalar(const float* qt, index_t d, const float* x,
                  std::size_t stride, index_t lo, index_t hi, float* out,
                  float* lane_min) {
@@ -79,22 +77,9 @@ float rows_scalar(const float* q, index_t d, const float* x,
   return best;
 }
 
-float gather_scalar(const float* q, index_t d, const float* x,
-                    std::size_t stride, const index_t* ids, index_t count,
-                    float* out) {
-  float best = kInfDist;
-  for (index_t j = 0; j < count; ++j) {
-    const float v =
-        sq_l2_one(q, x + static_cast<std::size_t>(ids[j]) * stride, d);
-    out[j] = v;
-    if (v < best) best = v;
-  }
-  return best;
-}
-
 inline float l1_one(const float* q, const float* row, index_t d) {
   float acc = 0.0f;
-  for (index_t i = 0; i < d; ++i) acc += abs_diff(q[i], row[i]);
+  for (index_t i = 0; i < d; ++i) acc += std::fabs(q[i] - row[i]);
   return acc;
 }
 
@@ -115,19 +100,6 @@ float rows_l1_scalar(const float* q, index_t d, const float* x,
   return best;
 }
 
-float gather_l1_scalar(const float* q, index_t d, const float* x,
-                       std::size_t stride, const index_t* ids, index_t count,
-                       float* out) {
-  float best = kInfDist;
-  for (index_t j = 0; j < count; ++j) {
-    const float v =
-        l1_one(q, x + static_cast<std::size_t>(ids[j]) * stride, d);
-    out[j] = v;
-    if (v < best) best = v;
-  }
-  return best;
-}
-
 float rows_ip_scalar(const float* q, index_t d, const float* x,
                      std::size_t stride, index_t lo, index_t hi, float* out) {
   float best = kInfDist;
@@ -135,19 +107,6 @@ float rows_ip_scalar(const float* q, index_t d, const float* x,
     const float v =
         neg_dot_one(q, x + static_cast<std::size_t>(p) * stride, d);
     out[p - lo] = v;
-    if (v < best) best = v;
-  }
-  return best;
-}
-
-float gather_ip_scalar(const float* q, index_t d, const float* x,
-                       std::size_t stride, const index_t* ids, index_t count,
-                       float* out) {
-  float best = kInfDist;
-  for (index_t j = 0; j < count; ++j) {
-    const float v =
-        neg_dot_one(q, x + static_cast<std::size_t>(ids[j]) * stride, d);
-    out[j] = v;
     if (v < best) best = v;
   }
   return best;
@@ -189,19 +148,6 @@ float rows_fp16_scalar(const float* q, index_t d, const std::uint16_t* x,
   return best;
 }
 
-float gather_fp16_scalar(const float* q, index_t d, const std::uint16_t* x,
-                         std::size_t stride, const index_t* ids,
-                         index_t count, float* out) {
-  float best = kInfDist;
-  for (index_t j = 0; j < count; ++j) {
-    const float v =
-        sq_l2_one_fp16(q, x + static_cast<std::size_t>(ids[j]) * stride, d);
-    out[j] = v;
-    if (v < best) best = v;
-  }
-  return best;
-}
-
 float rows_int8_scalar(const float* q, index_t d, const std::int8_t* x,
                        std::size_t stride, const float* scale,
                        const float* offset, index_t lo, index_t hi,
@@ -211,21 +157,6 @@ float rows_int8_scalar(const float* q, index_t d, const std::int8_t* x,
     const float v = sq_l2_one_int8(
         q, x + static_cast<std::size_t>(p) * stride, d, scale[p], offset[p]);
     out[p - lo] = v;
-    if (v < best) best = v;
-  }
-  return best;
-}
-
-float gather_int8_scalar(const float* q, index_t d, const std::int8_t* x,
-                         std::size_t stride, const float* scale,
-                         const float* offset, const index_t* ids,
-                         index_t count, float* out) {
-  float best = kInfDist;
-  for (index_t j = 0; j < count; ++j) {
-    const index_t p = ids[j];
-    const float v = sq_l2_one_int8(
-        q, x + static_cast<std::size_t>(p) * stride, d, scale[p], offset[p]);
-    out[j] = v;
     if (v < best) best = v;
   }
   return best;
@@ -252,12 +183,9 @@ void l2_lanes_scalar(const float* q, index_t d, const float* lanes,
 }
 
 constexpr KernelOps kScalarOps = {tile_scalar,      tile_gemm_scalar,
-                                  rows_scalar,      gather_scalar,
-                                  rows_l1_scalar,   gather_l1_scalar,
-                                  rows_ip_scalar,   gather_ip_scalar,
-                                  rows_fp16_scalar, gather_fp16_scalar,
-                                  rows_int8_scalar, gather_int8_scalar,
-                                  l2_lanes_scalar};
+                                  rows_scalar,      rows_l1_scalar,
+                                  rows_ip_scalar,   rows_fp16_scalar,
+                                  rows_int8_scalar, l2_lanes_scalar};
 
 }  // namespace
 

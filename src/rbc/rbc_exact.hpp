@@ -21,14 +21,20 @@
 // The index owns a permuted copy of the database (rows grouped by owner,
 // sorted by distance-to-owner), so the second-stage scan is a contiguous
 // streaming pass — the memory layout the paper's GPU implementation uses.
+//
+// Like the paper's structure, a built index has no in-place insert or
+// remove, so const searches share it across threads without locks. Insert
+// and remove come from MutableIndex (mutate/mutable_index.hpp), which keeps
+// a delta shard and tombstones beside an index like this one and rebuilds
+// it on merge — affordable because the build is one BF(X, R).
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <istream>
-#include <mutex>
 #include <ostream>
 #include <span>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -152,32 +158,22 @@ class RbcExactIndex {
                          : *std::max_element(packed_sq_norms_.begin(),
                                              packed_sq_norms_.end());
 
-    next_id_ = n_;
-    erased_count_ = 0;
-    erased_.assign(n_, 0);
-    overflow_data_.clear();
-    overflow_ids_.clear();
-    overflow_dist_.clear();
-    overflow_of_rep_.assign(nr, {});
-
-    // Compressed scan tier: quantize the packed rows once at build. The
-    // float packed_ stays resident — it is the re-measure source that keeps
-    // results bit-identical (kernel_scan.hpp, quantized scans).
-    if (storage_req_ != quant::Storage::kFloat32)
-      qstore_ = quant::quantize(storage_req_, packed_);
-    else
-      qstore_ = {};
+    // Compressed scan tier: quantize the packed rows once at build (a
+    // float32 request yields an inactive store). The float packed_ stays
+    // resident — it is the re-measure source that keeps results
+    // bit-identical (kernel_scan.hpp, quantized scans).
+    qstore_ = quant::quantize(storage_req_, packed_);
   }
 
   // ----------------------------------------------------- compressed tier ---
 
   /// Requests a compressed row store ("fp16"/"int8") for the hot list
-  /// scans; takes effect at the next build()/rebuild(). Euclidean only
+  /// scans; takes effect at the next build(). Euclidean only
   /// (quantized_metric) — callers gate before requesting.
   void set_storage(quant::Storage mode) { storage_req_ = mode; }
 
   /// The storage mode the scans currently read (kFloat32 when no store is
-  /// active — including after a mutation invalidated it).
+  /// active).
   quant::Storage storage() const {
     return qstore_.active() ? qstore_.mode : quant::Storage::kFloat32;
   }
@@ -194,103 +190,6 @@ class RbcExactIndex {
     qstore_ = std::move(store);
   }
 
-  // ------------------------------------------------------ dynamic updates ---
-  //
-  // The paper's structure is static; these updates make the index usable in
-  // online settings without a rebuild. Inserted points go to their nearest
-  // representative's *overflow* list (unsorted, scanned without the
-  // early-exit), and psi_r grows to keep prune rule (1) valid. Erasures are
-  // tombstones. Exactness over the live set is preserved (tested); heavy
-  // churn degrades the constant factors until rebuild() compacts.
-  // Not thread-safe against concurrent searches.
-
-  /// Inserts a point (copied); returns its id (original build points keep
-  /// ids [0, n); inserts continue from there). Requires a built index.
-  index_t insert(const float* point) {
-    const index_t nr = reps_.rows();
-    std::vector<dist_t> dists(nr);
-    rep_distances(point, dists.data());
-    dist_t best = kInfDist;
-    index_t best_rep = 0;
-    for (index_t r = 0; r < nr; ++r) {
-      if (dists[r] < best) {
-        best = dists[r];
-        best_rep = r;
-      }
-    }
-    counters::add_dist_evals(nr);
-
-    // Mutations invalidate the compressed store (overflow rows and
-    // tombstones are not represented in it); scans fall back to the float
-    // rows — still exact, just uncompressed — until rebuild().
-    qstore_ = {};
-
-    const index_t id = next_id_++;
-    erased_.push_back(0);
-    const std::size_t stride = reps_.stride();
-    overflow_data_.resize(overflow_data_.size() + stride, 0.0f);
-    float* row =
-        overflow_data_.data() + overflow_ids_.size() * stride;
-    std::memcpy(row, point, sizeof(float) * dim_);
-    overflow_of_rep_[best_rep].push_back(
-        static_cast<index_t>(overflow_ids_.size()));
-    overflow_ids_.push_back(id);
-    overflow_dist_.push_back(best);
-    // Rule (1) validity: psi_r must stay an upper bound over all members.
-    psi_[best_rep] = std::max(psi_[best_rep], best);
-    return id;
-  }
-
-  /// Tombstones a point. Returns false if the id is unknown or already
-  /// erased. Erasing a representative's point removes it from results but
-  /// keeps it as a routing point (valid: the prune rules only need
-  /// representatives as reference points; the k-th-NN bound is computed
-  /// over live representatives only).
-  bool erase(index_t id) {
-    if (id >= next_id_ || erased_[id]) return false;
-    erased_[id] = 1;
-    ++erased_count_;
-    qstore_ = {};  // see insert(): the store has no tombstone filter
-    return true;
-  }
-
-  /// Number of live (non-erased) points.
-  index_t num_active() const {
-    return next_id_ - erased_count_;
-  }
-
-  /// Number of points sitting in unsorted overflow lists (rebuild to
-  /// re-pack them).
-  index_t overflow_size() const {
-    return static_cast<index_t>(overflow_ids_.size());
-  }
-
-  /// Compacts the index: gathers all live rows and rebuilds from scratch
-  /// with fresh representatives. Point ids are remapped densely in
-  /// ascending old-id order; the mapping old-id -> new-id is returned
-  /// (erased points map to kInvalidIndex).
-  std::vector<index_t> rebuild() {
-    const index_t live = num_active();
-    Matrix<float> rows(live, dim_);
-    std::vector<index_t> remap(next_id_, kInvalidIndex);
-    index_t cursor = 0;
-    // Original build points live in packed_ (permuted); inserts in overflow.
-    // Gather in ascending old-id order for a deterministic remap.
-    std::vector<const float*> row_of(next_id_, nullptr);
-    for (index_t p = 0; p < packed_.rows(); ++p)
-      row_of[packed_ids_[p]] = packed_.row(p);
-    const std::size_t stride = reps_.stride();
-    for (std::size_t ov = 0; ov < overflow_ids_.size(); ++ov)
-      row_of[overflow_ids_[ov]] = overflow_data_.data() + ov * stride;
-    for (index_t id = 0; id < next_id_; ++id) {
-      if (erased_[id]) continue;
-      std::memcpy(rows.row(cursor), row_of[id], sizeof(float) * dim_);
-      remap[id] = cursor++;
-    }
-    build(rows, params_, metric_);
-    return remap;
-  }
-
   // ------------------------------------------------------------- queries ---
 
   /// Query-count threshold above which search() switches to the query-tile
@@ -300,8 +199,8 @@ class RbcExactIndex {
   /// which any full tile gets.
   static constexpr index_t kBlockedMinBatch = dispatch::kTile;
 
-  /// List/overflow segments shorter than this stay on the adaptive scalar
-  /// loop — below it, kernel-call setup outweighs the vector win.
+  /// List segments shorter than this stay on the adaptive scalar loop —
+  /// below it, kernel-call setup outweighs the vector win.
   static constexpr index_t kKernelMinSegment = 16;
 
   /// k-NN for a batch of queries; parallel across queries. Batches of at
@@ -399,7 +298,7 @@ class RbcExactIndex {
       index_t g1_rep = 0;
       for (index_t r = 0; r < nr; ++r) {
         const dist_t d = row[r];
-        if (!erased_[rep_ids_[r]]) rep_top.push(d, r);
+        rep_top.push(d, r);
         if (d < g1) {
           g1 = d;
           g1_rep = r;
@@ -535,24 +434,7 @@ class RbcExactIndex {
           uhi = std::max(uhi, hi);
           sum_len += hi - lo;
         }
-        if (num_active == 0) continue;
-        if (sum_len == 0) {
-          // No packed member falls in any lane's window, but a surviving
-          // representative's overflow list must still be scanned — the
-          // per-query path always does (scan_rep_list), and an inserted
-          // point there can be the true neighbor.
-          std::uint64_t total = 0;
-          for (index_t a = 0; a < num_active; ++a) {
-            const index_t t = active[a];
-            const index_t qi = order[t_lo + t];
-            const std::uint64_t computed = scan_overflow(
-                qrows[t], r, lane_dr[a], bound_k[qi], inv, tops[t], local);
-            local.list_dist_evals += computed;
-            total += computed;
-          }
-          counters::add_dist_evals(total);
-          continue;
-        }
+        if (sum_len == 0) continue;  // no lane has a member in its window
 
         // Tile-kernel cost is per-row regardless of lane count; fall back
         // to the per-lane scan (itself kernelized — scan_rep_list_kernel)
@@ -575,7 +457,10 @@ class RbcExactIndex {
         dispatch::ops().tile_gemm(qt.data(), q_sq, dim_, packed_.data(),
                                   packed_.stride(), packed_sq_norms_.data(),
                                   ulo, uhi, buf.data(), lane_min);
-        std::uint64_t computed[dispatch::kTile] = {};
+        // Every lane's window counts as evaluated whether or not the
+        // lane-min skip below fires, so stats don't depend on heap warm-up.
+        local.list_dist_evals += sum_len;
+        counters::add_dist_evals(sum_len);
         // Lane-major filter pass: a lane whose kernel minimum over the
         // whole union range already misses its (margin-inflated, max-norm)
         // bound has no candidate anywhere in its window — skip its filter
@@ -583,18 +468,11 @@ class RbcExactIndex {
         // visits push the same sequence per lane as the row-major order.
         for (index_t a = 0; a < num_active; ++a) {
           const index_t t = active[a];
-          // Eval accounting excludes tombstoned rows whether or not the
-          // lane-min skip fires, so stats don't depend on heap warm-up.
-          computed[a] = seg_hi[a] - seg_lo[a];
-          if (erased_count_ != 0)
-            for (index_t p = seg_lo[a]; p < seg_hi[a]; ++p)
-              if (erased_[packed_ids_[p]]) --computed[a];
           const dist_t w0 = tops[t].worst();
           if (lane_min[t] >
               w0 * w0 * mrel + mabs * (q_sq[t] + packed_sq_max_))
             continue;
           for (index_t p = seg_lo[a]; p < seg_hi[a]; ++p) {
-            if (erased_count_ != 0 && erased_[packed_ids_[p]]) continue;
             const float v =
                 buf[static_cast<std::size_t>(p - ulo) * dispatch::kTile + t];
             const dist_t w = tops[t].worst();
@@ -606,16 +484,6 @@ class RbcExactIndex {
                          packed_ids_[p]);
           }
         }
-        std::uint64_t total = 0;
-        for (index_t a = 0; a < num_active; ++a) {
-          const index_t t = active[a];
-          const index_t qi = order[t_lo + t];
-          computed[a] += scan_overflow(qrows[t], r, lane_dr[a], bound_k[qi],
-                                       inv, tops[t], local);
-          local.list_dist_evals += computed[a];
-          total += computed[a];
-        }
-        counters::add_dist_evals(total);
       }
 
       for (index_t t = 0; t < m; ++t) {
@@ -654,10 +522,7 @@ class RbcExactIndex {
     dist_t gamma1 = kInfDist;
     for (index_t r = 0; r < nr; ++r) {
       const dist_t d = scratch.rep_dists[r];
-      // rep_bound must be a k-th distance among *live* database points, so
-      // erased representatives do not feed it; gamma1 is a routing quantity
-      // and may use every representative.
-      if (!erased_[rep_ids_[r]]) rep_top.push(d, r);
+      rep_top.push(d, r);
       if (d < gamma1) gamma1 = d;
     }
     counters::add_dist_evals(nr);
@@ -716,12 +581,12 @@ class RbcExactIndex {
     if (stats != nullptr) stats->merge(local);
   }
 
-  /// Scan of L_r for one query: packed segment with the Claim-2 early exit
-  /// and annulus bound, then the unsorted overflow members. Shared by
-  /// search_one and the sparse-lane fallback of the blocked batch path.
-  /// Euclidean segments of at least kKernelMinSegment rows run the
-  /// dispatched row-block kernel (scan_rep_list_kernel below); anything
-  /// else takes the adaptive per-point loop.
+  /// Scan of L_r for one query: the packed segment with the Claim-2 early
+  /// exit and annulus bound. Shared by search_one and the sparse-lane
+  /// fallback of the blocked batch path. Euclidean segments of at least
+  /// kKernelMinSegment rows run the dispatched row-block kernel
+  /// (scan_rep_list_kernel below); anything else takes the adaptive
+  /// per-point loop.
   void scan_rep_list(const float* q, index_t r, dist_t dr, dist_t rep_bound,
                      float inv, TopK& out, SearchStats& local) const {
     const index_t lo = offsets_[r], hi = offsets_[r + 1];
@@ -747,11 +612,9 @@ class RbcExactIndex {
         ++local.points_skipped_annulus;
         continue;
       }
-      if (erased_count_ != 0 && erased_[packed_ids_[p]]) continue;
       out.push(metric_(q, packed_.row(p), dim_), packed_ids_[p]);
       ++computed;
     }
-    computed += scan_overflow(q, r, dr, rep_bound, inv, out, local);
     counters::add_dist_evals(computed);
     local.list_dist_evals += computed;
   }
@@ -784,102 +647,21 @@ class RbcExactIndex {
           std::lower_bound(pd + lo, pd + seg_hi, dr - b) - pd);
       local.points_skipped_annulus += seg_lo - lo;
     }
+    counters::add_dist_evals(seg_hi - seg_lo);
+    local.list_dist_evals += seg_hi - seg_lo;
 
+    const auto id_of = [this](index_t p) { return packed_ids_[p]; };
     // Compressed tier: the window scans fp16/int8 codes with the
     // error-inflated bound and re-measures survivors against the float
-    // rows — identical results (see kernel_scan.hpp). The store is only
-    // ever active on an unmutated index (no tombstones, no overflow), so
-    // no erased filter is needed here.
+    // rows — identical results (see kernel_scan.hpp).
     if constexpr (quantized_metric<M>) {
       if (qstore_.active()) {
         quantized_scan_rows(q, packed_, qstore_, seg_lo, seg_hi, metric_,
-                            out,
-                            [this](index_t p) { return packed_ids_[p]; });
-        std::uint64_t computed = seg_hi - seg_lo;
-        computed += scan_overflow(q, r, dr, rep_bound, inv, out, local);
-        counters::add_dist_evals(computed);
-        local.list_dist_evals += computed;
+                            out, id_of);
         return;
       }
     }
-
-    constexpr index_t kChunk = 512;
-    float buf[kChunk];
-    const dispatch::KernelOps& ops = dispatch::ops();
-    for (index_t c = seg_lo; c < seg_hi; c += kChunk) {
-      const index_t ce = std::min<index_t>(seg_hi, c + kChunk);
-      const float chunk_min = ScanTraits<M>::rows(
-          ops, q, dim_, packed_.data(), packed_.stride(), c, ce, buf);
-      // Whole chunk misses the (entry) bound: nothing to offer the heap.
-      if (chunk_min > scan_bound<M>(out.worst(), dim_)) continue;
-      for (index_t p = c; p < ce; ++p) {
-        if (erased_count_ != 0 && erased_[packed_ids_[p]]) continue;
-        if (buf[p - c] > scan_bound<M>(out.worst(), dim_)) continue;
-        out.push(metric_(q, packed_.row(p), dim_), packed_ids_[p]);
-      }
-    }
-    std::uint64_t computed = seg_hi - seg_lo;
-    computed += scan_overflow(q, r, dr, rep_bound, inv, out, local);
-    counters::add_dist_evals(computed);
-    local.list_dist_evals += computed;
-  }
-
-  /// Overflow members (dynamic inserts): unsorted, so no early exit; the
-  /// annulus bound applies on both sides. Long Euclidean lists batch the
-  /// annulus survivors through the dispatched gather kernel; short ones
-  /// take the per-point loop. Returns distances computed (caller accounts
-  /// them).
-  std::uint64_t scan_overflow(const float* q, index_t r, dist_t dr,
-                              dist_t rep_bound, float inv, TopK& out,
-                              SearchStats& local) const {
-    if constexpr (kernel_metric<M>) {
-      if (overflow_of_rep_[r].size() >= kKernelMinSegment)
-        return scan_overflow_kernel(q, r, dr, rep_bound, inv, out, local);
-    }
-    std::uint64_t computed = 0;
-    for (const index_t ov : overflow_of_rep_[r]) {
-      if (erased_[overflow_ids_[ov]]) continue;
-      const dist_t b = std::min(rep_bound, out.worst() * inv);
-      const dist_t member = overflow_dist_[ov];
-      if (params_.use_annulus_bound &&
-          (member < dr - b || member > dr + b)) {
-        ++local.points_skipped_annulus;
-        continue;
-      }
-      out.push(metric_(q, overflow_row(ov), dim_), overflow_ids_[ov]);
-      ++computed;
-    }
-    return computed;
-  }
-
-  /// Gather-kernel form of scan_overflow: annulus-filter the (unsorted)
-  /// members with the bound frozen at entry, batch the survivors through
-  /// the dispatched gather kernel, re-measure prefilter survivors with the
-  /// scalar metric. Frozen bound => candidate superset => identical
-  /// results, as everywhere else.
-  std::uint64_t scan_overflow_kernel(const float* q, index_t r, dist_t dr,
-                                     dist_t rep_bound, float inv, TopK& out,
-                                     SearchStats& local) const
-    requires(kernel_metric<M>)
-  {
-    const dist_t b = std::min(rep_bound, out.worst() * inv);
-    std::vector<index_t> cand;
-    cand.reserve(overflow_of_rep_[r].size());
-    for (const index_t ov : overflow_of_rep_[r]) {
-      if (erased_[overflow_ids_[ov]]) continue;
-      const dist_t member = overflow_dist_[ov];
-      if (params_.use_annulus_bound &&
-          (member < dr - b || member > dr + b)) {
-        ++local.points_skipped_annulus;
-        continue;
-      }
-      cand.push_back(ov);
-    }
-    kernel_scan_gather(
-        q, dim_, overflow_data_.data(), reps_.stride(), cand.data(),
-        static_cast<index_t>(cand.size()), metric_, out,
-        [this](index_t ov) { return overflow_ids_[ov]; });
-    return cand.size();
+    kernel_scan_rows(q, packed_, seg_lo, seg_hi, metric_, out, id_of);
   }
 
   /// Exact range search: returns the ids of all points x with
@@ -899,16 +681,9 @@ class RbcExactIndex {
       std::uint64_t computed = 0;
       for (index_t p = lo; p < hi; ++p) {
         if (packed_dist_[p] > dr + radius) break;  // sorted-list early exit
-        if (erased_count_ != 0 && erased_[packed_ids_[p]]) continue;
         const dist_t d = metric_(q, packed_.row(p), dim_);
         ++computed;
         if (d <= radius) hits.push_back(packed_ids_[p]);
-      }
-      for (const index_t ov : overflow_of_rep_[r]) {
-        if (erased_[overflow_ids_[ov]]) continue;
-        const dist_t d = metric_(q, overflow_row(ov), dim_);
-        ++computed;
-        if (d <= radius) hits.push_back(overflow_ids_[ov]);
       }
       counters::add_dist_evals(computed);
     }
@@ -963,15 +738,18 @@ class RbcExactIndex {
     io::write_vec(os, packed_dist_);
     io::write_matrix(os, reps_);
     io::write_matrix(os, packed_);
-    // Dynamic state (empty vectors for a freshly built index).
-    io::write_pod(os, next_id_);
-    io::write_pod(os, erased_count_);
-    io::write_vec(os, erased_);
-    io::write_vec(os, overflow_data_);
-    io::write_vec(os, overflow_ids_);
-    io::write_vec(os, overflow_dist_);
-    io::write_pod(os, static_cast<std::uint64_t>(overflow_of_rep_.size()));
-    for (const auto& list : overflow_of_rep_) io::write_vec(os, list);
+    // The format's dynamic-update tail, as every built index has written
+    // it: id counter n, no tombstones, n clear flags, empty row, id and
+    // distance vectors, and one empty insert list per representative.
+    const index_t nr = reps_.rows();
+    io::write_pod(os, n_);
+    io::write_pod(os, index_t{0});
+    io::write_vec(os, std::vector<std::uint8_t>(n_, 0));
+    io::write_vec(os, std::vector<float>{});
+    io::write_vec(os, std::vector<index_t>{});
+    io::write_vec(os, std::vector<dist_t>{});
+    io::write_pod(os, static_cast<std::uint64_t>(nr));
+    for (index_t r = 0; r < nr; ++r) io::write_vec(os, std::vector<index_t>{});
   }
 
   static RbcExactIndex load(std::istream& is, M metric = {}) {
@@ -990,10 +768,58 @@ class RbcExactIndex {
     io::read_vec(is, idx.packed_dist_);
     idx.reps_ = io::read_matrix(is);
     idx.packed_ = io::read_matrix(is);
+
+    // Searches index these arrays without bounds checks, so the stream must
+    // describe one consistent layout before anything trusts it.
+    const auto require = [](bool ok, const char* what) {
+      if (!ok)
+        throw std::runtime_error(
+            std::string("rbc::io: corrupt RbcExactIndex (") + what + ")");
+    };
+    const index_t n = idx.n_;
+    const index_t nr = idx.reps_.rows();
+    const std::vector<index_t>& offsets = idx.offsets_;
     // The lane-blocked representatives are derived from dim_-wide rows.
-    if (idx.reps_.cols() != idx.dim_ || idx.packed_.cols() != idx.dim_)
-      throw std::runtime_error(
-          "rbc::io: corrupt RbcExactIndex (row width disagrees with dim)");
+    require(idx.reps_.cols() == idx.dim_ && idx.packed_.cols() == idx.dim_,
+            "row width disagrees with dim");
+    require(offsets.size() == std::size_t{nr} + 1 && offsets.front() == 0 &&
+                offsets.back() == n &&
+                std::is_sorted(offsets.begin(), offsets.end()),
+            "list offsets do not partition n rows");
+    require(idx.psi_.size() == nr && idx.rep_ids_.size() == nr,
+            "list radii or representative ids disagree with the "
+            "representative count");
+    require(idx.packed_ids_.size() == n && idx.packed_dist_.size() == n &&
+                idx.packed_.rows() == n,
+            "packed arrays disagree with n");
+    const auto in_range = [n](index_t id) { return id < n; };
+    require(std::all_of(idx.packed_ids_.begin(), idx.packed_ids_.end(),
+                        in_range) &&
+                std::all_of(idx.rep_ids_.begin(), idx.rep_ids_.end(),
+                            in_range),
+            "row id out of range");
+
+    // The dynamic-update tail (see save()) must be the empty one: this
+    // class has no in-place insert or erase to fill it.
+    constexpr const char* kTail = "non-empty dynamic tail";
+    index_t next_id = 0, erased_count = 0;
+    std::vector<std::uint8_t> erased;
+    io::read_pod(is, next_id);
+    io::read_pod(is, erased_count);
+    io::read_vec(is, erased);
+    require(next_id == n && erased_count == 0 &&
+                erased == std::vector<std::uint8_t>(n, 0),
+            kTail);
+    const auto length = [&is] {  // a vector's length prefix (write_vec)
+      std::uint64_t size = 0;
+      io::read_pod(is, size);
+      return size;
+    };
+    // Overflow rows, ids and distances, then one overflow list per rep.
+    for (int v = 0; v < 3; ++v) require(length() == 0, kTail);
+    require(length() == nr, kTail);
+    for (index_t r = 0; r < nr; ++r) require(length() == 0, kTail);
+
     // Derived, not serialized (keeps the format stable across versions).
     idx.pack_rep_lanes();
     idx.packed_sq_norms_ = detail::kernel_row_sq_norms(idx.packed_);
@@ -1001,24 +827,10 @@ class RbcExactIndex {
                              ? 0.0f
                              : *std::max_element(idx.packed_sq_norms_.begin(),
                                                  idx.packed_sq_norms_.end());
-    io::read_pod(is, idx.next_id_);
-    io::read_pod(is, idx.erased_count_);
-    io::read_vec(is, idx.erased_);
-    io::read_vec(is, idx.overflow_data_);
-    io::read_vec(is, idx.overflow_ids_);
-    io::read_vec(is, idx.overflow_dist_);
-    std::uint64_t lists = 0;
-    io::read_pod(is, lists);
-    idx.overflow_of_rep_.resize(lists);
-    for (auto& list : idx.overflow_of_rep_) io::read_vec(is, list);
     return idx;
   }
 
  private:
-  const float* overflow_row(std::size_t ov) const {
-    return overflow_data_.data() + ov * reps_.stride();
-  }
-
   /// Derives the lane-blocked copy of the representatives that
   /// rep_distances reads (Euclidean only; other metrics keep it empty).
   void pack_rep_lanes() {
@@ -1065,16 +877,7 @@ class RbcExactIndex {
 
   // ---- compressed scan tier (see "compressed tier" section above) ----
   quant::Storage storage_req_ = quant::Storage::kFloat32;  // build request
-  quant::QuantizedStore qstore_;  // active when built compressed + unmutated
-
-  // ---- dynamic-update state (see "dynamic updates" section above) ----
-  index_t next_id_ = 0;       // ids handed out so far (build + inserts)
-  index_t erased_count_ = 0;  // live tombstones
-  std::vector<std::uint8_t> erased_;      // by id; 1 = tombstoned
-  std::vector<float> overflow_data_;      // inserted rows, reps_.stride() wide
-  std::vector<index_t> overflow_ids_;     // id per overflow row
-  std::vector<dist_t> overflow_dist_;     // rho(x, owner) per overflow row
-  std::vector<std::vector<index_t>> overflow_of_rep_;  // per-rep row indices
+  quant::QuantizedStore qstore_;  // active when built compressed
 };
 
 }  // namespace rbc

@@ -435,6 +435,166 @@ TEST(CorruptFiles, LegacyVersion1FilesLoadAsL2) {
   }
 }
 
+// --------------------------------------- concrete RbcExactIndex streams --
+// The bare concrete stream (the version-1 layout load_index reaches through
+// the rbc-exact legacy rewind, and a server RELOAD with it) carries the CSR
+// list layout that search indexes without bounds checks. The loader must
+// reject any stream whose layout is inconsistent instead of handing it to
+// a query.
+
+/// The fields of a saved RbcExactIndex<Euclidean> stream, parsed back so a
+/// fixture can break one invariant and re-serialize the rest unchanged.
+struct ExactStream {
+  index_t n = 0;
+  index_t dim = 0;
+  RbcParams params;
+  std::vector<index_t> rep_ids;
+  std::vector<dist_t> psi;
+  std::vector<index_t> offsets;
+  std::vector<index_t> packed_ids;
+  std::vector<dist_t> packed_dist;
+  Matrix<float> reps;
+  Matrix<float> packed;
+  std::string tail;  // the dynamic-update tail, byte for byte
+
+  explicit ExactStream(const std::string& bytes) {
+    std::stringstream is(bytes);
+    io::expect_pod(is, io::kMagicExact, "magic");
+    io::expect_pod(is, io::kFormatVersion, "version");
+    io::expect_string(is, Euclidean::name(), "metric");
+    io::read_pod(is, n);
+    io::read_pod(is, dim);
+    io::read_pod(is, params);
+    io::read_vec(is, rep_ids);
+    io::read_vec(is, psi);
+    io::read_vec(is, offsets);
+    io::read_vec(is, packed_ids);
+    io::read_vec(is, packed_dist);
+    reps = io::read_matrix(is);
+    packed = io::read_matrix(is);
+    tail = bytes.substr(static_cast<std::size_t>(is.tellg()));
+  }
+
+  std::string bytes() const {
+    std::stringstream os;
+    io::write_pod(os, io::kMagicExact);
+    io::write_pod(os, io::kFormatVersion);
+    io::write_string(os, Euclidean::name());
+    io::write_pod(os, n);
+    io::write_pod(os, dim);
+    io::write_pod(os, params);
+    io::write_vec(os, rep_ids);
+    io::write_vec(os, psi);
+    io::write_vec(os, offsets);
+    io::write_vec(os, packed_ids);
+    io::write_vec(os, packed_dist);
+    io::write_matrix(os, reps);
+    io::write_matrix(os, packed);
+    os << tail;
+    return os.str();
+  }
+};
+
+/// A dynamic-update tail as the former in-place insert/erase path wrote it:
+/// `inserted` overflow rows (ids n, n + 1, ... owned by representative 0)
+/// and `erased` tombstones on ids 0, 1, ...
+std::string dynamic_tail(index_t n, index_t nr, index_t dim,
+                         index_t inserted, index_t erased) {
+  std::stringstream os;
+  const index_t next_id = n + inserted;
+  io::write_pod(os, next_id);
+  io::write_pod(os, erased);
+  std::vector<std::uint8_t> flags(next_id, 0);
+  for (index_t id = 0; id < erased; ++id) flags[id] = 1;
+  io::write_vec(os, flags);
+  io::write_vec(os, std::vector<float>(std::size_t{inserted} * dim, 0.5f));
+  std::vector<index_t> ids;
+  for (index_t i = 0; i < inserted; ++i) ids.push_back(n + i);
+  io::write_vec(os, ids);
+  io::write_vec(os, std::vector<dist_t>(inserted, 1.0f));
+  io::write_pod(os, static_cast<std::uint64_t>(nr));
+  for (index_t r = 0; r < nr; ++r) {
+    std::vector<index_t> list;
+    if (r == 0)
+      for (index_t i = 0; i < inserted; ++i) list.push_back(i);
+    io::write_vec(os, list);
+  }
+  return os.str();
+}
+
+TEST(CorruptFiles, InconsistentConcreteExactStreamsAreRejected) {
+  const Matrix<float> X = testutil::clustered_matrix(200, 5, 4, 76);
+  const Matrix<float> Q = testutil::random_matrix(4, 5, 77);
+  RbcExactIndex<Euclidean> concrete;
+  concrete.build(X, {.num_reps = 9, .seed = 78});
+  std::stringstream saved;
+  concrete.save(saved);
+  const std::string bytes = saved.str();
+  const ExactStream intact(bytes);
+  const index_t n = intact.n;
+  const index_t nr = intact.reps.rows();
+
+  // The parse/re-serialize round trip is exact, and the intact stream loads
+  // and answers like brute force.
+  ASSERT_EQ(intact.bytes(), bytes);
+  ASSERT_EQ(intact.tail, dynamic_tail(n, nr, intact.dim, 0, 0));
+  {
+    std::stringstream stream(intact.bytes());
+    const auto index = load_index(stream);
+    auto fresh = make_index("bruteforce");
+    fresh->build(X);
+    EXPECT_TRUE(testutil::knn_equal(
+        fresh->knn_search({.queries = &Q, .k = 3}).knn,
+        index->knn_search({.queries = &Q, .k = 3}).knn));
+  }
+
+  const std::vector<std::pair<std::string, void (*)(ExactStream&)>> breaks = {
+      {"last list offset past n",
+       [](ExactStream& s) { s.offsets.back() += 5; }},
+      {"first list offset not 0",
+       [](ExactStream& s) { s.offsets.front() = 1; }},
+      {"list offsets decrease",
+       [](ExactStream& s) { std::swap(s.offsets[1], s.offsets[2]); }},
+      {"one offset too few", [](ExactStream& s) { s.offsets.pop_back(); }},
+      {"empty psi", [](ExactStream& s) { s.psi.clear(); }},
+      {"representative id past n",
+       [](ExactStream& s) { s.rep_ids[0] = s.n + 100; }},
+      {"one representative id too few",
+       [](ExactStream& s) { s.rep_ids.pop_back(); }},
+      {"packed id past n", [](ExactStream& s) { s.packed_ids[7] = s.n; }},
+      {"packed ids short", [](ExactStream& s) { s.packed_ids.pop_back(); }},
+      {"packed distances short",
+       [](ExactStream& s) { s.packed_dist.pop_back(); }},
+      {"packed rows short",
+       [](ExactStream& s) {
+         Matrix<float> rows(s.packed.rows() - 1, s.packed.cols());
+         for (index_t i = 0; i < rows.rows(); ++i)
+           rows.copy_row_from(s.packed, i, i);
+         s.packed = std::move(rows);
+       }},
+  };
+  ASSERT_LT(intact.offsets[1], intact.offsets[2]);  // the swap must decrease
+  for (const auto& [what, corrupt] : breaks) {
+    SCOPED_TRACE(what);
+    ExactStream broken(bytes);
+    corrupt(broken);
+    std::stringstream stream(broken.bytes());
+    EXPECT_THROW((void)load_index(stream), std::runtime_error);
+  }
+
+  // A non-empty dynamic tail (tombstones, inserted rows, or both) came from
+  // the removed in-place mutation path; this version cannot represent it.
+  for (const auto& [inserted, erased] :
+       {std::pair<index_t, index_t>{0, 1}, {1, 0}, {3, 2}}) {
+    SCOPED_TRACE("inserted=" + std::to_string(inserted) +
+                 " erased=" + std::to_string(erased));
+    ExactStream mutated(bytes);
+    mutated.tail = dynamic_tail(n, nr, intact.dim, inserted, erased);
+    std::stringstream stream(mutated.bytes());
+    EXPECT_THROW((void)load_index(stream), std::runtime_error);
+  }
+}
+
 // ------------------------------------------ payload (v6) corrupt fixtures --
 // The generic metric-space format: kMagicPayload, version 6, host backend
 // tag, metric-space tag, RbcParams, then the serialized dataset (kind tag +

@@ -127,15 +127,11 @@ TEST_P(DispatchFuzzTest, TileShapesMatchScalarReference) {
   }
 }
 
-TEST_P(DispatchFuzzTest, RowAndGatherShapesMatchScalarReference) {
+TEST_P(DispatchFuzzTest, RowShapesMatchScalarReference) {
   const index_t d = GetParam();
   const index_t rows = 61;  // 7 full 8-row blocks + a 5-row remainder
   const Matrix<float> X = random_points(rows, d, 3'000 + d);
   const Matrix<float> Q = random_points(1, d, 4'000 + d);
-
-  std::vector<index_t> ids;  // gather pattern: every other row, reversed
-  for (index_t p = rows; p-- > 0;)
-    if (p % 2 == 0) ids.push_back(p);
 
   const float mrel = dispatch::tile_margin(d);
   for (const dispatch::Isa isa : runnable_isas()) {
@@ -156,31 +152,19 @@ TEST_P(DispatchFuzzTest, RowAndGatherShapesMatchScalarReference) {
             << "rows(lo=9) " << dispatch::isa_name(isa) << " d=" << d;
       }
     }
-    std::vector<float> gout(ids.size());
-    ops.gather(Q.row(0), d, X.data(), X.stride(), ids.data(),
-               static_cast<index_t>(ids.size()), gout.data());
-    for (std::size_t j = 0; j < ids.size(); ++j) {
-      const float ref = kernels::sq_l2(Q.row(0), X.row(ids[j]), d);
-      EXPECT_NEAR(gout[j], ref, 1e-6f + mrel * ref)
-          << "gather " << dispatch::isa_name(isa) << " d=" << d;
-    }
   }
 }
 
 // The metric shapes of the unified API's runtime metrics: Manhattan
-// (rows_l1/gather_l1, relative tolerance — sums of non-negative terms) and
-// negated dot (rows_ip/gather_ip, absolute tolerance scaled by
-// ||q||*||x|| — cancellation makes relative bounds meaningless).
+// (rows_l1, relative tolerance — sums of non-negative terms) and negated
+// dot (rows_ip, absolute tolerance scaled by ||q||*||x|| — cancellation
+// makes relative bounds meaningless).
 TEST_P(DispatchFuzzTest, L1AndIpShapesMatchScalarReference) {
   const index_t d = GetParam();
   const index_t rows = 61;  // 7 full 8-row blocks + a 5-row remainder
   const Matrix<float> X = random_points(rows, d, 5'000 + d);
   const Matrix<float> Q = random_points(1, d, 6'000 + d);
   const float* q = Q.row(0);
-
-  std::vector<index_t> ids;  // gather pattern: every other row, reversed
-  for (index_t p = rows; p-- > 0;)
-    if (p % 2 == 0) ids.push_back(p);
 
   const float mrel = dispatch::tile_margin(d);
   const float q_norm = std::sqrt(kernels::dot(q, q, d));
@@ -212,23 +196,6 @@ TEST_P(DispatchFuzzTest, L1AndIpShapesMatchScalarReference) {
     }
     EXPECT_EQ(ip_min, written_min) << "rows_ip min " << dispatch::isa_name(isa);
 
-    std::vector<float> gout(ids.size());
-    ops.gather_l1(q, d, X.data(), X.stride(), ids.data(),
-                  static_cast<index_t>(ids.size()), gout.data());
-    for (std::size_t j = 0; j < ids.size(); ++j) {
-      const float ref = kernels::l1(q, X.row(ids[j]), d);
-      EXPECT_NEAR(gout[j], ref, 1e-6f + mrel * ref)
-          << "gather_l1 " << dispatch::isa_name(isa) << " d=" << d;
-    }
-    ops.gather_ip(q, d, X.data(), X.stride(), ids.data(),
-                  static_cast<index_t>(ids.size()), gout.data());
-    for (std::size_t j = 0; j < ids.size(); ++j) {
-      const float ref = -kernels::dot(q, X.row(ids[j]), d);
-      const float x_norm = std::sqrt(
-          kernels::dot(X.row(ids[j]), X.row(ids[j]), d));
-      EXPECT_NEAR(gout[j], ref, 1e-6f + mrel * q_norm * x_norm)
-          << "gather_ip " << dispatch::isa_name(isa) << " d=" << d;
-    }
     // Offset start: lo != 0 block alignment for both metric row shapes.
     if (rows > 9) {
       ops.rows_l1(q, d, X.data(), X.stride(), 9, rows, out.data());
@@ -241,12 +208,12 @@ TEST_P(DispatchFuzzTest, L1AndIpShapesMatchScalarReference) {
   }
 }
 
-// The compressed-tier shapes (rows_fp16/gather_fp16, rows_int8/gather_int8)
-// measure against the *dequantized* point x̂, so the reference is the
-// double-precision distance to x̂ — not to x. Edge rows bake in the codec's
-// hard cases: a constant row (int8 scale 0), fp16 overflow (codes go ±inf),
-// float denormals (flush to ±0 in half), and a huge-scale int8 row where
-// the fused dequant's cancellation slack matters.
+// The compressed-tier shapes (rows_fp16, rows_int8) measure against the
+// *dequantized* point x̂, so the reference is the double-precision distance
+// to x̂ — not to x. Edge rows bake in the codec's hard cases: a constant row
+// (int8 scale 0), fp16 overflow (codes go ±inf), float denormals (flush to
+// ±0 in half), and a huge-scale int8 row where the fused dequant's
+// cancellation slack matters.
 TEST_P(DispatchFuzzTest, QuantizedShapesMatchDequantizedReference) {
   const index_t d = GetParam();
   const index_t rows = 61;  // 7 full 8-row blocks + a 5-row remainder
@@ -261,10 +228,6 @@ TEST_P(DispatchFuzzTest, QuantizedShapesMatchDequantizedReference) {
   const float* q = Q.row(0);
   const double q_norm = std::sqrt(
       static_cast<double>(kernels::dot(q, q, d)));
-
-  std::vector<index_t> ids;  // gather pattern: every other row, reversed
-  for (index_t p = rows; p-- > 0;)
-    if (p % 2 == 0) ids.push_back(p);
 
   const float mrel = dispatch::tile_margin(d);
   for (const quant::Storage mode :
@@ -339,31 +302,6 @@ TEST_P(DispatchFuzzTest, QuantizedShapesMatchDequantizedReference) {
               << what << "(lo=9) p=" << p;
         }
       }
-
-      std::vector<float> gout(ids.size(), -1.0f);
-      const float gret =
-          mode == quant::Storage::kFp16
-              ? ops.gather_fp16(q, d, store.fp16.data(), d, ids.data(),
-                                static_cast<index_t>(ids.size()),
-                                gout.data())
-              : ops.gather_int8(q, d, store.int8.data(), d,
-                                store.scale.data(), store.offset.data(),
-                                ids.data(),
-                                static_cast<index_t>(ids.size()),
-                                gout.data());
-      written_min = kInfDist;
-      for (std::size_t j = 0; j < ids.size(); ++j) {
-        const double ref = ref_l2(ids[j]);
-        if (std::isinf(ref)) {
-          EXPECT_EQ(gout[j], kInfDist) << "gather_" << what;
-        } else {
-          EXPECT_NEAR(std::sqrt(static_cast<double>(gout[j])), ref,
-                      tol(ids[j], ref))
-              << "gather_" << what << " j=" << j;
-        }
-        written_min = std::min(written_min, gout[j]);
-      }
-      EXPECT_EQ(gret, written_min) << "gather_" << what;
     }
   }
 }
@@ -559,15 +497,12 @@ TEST(Dispatch, ZeroDimensionAndEmptyRangesAreSafe) {
     ops.rows(&x, 0, &x, 1, 0, 1, out);  // d == 0: distance is 0
     EXPECT_EQ(out[0], 0.0f) << dispatch::isa_name(isa);
     ops.rows(&x, 1, &x, 1, 0, 0, out);  // empty row range: no write
-    ops.gather(&x, 1, &x, 1, nullptr, 0, out);
     ops.rows_l1(&x, 0, &x, 1, 0, 1, out);  // metric shapes: same contract
     EXPECT_EQ(out[0], 0.0f) << dispatch::isa_name(isa);
     ops.rows_ip(&x, 0, &x, 1, 0, 1, out);
     EXPECT_EQ(out[0], 0.0f) << dispatch::isa_name(isa);
     ops.rows_l1(&x, 1, &x, 1, 0, 0, out);
     ops.rows_ip(&x, 1, &x, 1, 0, 0, out);
-    ops.gather_l1(&x, 1, &x, 1, nullptr, 0, out);
-    ops.gather_ip(&x, 1, &x, 1, nullptr, 0, out);
     ops.l2_lanes(&x, 0, nullptr, 1, out);  // d == 0: distance is 0
     EXPECT_EQ(out[0], 0.0f) << dispatch::isa_name(isa);
     out[0] = -1.0f;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "api/api.hpp"
+#include "rbc/sampling.hpp"
 #include "serve/service.hpp"
 #include "test_util.hpp"
 
@@ -247,6 +248,31 @@ TEST(MutableIndex, RemovingRowsOutsideEveryAnswerAddsNoEvaluations) {
   EXPECT_TRUE(testutil::knn_equal(before.knn, after.knn));
   EXPECT_EQ(after.stats.rep_dist_evals, before.stats.rep_dist_evals);
   EXPECT_EQ(after.stats.list_dist_evals, before.stats.list_dist_evals);
+}
+
+TEST(MutableIndex, RemovingEveryRepresentativeKeepsSearchExact) {
+  // Tombstoned representatives stay in the main RBC structure as routing
+  // points: stage 1 still prunes with them, and only the answer drops them.
+  const Matrix<float> X = testutil::clustered_matrix(600, 9, 5, 11);
+  const Matrix<float> Q = testutil::random_matrix(30, 9, 12, -6.0f, 6.0f);
+  IndexOptions options = inline_merge_options(1024);
+  options.rbc = {.num_reps = 24, .seed = 13};
+  auto index = make_index("rbc-exact", options);
+  index->build(X);
+
+  const std::vector<index_t> reps =
+      choose_representatives(X.rows(), options.rbc);
+  ASSERT_EQ(index->remove(reps), reps.size());
+  ASSERT_EQ(index->info().tombstones, reps.size());
+
+  for (const index_t k : {1u, 3u}) {
+    const KnnResult want = rebuild_live("bruteforce", options, *index, X)
+                               ->knn_search({.queries = &Q, .k = k})
+                               .knn;
+    EXPECT_TRUE(testutil::knn_equal(
+        want, index->knn_search({.queries = &Q, .k = k}).knn))
+        << "k=" << k;
+  }
 }
 
 TEST(ShardedMutation, InsertsRouteToTheLeastFullShard) {

@@ -145,65 +145,6 @@ TEST(RbcBlocked, AnnulusAndApproxKnobsStayConsistent) {
           << "q" << qi;
 }
 
-TEST(RbcBlocked, DynamicInsertEraseMatchesAdaptive) {
-  const auto [X, Q] =
-      testutil::split_rows(testutil::clustered_matrix(1'640, 8, 5, 12),
-                           1'500);
-  const Matrix<float> extra = testutil::clustered_matrix(60, 8, 5, 13);
-
-  RbcExactIndex<> index;
-  index.build(X, {.seed = 14});
-  for (index_t i = 0; i < extra.rows(); ++i) index.insert(extra.row(i));
-  for (index_t id = 0; id < 200; id += 7) index.erase(id);
-
-  EXPECT_TRUE(testutil::knn_equal(adaptive_search(index, Q, 5),
-                                  index.search(Q, 5)));
-}
-
-TEST(RbcBlocked, EmptyPackedSegmentStillScansOverflow) {
-  // Regression: with the annulus bound on, a lane's packed-list window
-  // [dr - b, dr + b] can be empty while the rep still survives pruning —
-  // the blocked path must then still scan the rep's overflow list, where a
-  // dynamically inserted point can be the true nearest neighbor.
-  // Every point its own representative makes the geometry deterministic:
-  // the inserted point (6,-6) routes to rep (20,0), whose only packed
-  // member sits at member-distance 0 — outside the origin queries' annulus
-  // window [dr - b, dr + b] = [11, 29] — while the inserted point (member
-  // distance 15.2, true distance 8.49 < the 9.0 best packed answer) sits
-  // inside it, in the overflow list.
-  Matrix<float> X(3, 2);
-  X.at(0, 0) = 0.0f;  X.at(0, 1) = 9.0f;
-  X.at(1, 0) = 20.0f; X.at(1, 1) = 0.0f;
-  X.at(2, 0) = 50.0f; X.at(2, 1) = 0.0f;
-
-  RbcParams params{.num_reps = 3, .seed = 1};
-  params.use_annulus_bound = true;
-  RbcExactIndex<> index;
-  index.build(X, params);
-  const float inserted[2] = {6.0f, -6.0f};
-  index.insert(inserted);
-
-  Matrix<float> Q(RbcExactIndex<>::kBlockedMinBatch, 2);  // all at origin
-  EXPECT_TRUE(testutil::knn_equal(adaptive_search(index, Q, 1),
-                                  index.search(Q, 1)));
-}
-
-TEST(RbcBlocked, AnnulusWithDynamicInsertsMatchesAdaptive) {
-  const auto [X, Q] =
-      testutil::split_rows(testutil::clustered_matrix(1'680, 8, 5, 17),
-                           1'500);
-  const Matrix<float> extra = testutil::clustered_matrix(80, 8, 5, 18);
-
-  RbcParams params{.seed = 19};
-  params.use_annulus_bound = true;
-  RbcExactIndex<> index;
-  index.build(X, params);
-  for (index_t i = 0; i < extra.rows(); ++i) index.insert(extra.row(i));
-
-  EXPECT_TRUE(testutil::knn_equal(adaptive_search(index, Q, 3),
-                                  index.search(Q, 3)));
-}
-
 TEST(RbcBlocked, StatsStayPlausibleOnTheBlockedPath) {
   const auto [X, Q] =
       testutil::split_rows(testutil::clustered_matrix(4'128, 10, 8, 15),
@@ -279,28 +220,32 @@ TEST(ForcedIsaParity, SmallBatchesAndSingleQueries) {
   }
 }
 
-TEST(ForcedIsaParity, LongOverflowListsAndErasuresMatchAcrossIsas) {
-  // Few representatives + many inserts => overflow lists long enough for
-  // the gather-kernel path (>= kKernelMinSegment), plus tombstones and the
-  // annulus knob. Compare every ISA against the scalar-forced dispatch AND
-  // against the naive reference over the live set.
-  const Matrix<float> X = testutil::clustered_matrix(600, 9, 4, 25);
+TEST(ForcedIsaParity, LongAnnulusListsMatchAcrossIsas) {
+  // Four representatives over 800 rows => ownership lists of ~200 rows, so
+  // every list scan runs the kernelized segment path (>= kKernelMinSegment)
+  // with the annulus bound cutting both ends of the window. Compare every
+  // ISA against the scalar-forced dispatch AND against the naive reference.
+  const Matrix<float> base = testutil::clustered_matrix(600, 9, 4, 25);
   const Matrix<float> extra = testutil::clustered_matrix(200, 9, 4, 26);
+  Matrix<float> X(base.rows() + extra.rows(), base.cols());
+  for (index_t i = 0; i < base.rows(); ++i) X.copy_row_from(base, i, i);
+  for (index_t i = 0; i < extra.rows(); ++i)
+    X.copy_row_from(extra, i, base.rows() + i);
   const Matrix<float> Q = testutil::random_matrix(40, 9, 27, -6.0f, 6.0f);
 
   RbcParams params{.num_reps = 4, .seed = 28};
   params.use_annulus_bound = true;
   RbcExactIndex<> index;
   index.build(X, params);
-  for (index_t i = 0; i < extra.rows(); ++i) index.insert(extra.row(i));
-  for (index_t id = 100; id < 700; id += 13) index.erase(id);
-  ASSERT_GE(index.overflow_size(), RbcExactIndex<>::kKernelMinSegment);
+  for (index_t r = 0; r < index.num_reps(); ++r)
+    ASSERT_GE(index.list_ids(r).size(), RbcExactIndex<>::kKernelMinSegment);
 
   KnnResult reference;
   {
     IsaGuard guard(dispatch::Isa::kScalar);
     reference = index.search(Q, 4);
   }
+  EXPECT_TRUE(testutil::knn_equal(testutil::naive_knn(Q, X, 4), reference));
   for (const dispatch::Isa isa : runnable_isas()) {
     IsaGuard guard(isa);
     EXPECT_TRUE(testutil::knn_equal(reference, index.search(Q, 4)))
