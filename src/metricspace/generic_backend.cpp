@@ -191,7 +191,7 @@ class GenericIndex final : public Index {
     io::write_pod(os, io::kFormatVersionPayload);
     io::write_string(os, host_);
     io::write_string(os, metric_);
-    io::write_pod(os, params_);
+    io::write_params(os, params_);
     data_->save(os);
   }
 

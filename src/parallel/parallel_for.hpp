@@ -4,7 +4,9 @@
 // exist so call sites express *what* is parallel (a range and a body) rather
 // than *how* (pragmas), and so a non-OpenMP build still compiles and runs
 // serially. Bodies must not share mutable state (CP.2) — use parallel_reduce
-// for accumulations.
+// for accumulations. A loop of one iteration (one block) runs on the calling
+// thread without forking the team; thread_id() is then 0, so per-thread
+// arrays sized by max_threads() stay valid.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +19,7 @@ namespace rbc {
 /// Best for bodies with uniform cost (e.g. one row of a distance tile).
 template <class F>
 void parallel_for(std::int64_t begin, std::int64_t end, F&& f) {
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) if (end - begin > 1)
   for (std::int64_t i = begin; i < end; ++i) f(static_cast<index_t>(i));
 }
 
@@ -27,7 +29,7 @@ void parallel_for(std::int64_t begin, std::int64_t end, F&& f) {
 template <class F>
 void parallel_for_dynamic(std::int64_t begin, std::int64_t end, F&& f,
                           int chunk = 8) {
-#pragma omp parallel for schedule(dynamic, chunk)
+#pragma omp parallel for schedule(dynamic, chunk) if (end - begin > 1)
   for (std::int64_t i = begin; i < end; ++i) f(static_cast<index_t>(i));
 }
 
@@ -40,7 +42,7 @@ void parallel_for_blocked(std::int64_t begin, std::int64_t end,
                           std::int64_t grain, F&& f) {
   if (grain < 1) grain = 1;
   const std::int64_t num_blocks = (end - begin + grain - 1) / grain;
-#pragma omp parallel for schedule(dynamic, 1)
+#pragma omp parallel for schedule(dynamic, 1) if (num_blocks > 1)
   for (std::int64_t b = 0; b < num_blocks; ++b) {
     const std::int64_t lo = begin + b * grain;
     const std::int64_t hi = lo + grain < end ? lo + grain : end;

@@ -31,6 +31,14 @@ int thread_id() {
 #endif
 }
 
+bool in_parallel() {
+#ifdef _OPENMP
+  return omp_in_parallel() != 0;
+#else
+  return false;
+#endif
+}
+
 ThreadLimit::ThreadLimit(int n) : saved_(max_threads()) { set_num_threads(n); }
 
 ThreadLimit::~ThreadLimit() { set_num_threads(saved_); }

@@ -17,6 +17,10 @@ void set_num_threads(int n);
 /// [0, max_threads()). Returns 0 outside parallel regions.
 int thread_id();
 
+/// True inside an active parallel region (one whose team has more than one
+/// thread), where a nested loop would run serially on the calling thread.
+bool in_parallel();
+
 /// RAII override of the global thread count; restores on destruction.
 /// Used by benchmarks that compare single-core vs all-core configurations
 /// (e.g. the Cover Tree comparison, paper §7.4).

@@ -13,6 +13,13 @@
 //   3. brute-force scan of the surviving ownership lists, visiting closest
 //      representatives first, with the Claim-2 sorted-list early exit.
 //
+// Parallelism (paper §3): a batch of at least a tile of queries runs stage 3
+// as a multi-query kernel (search_blocked); a batch with at least as many
+// rows as threads runs one query per thread; a smaller batch — a served
+// one-row read — keeps stages 1 and 2 on the calling thread and deals its
+// surviving lists to the whole team under a shared k-th bound (search_team).
+// Inside an active OpenMP region every row runs serially (search_one).
+//
 // Exactness contract: for every query the returned k-set equals the
 // brute-force k-set under the (distance, id) order — ties included. All
 // pruning comparisons are strict, so a point is only ever skipped when it is
@@ -30,7 +37,9 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
+#include <cstdint>
 #include <istream>
 #include <ostream>
 #include <span>
@@ -61,11 +70,14 @@ class RbcExactIndex {
                 "SqEuclidean)");
 
  public:
-  /// Per-thread scratch for search_one; reusable across queries so the hot
-  /// path never allocates (Per.15).
+  /// One query's stages 1 and 2 (plan_query): its representative
+  /// distances, bounds and surviving lists. Reusable across queries so the
+  /// hot path never allocates (Per.15).
   struct Scratch {
     std::vector<dist_t> rep_dists;
-    std::vector<index_t> survivors;
+    std::vector<index_t> survivors;  // nearest representative first
+    dist_t gamma1 = kInfDist;        // distance to the nearest representative
+    dist_t rep_bound = kInfDist;     // k-th smallest representative distance
   };
 
   RbcExactIndex() = default;
@@ -206,12 +218,19 @@ class RbcExactIndex {
   /// k-NN for a batch of queries; parallel across queries. Batches of at
   /// least kBlockedMinBatch Euclidean queries additionally use the
   /// multi-query blocked kernel (see search_blocked) — same results, the
-  /// paper's §3 BF-as-GEMM structure on the hot loop. If `stats` is
-  /// non-null the aggregated work statistics are added to it.
+  /// paper's §3 BF-as-GEMM structure on the hot loop. A batch with fewer
+  /// rows than threads, called from outside an active OpenMP region, runs
+  /// on the whole team instead (see search_team) — same results, with work
+  /// counts that depend on the schedule. Inside an active region the rows
+  /// run serially. If `stats` is non-null the aggregated work statistics
+  /// are added to it.
   KnnResult search(const Matrix<float>& Q, index_t k,
                    SearchStats* stats = nullptr) const {
     assert(Q.cols() == dim_);
     if (use_blocked_path(Q.rows())) return search_blocked(Q, k, stats);
+    if (Q.rows() > 0 && Q.rows() < static_cast<index_t>(max_threads()) &&
+        !in_parallel())
+      return search_team(Q, k, stats);
     KnnResult result(Q.rows(), k);
     const int nt = max_threads();
     std::vector<Scratch> scratch(static_cast<std::size_t>(nt));
@@ -501,9 +520,6 @@ class RbcExactIndex {
   /// allocation beyond first use of the scratch).
   void search_one(const float* q, index_t k, TopK& out, Scratch& scratch,
                   SearchStats* stats = nullptr) const {
-    const index_t nr = reps_.rows();
-    scratch.rep_dists.resize(nr);
-
     // (1+eps)-approximation: the *candidate-driven* bound is shrunk by this
     // factor. A point pruned under the shrunken bound has distance
     // > worst/(1+eps), so any missed true j-th neighbor d_j satisfies
@@ -512,77 +528,16 @@ class RbcExactIndex {
     // which guarantees the search always returns min(k, n) results no
     // matter how large eps is. inv == 1 is the exact algorithm.
     const float inv = 1.0f / (1.0f + params_.approx_eps);
-
-    // ---- stage 1: BF(q, R) -------------------------------------------
-    // gamma_1 = distance to the nearest representative; rep_bound = k-th
-    // smallest representative distance (an upper bound on the k-th NN
-    // distance, since representatives are database points).
-    rep_distances(q, scratch.rep_dists.data());
-    TopK rep_top(k);
-    dist_t gamma1 = kInfDist;
-    for (index_t r = 0; r < nr; ++r) {
-      const dist_t d = scratch.rep_dists[r];
-      rep_top.push(d, r);
-      if (d < gamma1) gamma1 = d;
-    }
-    counters::add_dist_evals(nr);
-    const dist_t rep_bound = rep_top.worst();
-
     SearchStats local;
-    local.queries = 1;
-    local.rep_dist_evals = nr;
-
-    // ---- stage 2: prune representatives ------------------------------
-    // All comparisons are strict: a representative (or point) is discarded
-    // only when every member is *strictly* worse than the current k-th
-    // best, so ties at the boundary are preserved and the result matches
-    // brute force exactly.
-    scratch.survivors.clear();
-    for (index_t r = 0; r < nr; ++r) {
-      const dist_t dr = scratch.rep_dists[r];
-      if (params_.use_overlap_rule && dr > rep_bound + psi_[r]) {
-        ++local.reps_pruned_overlap;  // rule (1)
-        continue;
-      }
-      if (params_.use_lemma_rule && dr > 2 * rep_bound + gamma1) {
-        ++local.reps_pruned_lemma;  // rule (2), k-NN form
-        continue;
-      }
-      scratch.survivors.push_back(r);
-    }
-
-    // Visit nearest representatives first so the bound tightens early.
-    std::sort(scratch.survivors.begin(), scratch.survivors.end(),
-              [&](index_t a, index_t b) {
-                const dist_t da = scratch.rep_dists[a];
-                const dist_t db = scratch.rep_dists[b];
-                return da < db || (da == db && a < b);
-              });
-
+    plan_query(q, k, scratch, local);
     // ---- stage 3: BF(q, X[L_1 u ... u L_t]) ---------------------------
-    for (const index_t r : scratch.survivors) {
-      const dist_t dr = scratch.rep_dists[r];
-      // Re-check the prune rules against the *current* bound, which may
-      // have tightened since the filter pass. min(rep_bound, out.worst())
-      // is always an upper bound on the true k-th NN distance.
-      const dist_t bound = std::min(rep_bound, out.worst() * inv);
-      if (params_.use_overlap_rule && dr > bound + psi_[r]) {
-        ++local.reps_pruned_overlap;
-        continue;
-      }
-      if (params_.use_lemma_rule && dr > 2 * bound + gamma1) {
-        ++local.reps_pruned_lemma;
-        continue;
-      }
-      ++local.reps_scanned;
-      scan_rep_list(q, r, dr, rep_bound, inv, out, local);
-    }
-
+    for (const index_t r : scratch.survivors)
+      scan_survivor(q, r, scratch, scratch.rep_bound, inv, out, local);
     if (stats != nullptr) stats->merge(local);
   }
 
   /// Scan of L_r for one query: the packed segment with the Claim-2 early
-  /// exit and annulus bound. Shared by search_one and the sparse-lane
+  /// exit and annulus bound. Shared by scan_survivor and the sparse-lane
   /// fallback of the blocked batch path. Euclidean segments of at least
   /// kKernelMinSegment rows run the dispatched row-block kernel
   /// (scan_rep_list_kernel below); anything else takes the adaptive
@@ -730,7 +685,7 @@ class RbcExactIndex {
     io::write_string(os, M::name());
     io::write_pod(os, n_);
     io::write_pod(os, dim_);
-    io::write_pod(os, params_);
+    io::write_params(os, params_);
     io::write_vec(os, rep_ids_);
     io::write_vec(os, psi_);
     io::write_vec(os, offsets_);
@@ -831,6 +786,171 @@ class RbcExactIndex {
   }
 
  private:
+  /// Stages 1 and 2 for one query, shared by search_one and search_team:
+  /// BF(q, R), the bounds, and the representatives that survive rules 1 and
+  /// 2, nearest first.
+  void plan_query(const float* q, index_t k, Scratch& plan,
+                  SearchStats& local) const {
+    const index_t nr = reps_.rows();
+    plan.rep_dists.resize(nr);
+
+    // ---- stage 1: BF(q, R) -------------------------------------------
+    // gamma_1 = distance to the nearest representative; rep_bound = k-th
+    // smallest representative distance (an upper bound on the k-th NN
+    // distance, since representatives are database points).
+    rep_distances(q, plan.rep_dists.data());
+    TopK rep_top(k);
+    dist_t gamma1 = kInfDist;
+    for (index_t r = 0; r < nr; ++r) {
+      const dist_t d = plan.rep_dists[r];
+      rep_top.push(d, r);
+      if (d < gamma1) gamma1 = d;
+    }
+    counters::add_dist_evals(nr);
+    const dist_t rep_bound = rep_top.worst();
+    plan.gamma1 = gamma1;
+    plan.rep_bound = rep_bound;
+    ++local.queries;
+    local.rep_dist_evals += nr;
+
+    // ---- stage 2: prune representatives ------------------------------
+    // All comparisons are strict: a representative (or point) is discarded
+    // only when every member is *strictly* worse than the current k-th
+    // best, so ties at the boundary are preserved and the result matches
+    // brute force exactly.
+    plan.survivors.clear();
+    for (index_t r = 0; r < nr; ++r) {
+      const dist_t dr = plan.rep_dists[r];
+      if (params_.use_overlap_rule && dr > rep_bound + psi_[r]) {
+        ++local.reps_pruned_overlap;  // rule (1)
+        continue;
+      }
+      if (params_.use_lemma_rule && dr > 2 * rep_bound + gamma1) {
+        ++local.reps_pruned_lemma;  // rule (2), k-NN form
+        continue;
+      }
+      plan.survivors.push_back(r);
+    }
+
+    // Visit nearest representatives first so the bound tightens early.
+    std::sort(plan.survivors.begin(), plan.survivors.end(),
+              [&](index_t a, index_t b) {
+                const dist_t da = plan.rep_dists[a];
+                const dist_t db = plan.rep_dists[b];
+                return da < db || (da == db && a < b);
+              });
+  }
+
+  /// Stage 3 for one surviving list of a planned query: re-checks rules 1
+  /// and 2 against the *current* bound min(cap, out.worst() * inv), which
+  /// may have tightened since the filter pass, then scans L_r under it.
+  /// `cap` is the plan's rep_bound, or on the team path also the row's
+  /// shared bound; each is an upper bound on the true k-th NN distance.
+  /// Returns false when the list was pruned.
+  bool scan_survivor(const float* q, index_t r, const Scratch& plan,
+                     dist_t cap, float inv, TopK& out,
+                     SearchStats& local) const {
+    const dist_t dr = plan.rep_dists[r];
+    const dist_t bound = std::min(cap, out.worst() * inv);
+    if (params_.use_overlap_rule && dr > bound + psi_[r]) {
+      ++local.reps_pruned_overlap;
+      return false;
+    }
+    if (params_.use_lemma_rule && dr > 2 * bound + plan.gamma1) {
+      ++local.reps_pruned_lemma;
+      return false;
+    }
+    ++local.reps_scanned;
+    scan_rep_list(q, r, dr, cap, inv, out, local);
+    return true;
+  }
+
+  /// k-NN for a batch with fewer rows than threads, on the whole team
+  /// (search() takes it outside active OpenMP regions): the paper's stage 3
+  /// is BF(q, X[L_1 u ... u L_t]), a brute force that parallelizes like any
+  /// other. Stages 1 and 2 run on the calling thread; the rows' surviving
+  /// lists then go to the team as (row, list) items, one at a time, nearest
+  /// first. Each thread fills a heap of its own per row and, after each
+  /// list, lowers the row's shared k-th bound to its heap's worst (a CAS-min,
+  /// a no-op until that heap is full). Each list re-checks rules 1 and 2 and
+  /// derives its scan window against min(rep_bound, shared * inv,
+  /// own.worst() * inv).
+  ///
+  /// Results are IDENTICAL to search_one's, ties included, by the
+  /// candidate-superset argument of search_blocked: the items partition each
+  /// row's candidates, so every bound is held by k distinct real candidates
+  /// and is an upper bound on the true k-th distance; every prune is strict,
+  /// so each true top-k row reaches some thread's heap and stays there, and
+  /// the (distance, id) merge of the heaps is the brute-force k-set. With
+  /// approx_eps > 0 the shared bound is candidate-derived, so it is shrunk
+  /// by inv like out.worst() and the (1+eps) guarantee holds. Work counts
+  /// depend on when a bound reaches the other threads, so they vary with
+  /// the schedule.
+  KnnResult search_team(const Matrix<float>& Q, index_t k,
+                        SearchStats* stats) const {
+    const index_t nq = Q.rows();
+    const float inv = 1.0f / (1.0f + params_.approx_eps);
+    SearchStats total;
+    std::vector<Scratch> plans(nq);
+    for (index_t qi = 0; qi < nq; ++qi)
+      plan_query(Q.row(qi), k, plans[qi], total);
+
+    // Rank by rank across the rows, so every row's nearest lists go first.
+    struct Item {
+      index_t row;
+      index_t rep;
+    };
+    std::vector<Item> items;
+    for (std::size_t rank = 0, dealt = 1; dealt > 0; ++rank) {
+      dealt = 0;
+      for (index_t qi = 0; qi < nq; ++qi) {
+        if (rank >= plans[qi].survivors.size()) continue;
+        items.push_back({qi, plans[qi].survivors[rank]});
+        ++dealt;
+      }
+    }
+
+    std::vector<std::atomic<dist_t>> shared(nq);
+    for (std::atomic<dist_t>& bound : shared) bound = kInfDist;
+    std::vector<TopK> merged;
+    merged.reserve(nq);
+    for (index_t qi = 0; qi < nq; ++qi) merged.emplace_back(k);
+    const auto num_items = static_cast<std::int64_t>(items.size());
+#pragma omp parallel if (num_items > 1)
+    {
+      std::vector<TopK> own;
+      own.reserve(nq);
+      for (index_t qi = 0; qi < nq; ++qi) own.emplace_back(k);
+      SearchStats local;
+#pragma omp for schedule(dynamic, 1) nowait
+      for (std::int64_t i = 0; i < num_items; ++i) {
+        const Item item = items[static_cast<std::size_t>(i)];
+        std::atomic<dist_t>& bound = shared[item.row];
+        TopK& top = own[item.row];
+        const Scratch& plan = plans[item.row];
+        if (!scan_survivor(Q.row(item.row), item.rep, plan,
+                           std::min(plan.rep_bound, bound.load() * inv), inv,
+                           top, local))
+          continue;
+        const dist_t worst = top.worst();  // +inf until the heap is full
+        dist_t seen = bound.load();
+        while (worst < seen && !bound.compare_exchange_weak(seen, worst)) {
+        }
+      }
+#pragma omp critical(rbc_exact_search_team)
+      {
+        for (index_t qi = 0; qi < nq; ++qi) merged[qi].merge_from(own[qi]);
+        total.merge(local);
+      }
+    }
+
+    KnnResult result(nq, k);
+    for (index_t qi = 0; qi < nq; ++qi)
+      merged[qi].extract_sorted(result.dists.row(qi), result.ids.row(qi));
+    if (stats != nullptr) stats->merge(total);
+    return result;
+  }
+
   /// Derives the lane-blocked copy of the representatives that
   /// rep_distances reads (Euclidean only; other metrics keep it empty).
   void pack_rep_lanes() {

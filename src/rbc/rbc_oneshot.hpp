@@ -281,7 +281,7 @@ class RbcOneShotIndex {
     io::write_pod(os, n_);
     io::write_pod(os, dim_);
     io::write_pod(os, s_);
-    io::write_pod(os, params_);
+    io::write_params(os, params_);
     io::write_vec(os, rep_ids_);
     io::write_vec(os, psi_);
     io::write_vec(os, packed_ids_);

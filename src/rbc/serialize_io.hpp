@@ -6,16 +6,20 @@
 // README.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/matrix.hpp"
 #include "common/types.hpp"
 #include "distance/quantized.hpp"
+#include "rbc/params.hpp"
 
 namespace rbc::io {
 
@@ -93,6 +97,29 @@ template <class T>
 void write_pod(std::ostream& os, const T& value) {
   static_assert(std::is_trivially_copyable_v<T>);
   os.write(reinterpret_cast<const char*>(&value), sizeof(T));
+}
+
+/// Writes RbcParams in its in-memory layout, as the exact, one-shot and
+/// payload formats store it, with the padding bytes zeroed: a zero-filled
+/// image gets each field's bytes at its offset, so equal params always save
+/// equal bytes (read_pod reads it back).
+inline void write_params(std::ostream& os, const RbcParams& p) {
+  static_assert(std::is_standard_layout_v<RbcParams>);
+  unsigned char bytes[sizeof(RbcParams)] = {};
+  const auto put = [&bytes](std::size_t offset, const auto& field) {
+    std::memcpy(bytes + offset, &field, sizeof field);
+  };
+  put(offsetof(RbcParams, num_reps), p.num_reps);
+  put(offsetof(RbcParams, points_per_rep), p.points_per_rep);
+  put(offsetof(RbcParams, seed), p.seed);
+  put(offsetof(RbcParams, sampling), p.sampling);
+  put(offsetof(RbcParams, use_overlap_rule), p.use_overlap_rule);
+  put(offsetof(RbcParams, use_lemma_rule), p.use_lemma_rule);
+  put(offsetof(RbcParams, use_early_exit), p.use_early_exit);
+  put(offsetof(RbcParams, use_annulus_bound), p.use_annulus_bound);
+  put(offsetof(RbcParams, approx_eps), p.approx_eps);
+  put(offsetof(RbcParams, num_probes), p.num_probes);
+  os.write(reinterpret_cast<const char*>(bytes), sizeof bytes);
 }
 
 template <class T>

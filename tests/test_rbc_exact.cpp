@@ -3,7 +3,9 @@
 // equal brute force under the (distance, id) order — ties included.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <sstream>
@@ -12,8 +14,10 @@
 #include <utility>
 #include <vector>
 
+#include "common/counters.hpp"
 #include "data/generators.hpp"
 #include "distance/dispatch.hpp"
+#include "parallel/runtime.hpp"
 #include "rbc/rbc.hpp"
 #include "test_util.hpp"
 
@@ -55,6 +59,43 @@ BuildModel scalar_build_model(const Matrix<float>& X,
   return model;
 }
 
+/// The serial reference: search_one row by row, work counted into `stats`.
+template <class M>
+KnnResult serial_rows(const RbcExactIndex<M>& index, const Matrix<float>& Q,
+                      index_t k, SearchStats* stats = nullptr) {
+  KnnResult result(Q.rows(), k);
+  typename RbcExactIndex<M>::Scratch scratch;
+  TopK top(k);
+  for (index_t qi = 0; qi < Q.rows(); ++qi) {
+    top.reset();
+    index.search_one(Q.row(qi), k, top, scratch, stats);
+    top.extract_sorted(result.dists.row(qi), result.ids.row(qi));
+  }
+  return result;
+}
+
+/// Rows [lo, lo + rows) of Q.
+Matrix<float> slice_rows(const Matrix<float>& Q, index_t lo, index_t rows) {
+  Matrix<float> out(rows, Q.cols());
+  for (index_t i = 0; i < rows; ++i) out.copy_row_from(Q, lo + i, i);
+  return out;
+}
+
+/// Every row of `got` carries the ids and distance bits of row lo + i of
+/// `want`.
+void expect_rows_match(const KnnResult& want, index_t lo, const KnnResult& got,
+                       const std::string& what) {
+  ASSERT_EQ(got.ids.cols(), want.ids.cols()) << what;
+  ASSERT_LE(lo + got.ids.rows(), want.ids.rows()) << what;
+  for (index_t i = 0; i < got.ids.rows(); ++i)
+    for (index_t j = 0; j < got.ids.cols(); ++j) {
+      EXPECT_EQ(got.ids.at(i, j), want.ids.at(lo + i, j))
+          << what << ", row " << lo + i << " slot " << j;
+      EXPECT_EQ(bits(got.dists.at(i, j)), bits(want.dists.at(lo + i, j)))
+          << what << ", row " << lo + i << " slot " << j;
+    }
+}
+
 /// Every list of `index` equals the model's, ids in order and distances
 /// and psi bitwise.
 void expect_matches_model(const RbcExactIndex<>& index,
@@ -71,6 +112,16 @@ void expect_matches_model(const RbcExactIndex<>& index,
     }
     EXPECT_EQ(bits(index.psi(r)), bits(model.psi[r])) << what << " psi " << r;
   }
+}
+
+/// Integer points of the 4-cube {0..3}^4 plus 128 duplicated rows: exact
+/// distance ties everywhere, between rows and between representatives.
+Matrix<float> lattice_with_duplicates() {
+  Matrix<float> lattice(4 * 4 * 4 * 4, 4);
+  for (index_t p = 0; p < lattice.rows(); ++p)
+    for (index_t j = 0; j < 4; ++j)
+      lattice.at(p, j) = static_cast<float>((p >> (2 * j)) & 3u);
+  return testutil::with_duplicates(lattice, 128);
 }
 
 // ---------------------------------------------------------------- build ---
@@ -106,10 +157,6 @@ TEST(RbcExactBuild, EveryPointOwnedByItsNearestRepresentative) {
 // and cover the 4-block groups of the AVX-512 kernel; the lattice data
 // makes exact distance ties between distinct representatives common.
 TEST(RbcExactBuild, EveryIsaBuildsTheScalarModelBitForBit) {
-  Matrix<float> lattice(4 * 4 * 4 * 4, 4);
-  for (index_t p = 0; p < lattice.rows(); ++p)
-    for (index_t j = 0; j < 4; ++j)
-      lattice.at(p, j) = static_cast<float>((p >> (2 * j)) & 3u);
   struct Case {
     const char* name;
     Matrix<float> X;
@@ -120,7 +167,7 @@ TEST(RbcExactBuild, EveryIsaBuildsTheScalarModelBitForBit) {
        testutil::with_duplicates(testutil::clustered_matrix(900, 21, 6, 31),
                                  300),
        75},
-      {"lattice+dups", testutil::with_duplicates(lattice, 128), 37},
+      {"lattice+dups", lattice_with_duplicates(), 37},
       {"high_dim", testutil::clustered_matrix(500, 74, 5, 32), 16},
   };
   const dispatch::Isa entry_isa = dispatch::active_isa();
@@ -146,16 +193,8 @@ TEST(RbcExactBuild, EveryIsaBuildsTheScalarModelBitForBit) {
       index.save(os);
       // Per-query path on every ISA (search() would switch to the blocked
       // batch path on SIMD ISAs, whose work counts differ by design).
-      constexpr index_t k = 5;
-      KnnResult result(Q.rows(), k);
       SearchStats stats;
-      RbcExactIndex<>::Scratch scratch;
-      TopK top(k);
-      for (index_t qi = 0; qi < Q.rows(); ++qi) {
-        top.reset();
-        index.search_one(Q.row(qi), k, top, scratch, &stats);
-        top.extract_sorted(result.dists.row(qi), result.ids.row(qi));
-      }
+      KnnResult result = serial_rows(index, Q, 5, &stats);
       if (first_bytes.empty()) {
         first_bytes = os.str();
         first_result = std::move(result);
@@ -247,6 +286,31 @@ TEST_P(RbcExactProperty, SearchEqualsBruteForce) {
   EXPECT_TRUE(testutil::knn_equal(expected, actual)) << c.name;
 }
 
+// Batches smaller than the team take the team path: every shape of the
+// sweep, searched one row and three rows at a time on four threads, carries
+// the bits of the serial per-row search and of brute force.
+TEST_P(RbcExactProperty, TeamPathEqualsSerialRowsAndBruteForce) {
+  const ExactCase& c = GetParam();
+  Matrix<float> X = c.clustered
+                        ? testutil::clustered_matrix(c.n, c.d, 7, c.n + c.d)
+                        : testutil::random_matrix(c.n, c.d, c.n + c.d);
+  if (c.duplicates) X = testutil::with_duplicates(X, c.n / 4);
+  const Matrix<float> Q = testutil::random_matrix(12, c.d, c.n, -6.0f, 6.0f);
+
+  RbcExactIndex<> index;
+  index.build(X, {.num_reps = c.num_reps, .seed = 1234});
+  const KnnResult serial = serial_rows(index, Q, c.k);
+  EXPECT_TRUE(testutil::knn_equal(testutil::naive_knn(Q, X, c.k), serial))
+      << c.name;
+  const ThreadLimit threads(4);
+  for (const index_t batch : {1u, 3u})
+    for (index_t lo = 0; lo < Q.rows(); lo += batch)
+      expect_rows_match(serial, lo,
+                        index.search(slice_rows(Q, lo, batch), c.k),
+                        std::string(c.name) + ", batch " +
+                            std::to_string(batch));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, RbcExactProperty,
     ::testing::Values(
@@ -313,6 +377,201 @@ TEST(RbcExactMetrics, LInfSearchEqualsBruteForce) {
   index.build(X, {.num_reps = 26, .seed = 3}, LInf{});
   EXPECT_TRUE(testutil::knn_equal(testutil::naive_knn(Q, X, 4, LInf{}),
                                   index.search(Q, 4)));
+}
+
+// ------------------------------------------------------------ team path ---
+
+/// search() on every batch smaller than the team: under each runnable ISA
+/// and team sizes 2, 3, 4 and 7, Q is searched in batches of 1 and of
+/// nt - 1 rows, for k of 1, 5, one more than the longest list, and n. Every
+/// batch must carry the ids and distance bits of the per-row search_one,
+/// which must equal the naive brute force.
+template <class M>
+void expect_team_path_exact(const Matrix<float>& X, const Matrix<float>& Q,
+                            const RbcParams& params, quant::Storage storage,
+                            const std::string& name) {
+  const dispatch::Isa entry_isa = dispatch::active_isa();
+  for (const dispatch::Isa isa :
+       {dispatch::Isa::kScalar, dispatch::Isa::kAvx2,
+        dispatch::Isa::kAvx512}) {
+    if (!dispatch::isa_available(isa)) continue;
+    dispatch::force_isa(isa);
+    RbcExactIndex<M> index;
+    if constexpr (quantized_metric<M>) index.set_storage(storage);
+    index.build(X, params);
+    index_t longest = 0;
+    for (index_t r = 0; r < index.num_reps(); ++r)
+      longest = std::max(longest, static_cast<index_t>(index.list_ids(r).size()));
+    for (const index_t k : {index_t{1}, index_t{5}, longest + 1, X.rows()}) {
+      const std::string what = name + " under " + dispatch::isa_name(isa) +
+                               ", k " + std::to_string(k);
+      const KnnResult serial = serial_rows(index, Q, k);
+      expect_rows_match(testutil::naive_knn(Q, X, k, M{}), 0, serial,
+                        what + ", search_one");
+      for (const int nt : {2, 3, 4, 7}) {
+        const ThreadLimit threads(nt);
+        for (const index_t batch : {1, nt - 1}) {
+          if (batch == 1 && nt == 2) continue;  // batch 1 already ran
+          for (index_t lo = 0; lo < Q.rows(); lo += batch) {
+            const index_t rows = std::min(batch, Q.rows() - lo);
+            expect_rows_match(serial, lo,
+                              index.search(slice_rows(Q, lo, rows), k),
+                              what + ", " + std::to_string(nt) +
+                                  " threads, batch " + std::to_string(rows));
+          }
+        }
+      }
+    }
+  }
+  dispatch::force_isa(entry_isa);
+}
+
+/// Integer-valued queries around the lattice, so query distances tie too.
+Matrix<float> lattice_queries() {
+  Matrix<float> Q = testutil::random_matrix(9, 4, 41, -1.0f, 4.0f);
+  for (index_t i = 0; i < Q.rows(); ++i)
+    for (index_t j = 0; j < Q.cols(); ++j)
+      Q.at(i, j) = std::round(Q.at(i, j));
+  return Q;
+}
+
+TEST(RbcExactTeam, LatticeWithDuplicatesEqualsSerialAndBruteForce) {
+  expect_team_path_exact<Euclidean>(lattice_with_duplicates(),
+                                    lattice_queries(),
+                                    {.num_reps = 37, .seed = 1234},
+                                    quant::Storage::kFloat32, "lattice+dups");
+}
+
+TEST(RbcExactTeam, AnnulusBoundEqualsSerialAndBruteForce) {
+  const Matrix<float> X =
+      testutil::with_duplicates(testutil::clustered_matrix(900, 21, 6, 43), 200);
+  const Matrix<float> Q = testutil::random_matrix(9, 21, 44, -6.0f, 6.0f);
+  RbcParams params{.num_reps = 30, .seed = 45};
+  params.use_annulus_bound = true;
+  expect_team_path_exact<Euclidean>(X, Q, params, quant::Storage::kFloat32,
+                                    "clustered+dups, annulus");
+}
+
+TEST(RbcExactTeam, L1EqualsSerialAndBruteForce) {
+  expect_team_path_exact<L1>(lattice_with_duplicates(), lattice_queries(),
+                             {.num_reps = 37, .seed = 1234},
+                             quant::Storage::kFloat32, "lattice+dups, L1");
+}
+
+TEST(RbcExactTeam, CompressedStorageEqualsSerialAndBruteForce) {
+  const Matrix<float> X =
+      testutil::with_duplicates(testutil::clustered_matrix(900, 21, 6, 46), 200);
+  const Matrix<float> Q = testutil::random_matrix(9, 21, 47, -6.0f, 6.0f);
+  for (const quant::Storage storage :
+       {quant::Storage::kFp16, quant::Storage::kInt8})
+    expect_team_path_exact<Euclidean>(
+        X, Q, {.num_reps = 30, .seed = 48}, storage,
+        std::string("clustered+dups, ") + quant::name(storage));
+}
+
+// The shared bound is candidate-derived, so approx_eps shrinks it like the
+// thread's own heap bound: the (1+eps) guarantee holds on the team path.
+TEST(RbcExactTeam, ApproxEpsKeepsTheOnePlusEpsGuarantee) {
+  const float eps = 0.5f;
+  const auto [X, Q] =
+      testutil::split_rows(testutil::clustered_matrix(2'030, 10, 7, 49), 2'000);
+  RbcParams params{.seed = 50};
+  params.approx_eps = eps;
+  RbcExactIndex<> index;
+  index.build(X, params);
+  const index_t k = 5;
+  const KnnResult truth = testutil::naive_knn(Q, X, k);
+  const ThreadLimit threads(4);
+  for (const index_t batch : {1u, 3u})
+    for (index_t lo = 0; lo + batch <= Q.rows(); lo += batch) {
+      const KnnResult got = index.search(slice_rows(Q, lo, batch), k);
+      for (index_t i = 0; i < batch; ++i)
+        for (index_t j = 0; j < k; ++j) {
+          const dist_t true_d = truth.dists.at(lo + i, j);
+          const dist_t got_d = got.dists.at(i, j);
+          ASSERT_NE(got.ids.at(i, j), kInvalidIndex) << "row " << lo + i;
+          // Small float slack on top of the guarantee factor.
+          EXPECT_LE(got_d, (1.0f + eps) * true_d * (1.0f + 1e-5f) + 1e-6f)
+              << "row " << lo + i << " slot " << j << ", batch " << batch;
+          EXPECT_GE(got_d, true_d * (1.0f - 1e-5f))
+              << "row " << lo + i << " slot " << j << ", batch " << batch;
+        }
+    }
+}
+
+// On the default team (OMP_NUM_THREADS decides it), batches of 1 and
+// nt - 1 rows carry the serial answer. Work counts on the team path depend
+// on the schedule, but each evaluation is counted once in the stats and once
+// in the global counters, and every representative of every row is either
+// pruned or scanned exactly once.
+TEST(RbcExactTeam, DefaultTeamCountsMatchTheCountersAndVisitEachListOnce) {
+  const Matrix<float> X = testutil::clustered_matrix(3'000, 12, 8, 51);
+  const index_t nt = static_cast<index_t>(max_threads());
+  const Matrix<float> Q =
+      testutil::random_matrix(std::max<index_t>(nt, 2), 12, 52, -6.0f, 6.0f);
+  RbcExactIndex<> index;
+  index.build(X, {.seed = 53});
+  const std::uint64_t nr = index.num_reps();
+  const index_t k = 5;
+  const KnnResult serial = serial_rows(index, Q, k);
+  for (const index_t batch : {index_t{1}, nt - 1}) {
+    if (batch == 0) continue;  // a team of one has no smaller batch
+    SearchStats stats;
+    const counters::Scope scope;
+    const KnnResult got = index.search(slice_rows(Q, 0, batch), k, &stats);
+    const std::string what = "batch " + std::to_string(batch);
+    expect_rows_match(serial, 0, got, what);
+    EXPECT_EQ(scope.delta(), stats.dist_evals()) << what;
+    EXPECT_EQ(stats.queries, batch);
+    EXPECT_EQ(stats.rep_dist_evals, batch * nr);
+    EXPECT_EQ(stats.reps_pruned_overlap + stats.reps_pruned_lemma +
+                  stats.reps_scanned,
+              batch * nr)
+        << what;
+    EXPECT_GT(stats.list_dist_evals, 0u) << what;
+  }
+}
+
+// Inside an active OpenMP region (ShardedIndex's (shard, row) fan-out, any
+// outer loop) a small batch keeps the serial per-row search: the same
+// answer and the same work counts as search_one.
+TEST(RbcExactTeam, InsideAnOpenMpRegionRowsRunSerially) {
+  const Matrix<float> X = testutil::clustered_matrix(3'000, 12, 8, 54);
+  const Matrix<float> Q = testutil::random_matrix(3, 12, 55, -6.0f, 6.0f);
+  RbcExactIndex<> index;
+  index.build(X, {.seed = 56});
+  const index_t k = 5;
+  SearchStats want_stats;
+  const KnnResult want = serial_rows(index, Q, k, &want_stats);
+
+  const ThreadLimit threads(4);
+  KnnResult got;
+  SearchStats stats;
+  std::uint64_t evals = 0;
+  bool nested = false;
+#pragma omp parallel num_threads(2)
+  {
+#pragma omp single
+    {
+      nested = in_parallel();
+      const counters::Scope scope;
+      got = index.search(Q, k, &stats);
+      evals = scope.delta();
+    }
+  }
+#ifdef _OPENMP
+  EXPECT_TRUE(nested);
+#endif
+  expect_rows_match(want, 0, got, "inside a region");
+  EXPECT_EQ(evals, want_stats.dist_evals());
+  EXPECT_EQ(stats.queries, want_stats.queries);
+  EXPECT_EQ(stats.rep_dist_evals, want_stats.rep_dist_evals);
+  EXPECT_EQ(stats.list_dist_evals, want_stats.list_dist_evals);
+  EXPECT_EQ(stats.reps_pruned_overlap, want_stats.reps_pruned_overlap);
+  EXPECT_EQ(stats.reps_pruned_lemma, want_stats.reps_pruned_lemma);
+  EXPECT_EQ(stats.reps_scanned, want_stats.reps_scanned);
+  EXPECT_EQ(stats.points_skipped_early_exit,
+            want_stats.points_skipped_early_exit);
 }
 
 // ------------------------------------------------------------ statistics ---

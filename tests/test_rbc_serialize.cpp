@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <new>
 #include <sstream>
 #include <string>
 
+#include "api/api.hpp"
+#include "metricspace/dataset.hpp"
 #include "rbc/rbc.hpp"
 #include "test_util.hpp"
 
@@ -60,6 +63,42 @@ TEST(Serialize, RangeSearchSurvivesRoundTrip) {
   for (index_t qi = 0; qi < Q.rows(); ++qi)
     EXPECT_EQ(original.range_search(Q.row(qi), 1.5f),
               restored.range_search(Q.row(qi), 1.5f));
+}
+
+// RbcParams has padding bytes, which constructing it leaves as it found
+// them, and the exact, one-shot and payload formats store the params in
+// their in-memory layout. Builds from equal params constructed over storage
+// holding different garbage must still save identical bytes.
+TEST(Serialize, SavedBytesDoNotDependOnParamsPadding) {
+  const Matrix<float> X = testutil::clustered_matrix(300, 6, 4, 21);
+  const metricspace::DatasetHandle words = metricspace::make_string_dataset(
+      {"ab", "abc", "b", "bca", "cab", "abcd", "dc", "cd", "a", "bb"});
+  const auto save = [&](unsigned char garbage, const std::string& kind) {
+    alignas(RbcParams) unsigned char storage[sizeof(RbcParams)];
+    std::memset(storage, garbage, sizeof storage);
+    const RbcParams& params = *::new (storage)
+        RbcParams{.num_reps = 12, .points_per_rep = 20, .seed = 3};
+    std::ostringstream os;
+    if (kind == "exact") {
+      RbcExactIndex<> index;
+      index.build(X, params);
+      index.save(os);
+    } else if (kind == "oneshot") {
+      RbcOneShotIndex<> index;
+      index.build(X, params);
+      index.save(os);
+    } else {
+      IndexOptions options;
+      options.metric = "edit";
+      options.rbc = params;
+      auto index = make_index("rbc-exact", options);
+      index->build_payload(words);
+      index->save(os);
+    }
+    return os.str();
+  };
+  for (const std::string kind : {"exact", "oneshot", "payload"})
+    EXPECT_EQ(save(0x00, kind), save(0xA5, kind)) << kind;
 }
 
 TEST(Serialize, RejectsWrongMagic) {
