@@ -1,7 +1,6 @@
 // "bruteforce" backend: BF(Q, X) as an Index. The reference answer every
 // exact backend must match, and the baseline every speedup is measured
-// against. Owns a copy of the database; supports range search and
-// serialization (the format is the metric tag plus the matrix).
+// against. Owns a copy of the database and supports range search.
 //
 // The full metric matrix lives here: "l2" and "l1" scan directly through
 // the dispatched kernels, "cosine" is L2 over unit-normalized rows (rows
@@ -9,8 +8,6 @@
 // and "ip" — which no pruning structure can serve — ranks by negated dot
 // product. This is the only backend that accepts "ip".
 #include <cmath>
-#include <istream>
-#include <ostream>
 
 #include "api/backends/backends.hpp"
 #include "api/metrics.hpp"
@@ -20,7 +17,6 @@
 #include "metricspace/generic_backend.hpp"
 #include "metricspace/space.hpp"
 #include "mutate/mutable_index.hpp"
-#include "rbc/serialize_io.hpp"
 
 namespace rbc::backends {
 
@@ -124,61 +120,6 @@ class BruteForceBackend final : public Index {
     return response;
   }
 
-  void save(std::ostream& os) const override {
-    io::write_pod(os, io::kMagicBruteForce);
-    // float32 keeps the version-2 byte layout; compressed builds write the
-    // version-4 header and append the code store after the matrix.
-    io::write_storage_header(os, metric::name(kind_), quant::name(storage_));
-    io::write_matrix(os, db_);
-    if (storage_ != quant::Storage::kFloat32)
-      io::write_quantized_store(os, qstore_);
-  }
-
-  static std::unique_ptr<Index> load(std::istream& is) {
-    io::expect_pod(is, io::kMagicBruteForce, "bruteforce magic");
-    std::string storage_name;
-    const std::string metric_name =
-        io::read_metric_header(is, "bruteforce header", nullptr,
-                               &storage_name);
-    metric::Kind kind{};
-    if (!metric::lookup(metric_name, kind))
-      throw std::runtime_error(
-          "rbc::io: corrupt bruteforce stream (unknown metric tag '" +
-          metric_name + "')");
-    quant::Storage storage{};
-    if (!quant::lookup(storage_name, storage))
-      throw std::runtime_error(
-          "rbc::io: corrupt bruteforce stream (unknown storage tag '" +
-          storage_name + "')");
-    IndexOptions options;
-    options.metric = metric_name;
-    options.storage = storage_name;
-    std::unique_ptr<BruteForceBackend> index;
-    try {
-      index = std::make_unique<BruteForceBackend>(options);
-    } catch (const std::invalid_argument& e) {
-      // e.g. a quantized tag on a metric that cannot serve it: file
-      // corruption, not a caller error.
-      throw std::runtime_error(
-          std::string("rbc::io: corrupt bruteforce stream (") + e.what() +
-          ")");
-    }
-    index->db_ = io::read_matrix(is);  // cosine rows were saved normalized
-    index->norms_ = make_row_norms_cache(index->db_);  // derived, not stored
-    if (storage != quant::Storage::kFloat32) {
-      index->qstore_ = io::read_quantized_store(is);
-      if (index->qstore_.mode != storage ||
-          index->qstore_.rows != index->db_.rows() ||
-          (index->qstore_.rows > 0 &&
-           index->qstore_.cols != index->db_.cols()))
-        throw std::runtime_error(
-            "rbc::io: corrupt bruteforce stream (quantized store disagrees "
-            "with the matrix)");
-    }
-    index->built_ = true;
-    return index;
-  }
-
   IndexInfo info() const override {
     IndexInfo info;
     info.backend = "bruteforce";
@@ -192,7 +133,6 @@ class BruteForceBackend final : public Index {
     info.dim = db_.cols();
     info.exact = true;
     info.supports_range = true;
-    info.supports_save = true;
     info.memory_bytes =
         db_.size() * sizeof(float) + qstore_.memory_bytes();
     info.kernel_isa = dispatch::isa_name(dispatch::active_isa());
@@ -228,9 +168,7 @@ void register_bruteforce() {
            return metricspace::make_generic(metricspace::Algo::kBruteForce,
                                             options);
          return std::make_unique<BruteForceBackend>(options);
-       },
-       .magic = io::kMagicBruteForce,
-       .load = BruteForceBackend::load}));
+       }}));
 }
 
 }  // namespace rbc::backends

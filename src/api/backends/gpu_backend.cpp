@@ -5,8 +5,8 @@
 // Each index owns its SIMT device; query batches are uploaded per call and
 // only the (nq x k) result comes back. Device-resident state cannot be
 // persisted, so neither backend supports save (info().supports_save =
-// false); gpu-oneshot users who need persistence save the host
-// RbcOneShotIndex instead.
+// false); gpu-oneshot users who need persistence save an "rbc-oneshot"
+// index built with the same params instead.
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -145,16 +145,12 @@ void register_gpu() {
       {.name = "gpu-bf",
        .create = [](const IndexOptions& options) -> std::unique_ptr<Index> {
          return std::make_unique<GpuBfBackend>(options);
-       },
-       .magic = 0,
-       .load = nullptr});
+       }});
   register_backend(
       {.name = "gpu-oneshot",
        .create = [](const IndexOptions& options) -> std::unique_ptr<Index> {
          return std::make_unique<GpuOneShotBackend>(options);
-       },
-       .magic = 0,
-       .load = nullptr});
+       }});
 }
 
 }  // namespace rbc::backends

@@ -6,11 +6,8 @@
 // per batch, distances converted back) — the pruning operates on a genuine
 // metric space, so exactness is inherited rather than re-proved.
 //
-// Serialization wraps the concrete class's own format in a version-2
-// header (magic, version, metric tag, nested concrete stream); version-1
-// files — written before metrics were runtime-selectable — load as "l2".
-#include <istream>
-#include <ostream>
+// make_index wraps it in MutableIndex, whose dense stream persists the rows
+// and build knobs; a load rebuilds this index from them.
 #include <variant>
 
 #include "api/backends/backends.hpp"
@@ -21,7 +18,6 @@
 #include "metricspace/space.hpp"
 #include "mutate/mutable_index.hpp"
 #include "rbc/rbc_exact.hpp"
-#include "rbc/serialize_io.hpp"
 
 namespace rbc::backends {
 
@@ -88,68 +84,6 @@ class RbcExactBackend final : public Index {
     return response;
   }
 
-  void save(std::ostream& os) const override {
-    io::write_pod(os, io::kMagicExact);
-    // The header advertises a code store only when one is live; a float32
-    // index writes the plain version-2 layout.
-    const quant::Storage live = live_storage();
-    io::write_storage_header(os, metric::name(kind_), quant::name(live));
-    std::visit([&](const auto& index) { index.save(os); }, index_);
-    if (live != quant::Storage::kFloat32)
-      io::write_quantized_store(
-          os, std::get<RbcExactIndex<Euclidean>>(index_).quantized_store());
-  }
-
-  static std::unique_ptr<Index> load(std::istream& is) {
-    const std::istream::pos_type start = is.tellg();
-    io::expect_pod(is, io::kMagicExact, "rbc-exact magic");
-    bool legacy = false;
-    std::string storage_name;
-    const std::string metric_name = io::read_metric_header(
-        is, "rbc-exact header", &legacy, &storage_name);
-    metric::Kind kind{};
-    if (!metric::lookup(metric_name, kind) || kind == metric::Kind::kIp)
-      throw std::runtime_error(
-          "rbc::io: corrupt rbc-exact stream (bad metric tag '" +
-          metric_name + "')");
-    quant::Storage storage{};
-    if (!quant::lookup(storage_name, storage))
-      throw std::runtime_error(
-          "rbc::io: corrupt rbc-exact stream (unknown storage tag '" +
-          storage_name + "')");
-    // Version-1 files are a bare concrete stream: rewind so the concrete
-    // loader re-verifies its own (magic, version, metric) header.
-    if (legacy) {
-      is.seekg(start);
-      if (!is)
-        throw std::runtime_error(
-            "rbc::load_index: stream must be seekable");
-    }
-    IndexOptions options;
-    options.metric = metric_name;
-    options.storage = storage_name;
-    std::unique_ptr<RbcExactBackend> backend;
-    try {
-      backend = std::make_unique<RbcExactBackend>(options);
-    } catch (const std::invalid_argument& e) {
-      // e.g. a quantized tag on l1: file corruption, not a caller error.
-      throw std::runtime_error(
-          std::string("rbc::io: corrupt rbc-exact stream (") + e.what() +
-          ")");
-    }
-    if (kind == metric::Kind::kL1)
-      backend->index_ = RbcExactIndex<L1>::load(is);
-    else
-      backend->index_ = RbcExactIndex<Euclidean>::load(is);
-    if (storage != quant::Storage::kFloat32)
-      std::get<RbcExactIndex<Euclidean>>(backend->index_)
-          .adopt_quantized_store(io::read_quantized_store(is));
-    backend->params_ = std::visit(
-        [](const auto& index) { return index.params(); }, backend->index_);
-    backend->built_ = true;
-    return backend;
-  }
-
   IndexInfo info() const override {
     IndexInfo info;
     info.backend = "rbc-exact";
@@ -165,7 +99,6 @@ class RbcExactBackend final : public Index {
     // whose survivors are re-measured against the float rows.
     info.exact = params_.approx_eps == 0.0f;
     info.supports_range = true;
-    info.supports_save = true;
     info.memory_bytes =
         built_ ? std::visit(
                      [](const auto& index) { return index.memory_bytes(); },
@@ -218,9 +151,7 @@ void register_rbc_exact() {
            return metricspace::make_generic(metricspace::Algo::kRbcExact,
                                             options);
          return std::make_unique<RbcExactBackend>(options);
-       },
-       .magic = io::kMagicExact,
-       .load = RbcExactBackend::load}));
+       }}));
 }
 
 }  // namespace rbc::backends

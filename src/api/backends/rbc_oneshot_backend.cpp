@@ -2,11 +2,9 @@
 // Cover behind the unified interface (exact = false: Theorem 2 recall, not a
 // guarantee). Metric support mirrors rbc-exact — "l2"/"l1" pick the
 // matching RbcOneShotIndex<M> instantiation, "cosine" is the Euclidean
-// index over unit-normalized rows — and the serialization wraps the
-// concrete kMagicOneShot format in the version-2 metric header (version-1
-// files load as "l2").
-#include <istream>
-#include <ostream>
+// index over unit-normalized rows. make_index wraps it in MutableIndex,
+// whose dense stream persists the rows and build knobs; a load rebuilds
+// this index from them.
 #include <variant>
 
 #include "api/backends/backends.hpp"
@@ -17,7 +15,6 @@
 #include "metricspace/space.hpp"
 #include "mutate/mutable_index.hpp"
 #include "rbc/rbc_oneshot.hpp"
-#include "rbc/serialize_io.hpp"
 
 namespace rbc::backends {
 
@@ -65,64 +62,6 @@ class RbcOneShotBackend final : public Index {
     return response;
   }
 
-  void save(std::ostream& os) const override {
-    io::write_pod(os, io::kMagicOneShot);
-    const quant::Storage live = live_storage();
-    io::write_storage_header(os, metric::name(kind_), quant::name(live));
-    std::visit([&](const auto& index) { index.save(os); }, index_);
-    if (live != quant::Storage::kFloat32)
-      io::write_quantized_store(
-          os,
-          std::get<RbcOneShotIndex<Euclidean>>(index_).quantized_store());
-  }
-
-  static std::unique_ptr<Index> load(std::istream& is) {
-    const std::istream::pos_type start = is.tellg();
-    io::expect_pod(is, io::kMagicOneShot, "rbc-oneshot magic");
-    bool legacy = false;
-    std::string storage_name;
-    const std::string metric_name = io::read_metric_header(
-        is, "rbc-oneshot header", &legacy, &storage_name);
-    metric::Kind kind{};
-    if (!metric::lookup(metric_name, kind) || kind == metric::Kind::kIp)
-      throw std::runtime_error(
-          "rbc::io: corrupt rbc-oneshot stream (bad metric tag '" +
-          metric_name + "')");
-    quant::Storage storage{};
-    if (!quant::lookup(storage_name, storage))
-      throw std::runtime_error(
-          "rbc::io: corrupt rbc-oneshot stream (unknown storage tag '" +
-          storage_name + "')");
-    if (legacy) {
-      is.seekg(start);
-      if (!is)
-        throw std::runtime_error(
-            "rbc::load_index: stream must be seekable");
-    }
-    IndexOptions options;
-    options.metric = metric_name;
-    options.storage = storage_name;
-    std::unique_ptr<RbcOneShotBackend> backend;
-    try {
-      backend = std::make_unique<RbcOneShotBackend>(options);
-    } catch (const std::invalid_argument& e) {
-      throw std::runtime_error(
-          std::string("rbc::io: corrupt rbc-oneshot stream (") + e.what() +
-          ")");
-    }
-    if (kind == metric::Kind::kL1)
-      backend->index_ = RbcOneShotIndex<L1>::load(is);
-    else
-      backend->index_ = RbcOneShotIndex<Euclidean>::load(is);
-    if (storage != quant::Storage::kFloat32)
-      std::get<RbcOneShotIndex<Euclidean>>(backend->index_)
-          .adopt_quantized_store(io::read_quantized_store(is));
-    backend->params_ = std::visit(
-        [](const auto& index) { return index.params(); }, backend->index_);
-    backend->built_ = true;
-    return backend;
-  }
-
   IndexInfo info() const override {
     IndexInfo info;
     info.backend = "rbc-oneshot";
@@ -135,7 +74,6 @@ class RbcOneShotBackend final : public Index {
     info.dim = dim();
     info.exact = false;  // probabilistic recall (paper Theorem 2)
     info.supports_range = false;
-    info.supports_save = true;
     info.memory_bytes =
         built_ ? std::visit(
                      [](const auto& index) { return index.memory_bytes(); },
@@ -186,9 +124,7 @@ void register_rbc_oneshot() {
            return metricspace::make_generic(metricspace::Algo::kRbcOneShot,
                                             options);
          return std::make_unique<RbcOneShotBackend>(options);
-       },
-       .magic = io::kMagicOneShot,
-       .load = RbcOneShotBackend::load}));
+       }}));
 }
 
 }  // namespace rbc::backends

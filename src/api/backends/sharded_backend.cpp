@@ -33,9 +33,7 @@ void register_sharded() {
          .create = [inner](const IndexOptions& options)
              -> std::unique_ptr<Index> {
            return shard::make_sharded(inner, options);
-         },
-         .magic = 0,  // kMagicSharded dispatches natively in load_index
-         .load = nullptr});
+         }});
   }
 }
 

@@ -1,11 +1,11 @@
 // Tree-baseline backends ("kdtree", "balltree", "covertree") behind the
 // unified interface. The three concrete trees are non-owning and answer one
 // query at a time, so they share one adapter shape: own a copy of the
-// database, batch the serial per-query knn() in parallel, and serialize the
-// database plus build knobs, rebuilding deterministically on load (the
-// restored tree is identical). A traits struct supplies what differs — the
-// tree variant type, registry name, format magic, supported metric set, and
-// which IndexOptions knobs the build consumes and the file persists.
+// database and batch the serial per-query knn() in parallel. A traits
+// struct supplies what differs — the tree variant type, registry name,
+// supported metric set, and which IndexOptions knobs the build consumes.
+// make_index wraps each in MutableIndex, whose dense stream persists the
+// rows and knobs; a load rebuilds the identical tree from them.
 //
 // Metrics: trees prune with the triangle inequality, so only true metrics
 // qualify. The metric ball tree and cover tree are metric-generic templates
@@ -14,8 +14,6 @@
 // "l2"-shaped. All three serve "cosine" as L2 over unit-normalized rows
 // (the shared build/query transform of api/metrics.hpp) with distances
 // converted back after search.
-#include <istream>
-#include <ostream>
 #include <span>
 #include <variant>
 
@@ -26,7 +24,6 @@
 #include "baselines/covertree.hpp"
 #include "baselines/kdtree.hpp"
 #include "mutate/mutable_index.hpp"
-#include "rbc/serialize_io.hpp"
 
 namespace rbc::backends {
 
@@ -68,39 +65,6 @@ class TreeBackend final : public Index {
     return response;
   }
 
-  void save(std::ostream& os) const override {
-    io::write_pod(os, Traits::kMagic);
-    io::write_metric_header(os, metric::name(kind_));
-    Traits::save_knobs(os, options_);
-    io::write_matrix(os, db_);  // cosine rows stored normalized
-  }
-
-  static std::unique_ptr<Index> load(std::istream& is) {
-    io::expect_pod(is, Traits::kMagic, Traits::kName);
-    const std::string metric_name =
-        io::read_metric_header(is, Traits::kName);
-    IndexOptions options;
-    options.metric = metric_name;
-    Traits::load_knobs(is, options);
-    // A bad metric tag is file corruption (runtime_error), not the
-    // caller-facing invalid_argument the constructor throws.
-    std::unique_ptr<TreeBackend> backend;
-    try {
-      backend = std::make_unique<TreeBackend>(options);
-    } catch (const std::invalid_argument& e) {
-      throw std::runtime_error(std::string("rbc::io: corrupt ") +
-                               Traits::kName + " stream (" + e.what() + ")");
-    }
-    // The stored rows already carry the build transform (cosine rows were
-    // saved normalized) — adopt them as-is instead of calling build(),
-    // which would re-normalize and perturb the restored tree's bits.
-    backend->db_ = io::read_matrix(is);
-    Traits::build(backend->tree_, backend->db_, backend->options_,
-                  backend->kind_);
-    backend->built_ = true;
-    return backend;
-  }
-
   IndexInfo info() const override {
     IndexInfo info;
     info.backend = Traits::kName;
@@ -110,7 +74,6 @@ class TreeBackend final : public Index {
     info.dim = db_.cols();
     info.exact = true;
     info.supports_range = false;
-    info.supports_save = true;
     info.memory_bytes = db_.size() * sizeof(float);
     return info;
   }
@@ -126,7 +89,6 @@ class TreeBackend final : public Index {
 struct KdTreeTraits {
   using Tree = std::variant<KdTree>;
   static constexpr const char* kName = "kdtree";
-  static constexpr std::uint32_t kMagic = io::kMagicKdTree;
   // Axis-aligned split planes bound L2 distances only: no "l1".
   static std::span<const metric::Kind> supported() {
     static constexpr metric::Kind kSet[] = {metric::Kind::kL2,
@@ -137,18 +99,11 @@ struct KdTreeTraits {
                     const IndexOptions& options, metric::Kind) {
     tree.emplace<KdTree>().build(db, options.leaf_size);
   }
-  static void save_knobs(std::ostream& os, const IndexOptions& options) {
-    io::write_pod(os, options.leaf_size);
-  }
-  static void load_knobs(std::istream& is, IndexOptions& options) {
-    io::read_pod(is, options.leaf_size);
-  }
 };
 
 struct BallTreeTraits {
   using Tree = std::variant<BallTree<Euclidean>, BallTree<L1>>;
   static constexpr const char* kName = "balltree";
-  static constexpr std::uint32_t kMagic = io::kMagicBallTree;
   static std::span<const metric::Kind> supported() {
     static constexpr metric::Kind kSet[] = {
         metric::Kind::kL2, metric::Kind::kL1, metric::Kind::kCosine};
@@ -163,22 +118,11 @@ struct BallTreeTraits {
       tree.emplace<BallTree<Euclidean>>().build(db, options.leaf_size, {},
                                                 options.seed);
   }
-  // The pivot-pair sampling seed must be persisted for the restored tree to
-  // be identical.
-  static void save_knobs(std::ostream& os, const IndexOptions& options) {
-    io::write_pod(os, options.leaf_size);
-    io::write_pod(os, options.seed);
-  }
-  static void load_knobs(std::istream& is, IndexOptions& options) {
-    io::read_pod(is, options.leaf_size);
-    io::read_pod(is, options.seed);
-  }
 };
 
 struct CoverTreeTraits {
   using Tree = std::variant<CoverTree<Euclidean>, CoverTree<L1>>;
   static constexpr const char* kName = "covertree";
-  static constexpr std::uint32_t kMagic = io::kMagicCoverTree;
   static std::span<const metric::Kind> supported() {
     static constexpr metric::Kind kSet[] = {
         metric::Kind::kL2, metric::Kind::kL1, metric::Kind::kCosine};
@@ -191,8 +135,6 @@ struct CoverTreeTraits {
     else
       tree.emplace<CoverTree<Euclidean>>().build(db);
   }
-  static void save_knobs(std::ostream&, const IndexOptions&) {}
-  static void load_knobs(std::istream&, IndexOptions&) {}
 };
 
 template <class Traits>
@@ -202,9 +144,7 @@ void register_tree() {
       {.name = Traits::kName,
        .create = [](const IndexOptions& options) -> std::unique_ptr<Index> {
          return std::make_unique<TreeBackend<Traits>>(options);
-       },
-       .magic = Traits::kMagic,
-       .load = TreeBackend<Traits>::load}));
+       }}));
 }
 
 [[maybe_unused]] const bool auto_registered =

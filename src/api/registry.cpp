@@ -7,6 +7,7 @@
 
 #include "api/backends/backends.hpp"
 #include "metricspace/generic_backend.hpp"
+#include "mutate/mutable_index.hpp"
 #include "rbc/serialize_io.hpp"
 #include "shard/sharded_index.hpp"
 
@@ -60,9 +61,10 @@ bool register_backend(BackendEntry entry) {
   if (reg.find_locked(entry.name) != nullptr) return false;
   // A non-zero magic must be unique too: load_index dispatches on it, and a
   // duplicate would let a later registration hijack existing files. The
-  // sharded composite's and the payload backend's magics are dispatched
-  // natively, so they are never claimable either.
-  if (entry.magic == io::kMagicSharded || entry.magic == io::kMagicPayload)
+  // three built-in streams' magics are dispatched natively, so they are
+  // never claimable either.
+  if (entry.magic == io::kMagicDense || entry.magic == io::kMagicSharded ||
+      entry.magic == io::kMagicPayload)
     return false;
   if (entry.magic != 0)
     for (const BackendEntry& e : reg.entries)
@@ -116,16 +118,14 @@ std::unique_ptr<Index> load_index(std::istream& is) {
   if (!is)
     throw std::runtime_error("rbc::load_index: stream must be seekable");
 
-  // The sharded composite dispatches natively: one magic covers every
-  // "sharded:<inner>" variant (the inner backend is named inside the
-  // stream), which the one-magic-per-entry registry table cannot express.
+  // The three built-in streams dispatch natively: each names its backend
+  // inside the stream, so one magic covers every dense backend, every
+  // "sharded:<inner>" variant and every payload host algorithm.
+  if (magic == io::kMagicDense) return mutate::MutableIndex::load(is);
   if (magic == io::kMagicSharded) return shard::ShardedIndex::load(is);
-
-  // Payload (generic metric-space) files dispatch natively too: one magic
-  // covers every host algorithm, and the hosts' registry entries already
-  // own their dense magics.
   if (magic == io::kMagicPayload) return metricspace::load_payload_index(is);
 
+  // Otherwise a user-registered backend's own format.
   std::function<std::unique_ptr<Index>(std::istream&)> loader;
   {
     Registry& reg = Registry::instance();

@@ -116,9 +116,8 @@ struct QuantizedStore {
 
 /// Builds the compressed store for X under `mode` (kFloat32 returns an
 /// inactive store). Deterministic: a pure function of the float rows, so
-/// serialization can persist the tag alone and rebuild codes at load —
-/// but the unified API persists the codes too (see io::write_quantized_store)
-/// to keep load cost proportional to the stream.
+/// a saved index persists the storage tag alone and a load rebuilds the
+/// codes.
 QuantizedStore quantize(Storage mode, const Matrix<float>& X);
 
 }  // namespace rbc::quant

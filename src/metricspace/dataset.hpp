@@ -37,7 +37,8 @@ struct GraphEdge {
 
 /// Upper bound on one element's payload bytes. Matches the net codec's
 /// per-string cap, so any serveable dataset is also wire-expressible, and a
-/// corrupt length field in a v6 stream can never drive a giant allocation.
+/// corrupt length field in a payload stream can never drive a giant
+/// allocation.
 inline constexpr std::uint64_t kMaxPayloadBytes = 1u << 16;
 
 /// Upper bound on elements per dataset — far beyond test/demo scale, small

@@ -95,6 +95,12 @@ class GenericIndex final : public Index {
       fail("storage '" + options.storage +
            "' is not supported with payload metric '" + metric_ +
            "' (supported: float32)");
+    // The payload stream persists the knobs, and its reader refuses an
+    // approx_eps that approx_eps_valid rejects: refuse it here too, so
+    // every index that builds also loads.
+    if (!approx_eps_valid(params_.approx_eps))
+      fail("rbc.approx_eps must be finite and >= 0 (got " +
+           std::to_string(params_.approx_eps) + ")");
   }
 
   void build(const Matrix<float>& /*X*/) override {
@@ -187,8 +193,7 @@ class GenericIndex final : public Index {
     if (!built_)
       throw std::runtime_error(
           "rbc::Index: cannot save an unbuilt payload index");
-    io::write_pod(os, io::kMagicPayload);
-    io::write_pod(os, io::kFormatVersionPayload);
+    io::write_header(os, io::kMagicPayload);
     io::write_string(os, host_);
     io::write_string(os, metric_);
     io::write_params(os, params_);
@@ -246,13 +251,7 @@ std::unique_ptr<Index> make_generic(Algo algo, const IndexOptions& options) {
 }
 
 std::unique_ptr<Index> load_payload_index(std::istream& is) {
-  io::expect_pod(is, io::kMagicPayload, "payload index magic");
-  std::uint32_t version = 0;
-  io::read_pod(is, version);
-  if (version != io::kFormatVersionPayload)
-    throw std::runtime_error("rbc::io: unsupported format version " +
-                             std::to_string(version) +
-                             " reading payload index");
+  io::read_header(is, io::kMagicPayload, "payload index");
   const std::string backend = io::read_string(is);
   Algo algo{};
   if (backend == "bruteforce")
@@ -272,7 +271,7 @@ std::unique_ptr<Index> load_payload_index(std::istream& is) {
         metric + "')");
   IndexOptions options;
   options.metric = metric;
-  io::read_pod(is, options.rbc);
+  options.rbc = io::read_params(is);
   const DatasetHandle data = load_dataset(is);
   auto index = std::make_unique<GenericIndex>(algo, options);
   try {

@@ -27,11 +27,11 @@ enum class Algo { kBruteForce, kRbcExact, kRbcOneShot };
 /// entry points.
 std::unique_ptr<Index> make_generic(Algo algo, const IndexOptions& options);
 
-/// Restores an index written by the generic backend's save() (format
-/// version 6, magic io::kMagicPayload — see rbc/serialize_io.hpp). The
+/// Restores an index written by the generic backend's save() (the payload
+/// stream, magic io::kMagicPayload — see rbc/serialize_io.hpp). The
 /// unified rbc::load_index() dispatches here on the magic. Corruption
-/// (unknown backend/metric tag, truncated or oversized dataset payload)
-/// throws std::runtime_error.
+/// (unknown backend/metric tag, invalid params, truncated or oversized
+/// dataset payload) throws std::runtime_error.
 std::unique_ptr<Index> load_payload_index(std::istream& is);
 
 }  // namespace rbc::metricspace

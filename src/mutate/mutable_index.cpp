@@ -30,7 +30,7 @@ namespace {
 }
 
 [[noreturn]] void corrupt(const std::string& what) {
-  throw std::runtime_error("rbc::io: corrupt mutable index stream: " + what);
+  throw std::runtime_error("rbc::io: corrupt dense stream: " + what);
 }
 
 bool contains(const std::vector<index_t>& sorted, index_t id) {
@@ -69,55 +69,36 @@ void check_ascending_unique(const std::vector<index_t>& ids,
 BackendEntry wrap(BackendEntry raw) {
   const std::string name = raw.name;
   const auto create = raw.create;
-  const std::uint32_t magic = raw.magic;
-  const auto raw_load = raw.load;
 
   BackendEntry wrapped = std::move(raw);
   wrapped.create =
-      [name, create, magic](const IndexOptions& options) -> std::unique_ptr<Index> {
+      [name, create](const IndexOptions& options) -> std::unique_ptr<Index> {
     // A metric-space name (metricspace/space.hpp) routes to the generic
     // payload backend inside the raw factory; that path does not mutate
     // (and the delta-shard machinery is row-matrix-shaped anyway), so the
     // mutable wrapper steps aside instead of failing its dense-metric
     // probe.
     if (metricspace::space_registered(options.metric)) return create(options);
-    return std::make_unique<MutableIndex>(name, options, create, magic);
+    return std::make_unique<MutableIndex>(name, options, create);
   };
-  if (magic != 0 && raw_load) {
-    // Version-dispatching loader: version-3 (and its storage-tagged
-    // version-5 extension) streams carry mutable state; everything else
-    // (v1/v2/v4 files written by the raw formats, or streams too short to
-    // even peek) goes to the raw backend's loader, which owns the legacy
-    // formats and their error messages.
-    wrapped.load = [name, create, magic,
-                    raw_load](std::istream& is) -> std::unique_ptr<Index> {
-      const std::istream::pos_type start = is.tellg();
-      std::uint32_t m = 0;
-      std::uint32_t version = 0;
-      is.read(reinterpret_cast<char*>(&m), sizeof m);
-      is.read(reinterpret_cast<char*>(&version), sizeof version);
-      const bool mutable_stream =
-          is.good() && m == magic &&
-          (version == io::kFormatVersionMutable ||
-           version == io::kFormatVersionMutableStorage);
-      is.clear();
-      is.seekg(start);
-      if (mutable_stream) return MutableIndex::load(is, name, create, magic);
-      return raw_load(is);
-    };
-  }
   return wrapped;
 }
 
 // ------------------------------------------------------- construction/build
 
 MutableIndex::MutableIndex(std::string raw_name, const IndexOptions& options,
-                           Factory create, std::uint32_t magic)
+                           Factory create)
     : name_(std::move(raw_name)),
       options_(options),
       inner_options_(options),
-      create_(std::move(create)),
-      magic_(magic) {
+      create_(std::move(create)) {
+  // Below -1 an approx_eps empties every rbc-exact answer (params.hpp), and
+  // the dense stream, which persists the knobs of every wrapped backend,
+  // refuses any value approx_eps_valid rejects: refuse it at make time, so
+  // every index that builds also loads.
+  if (!approx_eps_valid(options_.rbc.approx_eps))
+    fail(name_, "rbc.approx_eps must be finite and >= 0 (got " +
+                    std::to_string(options_.rbc.approx_eps) + ")");
   // The probe validates the (backend, metric) pair with the raw backend's
   // own uniform error, and answers capability queries before build.
   probe_ = create_(options_);
@@ -695,6 +676,7 @@ IndexInfo MutableIndex::info() const {
   out.backend = name_;
   out.metric = options_.metric;  // the inner may run the mapped (l2) metric
   out.supports_mutation = true;
+  out.supports_save = true;
   if (built) {
     out.size = static_cast<index_t>(s.main->ids.size() - s.dead->size() +
                                     s.delta->ids.size());
@@ -713,10 +695,6 @@ IndexInfo MutableIndex::info() const {
 // ------------------------------------------------------------ persistence
 
 void MutableIndex::save(std::ostream& os) const {
-  if (!probe_->info().supports_save || magic_ == 0) {
-    Index::save(os);  // uniform unsupported-capability throw
-    return;
-  }
   Snapshot s;
   bool built = false;
   index_t dim = 0;
@@ -728,29 +706,13 @@ void MutableIndex::save(std::ostream& os) const {
   }
   if (!built) fail(name_, "save on an unbuilt index (call build first)");
 
-  io::write_pod(os, magic_);
-  // float32 keeps the version-3 byte layout; compressed builds write the
-  // version-5 header (v3 plus the storage tag) so a reload re-quantizes the
-  // rebuilt inner structure the same way.
-  const bool storage_tagged = options_.storage != "float32";
-  io::write_pod(os, storage_tagged ? io::kFormatVersionMutableStorage
-                                   : io::kFormatVersionMutable);
+  io::write_header(os, io::kMagicDense);
+  io::write_string(os, name_);
   io::write_string(os, options_.metric);
-  if (storage_tagged) io::write_string(os, options_.storage);
-  // Build knobs: everything needed to rebuild the raw structure
-  // deterministically at load time (fields written individually — the
-  // params struct has padding).
-  const RbcParams& p = options_.rbc;
-  io::write_pod(os, p.num_reps);
-  io::write_pod(os, p.points_per_rep);
-  io::write_pod(os, p.seed);
-  io::write_pod(os, static_cast<std::uint8_t>(p.sampling));
-  io::write_pod(os, static_cast<std::uint8_t>(p.use_overlap_rule));
-  io::write_pod(os, static_cast<std::uint8_t>(p.use_lemma_rule));
-  io::write_pod(os, static_cast<std::uint8_t>(p.use_early_exit));
-  io::write_pod(os, static_cast<std::uint8_t>(p.use_annulus_bound));
-  io::write_pod(os, p.approx_eps);
-  io::write_pod(os, p.num_probes);
+  io::write_string(os, options_.storage);
+  // Build knobs: everything needed to rebuild the raw structure (and its
+  // code store) deterministically at load time.
+  io::write_params(os, options_.rbc);
   io::write_pod(os, options_.leaf_size);
   io::write_pod(os, options_.seed);
   io::write_pod(os, dim);
@@ -764,49 +726,27 @@ void MutableIndex::save(std::ostream& os) const {
   io::write_vec(os, *s.dead);
 }
 
-std::unique_ptr<Index> MutableIndex::load(std::istream& is,
-                                          const std::string& raw_name,
-                                          const Factory& create,
-                                          std::uint32_t magic) {
-  io::expect_pod(is, magic, "format magic");
-  std::uint32_t version = 0;
-  io::read_pod(is, version);
-  if (version != io::kFormatVersionMutable &&
-      version != io::kFormatVersionMutableStorage)
-    corrupt("unknown format version " + std::to_string(version));
+std::unique_ptr<Index> MutableIndex::load(std::istream& is) {
+  io::read_header(is, io::kMagicDense, "dense index");
+  const std::string backend = io::read_string(is);
   IndexOptions options;
   options.metric = io::read_string(is);
-  metric::Kind kind;
-  if (!metric::lookup(options.metric, kind))
-    corrupt("unknown metric tag '" + options.metric + "'");
-  if (version == io::kFormatVersionMutableStorage) {
-    options.storage = io::read_string(is);
-    quant::Storage storage{};
-    if (!quant::lookup(options.storage, storage))
-      corrupt("unknown storage tag '" + options.storage + "'");
-  }
-  RbcParams& p = options.rbc;
-  io::read_pod(is, p.num_reps);
-  io::read_pod(is, p.points_per_rep);
-  io::read_pod(is, p.seed);
-  std::uint8_t sampling = 0;
-  io::read_pod(is, sampling);
-  if (sampling > static_cast<std::uint8_t>(Sampling::kBernoulli))
-    corrupt("unknown sampling mode");
-  p.sampling = static_cast<Sampling>(sampling);
-  std::uint8_t flag = 0;
-  io::read_pod(is, flag);
-  p.use_overlap_rule = flag != 0;
-  io::read_pod(is, flag);
-  p.use_lemma_rule = flag != 0;
-  io::read_pod(is, flag);
-  p.use_early_exit = flag != 0;
-  io::read_pod(is, flag);
-  p.use_annulus_bound = flag != 0;
-  io::read_pod(is, p.approx_eps);
-  io::read_pod(is, p.num_probes);
+  options.storage = io::read_string(is);
+  options.rbc = io::read_params(is);
   io::read_pod(is, options.leaf_size);
   io::read_pod(is, options.seed);
+  // The named backend validates the metric and storage tags. An unknown
+  // name, a pair it cannot serve, or a backend that make_index does not
+  // wrap in this class is a corrupt stream, not a caller error.
+  std::unique_ptr<Index> made;
+  try {
+    made = make_index(backend, options);
+  } catch (const std::invalid_argument& e) {
+    corrupt(e.what());
+  }
+  auto* index = dynamic_cast<MutableIndex*>(made.get());
+  if (index == nullptr)
+    corrupt("backend '" + backend + "' does not write dense streams");
   index_t dim = 0;
   io::read_pod(is, dim);
 
@@ -837,12 +777,6 @@ std::unique_ptr<Index> MutableIndex::load(std::istream& is,
     if (contains(main_ids, id) && !contains(tombs, id))
       corrupt("id live in both the delta shard and the main structure");
 
-  std::unique_ptr<MutableIndex> index;
-  try {
-    index = std::make_unique<MutableIndex>(raw_name, options, create, magic);
-  } catch (const std::invalid_argument& e) {
-    corrupt(e.what());  // e.g. a metric this backend cannot serve
-  }
   std::unique_ptr<Index> inner;
   if (main_rows.rows() > 0) {
     inner = index->create_(index->inner_options_);
@@ -862,7 +796,7 @@ std::unique_ptr<Index> MutableIndex::load(std::istream& is,
   index->delta_ = std::move(delta);
   index->tombs_ = std::make_shared<std::vector<index_t>>(std::move(tombs));
   index->dead_ = index->tombs_;  // checked above: every tombstone masks main
-  return index;
+  return made;
 }
 
 }  // namespace rbc::mutate

@@ -16,6 +16,10 @@
 //   merge   ──► background thread rebuilds the raw structure over the live
 //               set, swaps it in under the lock (shared_ptr snapshots), so
 //               in-flight searches never block and never see a torn state.
+//   save    ──► the dense stream (rbc/serialize_io.hpp): backend name, metric
+//               and storage tags, build knobs, then main rows + ids, delta
+//               rows + ids, tombstones. load() rebuilds the raw structure
+//               from them, so one format serves every wrapped backend.
 //
 // Exactness: every returned (distance, id) pair is a scalar re-measured
 // value, independent of which structure produced the candidate — so for
@@ -47,11 +51,9 @@ namespace rbc::mutate {
 
 /// Wraps a raw backend registration with the mutable delta-shard adapter:
 /// `create` builds a MutableIndex around the raw factory (transparent —
-/// info().backend stays the raw name), and `load` dispatches on the format
-/// version: the raw backend's own v1/v2 streams load through the raw
-/// loader (read-only legacy instances), version-3 mutable streams restore
-/// the full delta/tombstone state. The backend TUs in src/api/backends/
-/// call this at registration time.
+/// info().backend stays the raw name). The backend TUs in src/api/backends/
+/// call this at registration time; their dense streams load through
+/// MutableIndex::load, which rbc::load_index calls on io::kMagicDense.
 BackendEntry wrap(BackendEntry raw);
 
 /// The delta-shard adapter. Constructed unbuilt (like every backend);
@@ -66,10 +68,9 @@ class MutableIndex final : public Index {
  public:
   using Factory = std::function<std::unique_ptr<Index>(const IndexOptions&)>;
 
-  /// `raw_name` / `create` are the wrapped backend's registry identity;
-  /// `magic` its serialization magic (0 = raw backend not serializable).
+  /// `raw_name` / `create` are the wrapped backend's registry identity.
   MutableIndex(std::string raw_name, const IndexOptions& options,
-               Factory create, std::uint32_t magic);
+               Factory create);
   ~MutableIndex() override;
 
   void build(const Matrix<float>& X) override;
@@ -88,12 +89,11 @@ class MutableIndex final : public Index {
   void save(std::ostream& os) const override;
   IndexInfo info() const override;
 
-  /// Restores a version-3 stream written by save(). The stream must start
-  /// at the magic. Corruption throws std::runtime_error.
-  static std::unique_ptr<Index> load(std::istream& is,
-                                     const std::string& raw_name,
-                                     const Factory& create,
-                                     std::uint32_t magic);
+  /// Restores a dense stream written by save(). The stream must start at
+  /// the magic. The backend it names is made through make_index, which must
+  /// yield a MutableIndex. Corruption (an unknown or non-dense backend
+  /// included) throws std::runtime_error.
+  static std::unique_ptr<Index> load(std::istream& is);
 
  private:
   /// The immutable main structure: the raw inner index plus the
@@ -149,7 +149,6 @@ class MutableIndex final : public Index {
   IndexOptions options_;        // as given (metric = user metric)
   IndexOptions inner_options_;  // metric mapped (cosine -> l2)
   Factory create_;
-  std::uint32_t magic_ = 0;
   metric::Kind kind_ = metric::Kind::kL2;
   std::unique_ptr<Index> probe_;  // unbuilt raw instance: capability info
 

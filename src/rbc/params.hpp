@@ -1,6 +1,7 @@
 // Tunable parameters of the Random Ball Cover (paper §4-§6).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 #include "common/types.hpp"
@@ -63,7 +64,8 @@ struct RbcParams {
   /// approximate nearest neighbor, which reduces search time").
   /// 0 = exact. With eps > 0 every pruning bound is tightened by 1/(1+eps);
   /// the returned j-th distance is guaranteed <= (1+eps) * the true j-th
-  /// distance. Applies to the exact index's k-NN search only.
+  /// distance. Applies to the exact index's k-NN search only. Must satisfy
+  /// approx_eps_valid (make_index rejects other values).
   float approx_eps = 0.0f;
 
   // ---- one-shot search controls ----
@@ -79,6 +81,13 @@ struct RbcParams {
   /// Resolves the one-shot list length s for a database of n points.
   index_t resolve_points_per_rep(index_t n) const;
 };
+
+/// True when `eps` is a usable RbcParams::approx_eps: finite and >= 0.
+/// Below -1 the bound factor 1/(1+eps) is negative and prunes every list,
+/// so every answer would come back empty.
+inline bool approx_eps_valid(float eps) {
+  return std::isfinite(eps) && eps >= 0.0f;
+}
 
 /// Theorem 2 parameter rule: nr = s = c * sqrt(n * ln(1/delta)); returns the
 /// value clamped to [1, n]. Useful when an expansion-rate estimate is

@@ -40,10 +40,7 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <istream>
-#include <ostream>
 #include <span>
-#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -57,7 +54,6 @@
 #include "parallel/runtime.hpp"
 #include "rbc/params.hpp"
 #include "rbc/sampling.hpp"
-#include "rbc/serialize_io.hpp"
 #include "rbc/stats.hpp"
 
 namespace rbc {
@@ -188,18 +184,6 @@ class RbcExactIndex {
   /// active).
   quant::Storage storage() const {
     return qstore_.active() ? qstore_.mode : quant::Storage::kFloat32;
-  }
-
-  const quant::QuantizedStore& quantized_store() const { return qstore_; }
-
-  /// Installs a deserialized store (loader path). Throws when its shape
-  /// disagrees with the built index — a corrupt or mismatched file.
-  void adopt_quantized_store(quant::QuantizedStore store) {
-    if (store.rows != packed_.rows() || store.cols != dim_)
-      throw std::runtime_error(
-          "rbc::io: corrupt quantized store (shape disagrees with index)");
-    storage_req_ = store.mode;
-    qstore_ = std::move(store);
   }
 
   // ------------------------------------------------------------- queries ---
@@ -651,7 +635,6 @@ class RbcExactIndex {
   index_t size() const { return n_; }
   index_t dim() const { return dim_; }
   index_t num_reps() const { return reps_.rows(); }
-  const RbcParams& params() const { return params_; }
   const std::vector<index_t>& rep_ids() const { return rep_ids_; }
   dist_t psi(index_t r) const { return psi_[r]; }
 
@@ -675,114 +658,6 @@ class RbcExactIndex {
            rep_ids_.size() * sizeof(index_t) +
            packed_sq_norms_.size() * sizeof(float) +
            rep_lanes_.size() * sizeof(float) + qstore_.memory_bytes();
-  }
-
-  // ------------------------------------------------------- serialization ---
-
-  void save(std::ostream& os) const {
-    io::write_pod(os, io::kMagicExact);
-    io::write_pod(os, io::kFormatVersion);
-    io::write_string(os, M::name());
-    io::write_pod(os, n_);
-    io::write_pod(os, dim_);
-    io::write_params(os, params_);
-    io::write_vec(os, rep_ids_);
-    io::write_vec(os, psi_);
-    io::write_vec(os, offsets_);
-    io::write_vec(os, packed_ids_);
-    io::write_vec(os, packed_dist_);
-    io::write_matrix(os, reps_);
-    io::write_matrix(os, packed_);
-    // The format's dynamic-update tail, as every built index has written
-    // it: id counter n, no tombstones, n clear flags, empty row, id and
-    // distance vectors, and one empty insert list per representative.
-    const index_t nr = reps_.rows();
-    io::write_pod(os, n_);
-    io::write_pod(os, index_t{0});
-    io::write_vec(os, std::vector<std::uint8_t>(n_, 0));
-    io::write_vec(os, std::vector<float>{});
-    io::write_vec(os, std::vector<index_t>{});
-    io::write_vec(os, std::vector<dist_t>{});
-    io::write_pod(os, static_cast<std::uint64_t>(nr));
-    for (index_t r = 0; r < nr; ++r) io::write_vec(os, std::vector<index_t>{});
-  }
-
-  static RbcExactIndex load(std::istream& is, M metric = {}) {
-    RbcExactIndex idx;
-    idx.metric_ = metric;
-    io::expect_pod(is, io::kMagicExact, "RbcExactIndex magic");
-    io::expect_pod(is, io::kFormatVersion, "RbcExactIndex version");
-    io::expect_string(is, M::name(), "RbcExactIndex metric");
-    io::read_pod(is, idx.n_);
-    io::read_pod(is, idx.dim_);
-    io::read_pod(is, idx.params_);
-    io::read_vec(is, idx.rep_ids_);
-    io::read_vec(is, idx.psi_);
-    io::read_vec(is, idx.offsets_);
-    io::read_vec(is, idx.packed_ids_);
-    io::read_vec(is, idx.packed_dist_);
-    idx.reps_ = io::read_matrix(is);
-    idx.packed_ = io::read_matrix(is);
-
-    // Searches index these arrays without bounds checks, so the stream must
-    // describe one consistent layout before anything trusts it.
-    const auto require = [](bool ok, const char* what) {
-      if (!ok)
-        throw std::runtime_error(
-            std::string("rbc::io: corrupt RbcExactIndex (") + what + ")");
-    };
-    const index_t n = idx.n_;
-    const index_t nr = idx.reps_.rows();
-    const std::vector<index_t>& offsets = idx.offsets_;
-    // The lane-blocked representatives are derived from dim_-wide rows.
-    require(idx.reps_.cols() == idx.dim_ && idx.packed_.cols() == idx.dim_,
-            "row width disagrees with dim");
-    require(offsets.size() == std::size_t{nr} + 1 && offsets.front() == 0 &&
-                offsets.back() == n &&
-                std::is_sorted(offsets.begin(), offsets.end()),
-            "list offsets do not partition n rows");
-    require(idx.psi_.size() == nr && idx.rep_ids_.size() == nr,
-            "list radii or representative ids disagree with the "
-            "representative count");
-    require(idx.packed_ids_.size() == n && idx.packed_dist_.size() == n &&
-                idx.packed_.rows() == n,
-            "packed arrays disagree with n");
-    const auto in_range = [n](index_t id) { return id < n; };
-    require(std::all_of(idx.packed_ids_.begin(), idx.packed_ids_.end(),
-                        in_range) &&
-                std::all_of(idx.rep_ids_.begin(), idx.rep_ids_.end(),
-                            in_range),
-            "row id out of range");
-
-    // The dynamic-update tail (see save()) must be the empty one: this
-    // class has no in-place insert or erase to fill it.
-    constexpr const char* kTail = "non-empty dynamic tail";
-    index_t next_id = 0, erased_count = 0;
-    std::vector<std::uint8_t> erased;
-    io::read_pod(is, next_id);
-    io::read_pod(is, erased_count);
-    io::read_vec(is, erased);
-    require(next_id == n && erased_count == 0 &&
-                erased == std::vector<std::uint8_t>(n, 0),
-            kTail);
-    const auto length = [&is] {  // a vector's length prefix (write_vec)
-      std::uint64_t size = 0;
-      io::read_pod(is, size);
-      return size;
-    };
-    // Overflow rows, ids and distances, then one overflow list per rep.
-    for (int v = 0; v < 3; ++v) require(length() == 0, kTail);
-    require(length() == nr, kTail);
-    for (index_t r = 0; r < nr; ++r) require(length() == 0, kTail);
-
-    // Derived, not serialized (keeps the format stable across versions).
-    idx.pack_rep_lanes();
-    idx.packed_sq_norms_ = detail::kernel_row_sq_norms(idx.packed_);
-    idx.packed_sq_max_ = idx.packed_sq_norms_.empty()
-                             ? 0.0f
-                             : *std::max_element(idx.packed_sq_norms_.begin(),
-                                                 idx.packed_sq_norms_.end());
-    return idx;
   }
 
  private:

@@ -15,9 +15,6 @@
 #pragma once
 
 #include <cassert>
-#include <istream>
-#include <ostream>
-#include <stdexcept>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -30,7 +27,6 @@
 #include "parallel/runtime.hpp"
 #include "rbc/params.hpp"
 #include "rbc/sampling.hpp"
-#include "rbc/serialize_io.hpp"
 #include "rbc/stats.hpp"
 
 namespace rbc {
@@ -108,18 +104,6 @@ class RbcOneShotIndex {
 
   quant::Storage storage() const {
     return qstore_.active() ? qstore_.mode : quant::Storage::kFloat32;
-  }
-
-  const quant::QuantizedStore& quantized_store() const { return qstore_; }
-
-  /// Installs a deserialized store (loader path); throws on a shape
-  /// mismatch (corrupt or mismatched file).
-  void adopt_quantized_store(quant::QuantizedStore store) {
-    if (store.rows != packed_.rows() || store.cols != dim_)
-      throw std::runtime_error(
-          "rbc::io: corrupt quantized store (shape disagrees with index)");
-    storage_req_ = store.mode;
-    qstore_ = std::move(store);
   }
 
   // ------------------------------------------------------------- queries ---
@@ -240,7 +224,6 @@ class RbcOneShotIndex {
   index_t dim() const { return dim_; }
   index_t num_reps() const { return reps_.rows(); }
   index_t points_per_rep() const { return s_; }
-  const RbcParams& params() const { return params_; }
   const std::vector<index_t>& rep_ids() const { return rep_ids_; }
   dist_t psi(index_t r) const { return psi_[r]; }
 
@@ -270,43 +253,6 @@ class RbcOneShotIndex {
            packed_ids_.size() * sizeof(index_t) +
            packed_dist_.size() * sizeof(dist_t) + psi_.size() * sizeof(dist_t) +
            rep_ids_.size() * sizeof(index_t) + qstore_.memory_bytes();
-  }
-
-  // ------------------------------------------------------- serialization ---
-
-  void save(std::ostream& os) const {
-    io::write_pod(os, io::kMagicOneShot);
-    io::write_pod(os, io::kFormatVersion);
-    io::write_string(os, M::name());
-    io::write_pod(os, n_);
-    io::write_pod(os, dim_);
-    io::write_pod(os, s_);
-    io::write_params(os, params_);
-    io::write_vec(os, rep_ids_);
-    io::write_vec(os, psi_);
-    io::write_vec(os, packed_ids_);
-    io::write_vec(os, packed_dist_);
-    io::write_matrix(os, reps_);
-    io::write_matrix(os, packed_);
-  }
-
-  static RbcOneShotIndex load(std::istream& is, M metric = {}) {
-    RbcOneShotIndex idx;
-    idx.metric_ = metric;
-    io::expect_pod(is, io::kMagicOneShot, "RbcOneShotIndex magic");
-    io::expect_pod(is, io::kFormatVersion, "RbcOneShotIndex version");
-    io::expect_string(is, M::name(), "RbcOneShotIndex metric");
-    io::read_pod(is, idx.n_);
-    io::read_pod(is, idx.dim_);
-    io::read_pod(is, idx.s_);
-    io::read_pod(is, idx.params_);
-    io::read_vec(is, idx.rep_ids_);
-    io::read_vec(is, idx.psi_);
-    io::read_vec(is, idx.packed_ids_);
-    io::read_vec(is, idx.packed_dist_);
-    idx.reps_ = io::read_matrix(is);
-    idx.packed_ = io::read_matrix(is);
-    return idx;
   }
 
  private:

@@ -1,14 +1,23 @@
 // Binary (de)serialization helpers for index persistence.
 //
-// Format: little-endian host layout, guarded by magic + version + metric
-// name. Indexes round-trip bit-exactly (tested); files are not portable
-// across architectures with different endianness, which is documented in the
-// README.
+// rbc::load_index reads three streams, each at one format version and each
+// led by its own magic:
+//   dense   (kMagicDense)   — any dense backend, as mutate::MutableIndex
+//                             saves it: backend name, metric and storage
+//                             tags, build knobs, then the rows with their
+//                             ids, the delta rows and the tombstones;
+//   sharded (kMagicSharded) — shard::ShardedIndex: metric tag, inner backend
+//                             name, partition, counts, then one nested
+//                             stream per shard;
+//   payload (kMagicPayload) — metricspace/generic_backend: host backend and
+//                             metric-space tags, build knobs, the dataset.
+// None stores a search structure: a load rebuilds (and re-quantizes) it
+// from the stored rows and knobs, deterministically. Little-endian host
+// layout; files are not portable across endianness (README).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <cstring>
+#include <initializer_list>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -18,49 +27,18 @@
 
 #include "common/matrix.hpp"
 #include "common/types.hpp"
-#include "distance/quantized.hpp"
 #include "rbc/params.hpp"
 
 namespace rbc::io {
 
-// Every serializable index format leads with one of these magics; the
-// unified rbc::load_index() dispatches on them (see api/registry.hpp).
-inline constexpr std::uint32_t kMagicExact = 0x52424358;      // "RBCX"
-inline constexpr std::uint32_t kMagicOneShot = 0x52424331;    // "RBC1"
-inline constexpr std::uint32_t kMagicBruteForce = 0x52424342;  // "RBCB"
-inline constexpr std::uint32_t kMagicKdTree = 0x5242434B;      // "RBCK"
-inline constexpr std::uint32_t kMagicBallTree = 0x52424354;    // "RBCT"
-inline constexpr std::uint32_t kMagicCoverTree = 0x52424343;   // "RBCC"
-inline constexpr std::uint32_t kMagicSharded = 0x52424353;     // "RBCS"
-inline constexpr std::uint32_t kFormatVersion = 1;
-/// Format version 2: identical to 1 except a metric-name tag follows the
-/// version field. The unified backends write it (write_metric_header) so a
-/// file remembers which metric it was built for; version-1 files (written
-/// before metrics were runtime-selectable) load as "l2".
-inline constexpr std::uint32_t kFormatVersionMetric = 2;
-/// Format version 3: the mutable-index format (mutate/mutable_index.hpp) —
-/// metric tag, raw-backend build knobs, then explicit global ids + rows for
-/// the main structure, the delta shard, and the tombstone set. Only the
-/// mutation-capable wrappers write or read it; raw backend loaders (and
-/// read_metric_header) keep rejecting version >= 3 as unknown.
-inline constexpr std::uint32_t kFormatVersionMutable = 3;
-/// Format version 4: version 2 plus a storage tag (distance/quantized.hpp
-/// registry name) after the metric tag. Raw backends write it ONLY when
-/// built with compressed storage — float32 streams keep the version-2 byte
-/// layout, so every pre-storage file and reader stays compatible. The
-/// compressed code store itself follows the backend's concrete payload
-/// (write_quantized_store below).
-inline constexpr std::uint32_t kFormatVersionStorage = 4;
-/// Format version 5: the mutable-index format (version 3) plus a storage
-/// tag after the metric tag — again written only when storage != float32.
-inline constexpr std::uint32_t kFormatVersionMutableStorage = 5;
-/// Payload-dataset index files (metricspace/: strings, graphs, user blobs)
-/// lead with their own magic — they carry a dataset, not a matrix, so no
-/// dense loader could misread one. Layout (version 6): magic, version,
-/// backend tag, metric-space tag, RbcParams, serialized dataset; search
-/// structures are rebuilt deterministically from the params on load.
+inline constexpr std::uint32_t kMagicDense = 0x52424344;    // "RBCD"
+inline constexpr std::uint32_t kMagicSharded = 0x52424353;  // "RBCS"
 inline constexpr std::uint32_t kMagicPayload = 0x52424350;  // "RBCP"
-inline constexpr std::uint32_t kFormatVersionPayload = 6;
+/// The version all three streams write and the only one they read.
+/// Versions 1-6 were layouts that load_index no longer reads (the raw
+/// per-backend formats and the earlier dense, sharded and payload
+/// versions); a stream claiming one of them fails as unsupported.
+inline constexpr std::uint32_t kFormatVersion = 7;
 
 /// Bytes between the current read position and the end of the stream, or
 /// -1 when the stream is not seekable. Loaders use this to reject a
@@ -99,29 +77,6 @@ void write_pod(std::ostream& os, const T& value) {
   os.write(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
-/// Writes RbcParams in its in-memory layout, as the exact, one-shot and
-/// payload formats store it, with the padding bytes zeroed: a zero-filled
-/// image gets each field's bytes at its offset, so equal params always save
-/// equal bytes (read_pod reads it back).
-inline void write_params(std::ostream& os, const RbcParams& p) {
-  static_assert(std::is_standard_layout_v<RbcParams>);
-  unsigned char bytes[sizeof(RbcParams)] = {};
-  const auto put = [&bytes](std::size_t offset, const auto& field) {
-    std::memcpy(bytes + offset, &field, sizeof field);
-  };
-  put(offsetof(RbcParams, num_reps), p.num_reps);
-  put(offsetof(RbcParams, points_per_rep), p.points_per_rep);
-  put(offsetof(RbcParams, seed), p.seed);
-  put(offsetof(RbcParams, sampling), p.sampling);
-  put(offsetof(RbcParams, use_overlap_rule), p.use_overlap_rule);
-  put(offsetof(RbcParams, use_lemma_rule), p.use_lemma_rule);
-  put(offsetof(RbcParams, use_early_exit), p.use_early_exit);
-  put(offsetof(RbcParams, use_annulus_bound), p.use_annulus_bound);
-  put(offsetof(RbcParams, approx_eps), p.approx_eps);
-  put(offsetof(RbcParams, num_probes), p.num_probes);
-  os.write(reinterpret_cast<const char*>(bytes), sizeof bytes);
-}
-
 template <class T>
 void read_pod(std::istream& is, T& value) {
   static_assert(std::is_trivially_copyable_v<T>);
@@ -152,61 +107,66 @@ inline std::string read_string(std::istream& is) {
   return s;
 }
 
-inline void expect_string(std::istream& is, const std::string& expected,
-                          const char* what) {
-  if (read_string(is) != expected)
-    throw std::runtime_error(std::string("rbc::io: mismatch reading ") + what);
+/// Writes a stream's magic and the format version.
+inline void write_header(std::ostream& os, std::uint32_t magic) {
+  write_pod(os, magic);
+  write_pod(os, kFormatVersion);
 }
 
-/// Writes the version-2 header tail (version + metric tag). Call right
-/// after the format magic.
-inline void write_metric_header(std::ostream& os, const std::string& metric) {
-  write_pod(os, kFormatVersionMetric);
-  write_string(os, metric);
-}
-
-/// Writes the header tail for a backend with a storage mode: the version-2
-/// bytes for float32 (compatibility — see kFormatVersionStorage), the
-/// version-4 tail (version + metric tag + storage tag) otherwise.
-inline void write_storage_header(std::ostream& os, const std::string& metric,
-                                 const std::string& storage) {
-  if (storage == "float32") {
-    write_metric_header(os, metric);
-    return;
-  }
-  write_pod(os, kFormatVersionStorage);
-  write_string(os, metric);
-  write_string(os, storage);
-}
-
-/// Reads the version field written after a magic and returns the file's
-/// metric name: version 1 (pre-metric format) => "l2"; version 2 => the
-/// stored tag; version 4 => metric + storage tags (rejected unless the
-/// caller passed `storage` — a loader that cannot carry a storage mode
-/// must not silently drop it). Any other version is a corrupt/unknown
-/// file (std::runtime_error). `legacy`, when non-null, reports whether the
-/// stream was version 1 (loaders whose v1 payload differs structurally
-/// from v2 — the rbc wrappers — branch on it). Callers still validate the
-/// returned names against the metric/storage registries — a garbage tag is
-/// corruption, not a caller error.
-inline std::string read_metric_header(std::istream& is, const char* what,
-                                      bool* legacy = nullptr,
-                                      std::string* storage = nullptr) {
+/// Reads what write_header wrote. Another magic, or any version but
+/// kFormatVersion, throws std::runtime_error naming `what`.
+inline void read_header(std::istream& is, std::uint32_t magic,
+                        const char* what) {
+  expect_pod(is, magic, what);
   std::uint32_t version = 0;
   read_pod(is, version);
-  if (legacy != nullptr) *legacy = version == kFormatVersion;
-  if (storage != nullptr) *storage = "float32";
-  if (version == kFormatVersion) return "l2";
-  if (version == kFormatVersionStorage && storage != nullptr) {
-    std::string metric = read_string(is);
-    *storage = read_string(is);
-    return metric;
+  if (version != kFormatVersion)
+    throw std::runtime_error("rbc::io: unsupported format version " +
+                             std::to_string(version) + " reading " + what);
+}
+
+/// Writes RbcParams field by field, the bool and enum fields one byte
+/// each, so the bytes depend on the values alone (never on padding).
+inline void write_params(std::ostream& os, const RbcParams& p) {
+  write_pod(os, p.num_reps);
+  write_pod(os, p.points_per_rep);
+  write_pod(os, p.seed);
+  write_pod(os, static_cast<std::uint8_t>(p.sampling));
+  for (const bool flag : {p.use_overlap_rule, p.use_lemma_rule,
+                          p.use_early_exit, p.use_annulus_bound})
+    write_pod(os, static_cast<std::uint8_t>(flag));
+  write_pod(os, p.approx_eps);
+  write_pod(os, p.num_probes);
+}
+
+/// Reads write_params' bytes. A sampling byte that names no Sampling
+/// mode, a flag byte other than 0 or 1, or an approx_eps the search cannot
+/// use (approx_eps_valid) is corruption: std::runtime_error. Copying such
+/// a byte into the enum or a bool would be undefined behaviour.
+inline RbcParams read_params(std::istream& is) {
+  const auto corrupt = [](const std::string& what) {
+    throw std::runtime_error("rbc::io: corrupt params (" + what + ")");
+  };
+  RbcParams p;
+  read_pod(is, p.num_reps);
+  read_pod(is, p.points_per_rep);
+  read_pod(is, p.seed);
+  std::uint8_t byte = 0;
+  read_pod(is, byte);
+  if (byte > static_cast<std::uint8_t>(Sampling::kBernoulli))
+    corrupt("sampling byte " + std::to_string(byte));
+  p.sampling = static_cast<Sampling>(byte);
+  for (bool* flag : {&p.use_overlap_rule, &p.use_lemma_rule,
+                     &p.use_early_exit, &p.use_annulus_bound}) {
+    read_pod(is, byte);
+    if (byte > 1) corrupt("flag byte " + std::to_string(byte));
+    *flag = byte == 1;
   }
-  if (version != kFormatVersionMetric)
-    throw std::runtime_error(
-        std::string("rbc::io: unsupported format version ") +
-        std::to_string(version) + " reading " + what);
-  return read_string(is);
+  read_pod(is, p.approx_eps);
+  if (!approx_eps_valid(p.approx_eps))
+    corrupt("approx_eps " + std::to_string(p.approx_eps));
+  read_pod(is, p.num_probes);
+  return p;
 }
 
 template <class T>
@@ -254,64 +214,6 @@ inline Matrix<float> read_matrix(std::istream& is) {
   }
   if (!is) throw std::runtime_error("rbc::io: truncated matrix");
   return m;
-}
-
-/// Compressed row store (distance/quantized.hpp), appended after a
-/// version-4 backend's concrete payload. Persisting the codes (rather than
-/// re-quantizing on load) keeps a saved index byte-stable: quantize() is
-/// deterministic today, but the saved file must not depend on that.
-inline void write_quantized_store(std::ostream& os,
-                                  const quant::QuantizedStore& store) {
-  write_pod(os, static_cast<std::uint32_t>(store.mode));
-  write_pod(os, store.rows);
-  write_pod(os, store.cols);
-  write_vec(os, store.fp16);
-  write_vec(os, store.int8);
-  write_vec(os, store.scale);
-  write_vec(os, store.offset);
-  write_vec(os, store.err);
-  write_pod(os, store.err_max);
-  write_vec(os, store.amp);
-  write_pod(os, store.amp_max);
-}
-
-inline quant::QuantizedStore read_quantized_store(std::istream& is) {
-  quant::QuantizedStore store;
-  std::uint32_t mode = 0;
-  read_pod(is, mode);
-  if (mode != static_cast<std::uint32_t>(quant::Storage::kFp16) &&
-      mode != static_cast<std::uint32_t>(quant::Storage::kInt8))
-    throw std::runtime_error(
-        "rbc::io: corrupt quantized store (unknown storage mode " +
-        std::to_string(mode) + ")");
-  store.mode = static_cast<quant::Storage>(mode);
-  read_pod(is, store.rows);
-  read_pod(is, store.cols);
-  read_vec(is, store.fp16);
-  read_vec(is, store.int8);
-  read_vec(is, store.scale);
-  read_vec(is, store.offset);
-  read_vec(is, store.err);
-  read_pod(is, store.err_max);
-  read_vec(is, store.amp);
-  read_pod(is, store.amp_max);
-  const std::uint64_t cells = static_cast<std::uint64_t>(store.rows) *
-                              static_cast<std::uint64_t>(store.cols);
-  const std::uint64_t n = static_cast<std::uint64_t>(store.rows);
-  const bool codes_ok = store.mode == quant::Storage::kFp16
-                            ? store.fp16.size() == cells &&
-                                  store.int8.empty() && store.scale.empty() &&
-                                  store.offset.empty() && store.amp.empty()
-                            : store.int8.size() == cells &&
-                                  store.fp16.empty() &&
-                                  store.scale.size() == n &&
-                                  store.offset.size() == n &&
-                                  store.amp.size() == n;
-  if (!codes_ok || store.err.size() != n)
-    throw std::runtime_error(
-        "rbc::io: corrupt quantized store (size fields disagree with "
-        "payload)");
-  return store;
 }
 
 }  // namespace rbc::io

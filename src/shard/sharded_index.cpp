@@ -516,26 +516,25 @@ void ShardedIndex::save(std::ostream& os) const {
     throw std::runtime_error("rbc::ShardedIndex: save on an unbuilt index");
   if (!probe_->info().supports_save)
     return Index::save(os);  // uniform unsupported error
-  io::write_pod(os, io::kMagicSharded);
-  io::write_metric_header(os, metric_);
+  io::write_header(os, io::kMagicSharded);
+  io::write_string(os, metric_);
   io::write_string(os, inner_);
   io::write_string(os, partition_name(partition_));
   io::write_pod(os, options_.num_shards);
   io::write_pod(os, size_);
   io::write_pod(os, dim_);
   io::write_pod(os, static_cast<std::uint64_t>(shards_.size()));
-  // Legacy (immutable) shards store no ids — the row assignment is a pure
-  // function of (size, num_shards, partition) that load() re-derives.
-  // Id-native shards persist their own id sets inside the nested mutable
+  // Positional (immutable) shards store no ids — the row assignment is a
+  // pure function of (size, num_shards, partition) that load() re-derives.
+  // Id-native shards persist their own id sets inside the nested dense
   // streams, so arbitrary post-mutation assignments round-trip.
   for (const Shard& shard : shards_) shard.index->save(os);
 }
 
 std::unique_ptr<Index> ShardedIndex::load(std::istream& is) {
-  io::expect_pod(is, io::kMagicSharded, "sharded magic");
-  // Version 1 predates runtime metrics and implies "l2"; version 2 stores
-  // the metric tag, which the inner backend re-validates below.
-  const std::string metric = io::read_metric_header(is, "sharded header");
+  io::read_header(is, io::kMagicSharded, "sharded index");
+  // The inner backend re-validates the metric tag below.
+  const std::string metric = io::read_string(is);
   const std::string inner = io::read_string(is);
   const std::string partition = io::read_string(is);
 
@@ -563,50 +562,43 @@ std::unique_ptr<Index> ShardedIndex::load(std::istream& is) {
   std::uint64_t stored = 0;
   io::read_pod(is, stored);
 
-  // Legacy (immutable) saves persist exactly the min(num_shards, n)
-  // non-empty shards; id-native (mutable) saves persist all num_shards,
-  // empty ones included. Anything else is corrupt. The 8 bytes of stream
-  // per shard — every inner format's magic + version — is another floor.
-  const std::uint64_t expected_legacy =
-      std::min<std::uint64_t>(options.num_shards, index->size_);
-  if (stored != expected_legacy && stored != options.num_shards)
+  // Id-native (mutable) saves persist all num_shards shards, empty ones
+  // included; positional saves (a payload or user inner, which does not
+  // mutate) persist exactly the min(num_shards, n) non-empty shards.
+  // Anything else is corrupt. The 8 bytes of stream per shard — every
+  // inner format's magic + version — is another floor.
+  const std::uint64_t expected =
+      index->mutable_mode_
+          ? options.num_shards
+          : std::min<std::uint64_t>(options.num_shards, index->size_);
+  if (stored != expected)
     throw std::runtime_error(
         "rbc::ShardedIndex: corrupt stream (stored shard count " +
-        std::to_string(stored) + " matches neither the legacy layout (" +
-        std::to_string(expected_legacy) + ") nor num_shards (" +
-        std::to_string(options.num_shards) + "))");
+        std::to_string(stored) + " != " + std::to_string(expected) + ")");
   io::require_bytes(is, stored * 8, "sharded shard table");
 
   std::vector<Shard> shards(stored);
-  std::uint64_t mutable_count = 0;
   for (Shard& shard : shards) {
     shard.index = load_index(is);  // magic-dispatched to the inner backend
-    if (shard.index->info().backend != inner)
+    const IndexInfo si = shard.index->info();
+    if (si.backend != inner)
       throw std::runtime_error(
-          "rbc::ShardedIndex: corrupt stream (shard backend '" +
-          shard.index->info().backend + "' != declared inner '" + inner +
-          "')");
-    if (shard.index->info().metric != metric)
+          "rbc::ShardedIndex: corrupt stream (shard backend '" + si.backend +
+          "' != declared inner '" + inner + "')");
+    if (si.metric != metric)
       throw std::runtime_error(
-          "rbc::ShardedIndex: corrupt stream (shard metric '" +
-          shard.index->info().metric + "' != declared metric '" + metric +
-          "')");
-    if (shard.index->info().supports_mutation) ++mutable_count;
+          "rbc::ShardedIndex: corrupt stream (shard metric '" + si.metric +
+          "' != declared metric '" + metric + "')");
+    if (si.supports_mutation != index->mutable_mode_)
+      throw std::runtime_error(
+          "rbc::ShardedIndex: corrupt stream (a shard's mutability "
+          "disagrees with the inner backend's)");
   }
 
-  if (mutable_count != 0 && mutable_count != stored)
-    throw std::runtime_error(
-        "rbc::ShardedIndex: corrupt stream (mixed mutable and immutable "
-        "shard streams)");
-
-  if (mutable_count == stored && stored != 0) {
+  if (index->mutable_mode_) {
     // Id-native shards carry their own id sets: rebuild the routing map
     // from them instead of deriving a positional assignment (which a
     // mutated index no longer follows).
-    if (!index->mutable_mode_)
-      throw std::runtime_error(
-          "rbc::ShardedIndex: corrupt stream (mutable shard streams under "
-          "an immutable inner backend)");
     for (std::uint32_t s = 0; s < shards.size(); ++s) {
       const std::vector<index_t> ids = shards[s].index->live_ids();
       if (shards[s].index->info().dim != index->dim_)
@@ -625,16 +617,8 @@ std::unique_ptr<Index> ShardedIndex::load(std::istream& is) {
           std::to_string(index->id_to_shard_.size()) +
           " != stored row count " + std::to_string(index->size_) + ")");
   } else {
-    // Raw inner streams (pre-mutability files, or a non-mutable inner):
-    // re-derive the positional assignment and keep the remap tables. The
-    // restored instance answers read-only even when the inner backend has
-    // since grown mutation support — it has no id-native shards to route to.
-    if (stored != expected_legacy)
-      throw std::runtime_error(
-          "rbc::ShardedIndex: corrupt stream (raw shard streams but stored "
-          "count " + std::to_string(stored) + " != legacy layout " +
-          std::to_string(expected_legacy) + ")");
-    index->mutable_mode_ = false;
+    // Positional shards: re-derive the assignment and keep the remap
+    // tables.
     std::vector<std::vector<index_t>> assignment = partition_rows(
         index->size_, options.num_shards, index->partition_);
     std::size_t next = 0;

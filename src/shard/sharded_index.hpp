@@ -29,8 +29,10 @@
 // user-registered backend gets a sharded form for free.
 //
 // Capabilities mirror the inner backend: range_search unions per-shard hits;
-// save/load round-trips through io::kMagicSharded when the inner supports
-// save; IndexInfo aggregates size / memory / exactness over the shards.
+// save/load round-trips through the sharded stream (io::kMagicSharded: a
+// header, then each shard's own dense or payload stream) when the inner
+// supports save; IndexInfo aggregates size / memory / exactness over the
+// shards.
 //
 // Mutation: when the inner backend supports insert()/remove() (the mutable
 // delta-shard adapter, mutate/mutable_index.hpp), the composite runs

@@ -185,8 +185,9 @@ inline void check_degenerate_inputs(const std::string& backend) {
 }
 
 /// save -> load_index -> search must reproduce the original answers
-/// exactly. Skips backends that declare !supports_save (after checking
-/// that save() then throws as documented).
+/// exactly (range answers too, where supported), and saving the restored
+/// index must write the same bytes. Skips backends that declare
+/// !supports_save (after checking that save() then throws as documented).
 inline void check_serialize_roundtrip(const std::string& backend) {
   const Dataset data = std::move(datasets().front());
   auto index = build_index(backend, data.X);
@@ -209,6 +210,18 @@ inline void check_serialize_roundtrip(const std::string& backend) {
       restored->knn_search({.queries = &data.Q, .k = k}).knn;
   EXPECT_TRUE(testutil::knn_equal(before, after))
       << backend << ": restored index diverged";
+  if (index->info().supports_range) {
+    // The first query's k-th distance as radius: a few hits per query.
+    const RangeRequest range{.queries = &data.Q,
+                             .radius = before.dists.at(0, k - 1)};
+    EXPECT_EQ(index->range_search(range).ids,
+              restored->range_search(range).ids)
+        << backend << ": restored range answers diverged";
+  }
+  std::stringstream again;
+  restored->save(again);
+  EXPECT_EQ(again.str(), stream.str())
+      << backend << ": the restored index saves different bytes";
 }
 
 /// Concurrent const searches (the contract SearchService relies on): every

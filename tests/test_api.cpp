@@ -13,6 +13,7 @@
 #include "baselines/kdtree.hpp"
 #include "gpu/gpu_bf.hpp"
 #include "rbc/rbc.hpp"
+#include "rbc/serialize_io.hpp"
 #include "test_util.hpp"
 
 namespace rbc {
@@ -324,22 +325,31 @@ TEST(ApiGpu, DeviceBackendsMatchBruteForceWithinKernelLimits) {
   EXPECT_GT(agree, Q.rows() / 3) << "gpu-oneshot recall collapsed";
 }
 
-TEST(ApiSerialization, ConcreteClassFilesLoadThroughTheUnifiedPath) {
-  // Files written by the concrete RBC classes predate the unified API; the
-  // registry resolves them from the same magic numbers.
-  const Matrix<float> X = testutil::clustered_matrix(400, 6, 4, 16);
+TEST(ApiSerialization, AUserFormatLoadsThroughItsRegisteredMagic) {
+  // A user backend with a format of its own registers a magic and a
+  // loader; load_index hands that loader the stream from the magic on.
+  // This one's format is its magic followed by a dense stream.
+  static constexpr std::uint32_t kUserMagic = 0x52455355;  // "USER"
+  ASSERT_TRUE(register_backend(
+      {.name = "user-format",
+       .create =
+           [](const IndexOptions& o) { return make_index("bruteforce", o); },
+       .magic = kUserMagic,
+       .load = [](std::istream& is) -> std::unique_ptr<Index> {
+         io::expect_pod(is, kUserMagic, "user magic");
+         return load_index(is);
+       }}));
+  const Matrix<float> X = testutil::clustered_matrix(200, 6, 4, 16);
   const Matrix<float> Q = testutil::random_matrix(10, 6, 17);
-
-  RbcExactIndex<> concrete;
-  concrete.build(X, {.seed = 18});
+  auto index = make_index("user-format");
+  index->build(X);
   std::stringstream stream;
-  concrete.save(stream);
-
+  io::write_pod(stream, kUserMagic);
+  index->save(stream);
   const auto restored = load_index(stream);
-  EXPECT_EQ(restored->info().backend, "rbc-exact");
-  EXPECT_TRUE(testutil::knn_equal(concrete.search(Q, 2),
-                                  restored->knn_search({.queries = &Q, .k = 2})
-                                      .knn));
+  EXPECT_TRUE(testutil::knn_equal(
+      index->knn_search({.queries = &Q, .k = 3}).knn,
+      restored->knn_search({.queries = &Q, .k = 3}).knn));
 }
 
 TEST(ApiSerialization, GarbageStreamIsRejected) {

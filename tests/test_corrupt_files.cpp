@@ -1,19 +1,24 @@
 // Corrupt-file regression tests for rbc::load_index's magic dispatch: a
 // truncated, bit-flipped, or length-corrupted stream must fail with a clear
 // std::runtime_error — never UB, an abort, or a garbage-length allocation.
-// Covers every serializable registered backend (including the sharded
-// composite, whose loader recurses through load_index per shard).
+// Covers the three streams load_index reads (dense, sharded, payload; the
+// sharded loader recurses through load_index per shard) and the retired
+// layouts it must refuse.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "api/api.hpp"
 #include "metricspace/dataset.hpp"
-#include "rbc/rbc_exact.hpp"
+#include "rbc/rbc.hpp"
 #include "rbc/serialize_io.hpp"
 #include "test_util.hpp"
 
@@ -22,8 +27,10 @@ namespace {
 
 /// Serialized bytes of a small built index for the given backend, or empty
 /// when the backend does not support save.
-std::string saved_bytes(const std::string& backend) {
-  auto index = make_index(backend, {.rbc = {.seed = 51}, .num_shards = 3});
+std::string saved_bytes(const std::string& backend,
+                        const IndexOptions& options = {.rbc = {.seed = 51},
+                                                       .num_shards = 3}) {
+  auto index = make_index(backend, options);
   index->build(testutil::clustered_matrix(120, 6, 4, 52));
   if (!index->info().supports_save) return {};
   std::stringstream stream;
@@ -31,16 +38,100 @@ std::string saved_bytes(const std::string& backend) {
   return stream.str();
 }
 
+/// A saved stream split after its header: magic, version, the `tags`
+/// strings that follow (dense: backend, metric, storage; sharded: metric,
+/// inner, partition; payload: backend, metric), and the rest byte for
+/// byte — for the dense and payload streams it starts with the params. A
+/// fixture rewrites one field and re-serializes the others unchanged.
+struct SplitStream {
+  std::uint32_t magic = 0;
+  std::uint32_t version = 0;
+  std::vector<std::string> tags;
+  std::string tail;
+
+  SplitStream(const std::string& bytes, int num_tags) {
+    std::stringstream is(bytes);
+    io::read_pod(is, magic);
+    io::read_pod(is, version);
+    for (int t = 0; t < num_tags; ++t) tags.push_back(io::read_string(is));
+    tail = bytes.substr(static_cast<std::size_t>(is.tellg()));
+  }
+
+  std::string bytes() const {
+    std::stringstream os;
+    io::write_pod(os, magic);
+    io::write_pod(os, version);
+    for (const std::string& tag : tags) io::write_string(os, tag);
+    return os.str() + tail;
+  }
+};
+
+/// The state section of a dense stream's tail (after the params, leaf size
+/// and seed), parsed so a fixture can break one invariant and re-serialize
+/// the rest unchanged.
+struct DenseState {
+  static constexpr std::size_t kKnobs = 29 + 4 + 8;  // params, leaf, seed
+  std::string knobs;
+  index_t dim = 0;
+  std::vector<index_t> main_ids;
+  Matrix<float> main_rows;
+  std::vector<index_t> delta_ids;
+  Matrix<float> delta_rows;
+  std::vector<index_t> tombs;
+
+  explicit DenseState(const std::string& tail)
+      : knobs(tail.substr(0, kKnobs)) {
+    std::stringstream is(tail.substr(kKnobs));
+    io::read_pod(is, dim);
+    io::read_vec(is, main_ids);
+    main_rows = io::read_matrix(is);
+    io::read_vec(is, delta_ids);
+    delta_rows = io::read_matrix(is);
+    io::read_vec(is, tombs);
+  }
+
+  std::string tail() const {
+    std::stringstream os;
+    io::write_pod(os, dim);
+    io::write_vec(os, main_ids);
+    io::write_matrix(os, main_rows);
+    io::write_vec(os, delta_ids);
+    io::write_matrix(os, delta_rows);
+    io::write_vec(os, tombs);
+    return knobs + os.str();
+  }
+};
+
+/// Byte offsets inside a params encoding (io::write_params).
+constexpr std::size_t kSamplingByte = 16;  // after num_reps, ppr, seed
+constexpr std::size_t kFirstFlagByte = 17;
+constexpr std::size_t kApproxEps = 21;
+
+/// Expects load_index to throw std::runtime_error whose message holds
+/// `needle`.
+void expect_corrupt(const std::string& bytes, const std::string& needle) {
+  std::stringstream stream(bytes);
+  try {
+    (void)load_index(stream);
+    ADD_FAILURE() << "expected std::runtime_error mentioning '" << needle
+                  << "'";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << "error should mention '" << needle << "': " << e.what();
+  }
+}
+
 TEST(CorruptFiles, TruncationAtEveryRegionThrowsCleanly) {
   for (const std::string& backend : registered_backends()) {
     const std::string bytes = saved_bytes(backend);
     if (bytes.empty()) continue;
-    // Cut inside the magic, the header, and the payload, plus one byte
-    // short of complete — each must throw std::runtime_error (and only
-    // that), leaving no UB for the driver to hit.
+    // Cut inside the magic, the version, the header tags, and the payload,
+    // plus one byte short of complete — each must throw
+    // std::runtime_error (and only that), never reach UB.
     for (const std::size_t cut :
-         {std::size_t{0}, std::size_t{2}, std::size_t{7}, bytes.size() / 3,
-          bytes.size() / 2, bytes.size() - 1}) {
+         {std::size_t{0}, std::size_t{2}, std::size_t{7}, std::size_t{12},
+          std::size_t{30}, bytes.size() / 3, bytes.size() / 2,
+          bytes.size() - 1}) {
       SCOPED_TRACE(backend + " truncated to " + std::to_string(cut) +
                    " of " + std::to_string(bytes.size()) + " bytes");
       std::stringstream stream(bytes.substr(0, cut));
@@ -71,110 +162,85 @@ TEST(CorruptFiles, UnknownMagicIsRejectedWithAClearError) {
 }
 
 TEST(CorruptFiles, GarbageLengthFieldFailsBeforeAllocating) {
-  // A valid magic followed by an absurd matrix header: the loader must
-  // reject the claimed size against the actual stream length instead of
-  // attempting a multi-gigabyte (or overflowing) allocation.
-  std::stringstream stream;
-  io::write_pod(stream, io::kMagicBruteForce);
-  io::write_pod(stream, io::kFormatVersion);
-  io::write_pod(stream, index_t{0xFFFFFFFFu});  // rows
-  io::write_pod(stream, index_t{0xFFFFFFFFu});  // cols
-  EXPECT_THROW((void)load_index(stream), std::runtime_error);
+  // A valid dense header and knobs followed by an absurd id-vector length
+  // or matrix header: the loader must reject the claimed size against the
+  // actual stream length instead of attempting a multi-gigabyte (or
+  // overflowing) allocation.
+  SplitStream dense(saved_bytes("bruteforce"), 3);
+  const std::string knobs =
+      dense.tail.substr(0, DenseState::kKnobs + sizeof(index_t));  // + dim
+  {
+    std::stringstream tail;
+    io::write_pod(tail, std::uint64_t{1} << 60);  // main id count
+    dense.tail = knobs + tail.str();
+    expect_corrupt(dense.bytes(), "truncated or corrupt");
+  }
+  {
+    std::stringstream tail;
+    io::write_vec(tail, std::vector<index_t>{});
+    io::write_pod(tail, index_t{0xFFFFFFFFu});  // rows
+    io::write_pod(tail, index_t{0xFFFFFFFFu});  // cols
+    dense.tail = knobs + tail.str();
+    expect_corrupt(dense.bytes(), "truncated or corrupt");
+  }
 }
 
 TEST(CorruptFiles, ShardedStreamWithGarbageHeaderCountsFailsBeforeAllocating) {
   // Bit-flipped num_shards / row-count fields must be rejected against the
   // actual stream length, not fed to the partition-table allocation.
+  SplitStream sharded(saved_bytes("sharded:bruteforce"), 3);
   {
-    std::stringstream stream;
-    io::write_pod(stream, io::kMagicSharded);
-    io::write_pod(stream, io::kFormatVersion);
-    io::write_string(stream, "bruteforce");
-    io::write_string(stream, "contiguous");
-    io::write_pod(stream, index_t{0x7FFFFFFFu});  // num_shards
-    EXPECT_THROW((void)load_index(stream), std::runtime_error);
+    std::stringstream tail;
+    io::write_pod(tail, index_t{0x7FFFFFFFu});  // num_shards
+    sharded.tail = tail.str();
+    expect_corrupt(sharded.bytes(), "num_shards");
   }
   {
-    std::stringstream stream;
-    io::write_pod(stream, io::kMagicSharded);
-    io::write_pod(stream, io::kFormatVersion);
-    io::write_string(stream, "bruteforce");
-    io::write_string(stream, "contiguous");
-    io::write_pod(stream, index_t{2});            // num_shards
-    io::write_pod(stream, index_t{0xFFFFFFFFu});  // rows
-    io::write_pod(stream, index_t{4});            // dim
-    io::write_pod(stream, std::uint64_t{2});      // stored shard count
-    EXPECT_THROW((void)load_index(stream), std::runtime_error);
+    std::stringstream tail;
+    io::write_pod(tail, index_t{2});            // num_shards
+    io::write_pod(tail, index_t{0xFFFFFFFFu});  // rows
+    io::write_pod(tail, index_t{4});            // dim
+    io::write_pod(tail, std::uint64_t{2});      // stored shard count
+    sharded.tail = tail.str();
+    expect_corrupt(sharded.bytes(), "sharded row count");
   }
 }
 
 TEST(CorruptFiles, ShardedStreamWithCorruptInnerNameThrows) {
   // A sharded header whose inner-backend name is garbage is a corrupt
   // file, reported as runtime_error (not the factory's invalid_argument).
-  std::stringstream stream;
-  io::write_pod(stream, io::kMagicSharded);
-  io::write_pod(stream, io::kFormatVersion);
-  io::write_string(stream, "no-such-backend");
-  io::write_string(stream, "contiguous");
-  io::write_pod(stream, index_t{2});  // num_shards
-  EXPECT_THROW((void)load_index(stream), std::runtime_error);
+  SplitStream sharded(saved_bytes("sharded:bruteforce"), 3);
+  sharded.tags[1] = "no-such-backend";
+  expect_corrupt(sharded.bytes(), "no-such-backend");
 }
 
 TEST(CorruptFiles, UnknownMetricTagIsRejectedAsCorruption) {
-  // A version-2 header whose metric tag is not in the registry is file
-  // corruption: std::runtime_error (never the factory's invalid_argument,
-  // which is reserved for caller errors).
+  // A metric tag that is not in the registry, or that the named backend
+  // cannot serve, is file corruption: std::runtime_error (never the
+  // factory's invalid_argument, which is reserved for caller errors).
   {
-    std::stringstream stream;
-    io::write_pod(stream, io::kMagicBruteForce);
-    io::write_metric_header(stream, "no-such-metric");
-    io::write_pod(stream, index_t{1});  // rows
-    io::write_pod(stream, index_t{1});  // cols
-    io::write_pod(stream, 1.0f);
-    try {
-      (void)load_index(stream);
-      FAIL() << "expected std::runtime_error";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("metric"), std::string::npos)
-          << "error should mention the metric tag: " << e.what();
-    }
+    SplitStream dense(saved_bytes("bruteforce"), 3);
+    dense.tags[1] = "no-such-metric";
+    expect_corrupt(dense.bytes(), "metric");
   }
   {
-    // Tree formats share the header helper; kdtree declares l2/cosine only,
-    // so a stored "l1" tag is corruption for it too.
-    std::stringstream stream;
-    io::write_pod(stream, io::kMagicKdTree);
-    io::write_metric_header(stream, "l1");
-    io::write_pod(stream, index_t{16});  // leaf_size
-    io::write_pod(stream, index_t{1});   // rows
-    io::write_pod(stream, index_t{1});   // cols
-    io::write_pod(stream, 1.0f);
-    EXPECT_THROW((void)load_index(stream), std::runtime_error);
+    // kdtree declares l2/cosine only, so a stored "l1" tag is corruption.
+    SplitStream dense(saved_bytes("kdtree"), 3);
+    dense.tags[1] = "l1";
+    expect_corrupt(dense.bytes(), "metric");
   }
   {
     // Sharded header with a garbage metric tag.
-    std::stringstream stream;
-    io::write_pod(stream, io::kMagicSharded);
-    io::write_metric_header(stream, "no-such-metric");
-    io::write_string(stream, "bruteforce");
-    io::write_string(stream, "contiguous");
-    io::write_pod(stream, index_t{2});
-    EXPECT_THROW((void)load_index(stream), std::runtime_error);
-  }
-  {
-    // An unknown (version 6 — one past the mutable-storage v5) header is
-    // rejected, not misparsed as some future format.
-    std::stringstream stream;
-    io::write_pod(stream, io::kMagicBruteForce);
-    io::write_pod(stream, std::uint32_t{6});
-    EXPECT_THROW((void)load_index(stream), std::runtime_error);
+    SplitStream sharded(saved_bytes("sharded:bruteforce"), 3);
+    sharded.tags[0] = "no-such-metric";
+    expect_corrupt(sharded.bytes(), "metric");
   }
 }
 
 TEST(CorruptFiles, QuantizedIndexesRoundTripThroughSaveAndLoad) {
-  // Compressed-storage indexes persist their storage tag (format v5 through
-  // make_index's mutable wrapper, v4 for raw streams) and their code store;
-  // a reloaded index answers identically and reports the same storage.
+  // Compressed-storage indexes persist their storage tag, and a load
+  // re-quantizes the rebuilt structure: a reloaded index answers
+  // identically and reports the same storage.
   const Matrix<float> X = testutil::clustered_matrix(120, 6, 4, 70);
   const Matrix<float> Q = testutil::random_matrix(5, 6, 71);
   for (const std::string backend :
@@ -212,112 +278,26 @@ TEST(CorruptFiles, QuantizedIndexesRoundTripThroughSaveAndLoad) {
   }
 }
 
-/// A hand-written raw (non-mutable) version-4 bruteforce stream: magic,
-/// v4 header (metric + storage tags), float matrix, quantized store —
-/// exactly the layout the raw backend's save() emits.
-std::string raw_v4_bruteforce_bytes(const Matrix<float>& X,
-                                    quant::Storage mode) {
-  std::stringstream stream;
-  io::write_pod(stream, io::kMagicBruteForce);
-  io::write_storage_header(stream, "l2", quant::name(mode));
-  io::write_matrix(stream, X);
-  io::write_quantized_store(stream, quant::quantize(mode, X));
-  return stream.str();
-}
-
-TEST(CorruptFiles, RawVersion4StreamsLoadAndRejectTruncatedStores) {
-  const Matrix<float> X = testutil::clustered_matrix(80, 5, 3, 73);
-  const Matrix<float> Q = testutil::random_matrix(4, 5, 74);
-  auto fresh = make_index("bruteforce");
-  fresh->build(X);
-  const KnnResult expected = fresh->knn_search({.queries = &Q, .k = 3}).knn;
-
-  for (const quant::Storage mode :
-       {quant::Storage::kFp16, quant::Storage::kInt8}) {
-    const std::string bytes = raw_v4_bruteforce_bytes(X, mode);
-    SCOPED_TRACE(quant::name(mode));
-    // The intact stream loads, reports its storage, and (exact re-measure)
-    // answers bit-identically to the float32 index.
-    std::stringstream intact(bytes);
-    const auto index = load_index(intact);
-    EXPECT_EQ(index->info().storage, quant::name(mode));
-    EXPECT_TRUE(testutil::knn_equal(
-        expected, index->knn_search({.queries = &Q, .k = 3}).knn));
-
-    // Every cut inside the appended quantized-store region — the bytes a
-    // crash mid-save would truncate — throws cleanly.
-    std::stringstream prefix_stream;
-    io::write_pod(prefix_stream, io::kMagicBruteForce);
-    io::write_storage_header(prefix_stream, "l2", quant::name(mode));
-    io::write_matrix(prefix_stream, X);
-    const std::size_t prefix = prefix_stream.str().size();
-    ASSERT_GT(bytes.size(), prefix);
-    const std::size_t tail = bytes.size() - prefix;
-    for (const std::size_t cut :
-         {prefix, prefix + tail / 4, prefix + tail / 2, bytes.size() - 1}) {
-      SCOPED_TRACE("truncated to " + std::to_string(cut) + " of " +
-                   std::to_string(bytes.size()) + " bytes");
-      std::stringstream stream(bytes.substr(0, cut));
-      EXPECT_THROW((void)load_index(stream), std::runtime_error);
-    }
-  }
-}
-
-TEST(CorruptFiles, CorruptStorageTagsAndStoreFieldsAreRejected) {
-  const Matrix<float> X = testutil::clustered_matrix(40, 4, 3, 75);
-  // Raw v4 header carrying an unregistered storage tag: corruption
-  // (runtime_error naming the tag), never the factory's invalid_argument.
+TEST(CorruptFiles, CorruptStorageTagsAreRejected) {
+  // An unregistered storage tag is corruption (runtime_error naming the
+  // storage), never the factory's invalid_argument — and so is a
+  // registered one the stored metric cannot serve (int8 needs l2/cosine).
   {
-    std::stringstream stream;
-    io::write_pod(stream, io::kMagicBruteForce);
-    io::write_pod(stream, io::kFormatVersionStorage);
-    io::write_string(stream, "l2");
-    io::write_string(stream, "int4");
-    io::write_matrix(stream, X);
-    try {
-      (void)load_index(stream);
-      FAIL() << "expected std::runtime_error";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("storage"), std::string::npos)
-          << "error should mention the storage tag: " << e.what();
-    }
+    SplitStream dense(saved_bytes("bruteforce"), 3);
+    dense.tags[2] = "int4";
+    expect_corrupt(dense.bytes(), "storage");
   }
-  // Mutable v5 header with an unknown storage tag.
   {
-    std::stringstream stream;
-    io::write_pod(stream, io::kMagicBruteForce);
-    io::write_pod(stream, io::kFormatVersionMutableStorage);
-    io::write_string(stream, "l2");
-    io::write_string(stream, "int4");
-    EXPECT_THROW((void)load_index(stream), std::runtime_error);
-  }
-  // A store whose mode byte is garbage fails in read_quantized_store.
-  {
-    std::string bytes = raw_v4_bruteforce_bytes(X, quant::Storage::kInt8);
-    std::stringstream prefix;
-    io::write_pod(prefix, io::kMagicBruteForce);
-    io::write_storage_header(prefix, "l2", "int8");
-    io::write_matrix(prefix, X);
-    bytes[prefix.str().size()] = 0x7F;  // first byte of the store's mode
-    std::stringstream stream(bytes);
-    EXPECT_THROW((void)load_index(stream), std::runtime_error);
-  }
-  // A store whose shape disagrees with the matrix (one row short) is
-  // rejected instead of silently scanning the wrong geometry.
-  {
-    const Matrix<float> X_short = testutil::clustered_matrix(39, 4, 3, 75);
-    std::stringstream stream;
-    io::write_pod(stream, io::kMagicBruteForce);
-    io::write_storage_header(stream, "l2", "int8");
-    io::write_matrix(stream, X);
-    io::write_quantized_store(stream,
-                              quant::quantize(quant::Storage::kInt8, X_short));
-    EXPECT_THROW((void)load_index(stream), std::runtime_error);
+    IndexOptions options{.rbc = {.seed = 51}};
+    options.metric = "l1";
+    SplitStream dense(saved_bytes("rbc-exact", options), 3);
+    dense.tags[2] = "int8";
+    expect_corrupt(dense.bytes(), "storage");
   }
 }
 
 TEST(CorruptFiles, TruncatedMutableDeltaAndTombstoneSectionsThrowCleanly) {
-  // Version-3 streams append the delta rows, delta ids, and tombstone list
+  // Dense streams end with the delta rows, delta ids, and tombstone list
   // after the main section. Save the same logical index twice — once
   // compacted (clean tail) and once with a live delta + tombstones — so
   // every cut between the two lengths provably lands inside the mutation
@@ -365,239 +345,54 @@ TEST(CorruptFiles, TruncatedMutableDeltaAndTombstoneSectionsThrowCleanly) {
   EXPECT_EQ(restored->info().size, 42u);
 }
 
-TEST(CorruptFiles, LegacyVersion1FilesLoadAsL2) {
-  const Matrix<float> X = testutil::clustered_matrix(60, 5, 3, 53);
-  const Matrix<float> Q = testutil::random_matrix(4, 5, 54);
-
-  // Hand-written pre-metric bruteforce file: magic, version 1, matrix.
-  {
-    std::stringstream stream;
-    io::write_pod(stream, io::kMagicBruteForce);
-    io::write_pod(stream, io::kFormatVersion);
-    io::write_matrix(stream, X);
-    const auto index = load_index(stream);
-    EXPECT_EQ(index->info().metric, "l2");
-    EXPECT_EQ(index->info().size, X.rows());
-    auto fresh = make_index("bruteforce");
-    fresh->build(X);
-    EXPECT_TRUE(testutil::knn_equal(
-        fresh->knn_search({.queries = &Q, .k = 3}).knn,
-        index->knn_search({.queries = &Q, .k = 3}).knn));
-  }
-  // Pre-metric kdtree file: magic, version 1, leaf_size, matrix.
-  {
-    std::stringstream stream;
-    io::write_pod(stream, io::kMagicKdTree);
-    io::write_pod(stream, io::kFormatVersion);
-    io::write_pod(stream, index_t{16});
-    io::write_matrix(stream, X);
-    const auto index = load_index(stream);
-    EXPECT_EQ(index->info().backend, "kdtree");
-    EXPECT_EQ(index->info().metric, "l2");
-  }
-  // A concrete-class RbcExactIndex stream (its own version-1 format) must
-  // still load through the wrapper's legacy rewind path as "l2".
-  {
-    RbcExactIndex<Euclidean> concrete;
-    concrete.build(X, {.num_reps = 8, .seed = 5});
-    std::stringstream stream;
-    concrete.save(stream);
-    const auto index = load_index(stream);
-    EXPECT_EQ(index->info().backend, "rbc-exact");
-    EXPECT_EQ(index->info().metric, "l2");
-    auto fresh = make_index("bruteforce");
-    fresh->build(X);
-    EXPECT_TRUE(testutil::knn_equal(
-        fresh->knn_search({.queries = &Q, .k = 3}).knn,
-        index->knn_search({.queries = &Q, .k = 3}).knn));
-  }
-  // Pre-metric sharded header over modern inner streams: the composite's
-  // legacy path defaults the metric to l2 and still validates the shards.
-  {
-    auto sharded = make_index("sharded:bruteforce", {.num_shards = 2});
-    sharded->build(X);
-    std::stringstream modern;
-    sharded->save(modern);
-    // Rewrite the header: magic + v1 (no metric tag), then splice the rest
-    // of the modern stream (inner name onward) unchanged.
-    const std::string bytes = modern.str();
-    const std::size_t metric_header =
-        sizeof(io::kMagicSharded) + sizeof(io::kFormatVersionMetric) +
-        sizeof(std::uint64_t) + std::string("l2").size();
-    std::stringstream legacy;
-    io::write_pod(legacy, io::kMagicSharded);
-    io::write_pod(legacy, io::kFormatVersion);
-    legacy << bytes.substr(metric_header);
-    const auto index = load_index(legacy);
-    EXPECT_EQ(index->info().backend, "sharded:bruteforce");
-    EXPECT_EQ(index->info().metric, "l2");
-    EXPECT_EQ(index->info().size, X.rows());
-  }
-}
-
-// --------------------------------------- concrete RbcExactIndex streams --
-// The bare concrete stream (the version-1 layout load_index reaches through
-// the rbc-exact legacy rewind, and a server RELOAD with it) carries the CSR
-// list layout that search indexes without bounds checks. The loader must
-// reject any stream whose layout is inconsistent instead of handing it to
-// a query.
-
-/// The fields of a saved RbcExactIndex<Euclidean> stream, parsed back so a
-/// fixture can break one invariant and re-serialize the rest unchanged.
-struct ExactStream {
-  index_t n = 0;
-  index_t dim = 0;
-  RbcParams params;
-  std::vector<index_t> rep_ids;
-  std::vector<dist_t> psi;
-  std::vector<index_t> offsets;
-  std::vector<index_t> packed_ids;
-  std::vector<dist_t> packed_dist;
-  Matrix<float> reps;
-  Matrix<float> packed;
-  std::string tail;  // the dynamic-update tail, byte for byte
-
-  explicit ExactStream(const std::string& bytes) {
-    std::stringstream is(bytes);
-    io::expect_pod(is, io::kMagicExact, "magic");
-    io::expect_pod(is, io::kFormatVersion, "version");
-    io::expect_string(is, Euclidean::name(), "metric");
-    io::read_pod(is, n);
-    io::read_pod(is, dim);
-    io::read_pod(is, params);
-    io::read_vec(is, rep_ids);
-    io::read_vec(is, psi);
-    io::read_vec(is, offsets);
-    io::read_vec(is, packed_ids);
-    io::read_vec(is, packed_dist);
-    reps = io::read_matrix(is);
-    packed = io::read_matrix(is);
-    tail = bytes.substr(static_cast<std::size_t>(is.tellg()));
-  }
-
-  std::string bytes() const {
-    std::stringstream os;
-    io::write_pod(os, io::kMagicExact);
-    io::write_pod(os, io::kFormatVersion);
-    io::write_string(os, Euclidean::name());
-    io::write_pod(os, n);
-    io::write_pod(os, dim);
-    io::write_pod(os, params);
-    io::write_vec(os, rep_ids);
-    io::write_vec(os, psi);
-    io::write_vec(os, offsets);
-    io::write_vec(os, packed_ids);
-    io::write_vec(os, packed_dist);
-    io::write_matrix(os, reps);
-    io::write_matrix(os, packed);
-    os << tail;
-    return os.str();
-  }
-};
-
-/// A dynamic-update tail as the former in-place insert/erase path wrote it:
-/// `inserted` overflow rows (ids n, n + 1, ... owned by representative 0)
-/// and `erased` tombstones on ids 0, 1, ...
-std::string dynamic_tail(index_t n, index_t nr, index_t dim,
-                         index_t inserted, index_t erased) {
-  std::stringstream os;
-  const index_t next_id = n + inserted;
-  io::write_pod(os, next_id);
-  io::write_pod(os, erased);
-  std::vector<std::uint8_t> flags(next_id, 0);
-  for (index_t id = 0; id < erased; ++id) flags[id] = 1;
-  io::write_vec(os, flags);
-  io::write_vec(os, std::vector<float>(std::size_t{inserted} * dim, 0.5f));
-  std::vector<index_t> ids;
-  for (index_t i = 0; i < inserted; ++i) ids.push_back(n + i);
-  io::write_vec(os, ids);
-  io::write_vec(os, std::vector<dist_t>(inserted, 1.0f));
-  io::write_pod(os, static_cast<std::uint64_t>(nr));
-  for (index_t r = 0; r < nr; ++r) {
-    std::vector<index_t> list;
-    if (r == 0)
-      for (index_t i = 0; i < inserted; ++i) list.push_back(i);
-    io::write_vec(os, list);
-  }
-  return os.str();
-}
-
-TEST(CorruptFiles, InconsistentConcreteExactStreamsAreRejected) {
-  const Matrix<float> X = testutil::clustered_matrix(200, 5, 4, 76);
-  const Matrix<float> Q = testutil::random_matrix(4, 5, 77);
-  RbcExactIndex<Euclidean> concrete;
-  concrete.build(X, {.num_reps = 9, .seed = 78});
+TEST(CorruptFiles, InconsistentDenseStreamsAreRejected) {
+  // A load rebuilds the index from the stored rows and searches by the
+  // stored ids, so the stream must describe one consistent state: rows as
+  // wide as dim, one id per row, ascending unique ids, tombstones that mask
+  // main rows, and no id live twice.
+  IndexOptions options{.rbc = {.seed = 56}};
+  options.max_delta = 64;  // keep the delta unmerged across save
+  options.background_merge = false;
+  auto index = make_index("bruteforce", options);
+  index->build(testutil::clustered_matrix(40, 6, 4, 55));
+  index->insert(testutil::random_matrix(3, 6, 57),
+                std::vector<index_t>{100, 101, 102});
+  ASSERT_EQ(index->remove(std::vector<index_t>{3, 17}), 2u);
   std::stringstream saved;
-  concrete.save(saved);
-  const std::string bytes = saved.str();
-  const ExactStream intact(bytes);
-  const index_t n = intact.n;
-  const index_t nr = intact.reps.rows();
+  index->save(saved);
+  const SplitStream intact(saved.str(), 3);
+  ASSERT_EQ(DenseState(intact.tail).tail(), intact.tail);
+  ASSERT_EQ(DenseState(intact.tail).tombs, (std::vector<index_t>{3, 17}));
 
-  // The parse/re-serialize round trip is exact, and the intact stream loads
-  // and answers like brute force.
-  ASSERT_EQ(intact.bytes(), bytes);
-  ASSERT_EQ(intact.tail, dynamic_tail(n, nr, intact.dim, 0, 0));
-  {
-    std::stringstream stream(intact.bytes());
-    const auto index = load_index(stream);
-    auto fresh = make_index("bruteforce");
-    fresh->build(X);
-    EXPECT_TRUE(testutil::knn_equal(
-        fresh->knn_search({.queries = &Q, .k = 3}).knn,
-        index->knn_search({.queries = &Q, .k = 3}).knn));
-  }
-
-  const std::vector<std::pair<std::string, void (*)(ExactStream&)>> breaks = {
-      {"last list offset past n",
-       [](ExactStream& s) { s.offsets.back() += 5; }},
-      {"first list offset not 0",
-       [](ExactStream& s) { s.offsets.front() = 1; }},
-      {"list offsets decrease",
-       [](ExactStream& s) { std::swap(s.offsets[1], s.offsets[2]); }},
-      {"one offset too few", [](ExactStream& s) { s.offsets.pop_back(); }},
-      {"empty psi", [](ExactStream& s) { s.psi.clear(); }},
-      {"representative id past n",
-       [](ExactStream& s) { s.rep_ids[0] = s.n + 100; }},
-      {"one representative id too few",
-       [](ExactStream& s) { s.rep_ids.pop_back(); }},
-      {"packed id past n", [](ExactStream& s) { s.packed_ids[7] = s.n; }},
-      {"packed ids short", [](ExactStream& s) { s.packed_ids.pop_back(); }},
-      {"packed distances short",
-       [](ExactStream& s) { s.packed_dist.pop_back(); }},
-      {"packed rows short",
-       [](ExactStream& s) {
-         Matrix<float> rows(s.packed.rows() - 1, s.packed.cols());
-         for (index_t i = 0; i < rows.rows(); ++i)
-           rows.copy_row_from(s.packed, i, i);
-         s.packed = std::move(rows);
-       }},
+  const std::vector<std::pair<std::string, void (*)(DenseState&)>> breaks = {
+      {"dim narrower than the rows", [](DenseState& s) { s.dim = 5; }},
+      {"dim wider than the rows", [](DenseState& s) { s.dim = 7; }},
+      {"one main id too few", [](DenseState& s) { s.main_ids.pop_back(); }},
+      {"one delta id too few", [](DenseState& s) { s.delta_ids.pop_back(); }},
+      {"main ids out of order",
+       [](DenseState& s) { std::swap(s.main_ids[4], s.main_ids[5]); }},
+      {"reserved main id",
+       [](DenseState& s) { s.main_ids.back() = kInvalidIndex; }},
+      {"tombstones out of order",
+       [](DenseState& s) { std::swap(s.tombs[0], s.tombs[1]); }},
+      {"tombstone for an id not in main",
+       [](DenseState& s) { s.tombs.back() = 500; }},
+      {"delta id live in main", [](DenseState& s) { s.delta_ids[0] = 5; }},
   };
-  ASSERT_LT(intact.offsets[1], intact.offsets[2]);  // the swap must decrease
   for (const auto& [what, corrupt] : breaks) {
     SCOPED_TRACE(what);
-    ExactStream broken(bytes);
-    corrupt(broken);
+    SplitStream broken = intact;
+    DenseState state(broken.tail);
+    corrupt(state);
+    broken.tail = state.tail();
     std::stringstream stream(broken.bytes());
     EXPECT_THROW((void)load_index(stream), std::runtime_error);
   }
-
-  // A non-empty dynamic tail (tombstones, inserted rows, or both) came from
-  // the removed in-place mutation path; this version cannot represent it.
-  for (const auto& [inserted, erased] :
-       {std::pair<index_t, index_t>{0, 1}, {1, 0}, {3, 2}}) {
-    SCOPED_TRACE("inserted=" + std::to_string(inserted) +
-                 " erased=" + std::to_string(erased));
-    ExactStream mutated(bytes);
-    mutated.tail = dynamic_tail(n, nr, intact.dim, inserted, erased);
-    std::stringstream stream(mutated.bytes());
-    EXPECT_THROW((void)load_index(stream), std::runtime_error);
-  }
 }
 
-// ------------------------------------------ payload (v6) corrupt fixtures --
-// The generic metric-space format: kMagicPayload, version 6, host backend
-// tag, metric-space tag, RbcParams, then the serialized dataset (kind tag +
+// ---------------------------------------------- payload corrupt fixtures --
+// The generic metric-space stream: kMagicPayload, version, host backend
+// tag, metric-space tag, params, then the serialized dataset (kind tag +
 // store). Each fixture forges the bytes a bit-flip or torn write would
 // produce and pins the clean runtime_error the loader must answer with.
 
@@ -615,14 +410,13 @@ std::string saved_payload_bytes(const std::string& backend) {
   return stream.str();
 }
 
-/// The v6 header bytes up to (and excluding) the dataset payload.
+/// The payload header bytes up to (and excluding) the dataset payload.
 void write_payload_header(std::ostream& os, const std::string& backend,
                           const std::string& metric) {
-  io::write_pod(os, io::kMagicPayload);
-  io::write_pod(os, io::kFormatVersionPayload);
+  io::write_header(os, io::kMagicPayload);
   io::write_string(os, backend);
   io::write_string(os, metric);
-  io::write_pod(os, RbcParams{});
+  io::write_params(os, RbcParams{});
 }
 
 TEST(CorruptFiles, PayloadTruncationAtEveryRegionThrowsCleanly) {
@@ -729,7 +523,7 @@ TEST(CorruptFiles, PayloadStreamWithBadTagsIsRejected) {
   {
     std::stringstream stream;
     io::write_pod(stream, io::kMagicPayload);
-    io::write_pod(stream, std::uint32_t{7});
+    io::write_pod(stream, io::kFormatVersion + 1);
     EXPECT_THROW((void)load_index(stream), std::runtime_error);
   }
   // A dataset whose kind disagrees with the header's metric (a "graph"
@@ -749,6 +543,267 @@ TEST(CorruptFiles, PayloadStreamWithBadTagsIsRejected) {
                 std::string::npos)
           << e.what();
     }
+  }
+}
+
+TEST(CorruptFiles, CorruptParamsBytesAreRejected) {
+  // The dense and payload streams store RbcParams' enum and bool fields as
+  // one byte each. A byte outside the field's values is corruption: copied
+  // into the enum or a bool it would be undefined behaviour.
+  for (const auto& [what, bytes, tags] :
+       std::vector<std::tuple<std::string, std::string, int>>{
+           {"dense", saved_bytes("rbc-exact"), 3},
+           {"payload", saved_payload_bytes("rbc-exact"), 2}}) {
+    SplitStream intact(bytes, tags);
+    {
+      SCOPED_TRACE(what + ": sampling byte 7");
+      SplitStream stream = intact;
+      stream.tail[kSamplingByte] = 7;
+      expect_corrupt(stream.bytes(), "sampling byte 7");
+    }
+    for (std::size_t flag = 0; flag < 4; ++flag) {
+      SCOPED_TRACE(what + ": flag " + std::to_string(flag) + " byte 0xA5");
+      SplitStream stream = intact;
+      stream.tail[kFirstFlagByte + flag] = static_cast<char>(0xA5);
+      expect_corrupt(stream.bytes(), "flag byte 165");
+    }
+  }
+}
+
+TEST(CorruptFiles, ApproxEpsMustBeFiniteAndNonNegative) {
+  // Below -1 an approx_eps turns rbc-exact's bound factor 1/(1+eps)
+  // negative, which prunes every list and empties every answer. make_index
+  // refuses any negative or non-finite value with the uniform
+  // invalid_argument (for every backend whose stream stores the knob), and
+  // a stream carrying one is corrupt.
+  const float kBad[] = {-3.0f, -0.5f, std::numeric_limits<float>::infinity(),
+                        std::numeric_limits<float>::quiet_NaN()};
+  for (const float eps : kBad) {
+    for (const std::string backend :
+         {"rbc-exact", "sharded:rbc-exact", "bruteforce"}) {
+      SCOPED_TRACE(backend + " approx_eps " + std::to_string(eps));
+      try {
+        (void)make_index(backend, {.rbc = {.approx_eps = eps}});
+        ADD_FAILURE() << "expected std::invalid_argument";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("rbc::Index["),
+                  std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find("approx_eps"), std::string::npos)
+            << e.what();
+      }
+    }
+    IndexOptions payload{.rbc = {.approx_eps = eps}};
+    payload.metric = "edit";
+    EXPECT_THROW((void)make_index("rbc-exact", payload),
+                 std::invalid_argument);
+  }
+
+  for (const auto& [what, bytes, tags] :
+       std::vector<std::tuple<std::string, std::string, int>>{
+           {"dense", saved_bytes("rbc-exact"), 3},
+           {"payload", saved_payload_bytes("rbc-exact"), 2}}) {
+    for (const float eps : kBad) {
+      SCOPED_TRACE(what + " approx_eps " + std::to_string(eps));
+      SplitStream stream(bytes, tags);
+      std::memcpy(stream.tail.data() + kApproxEps, &eps, sizeof eps);
+      expect_corrupt(stream.bytes(), "approx_eps");
+    }
+  }
+}
+
+// -------------------------------------------------------- retired layouts --
+// load_index once also read the raw per-backend formats (versions 1, 2 and
+// 4 under six magics), the concrete RbcExactIndex / RbcOneShotIndex
+// streams, and the earlier dense versions 3 and 5 under the per-backend
+// magics. Each now fails cleanly, whatever its contents: several of these
+// were loaded without checks (a one-shot stream with a wrong list length
+// read past its rows on the first query).
+
+// The retired per-backend magics.
+constexpr std::uint32_t kRetiredExact = 0x52424358;       // "RBCX"
+constexpr std::uint32_t kRetiredOneShot = 0x52424331;     // "RBC1"
+constexpr std::uint32_t kRetiredBruteForce = 0x52424342;  // "RBCB"
+constexpr std::uint32_t kRetiredKdTree = 0x5242434B;      // "RBCK"
+
+/// Rows of X at `ids`, in order.
+Matrix<float> gather_rows(const Matrix<float>& X,
+                          const std::vector<index_t>& ids) {
+  Matrix<float> out(static_cast<index_t>(ids.size()), X.cols());
+  for (index_t i = 0; i < out.rows(); ++i) out.copy_row_from(X, ids[i], i);
+  return out;
+}
+
+/// A raw bruteforce or (`kdtree`) kd-tree stream at `version`: magic,
+/// version, the metric tag from version 2 on, the storage tag at version
+/// 4, the kd-tree's leaf size, then the rows.
+std::string raw_stream(std::uint32_t magic, std::uint32_t version,
+                       const Matrix<float>& X, bool kdtree) {
+  std::stringstream os;
+  io::write_pod(os, magic);
+  io::write_pod(os, version);
+  if (version >= 2) io::write_string(os, "l2");
+  if (version == 4) io::write_string(os, "float32");
+  if (kdtree) io::write_pod(os, index_t{16});
+  io::write_matrix(os, X);
+  return os.str();
+}
+
+/// A concrete RbcExactIndex<Euclidean> stream as its save() wrote it.
+std::string concrete_exact_stream(const Matrix<float>& X,
+                                  const RbcParams& params) {
+  RbcExactIndex<> index;
+  index.build(X, params);
+  std::vector<index_t> offsets{0}, packed_ids;
+  std::vector<dist_t> psi, packed_dist;
+  for (index_t r = 0; r < index.num_reps(); ++r) {
+    const auto ids = index.list_ids(r);
+    const auto dists = index.list_dists(r);
+    packed_ids.insert(packed_ids.end(), ids.begin(), ids.end());
+    packed_dist.insert(packed_dist.end(), dists.begin(), dists.end());
+    offsets.push_back(static_cast<index_t>(packed_ids.size()));
+    psi.push_back(index.psi(r));
+  }
+  std::stringstream os;
+  io::write_pod(os, kRetiredExact);
+  io::write_pod(os, std::uint32_t{1});
+  io::write_string(os, "l2");
+  io::write_pod(os, index.size());
+  io::write_pod(os, index.dim());
+  io::write_pod(os, params);  // the retired in-memory params image
+  io::write_vec(os, index.rep_ids());
+  io::write_vec(os, psi);
+  io::write_vec(os, offsets);
+  io::write_vec(os, packed_ids);
+  io::write_vec(os, packed_dist);
+  io::write_matrix(os, gather_rows(X, index.rep_ids()));
+  io::write_matrix(os, gather_rows(X, packed_ids));
+  // The always-empty dynamic-update tail.
+  io::write_pod(os, index.size());
+  io::write_pod(os, index_t{0});
+  io::write_vec(os, std::vector<std::uint8_t>(index.size(), 0));
+  io::write_vec(os, std::vector<float>{});
+  io::write_vec(os, std::vector<index_t>{});
+  io::write_vec(os, std::vector<dist_t>{});
+  io::write_pod(os, static_cast<std::uint64_t>(index.num_reps()));
+  for (index_t r = 0; r < index.num_reps(); ++r)
+    io::write_vec(os, std::vector<index_t>{});
+  return os.str();
+}
+
+/// A concrete RbcOneShotIndex<Euclidean> stream as its save() wrote it,
+/// with the stored list length and packed ids optionally overridden.
+std::string concrete_oneshot_stream(const Matrix<float>& X,
+                                    const RbcParams& params,
+                                    index_t list_length = 0,
+                                    index_t packed_id = kInvalidIndex) {
+  RbcOneShotIndex<> index;
+  index.build(X, params);
+  std::vector<index_t> packed_ids;
+  std::vector<dist_t> psi, packed_dist;
+  for (index_t r = 0; r < index.num_reps(); ++r) {
+    const auto ids = index.list_ids(r);
+    const auto dists = index.list_dists(r);
+    packed_ids.insert(packed_ids.end(), ids.begin(), ids.end());
+    packed_dist.insert(packed_dist.end(), dists.begin(), dists.end());
+    psi.push_back(index.psi(r));
+  }
+  if (packed_id != kInvalidIndex)
+    for (index_t& id : packed_ids) id = packed_id;
+  Matrix<float> reps(index.num_reps(), index.dim());
+  Matrix<float> packed(static_cast<index_t>(packed_ids.size()), index.dim());
+  index.export_rows(reps, packed);
+  std::stringstream os;
+  io::write_pod(os, kRetiredOneShot);
+  io::write_pod(os, std::uint32_t{1});
+  io::write_string(os, "l2");
+  io::write_pod(os, index.size());
+  io::write_pod(os, index.dim());
+  io::write_pod(os, list_length != 0 ? list_length : index.points_per_rep());
+  io::write_pod(os, params);  // the retired in-memory params image
+  io::write_vec(os, index.rep_ids());
+  io::write_vec(os, psi);
+  io::write_vec(os, packed_ids);
+  io::write_vec(os, packed_dist);
+  io::write_matrix(os, reps);
+  io::write_matrix(os, packed);
+  return os.str();
+}
+
+TEST(CorruptFiles, RetiredLayoutsAreRejected) {
+  const Matrix<float> X = testutil::clustered_matrix(200, 5, 4, 53);
+  std::vector<std::pair<std::string, std::string>> retired;
+  for (const std::uint32_t version : {1u, 2u, 4u}) {
+    retired.emplace_back("raw bruteforce v" + std::to_string(version),
+                         raw_stream(kRetiredBruteForce, version, X, false));
+    retired.emplace_back("raw kdtree v" + std::to_string(version),
+                         raw_stream(kRetiredKdTree, version, X, true));
+  }
+  const RbcParams exact{.num_reps = 9, .seed = 78};
+  const RbcParams oneshot{.num_reps = 10, .points_per_rep = 10, .seed = 5};
+  retired.emplace_back("concrete exact", concrete_exact_stream(X, exact));
+  retired.emplace_back("concrete one-shot",
+                       concrete_oneshot_stream(X, oneshot));
+  retired.emplace_back("concrete one-shot, list length 1000",
+                       concrete_oneshot_stream(X, oneshot, 1000));
+  retired.emplace_back(
+      "concrete one-shot, packed ids 4,000,000,000",
+      concrete_oneshot_stream(X, oneshot, 0, 4'000'000'000u));
+
+  // Versions 3 and 5: today's dense bytes from the params on, under a
+  // per-backend magic with the metric (and, at 5, storage) tag only.
+  {
+    SplitStream v3(saved_bytes("bruteforce"), 3);
+    v3.magic = kRetiredBruteForce;
+    v3.version = 3;
+    v3.tags = {v3.tags[1]};
+    retired.emplace_back("bruteforce v3", v3.bytes());
+    IndexOptions options{.rbc = {.seed = 51}};
+    options.storage = "int8";
+    SplitStream v5(saved_bytes("rbc-exact", options), 3);
+    v5.magic = kRetiredExact;
+    v5.version = 5;
+    v5.tags = {v5.tags[1], v5.tags[2]};
+    retired.emplace_back("rbc-exact v5", v5.bytes());
+  }
+  for (const auto& [what, bytes] : retired) {
+    SCOPED_TRACE(what);
+    expect_corrupt(bytes, "magic");
+  }
+
+  // Any other version under today's magics: the earlier ones, and later
+  // or garbage ones, which must not be misparsed as some future format.
+  std::vector<std::uint32_t> versions{io::kFormatVersion + 1, 0xFFFFFFFFu};
+  for (std::uint32_t version = 1; version < io::kFormatVersion; ++version)
+    versions.push_back(version);
+  for (const auto& [what, bytes, tags] :
+       std::vector<std::tuple<std::string, std::string, int>>{
+           {"dense", saved_bytes("rbc-exact"), 3},
+           {"sharded", saved_bytes("sharded:rbc-exact"), 3},
+           {"payload", saved_payload_bytes("rbc-exact"), 2}}) {
+    SplitStream stream(bytes, tags);
+    for (const std::uint32_t version : versions) {
+      SCOPED_TRACE(what + " v" + std::to_string(version));
+      stream.version = version;
+      expect_corrupt(stream.bytes(), "unsupported format version");
+    }
+  }
+
+  // A dense stream names a backend make_index wraps for dense rows: an
+  // unknown name, a device or composite backend, or a metric-space metric
+  // (which selects the payload variant) is corrupt.
+  const SplitStream dense(saved_bytes("bruteforce"), 3);
+  for (const auto& [backend, metric, needle] :
+       std::vector<std::tuple<std::string, std::string, std::string>>{
+           {"no-such-backend", "l2", "unknown backend"},
+           {"gpu-bf", "l2", "does not write dense streams"},
+           {"sharded:bruteforce", "l2", "does not write dense streams"},
+           {"bruteforce", "edit", "does not write dense streams"}}) {
+    SCOPED_TRACE(backend + " / " + metric);
+    SplitStream stream = dense;
+    stream.tags[0] = backend;
+    stream.tags[1] = metric;
+    expect_corrupt(stream.bytes(), needle);
   }
 }
 

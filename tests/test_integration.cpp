@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
 
 #include "baselines/covertree.hpp"
 #include "baselines/kdtree.hpp"
@@ -78,23 +77,6 @@ TEST(Integration, ExpansionEstimateFeedsTheoryParams) {
   // Theory target is 95%; surrogate data and the estimator are both
   // approximate, so test a loose floor.
   EXPECT_GT(data::recall_at_1(Q, X, index.search(Q, 1)), 0.7);
-}
-
-TEST(Integration, IndexPersistsThroughFileSystem) {
-  const Matrix<float> X = testutil::clustered_matrix(800, 12, 6, 10);
-  RbcExactIndex<> index;
-  index.build(X, {.seed = 11});
-
-  const std::string path = ::testing::TempDir() + "/rbc_exact.idx";
-  {
-    std::ofstream os(path, std::ios::binary);
-    index.save(os);
-  }
-  std::ifstream is(path, std::ios::binary);
-  const RbcExactIndex<> restored = RbcExactIndex<>::load(is);
-  const Matrix<float> Q = testutil::random_matrix(20, 12, 12, -6.0f, 6.0f);
-  EXPECT_TRUE(testutil::knn_equal(index.search(Q, 4), restored.search(Q, 4)));
-  std::remove(path.c_str());
 }
 
 TEST(Integration, MatrixPersistsThroughFileSystem) {

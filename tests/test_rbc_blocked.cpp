@@ -254,21 +254,22 @@ TEST(ForcedIsaParity, LongAnnulusListsMatchAcrossIsas) {
 }
 
 TEST(ForcedIsaParity, SerializedIndexSearchesIdenticallyAfterReload) {
-  // The norms cache is derived state, recomputed at load — a reloaded index
-  // must answer identically under every ISA.
+  // The norms cache is derived state, recomputed when a load rebuilds the
+  // index — a reloaded index must answer identically under every ISA.
   const auto [X, Q] = testutil::split_rows(
       testutil::clustered_matrix(1'050, 11, 6, 29), 1'000);
-  RbcExactIndex<> index;
-  index.build(X, {.seed = 30});
+  auto index = make_index("rbc-exact", {.rbc = {.seed = 30}});
+  index->build(X);
 
   std::stringstream stream;
-  index.save(stream);
-  const RbcExactIndex<> reloaded = RbcExactIndex<>::load(stream);
+  index->save(stream);
+  const auto reloaded = load_index(stream);
 
   for (const dispatch::Isa isa : runnable_isas()) {
     IsaGuard guard(isa);
-    EXPECT_TRUE(
-        testutil::knn_equal(index.search(Q, 3), reloaded.search(Q, 3)))
+    EXPECT_TRUE(testutil::knn_equal(
+        index->knn_search({.queries = &Q, .k = 3}).knn,
+        reloaded->knn_search({.queries = &Q, .k = 3}).knn))
         << dispatch::isa_name(isa);
   }
 }

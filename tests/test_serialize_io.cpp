@@ -48,10 +48,33 @@ TEST(SerializeIo, StringRoundTrip) {
   EXPECT_EQ(read_string(stream).size(), 1000u);
 }
 
-TEST(SerializeIo, ExpectStringThrowsOnMismatch) {
+TEST(SerializeIo, ParamsRoundTripFieldByField) {
+  // Every field off its default, so a swapped or dropped field shows.
+  const RbcParams params{.num_reps = 17,
+                         .points_per_rep = 23,
+                         .seed = 0x0123456789ABCDEFull,
+                         .sampling = Sampling::kBernoulli,
+                         .use_overlap_rule = false,
+                         .use_lemma_rule = true,
+                         .use_early_exit = false,
+                         .use_annulus_bound = true,
+                         .approx_eps = 0.25f,
+                         .num_probes = 3};
   std::stringstream stream;
-  write_string(stream, "l1");
-  EXPECT_THROW(expect_string(stream, "l2", "metric"), std::runtime_error);
+  write_params(stream, params);
+  // 4 + 4 + 8 bytes, 5 one-byte fields, 4 + 4 bytes: no padding.
+  EXPECT_EQ(stream.str().size(), 29u);
+  const RbcParams back = read_params(stream);
+  EXPECT_EQ(back.num_reps, params.num_reps);
+  EXPECT_EQ(back.points_per_rep, params.points_per_rep);
+  EXPECT_EQ(back.seed, params.seed);
+  EXPECT_EQ(back.sampling, params.sampling);
+  EXPECT_EQ(back.use_overlap_rule, params.use_overlap_rule);
+  EXPECT_EQ(back.use_lemma_rule, params.use_lemma_rule);
+  EXPECT_EQ(back.use_early_exit, params.use_early_exit);
+  EXPECT_EQ(back.use_annulus_bound, params.use_annulus_bound);
+  EXPECT_EQ(back.approx_eps, params.approx_eps);
+  EXPECT_EQ(back.num_probes, params.num_probes);
 }
 
 TEST(SerializeIo, VecRoundTripIncludingEmpty) {

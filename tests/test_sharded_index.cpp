@@ -231,12 +231,15 @@ TEST(ShardedIndex, ShardSearchFailureReachesTheCallerFromEitherFanOut) {
   }
 }
 
-TEST(ShardedIndex, ShardedMagicCannotBeClaimedByARegistration) {
-  EXPECT_FALSE(register_backend(
-      {.name = "magic-squatter",
-       .create = [](const IndexOptions&) { return make_index("bruteforce"); },
-       .magic = io::kMagicSharded,
-       .load = nullptr}));
+TEST(ShardedIndex, BuiltInMagicsCannotBeClaimedByARegistration) {
+  for (const std::uint32_t magic :
+       {io::kMagicDense, io::kMagicSharded, io::kMagicPayload})
+    EXPECT_FALSE(register_backend(
+        {.name = "magic-squatter",
+         .create = [](const IndexOptions&) { return make_index("bruteforce"); },
+         .magic = magic,
+         .load = nullptr}))
+        << std::hex << magic;
 }
 
 }  // namespace
