@@ -41,6 +41,7 @@ class GpuBfBackend final : public Index {
   }
 
   void build(const Matrix<float>& X) override {
+    validate_rows(X, "gpu-bf");
     n_ = X.rows();
     dim_ = X.cols();
     x_ = gpu::upload_matrix(*device_, X);
@@ -93,6 +94,7 @@ class GpuOneShotBackend final : public Index {
   }
 
   void build(const Matrix<float>& X) override {
+    validate_rows(X, "gpu-oneshot");
     // Build on the host (offline step), upload once, discard the host index.
     RbcOneShotIndex<Euclidean> host;
     host.build(X, params_);

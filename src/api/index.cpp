@@ -4,6 +4,8 @@
 #include <string>
 #include <string_view>
 
+#include "parallel/rows.hpp"
+
 namespace rbc {
 
 RangeResponse Index::range_search(const RangeRequest& /*request*/) const {
@@ -105,6 +107,13 @@ void Index::validate_knn(const SearchRequest& request, index_t dim,
   if (request.k > size)
     fail(backend, "request.k = " + std::to_string(request.k) +
                       " exceeds database size " + std::to_string(size));
+}
+
+void Index::validate_rows(const Matrix<float>& rows, const char* backend) {
+  const index_t bad = first_nonfinite_row(rows);
+  if (bad != kInvalidIndex)
+    fail(backend, "row " + std::to_string(bad) +
+                      " holds a non-finite value (NaN or infinity)");
 }
 
 void Index::validate_knn_payload(const PayloadSearchRequest& request,

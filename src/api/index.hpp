@@ -263,6 +263,11 @@ class Index {
   static void validate_range(const RangeRequest& request, index_t dim,
                              bool built, const char* backend,
                              std::string_view metric);
+  // Row check for build and insert: throws naming the first row that holds
+  // a NaN or an infinity. Distances to such a row are NaN, which no
+  // (distance, id) order ranks, so it would break every sorted list and
+  // heap it lands in. One parallel pass over the rows.
+  static void validate_rows(const Matrix<float>& rows, const char* backend);
   // Payload counterpart of validate_knn: same conditions minus the
   // dimension check (payload elements have none).
   static void validate_knn_payload(const PayloadSearchRequest& request,

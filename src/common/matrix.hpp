@@ -27,11 +27,14 @@ class Matrix {
  public:
   Matrix() = default;
 
-  Matrix(index_t rows, index_t cols)
-      : rows_(rows),
-        cols_(cols),
-        stride_(pad(cols)),
-        data_(static_cast<std::size_t>(rows) * pad(cols), /*zero=*/true) {}
+  Matrix(index_t rows, index_t cols) : Matrix(rows, cols, /*zero=*/true) {}
+
+  /// A rows x cols matrix whose storage is left uninitialized, for a writer
+  /// that fills every row with set_row before handing it out: the padding
+  /// invariant then holds without a zero-fill pass first.
+  static Matrix uninitialized(index_t rows, index_t cols) {
+    return Matrix(rows, cols, /*zero=*/false);
+  }
 
   /// Number of points.
   index_t rows() const noexcept { return rows_; }
@@ -77,6 +80,13 @@ class Matrix {
     std::memcpy(row(dst), from.row(src), sizeof(T) * cols_);
   }
 
+  /// Writes row i whole: the cols() elements at `src`, then zero padding.
+  void set_row(index_t i, const T* src) {
+    T* dst = row(i);
+    std::memcpy(dst, src, sizeof(T) * cols_);
+    std::fill(dst + cols_, dst + stride_, T{});
+  }
+
   /// Deep copy (Matrix is move-only by default to prevent accidental
   /// multi-GB copies; cloning is explicit).
   Matrix clone() const {
@@ -94,6 +104,12 @@ class Matrix {
   Matrix& operator=(const Matrix&) = delete;
 
  private:
+  Matrix(index_t rows, index_t cols, bool zero)
+      : rows_(rows),
+        cols_(cols),
+        stride_(pad(cols)),
+        data_(static_cast<std::size_t>(rows) * pad(cols), zero) {}
+
   static index_t pad(index_t cols) {
     constexpr index_t kPad = 16;  // 64 bytes of float
     return (cols + kPad - 1) / kPad * kPad;

@@ -16,6 +16,7 @@
 #include "distance/metrics.hpp"
 #include "metricspace/space.hpp"
 #include "parallel/parallel_for.hpp"
+#include "parallel/rows.hpp"
 #include "rbc/serialize_io.hpp"
 #include "shard/merge.hpp"
 
@@ -140,8 +141,9 @@ void MutableIndex::build_with_ids(const Matrix<float>& X,
 
 void MutableIndex::build_internal(const Matrix<float>& X,
                                   std::vector<index_t> ids) {
+  validate_rows(X, name_.c_str());
   join_merge_thread();  // a rebuild obsoletes any in-flight merge
-  Matrix<float> rows = X.clone();
+  Matrix<float> rows = gather_rows(X, X.rows(), [](index_t i) { return i; });
   if (kind_ == metric::Kind::kCosine) metric::normalize_rows(rows);
   std::unique_ptr<Index> inner;
   if (rows.rows() > 0) {
@@ -422,6 +424,7 @@ void MutableIndex::insert(const Matrix<float>& rows,
       fail(name_, "insert id count " + std::to_string(ids.size()) +
                       " != row count " + std::to_string(rows.rows()));
     if (rows.rows() == 0) return;
+    validate_rows(rows, name_.c_str());
 
     // (id, caller-row) pairs sorted by id: validates the batch and drives
     // the sorted merge into the new delta below.
@@ -710,11 +713,14 @@ void MutableIndex::save(std::ostream& os) const {
   io::write_string(os, name_);
   io::write_string(os, options_.metric);
   io::write_string(os, options_.storage);
-  // Build knobs: everything needed to rebuild the raw structure (and its
-  // code store) deterministically at load time.
+  // Knobs: everything needed to rebuild the raw structure (and its code
+  // store) deterministically at load time, then the write buffer's, so a
+  // restored index merges when the saved one would.
   io::write_params(os, options_.rbc);
   io::write_pod(os, options_.leaf_size);
   io::write_pod(os, options_.seed);
+  io::write_pod(os, options_.max_delta);
+  io::write_pod(os, static_cast<std::uint8_t>(options_.background_merge));
   io::write_pod(os, dim);
   // State: transform-space rows with explicit global ids. Only tombstones
   // that mask main rows are persisted (a transient merge-frozen extra means
@@ -735,6 +741,12 @@ std::unique_ptr<Index> MutableIndex::load(std::istream& is) {
   options.rbc = io::read_params(is);
   io::read_pod(is, options.leaf_size);
   io::read_pod(is, options.seed);
+  io::read_pod(is, options.max_delta);
+  std::uint8_t background_merge = 0;
+  io::read_pod(is, background_merge);
+  if (background_merge > 1)  // copied into the bool it would be UB
+    corrupt("background_merge byte " + std::to_string(background_merge));
+  options.background_merge = background_merge == 1;
   // The named backend validates the metric and storage tags. An unknown
   // name, a pair it cannot serve, or a backend that make_index does not
   // wrap in this class is a corrupt stream, not a caller error.
@@ -767,6 +779,13 @@ std::unique_ptr<Index> MutableIndex::load(std::istream& is) {
     corrupt("main row dimension mismatch");
   if (delta_rows.rows() > 0 && delta_rows.cols() != dim)
     corrupt("delta row dimension mismatch");
+  for (const auto& [rows, what] :
+       {std::pair{&main_rows, "main"}, std::pair{&delta_rows, "delta"}}) {
+    const index_t bad = first_nonfinite_row(*rows);
+    if (bad != kInvalidIndex)
+      corrupt(std::string(what) + " row " + std::to_string(bad) +
+              " holds a non-finite value");
+  }
   check_ascending_unique(main_ids, "main");
   check_ascending_unique(delta_ids, "delta");
   check_ascending_unique(tombs, "tombstone");

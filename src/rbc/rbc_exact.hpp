@@ -1,8 +1,13 @@
 // Random Ball Cover — exact search variant (paper §4, §5.2, §6.1).
 //
-// Build: BF(X, R) assigns every database point to its nearest representative;
-// ownership lists partition the database, each list stored sorted by distance
-// to its representative, with radius psi_r = max_{x in L_r} rho(x, r).
+// Build: every database point joins its nearest representative (paper §4:
+// BF(X, R)); ownership lists partition the database, each list stored sorted
+// by distance to its representative, with radius psi_r = max_{x in L_r}
+// rho(x, r). From kNestedOwnersMinReps representatives on, the owners come
+// from the paper's own decomposition applied to the build: a 1-NN search of
+// an exact RBC over R, with the same owners and distance bits as BF(X, R)
+// at about sqrt(nr) representative distances plus the surviving list rows
+// per point instead of nr (101 instead of 1,000 at 1M `cov` rows).
 //
 // Search (1-NN, generalized here to k-NN and range):
 //   1. brute-force scan of the representatives -> distances rho(q, r), the
@@ -33,7 +38,7 @@
 // remove, so const searches share it across threads without locks. Insert
 // and remove come from MutableIndex (mutate/mutable_index.hpp), which keeps
 // a delta shard and tombstones beside an index like this one and rebuilds
-// it on merge — affordable because the build is one BF(X, R).
+// it on merge — affordable because the build is one BF(X, R), or less.
 #pragma once
 
 #include <algorithm>
@@ -51,6 +56,7 @@
 #include "common/matrix.hpp"
 #include "distance/dispatch.hpp"
 #include "parallel/parallel_for.hpp"
+#include "parallel/rows.hpp"
 #include "parallel/runtime.hpp"
 #include "rbc/params.hpp"
 #include "rbc/sampling.hpp"
@@ -78,6 +84,23 @@ class RbcExactIndex {
 
   RbcExactIndex() = default;
 
+  /// Representative count from which build() finds owners with an exact
+  /// RBC over the representatives instead of BF(X, R). Measured on `cov`
+  /// rows, n = nr^2, 4 threads, AVX-512, inner build included, medians of
+  /// 7, rows in generator order / shuffled as perfbench draws them:
+  ///   nr 224:   BF(X, R) 0.015 / 0.015 s, search 0.025-0.027 / 0.013 s;
+  ///   nr 288:   0.031-0.032 / 0.028 s, search 0.028-0.030 / 0.028 s;
+  ///   nr 304:   0.036-0.038 / 0.034-0.036 s, search 0.050-0.054 /
+  ///             0.029-0.037 s;
+  ///   nr 320:   0.042 / 0.037-0.043 s, search 0.036-0.039 / 0.025-0.033 s;
+  ///   nr 1,000: 1.26 s, search 0.37 s (shuffled).
+  /// Below 320 the faster path depends on the row order; from 320 on the
+  /// search won every probe. The search's gain needs low intrinsic
+  /// dimension: at nr 448 it took 97 evaluations per `cov` row, but 313
+  /// per `bio` row and 453 per `robot` row, whose whole builds it made 2x
+  /// and 3x slower.
+  static constexpr index_t kNestedOwnersMinReps = 320;
+
   /// Builds the index over X. X must outlive nothing — the index copies the
   /// rows it needs (representatives + permuted database).
   void build(const Matrix<float>& X, RbcParams params = {}, M metric = {}) {
@@ -93,28 +116,15 @@ class RbcExactIndex {
     for (index_t r = 0; r < nr; ++r) reps_.copy_row_from(X, rep_ids_[r], r);
     pack_rep_lanes();
 
-    // BF(X, R): nearest representative of every database point (paper §4:
-    // "this routine is simply a call to BF(X, R)"). Parallel over X, one
-    // distance buffer per block of rows.
+    // The owner of every database point: its nearest representative, the
+    // lowest index on ties, at the metric functor's bits (paper §4: "this
+    // routine is simply a call to BF(X, R)").
     std::vector<index_t> owner(n_);
     std::vector<dist_t> owner_dist(n_);
-    parallel_for_blocked(0, n_, 256, [&](index_t lo, index_t hi) {
-      std::vector<dist_t> dists(nr);
-      for (index_t x = lo; x < hi; ++x) {
-        rep_distances(X.row(x), dists.data());
-        dist_t best = kInfDist;
-        index_t best_rep = 0;
-        for (index_t r = 0; r < nr; ++r) {
-          if (dists[r] < best) {  // ties resolve to the lowest rep index
-            best = dists[r];
-            best_rep = r;
-          }
-        }
-        owner[x] = best_rep;
-        owner_dist[x] = best;
-      }
-    });
-    counters::add_dist_evals(static_cast<std::uint64_t>(n_) * nr);
+    if (nr < kNestedOwnersMinReps)
+      owners_by_brute_force(X, owner, owner_dist);
+    else
+      owners_by_search(X, owner, owner_dist);
 
     // CSR layout: offsets_[r] .. offsets_[r+1] delimit L_r in the packed
     // arrays. Counting sort by owner, then per-list sort by (distance, id).
@@ -153,10 +163,7 @@ class RbcExactIndex {
       psi_[r] = offsets_[r + 1] > offsets_[r] ? packed_dist_[offsets_[r + 1] - 1]
                                               : dist_t{0};
 
-    packed_ = Matrix<float>(n_, dim_);
-    parallel_for(0, n_, [&](index_t p) {
-      packed_.copy_row_from(X, packed_ids_[p], p);
-    });
+    packed_ = gather_rows(X, n_, [this](index_t p) { return packed_ids_[p]; });
     // Cached squared row norms: the rank-1 corrections of the §3 GEMM
     // formulation, which the blocked batch path's tile_gemm kernel consumes
     // (the max feeds the conservative lane-skip threshold).
@@ -824,6 +831,57 @@ class RbcExactIndex {
       merged[qi].extract_sorted(result.dists.row(qi), result.ids.row(qi));
     if (stats != nullptr) stats->merge(total);
     return result;
+  }
+
+  /// BF(X, R): every representative distance of every row, the recursion's
+  /// base case. Parallel over X, one distance buffer per block of rows.
+  void owners_by_brute_force(const Matrix<float>& X,
+                             std::vector<index_t>& owner,
+                             std::vector<dist_t>& owner_dist) const {
+    const index_t nr = reps_.rows();
+    parallel_for_blocked(0, n_, 256, [&](index_t lo, index_t hi) {
+      std::vector<dist_t> dists(nr);
+      for (index_t x = lo; x < hi; ++x) {
+        rep_distances(X.row(x), dists.data());
+        dist_t best = kInfDist;
+        index_t best_rep = 0;
+        for (index_t r = 0; r < nr; ++r) {
+          if (dists[r] < best) {  // ties resolve to the lowest rep index
+            best = dists[r];
+            best_rep = r;
+          }
+        }
+        owner[x] = best_rep;
+        owner_dist[x] = best;
+      }
+    });
+    counters::add_dist_evals(static_cast<std::uint64_t>(n_) * nr);
+  }
+
+  /// The same owners by the paper's own decomposition: 1-NN of every row in
+  /// an exact RBC over R, one search_one per row (search() would take the
+  /// blocked batch path, slower here). Its (distance, id) order returns the
+  /// lowest-index nearest representative at the functor's bits, so owners
+  /// and distances equal BF(X, R)'s, at about ceil(sqrt(nr)) representative
+  /// distances plus the surviving list rows per point instead of nr. The
+  /// inner index takes default params under the outer seed: exact, every
+  /// rule on, float32. The outer approx_eps, prune flags, sampling and
+  /// storage never reach it, since rule 2 (Lemma 1) needs exact owners.
+  void owners_by_search(const Matrix<float>& X, std::vector<index_t>& owner,
+                        std::vector<dist_t>& owner_dist) const {
+    RbcExactIndex inner;
+    RbcParams inner_params;
+    inner_params.seed = params_.seed;
+    inner.build(reps_, inner_params, metric_);
+    parallel_for_blocked(0, n_, 256, [&](index_t lo, index_t hi) {
+      Scratch scratch;
+      TopK top(1);
+      for (index_t x = lo; x < hi; ++x) {
+        top.reset();
+        inner.search_one(X.row(x), 1, top, scratch);
+        top.extract_sorted(&owner_dist[x], &owner[x]);
+      }
+    });
   }
 
   /// Derives the lane-blocked copy of the representatives that

@@ -4,8 +4,9 @@
 // led by its own magic:
 //   dense   (kMagicDense)   — any dense backend, as mutate::MutableIndex
 //                             saves it: backend name, metric and storage
-//                             tags, build knobs, then the rows with their
-//                             ids, the delta rows and the tombstones;
+//                             tags, build and write-buffer knobs, then the
+//                             rows with their ids, the delta rows and the
+//                             tombstones;
 //   sharded (kMagicSharded) — shard::ShardedIndex: metric tag, inner backend
 //                             name, partition, counts, then one nested
 //                             stream per shard;
@@ -35,10 +36,11 @@ inline constexpr std::uint32_t kMagicDense = 0x52424344;    // "RBCD"
 inline constexpr std::uint32_t kMagicSharded = 0x52424353;  // "RBCS"
 inline constexpr std::uint32_t kMagicPayload = 0x52424350;  // "RBCP"
 /// The version all three streams write and the only one they read.
-/// Versions 1-6 were layouts that load_index no longer reads (the raw
+/// Versions 1-7 were layouts that load_index no longer reads (the raw
 /// per-backend formats and the earlier dense, sharded and payload
-/// versions); a stream claiming one of them fails as unsupported.
-inline constexpr std::uint32_t kFormatVersion = 7;
+/// versions; 7's dense stream lacked max_delta and background_merge); a
+/// stream claiming one of them fails as unsupported.
+inline constexpr std::uint32_t kFormatVersion = 8;
 
 /// Bytes between the current read position and the end of the stream, or
 /// -1 when the stream is not seekable. Loaders use this to reject a

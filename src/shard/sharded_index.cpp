@@ -136,6 +136,9 @@ void ShardedIndex::build(const Matrix<float>& X) {
   if (payload_)
     fail("dense build() on payload metric '" + metric_ +
          "' (use build_payload)");
+  // Before the fan-out: a shard's own rejection would be thrown inside the
+  // OpenMP region below, where it terminates the process.
+  validate_rows(X, name_.c_str());
   if (mutable_mode_) {
     // build(X) is build_with_ids with the identity labelling.
     std::vector<index_t> ids(X.rows());
@@ -187,6 +190,7 @@ void ShardedIndex::build_with_ids(const Matrix<float>& X,
     if (i > 0 && ids[i] <= ids[i - 1])
       fail("build_with_ids ids must be strictly ascending");
   }
+  validate_rows(X, name_.c_str());  // before the fan-out, as in build()
   build_id_native(X, std::vector<index_t>(ids.begin(), ids.end()));
 }
 
@@ -441,6 +445,7 @@ void ShardedIndex::insert(const Matrix<float>& rows,
       fail("insert id " + std::to_string(sorted[i]) +
            " is already live (remove it first)");
   }
+  validate_rows(rows, name_.c_str());
 
   // Route the whole batch to the least-full shard (ties: lowest index) —
   // one inner insert, and sustained insertion keeps the shards balanced.

@@ -21,10 +21,12 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -577,6 +579,59 @@ inline void check_mutation_contract(const std::string& backend) {
     }
     EXPECT_NO_THROW((void)small->knn_search({.queries = &q, .k = 2}))
         << backend << ": k == live size after remove must pass";
+  }
+}
+
+/// A row holding a NaN or an infinity is refused at build and insert with
+/// the uniform invalid_argument, naming the first such row: distances to it
+/// are NaN, which no (distance, id) order ranks. A refused batch inserts
+/// nothing, and a sharded composite refuses before its shard fan-out, so
+/// no exception escapes an OpenMP region.
+inline void check_nonfinite_rows(const std::string& backend) {
+  const Matrix<float> X = testutil::random_matrix(40, 6, 117);
+  const Matrix<float> Q = testutil::random_matrix(4, 6, 118);
+  const std::string prefix = "rbc::Index[" + backend + "]: ";
+  const auto expect_refused = [&](const auto& call, index_t row,
+                                  const std::string& what) {
+    try {
+      call();
+      ADD_FAILURE() << backend << " accepted a non-finite row at " << what;
+    } catch (const std::invalid_argument& e) {
+      const std::string message = e.what();
+      EXPECT_EQ(message.rfind(prefix, 0), 0u) << what << ": " << message;
+      EXPECT_NE(message.find("row " + std::to_string(row) + " "),
+                std::string::npos)
+          << what << ": " << message;
+      EXPECT_NE(message.find("non-finite"), std::string::npos)
+          << what << ": " << message;
+    }
+  };
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(), inf, -inf}) {
+    SCOPED_TRACE(backend + " with " + std::to_string(bad));
+    Matrix<float> rows = X.clone();
+    rows.at(13, 4) = bad;
+    rows.at(29, 0) = bad;  // the message names the first bad row
+    auto index = make_index(backend, suite_options());
+    expect_refused([&] { index->build(rows); }, 13, "build");
+    if (!index->info().supports_mutation) continue;
+
+    std::vector<index_t> ids(X.rows());
+    for (index_t i = 0; i < X.rows(); ++i) ids[i] = 2 * i;
+    expect_refused([&] { index->build_with_ids(rows, ids); }, 13,
+                   "build_with_ids");
+
+    index->build(X);
+    const KnnResult before = index->knn_search({.queries = &Q, .k = 3}).knn;
+    Matrix<float> batch = testutil::random_matrix(3, 6, 119);
+    batch.at(1, 5) = bad;
+    expect_refused(
+        [&] { index->insert(batch, std::vector<index_t>{500, 501, 502}); }, 1,
+        "insert");
+    EXPECT_EQ(index->info().size, X.rows()) << "a refused insert added rows";
+    EXPECT_EQ(index->live_ids().size(), static_cast<std::size_t>(X.rows()));
+    EXPECT_TRUE(testutil::knn_equal(
+        before, index->knn_search({.queries = &Q, .k = 3}).knn));
   }
 }
 

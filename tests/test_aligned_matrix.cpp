@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 
@@ -80,6 +81,18 @@ TEST(Matrix, CopyRowFromPreservesPadding) {
   Matrix<float> dst(2, 10);
   dst.copy_row_from(src, 0, 1);
   for (index_t j = 0; j < 10; ++j) EXPECT_EQ(dst.at(1, j), static_cast<float>(j));
+  for (index_t j = 10; j < dst.stride(); ++j) EXPECT_EQ(dst.row(1)[j], 0.0f);
+}
+
+TEST(Matrix, SetRowWritesTheRowAndZeroPadding) {
+  Matrix<float> src(1, 10);
+  for (index_t j = 0; j < 10; ++j) src.at(0, j) = static_cast<float>(j + 1);
+  // Stands in for uninitialized() storage: every lane dirty.
+  Matrix<float> dst(2, 10);
+  std::fill(dst.data(), dst.data() + dst.size(), -3.0f);
+  dst.set_row(1, src.row(0));
+  for (index_t j = 0; j < 10; ++j)
+    EXPECT_EQ(dst.at(1, j), static_cast<float>(j + 1));
   for (index_t j = 10; j < dst.stride(); ++j) EXPECT_EQ(dst.row(1)[j], 0.0f);
 }
 

@@ -60,6 +60,10 @@ TEST_P(ConformanceTest, MutationEntryPointsFollowTheUniformContract) {
   conformance::check_mutation_contract(GetParam());
 }
 
+TEST_P(ConformanceTest, NonFiniteRowsAreRejected) {
+  conformance::check_nonfinite_rows(GetParam());
+}
+
 TEST_P(ConformanceTest, MutateThenSearchMatchesAScratchRebuild) {
   conformance::check_mutate_then_search(GetParam());
 }

@@ -66,11 +66,13 @@ struct SplitStream {
   }
 };
 
-/// The state section of a dense stream's tail (after the params, leaf size
-/// and seed), parsed so a fixture can break one invariant and re-serialize
-/// the rest unchanged.
+/// The state section of a dense stream's tail (after the params, leaf size,
+/// seed, max_delta and background-merge byte), parsed so a fixture can
+/// break one invariant and re-serialize the rest unchanged.
 struct DenseState {
-  static constexpr std::size_t kKnobs = 29 + 4 + 8;  // params, leaf, seed
+  /// The background-merge byte's offset in the tail.
+  static constexpr std::size_t kMergeByte = 29 + 4 + 8 + 4;
+  static constexpr std::size_t kKnobs = kMergeByte + 1;
   std::string knobs;
   index_t dim = 0;
   std::vector<index_t> main_ids;
@@ -378,6 +380,14 @@ TEST(CorruptFiles, InconsistentDenseStreamsAreRejected) {
       {"tombstone for an id not in main",
        [](DenseState& s) { s.tombs.back() = 500; }},
       {"delta id live in main", [](DenseState& s) { s.delta_ids[0] = 5; }},
+      {"NaN in a main row",
+       [](DenseState& s) {
+         s.main_rows.at(7, 2) = std::numeric_limits<float>::quiet_NaN();
+       }},
+      {"infinity in a delta row",
+       [](DenseState& s) {
+         s.delta_rows.at(1, 0) = -std::numeric_limits<float>::infinity();
+       }},
   };
   for (const auto& [what, corrupt] : breaks) {
     SCOPED_TRACE(what);
@@ -568,6 +578,10 @@ TEST(CorruptFiles, CorruptParamsBytesAreRejected) {
       expect_corrupt(stream.bytes(), "flag byte 165");
     }
   }
+  // The dense stream's background-merge flag is a 0/1 byte too.
+  SplitStream dense(saved_bytes("rbc-exact"), 3);
+  dense.tail[DenseState::kMergeByte] = static_cast<char>(0xA5);
+  expect_corrupt(dense.bytes(), "background_merge byte 165");
 }
 
 TEST(CorruptFiles, ApproxEpsMustBeFiniteAndNonNegative) {

@@ -113,6 +113,27 @@ TEST(MutableIndex, BackgroundMergeFoldsTheDelta) {
   EXPECT_TRUE(testutil::knn_equal(a, b));
 }
 
+// The dense stream carries the write-buffer knobs: a restored index merges
+// at the saved max_delta and inline, not at the defaults (1,024 rows, on a
+// background thread).
+TEST(MutableIndex, SaveLoadKeepsMaxDeltaAndBackgroundMerge) {
+  const Matrix<float> pool = testutil::clustered_matrix(50, 6, 4, 306);
+  auto index = make_index("bruteforce", inline_merge_options(8));
+  index->build(rows_of(pool, 0, 30));
+  std::stringstream stream;
+  index->save(stream);
+  const auto restored = load_index(stream);
+  for (index_t i = 30; i < 40; ++i) {
+    const std::vector<index_t> id{i};
+    index->insert(rows_of(pool, i, 1), id);
+    restored->insert(rows_of(pool, i, 1), id);
+    // Inline merges finish inside insert(): the counts are final here.
+    ASSERT_EQ(restored->info().delta_rows, index->info().delta_rows)
+        << "after inserting id " << i;
+  }
+  EXPECT_EQ(restored->info().delta_rows, 2u);  // merged at the 8th insert
+}
+
 TEST(MutableIndex, EmptyBuildThenInsertBecomesSearchable) {
   auto index = make_index("bruteforce", inline_merge_options(1024));
   const Matrix<float> empty(0, 5);

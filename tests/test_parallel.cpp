@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <numeric>
 #include <vector>
 
 #include "parallel/parallel_for.hpp"
 #include "parallel/parallel_reduce.hpp"
+#include "parallel/rows.hpp"
 #include "parallel/runtime.hpp"
 
 namespace rbc {
@@ -83,6 +85,38 @@ TEST(ParallelArgmin, TiesResolveToSmallestIndex) {
       0, 1000, std::numeric_limits<float>::infinity(),
       [&](index_t i) { return values[i]; });
   EXPECT_EQ(result.index, 100u);
+}
+
+// Both row passes span several blocks of kRowPassGrain rows here.
+TEST(RowPasses, GatherWritesEveryRowAndZeroPadding) {
+  const index_t n = 3 * kRowPassGrain + 5;
+  Matrix<float> X(n, 21);
+  for (index_t i = 0; i < n; ++i)
+    for (index_t j = 0; j < X.cols(); ++j)
+      X.at(i, j) = static_cast<float>(i) + 0.01f * static_cast<float>(j);
+  const Matrix<float> out =  // rows in reverse order
+      gather_rows(X, n, [n](index_t i) { return n - 1 - i; });
+  ASSERT_EQ(out.rows(), n);
+  for (index_t i = 0; i < n; ++i) {
+    for (index_t j = 0; j < X.cols(); ++j)
+      ASSERT_EQ(out.at(i, j), X.at(n - 1 - i, j)) << "row " << i;
+    for (index_t j = X.cols(); j < out.stride(); ++j)
+      ASSERT_EQ(out.row(i)[j], 0.0f) << "row " << i << " pad lane " << j;
+  }
+}
+
+TEST(RowPasses, FirstNonFiniteRowIsTheLowest) {
+  const index_t n = 3 * kRowPassGrain + 5;
+  Matrix<float> X(n, 7);
+  EXPECT_EQ(first_nonfinite_row(X), kInvalidIndex);
+  const float inf = std::numeric_limits<float>::infinity();
+  X.at(n - 1, 6) = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_EQ(first_nonfinite_row(X), n - 1);
+  X.at(2 * kRowPassGrain + 1, 0) = -inf;
+  X.at(kRowPassGrain + 3, 3) = inf;
+  EXPECT_EQ(first_nonfinite_row(X), kRowPassGrain + 3);
+  X.at(0, 2) = std::numeric_limits<float>::max();  // large but finite
+  EXPECT_EQ(first_nonfinite_row(X), kRowPassGrain + 3);
 }
 
 TEST(Runtime, ThreadLimitRestores) {

@@ -25,7 +25,7 @@ namespace {
 
 std::uint32_t bits(float v) { return std::bit_cast<std::uint32_t>(v); }
 
-/// Scalar BF(X, R) with the Euclidean functor, straight from paper §4: each
+/// Scalar BF(X, R) with the metric functor, straight from paper §4: each
 /// point joins its nearest representative, the lowest representative index
 /// winning ties; lists are ordered by (distance, id) and psi is the
 /// largest member distance (0 for an empty list).
@@ -34,9 +34,10 @@ struct BuildModel {
   std::vector<dist_t> psi;
 };
 
+template <class M = Euclidean>
 BuildModel scalar_build_model(const Matrix<float>& X,
                               const std::vector<index_t>& rep_ids) {
-  const Euclidean m{};
+  const M m{};
   BuildModel model;
   model.lists.resize(rep_ids.size());
   for (index_t x = 0; x < X.rows(); ++x) {
@@ -97,7 +98,8 @@ void expect_rows_match(const KnnResult& want, index_t lo, const KnnResult& got,
 
 /// Every list of `index` equals the model's, ids in order and distances
 /// and psi bitwise.
-void expect_matches_model(const RbcExactIndex<>& index,
+template <class M>
+void expect_matches_model(const RbcExactIndex<M>& index,
                           const BuildModel& model, const std::string& what) {
   ASSERT_EQ(static_cast<std::size_t>(index.num_reps()), model.lists.size());
   for (index_t r = 0; r < index.num_reps(); ++r) {
@@ -113,14 +115,14 @@ void expect_matches_model(const RbcExactIndex<>& index,
   }
 }
 
-/// Integer points of the 4-cube {0..3}^4 plus 128 duplicated rows: exact
+/// Integer points of the 4-cube {0..3}^4 plus `dups` duplicated rows: exact
 /// distance ties everywhere, between rows and between representatives.
-Matrix<float> lattice_with_duplicates() {
+Matrix<float> lattice_with_duplicates(index_t dups = 128) {
   Matrix<float> lattice(4 * 4 * 4 * 4, 4);
   for (index_t p = 0; p < lattice.rows(); ++p)
     for (index_t j = 0; j < 4; ++j)
       lattice.at(p, j) = static_cast<float>((p >> (2 * j)) & 3u);
-  return testutil::with_duplicates(lattice, 128);
+  return testutil::with_duplicates(lattice, dups);
 }
 
 // ---------------------------------------------------------------- build ---
@@ -148,27 +150,58 @@ TEST(RbcExactBuild, EveryPointOwnedByItsNearestRepresentative) {
                        dispatch::isa_name(dispatch::active_isa()));
 }
 
-// BF(X, R) and stage 1 run the dispatched bit-exact l2_lanes shape. Under
-// every runnable ISA the built structure must equal a scalar BF(X, R) —
-// owners with ties to the lowest representative, list distances and psi
-// bitwise — and the representatives, the answers and the per-query work
-// counts must be identical across ISAs. Representative counts leave partial
-// lane blocks and cover the 4-block groups of the AVX-512 kernel; the
-// lattice data makes exact distance ties between distinct representatives
-// common.
+constexpr index_t kNested = RbcExactIndex<>::kNestedOwnersMinReps;
+
+// Owners come from BF(X, R) below kNestedOwnersMinReps representatives and
+// from an exact RBC over R from it on; stage 1 and BF(X, R) run the
+// dispatched bit-exact l2_lanes shape. Under every runnable ISA the built
+// structure must equal a scalar BF(X, R) — owners with ties to the lowest
+// representative, list distances and psi bitwise — and the
+// representatives, the answers and the per-query work counts must be
+// identical across ISAs. Representative counts leave partial lane blocks
+// and cover the 4-block groups of the AVX-512 kernel; one sits exactly at
+// the crossover. The lattice data makes exact distance ties between
+// distinct representatives common; above the crossover it has more
+// representatives than distinct points, so the inner index's own
+// representatives and lists hold duplicates too. The last case's outer
+// search knobs (every rule off, Bernoulli sampling, and approx_eps 100,
+// which would make an inner 1-NN all but greedy) must not reach the owner
+// search: leaked whole, the inner index would recurse without end; its
+// approx_eps alone would give some rows the wrong owner.
 TEST(RbcExactBuild, EveryIsaBuildsTheScalarModelBitForBit) {
   struct Case {
     const char* name;
     Matrix<float> X;
-    index_t num_reps;
+    RbcParams params;
   };
   Case cases[] = {
       {"clustered+dups",
        testutil::with_duplicates(testutil::clustered_matrix(900, 21, 6, 31),
                                  300),
-       75},
-      {"lattice+dups", lattice_with_duplicates(), 37},
-      {"high_dim", testutil::clustered_matrix(500, 74, 5, 32), 16},
+       {.num_reps = 75, .seed = 1234}},
+      {"lattice+dups", lattice_with_duplicates(),
+       {.num_reps = 37, .seed = 1234}},
+      {"high_dim", testutil::clustered_matrix(500, 74, 5, 32),
+       {.num_reps = 16, .seed = 1234}},
+      {"clustered at the crossover",
+       testutil::clustered_matrix(1200, 21, 8, 34),
+       {.num_reps = kNested, .seed = 1234}},
+      {"clustered+dups above the crossover",
+       testutil::with_duplicates(testutil::clustered_matrix(1500, 13, 7, 35),
+                                 500),
+       {.num_reps = kNested + 93, .seed = 1234}},
+      {"lattice+dups above the crossover", lattice_with_duplicates(700),
+       {.num_reps = kNested + 32, .seed = 1234}},
+      {"approx, no rules, bernoulli above the crossover",
+       testutil::clustered_matrix(2000, 12, 6, 37),
+       {.num_reps = kNested + 112,  // draws 401 representatives
+        .seed = 5,
+        .sampling = Sampling::kBernoulli,
+        .use_overlap_rule = false,
+        .use_lemma_rule = false,
+        .use_early_exit = false,
+        .use_annulus_bound = false,
+        .approx_eps = 100.0f}},
   };
   const dispatch::Isa entry_isa = dispatch::active_isa();
   for (const Case& c : cases) {
@@ -185,7 +218,7 @@ TEST(RbcExactBuild, EveryIsaBuildsTheScalarModelBitForBit) {
       const std::string what =
           std::string(c.name) + " under " + dispatch::isa_name(isa);
       RbcExactIndex<> index;
-      index.build(c.X, {.num_reps = c.num_reps, .seed = 1234});
+      index.build(c.X, c.params);
       expect_matches_model(index, scalar_build_model(c.X, index.rep_ids()),
                            what);
 
@@ -212,6 +245,40 @@ TEST(RbcExactBuild, EveryIsaBuildsTheScalarModelBitForBit) {
     }
   }
   dispatch::force_isa(entry_isa);
+}
+
+// Above the crossover the inner search runs the metric's own kernels: the
+// L1 build must equal the scalar L1 model too, on every ISA.
+TEST(RbcExactBuild, NestedOwnersMatchTheL1ModelOnEveryIsa) {
+  const Matrix<float> X = testutil::with_duplicates(
+      testutil::clustered_matrix(1400, 17, 6, 36), 200);
+  const dispatch::Isa entry_isa = dispatch::active_isa();
+  for (const dispatch::Isa isa :
+       {dispatch::Isa::kScalar, dispatch::Isa::kAvx2, dispatch::Isa::kAvx512}) {
+    if (!dispatch::isa_available(isa)) continue;
+    dispatch::force_isa(isa);
+    RbcExactIndex<L1> index;
+    index.build(X, {.num_reps = kNested + 40, .seed = 77});
+    expect_matches_model(index, scalar_build_model<L1>(X, index.rep_ids()),
+                         std::string("l1 under ") + dispatch::isa_name(isa));
+  }
+  dispatch::force_isa(entry_isa);
+}
+
+// BF(X, R) counts n * nr evaluations; from the crossover on the owner
+// search counts the inner build plus the inner searches, fewer.
+TEST(RbcExactBuild, NestedOwnersCountFewerEvaluationsThanBruteForce) {
+  const Matrix<float> X = testutil::clustered_matrix(3000, 8, 10, 38);
+  for (const index_t nr : {kNested - 1, kNested, kNested + 100}) {
+    counters::Scope scope;
+    RbcExactIndex<> index;
+    index.build(X, {.num_reps = nr, .seed = 3});
+    const std::uint64_t brute = std::uint64_t{X.rows()} * nr;
+    if (nr < kNested)
+      EXPECT_EQ(scope.delta(), brute) << "nr " << nr;
+    else
+      EXPECT_LT(scope.delta(), brute) << "nr " << nr;
+  }
 }
 
 TEST(RbcExactBuild, ListsSortedAndPsiIsMaxMemberDistance) {
