@@ -30,8 +30,6 @@
 #include "distance/kernels.hpp"
 #include "distance/metrics.hpp"
 #include "distance/quantized.hpp"
-#include "distance/pairwise.hpp"
-#include "distance/pairwise_gemm.hpp"
 
 namespace {
 
@@ -71,49 +69,6 @@ void BM_L1_Scalar(benchmark::State& state) {
     benchmark::DoNotOptimize(kernels::l1(pts.row(0), pts.row(1), d));
 }
 BENCHMARK(BM_L1_Scalar)->Arg(74);
-
-void BM_PairwiseTile(benchmark::State& state) {
-  const auto d = static_cast<index_t>(state.range(0));
-  const Matrix<float> a = make_points(kTileQ, d, 5);
-  const Matrix<float> b = make_points(kTileX, d, 6);
-  Matrix<float> out(kTileQ, kTileX);
-  for (auto _ : state) {
-    pairwise_tile(a, 0, kTileQ, b, 0, kTileX, SqEuclidean{}, out.row(0),
-                  out.stride());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kTileQ *
-                          kTileX);
-}
-BENCHMARK(BM_PairwiseTile)->Arg(21)->Arg(74);
-
-// Direct tiled pairwise vs the GEMM (norms + dot) formulation, the paper
-// §3 "same structure as matrix-matrix multiply" observation.
-void BM_PairwiseDirect(benchmark::State& state) {
-  const auto d = static_cast<index_t>(state.range(0));
-  const Matrix<float> q = make_points(64, d, 7);
-  const Matrix<float> x = make_points(2048, d, 8);
-  for (auto _ : state) {
-    const Matrix<float> out = pairwise_all(q, x, SqEuclidean{});
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 64 *
-                          2048);
-}
-BENCHMARK(BM_PairwiseDirect)->Arg(21)->Arg(74)->Unit(benchmark::kMillisecond);
-
-void BM_PairwiseGemm(benchmark::State& state) {
-  const auto d = static_cast<index_t>(state.range(0));
-  const Matrix<float> q = make_points(64, d, 7);
-  const Matrix<float> x = make_points(2048, d, 8);
-  for (auto _ : state) {
-    const Matrix<float> out = pairwise_sq_l2_gemm(q, x);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 64 *
-                          2048);
-}
-BENCHMARK(BM_PairwiseGemm)->Arg(21)->Arg(74)->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------- dispatched shapes, per ISA ---
 //

@@ -74,6 +74,9 @@ namespace {
                               "]: " + what);
 }
 
+// A query holding a NaN or an infinity is refused like a row at build
+// (validate_rows): its distances are NaN, or under "ip" a mix of NaN and
+// -inf, which no (distance, id) order ranks.
 void validate_queries(const Matrix<float>* queries, index_t dim, bool built,
                       const char* backend) {
   if (!built) fail(backend, "search on an unbuilt index (call build first)");
@@ -81,6 +84,10 @@ void validate_queries(const Matrix<float>* queries, index_t dim, bool built,
   if (queries->cols() != dim)
     fail(backend, "query dimension " + std::to_string(queries->cols()) +
                       " != index dimension " + std::to_string(dim));
+  const index_t bad = first_nonfinite_row(*queries);
+  if (bad != kInvalidIndex)
+    fail(backend, "query row " + std::to_string(bad) +
+                      " holds a non-finite value (NaN or infinity)");
 }
 
 // The metric-assertion check of SearchOptions::metric, shared by every

@@ -174,8 +174,9 @@ class Index {
 
   /// Batched k-NN. Throws std::invalid_argument on a malformed request —
   /// null queries, k == 0, k > info().size, query dimension != info().dim,
-  /// an unbuilt index, or a non-empty request.options.metric that differs
-  /// from info().metric — with identical conditions and message shape
+  /// a query row holding a NaN or an infinity, an unbuilt index, or a
+  /// non-empty request.options.metric that differs from info().metric —
+  /// with identical conditions and message shape
   /// ("rbc::Index[<backend>]: ...") across every backend, so callers can
   /// handle request errors without knowing which backend they hold. Device
   /// backends additionally reject k > gpu::kMaxK the same way.
@@ -256,7 +257,8 @@ class Index {
   // error contract identical across backends — including the metric
   // assertion check (a request whose options.metric names a different
   // metric than the index was built with is a caller error, caught here
-  // once instead of per backend).
+  // once instead of per backend). Both refuse a query row holding a NaN or
+  // an infinity, naming the first, as validate_rows refuses such a row.
   static void validate_knn(const SearchRequest& request, index_t dim,
                            index_t size, bool built, const char* backend,
                            std::string_view metric);

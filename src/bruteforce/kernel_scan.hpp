@@ -11,7 +11,8 @@
 // without a heap probe. Because the heap only ever orders re-measured
 // (bit-exact) values, results are IDENTICAL to the plain bf_scan_rows loop
 // under every ISA — the property the per-ISA parity tests pin
-// (tests/test_rbc_blocked.cpp, the conformance metric matrix).
+// (ForcedIsaParity in tests/test_rbc_exact.cpp, the conformance metric
+// matrix).
 //
 // Which kernel a metric routes through, and how its heap bound maps into
 // kernel space, is described by ScanTraits<M>:
@@ -29,8 +30,8 @@
 //                 allowed to drop true neighbors.
 //
 // kernel_metric<M> says whether a ScanTraits specialization exists;
-// gemm_metric<M> marks the (squared-L2) subset the tile_gemm batch paths
-// additionally accept. Unlike bf_scan_rows, these helpers do NOT touch the
+// gemm_metric<M> marks the (squared-L2) subset bf_knn's tile_gemm batch path
+// additionally accepts. Unlike bf_scan_rows, these helpers do NOT touch the
 // global distance-eval counters: callers account one eval per row scanned.
 #pragma once
 
@@ -112,8 +113,8 @@ inline constexpr bool
 template <class M>
 inline constexpr bool kernel_metric = detail::has_scan_traits<M>;
 
-/// The squared-L2 subset additionally eligible for the tile/tile_gemm batch
-/// paths (the GEMM formulation has no analogue for other metrics).
+/// The squared-L2 subset additionally eligible for bf_knn's tile_gemm batch
+/// path (the GEMM formulation has no analogue for other metrics).
 template <class M>
 inline constexpr bool gemm_metric =
     std::is_same_v<M, Euclidean> || std::is_same_v<M, SqEuclidean>;

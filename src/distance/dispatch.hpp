@@ -20,9 +20,10 @@
 //    are bit-identical to the never-vectorized path under every ISA. Used
 //    by every candidate scan: brute force, RBC stage-3 list scans, one-shot
 //    probes, the compressed tier and MutableIndex's delta scan (through
-//    bruteforce/kernel_scan.hpp or the blocked batch path).
+//    bruteforce/kernel_scan.hpp or bf_knn's batch path).
 //    tests/test_kernels.cpp fuzzes the raw kernels against their margins;
-//    tests/test_rbc_blocked.cpp pins end-to-end parity per ISA.
+//    tests/test_rbc_exact.cpp's ForcedIsaParity cases pin end-to-end parity
+//    per ISA.
 //
 // 2. The bit-exact lane shape (l2_lanes). Vectorized across rows instead
 //    of across features: each lane runs the reference's per-pair loop —
@@ -39,13 +40,13 @@
 //
 //   tile       16 transposed queries x database rows. Each row load is
 //              amortized 16 ways across independent FMA chains. No library
-//              scan calls it (the batch paths run tile_gemm); the kernel
-//              tests and the micro bench measure it.
+//              scan calls it (bf_knn's batch path runs tile_gemm); the
+//              kernel tests and the micro bench measure it.
 //   tile_gemm  the same tile in the GEMM formulation of §3,
-//              ||q||^2 + ||x||^2 - 2 q.x, with both norms precomputed
-//              (see pairwise_gemm.hpp). Drops the per-element subtract, the
-//              fastest form when row norms can be cached (the exact index
-//              caches them at build).
+//              ||q||^2 + ||x||^2 - 2 q.x, with both norms precomputed.
+//              Drops the per-element subtract, the fastest form when row
+//              norms can be cached (the bruteforce backend caches them at
+//              build, RowNormsCache); bf_knn's batch path is its caller.
 //   rows       one query x a block of 8 consecutive rows, each row with its
 //              own accumulator chain. What makes SMALL batches and stream
 //              mode stop being latency-bound: a single-query scan has one

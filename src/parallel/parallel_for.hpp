@@ -35,8 +35,9 @@ void parallel_for_dynamic(std::int64_t begin, std::int64_t end, F&& f,
 
 /// Splits [begin, end) into contiguous blocks of at most `grain` elements and
 /// calls f(block_begin, block_end) for each, dynamically scheduled. Used for
-/// tiled computations where the body wants a whole block (e.g. a pairwise
-/// distance tile or a chunk of the database in streaming search).
+/// tiled computations where the body wants a whole block (e.g. rows that
+/// share one distance buffer, or a chunk of the database in streaming
+/// search).
 template <class F>
 void parallel_for_blocked(std::int64_t begin, std::int64_t end,
                           std::int64_t grain, F&& f) {

@@ -30,18 +30,22 @@ Matrix<float> gather_rows(const Matrix<float>& X, index_t rows, Src src) {
   return out;
 }
 
+/// True when one of the n values at x is a NaN or an infinity.
+inline bool has_nonfinite(const float* x, index_t n) {
+  constexpr std::uint32_t kExponent = 0x7f800000u;  // all ones: NaN or inf
+  std::uint32_t bad = 0;
+  for (index_t j = 0; j < n; ++j)
+    bad |= (std::bit_cast<std::uint32_t>(x[j]) & kExponent) == kExponent;
+  return bad != 0;
+}
+
 /// The lowest index of a row of X holding a NaN or an infinity, or
 /// kInvalidIndex when every row is finite.
 inline index_t first_nonfinite_row(const Matrix<float>& X) {
-  constexpr std::uint32_t kExponent = 0x7f800000u;  // all ones: NaN or inf
   std::atomic<index_t> first{kInvalidIndex};
   parallel_for_blocked(0, X.rows(), kRowPassGrain, [&](index_t lo, index_t hi) {
     for (index_t i = lo; i < hi; ++i) {
-      const float* x = X.row(i);
-      std::uint32_t bad = 0;
-      for (index_t j = 0; j < X.cols(); ++j)
-        bad |= (std::bit_cast<std::uint32_t>(x[j]) & kExponent) == kExponent;
-      if (bad == 0) continue;
+      if (!has_nonfinite(X.row(i), X.cols())) continue;
       index_t seen = first.load();
       while (i < seen && !first.compare_exchange_weak(seen, i)) {
       }

@@ -18,12 +18,14 @@
 //   3. brute-force scan of the surviving ownership lists, visiting closest
 //      representatives first, with the Claim-2 sorted-list early exit.
 //
-// Parallelism (paper §3): a batch of at least a tile of queries runs stage 3
-// as a multi-query kernel (search_blocked); a batch with at least as many
-// rows as threads runs one query per thread; a smaller batch — a served
-// one-row read — keeps stages 1 and 2 on the calling thread and deals its
-// surviving lists to the whole team under a shared k-th bound (search_team).
-// Inside an active OpenMP region every row runs serially (search_one).
+// Parallelism: a batch with at least as many rows as threads runs one query
+// per thread, handed out one row at a time (search_one); a smaller batch — a
+// served one-row read — keeps stages 1 and 2 on the calling thread and deals
+// its surviving lists to the whole team under a shared k-th bound
+// (search_team). Inside an active OpenMP region every row runs serially.
+// Query blocks (paper §3) pay in brute force, where every query of a block
+// reads every row; under the pruning each query's surviving lists differ,
+// and a bound that tightens per point (Claim 2) prunes more.
 //
 // Exactness contract: for every query the returned k-set equals the
 // brute-force k-set under the (distance, id) order — ties included. All
@@ -164,14 +166,6 @@ class RbcExactIndex {
                                               : dist_t{0};
 
     packed_ = gather_rows(X, n_, [this](index_t p) { return packed_ids_[p]; });
-    // Cached squared row norms: the rank-1 corrections of the §3 GEMM
-    // formulation, which the blocked batch path's tile_gemm kernel consumes
-    // (the max feeds the conservative lane-skip threshold).
-    packed_sq_norms_ = detail::kernel_row_sq_norms(packed_);
-    packed_sq_max_ = packed_sq_norms_.empty()
-                         ? 0.0f
-                         : *std::max_element(packed_sq_norms_.begin(),
-                                             packed_sq_norms_.end());
 
     // Compressed scan tier: quantize the packed rows once at build (a
     // float32 request yields an inactive store). The float packed_ stays
@@ -195,30 +189,20 @@ class RbcExactIndex {
 
   // ------------------------------------------------------------- queries ---
 
-  /// Query-count threshold above which search() switches to the query-tile
-  /// blocked path (Euclidean metric + SIMD-dispatched host only). One full
-  /// tile is enough now that the per-query path itself runs the dispatched
-  /// row-block kernel: the tile path's remaining edge is 16-way row reuse,
-  /// which any full tile gets.
-  static constexpr index_t kBlockedMinBatch = dispatch::kTile;
-
   /// List segments shorter than this stay on the adaptive scalar loop —
   /// below it, kernel-call setup outweighs the vector win.
   static constexpr index_t kKernelMinSegment = 16;
 
-  /// k-NN for a batch of queries; parallel across queries. Batches of at
-  /// least kBlockedMinBatch Euclidean queries additionally use the
-  /// multi-query blocked kernel (see search_blocked) — same results, the
-  /// paper's §3 BF-as-GEMM structure on the hot loop. A batch with fewer
-  /// rows than threads, called from outside an active OpenMP region, runs
-  /// on the whole team instead (see search_team) — same results, with work
-  /// counts that depend on the schedule. Inside an active region the rows
-  /// run serially. If `stats` is non-null the aggregated work statistics
-  /// are added to it.
+  /// k-NN for a batch of queries; parallel across queries, each thread
+  /// taking one row at a time into search_one. A batch with fewer rows than
+  /// threads, called from outside an active OpenMP region, runs on the
+  /// whole team instead (see search_team) — same results, with work counts
+  /// that depend on the schedule. Inside an active region the rows run
+  /// serially. If `stats` is non-null the aggregated work statistics are
+  /// added to it.
   KnnResult search(const Matrix<float>& Q, index_t k,
                    SearchStats* stats = nullptr) const {
     assert(Q.cols() == dim_);
-    if (use_blocked_path(Q.rows())) return search_blocked(Q, k, stats);
     if (Q.rows() > 0 && Q.rows() < static_cast<index_t>(max_threads()) &&
         !in_parallel())
       return search_team(Q, k, stats);
@@ -228,279 +212,18 @@ class RbcExactIndex {
     std::vector<SearchStats> tstats(static_cast<std::size_t>(nt));
     std::vector<TopK> heaps(static_cast<std::size_t>(nt), TopK(k));
 
-    parallel_for_dynamic(0, Q.rows(), [&](index_t qi) {
-      const auto tid = static_cast<std::size_t>(thread_id());
-      TopK& top = heaps[tid];
-      top.reset();
-      search_one(Q.row(qi), k, top, scratch[tid], &tstats[tid]);
-      top.extract_sorted(result.dists.row(qi), result.ids.row(qi));
-    });
-
-    if (stats != nullptr)
-      for (const SearchStats& s : tstats) stats->merge(s);
-    return result;
-  }
-
-  /// True when search() will take the blocked batch path for nq queries.
-  /// Consults the runtime dispatcher, so the decision tracks the ISA
-  /// actually selected (including an RBC_FORCE_ISA override), not a
-  /// configure-time probe. The blocked path parallelizes over tiles, so a
-  /// batch must either fill the thread pool with tiles or be large enough
-  /// (the pre-dispatch 64-query threshold) that per-rep sharing pays even
-  /// with idle cores — otherwise the per-query path's finer-grained
-  /// parallelism wins on multi-core hosts.
-  bool use_blocked_path(index_t nq) const {
-    if constexpr (!std::is_same_v<M, Euclidean>) {
-      return false;  // the kernel computes squared L2 only
-    } else {
-      // With a compressed store the per-query path's quantized list scans
-      // are the memory-bandwidth win; the blocked path would stream the
-      // float rows through tile_gemm instead.
-      if (qstore_.active()) return false;
-      const index_t tiles = (nq + dispatch::kTile - 1) / dispatch::kTile;
-      return nq >= kBlockedMinBatch &&
-             (nq >= 64 || tiles >= static_cast<index_t>(max_threads())) &&
-             dispatch::fast_kernel();
-    }
-  }
-
-  /// Batched k-NN via query-tile blocking — the paper's §3 observation made
-  /// literal on CPU: the dominant stage-3 list scans run through the
-  /// runtime-dispatched multi-query GEMM-form kernel (distance/dispatch.hpp,
-  /// tile_gemm with the norms cached at build), one ownership-list segment
-  /// for dispatch::kTile queries at a time, instead of one (query, point)
-  /// distance at a time.
-  ///
-  /// Results are IDENTICAL to the per-query path, ties included:
-  ///  * stage 1 and the prune rules use the same bit-exact distances and
-  ///    the same strict comparisons;
-  ///  * bounds are refreshed per representative instead of per point, which
-  ///    loosens pruning only in the safe direction (extra candidates
-  ///    examined, none dropped — the k best of any candidate superset that
-  ///    contains the true k-set is the true k-set under the (distance, id)
-  ///    order);
-  ///  * the blocked kernel is a prefilter: any candidate within the
-  ///    (margin-inflated) heap bound is re-measured with the scalar metric
-  ///    before pushing, so the heap only ever orders bit-identical values.
-  KnnResult search_blocked(const Matrix<float>& Q, index_t k,
-                           SearchStats* stats = nullptr) const {
-    assert(Q.cols() == dim_);
-    const index_t nq = Q.rows();
-    const index_t nr = reps_.rows();
-    KnnResult result(nq, k);
-    const float inv = 1.0f / (1.0f + params_.approx_eps);
-    // Prefilter tolerances for the GEMM-form tile kernel: a relative part
-    // for association-order rounding plus an absolute part scaled by the
-    // norm magnitudes (the cancellation error of ||q||^2+||x||^2-2q.x).
-    const float mrel = 1.0f + dispatch::tile_margin(dim_);
-    const float mabs = dispatch::gemm_margin_scale(dim_);
-
-    // ---- stage 1, whole batch: BF(Q, R) with exact distances (they feed
-    // pruning bounds, which must match the per-query path).
-    Matrix<dist_t> rep_d(nq, nr);
-    std::vector<dist_t> gamma1(nq), bound_k(nq);
-    std::vector<index_t> nearest_rep(nq);
-    parallel_for_dynamic(0, nq, [&](index_t qi) {
-      dist_t* row = rep_d.row(qi);
-      rep_distances(Q.row(qi), row);
-      TopK rep_top(k);
-      dist_t g1 = kInfDist;
-      index_t g1_rep = 0;
-      for (index_t r = 0; r < nr; ++r) {
-        const dist_t d = row[r];
-        rep_top.push(d, r);
-        if (d < g1) {
-          g1 = d;
-          g1_rep = r;
-        }
-      }
-      gamma1[qi] = g1;
-      bound_k[qi] = rep_top.worst();
-      nearest_rep[qi] = g1_rep;
-    });
-    counters::add_dist_evals(static_cast<std::uint64_t>(nq) * nr);
-
-    // Tile assignment: queries routed to the same representative share
-    // surviving lists, which is what fills the kernel's lanes usefully.
-    std::vector<index_t> order(nq);
-    for (index_t i = 0; i < nq; ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(), [&](index_t a, index_t b) {
-      return nearest_rep[a] < nearest_rep[b];
-    });
-
-    const index_t tiles =
-        (nq + dispatch::kTile - 1) / dispatch::kTile;
-    const int nt = max_threads();
-    std::vector<SearchStats> tstats(static_cast<std::size_t>(nt));
-
-    parallel_for_dynamic(0, tiles, [&](index_t tile) {
-      SearchStats& local = tstats[static_cast<std::size_t>(thread_id())];
-      const index_t t_lo = tile * dispatch::kTile;
-      const index_t m = std::min<index_t>(dispatch::kTile, nq - t_lo);
-
-      const float* qrows[dispatch::kTile];
-      for (index_t t = 0; t < m; ++t) qrows[t] = Q.row(order[t_lo + t]);
-      for (index_t t = m; t < dispatch::kTile; ++t) qrows[t] = qrows[0];
-      std::vector<float> qt(static_cast<std::size_t>(dim_) * dispatch::kTile);
-      dispatch::pack_tile(qrows, m, dim_, qt.data());
-      float q_sq[dispatch::kTile];  // per-lane norms for the GEMM form
-      for (index_t t = 0; t < dispatch::kTile; ++t)
-        q_sq[t] = kernels::dot(qrows[t], qrows[t], dim_);
-
-      std::vector<TopK> tops;
-      tops.reserve(m);
-      for (index_t t = 0; t < m; ++t) tops.emplace_back(k);
-      local.queries += m;
-      local.rep_dist_evals += static_cast<std::uint64_t>(m) * nr;
-
-      // ---- stage 2 per lane, then a rep -> lanes map for the tile.
-      // survivors_of[t] mirrors search_one's filter pass (initial bound).
-      struct RepGroup {
-        dist_t min_dr;
-        index_t rep;
-        std::uint32_t lanes = 0;  // bitmask over tile lanes
-      };
-      std::vector<RepGroup> groups;
-      std::vector<index_t> group_of(nr, kInvalidIndex);
-      for (index_t t = 0; t < m; ++t) {
-        const index_t qi = order[t_lo + t];
-        const dist_t* row = rep_d.row(qi);
-        for (index_t r = 0; r < nr; ++r) {
-          const dist_t dr = row[r];
-          if (params_.use_overlap_rule && dr > bound_k[qi] + psi_[r]) {
-            ++local.reps_pruned_overlap;
-            continue;
-          }
-          if (params_.use_lemma_rule && dr > 2 * bound_k[qi] + gamma1[qi]) {
-            ++local.reps_pruned_lemma;
-            continue;
-          }
-          if (group_of[r] == kInvalidIndex) {
-            group_of[r] = static_cast<index_t>(groups.size());
-            groups.push_back({dr, r, 0});
-          }
-          RepGroup& g = groups[group_of[r]];
-          g.lanes |= 1u << t;
-          g.min_dr = std::min(g.min_dr, dr);
-        }
-      }
-      // Nearest groups first so the per-lane bounds tighten early, exactly
-      // like search_one's sorted survivor order.
-      std::sort(groups.begin(), groups.end(),
-                [](const RepGroup& a, const RepGroup& b) {
-                  return a.min_dr < b.min_dr ||
-                         (a.min_dr == b.min_dr && a.rep < b.rep);
-                });
-
-      std::vector<float> buf;
-      const dist_t* pd = packed_dist_.data();
-      for (const RepGroup& g : groups) {
-        const index_t r = g.rep;
-        const index_t list_lo = offsets_[r], list_hi = offsets_[r + 1];
-
-        // Re-check the prune rules per lane against the live bound and
-        // derive each lane's frozen scan segment from the sorted member
-        // distances (identical sets to the adaptive early-exit/annulus
-        // skips under the same bound).
-        index_t active[dispatch::kTile];
-        index_t seg_lo[dispatch::kTile], seg_hi[dispatch::kTile];
-        dist_t lane_dr[dispatch::kTile];
-        index_t num_active = 0;
-        index_t ulo = list_hi, uhi = list_lo;
-        std::uint64_t sum_len = 0;
-        for (index_t t = 0; t < m; ++t) {
-          if ((g.lanes & (1u << t)) == 0) continue;
-          const index_t qi = order[t_lo + t];
-          const dist_t dr = rep_d.at(qi, r);
-          const dist_t b =
-              std::min(bound_k[qi], tops[t].worst() * inv);
-          if (params_.use_overlap_rule && dr > b + psi_[r]) {
-            ++local.reps_pruned_overlap;
-            continue;
-          }
-          if (params_.use_lemma_rule && dr > 2 * b + gamma1[qi]) {
-            ++local.reps_pruned_lemma;
-            continue;
-          }
-          ++local.reps_scanned;
-          index_t hi = list_hi;
-          if (params_.use_early_exit) {
-            hi = static_cast<index_t>(
-                std::upper_bound(pd + list_lo, pd + list_hi, dr + b) - pd);
-            local.points_skipped_early_exit += list_hi - hi;
-          }
-          index_t lo = list_lo;
-          if (params_.use_annulus_bound) {
-            lo = static_cast<index_t>(
-                std::lower_bound(pd + list_lo, pd + hi, dr - b) - pd);
-            local.points_skipped_annulus += lo - list_lo;
-          }
-          active[num_active] = t;
-          seg_lo[num_active] = lo;
-          seg_hi[num_active] = hi;
-          lane_dr[num_active] = dr;
-          ++num_active;
-          ulo = std::min(ulo, lo);
-          uhi = std::max(uhi, hi);
-          sum_len += hi - lo;
-        }
-        if (sum_len == 0) continue;  // no lane has a member in its window
-
-        // Tile-kernel cost is per-row regardless of lane count; fall back
-        // to the per-lane scan (itself kernelized — scan_rep_list_kernel)
-        // when the lanes' segments overlap too little to pay for it. With
-        // the per-lane minimum skip in both branches the crossover sits
-        // near occupancy 3 (measured on bench_serve_throughput's clustered
-        // workload).
-        if (3 * static_cast<std::uint64_t>(uhi - ulo) >= sum_len) {
-          for (index_t a = 0; a < num_active; ++a) {
-            const index_t t = active[a];
-            const index_t qi = order[t_lo + t];
-            scan_rep_list(qrows[t], r, lane_dr[a], bound_k[qi], inv,
-                          tops[t], local);
-          }
-          continue;
-        }
-
-        buf.resize(static_cast<std::size_t>(uhi - ulo) * dispatch::kTile);
-        float lane_min[dispatch::kTile];
-        dispatch::ops().tile_gemm(qt.data(), q_sq, dim_, packed_.data(),
-                                  packed_.stride(), packed_sq_norms_.data(),
-                                  ulo, uhi, buf.data(), lane_min);
-        // Every lane's window counts as evaluated whether or not the
-        // lane-min skip below fires, so stats don't depend on heap warm-up.
-        local.list_dist_evals += sum_len;
-        counters::add_dist_evals(sum_len);
-        // Lane-major filter pass: a lane whose kernel minimum over the
-        // whole union range already misses its (margin-inflated, max-norm)
-        // bound has no candidate anywhere in its window — skip its filter
-        // loop entirely. Per-lane heaps are independent, so lane-major
-        // visits push the same sequence per lane as the row-major order.
-        for (index_t a = 0; a < num_active; ++a) {
-          const index_t t = active[a];
-          const dist_t w0 = tops[t].worst();
-          if (lane_min[t] >
-              w0 * w0 * mrel + mabs * (q_sq[t] + packed_sq_max_))
-            continue;
-          for (index_t p = seg_lo[a]; p < seg_hi[a]; ++p) {
-            const float v =
-                buf[static_cast<std::size_t>(p - ulo) * dispatch::kTile + t];
-            const dist_t w = tops[t].worst();
-            if (v > w * w * mrel + mabs * (q_sq[t] + packed_sq_norms_[p]))
-              continue;
-            // Candidate: re-measure with the scalar metric so the heap
-            // orders the same bits as every other path.
-            tops[t].push(metric_(qrows[t], packed_.row(p), dim_),
-                         packed_ids_[p]);
-          }
-        }
-      }
-
-      for (index_t t = 0; t < m; ++t) {
-        const index_t qi = order[t_lo + t];
-        tops[t].extract_sorted(result.dists.row(qi), result.ids.row(qi));
-      }
-    });
+    // Chunk 1: a row costs what its surviving lists cost, and a batch of a
+    // few times the team would otherwise run on one or two threads.
+    parallel_for_dynamic(
+        0, Q.rows(),
+        [&](index_t qi) {
+          const auto tid = static_cast<std::size_t>(thread_id());
+          TopK& top = heaps[tid];
+          top.reset();
+          search_one(Q.row(qi), k, top, scratch[tid], &tstats[tid]);
+          top.extract_sorted(result.dists.row(qi), result.ids.row(qi));
+        },
+        /*chunk=*/1);
 
     if (stats != nullptr)
       for (const SearchStats& s : tstats) stats->merge(s);
@@ -527,12 +250,11 @@ class RbcExactIndex {
     if (stats != nullptr) stats->merge(local);
   }
 
-  /// Scan of L_r for one query: the packed segment with the Claim-2 early
-  /// exit and annulus bound. Shared by scan_survivor and the sparse-lane
-  /// fallback of the blocked batch path. Euclidean segments of at least
-  /// kKernelMinSegment rows run the dispatched row-block kernel
-  /// (scan_rep_list_kernel below); anything else takes the adaptive
-  /// per-point loop.
+  /// Scan of L_r for one query (scan_survivor's stage 3): the packed
+  /// segment with the Claim-2 early exit and annulus bound. Segments of at
+  /// least kKernelMinSegment rows under a kernel metric run the dispatched
+  /// row-block kernel (scan_rep_list_kernel below); anything else takes the
+  /// adaptive per-point loop.
   void scan_rep_list(const float* q, index_t r, dist_t dr, dist_t rep_bound,
                      float inv, TopK& out, SearchStats& local) const {
     const index_t lo = offsets_[r], hi = offsets_[r + 1];
@@ -567,8 +289,7 @@ class RbcExactIndex {
 
   /// Kernelized scan_rep_list: the early-exit / annulus window is frozen
   /// from the bound at entry (binary search over the sorted member
-  /// distances — the same segment derivation as the blocked batch path),
-  /// the window runs through the dispatched row-block kernel, and
+  /// distances), the window runs through the dispatched row-block kernel, and
   /// survivors of the margin-inflated heap bound are re-measured with the
   /// scalar metric. Identical results to the adaptive loop: freezing the
   /// bound only loosens the window (a candidate superset preserves the
@@ -663,7 +384,6 @@ class RbcExactIndex {
            packed_dist_.size() * sizeof(dist_t) +
            offsets_.size() * sizeof(index_t) + psi_.size() * sizeof(dist_t) +
            rep_ids_.size() * sizeof(index_t) +
-           packed_sq_norms_.size() * sizeof(float) +
            rep_lanes_.size() * sizeof(float) + qstore_.memory_bytes();
   }
 
@@ -758,12 +478,13 @@ class RbcExactIndex {
   /// derives its scan window against min(rep_bound, shared * inv,
   /// own.worst() * inv).
   ///
-  /// Results are IDENTICAL to search_one's, ties included, by the
-  /// candidate-superset argument of search_blocked: the items partition each
-  /// row's candidates, so every bound is held by k distinct real candidates
-  /// and is an upper bound on the true k-th distance; every prune is strict,
-  /// so each true top-k row reaches some thread's heap and stays there, and
-  /// the (distance, id) merge of the heaps is the brute-force k-set. With
+  /// Results are IDENTICAL to search_one's, ties included, because the k
+  /// best under the (distance, id) order of any candidate set that contains
+  /// the true k-set are the true k-set. The items partition each row's
+  /// candidates, so every bound is held by k distinct real candidates and
+  /// is an upper bound on the true k-th distance; every prune is strict, so
+  /// each true top-k row reaches some thread's heap and stays there, and the
+  /// (distance, id) merge of the heaps is the brute-force k-set. With
   /// approx_eps > 0 the shared bound is candidate-derived, so it is shrunk
   /// by inv like out.worst() and the (1+eps) guarantee holds. Work counts
   /// depend on when a bound reaches the other threads, so they vary with
@@ -859,8 +580,8 @@ class RbcExactIndex {
   }
 
   /// The same owners by the paper's own decomposition: 1-NN of every row in
-  /// an exact RBC over R, one search_one per row (search() would take the
-  /// blocked batch path, slower here). Its (distance, id) order returns the
+  /// an exact RBC over R, one search_one per row, written straight into
+  /// owner and owner_dist. Its (distance, id) order returns the
   /// lowest-index nearest representative at the functor's bits, so owners
   /// and distances equal BF(X, R)'s, at about ceil(sqrt(nr)) representative
   /// distances plus the surviving list rows per point instead of nr. The
@@ -925,8 +646,6 @@ class RbcExactIndex {
   Matrix<float> packed_;            // n x d rows grouped by owner
   std::vector<index_t> packed_ids_;  // original id of each packed row
   std::vector<dist_t> packed_dist_;  // rho(x, owner(x)), sorted per list
-  std::vector<float> packed_sq_norms_;  // ||row||^2 cache (GEMM-form kernel)
-  float packed_sq_max_ = 0.0f;          // max norm (lane-skip threshold)
 
   // ---- compressed scan tier (see "compressed tier" section above) ----
   quant::Storage storage_req_ = quant::Storage::kFloat32;  // build request

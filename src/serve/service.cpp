@@ -7,6 +7,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "parallel/rows.hpp"
 #include "parallel/runtime.hpp"
 
 namespace rbc::serve {
@@ -36,11 +37,13 @@ SearchService::SearchService(std::unique_ptr<Index> index,
 
 SearchService::~SearchService() { stop(); }
 
-void SearchService::validate_submission(index_t nq, index_t cols,
+void SearchService::validate_submission(const float* rows, index_t nq,
+                                        index_t cols, std::size_t stride,
                                         index_t k) const {
   // Same contract as Index::knn_search, but raised synchronously at submit
   // time: a malformed submission is a caller bug, not a backend condition,
-  // so it should not cost a queue round-trip to discover.
+  // so it should not cost a queue round-trip to discover. A job refused
+  // here never joins a coalesced batch, so its co-riders never see it.
   auto fail = [](const std::string& what) {
     throw std::invalid_argument("rbc::serve::SearchService: " + what);
   };
@@ -55,6 +58,10 @@ void SearchService::validate_submission(index_t nq, index_t cols,
   if (k > db_size)
     fail("k = " + std::to_string(k) + " exceeds database size " +
          std::to_string(db_size));
+  for (index_t i = 0; i < nq; ++i)
+    if (has_nonfinite(rows + i * stride, cols))
+      fail("query row " + std::to_string(i) +
+           " holds a non-finite value (NaN or infinity)");
 }
 
 void SearchService::validate_payload_submission(index_t nq, index_t k) const {
@@ -146,7 +153,8 @@ std::future<Result> SearchService::submit_for_future(Job job) {
 
 std::future<QueryResult> SearchService::submit(std::span<const float> query,
                                                index_t k) {
-  validate_submission(1, static_cast<index_t>(query.size()), k);
+  const auto cols = static_cast<index_t>(query.size());
+  validate_submission(query.data(), 1, cols, cols, k);
   Job job;
   job.data.assign(query.begin(), query.end());
   job.nq = 1;
@@ -156,13 +164,15 @@ std::future<QueryResult> SearchService::submit(std::span<const float> query,
 
 std::future<KnnResult> SearchService::submit_batch(
     const Matrix<float>& queries, index_t k) {
-  validate_submission(queries.rows(), queries.cols(), k);
+  validate_submission(queries.data(), queries.rows(), queries.cols(),
+                      queries.stride(), k);
   return submit_for_future<KnnResult>(dense_job(queries, k));
 }
 
 Admission SearchService::try_submit_batch(const Matrix<float>& queries,
                                           index_t k, Completion done) {
-  validate_submission(queries.rows(), queries.cols(), k);
+  validate_submission(queries.data(), queries.rows(), queries.cols(),
+                      queries.stride(), k);
   Job job = dense_job(queries, k);
   job.done = std::move(done);
   return enqueue(job, /*block=*/false);

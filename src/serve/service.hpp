@@ -140,8 +140,9 @@ class SearchService {
   /// Submits one query (dim floats, copied before returning). The future
   /// yields the k nearest neighbors, or rethrows the backend's error.
   /// Throws std::invalid_argument immediately on a malformed submission
-  /// (wrong dimension, k == 0, k > database size — the same contract as
-  /// Index::knn_search) and std::runtime_error after stop().
+  /// (wrong dimension, k == 0, k > database size, a NaN or infinite value —
+  /// the same contract as Index::knn_search) and std::runtime_error after
+  /// stop().
   /// Blocks while the queue holds more than options.max_queue rows.
   std::future<QueryResult> submit(std::span<const float> query, index_t k);
 
@@ -273,7 +274,10 @@ class SearchService {
   // counted instead of ending the worker.
   template <class F>
   void run_guarded(F&& f);
-  void validate_submission(index_t nq, index_t cols, index_t k) const;
+  // Throws std::invalid_argument unless nq rows of `cols` floats, row i at
+  // rows + i * stride, form a valid k-NN submission of k.
+  void validate_submission(const float* rows, index_t nq, index_t cols,
+                           std::size_t stride, index_t k) const;
   void validate_payload_submission(index_t nq, index_t k) const;
 
   std::unique_ptr<Index> index_;

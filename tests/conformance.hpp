@@ -133,6 +133,27 @@ inline void check_answers(const std::string& backend) {
   }
 }
 
+/// `call` must throw the uniform `rbc::Index[<backend>]` invalid_argument
+/// whose message names `row` ("row 13", "query row 2") as holding a
+/// non-finite value.
+template <class Call>
+void expect_nonfinite_refused(const std::string& backend, const Call& call,
+                              const std::string& row,
+                              const std::string& what) {
+  try {
+    call();
+    ADD_FAILURE() << backend << " accepted a non-finite value at " << what;
+  } catch (const std::invalid_argument& e) {
+    const std::string message = e.what();
+    EXPECT_EQ(message.rfind("rbc::Index[" + backend + "]: ", 0), 0u)
+        << what << ": " << message;
+    EXPECT_NE(message.find(row + " "), std::string::npos)
+        << what << ": " << message;
+    EXPECT_NE(message.find("non-finite"), std::string::npos)
+        << what << ": " << message;
+  }
+}
+
 /// The unified request-error contract: identical conditions and message
 /// shape across every backend (see Index::knn_search).
 inline void check_error_contract(const std::string& backend) {
@@ -161,6 +182,26 @@ inline void check_error_contract(const std::string& backend) {
     EXPECT_NE(std::string(e.what()).find("exceeds database size"),
               std::string::npos)
         << backend << " threw a different message: " << e.what();
+  }
+  // A query holding a NaN or an infinity: its distances are NaN (under ip,
+  // NaN for some rows and -inf for others), which no (distance, id) order
+  // ranks.
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(), inf, -inf}) {
+    SCOPED_TRACE(backend + " with " + std::to_string(bad));
+    Matrix<float> bad_q = Q.clone();
+    bad_q.at(2, 5) = bad;
+    bad_q.at(4, 0) = bad;  // the message names the first bad row
+    expect_nonfinite_refused(
+        backend, [&] { (void)index->knn_search({.queries = &bad_q, .k = 1}); },
+        "query row 2", "knn");
+    if (index->info().supports_range)
+      expect_nonfinite_refused(
+          backend,
+          [&] {
+            (void)index->range_search({.queries = &bad_q, .radius = 1.0f});
+          },
+          "query row 2", "range");
   }
 }
 
@@ -590,21 +631,10 @@ inline void check_mutation_contract(const std::string& backend) {
 inline void check_nonfinite_rows(const std::string& backend) {
   const Matrix<float> X = testutil::random_matrix(40, 6, 117);
   const Matrix<float> Q = testutil::random_matrix(4, 6, 118);
-  const std::string prefix = "rbc::Index[" + backend + "]: ";
   const auto expect_refused = [&](const auto& call, index_t row,
                                   const std::string& what) {
-    try {
-      call();
-      ADD_FAILURE() << backend << " accepted a non-finite row at " << what;
-    } catch (const std::invalid_argument& e) {
-      const std::string message = e.what();
-      EXPECT_EQ(message.rfind(prefix, 0), 0u) << what << ": " << message;
-      EXPECT_NE(message.find("row " + std::to_string(row) + " "),
-                std::string::npos)
-          << what << ": " << message;
-      EXPECT_NE(message.find("non-finite"), std::string::npos)
-          << what << ": " << message;
-    }
+    expect_nonfinite_refused(backend, call, "row " + std::to_string(row),
+                             what);
   };
   const float inf = std::numeric_limits<float>::infinity();
   for (const float bad : {std::numeric_limits<float>::quiet_NaN(), inf, -inf}) {

@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <netinet/in.h>
 #include <string>
 #include <sys/socket.h>
@@ -356,6 +357,27 @@ TEST(NetServer, BadRequestGetsErrorFrameAndConnectionSurvives) {
     FAIL() << "expected RemoteError";
   } catch (const RemoteError& e) {
     EXPECT_EQ(e.code(), ErrorCode::kBadRequest);
+  }
+
+  // A NaN or infinite query: knn is refused at submit and range by the
+  // index, each with kBadRequest naming the row; the connection survives.
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(), inf, -inf}) {
+    Matrix<float> bad_q = queries.clone();
+    bad_q.at(1, 0) = bad;
+    const auto expect_bad_request = [&](const auto& call, const char* op) {
+      try {
+        call();
+        ADD_FAILURE() << op << " accepted " << bad;
+      } catch (const RemoteError& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kBadRequest) << op;
+        EXPECT_NE(std::string(e.what()).find("query row 1 holds a non-finite"),
+                  std::string::npos)
+            << op << ": " << e.what();
+      }
+    };
+    expect_bad_request([&] { (void)client.knn(bad_q, 3); }, "knn");
+    expect_bad_request([&] { (void)client.range(bad_q, 1.0f); }, "range");
   }
 
   // The same connection still answers a valid request.

@@ -1,6 +1,7 @@
 // The exactness contract of the RBC exact-search algorithm: for every query,
-// every dataset shape, every parameter combination and every metric, results
-// equal brute force under the (distance, id) order — ties included.
+// every dataset shape, every parameter combination, every metric, every
+// batch size and every ISA the dispatcher can select, results equal brute
+// force under the (distance, id) order — ties included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,11 +9,13 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "api/api.hpp"
 #include "common/counters.hpp"
 #include "data/generators.hpp"
 #include "distance/dispatch.hpp"
@@ -24,6 +27,32 @@ namespace rbc {
 namespace {
 
 std::uint32_t bits(float v) { return std::bit_cast<std::uint32_t>(v); }
+
+/// Every ISA this binary can execute: scalar always, avx2/avx512 when
+/// compiled in and reported by CPUID. The others are skipped, which is the
+/// graceful degradation the dispatcher promises.
+std::vector<dispatch::Isa> runnable_isas() {
+  std::vector<dispatch::Isa> isas;
+  for (const dispatch::Isa isa :
+       {dispatch::Isa::kScalar, dispatch::Isa::kAvx2, dispatch::Isa::kAvx512})
+    if (dispatch::isa_available(isa)) isas.push_back(isa);
+  return isas;
+}
+
+/// Pins an ISA for a scope, then restores the one selected on entry (an
+/// RBC_FORCE_ISA choice included).
+class IsaGuard {
+ public:
+  explicit IsaGuard(dispatch::Isa isa) : entry_(dispatch::active_isa()) {
+    dispatch::force_isa(isa);
+  }
+  ~IsaGuard() { dispatch::force_isa(entry_); }
+  IsaGuard(const IsaGuard&) = delete;
+  IsaGuard& operator=(const IsaGuard&) = delete;
+
+ private:
+  dispatch::Isa entry_;
+};
 
 /// Scalar BF(X, R) with the metric functor, straight from paper §4: each
 /// point joins its nearest representative, the lowest representative index
@@ -72,6 +101,20 @@ KnnResult serial_rows(const RbcExactIndex<M>& index, const Matrix<float>& Q,
     top.extract_sorted(result.dists.row(qi), result.ids.row(qi));
   }
   return result;
+}
+
+/// Every work count of `got` equals `want`'s.
+void expect_same_work(const SearchStats& want, const SearchStats& got,
+                      const std::string& what) {
+  EXPECT_EQ(got.queries, want.queries) << what;
+  EXPECT_EQ(got.rep_dist_evals, want.rep_dist_evals) << what;
+  EXPECT_EQ(got.list_dist_evals, want.list_dist_evals) << what;
+  EXPECT_EQ(got.reps_pruned_overlap, want.reps_pruned_overlap) << what;
+  EXPECT_EQ(got.reps_pruned_lemma, want.reps_pruned_lemma) << what;
+  EXPECT_EQ(got.reps_scanned, want.reps_scanned) << what;
+  EXPECT_EQ(got.points_skipped_early_exit, want.points_skipped_early_exit)
+      << what;
+  EXPECT_EQ(got.points_skipped_annulus, want.points_skipped_annulus) << what;
 }
 
 /// Rows [lo, lo + rows) of Q.
@@ -456,12 +499,8 @@ template <class M>
 void expect_team_path_exact(const Matrix<float>& X, const Matrix<float>& Q,
                             const RbcParams& params, quant::Storage storage,
                             const std::string& name) {
-  const dispatch::Isa entry_isa = dispatch::active_isa();
-  for (const dispatch::Isa isa :
-       {dispatch::Isa::kScalar, dispatch::Isa::kAvx2,
-        dispatch::Isa::kAvx512}) {
-    if (!dispatch::isa_available(isa)) continue;
-    dispatch::force_isa(isa);
+  for (const dispatch::Isa isa : runnable_isas()) {
+    const IsaGuard guard(isa);
     RbcExactIndex<M> index;
     if constexpr (quantized_metric<M>) index.set_storage(storage);
     index.build(X, params);
@@ -489,7 +528,6 @@ void expect_team_path_exact(const Matrix<float>& X, const Matrix<float>& Q,
       }
     }
   }
-  dispatch::force_isa(entry_isa);
 }
 
 /// Integer-valued queries around the lattice, so query distances tie too.
@@ -630,14 +668,45 @@ TEST(RbcExactTeam, InsideAnOpenMpRegionRowsRunSerially) {
 #endif
   expect_rows_match(want, 0, got, "inside a region");
   EXPECT_EQ(evals, want_stats.dist_evals());
-  EXPECT_EQ(stats.queries, want_stats.queries);
-  EXPECT_EQ(stats.rep_dist_evals, want_stats.rep_dist_evals);
-  EXPECT_EQ(stats.list_dist_evals, want_stats.list_dist_evals);
-  EXPECT_EQ(stats.reps_pruned_overlap, want_stats.reps_pruned_overlap);
-  EXPECT_EQ(stats.reps_pruned_lemma, want_stats.reps_pruned_lemma);
-  EXPECT_EQ(stats.reps_scanned, want_stats.reps_scanned);
-  EXPECT_EQ(stats.points_skipped_early_exit,
-            want_stats.points_skipped_early_exit);
+  expect_same_work(want_stats, stats, "inside a region");
+}
+
+// ----------------------------------------------------------- batch path ---
+
+// search() on a batch of max_threads() rows and on the batch sizes a
+// service coalesces and an offline caller sends (16, 69, 128 and 256 rows),
+// under every runnable ISA: every row carries the ids and distance bits of
+// the per-row search_one, which equal brute force. Duplicated rows make
+// distance ties. A batch of at least max_threads() rows runs one row per
+// task and counts exactly the per-row work; a smaller one takes the team
+// path, whose counts vary with the schedule.
+TEST(RbcExactBatch, EveryBatchSizeMatchesSearchOneAndBruteForce) {
+  const auto [base, Q] = testutil::split_rows(
+      testutil::clustered_matrix(3'256, 12, 8, 3), 3'000);  // 256 queries
+  const Matrix<float> X = testutil::with_duplicates(base, 300);
+  const index_t team = static_cast<index_t>(max_threads());
+  for (const dispatch::Isa isa : runnable_isas()) {
+    const IsaGuard guard(isa);
+    RbcExactIndex<> index;
+    index.build(X, {.seed = 4});
+    for (const index_t k : {1u, 5u, 17u}) {
+      const std::string at =
+          std::string(dispatch::isa_name(isa)) + ", k " + std::to_string(k);
+      const KnnResult serial = serial_rows(index, Q, k);
+      expect_rows_match(testutil::naive_knn(Q, X, k), 0, serial,
+                        at + ", search_one");
+      for (const index_t batch :
+           {std::min(team, Q.rows()), 16u, 69u, 128u, 256u}) {
+        const std::string what = at + ", batch " + std::to_string(batch);
+        const Matrix<float> rows = slice_rows(Q, 0, batch);
+        SearchStats want, got;
+        expect_rows_match(serial, 0, index.search(rows, k, &got), what);
+        if (batch < team) continue;
+        (void)serial_rows(index, rows, k, &want);
+        expect_same_work(want, got, what);
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------ statistics ---
@@ -765,6 +834,118 @@ TEST(RbcExactEdge, MemoryBytesPositiveAndPlausible) {
   const std::size_t raw = 1'000ull * index.dim() * sizeof(float);
   EXPECT_GT(index.memory_bytes(), raw);
   EXPECT_LT(index.memory_bytes(), 8 * raw);
+}
+
+// ------------------------------------------------- forced-ISA parity ------
+//
+// The acceptance bar of the dispatch layer: every backend returns identical
+// ids/dists under RBC_FORCE_ISA=scalar|avx2|avx512 (here forced through the
+// equivalent programmatic hook; ISAs the host lacks are skipped — that IS
+// the graceful degradation being tested).
+
+TEST(ForcedIsaParity, AllBackendsMatchScalarReference) {
+  // Duplicated rows manufacture ties; 69 queries leave bruteforce's batch
+  // path a partial tile; the clustered structure engages pruning and early
+  // exit.
+  const Matrix<float> base = testutil::clustered_matrix(1'200, 13, 6, 21);
+  const auto [X, Q] = testutil::split_rows(
+      testutil::with_duplicates(base, 300), 1'431);  // 69 held-out queries
+  const index_t k = 5;
+
+  for (const char* backend :
+       {"bruteforce", "rbc-exact", "rbc-oneshot", "kdtree", "balltree"}) {
+    auto index = make_index(backend, {.rbc = {.seed = 22}});
+    index->build(X);
+
+    KnnResult reference;
+    {
+      IsaGuard guard(dispatch::Isa::kScalar);
+      reference = index->knn_search({.queries = &Q, .k = k}).knn;
+    }
+    for (const dispatch::Isa isa : runnable_isas()) {
+      IsaGuard guard(isa);
+      const KnnResult got = index->knn_search({.queries = &Q, .k = k}).knn;
+      EXPECT_TRUE(testutil::knn_equal(reference, got))
+          << backend << " under " << dispatch::isa_name(isa);
+    }
+  }
+}
+
+TEST(ForcedIsaParity, SmallBatchesAndSingleQueries) {
+  // Below bruteforce's tile threshold: the row-block kernel, per query.
+  const auto [X, Q] = testutil::split_rows(
+      testutil::clustered_matrix(807, 7, 5, 23), 800);  // 7 queries
+
+  for (const char* backend : {"bruteforce", "rbc-exact", "rbc-oneshot"}) {
+    auto index = make_index(backend, {.rbc = {.seed = 24}});
+    index->build(X);
+
+    KnnResult reference;
+    {
+      IsaGuard guard(dispatch::Isa::kScalar);
+      reference = index->knn_search({.queries = &Q, .k = 3}).knn;
+    }
+    for (const dispatch::Isa isa : runnable_isas()) {
+      IsaGuard guard(isa);
+      const KnnResult got = index->knn_search({.queries = &Q, .k = 3}).knn;
+      EXPECT_TRUE(testutil::knn_equal(reference, got))
+          << backend << " under " << dispatch::isa_name(isa);
+    }
+  }
+}
+
+TEST(ForcedIsaParity, LongAnnulusListsMatchAcrossIsas) {
+  // Four representatives over 800 rows => ownership lists of ~200 rows, so
+  // every list scan runs the kernelized segment path (>= kKernelMinSegment)
+  // with the annulus bound cutting both ends of the window. Compare every
+  // ISA against the scalar-forced dispatch AND against the naive reference.
+  const Matrix<float> base = testutil::clustered_matrix(600, 9, 4, 25);
+  const Matrix<float> extra = testutil::clustered_matrix(200, 9, 4, 26);
+  Matrix<float> X(base.rows() + extra.rows(), base.cols());
+  for (index_t i = 0; i < base.rows(); ++i) X.copy_row_from(base, i, i);
+  for (index_t i = 0; i < extra.rows(); ++i)
+    X.copy_row_from(extra, i, base.rows() + i);
+  const Matrix<float> Q = testutil::random_matrix(40, 9, 27, -6.0f, 6.0f);
+
+  RbcParams params{.num_reps = 4, .seed = 28};
+  params.use_annulus_bound = true;
+  RbcExactIndex<> index;
+  index.build(X, params);
+  for (index_t r = 0; r < index.num_reps(); ++r)
+    ASSERT_GE(index.list_ids(r).size(), RbcExactIndex<>::kKernelMinSegment);
+
+  KnnResult reference;
+  {
+    IsaGuard guard(dispatch::Isa::kScalar);
+    reference = index.search(Q, 4);
+  }
+  EXPECT_TRUE(testutil::knn_equal(testutil::naive_knn(Q, X, 4), reference));
+  for (const dispatch::Isa isa : runnable_isas()) {
+    IsaGuard guard(isa);
+    EXPECT_TRUE(testutil::knn_equal(reference, index.search(Q, 4)))
+        << dispatch::isa_name(isa);
+  }
+}
+
+TEST(ForcedIsaParity, SerializedIndexSearchesIdenticallyAfterReload) {
+  // A load rebuilds the index from its saved rows: the reloaded index must
+  // answer identically under every ISA.
+  const auto [X, Q] = testutil::split_rows(
+      testutil::clustered_matrix(1'050, 11, 6, 29), 1'000);
+  auto index = make_index("rbc-exact", {.rbc = {.seed = 30}});
+  index->build(X);
+
+  std::stringstream stream;
+  index->save(stream);
+  const auto reloaded = load_index(stream);
+
+  for (const dispatch::Isa isa : runnable_isas()) {
+    IsaGuard guard(isa);
+    EXPECT_TRUE(testutil::knn_equal(
+        index->knn_search({.queries = &Q, .k = 3}).knn,
+        reloaded->knn_search({.queries = &Q, .k = 3}).knn))
+        << dispatch::isa_name(isa);
+  }
 }
 
 }  // namespace

@@ -9,8 +9,10 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -248,6 +250,41 @@ TEST(ServeErrors, MalformedSubmissionsThrowSynchronously) {
                std::invalid_argument);
   EXPECT_THROW((void)service.submit_batch(wrong_dim, 1),
                std::invalid_argument);
+
+  // A non-finite query is refused at submit, naming its row, so it never
+  // joins a coalesced batch: nothing is submitted and no completion runs.
+  const float inf = std::numeric_limits<float>::infinity();
+  std::atomic<int> calls{0};
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(), inf, -inf}) {
+    std::vector<float> bad_q = q;
+    bad_q[3] = bad;
+    Matrix<float> batch = testutil::random_matrix(3, 6, 38);
+    batch.at(1, 2) = bad;
+    const auto expect_refused = [&](const auto& call, const char* row) {
+      try {
+        call();
+        ADD_FAILURE() << "accepted " << bad << " in " << row;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(std::string(row) +
+                                             " holds a non-finite value"),
+                  std::string::npos)
+            << e.what();
+      }
+    };
+    expect_refused([&] { (void)service.submit({bad_q.data(), 6}, 1); },
+                   "query row 0");
+    expect_refused([&] { (void)service.submit_batch(batch, 1); },
+                   "query row 1");
+    expect_refused(
+        [&] {
+          (void)service.try_submit_batch(
+              batch, 1, [&](KnnResult, std::exception_ptr) { ++calls; });
+        },
+        "query row 1");
+  }
+  service.drain();
+  EXPECT_EQ(calls.load(), 0);
+  EXPECT_EQ(service.stats().submitted, 0u);
 }
 
 TEST(ServeErrors, BackendFailurePropagatesThroughTheFuture) {
