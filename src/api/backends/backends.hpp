@@ -54,16 +54,20 @@ inline std::vector<std::string> scan_storage_names(metric::Kind kind) {
 }
 
 /// Batches a single-query backend (`one(q, top)` fills a TopK) across a
-/// query matrix, parallel over queries — the adapter-side equivalent of the
+/// query matrix, parallel over queries, one row per task (a small batch
+/// would otherwise run on one thread) — the adapter-side equivalent of the
 /// batch loops the RBC indexes implement natively.
 template <class SearchOne>
 KnnResult batch_knn(const Matrix<float>& Q, index_t k, SearchOne&& one) {
   KnnResult result(Q.rows(), k);
-  parallel_for_dynamic(0, Q.rows(), [&](index_t qi) {
-    TopK top(k);
-    one(Q.row(qi), top);
-    top.extract_sorted(result.dists.row(qi), result.ids.row(qi));
-  });
+  parallel_for_dynamic(
+      0, Q.rows(),
+      [&](index_t qi) {
+        TopK top(k);
+        one(Q.row(qi), top);
+        top.extract_sorted(result.dists.row(qi), result.ids.row(qi));
+      },
+      /*chunk=*/1);
   return result;
 }
 

@@ -1,6 +1,7 @@
 // "bruteforce" backend: BF(Q, X) as an Index. The reference answer every
 // exact backend must match, and the baseline every speedup is measured
-// against. Owns a copy of the database and supports range search.
+// against. Owns a copy of the database, which it lends to the mutable
+// wrapper (stored_rows), and supports range search.
 //
 // The full metric matrix lives here: "l2" and "l1" scan directly through
 // the dispatched kernels, "cosine" is L2 over unit-normalized rows (rows
@@ -120,6 +121,10 @@ class BruteForceBackend final : public Index {
     return response;
   }
 
+  StoredRows stored_rows() const override {
+    return built_ ? StoredRows{&db_, {}} : StoredRows{};
+  }
+
   IndexInfo info() const override {
     IndexInfo info;
     info.backend = "bruteforce";
@@ -133,8 +138,9 @@ class BruteForceBackend final : public Index {
     info.dim = db_.cols();
     info.exact = true;
     info.supports_range = true;
-    info.memory_bytes =
-        db_.size() * sizeof(float) + qstore_.memory_bytes();
+    info.memory_bytes = db_.size() * sizeof(float) +
+                        norms_.sq.size() * sizeof(float) +
+                        qstore_.memory_bytes();
     info.kernel_isa = dispatch::isa_name(dispatch::active_isa());
     // Metric-space names this host also serves (through the generic payload
     // dispatch in the factory lambda below).

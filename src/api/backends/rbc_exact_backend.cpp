@@ -7,7 +7,8 @@
 // metric space, so exactness is inherited rather than re-proved.
 //
 // make_index wraps it in MutableIndex, whose dense stream persists the rows
-// and build knobs; a load rebuilds this index from them.
+// and build knobs; a load rebuilds this index from them. The wrapper holds
+// no rows of its own: it reads them back from the packed rows (stored_rows).
 #include <variant>
 
 #include "api/backends/backends.hpp"
@@ -82,6 +83,17 @@ class RbcExactBackend final : public Index {
         index_);
     if (request.options.collect_stats) response.stats.queries = Q.rows();
     return response;
+  }
+
+  /// The owner-ordered packed rows stage 3 scans, with the build position
+  /// of each.
+  StoredRows stored_rows() const override {
+    if (!built_) return {};
+    return std::visit(
+        [](const auto& index) {
+          return StoredRows{&index.packed_rows(), index.packed_ids()};
+        },
+        index_);
   }
 
   IndexInfo info() const override {

@@ -1,7 +1,8 @@
 // Tree-baseline backends ("kdtree", "balltree", "covertree") behind the
 // unified interface. The three concrete trees are non-owning and answer one
 // query at a time, so they share one adapter shape: own a copy of the
-// database and batch the serial per-query knn() in parallel. A traits
+// database (lent to the mutable wrapper through stored_rows) and batch the
+// serial per-query knn() in parallel. A traits
 // struct supplies what differs — the tree variant type, registry name,
 // supported metric set, and which IndexOptions knobs the build consumes.
 // make_index wraps each in MutableIndex, whose dense stream persists the
@@ -65,6 +66,10 @@ class TreeBackend final : public Index {
     return response;
   }
 
+  StoredRows stored_rows() const override {
+    return built_ ? StoredRows{&db_, {}} : StoredRows{};
+  }
+
   IndexInfo info() const override {
     IndexInfo info;
     info.backend = Traits::kName;
@@ -74,7 +79,10 @@ class TreeBackend final : public Index {
     info.dim = db_.cols();
     info.exact = true;
     info.supports_range = false;
-    info.memory_bytes = db_.size() * sizeof(float);
+    info.memory_bytes =
+        db_.size() * sizeof(float) +
+        std::visit([](const auto& tree) { return tree.memory_bytes(); },
+                   tree_);
     return info;
   }
 

@@ -48,6 +48,8 @@ void Index::build_with_ids(const Matrix<float>& /*X*/,
 
 std::vector<index_t> Index::live_ids() const { fail_mutation(*this); }
 
+StoredRows Index::stored_rows() const { return {}; }
+
 namespace {
 
 [[noreturn]] void fail_payload(const Index& index) {

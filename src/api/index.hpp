@@ -160,6 +160,19 @@ struct IndexInfo {
   std::vector<std::string> supported_spaces;
 };
 
+/// The rows a built index scans, lent by Index::stored_rows() so that a
+/// wrapper can read them back instead of holding a second copy. Both views
+/// point into the index and stay valid while it lives and is not rebuilt.
+struct StoredRows {
+  /// The matrix the index holds, in the space it scans (unit-normalized
+  /// under "cosine"); null when the index lends no rows.
+  const Matrix<float>* rows = nullptr;
+  /// When the rows are stored permuted, the build position of each stored
+  /// row: stored row p is row positions[p] of the matrix given to build().
+  /// Empty when the rows are stored in build order.
+  std::span<const index_t> positions;
+};
+
 /// Abstract search index. Implementations own every byte they need to
 /// answer queries (the database is copied at build — callers may discard
 /// it), are immutable after build(), and answer concurrent const queries
@@ -242,6 +255,13 @@ class Index {
 
   /// Ascending ids of the currently-live points (size info().size).
   virtual std::vector<index_t> live_ids() const;
+
+  /// Lends the rows this built index scans (see StoredRows), so that
+  /// mutate::MutableIndex reads its main rows back from it for merges and
+  /// save instead of holding a second copy. Default: lends nothing, and the
+  /// wrapper keeps its own copy — the fallback for an index whose structure
+  /// need not hold every row (rbc-oneshot's lists) and for user backends.
+  virtual StoredRows stored_rows() const;
 
   /// Metadata and capability flags.
   virtual IndexInfo info() const = 0;

@@ -48,6 +48,12 @@ class BallTree {
   index_t size() const { return db_ == nullptr ? 0 : db_->rows(); }
   index_t num_nodes() const { return static_cast<index_t>(nodes_.size()); }
 
+  /// Bytes the tree holds: its nodes and row order (not the rows of X).
+  std::size_t memory_bytes() const {
+    return nodes_.capacity() * sizeof(Node) +
+           order_.capacity() * sizeof(index_t);
+  }
+
   /// Structural invariants: every member of a node lies within its radius;
   /// children partition the parent's range.
   bool check_invariants() const;

@@ -62,6 +62,16 @@ class CoverTree {
   /// Number of nodes (== number of distinct points; duplicates fold).
   index_t num_nodes() const { return static_cast<index_t>(nodes_.size()); }
 
+  /// Bytes the tree holds: its nodes with their child and duplicate lists
+  /// (not the rows of X).
+  std::size_t memory_bytes() const {
+    std::size_t bytes = nodes_.capacity() * sizeof(Node);
+    for (const Node& node : nodes_)
+      bytes += (node.children.capacity() + node.duplicates.capacity()) *
+               sizeof(index_t);
+    return bytes;
+  }
+
  private:
   struct Node {
     index_t point;                  // row in the database

@@ -38,6 +38,12 @@ class KdTree {
   index_t size() const { return db_ == nullptr ? 0 : db_->rows(); }
   index_t num_nodes() const { return static_cast<index_t>(nodes_.size()); }
 
+  /// Bytes the tree holds: its nodes and row order (not the rows of X).
+  std::size_t memory_bytes() const {
+    return nodes_.capacity() * sizeof(Node) +
+           order_.capacity() * sizeof(index_t);
+  }
+
  private:
   struct Node {
     // Interior: split dimension/value and children. Leaf: child == -1 and

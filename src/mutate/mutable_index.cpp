@@ -54,6 +54,31 @@ std::shared_ptr<const std::vector<index_t>> merged(
   return out;
 }
 
+/// The main rows in id order, wherever they live: lent by the inner index
+/// (Index::stored_rows), read through one O(n) inverse of its permutation,
+/// or the wrapper's own copy when the inner lends none.
+class MainRows {
+ public:
+  MainRows(const Index* inner, const Matrix<float>& own) : rows_(&own) {
+    const StoredRows lent = inner != nullptr ? inner->stored_rows()
+                                             : StoredRows{};
+    if (lent.rows == nullptr) return;
+    rows_ = lent.rows;
+    slot_.resize(lent.positions.size());
+    for (std::size_t p = 0; p < lent.positions.size(); ++p)
+      slot_[lent.positions[p]] = static_cast<index_t>(p);
+  }
+
+  /// The row of the i-th smallest main id.
+  const float* row(index_t i) const {
+    return rows_->row(slot_.empty() ? i : slot_[i]);
+  }
+
+ private:
+  const Matrix<float>* rows_;
+  std::vector<index_t> slot_;  // id-order position -> stored row, if permuted
+};
+
 void check_ascending_unique(const std::vector<index_t>& ids,
                             const char* what) {
   for (std::size_t i = 0; i < ids.size(); ++i) {
@@ -143,17 +168,16 @@ void MutableIndex::build_internal(const Matrix<float>& X,
                                   std::vector<index_t> ids) {
   validate_rows(X, name_.c_str());
   join_merge_thread();  // a rebuild obsoletes any in-flight merge
-  Matrix<float> rows = gather_rows(X, X.rows(), [](index_t i) { return i; });
-  if (kind_ == metric::Kind::kCosine) metric::normalize_rows(rows);
-  std::unique_ptr<Index> inner;
-  if (rows.rows() > 0) {
-    inner = create_(inner_options_);
-    inner->build(rows);
+  // The inner index copies what it keeps, straight from the caller's rows;
+  // cosine rows enter transform space first, in a temporary.
+  Matrix<float> normalized;
+  const bool cosine = kind_ == metric::Kind::kCosine;
+  if (cosine) {
+    normalized = gather_rows(X, X.rows(), [](index_t i) { return i; });
+    metric::normalize_rows(normalized);
   }
-  auto main = std::make_shared<MainState>();
-  main->inner = std::move(inner);
-  main->rows = std::move(rows);
-  main->ids = std::move(ids);
+  auto main = make_main(cosine ? normalized : X, std::move(ids),
+                        cosine ? &normalized : nullptr);
 
   std::unique_lock lock(mutex_);
   built_ = true;
@@ -164,6 +188,23 @@ void MutableIndex::build_internal(const Matrix<float>& X,
   dead_ = tombs_;
   merging_ = false;
   frozen_ids_.clear();
+}
+
+std::shared_ptr<MutableIndex::MainState> MutableIndex::make_main(
+    const Matrix<float>& rows, std::vector<index_t> ids,
+    Matrix<float>* movable) const {
+  auto main = std::make_shared<MainState>();
+  if (rows.rows() > 0) {
+    main->inner = create_(inner_options_);
+    main->inner->build(rows);
+    if (main->inner->stored_rows().rows == nullptr)
+      main->rows = movable != nullptr
+                       ? std::move(*movable)
+                       : gather_rows(rows, rows.rows(),
+                                     [](index_t i) { return i; });
+  }
+  main->ids = std::move(ids);
+  return main;
 }
 
 MutableIndex::Snapshot MutableIndex::snapshot() const {
@@ -569,7 +610,9 @@ void MutableIndex::merge_once(const MergeJob& job) {
   // The next main set, sorted by global id — exactly the row order a
   // scratch build_with_ids over the live set would see, which is what makes
   // a merged index bit-comparable to a rebuilt one (even for the seeded
-  // probabilistic one-shot structure).
+  // probabilistic one-shot structure). The old main's rows are read back
+  // from its inner index; this snapshot keeps that index alive.
+  const MainRows old_rows(old_main.inner.get(), old_main.rows);
   Matrix<float> rows(n, dim_);
   for (index_t i = 0; i < n; ++i) {
     const index_t id = frozen[i];
@@ -578,18 +621,11 @@ void MutableIndex::merge_once(const MergeJob& job) {
     if (dpos != kInvalidIndex) {
       rows.copy_row_from(old_delta.rows, dpos, i);
     } else {
-      rows.copy_row_from(old_main.rows, position_of(old_main.ids, id), i);
+      rows.set_row(i, old_rows.row(position_of(old_main.ids, id)));
     }
   }
-  std::unique_ptr<Index> inner;
-  if (n > 0) {
-    inner = create_(inner_options_);
-    inner->build(rows);  // the expensive part: runs outside every lock
-  }
-  auto next_main = std::make_shared<MainState>();
-  next_main->inner = std::move(inner);
-  next_main->rows = std::move(rows);
-  next_main->ids = frozen;
+  // The build is the expensive part: it runs outside every lock.
+  auto next_main = make_main(rows, frozen, &rows);
 
   std::unique_lock lock(mutex_);
   // Reconcile mutations that landed while the structure was building:
@@ -725,8 +761,10 @@ void MutableIndex::save(std::ostream& os) const {
   // State: transform-space rows with explicit global ids. Only tombstones
   // that mask main rows are persisted (a transient merge-frozen extra means
   // nothing to a fresh load).
+  const MainRows main_rows(s.main->inner.get(), s.main->rows);
   io::write_vec(os, s.main->ids);
-  io::write_matrix(os, s.main->rows);
+  io::write_rows(os, static_cast<index_t>(s.main->ids.size()), dim,
+                 [&main_rows](index_t i) { return main_rows.row(i); });
   io::write_vec(os, s.delta->ids);
   io::write_matrix(os, s.delta->rows);
   io::write_vec(os, *s.dead);
@@ -796,15 +834,8 @@ std::unique_ptr<Index> MutableIndex::load(std::istream& is) {
     if (contains(main_ids, id) && !contains(tombs, id))
       corrupt("id live in both the delta shard and the main structure");
 
-  std::unique_ptr<Index> inner;
-  if (main_rows.rows() > 0) {
-    inner = index->create_(index->inner_options_);
-    inner->build(main_rows);  // deterministic: same rows, same knobs, same seed
-  }
-  auto main = std::make_shared<MainState>();
-  main->inner = std::move(inner);
-  main->rows = std::move(main_rows);
-  main->ids = std::move(main_ids);
+  // Deterministic: same rows, same knobs, same seed.
+  auto main = index->make_main(main_rows, std::move(main_ids), &main_rows);
   auto delta = std::make_shared<DeltaState>();
   delta->ids = std::move(delta_ids);
   delta->rows = std::move(delta_rows);

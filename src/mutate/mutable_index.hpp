@@ -16,6 +16,11 @@
 //   merge   ──► background thread rebuilds the raw structure over the live
 //               set, swaps it in under the lock (shared_ptr snapshots), so
 //               in-flight searches never block and never see a torn state.
+//   rows    ──► the main rows live once, in the raw structure, which lends
+//               them back in its own order (Index::stored_rows); merge and
+//               save read them in id order through one inverse of that
+//               permutation. Only a backend that lends none (rbc-oneshot,
+//               user backends) leaves the wrapper an id-ordered copy.
 //   save    ──► the dense stream (rbc/serialize_io.hpp): backend name, metric
 //               and storage tags, build knobs, then main rows + ids, delta
 //               rows + ids, tombstones. load() rebuilds the raw structure
@@ -96,14 +101,16 @@ class MutableIndex final : public Index {
   static std::unique_ptr<Index> load(std::istream& is);
 
  private:
-  /// The immutable main structure: the raw inner index plus the
-  /// transform-space rows and ascending global ids it was built over
-  /// (inner is null when the main set is empty — some raw backends do not
-  /// build over zero rows).
+  /// The immutable main structure: the raw inner index plus the ascending
+  /// global ids of the transform-space rows it was built over (inner is
+  /// null when the main set is empty — some raw backends do not build over
+  /// zero rows). The inner index holds the rows and lends them back
+  /// (Index::stored_rows); `rows` keeps an id-ordered copy only when it
+  /// lends none.
   struct MainState {
     std::unique_ptr<Index> inner;
-    Matrix<float> rows;
     std::vector<index_t> ids;
+    Matrix<float> rows;  // empty unless the inner index lends no rows
   };
   /// The mutable write buffer, copy-on-write: ids ascending, rows in the
   /// matching order, already in transform space (normalized when cosine).
@@ -128,6 +135,13 @@ class MutableIndex final : public Index {
 
   Snapshot snapshot() const;
   void build_internal(const Matrix<float>& X, std::vector<index_t> ids);
+  /// A main structure over `rows` (transform space, id order) and `ids`:
+  /// builds the inner index, then keeps a copy of `rows` only if it lends
+  /// none — moved from `movable` (rows itself, when the caller owns them)
+  /// or else gathered.
+  std::shared_ptr<MainState> make_main(const Matrix<float>& rows,
+                                       std::vector<index_t> ids,
+                                       Matrix<float>* movable) const;
   dist_t delta_distance(const float* a, const float* b, index_t d) const;
   /// BF(q, delta) into `top`: the bruteforce backend's prefilter plus exact
   /// re-measure for l2/cosine and l1, the functor loop for ip. Same heap

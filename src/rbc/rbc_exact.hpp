@@ -3,11 +3,14 @@
 // Build: every database point joins its nearest representative (paper §4:
 // BF(X, R)); ownership lists partition the database, each list stored sorted
 // by distance to its representative, with radius psi_r = max_{x in L_r}
-// rho(x, r). From kNestedOwnersMinReps representatives on, the owners come
-// from the paper's own decomposition applied to the build: a 1-NN search of
-// an exact RBC over R, with the same owners and distance bits as BF(X, R)
-// at about sqrt(nr) representative distances plus the surviving list rows
-// per point instead of nr (101 instead of 1,000 at 1M `cov` rows).
+// rho(x, r). From kNestedOwnersMinReps representatives on, the owners can
+// come from the paper's own decomposition applied to the build: a 1-NN
+// search of an exact RBC over R, with the same owners and distance bits as
+// BF(X, R) at about sqrt(nr) representative distances plus the surviving
+// list rows per point instead of nr (101 instead of 1,000 at 1M `cov`
+// rows). A strided sample of rows measures that count first, and rows of
+// high intrinsic dimension, where the search prunes little, stay on
+// BF(X, R).
 //
 // Search (1-NN, generalized here to k-NN and range):
 //   1. brute-force scan of the representatives -> distances rho(q, r), the
@@ -86,10 +89,11 @@ class RbcExactIndex {
 
   RbcExactIndex() = default;
 
-  /// Representative count from which build() finds owners with an exact
-  /// RBC over the representatives instead of BF(X, R). Measured on `cov`
-  /// rows, n = nr^2, 4 threads, AVX-512, inner build included, medians of
-  /// 7, rows in generator order / shuffled as perfbench draws them:
+  /// Representative count from which build() may find owners with an
+  /// exact RBC over the representatives instead of BF(X, R). Measured on
+  /// `cov` rows, n = nr^2, 4 threads, AVX-512, inner build included,
+  /// medians of 7, rows in generator order / shuffled as perfbench draws
+  /// them:
   ///   nr 224:   BF(X, R) 0.015 / 0.015 s, search 0.025-0.027 / 0.013 s;
   ///   nr 288:   0.031-0.032 / 0.028 s, search 0.028-0.030 / 0.028 s;
   ///   nr 304:   0.036-0.038 / 0.034-0.036 s, search 0.050-0.054 /
@@ -97,11 +101,28 @@ class RbcExactIndex {
   ///   nr 320:   0.042 / 0.037-0.043 s, search 0.036-0.039 / 0.025-0.033 s;
   ///   nr 1,000: 1.26 s, search 0.37 s (shuffled).
   /// Below 320 the faster path depends on the row order; from 320 on the
-  /// search won every probe. The search's gain needs low intrinsic
+  /// search won every probe on `cov`. Its gain needs low intrinsic
   /// dimension: at nr 448 it took 97 evaluations per `cov` row, but 313
   /// per `bio` row and 453 per `robot` row, whose whole builds it made 2x
-  /// and 3x slower.
+  /// and 3x slower. So the count is sampled first (kOwnerSampleRows).
   static constexpr index_t kNestedOwnersMinReps = 320;
+
+  /// From kNestedOwnersMinReps representatives on, build() first finds the
+  /// owners of a fixed strided sample of this many rows with the search
+  /// and keeps them. The other rows take the search as well when the
+  /// sample used at most nr / kSearchEvalCost evaluations per row, and
+  /// BF(X, R) otherwise.
+  static constexpr index_t kOwnerSampleRows = 1024;
+  /// The cost of one owner-search evaluation in BF(X, R) evaluations: the
+  /// search ran at about 3x the time per evaluation of the l2_lanes shape
+  /// (1M `cov` rows, nr 1,000, 4 threads, AVX-512).
+  static constexpr std::uint64_t kSearchEvalCost = 3;
+
+  /// How build() found the owners of the rows outside the sample.
+  enum class OwnerPath : std::uint8_t {
+    kBruteForce,  ///< BF(X, R)
+    kSearch,      ///< a 1-NN search of the exact RBC over R
+  };
 
   /// Builds the index over X. X must outlive nothing — the index copies the
   /// rows it needs (representatives + permuted database).
@@ -123,10 +144,12 @@ class RbcExactIndex {
     // routine is simply a call to BF(X, R)").
     std::vector<index_t> owner(n_);
     std::vector<dist_t> owner_dist(n_);
-    if (nr < kNestedOwnersMinReps)
-      owners_by_brute_force(X, owner, owner_dist);
-    else
-      owners_by_search(X, owner, owner_dist);
+    if (nr < kNestedOwnersMinReps) {
+      owners_by_brute_force(X, {}, owner, owner_dist);
+      owner_path_ = OwnerPath::kBruteForce;
+    } else {
+      owner_path_ = owners_by_search(X, owner, owner_dist);
+    }
 
     // CSR layout: offsets_[r] .. offsets_[r+1] delimit L_r in the packed
     // arrays. Counting sort by owner, then per-list sort by (distance, id).
@@ -363,6 +386,7 @@ class RbcExactIndex {
   index_t size() const { return n_; }
   index_t dim() const { return dim_; }
   index_t num_reps() const { return reps_.rows(); }
+  OwnerPath owner_path() const { return owner_path_; }
   const std::vector<index_t>& rep_ids() const { return rep_ids_; }
   dist_t psi(index_t r) const { return psi_[r]; }
 
@@ -376,6 +400,12 @@ class RbcExactIndex {
     return {packed_dist_.data() + offsets_[r],
             static_cast<std::size_t>(offsets_[r + 1] - offsets_[r])};
   }
+
+  /// The permuted copy of the database that stage 3 scans, lists end to
+  /// end, and the original-database id of each of its rows: packed row p
+  /// is row packed_ids()[p] of X.
+  const Matrix<float>& packed_rows() const { return packed_; }
+  std::span<const index_t> packed_ids() const { return packed_ids_; }
 
   /// Memory footprint of the index in bytes (excluding the caller's X).
   std::size_t memory_bytes() const {
@@ -554,15 +584,25 @@ class RbcExactIndex {
     return result;
   }
 
-  /// BF(X, R): every representative distance of every row, the recursion's
-  /// base case. Parallel over X, one distance buffer per block of rows.
-  void owners_by_brute_force(const Matrix<float>& X,
+  /// The fixed strided sample of owners_by_search: rows 0, step, 2 step,
+  /// ... (count rows). The default holds no row.
+  struct OwnerSample {
+    index_t step = 1;
+    index_t count = 0;
+    bool holds(index_t x) const { return x % step == 0 && x / step < count; }
+  };
+
+  /// BF(X, R) for the rows outside `sample`: every representative distance
+  /// of every row, the recursion's base case. Parallel over X, one distance
+  /// buffer per block of rows.
+  void owners_by_brute_force(const Matrix<float>& X, OwnerSample sample,
                              std::vector<index_t>& owner,
                              std::vector<dist_t>& owner_dist) const {
     const index_t nr = reps_.rows();
     parallel_for_blocked(0, n_, 256, [&](index_t lo, index_t hi) {
       std::vector<dist_t> dists(nr);
       for (index_t x = lo; x < hi; ++x) {
+        if (sample.holds(x)) continue;
         rep_distances(X.row(x), dists.data());
         dist_t best = kInfDist;
         index_t best_rep = 0;
@@ -576,33 +616,62 @@ class RbcExactIndex {
         owner_dist[x] = best;
       }
     });
-    counters::add_dist_evals(static_cast<std::uint64_t>(n_) * nr);
+    counters::add_dist_evals(static_cast<std::uint64_t>(n_ - sample.count) *
+                             nr);
   }
 
-  /// The same owners by the paper's own decomposition: 1-NN of every row in
-  /// an exact RBC over R, one search_one per row, written straight into
-  /// owner and owner_dist. Its (distance, id) order returns the
-  /// lowest-index nearest representative at the functor's bits, so owners
-  /// and distances equal BF(X, R)'s, at about ceil(sqrt(nr)) representative
-  /// distances plus the surviving list rows per point instead of nr. The
-  /// inner index takes default params under the outer seed: exact, every
-  /// rule on, float32. The outer approx_eps, prune flags, sampling and
-  /// storage never reach it, since rule 2 (Lemma 1) needs exact owners.
-  void owners_by_search(const Matrix<float>& X, std::vector<index_t>& owner,
-                        std::vector<dist_t>& owner_dist) const {
+  /// The same owners by the paper's own decomposition: 1-NN of each row in
+  /// an exact RBC over R, written straight into owner and owner_dist. Its
+  /// (distance, id) order returns the lowest-index nearest representative
+  /// at the functor's bits, so owners and distances equal BF(X, R)'s. The
+  /// strided sample runs first and counts its evaluations; past
+  /// nr / kSearchEvalCost per row the other rows take BF(X, R) instead.
+  /// Either way the sample keeps its owners. The inner index takes default
+  /// params under the outer seed: exact, every rule on, float32. The outer
+  /// approx_eps, prune flags, sampling and storage never reach it, since
+  /// rule 2 (Lemma 1) needs exact owners.
+  OwnerPath owners_by_search(const Matrix<float>& X,
+                             std::vector<index_t>& owner,
+                             std::vector<dist_t>& owner_dist) const {
     RbcExactIndex inner;
     RbcParams inner_params;
     inner_params.seed = params_.seed;
     inner.build(reps_, inner_params, metric_);
-    parallel_for_blocked(0, n_, 256, [&](index_t lo, index_t hi) {
+    // 1-NN of X row row(i) for each i in [lo, hi), skipping an i whose
+    // row(i) is kInvalidIndex; returns the evaluations it counted.
+    const auto search = [&](index_t lo, index_t hi, auto row) {
       Scratch scratch;
       TopK top(1);
-      for (index_t x = lo; x < hi; ++x) {
+      SearchStats stats;
+      for (index_t i = lo; i < hi; ++i) {
+        const index_t x = row(i);
+        if (x == kInvalidIndex) continue;
         top.reset();
-        inner.search_one(X.row(x), 1, top, scratch);
+        inner.search_one(X.row(x), 1, top, scratch, &stats);
         top.extract_sorted(&owner_dist[x], &owner[x]);
       }
+      return stats.rep_dist_evals + stats.list_dist_evals;
+    };
+
+    const index_t count = std::min(n_, kOwnerSampleRows);
+    const OwnerSample sample{n_ / count, count};
+    std::atomic<std::uint64_t> sample_evals{0};
+    parallel_for_blocked(0, count, 64, [&](index_t lo, index_t hi) {
+      sample_evals +=
+          search(lo, hi, [&](index_t i) { return i * sample.step; });
     });
+    if (count == n_) return OwnerPath::kSearch;  // the sample was every row
+    if (sample_evals.load() * kSearchEvalCost >
+        std::uint64_t{reps_.rows()} * count) {
+      owners_by_brute_force(X, sample, owner, owner_dist);
+      return OwnerPath::kBruteForce;
+    }
+    parallel_for_blocked(0, n_, 256, [&](index_t lo, index_t hi) {
+      search(lo, hi, [&](index_t x) {
+        return sample.holds(x) ? kInvalidIndex : x;
+      });
+    });
+    return OwnerPath::kSearch;
   }
 
   /// Derives the lane-blocked copy of the representatives that
@@ -637,6 +706,7 @@ class RbcExactIndex {
   RbcParams params_{};
   index_t n_ = 0;
   index_t dim_ = 0;
+  OwnerPath owner_path_ = OwnerPath::kBruteForce;
 
   Matrix<float> reps_;              // nr x d copies of representative rows
   AlignedBuffer<float> rep_lanes_;  // reps_ lane-blocked (pack_rep_lanes)

@@ -118,13 +118,17 @@ class RbcOneShotIndex {
     std::vector<SearchStats> tstats(static_cast<std::size_t>(nt));
     std::vector<TopK> heaps(static_cast<std::size_t>(nt), TopK(k));
 
-    parallel_for_dynamic(0, Q.rows(), [&](index_t qi) {
-      const auto tid = static_cast<std::size_t>(thread_id());
-      TopK& top = heaps[tid];
-      top.reset();
-      search_one(Q.row(qi), k, top, scratch[tid], &tstats[tid]);
-      top.extract_sorted(result.dists.row(qi), result.ids.row(qi));
-    });
+    // Chunk 1: an 8-row batch would otherwise run on one thread.
+    parallel_for_dynamic(
+        0, Q.rows(),
+        [&](index_t qi) {
+          const auto tid = static_cast<std::size_t>(thread_id());
+          TopK& top = heaps[tid];
+          top.reset();
+          search_one(Q.row(qi), k, top, scratch[tid], &tstats[tid]);
+          top.extract_sorted(result.dists.row(qi), result.ids.row(qi));
+        },
+        /*chunk=*/1);
 
     if (stats != nullptr)
       for (const SearchStats& s : tstats) stats->merge(s);

@@ -191,14 +191,22 @@ void read_vec(std::istream& is, std::vector<T>& v) {
   if (!is) throw std::runtime_error("rbc::io: truncated vector");
 }
 
+/// write_matrix's bytes for a rows x cols matrix whose row i starts at
+/// row(i), wherever the rows live (the dense stream's main rows are read
+/// back from the backend, in id order).
+template <class RowAt>
+void write_rows(std::ostream& os, index_t rows, index_t cols, RowAt row) {
+  write_pod(os, rows);
+  write_pod(os, cols);
+  for (index_t i = 0; i < rows; ++i)
+    os.write(reinterpret_cast<const char*>(row(i)),
+             static_cast<std::streamsize>(cols * sizeof(float)));
+}
+
 /// Writes only the logical (unpadded) payload; the padded stride is
 /// reconstructed on read, so files are layout-independent.
 inline void write_matrix(std::ostream& os, const Matrix<float>& m) {
-  write_pod(os, m.rows());
-  write_pod(os, m.cols());
-  for (index_t i = 0; i < m.rows(); ++i)
-    os.write(reinterpret_cast<const char*>(m.row(i)),
-             static_cast<std::streamsize>(m.cols() * sizeof(float)));
+  write_rows(os, m.rows(), m.cols(), [&m](index_t i) { return m.row(i); });
 }
 
 inline Matrix<float> read_matrix(std::istream& is) {

@@ -36,6 +36,7 @@
 #include "metricspace/dataset.hpp"
 #include "metricspace/space.hpp"
 #include "parallel/runtime.hpp"
+#include "rbc/serialize_io.hpp"
 #include "test_util.hpp"
 
 namespace rbc::conformance {
@@ -668,6 +669,96 @@ inline void check_nonfinite_rows(const std::string& backend) {
 /// Logical database the mutate-then-search matrix mirrors: live id -> row.
 using MutationMirror = std::map<index_t, std::vector<float>>;
 
+/// The state a dense stream (mutate::MutableIndex::save) holds after its
+/// tags and knobs.
+struct DenseStreamState {
+  std::vector<index_t> main_ids;
+  Matrix<float> main_rows;
+  std::vector<index_t> delta_ids;
+  Matrix<float> delta_rows;
+  std::vector<index_t> tombstones;
+};
+
+/// Saves `index` and reads its dense stream back field by field, in the
+/// order rbc/serialize_io.hpp lays the stream out.
+inline DenseStreamState read_dense_stream(const Index& index) {
+  std::stringstream stream;
+  index.save(stream);
+  io::read_header(stream, io::kMagicDense, "dense index");
+  for (int tag = 0; tag < 3; ++tag)  // backend, metric, storage
+    (void)io::read_string(stream);
+  (void)io::read_params(stream);
+  IndexOptions knobs;
+  io::read_pod(stream, knobs.leaf_size);
+  io::read_pod(stream, knobs.seed);
+  io::read_pod(stream, knobs.max_delta);
+  std::uint8_t background_merge = 0;
+  io::read_pod(stream, background_merge);
+  index_t dim = 0;
+  io::read_pod(stream, dim);
+  DenseStreamState state;
+  io::read_vec(stream, state.main_ids);
+  state.main_rows = io::read_matrix(stream);
+  io::read_vec(stream, state.delta_ids);
+  state.delta_rows = io::read_matrix(stream);
+  io::read_vec(stream, state.tombstones);
+  return state;
+}
+
+/// One copy of the rows: the wrapper reads its main rows back from the
+/// backend, so the dense stream is where a lost or stale row would show.
+/// Every live main row and every delta row it holds must be the mirror's
+/// row for that id in transform space (normalized under cosine), bit for
+/// bit, and together they must be exactly the mirror's ids.
+inline void expect_stream_rows_match(const Index& index,
+                                     const MutationMirror& mirror,
+                                     const std::string& metric_name) {
+  const DenseStreamState state = read_dense_stream(index);
+  std::vector<index_t> live;
+  const auto expect_row = [&](const float* got, index_t id,
+                              const char* where) {
+    live.push_back(id);
+    const auto it = mirror.find(id);
+    ASSERT_NE(it, mirror.end()) << where << " row of dead id " << id;
+    std::vector<float> want = it->second;
+    const auto dim = static_cast<index_t>(want.size());
+    if (metric_name == "cosine") metric::normalize(want.data(), dim);
+    for (index_t j = 0; j < dim; ++j)
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(got[j]),
+                std::bit_cast<std::uint32_t>(want[j]))
+          << where << " row of id " << id << ", column " << j;
+  };
+  for (std::size_t i = 0; i < state.main_ids.size(); ++i) {
+    const index_t id = state.main_ids[i];
+    if (std::binary_search(state.tombstones.begin(), state.tombstones.end(),
+                           id))
+      continue;
+    expect_row(state.main_rows.row(static_cast<index_t>(i)), id, "main");
+  }
+  for (std::size_t i = 0; i < state.delta_ids.size(); ++i)
+    expect_row(state.delta_rows.row(static_cast<index_t>(i)),
+               state.delta_ids[i], "delta");
+  std::sort(live.begin(), live.end());
+  std::vector<index_t> expected;
+  for (const auto& [id, row] : mirror) expected.push_back(id);
+  EXPECT_EQ(live, expected) << "the stream's live ids are not the mirror's";
+}
+
+/// Row storages to run the mutation checks under: float32, plus int8 where
+/// the backend serves it under `metric_name`.
+inline std::vector<std::string> mutation_storages(
+    const std::string& backend, const std::string& metric_name) {
+  IndexOptions options = suite_options();
+  options.metric = metric_name;
+  const std::vector<std::string> supported =
+      make_index(backend, options)->info().supported_storage;
+  std::vector<std::string> storages{"float32"};
+  if (std::find(supported.begin(), supported.end(), "int8") !=
+      supported.end())
+    storages.push_back("int8");
+  return storages;
+}
+
 /// Rebuilds `backend` from scratch over exactly the mirror's live rows
 /// (ids ascending) — the reference a mutated index is compared against.
 inline std::unique_ptr<Index> rebuild_from_mirror(const std::string& backend,
@@ -696,7 +787,8 @@ inline std::unique_ptr<Index> rebuild_from_mirror(const std::string& backend,
 /// scratch build's input, under the same seed) and satisfy the result
 /// invariants (live ids only, sorted, no duplicates) otherwise. Every
 /// backend must also answer each query row searched alone with the block
-/// answer's exact bits.
+/// answer's exact bits, and an unsharded index's dense stream must hold the
+/// mirror's rows (expect_stream_rows_match).
 inline void verify_mutation_checkpoint(Index& index,
                                        const std::string& backend,
                                        const IndexOptions& options,
@@ -732,10 +824,13 @@ inline void verify_mutation_checkpoint(Index& index,
     }
   }
 
+  const bool sharded = backend.rfind("sharded:", 0) == 0;
+  if (!sharded && info.supports_save)
+    expect_stream_rows_match(index, mirror, options.metric);
+
   auto scratch = rebuild_from_mirror(backend, options, mirror, dim);
   const KnnResult reference = scratch->knn_search({.queries = &Q, .k = k}).knn;
 
-  const bool sharded = backend.rfind("sharded:", 0) == 0;
   const bool clean = info.delta_rows == 0 && info.tombstones == 0;
   if (info.exact || (clean && !sharded)) {
     EXPECT_TRUE(testutil::knn_equal(reference, result))
@@ -760,13 +855,16 @@ inline void verify_mutation_checkpoint(Index& index,
   }
 }
 
-/// The mutate-then-search conformance matrix (the tentpole's lock): drive a
-/// fixed insert/remove/merge/compact schedule against every mutation-capable
+/// The mutate-then-search conformance matrix: drive a fixed
+/// insert/remove/merge/compact schedule against every mutation-capable
 /// backend and compare with a scratch rebuild at every checkpoint, across
-/// the backend's whole supported-metric set. Merges run inline
-/// (background_merge = false) so every phase is deterministic; max_delta = 6
-/// makes the schedule cross the merge threshold mid-run. No-op for backends
-/// without mutation support (check_mutation_contract pins their rejection).
+/// the backend's whole supported-metric set, in float32 and (where served)
+/// int8 storage. Merges run inline (background_merge = false) so every
+/// phase is deterministic; max_delta = 6 makes the schedule cross the merge
+/// threshold mid-run. The caller's build matrix is overwritten right after
+/// the build, so a merge or save that still read it would diverge. No-op
+/// for backends without mutation support (check_mutation_contract pins
+/// their rejection).
 inline void check_mutate_then_search(const std::string& backend) {
   if (!make_index(backend, suite_options())->info().supports_mutation) return;
   const index_t dim = 8;
@@ -801,11 +899,13 @@ inline void check_mutate_then_search(const std::string& backend) {
       is_sharded ? std::vector<index_t>{1, 2, 7} : std::vector<index_t>{0};
 
   for (const std::string& metric : supported) {
+  for (const std::string& storage : mutation_storages(backend, metric)) {
   for (const index_t shards : shard_counts) {
-    SCOPED_TRACE(backend + " metric=" + metric +
+    SCOPED_TRACE(backend + " metric=" + metric + " storage=" + storage +
                  (is_sharded ? " shards=" + std::to_string(shards) : ""));
     IndexOptions options = suite_options();
     options.metric = metric;
+    options.storage = storage;
     if (shards != 0) options.num_shards = shards;
     options.max_delta = 6;          // schedule crosses the merge threshold
     options.background_merge = false;  // merges run inline: deterministic
@@ -820,6 +920,8 @@ inline void check_mutate_then_search(const std::string& backend) {
       mirror[i] = pool_row(i);
     }
     index->build(X0);
+    for (index_t i = 0; i < X0.rows(); ++i)
+      for (index_t j = 0; j < dim; ++j) X0.at(i, j) = -7.0f;
     verify_mutation_checkpoint(*index, backend, options, mirror, Q);
 
     // Phase 1: a small insert lands in the delta shard (3 < max_delta).
@@ -855,12 +957,14 @@ inline void check_mutate_then_search(const std::string& backend) {
     verify_mutation_checkpoint(*index, backend, options, mirror, Q);
   }
   }
+  }
 }
 
 /// A mutated index must round-trip through save/load with its delta rows
-/// and tombstones intact — the restored instance answers identically and
-/// stays mutable. Runs under "l2" and (when supported) "cosine", whose
-/// transform-space rows are the risky persistence path.
+/// and tombstones intact — the restored instance answers identically, its
+/// stream holds the same rows, and it stays mutable. Runs under "l2" and
+/// (when supported) "cosine", whose transform-space rows are the risky
+/// persistence path, in float32 and (where served) int8 storage.
 inline void check_mutated_serialize_roundtrip(const std::string& backend) {
   auto probe = make_index(backend, suite_options());
   if (!probe->info().supports_mutation || !probe->info().supports_save)
@@ -871,25 +975,36 @@ inline void check_mutated_serialize_roundtrip(const std::string& backend) {
     if (std::find(supported.begin(), supported.end(), metric) ==
         supported.end())
       continue;
-    SCOPED_TRACE(backend + " metric=" + metric);
+  for (const std::string& storage : mutation_storages(backend, metric)) {
+    SCOPED_TRACE(backend + " metric=" + metric + " storage=" + storage);
     const index_t dim = 8;
     const Matrix<float> pool = testutil::clustered_matrix(60, dim, 4, 119);
     const Matrix<float> Q = testutil::random_matrix(6, dim, 120);
     IndexOptions options = suite_options();
     options.metric = metric;
+    options.storage = storage;
     options.max_delta = 64;  // keep the delta un-merged across the save
     options.background_merge = false;
 
     auto index = make_index(backend, options);
+    MutationMirror mirror;
     Matrix<float> X0(40, dim);
-    for (index_t i = 0; i < 40; ++i) X0.copy_row_from(pool, i, i);
+    for (index_t i = 0; i < 40; ++i) {
+      X0.copy_row_from(pool, i, i);
+      mirror[i] = std::vector<float>(pool.row(i), pool.row(i) + dim);
+    }
     index->build(X0);
     Matrix<float> extra(4, dim);
-    for (index_t i = 0; i < 4; ++i) extra.copy_row_from(pool, 40 + i, i);
     const std::vector<index_t> extra_ids{50, 60, 70, 80};
+    for (index_t i = 0; i < 4; ++i) {
+      extra.copy_row_from(pool, 40 + i, i);
+      mirror[extra_ids[i]] =
+          std::vector<float>(pool.row(40 + i), pool.row(40 + i) + dim);
+    }
     index->insert(extra, extra_ids);
     const std::vector<index_t> dropped{2, 11, 60};
     ASSERT_EQ(index->remove(dropped), 3u);
+    for (const index_t id : dropped) mirror.erase(id);
 
     const IndexInfo before_info = index->info();
     ASSERT_GT(before_info.delta_rows, 0u);
@@ -912,6 +1027,8 @@ inline void check_mutated_serialize_roundtrip(const std::string& backend) {
     const KnnResult after = restored->knn_search({.queries = &Q, .k = k}).knn;
     EXPECT_TRUE(testutil::knn_equal(before, after))
         << backend << ": restored mutated index diverged";
+    if (backend.rfind("sharded:", 0) != 0)
+      expect_stream_rows_match(*restored, mirror, metric);
 
     // The restored instance keeps mutating: a delete and a fresh insert.
     const std::vector<index_t> drop_after{50};
@@ -921,6 +1038,7 @@ inline void check_mutated_serialize_roundtrip(const std::string& backend) {
     const std::vector<index_t> new_id{90};
     EXPECT_NO_THROW(restored->insert(one, new_id));
     EXPECT_EQ(restored->info().size, before_info.size);
+  }
   }
 }
 

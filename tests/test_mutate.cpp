@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <string>
@@ -293,6 +294,58 @@ TEST(MutableIndex, RemovingEveryRepresentativeKeepsSearchExact) {
     EXPECT_TRUE(testutil::knn_equal(
         want, index->knn_search({.queries = &Q, .k = k}).knn))
         << "k=" << k;
+  }
+}
+
+// One copy of the rows: a backend that lends its rows (Index::stored_rows)
+// holds the main rows once, so the whole index stays below two row copies
+// through the build, inline merges with removes and re-inserts, and
+// compaction. rbc-oneshot lends none (its lists need not hold every row):
+// the wrapper keeps its own copy, which the bound would not allow.
+TEST(MutableIndex, LendingBackendsHoldTheRowsOnce) {
+  const index_t dim = 40;
+  const Matrix<float> pool = testutil::clustered_matrix(400, dim, 5, 311);
+  for (const std::string backend :
+       {"bruteforce", "rbc-exact", "kdtree", "balltree", "covertree",
+        "rbc-oneshot"}) {
+    const std::vector<std::string> served =
+        make_index(backend)->info().supported_storage;
+    for (const std::string metric : {"l2", "cosine"}) {
+      for (const std::string storage : {"float32", "int8"}) {
+        if (std::find(served.begin(), served.end(), storage) == served.end())
+          continue;
+        SCOPED_TRACE(backend + " " + metric + " " + storage);
+        IndexOptions options = inline_merge_options(8);
+        options.metric = metric;
+        options.storage = storage;
+        auto index = make_index(backend, options);
+        const auto expect_one_copy = [&] {
+          const IndexInfo info = index->info();
+          const std::size_t one_copy =
+              std::size_t{info.size} * pool.stride() * sizeof(float);
+          if (backend == "rbc-oneshot")
+            EXPECT_GE(info.memory_bytes, 2 * one_copy);
+          else
+            EXPECT_LT(info.memory_bytes, 2 * one_copy);
+        };
+        index->build(rows_of(pool, 0, 300));
+        expect_one_copy();
+        for (index_t round = 0; round < 5; ++round) {
+          std::vector<index_t> ids(10);
+          std::iota(ids.begin(), ids.end(), 300 + 10 * round);
+          index->insert(rows_of(pool, 300 + 10 * round, 10), ids);
+          // Every other round re-inserts the id the previous one removed.
+          const std::vector<index_t> drop{3 * round, 3 * round + 1};
+          index->remove(drop);
+          if (round % 2 == 1)
+            index->insert(rows_of(pool, 3 * round - 3, 1),
+                          std::vector<index_t>{3 * round - 3});
+        }
+        expect_one_copy();
+        index->compact();
+        expect_one_copy();
+      }
+    }
   }
 }
 

@@ -194,19 +194,25 @@ TEST(RbcExactBuild, EveryPointOwnedByItsNearestRepresentative) {
 }
 
 constexpr index_t kNested = RbcExactIndex<>::kNestedOwnersMinReps;
+using OwnerPath = RbcExactIndex<>::OwnerPath;
 
-// Owners come from BF(X, R) below kNestedOwnersMinReps representatives and
-// from an exact RBC over R from it on; stage 1 and BF(X, R) run the
-// dispatched bit-exact l2_lanes shape. Under every runnable ISA the built
-// structure must equal a scalar BF(X, R) — owners with ties to the lowest
+// Owners come from BF(X, R) below kNestedOwnersMinReps representatives.
+// From it on a strided sample of kOwnerSampleRows rows takes an exact RBC
+// over R, and the other rows take it too unless the sample showed it
+// costly, when they take BF(X, R); stage 1 and BF(X, R) run the dispatched
+// bit-exact l2_lanes shape. Under every runnable ISA the built structure
+// must equal a scalar BF(X, R) — owners with ties to the lowest
 // representative, list distances and psi bitwise — and the
 // representatives, the answers and the per-query work counts must be
-// identical across ISAs. Representative counts leave partial lane blocks
-// and cover the 4-block groups of the AVX-512 kernel; one sits exactly at
-// the crossover. The lattice data makes exact distance ties between
-// distinct representatives common; above the crossover it has more
-// representatives than distinct points, so the inner index's own
-// representatives and lists hold duplicates too. The last case's outer
+// identical across ISAs. Each case pins the owner path it ran: above the
+// crossover, clustered rows keep the search and uniform rows of high
+// dimension fall back to BF(X, R) after the sample. Representative counts
+// leave partial lane blocks and cover the 4-block groups of the AVX-512
+// kernel; one sits exactly at the crossover. The lattice data makes exact
+// distance ties between distinct representatives common; above the
+// crossover it has more representatives than distinct points, so the inner
+// index's own representatives and lists hold duplicates too (and fewer
+// rows than the sample, which then covers them all). The last case's outer
 // search knobs (every rule off, Bernoulli sampling, and approx_eps 100,
 // which would make an inner 1-NN all but greedy) must not reach the owner
 // search: leaked whole, the inner index would recurse without end; its
@@ -216,25 +222,36 @@ TEST(RbcExactBuild, EveryIsaBuildsTheScalarModelBitForBit) {
     const char* name;
     Matrix<float> X;
     RbcParams params;
+    OwnerPath path;
   };
   Case cases[] = {
       {"clustered+dups",
        testutil::with_duplicates(testutil::clustered_matrix(900, 21, 6, 31),
                                  300),
-       {.num_reps = 75, .seed = 1234}},
+       {.num_reps = 75, .seed = 1234},
+       OwnerPath::kBruteForce},
       {"lattice+dups", lattice_with_duplicates(),
-       {.num_reps = 37, .seed = 1234}},
+       {.num_reps = 37, .seed = 1234},
+       OwnerPath::kBruteForce},
       {"high_dim", testutil::clustered_matrix(500, 74, 5, 32),
-       {.num_reps = 16, .seed = 1234}},
+       {.num_reps = 16, .seed = 1234},
+       OwnerPath::kBruteForce},
       {"clustered at the crossover",
        testutil::clustered_matrix(1200, 21, 8, 34),
-       {.num_reps = kNested, .seed = 1234}},
+       {.num_reps = kNested, .seed = 1234},
+       OwnerPath::kSearch},
       {"clustered+dups above the crossover",
        testutil::with_duplicates(testutil::clustered_matrix(1500, 13, 7, 35),
                                  500),
-       {.num_reps = kNested + 93, .seed = 1234}},
+       {.num_reps = kNested + 93, .seed = 1234},
+       OwnerPath::kSearch},
       {"lattice+dups above the crossover", lattice_with_duplicates(700),
-       {.num_reps = kNested + 32, .seed = 1234}},
+       {.num_reps = kNested + 32, .seed = 1234},
+       OwnerPath::kSearch},
+      {"uniform high_dim above the crossover",
+       testutil::random_matrix(1500, 40, 39),
+       {.num_reps = kNested + 16, .seed = 1234},
+       OwnerPath::kBruteForce},
       {"approx, no rules, bernoulli above the crossover",
        testutil::clustered_matrix(2000, 12, 6, 37),
        {.num_reps = kNested + 112,  // draws 401 representatives
@@ -244,7 +261,8 @@ TEST(RbcExactBuild, EveryIsaBuildsTheScalarModelBitForBit) {
         .use_lemma_rule = false,
         .use_early_exit = false,
         .use_annulus_bound = false,
-        .approx_eps = 100.0f}},
+        .approx_eps = 100.0f},
+       OwnerPath::kSearch},
   };
   const dispatch::Isa entry_isa = dispatch::active_isa();
   for (const Case& c : cases) {
@@ -264,6 +282,7 @@ TEST(RbcExactBuild, EveryIsaBuildsTheScalarModelBitForBit) {
       index.build(c.X, c.params);
       expect_matches_model(index, scalar_build_model(c.X, index.rep_ids()),
                            what);
+      EXPECT_EQ(index.owner_path(), c.path) << what;
 
       // Per-query path on every ISA (search() would switch to the blocked
       // batch path on SIMD ISAs, whose work counts differ by design).
@@ -304,6 +323,7 @@ TEST(RbcExactBuild, NestedOwnersMatchTheL1ModelOnEveryIsa) {
     index.build(X, {.num_reps = kNested + 40, .seed = 77});
     expect_matches_model(index, scalar_build_model<L1>(X, index.rep_ids()),
                          std::string("l1 under ") + dispatch::isa_name(isa));
+    EXPECT_EQ(index.owner_path(), RbcExactIndex<L1>::OwnerPath::kSearch);
   }
   dispatch::force_isa(entry_isa);
 }
@@ -317,11 +337,34 @@ TEST(RbcExactBuild, NestedOwnersCountFewerEvaluationsThanBruteForce) {
     RbcExactIndex<> index;
     index.build(X, {.num_reps = nr, .seed = 3});
     const std::uint64_t brute = std::uint64_t{X.rows()} * nr;
-    if (nr < kNested)
+    if (nr < kNested) {
       EXPECT_EQ(scope.delta(), brute) << "nr " << nr;
-    else
+    } else {
+      EXPECT_EQ(index.owner_path(), OwnerPath::kSearch) << "nr " << nr;
       EXPECT_LT(scope.delta(), brute) << "nr " << nr;
+    }
   }
+}
+
+// On uniform rows of high dimension the owner search prunes little: it
+// costs about nr + ceil(sqrt(nr)) evaluations per row, more than BF(X, R).
+// The sample shows that, the other rows take BF(X, R), and the build counts
+// at most n * nr plus the sample's evaluations: the inner build over R
+// (nr * ceil(sqrt(nr)), itself a BF) and at most ceil(sqrt(nr)) + nr per
+// sampled row. Searching every row instead counts about 10.99M here,
+// against a bound of 10.84M.
+TEST(RbcExactBuild, HighDimensionalRowsKeepBruteForceOwners) {
+  const Matrix<float> X = testutil::random_matrix(32768, 32, 39);
+  const index_t nr = kNested;
+  counters::Scope scope;
+  RbcExactIndex<> index;
+  index.build(X, {.num_reps = nr, .seed = 3});
+  EXPECT_EQ(index.owner_path(), OwnerPath::kBruteForce);
+  const auto inner_reps = static_cast<std::uint64_t>(
+      std::ceil(std::sqrt(static_cast<double>(nr))));
+  const std::uint64_t sample =
+      nr * inner_reps + RbcExactIndex<>::kOwnerSampleRows * (inner_reps + nr);
+  EXPECT_LE(scope.delta(), std::uint64_t{X.rows()} * nr + sample);
 }
 
 TEST(RbcExactBuild, ListsSortedAndPsiIsMaxMemberDistance) {
