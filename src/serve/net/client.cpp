@@ -161,10 +161,9 @@ void RbcClient::recv_some(Clock::time_point deadline) {
   }
 }
 
-RbcClient::Response RbcClient::roundtrip(std::span<const std::uint8_t> frame,
-                                         std::uint64_t request_id,
-                                         Op expected_op,
-                                         std::uint32_t budget_ms) {
+std::vector<std::uint8_t> RbcClient::roundtrip(
+    std::span<const std::uint8_t> frame, std::uint64_t request_id,
+    Op expected_op, std::uint32_t budget_ms) {
   const Clock::time_point deadline = call_deadline(budget_ms);
   send_all(frame, deadline);
   for (;;) {
@@ -173,15 +172,11 @@ RbcClient::Response RbcClient::roundtrip(std::span<const std::uint8_t> frame,
       recv_some(deadline);
       continue;
     }
-    Response response;
-    response.version = header->version;
-    response.payload.assign(
-        in_.begin() + kHeaderSize,
-        in_.begin() + static_cast<std::ptrdiff_t>(kHeaderSize +
-                                                  header->payload_len));
-    in_.erase(in_.begin(),
-              in_.begin() + static_cast<std::ptrdiff_t>(kHeaderSize +
-                                                        header->payload_len));
+    const auto end =
+        in_.begin() +
+        static_cast<std::ptrdiff_t>(kHeaderSize + header->payload_len);
+    std::vector<std::uint8_t> payload(in_.begin() + kHeaderSize, end);
+    in_.erase(in_.begin(), end);
     // A synchronous client never has more than one request outstanding, so
     // a mismatched id means a server bug — fail loudly rather than hang.
     if (header->request_id != request_id)
@@ -190,72 +185,52 @@ RbcClient::Response RbcClient::roundtrip(std::span<const std::uint8_t> frame,
                           " does not match request id " +
                           std::to_string(request_id));
     if (header->op == Op::kError) {
-      const ErrorMsg error = decode_error(response.payload);
+      const ErrorMsg error = decode_error(payload);
       throw RemoteError(error.code, error.retry_after_ms, error.message);
     }
     if (header->op != expected_op)
       throw ProtocolError("rbc::net::RbcClient: unexpected response opcode " +
                           std::to_string(static_cast<int>(header->op)));
-    return response;
+    return payload;
   }
 }
-
-// Data calls pick the frame version from the deadline: no deadline means a
-// version-1 frame byte-identical to the pre-v2 protocol (old servers keep
-// working), a deadline needs the v2 layout that carries it. The server
-// echoes whatever version it was asked in, so the response decodes under
-// response.version either way.
 
 KnnResult RbcClient::knn(const Matrix<float>& queries, index_t k,
                          std::uint32_t deadline_ms) {
   const std::uint64_t id = next_request_id_++;
-  const std::uint8_t version =
-      deadline_ms > 0 ? kNetVersion : kNetVersionMin;
-  Response response =
-      roundtrip(encode_knn_request(id, queries, k, deadline_ms, version), id,
+  const std::vector<std::uint8_t> payload =
+      roundtrip(encode_knn_request(id, queries, k, deadline_ms), id,
                 Op::kKnnResponse, deadline_ms);
-  return std::move(
-      decode_knn_response(response.payload, response.version).result);
+  return std::move(decode_knn_response(payload).result);
 }
 
 KnnResult RbcClient::knn_payload(const std::vector<std::string>& queries,
                                  index_t k, std::uint32_t deadline_ms) {
   const std::uint64_t id = next_request_id_++;
-  // Payload queries exist only in the v3 layout; there is no older frame to
-  // fall back to, so this call always requires a v3 server.
-  Response response = roundtrip(
-      encode_knn_payload_request(id, queries, k, deadline_ms, kNetVersion),
-      id, Op::kKnnResponse, deadline_ms);
-  return std::move(
-      decode_knn_response(response.payload, response.version).result);
+  const std::vector<std::uint8_t> payload =
+      roundtrip(encode_knn_payload_request(id, queries, k, deadline_ms), id,
+                Op::kKnnResponse, deadline_ms);
+  return std::move(decode_knn_response(payload).result);
 }
 
 std::vector<std::vector<index_t>> RbcClient::range(
     const Matrix<float>& queries, dist_t radius, std::uint32_t deadline_ms) {
   const std::uint64_t id = next_request_id_++;
-  const std::uint8_t version =
-      deadline_ms > 0 ? kNetVersion : kNetVersionMin;
-  Response response = roundtrip(
-      encode_range_request(id, queries, radius, deadline_ms, version), id,
-      Op::kRangeResponse, deadline_ms);
-  return std::move(
-      decode_range_response(response.payload, response.version).ids);
+  const std::vector<std::uint8_t> payload =
+      roundtrip(encode_range_request(id, queries, radius, deadline_ms), id,
+                Op::kRangeResponse, deadline_ms);
+  return std::move(decode_range_response(payload).ids);
 }
 
 InfoMsg RbcClient::info() {
   const std::uint64_t id = next_request_id_++;
-  // Ask under the current version to receive the v3 tail (cost_unit,
-  // metric_cost); the server echoes the request's version, so the response
-  // decodes under response.version either way.
-  Response response = roundtrip(encode_info_request(id, kNetVersion), id,
-                                Op::kInfoResponse, 0);
-  return decode_info_response(response.payload, response.version);
+  return decode_info_response(
+      roundtrip(encode_info_request(id), id, Op::kInfoResponse, 0));
 }
 
 void RbcClient::reload(const std::string& path) {
   const std::uint64_t id = next_request_id_++;
-  roundtrip(encode_reload_request(id, path, kNetVersionMin), id,
-            Op::kReloadResponse, 0);
+  roundtrip(encode_reload_request(id, path), id, Op::kReloadResponse, 0);
 }
 
 }  // namespace rbc::serve::net

@@ -17,11 +17,9 @@
 // against a single absolute deadline, so a server that trickles bytes
 // cannot stretch the wait past it.
 //
-// A nonzero deadline_ms additionally rides the wire (protocol v2): the
-// server sheds the request and answers kDeadlineExceeded once the budget
-// expires. Calls without a deadline emit version-1 frames byte-identical
-// to the pre-v2 protocol, so this client interoperates with old servers as
-// long as deadlines stay off.
+// A nonzero deadline_ms additionally rides the wire: the server sheds the
+// request and answers kDeadlineExceeded once the budget expires. Every call
+// sends kNetVersion frames (serve/net/protocol.hpp), deadline or not.
 //
 // Server-reported failures surface as RemoteError carrying the protocol
 // ErrorCode — notably kOverloaded with a retry_after_ms hint, which callers
@@ -86,9 +84,7 @@ class RbcClient {
 
   /// Payload-query counterpart of knn() for servers whose index is
   /// payload-built (strings under "edit", 8-byte node ids under
-  /// "graph-sp"). Always emits a v3 frame — payload queries have no older
-  /// wire layout — so it requires a v3 server. A dense-built server answers
-  /// RemoteError{kBadRequest}.
+  /// "graph-sp"). A dense-built server answers RemoteError{kBadRequest}.
   KnnResult knn_payload(const std::vector<std::string>& queries, index_t k,
                         std::uint32_t deadline_ms = 0);
 
@@ -106,17 +102,13 @@ class RbcClient {
   void reload(const std::string& path);
 
  private:
-  struct Response {
-    std::uint8_t version = kNetVersion;  // decode responses under this
-    std::vector<std::uint8_t> payload;
-  };
-
   // Writes one frame, then reads frames until the response for `request_id`
-  // arrives; decodes kError into RemoteError. `budget_ms` bounds the whole
-  // exchange (0 = options.timeout_ms alone applies).
-  Response roundtrip(std::span<const std::uint8_t> frame,
-                     std::uint64_t request_id, Op expected_op,
-                     std::uint32_t budget_ms);
+  // arrives and returns its payload; decodes kError into RemoteError.
+  // `budget_ms` bounds the whole exchange (0 = options.timeout_ms alone
+  // applies).
+  std::vector<std::uint8_t> roundtrip(std::span<const std::uint8_t> frame,
+                                      std::uint64_t request_id,
+                                      Op expected_op, std::uint32_t budget_ms);
   // The call-level budget: min of the option timeout and the request
   // deadline (0 entries ignored), as an absolute poll deadline. Negative
   // steady_clock::time_point is the "unbounded" sentinel.

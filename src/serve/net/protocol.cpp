@@ -74,10 +74,11 @@ struct Reader {
   }
 };
 
-/// Decoders can be handed a version byte directly (tests, future callers),
-/// not only one that already passed parse_header — so they re-check it.
+/// Decoders can be handed a version byte directly (a header's, or a
+/// test's), not only one that already passed parse_header — so they
+/// re-check it.
 void require_version(std::uint8_t version, const char* what) {
-  if (version < kNetVersionMin || version > kNetVersion)
+  if (version != kNetVersion)
     throw ProtocolError(std::string("rbc::net: ") + what +
                         " under unsupported protocol version " +
                         std::to_string(version));
@@ -108,20 +109,11 @@ void write_rows(Writer& w, const Matrix<float>& m) {
     w.raw(m.row(i), m.cols() * sizeof(float));
 }
 
-/// v2 response trailer. Coverage counts are shard counts, so the row cap is
-/// a generous plausibility bound.
+/// Response trailer. Coverage counts are shard counts, so the row cap is a
+/// generous plausibility bound.
 void write_coverage(Writer& w, Coverage coverage) {
   w.pod<std::uint32_t>(coverage.covered);
   w.pod<std::uint32_t>(coverage.total);
-}
-
-/// A version-1 frame has no coverage trailer: silently dropping a partial
-/// coverage would upgrade a degraded answer to a full one on the wire.
-void require_expressible(Coverage coverage, std::uint8_t version,
-                         const char* what) {
-  if (version < 2 && !coverage.full())
-    throw ProtocolError(std::string("rbc::net: partial coverage on a ") +
-                        what + " cannot be expressed in a version-1 frame");
 }
 
 Coverage read_coverage(Reader& r) {
@@ -152,7 +144,7 @@ std::optional<FrameHeader> parse_header(std::span<const std::uint8_t> bytes,
     }());
   FrameHeader h;
   h.version = bytes[4];
-  if (h.version < kNetVersionMin || h.version > kNetVersion)
+  if (h.version != kNetVersion)
     throw ProtocolError("rbc::net: unsupported protocol version " +
                         std::to_string(h.version));
   const std::uint8_t op = bytes[5];
@@ -160,12 +152,6 @@ std::optional<FrameHeader> parse_header(std::span<const std::uint8_t> bytes,
       op > static_cast<std::uint8_t>(Op::kKnnPayloadRequest))
     throw ProtocolError("rbc::net: unknown opcode " + std::to_string(op));
   h.op = static_cast<Op>(op);
-  // Opcodes introduced by a later version are malformed under an earlier
-  // one: a v2 frame claiming the v3 payload op cannot have a valid layout.
-  if (h.op == Op::kKnnPayloadRequest && h.version < 3)
-    throw ProtocolError(
-        "rbc::net: payload request opcode in a version-" +
-        std::to_string(h.version) + " frame (payload queries need v3)");
   std::uint16_t flags = 0;
   std::memcpy(&flags, bytes.data() + 6, 2);
   if (flags != 0)
@@ -182,15 +168,11 @@ std::optional<FrameHeader> parse_header(std::span<const std::uint8_t> bytes,
 }
 
 std::vector<std::uint8_t> encode_frame(Op op, std::uint64_t request_id,
-                                       std::span<const std::uint8_t> payload,
-                                       std::uint8_t version) {
-  // A frame stamped with an out-of-band version could never be parsed back;
-  // catch the caller bug at the source.
-  require_version(version, "encoding frame");
+                                       std::span<const std::uint8_t> payload) {
   std::vector<std::uint8_t> frame(kHeaderSize + payload.size());
   const std::uint32_t magic = kNetMagic;
   std::memcpy(frame.data(), &magic, 4);
-  frame[4] = version;
+  frame[4] = kNetVersion;
   frame[5] = static_cast<std::uint8_t>(op);
   frame[6] = 0;  // flags
   frame[7] = 0;
@@ -207,16 +189,14 @@ std::vector<std::uint8_t> encode_frame(Op op, std::uint64_t request_id,
 std::vector<std::uint8_t> encode_knn_request(std::uint64_t request_id,
                                              const Matrix<float>& queries,
                                              index_t k,
-                                             std::uint32_t deadline_ms,
-                                             std::uint8_t version) {
-  require_version(version, "encoding knn request");
+                                             std::uint32_t deadline_ms) {
   Writer w;
   w.pod<std::uint32_t>(k);
-  if (version >= 2) w.pod<std::uint32_t>(deadline_ms);
+  w.pod<std::uint32_t>(deadline_ms);
   w.pod<std::uint32_t>(queries.rows());
   w.pod<std::uint32_t>(queries.cols());
   write_rows(w, queries);
-  return encode_frame(Op::kKnnRequest, request_id, w.buf, version);
+  return encode_frame(Op::kKnnRequest, request_id, w.buf);
 }
 
 KnnRequestMsg decode_knn_request(std::span<const std::uint8_t> payload,
@@ -228,7 +208,7 @@ KnnRequestMsg decode_knn_request(std::span<const std::uint8_t> payload,
   if (k == 0 || k > kMaxKPerFrame)
     throw ProtocolError("rbc::net: implausible k " + std::to_string(k));
   msg.k = static_cast<index_t>(k);
-  if (version >= 2) msg.deadline_ms = r.pod<std::uint32_t>("deadline_ms");
+  msg.deadline_ms = r.pod<std::uint32_t>("deadline_ms");
   const auto nq = r.pod<std::uint32_t>("nq");
   const auto dim = r.pod<std::uint32_t>("dim");
   msg.queries = read_rows(r, nq, dim);
@@ -238,10 +218,7 @@ KnnRequestMsg decode_knn_request(std::span<const std::uint8_t> payload,
 
 std::vector<std::uint8_t> encode_knn_response(std::uint64_t request_id,
                                               const KnnResult& result,
-                                              Coverage coverage,
-                                              std::uint8_t version) {
-  require_version(version, "encoding knn response");
-  require_expressible(coverage, version, "knn response");
+                                              Coverage coverage) {
   Writer w;
   w.pod<std::uint32_t>(result.ids.rows());
   w.pod<std::uint32_t>(result.ids.cols());
@@ -249,8 +226,8 @@ std::vector<std::uint8_t> encode_knn_response(std::uint64_t request_id,
     w.raw(result.ids.row(i), result.ids.cols() * sizeof(index_t));
   for (index_t i = 0; i < result.dists.rows(); ++i)
     w.raw(result.dists.row(i), result.dists.cols() * sizeof(dist_t));
-  if (version >= 2) write_coverage(w, coverage);
-  return encode_frame(Op::kKnnResponse, request_id, w.buf, version);
+  write_coverage(w, coverage);
+  return encode_frame(Op::kKnnResponse, request_id, w.buf);
 }
 
 KnnResponseMsg decode_knn_response(std::span<const std::uint8_t> payload,
@@ -281,7 +258,7 @@ KnnResponseMsg decode_knn_response(std::span<const std::uint8_t> payload,
                 k * sizeof(dist_t));
     r.pos += k * sizeof(dist_t);
   }
-  if (version >= 2) msg.coverage = read_coverage(r);
+  msg.coverage = read_coverage(r);
   r.done();
   return msg;
 }
@@ -290,12 +267,7 @@ KnnResponseMsg decode_knn_response(std::span<const std::uint8_t> payload,
 
 std::vector<std::uint8_t> encode_knn_payload_request(
     std::uint64_t request_id, const std::vector<std::string>& queries,
-    index_t k, std::uint32_t deadline_ms, std::uint8_t version) {
-  require_version(version, "encoding knn payload request");
-  if (version < 3)
-    throw ProtocolError(
-        "rbc::net: payload queries cannot be expressed in a version-" +
-        std::to_string(version) + " frame");
+    index_t k, std::uint32_t deadline_ms) {
   for (const std::string& q : queries)
     if (q.size() > kMaxStringLen)
       throw ProtocolError("rbc::net: payload query of " +
@@ -307,16 +279,12 @@ std::vector<std::uint8_t> encode_knn_payload_request(
   w.pod<std::uint32_t>(deadline_ms);
   w.pod<std::uint32_t>(static_cast<std::uint32_t>(queries.size()));
   for (const std::string& q : queries) w.str(q);
-  return encode_frame(Op::kKnnPayloadRequest, request_id, w.buf, version);
+  return encode_frame(Op::kKnnPayloadRequest, request_id, w.buf);
 }
 
 KnnPayloadRequestMsg decode_knn_payload_request(
     std::span<const std::uint8_t> payload, std::uint8_t version) {
   require_version(version, "decoding knn payload request");
-  if (version < 3)
-    throw ProtocolError(
-        "rbc::net: knn payload request under protocol version " +
-        std::to_string(version) + " (payload queries need v3)");
   Reader r{payload, 0, "knn payload request"};
   KnnPayloadRequestMsg msg;
   const auto k = r.pod<std::uint32_t>("k");
@@ -343,16 +311,14 @@ KnnPayloadRequestMsg decode_knn_payload_request(
 std::vector<std::uint8_t> encode_range_request(std::uint64_t request_id,
                                                const Matrix<float>& queries,
                                                dist_t radius,
-                                               std::uint32_t deadline_ms,
-                                               std::uint8_t version) {
-  require_version(version, "encoding range request");
+                                               std::uint32_t deadline_ms) {
   Writer w;
   w.pod<dist_t>(radius);
-  if (version >= 2) w.pod<std::uint32_t>(deadline_ms);
+  w.pod<std::uint32_t>(deadline_ms);
   w.pod<std::uint32_t>(queries.rows());
   w.pod<std::uint32_t>(queries.cols());
   write_rows(w, queries);
-  return encode_frame(Op::kRangeRequest, request_id, w.buf, version);
+  return encode_frame(Op::kRangeRequest, request_id, w.buf);
 }
 
 RangeRequestMsg decode_range_request(std::span<const std::uint8_t> payload,
@@ -361,7 +327,7 @@ RangeRequestMsg decode_range_request(std::span<const std::uint8_t> payload,
   Reader r{payload, 0, "range request"};
   RangeRequestMsg msg;
   msg.radius = r.pod<dist_t>("radius");
-  if (version >= 2) msg.deadline_ms = r.pod<std::uint32_t>("deadline_ms");
+  msg.deadline_ms = r.pod<std::uint32_t>("deadline_ms");
   const auto nq = r.pod<std::uint32_t>("nq");
   const auto dim = r.pod<std::uint32_t>("dim");
   msg.queries = read_rows(r, nq, dim);
@@ -371,17 +337,15 @@ RangeRequestMsg decode_range_request(std::span<const std::uint8_t> payload,
 
 std::vector<std::uint8_t> encode_range_response(
     std::uint64_t request_id, const std::vector<std::vector<index_t>>& ids,
-    Coverage coverage, std::uint8_t version) {
-  require_version(version, "encoding range response");
-  require_expressible(coverage, version, "range response");
+    Coverage coverage) {
   Writer w;
   w.pod<std::uint32_t>(static_cast<std::uint32_t>(ids.size()));
   for (const std::vector<index_t>& row : ids) {
     w.pod<std::uint32_t>(static_cast<std::uint32_t>(row.size()));
     w.raw(row.data(), row.size() * sizeof(index_t));
   }
-  if (version >= 2) write_coverage(w, coverage);
-  return encode_frame(Op::kRangeResponse, request_id, w.buf, version);
+  write_coverage(w, coverage);
+  return encode_frame(Op::kRangeResponse, request_id, w.buf);
 }
 
 RangeResponseMsg decode_range_response(std::span<const std::uint8_t> payload,
@@ -404,23 +368,23 @@ RangeResponseMsg decode_range_response(std::span<const std::uint8_t> payload,
                 count * sizeof(index_t));
     r.pos += count * sizeof(index_t);
   }
-  if (version >= 2) msg.coverage = read_coverage(r);
+  msg.coverage = read_coverage(r);
   r.done();
   return msg;
 }
 
 // ---------------------------------------------------------------- info ----
 
-std::vector<std::uint8_t> encode_info_request(std::uint64_t request_id,
-                                              std::uint8_t version) {
-  require_version(version, "encoding info request");
-  return encode_frame(Op::kInfoRequest, request_id, {}, version);
+std::vector<std::uint8_t> encode_info_request(std::uint64_t request_id) {
+  return encode_frame(Op::kInfoRequest, request_id, {});
+}
+
+void decode_info_request(std::span<const std::uint8_t> payload) {
+  Reader{payload, 0, "info request"}.done();
 }
 
 std::vector<std::uint8_t> encode_info_response(std::uint64_t request_id,
-                                               const InfoMsg& info,
-                                               std::uint8_t version) {
-  require_version(version, "encoding info response");
+                                               const InfoMsg& info) {
   Writer w;
   w.str(info.backend);
   w.str(info.metric);
@@ -434,11 +398,9 @@ std::vector<std::uint8_t> encode_info_response(std::uint64_t request_id,
   w.pod<std::uint64_t>(info.conn_rejected);
   w.pod<std::uint64_t>(info.conn_bytes_in);
   w.pod<std::uint64_t>(info.conn_bytes_out);
-  if (version >= 3) {
-    w.str(info.cost_unit);
-    w.pod<std::uint64_t>(info.metric_cost);
-  }
-  return encode_frame(Op::kInfoResponse, request_id, w.buf, version);
+  w.str(info.cost_unit);
+  w.pod<std::uint64_t>(info.metric_cost);
+  return encode_frame(Op::kInfoResponse, request_id, w.buf);
 }
 
 InfoMsg decode_info_response(std::span<const std::uint8_t> payload,
@@ -458,10 +420,8 @@ InfoMsg decode_info_response(std::span<const std::uint8_t> payload,
   info.conn_rejected = r.pod<std::uint64_t>("conn_rejected");
   info.conn_bytes_in = r.pod<std::uint64_t>("conn_bytes_in");
   info.conn_bytes_out = r.pod<std::uint64_t>("conn_bytes_out");
-  if (version >= 3) {
-    info.cost_unit = r.str("cost_unit");
-    info.metric_cost = r.pod<std::uint64_t>("metric_cost");
-  }
+  info.cost_unit = r.str("cost_unit");
+  info.metric_cost = r.pod<std::uint64_t>("metric_cost");
   r.done();
   return info;
 }
@@ -469,12 +429,10 @@ InfoMsg decode_info_response(std::span<const std::uint8_t> payload,
 // -------------------------------------------------------------- reload ----
 
 std::vector<std::uint8_t> encode_reload_request(std::uint64_t request_id,
-                                                const std::string& path,
-                                                std::uint8_t version) {
-  require_version(version, "encoding reload request");
+                                                const std::string& path) {
   Writer w;
   w.str(path);
-  return encode_frame(Op::kReloadRequest, request_id, w.buf, version);
+  return encode_frame(Op::kReloadRequest, request_id, w.buf);
 }
 
 std::string decode_reload_request(std::span<const std::uint8_t> payload) {
@@ -484,23 +442,19 @@ std::string decode_reload_request(std::span<const std::uint8_t> payload) {
   return path;
 }
 
-std::vector<std::uint8_t> encode_reload_response(std::uint64_t request_id,
-                                                 std::uint8_t version) {
-  require_version(version, "encoding reload response");
-  return encode_frame(Op::kReloadResponse, request_id, {}, version);
+std::vector<std::uint8_t> encode_reload_response(std::uint64_t request_id) {
+  return encode_frame(Op::kReloadResponse, request_id, {});
 }
 
 // --------------------------------------------------------------- error ----
 
 std::vector<std::uint8_t> encode_error(std::uint64_t request_id,
-                                       const ErrorMsg& error,
-                                       std::uint8_t version) {
-  require_version(version, "encoding error");
+                                       const ErrorMsg& error) {
   Writer w;
   w.pod<std::uint16_t>(static_cast<std::uint16_t>(error.code));
   w.pod<std::uint32_t>(error.retry_after_ms);
   w.str(error.message);
-  return encode_frame(Op::kError, request_id, w.buf, version);
+  return encode_frame(Op::kError, request_id, w.buf);
 }
 
 ErrorMsg decode_error(std::span<const std::uint8_t> payload) {

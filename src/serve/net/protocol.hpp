@@ -1,5 +1,5 @@
 // Wire protocol of the network serving layer: length-prefixed binary frames
-// over a byte stream (TCP), versioned, with explicit error frames.
+// over a byte stream (TCP), with explicit error frames.
 //
 // Every frame is a fixed 20-byte header followed by payload_len payload
 // bytes, all little-endian host layout (the same portability stance as the
@@ -7,33 +7,16 @@
 //
 //   offset  size  field
 //        0     4  magic        0x5242434E ("RBCN" in the io-magic style)
-//        4     1  version      kNetVersionMin..kNetVersion, per frame
+//        4     1  version      kNetVersion; any other value is refused
 //        5     1  opcode       Op below
 //        6     2  flags        reserved, must be 0
 //        8     8  request_id   caller-chosen, echoed on the response
 //       16     4  payload_len  payload bytes following the header
 //
-// Versioning is per-frame, not per-connection: there is no handshake. A
-// peer that never uses the v2 features emits byte-identical v1 frames, so
-// new clients interoperate with old servers (and vice versa) without
-// negotiation. A server echoes the request's version on its response so
-// each side only ever parses layouts it asked for. Version 2 adds:
-//   * deadline_ms on knn/range requests — the caller's remaining latency
-//     budget in milliseconds (0 = none); servers shed work past it and
-//     answer kError{kDeadlineExceeded}.
-//   * a shard-coverage trailer on knn/range responses — {covered, total}
-//     shard counts backing the answer, so routers can report partial
-//     results instead of failing closed. A single-shard server reports
-//     {1, 1}.
-// Version 3 adds:
-//   * kKnnPayloadRequest — length-prefixed payload queries (strings under
-//     "edit", 8-byte node ids under "graph-sp", ...) against a
-//     payload-built index (src/metricspace/). Answered by an ordinary
-//     kKnnResponse; v3 frames only (a v1/v2 frame with this opcode is
-//     malformed).
-//   * cost_unit + metric_cost on kInfoResponse — the per-metric work
-//     counter of payload indexes (IndexInfo::cost_unit names the unit).
-//     Absent from v1/v2 info frames.
+// There is one payload layout per opcode and no handshake. The version byte
+// lets a peer speaking another layout be refused at the header (an error
+// frame, then the connection closes) instead of misparsed; it reads 3 so
+// that frames of the retired version-1 and version-2 layouts are refused.
 //
 // Codec hardening is first-class: every decode validates claimed counts
 // against the bytes actually present *before* allocating (the same
@@ -43,17 +26,21 @@
 // throws ProtocolError — the server answers with an error frame and drops
 // the connection; it never crashes.
 //
-// Request/response pairs (client -> server unless noted; [v2] fields are
-// absent from version-1 frames):
-//   kKnnRequest   {k, [v2] deadline_ms, nq, dim, rows}
-//       -> kKnnResponse {nq, k, ids, dists, [v2] covered, total}
-//   kKnnPayloadRequest [v3] {k, deadline_ms, nq, nq x (len, bytes)}
+// Request/response pairs (client -> server):
+//   kKnnRequest   {k, deadline_ms, nq, dim, rows}
+//       -> kKnnResponse {nq, k, ids, dists, covered, total}
+//   kKnnPayloadRequest {k, deadline_ms, nq, nq x (len, bytes)}
 //       -> kKnnResponse (same layout as above)
-//   kRangeRequest {radius, [v2] deadline_ms, nq, dim, rows}
-//       -> kRangeResponse {per-query ids, [v2] covered, total}
+//   kRangeRequest {radius, deadline_ms, nq, dim, rows}
+//       -> kRangeResponse {nq, nq x (count, ids), covered, total}
 //   kInfoRequest  {}                        -> kInfoResponse {InfoMsg}
 //   kReloadRequest {path}                   -> kReloadResponse {}
 //   any request may instead be answered by kError {code, retry_after, text}
+// deadline_ms is the caller's remaining latency budget in milliseconds
+// (0 = none); servers shed work past it and answer kError{kDeadlineExceeded}.
+// {covered, total} counts the shards behind the answer, so a router can
+// report a partial result instead of failing closed; a single-shard server
+// reports {1, 1}.
 #pragma once
 
 #include <cstdint>
@@ -71,7 +58,6 @@ namespace rbc::serve::net {
 
 inline constexpr std::uint32_t kNetMagic = 0x5242434E;  // "RBCN"
 inline constexpr std::uint8_t kNetVersion = 3;
-inline constexpr std::uint8_t kNetVersionMin = 1;
 inline constexpr std::size_t kHeaderSize = 20;
 
 /// Default ceiling on a frame's payload. A query block of 1M rows x 64 dims
@@ -97,7 +83,7 @@ enum class Op : std::uint8_t {
   kReloadRequest = 7,
   kReloadResponse = 8,
   kError = 9,
-  kKnnPayloadRequest = 10,  ///< v3: payload queries; answered by kKnnResponse
+  kKnnPayloadRequest = 10,  ///< payload queries; answered by kKnnResponse
 };
 
 /// Machine-readable failure classes carried by kError frames.
@@ -107,7 +93,7 @@ enum class ErrorCode : std::uint16_t {
   kShuttingDown = 3,      ///< server draining; reconnect elsewhere/later
   kInternal = 4,          ///< backend failure while executing the request
   kMalformedFrame = 5,    ///< undecodable payload; connection will close
-  kDeadlineExceeded = 6,  ///< v2: request's deadline_ms budget expired
+  kDeadlineExceeded = 6,  ///< request's deadline_ms budget expired
 };
 
 /// Thrown by every decoder on malformed input (truncation, garbage counts,
@@ -128,30 +114,28 @@ struct FrameHeader {
 
 /// Parses a frame header from the front of `bytes`. Returns nullopt when
 /// fewer than kHeaderSize bytes are available (caller: read more). Throws
-/// ProtocolError on bad magic, a version outside
-/// [kNetVersionMin, kNetVersion], unknown opcode, nonzero flags, or a
-/// payload_len over `max_payload` — all conditions where the byte stream
-/// cannot be resynchronized and the connection must close.
+/// ProtocolError on bad magic, a version other than kNetVersion, unknown
+/// opcode, nonzero flags, or a payload_len over `max_payload` — all
+/// conditions where the byte stream cannot be resynchronized and the
+/// connection must close.
 std::optional<FrameHeader> parse_header(
     std::span<const std::uint8_t> bytes,
     std::uint32_t max_payload = kDefaultMaxPayload);
 
-/// One complete frame: header + payload, ready to write to a socket.
-/// `version` is stamped into the header byte; the payload must have been
-/// encoded under the same version.
+/// One complete frame: header (stamped kNetVersion) + payload, ready to
+/// write to a socket.
 std::vector<std::uint8_t> encode_frame(Op op, std::uint64_t request_id,
-                                       std::span<const std::uint8_t> payload,
-                                       std::uint8_t version = kNetVersion);
+                                       std::span<const std::uint8_t> payload);
 
 // ------------------------------------------------------------- messages ---
 
 struct KnnRequestMsg {
   index_t k = 0;
-  std::uint32_t deadline_ms = 0;  ///< v2: remaining budget; 0 = no deadline
+  std::uint32_t deadline_ms = 0;  ///< remaining budget; 0 = no deadline
   Matrix<float> queries;
 };
 
-/// v3: payload queries against a payload-built index. The codec bounds each
+/// Payload queries against a payload-built index. The codec bounds each
 /// query at kMaxStringLen bytes (matching metricspace's kMaxPayloadBytes
 /// dataset cap) and validates per-query lengths against the bytes actually
 /// present before allocating.
@@ -163,14 +147,13 @@ struct KnnPayloadRequestMsg {
 
 struct RangeRequestMsg {
   dist_t radius = 0.0f;
-  std::uint32_t deadline_ms = 0;  ///< v2: remaining budget; 0 = no deadline
+  std::uint32_t deadline_ms = 0;  ///< remaining budget; 0 = no deadline
   Matrix<float> queries;
 };
 
-/// v2 response trailer: how many of the shards behind this answer actually
+/// Response trailer: how many of the shards behind this answer actually
 /// contributed. A single-process server is its own single shard ({1, 1});
-/// a router in allow_partial mode may forward covered < total. Version-1
-/// responses carry no trailer and decode as full coverage.
+/// a router in allow_partial mode may forward covered < total.
 struct Coverage {
   std::uint32_t covered = 1;
   std::uint32_t total = 1;
@@ -211,91 +194,65 @@ struct InfoMsg {
   std::uint64_t conn_rejected = 0;  ///< this connection's rejections
   std::uint64_t conn_bytes_in = 0;
   std::uint64_t conn_bytes_out = 0;
-  /// v3: per-metric work accounting of payload indexes. cost_unit names
-  /// the unit ("chars_compared", "edges_relaxed"; empty for dense indexes),
-  /// metric_cost is the service-lifetime total. Absent from v1/v2 frames
-  /// (decode leaves the defaults).
+  /// Per-metric work accounting of payload indexes. cost_unit names the
+  /// unit ("chars_compared", "edges_relaxed"; empty for dense indexes),
+  /// metric_cost is the service-lifetime total.
   std::string cost_unit;
   std::uint64_t metric_cost = 0;
 };
 
 // Encoders return a complete frame (header included). Decoders take the
-// payload alone (header already parsed/validated) plus the header's version
-// byte, and throw ProtocolError on any inconsistency, including unconsumed
-// trailing bytes. Encoding under version 1 emits frames byte-identical to
-// the pre-v2 protocol (and therefore cannot carry a deadline or a partial
-// coverage trailer).
+// payload alone (header already parsed/validated) and throw ProtocolError on
+// any inconsistency, including unconsumed trailing bytes. A decoder handed a
+// version byte (a header's, say) refuses any but kNetVersion.
 
 std::vector<std::uint8_t> encode_knn_request(std::uint64_t request_id,
                                              const Matrix<float>& queries,
                                              index_t k,
-                                             std::uint32_t deadline_ms = 0,
-                                             std::uint8_t version =
-                                                 kNetVersion);
+                                             std::uint32_t deadline_ms = 0);
 KnnRequestMsg decode_knn_request(std::span<const std::uint8_t> payload,
                                  std::uint8_t version = kNetVersion);
 
 std::vector<std::uint8_t> encode_knn_response(std::uint64_t request_id,
                                               const KnnResult& result,
-                                              Coverage coverage = {},
-                                              std::uint8_t version =
-                                                  kNetVersion);
+                                              Coverage coverage = {});
 KnnResponseMsg decode_knn_response(std::span<const std::uint8_t> payload,
                                    std::uint8_t version = kNetVersion);
 
-// v3-only: both encoder and decoder throw ProtocolError under version < 3
-// (there is no older layout to fall back to — an old server cannot serve
-// payload queries at all).
 std::vector<std::uint8_t> encode_knn_payload_request(
     std::uint64_t request_id, const std::vector<std::string>& queries,
-    index_t k, std::uint32_t deadline_ms = 0,
-    std::uint8_t version = kNetVersion);
+    index_t k, std::uint32_t deadline_ms = 0);
 KnnPayloadRequestMsg decode_knn_payload_request(
     std::span<const std::uint8_t> payload, std::uint8_t version = kNetVersion);
 
 std::vector<std::uint8_t> encode_range_request(std::uint64_t request_id,
                                                const Matrix<float>& queries,
                                                dist_t radius,
-                                               std::uint32_t deadline_ms = 0,
-                                               std::uint8_t version =
-                                                   kNetVersion);
+                                               std::uint32_t deadline_ms = 0);
 RangeRequestMsg decode_range_request(std::span<const std::uint8_t> payload,
                                      std::uint8_t version = kNetVersion);
 
 std::vector<std::uint8_t> encode_range_response(
     std::uint64_t request_id, const std::vector<std::vector<index_t>>& ids,
-    Coverage coverage = {}, std::uint8_t version = kNetVersion);
+    Coverage coverage = {});
 RangeResponseMsg decode_range_response(std::span<const std::uint8_t> payload,
                                        std::uint8_t version = kNetVersion);
 
-// Reload/error payloads are identical across versions; the version
-// parameter only stamps the frame header (a server echoes the request's
-// version, a client talking to an old server sends version 1). Info
-// responses gained a v3 tail (cost_unit, metric_cost): v1/v2 frames omit
-// it, and the decoder leaves the InfoMsg defaults.
-
-std::vector<std::uint8_t> encode_info_request(std::uint64_t request_id,
-                                              std::uint8_t version =
-                                                  kNetVersion);
+std::vector<std::uint8_t> encode_info_request(std::uint64_t request_id);
+/// An info request has an empty payload; any byte in it is malformed.
+void decode_info_request(std::span<const std::uint8_t> payload);
 std::vector<std::uint8_t> encode_info_response(std::uint64_t request_id,
-                                               const InfoMsg& info,
-                                               std::uint8_t version =
-                                                   kNetVersion);
+                                               const InfoMsg& info);
 InfoMsg decode_info_response(std::span<const std::uint8_t> payload,
                              std::uint8_t version = kNetVersion);
 
 std::vector<std::uint8_t> encode_reload_request(std::uint64_t request_id,
-                                                const std::string& path,
-                                                std::uint8_t version =
-                                                    kNetVersion);
+                                                const std::string& path);
 std::string decode_reload_request(std::span<const std::uint8_t> payload);
-std::vector<std::uint8_t> encode_reload_response(std::uint64_t request_id,
-                                                 std::uint8_t version =
-                                                     kNetVersion);
+std::vector<std::uint8_t> encode_reload_response(std::uint64_t request_id);
 
 std::vector<std::uint8_t> encode_error(std::uint64_t request_id,
-                                       const ErrorMsg& error,
-                                       std::uint8_t version = kNetVersion);
+                                       const ErrorMsg& error);
 ErrorMsg decode_error(std::span<const std::uint8_t> payload);
 
 }  // namespace rbc::serve::net

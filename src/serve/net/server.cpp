@@ -35,8 +35,7 @@ void set_nonblocking(int fd) {
 
 // Called inside a catch block: the kInternal reply for the exception in
 // flight. Any type is caught, so every admitted request gets its reply.
-std::vector<std::uint8_t> internal_error(std::uint64_t request_id,
-                                         std::uint8_t version) {
+std::vector<std::uint8_t> internal_error(std::uint64_t request_id) {
   std::string what = "unknown error";
   try {
     throw;
@@ -44,7 +43,7 @@ std::vector<std::uint8_t> internal_error(std::uint64_t request_id,
     what = e.what();
   } catch (...) {
   }
-  return encode_error(request_id, {ErrorCode::kInternal, 0, what}, version);
+  return encode_error(request_id, {ErrorCode::kInternal, 0, what});
 }
 
 }  // namespace
@@ -351,11 +350,8 @@ void RbcServer::conn_readable(Connection& conn) {
         std::lock_guard<std::mutex> lock(stats_mutex_);
         stats_.protocol_errors += 1;
       }
-      // The header never parsed, so the peer's version is unknown: answer
-      // under the oldest version — every peer can decode it.
       send_reply(conn,
-                 encode_error(0, {ErrorCode::kMalformedFrame, 0, e.what()},
-                              kNetVersionMin));
+                 encode_error(0, {ErrorCode::kMalformedFrame, 0, e.what()}));
       conn.closing = true;
       break;
     }
@@ -391,50 +387,42 @@ bool RbcServer::handle_frame(Connection& conn, const FrameHeader& header,
                              std::span<const std::uint8_t> payload) {
   const std::uint64_t id = header.request_id;
   const std::uint64_t conn_id = conn.id;
-  // Responses are encoded under the request's version: a v1 peer never
-  // sees a v2 layout (or the v2-only kDeadlineExceeded code), a v2 peer
-  // gets the coverage trailer it expects.
-  const std::uint8_t version = header.version;
   const auto refuse_if_draining = [&] {
     if (draining_)
-      send_error(conn, id, ErrorCode::kShuttingDown, "server draining",
-                 version);
+      send_error(conn, id, ErrorCode::kShuttingDown, "server draining");
     return draining_;
   };
 
   try {
     switch (header.op) {
       case Op::kKnnRequest: {
-        KnnRequestMsg msg = decode_knn_request(payload, version);
+        KnnRequestMsg msg = decode_knn_request(payload);
         if (refuse_if_draining()) return true;
         const Deadline deadline = request_deadline(msg.deadline_ms);
-        admit(conn, id, version, [&](SearchService& svc) {
-          return svc.try_submit_batch(
-              msg.queries, msg.k,
-              knn_completion(conn_id, id, version, deadline));
+        admit(conn, id, [&](SearchService& svc) {
+          return svc.try_submit_batch(msg.queries, msg.k,
+                                      knn_completion(conn_id, id, deadline));
         });
         return true;
       }
 
       case Op::kKnnPayloadRequest: {
-        // v3 payload queries. The service's payload validator rejects this
-        // on a dense-built index with invalid_argument -> kBadRequest below;
+        // Payload queries. The service's payload validator rejects this on
+        // a dense-built index with invalid_argument -> kBadRequest below;
         // the admission/deadline/coverage handling mirrors kKnnRequest
         // exactly (the response is an ordinary kKnnResponse).
-        KnnPayloadRequestMsg msg = decode_knn_payload_request(payload,
-                                                              version);
+        KnnPayloadRequestMsg msg = decode_knn_payload_request(payload);
         if (refuse_if_draining()) return true;
         const Deadline deadline = request_deadline(msg.deadline_ms);
-        admit(conn, id, version, [&](SearchService& svc) {
+        admit(conn, id, [&](SearchService& svc) {
           return svc.try_submit_payload_batch(
-              msg.queries, msg.k,
-              knn_completion(conn_id, id, version, deadline));
+              msg.queries, msg.k, knn_completion(conn_id, id, deadline));
         });
         return true;
       }
 
       case Op::kRangeRequest: {
-        RangeRequestMsg decoded = decode_range_request(payload, version);
+        RangeRequestMsg decoded = decode_range_request(payload);
         if (refuse_if_draining()) return true;
         const Deadline deadline = request_deadline(decoded.deadline_ms);
         const index_t rows = decoded.queries.rows();
@@ -442,7 +430,7 @@ bool RbcServer::handle_frame(Connection& conn, const FrameHeader& header,
         // worker, under the same admission bound as knn. shared_ptr because
         // std::function needs a copyable target and Matrix is move-only.
         auto msg = std::make_shared<RangeRequestMsg>(std::move(decoded));
-        const Task task = [this, conn_id, id, version, deadline,
+        const Task task = [this, conn_id, id, deadline,
                            msg](const Index& index) {
           std::vector<std::uint8_t> frame;
           try {
@@ -450,36 +438,36 @@ bool RbcServer::handle_frame(Connection& conn, const FrameHeader& header,
             // batch), the range scan has not started — skipping it frees
             // the worker for requests that can still make their budget.
             if (deadline && std::chrono::steady_clock::now() > *deadline) {
-              frame = deadline_error(id, version);
+              frame = deadline_error(id);
             } else {
               RangeRequest request{.queries = &msg->queries,
                                    .radius = msg->radius,
                                    .options = {}};
               frame = encode_range_response(
-                  id, index.range_search(request).ids, {1, 1}, version);
+                  id, index.range_search(request).ids, {1, 1});
             }
           } catch (const std::invalid_argument& e) {
-            frame = encode_error(id, {ErrorCode::kBadRequest, 0, e.what()},
-                                 version);
+            frame = encode_error(id, {ErrorCode::kBadRequest, 0, e.what()});
           } catch (...) {
-            frame = internal_error(id, version);
+            frame = internal_error(id);
           }
           post_reply(conn_id, std::move(frame));
         };
-        admit(conn, id, version, [&](SearchService& svc) {
+        admit(conn, id, [&](SearchService& svc) {
           return svc.try_submit_task(rows, task);
         });
         return true;
       }
 
       case Op::kInfoRequest:
-        send_reply(conn, encode_info_response(id, make_info(conn), version));
+        decode_info_request(payload);
+        send_reply(conn, encode_info_response(id, make_info(conn)));
         return true;
 
       case Op::kReloadRequest: {
         const std::string path = decode_reload_request(payload);
         if (reloading_.load()) {
-          send_overloaded(conn, id, version, "reload already in progress");
+          send_overloaded(conn, id, "reload already in progress");
           return true;
         }
         // The previous reload cleared reloading_ as its last step but one,
@@ -488,9 +476,7 @@ bool RbcServer::handle_frame(Connection& conn, const FrameHeader& header,
         reloading_.store(true);
         try {
           reload_thread_ = std::thread(
-              [this, conn_id, id, version, path] {
-                reload(conn_id, id, version, path);
-              });
+              [this, conn_id, id, path] { reload(conn_id, id, path); });
         } catch (...) {
           reloading_.store(false);
           throw;
@@ -502,7 +488,7 @@ bool RbcServer::handle_frame(Connection& conn, const FrameHeader& header,
       default:
         // A response opcode arriving at the server is a peer bug.
         send_error(conn, id, ErrorCode::kBadRequest,
-                   "unexpected response opcode", version);
+                   "unexpected response opcode");
         return true;
     }
   } catch (const ProtocolError& e) {
@@ -511,24 +497,23 @@ bool RbcServer::handle_frame(Connection& conn, const FrameHeader& header,
       std::lock_guard<std::mutex> lock(stats_mutex_);
       stats_.protocol_errors += 1;
     }
-    send_reply(conn, encode_error(
-                         id, {ErrorCode::kMalformedFrame, 0, e.what()},
-                         version));
+    send_reply(conn,
+               encode_error(id, {ErrorCode::kMalformedFrame, 0, e.what()}));
     return false;  // undecodable payload: close after flush
   } catch (const std::invalid_argument& e) {
     // Well-formed frame, invalid request for this index (dim/k mismatch):
     // the connection survives.
-    send_error(conn, id, ErrorCode::kBadRequest, e.what(), version);
+    send_error(conn, id, ErrorCode::kBadRequest, e.what());
     return true;
   } catch (const std::exception& e) {
-    send_error(conn, id, ErrorCode::kInternal, e.what(), version);
+    send_error(conn, id, ErrorCode::kInternal, e.what());
     return true;
   }
 }
 
 template <class Submit>
 void RbcServer::admit(Connection& conn, std::uint64_t request_id,
-                      std::uint8_t version, Submit submit) {
+                      Submit submit) {
   Admission admission = submit(*service());
   // Only a reload stops a service while the loop runs, and it publishes
   // the successor first: a snapshot retired between service() and the
@@ -544,19 +529,19 @@ void RbcServer::admit(Connection& conn, std::uint64_t request_id,
       }
       return;
     case Admission::kOverloaded:
-      send_overloaded(conn, request_id, version, "admission queue full");
+      send_overloaded(conn, request_id, "admission queue full");
       return;
     case Admission::kStopped:
       send_error(conn, request_id, ErrorCode::kShuttingDown,
-                 "service stopped", version);
+                 "service stopped");
       return;
   }
 }
 
 Completion RbcServer::knn_completion(std::uint64_t conn_id,
                                      std::uint64_t request_id,
-                                     std::uint8_t version, Deadline deadline) {
-  return [this, conn_id, request_id, version, deadline](
+                                     Deadline deadline) {
+  return [this, conn_id, request_id, deadline](
              KnnResult result, std::exception_ptr error) {
     std::vector<std::uint8_t> frame;
     try {
@@ -566,18 +551,18 @@ Completion RbcServer::knn_completion(std::uint64_t conn_id,
       // listening — tell it so instead of shipping a payload it will
       // discard.
       if (deadline && std::chrono::steady_clock::now() > *deadline)
-        frame = deadline_error(request_id, version);
+        frame = deadline_error(request_id);
       else
-        frame = encode_knn_response(request_id, result, {1, 1}, version);
+        frame = encode_knn_response(request_id, result, {1, 1});
     } catch (...) {
-      frame = internal_error(request_id, version);
+      frame = internal_error(request_id);
     }
     post_reply(conn_id, std::move(frame));
   };
 }
 
 void RbcServer::reload(std::uint64_t conn_id, std::uint64_t request_id,
-                       std::uint8_t version, const std::string& path) {
+                       const std::string& path) {
   std::vector<std::uint8_t> frame;
   try {
     std::ifstream is(path, std::ios::binary);
@@ -600,9 +585,9 @@ void RbcServer::reload(std::uint64_t conn_id, std::uint64_t request_id,
       std::lock_guard<std::mutex> lock(stats_mutex_);
       stats_.reloads += 1;
     }
-    frame = encode_reload_response(request_id, version);
+    frame = encode_reload_response(request_id);
   } catch (...) {
-    frame = internal_error(request_id, version);
+    frame = internal_error(request_id);
   }
   // Before the reply: a client that reloads again on reading it must not
   // find the previous reload still marked running.
@@ -633,35 +618,30 @@ InfoMsg RbcServer::make_info(const Connection& conn) const {
 }
 
 void RbcServer::send_error(Connection& conn, std::uint64_t request_id,
-                           ErrorCode code, const std::string& message,
-                           std::uint8_t version) {
+                           ErrorCode code, const std::string& message) {
   conn.counters.errors += 1;
-  send_reply(conn, encode_error(request_id, {code, 0, message}, version));
+  send_reply(conn, encode_error(request_id, {code, 0, message}));
 }
 
 void RbcServer::send_overloaded(Connection& conn, std::uint64_t request_id,
-                                std::uint8_t version, const std::string& why) {
+                                const std::string& why) {
   conn.counters.rejected += 1;
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     stats_.rejected += 1;
   }
-  send_reply(conn, encode_error(request_id,
-                                {ErrorCode::kOverloaded,
-                                 options_.retry_after_ms, why},
-                                version));
+  send_reply(conn, encode_error(request_id, {ErrorCode::kOverloaded,
+                                             options_.retry_after_ms, why}));
 }
 
-std::vector<std::uint8_t> RbcServer::deadline_error(std::uint64_t request_id,
-                                                    std::uint8_t version) {
+std::vector<std::uint8_t> RbcServer::deadline_error(std::uint64_t request_id) {
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     stats_.deadline_exceeded += 1;
   }
   return encode_error(request_id,
                       {ErrorCode::kDeadlineExceeded, 0,
-                       "deadline_ms budget expired before the reply"},
-                      version);
+                       "deadline_ms budget expired before the reply"});
 }
 
 void RbcServer::send_reply(Connection& conn,
@@ -725,13 +705,18 @@ void RbcServer::update_epoll(Connection& conn) {
 void RbcServer::close_conn(std::uint64_t conn_id, bool timed_out) {
   auto it = conns_.find(conn_id);
   if (it == conns_.end()) return;
-  epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, it->second->fd, nullptr);
-  close(it->second->fd);
+  const int fd = it->second->fd;
   conns_.erase(it);
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  stats_.connections_closed += 1;
-  if (timed_out) stats_.timeouts += 1;
-  stats_.connections_open = conns_.size();
+  // Counted before the close: a peer that sees end of stream and then
+  // reads stats() must find its connection counted.
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    stats_.connections_closed += 1;
+    if (timed_out) stats_.timeouts += 1;
+    stats_.connections_open = conns_.size();
+  }
+  epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
+  close(fd);
 }
 
 void RbcServer::sweep_timeouts() {

@@ -21,7 +21,7 @@
 //   * Per-connection timeouts: a stalled partial frame (slow-loris) or a
 //     stalled response flush closes the connection after
 //     read_timeout_ms / write_timeout_ms.
-//   * Deadline shedding: a v2 request carrying deadline_ms is answered
+//   * Deadline shedding: a request carrying a nonzero deadline_ms is answered
 //     with kDeadlineExceeded once its budget expires — range work is shed
 //     before execution, knn replies are shed at completion — so a client
 //     that already timed out never costs encode/send work ("The Tail at
@@ -184,17 +184,15 @@ class RbcServer {
                     std::span<const std::uint8_t> payload);
   void send_reply(Connection& conn, std::vector<std::uint8_t> frame);
   void send_error(Connection& conn, std::uint64_t request_id, ErrorCode code,
-                  const std::string& message,
-                  std::uint8_t version = kNetVersion);
+                  const std::string& message);
   // Counts a refusal and answers kOverloaded with the retry_after_ms hint.
   void send_overloaded(Connection& conn, std::uint64_t request_id,
-                       std::uint8_t version, const std::string& why);
+                       const std::string& why);
   // Offers a request to the current service via `submit` (SearchService& ->
   // Admission) and answers a refusal; an admitted request counts as in
   // flight until its reply is drained.
   template <class Submit>
-  void admit(Connection& conn, std::uint64_t request_id, std::uint8_t version,
-             Submit submit);
+  void admit(Connection& conn, std::uint64_t request_id, Submit submit);
   // Writes out as much of the outbox as the socket accepts. Never calls
   // close_conn(): on a fatal send error it marks the connection dead and
   // returns, leaving destruction to the top-level caller (see
@@ -213,10 +211,10 @@ class RbcServer {
   // Off-loop helpers (service workers, the reload thread).
   void post_reply(std::uint64_t conn_id, std::vector<std::uint8_t> frame);
   void reload(std::uint64_t conn_id, std::uint64_t request_id,
-              std::uint8_t version, const std::string& path);
+              const std::string& path);
   InfoMsg make_info(const Connection& conn) const;
 
-  // Deadline helpers: a v2 request's deadline_ms (remaining budget at send
+  // Deadline helpers: a request's deadline_ms (remaining budget at send
   // time, 0 = none) becomes an absolute steady_clock point at decode.
   using Deadline = std::optional<std::chrono::steady_clock::time_point>;
   static Deadline request_deadline(std::uint32_t deadline_ms) {
@@ -227,11 +225,10 @@ class RbcServer {
   // The completion of a knn or payload-knn request: encodes its reply (or
   // sheds it past the deadline) on the worker and posts it.
   Completion knn_completion(std::uint64_t conn_id, std::uint64_t request_id,
-                            std::uint8_t version, Deadline deadline);
+                            Deadline deadline);
   // Counts the shed and encodes the kDeadlineExceeded reply (thread-safe;
   // called from service workers).
-  std::vector<std::uint8_t> deadline_error(std::uint64_t request_id,
-                                           std::uint8_t version);
+  std::vector<std::uint8_t> deadline_error(std::uint64_t request_id);
 
   ServerOptions options_;
   ServiceOptions service_options_;

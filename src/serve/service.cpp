@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "parallel/rows.hpp"
-#include "parallel/runtime.hpp"
 
 namespace rbc::serve {
 
@@ -243,7 +242,6 @@ Admission SearchService::enqueue(Job& job, bool block) {
 }
 
 void SearchService::worker_loop() {
-  if (options_.backend_threads > 0) set_num_threads(options_.backend_threads);
   for (;;) {
     Batch batch;
     {

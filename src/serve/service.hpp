@@ -30,8 +30,7 @@
 // concurrent const queries safe — is what makes several workers sound).
 // Intra-batch parallelism belongs to the backend (src/parallel/ OpenMP
 // loops); the worker pool provides inter-batch concurrency, so keep
-// `workers` small for CPU backends that already use every core, or set
-// `backend_threads` to partition cores between workers.
+// `workers` small for CPU backends that already use every core.
 //
 // Completion contract: every accepted job carries a Completion, which its
 // worker calls exactly once, outside the service lock and after stats()
@@ -81,19 +80,13 @@ struct ServiceOptions {
 
   /// Batch-executor threads. Values < 1 clamp to 1. More workers overlap
   /// independent batches; for backends that parallelize internally, 1–2 is
-  /// usually right (see backend_threads).
+  /// usually right.
   int workers = 1;
 
   /// Backpressure bound: submit()/submit_batch() block while more than this
   /// many query rows are pending or in flight. Bounds service memory under
   /// overload instead of growing the queue without limit.
   std::size_t max_queue = 65536;
-
-  /// If > 0, each worker restricts the backend's parallel runtime
-  /// (rbc::set_num_threads) to this many threads, partitioning cores between
-  /// workers (e.g. workers = 4, backend_threads = cores / 4). 0 leaves the
-  /// runtime default untouched.
-  int backend_threads = 0;
 };
 
 /// Answer to a single-query submission: the query's k neighbors in

@@ -16,10 +16,20 @@ namespace {
 
 using namespace std::string_literals;
 
-std::span<const std::uint8_t> payload_of(
-    const std::vector<std::uint8_t>& frame) {
+using Bytes = std::vector<std::uint8_t>;
+
+std::span<const std::uint8_t> payload_of(const Bytes& frame) {
   return {frame.data() + kHeaderSize, frame.size() - kHeaderSize};
 }
+
+Bytes concat(std::initializer_list<Bytes> parts) {
+  Bytes out;
+  for (const Bytes& part : parts) out.insert(out.end(), part.begin(), part.end());
+  return out;
+}
+
+// Version bytes other than kNetVersion (3): below, between and above.
+constexpr int kOtherVersions[] = {0, 1, 2, 4, 255};
 
 TEST(NetProtocol, HeaderRoundTrip) {
   const std::vector<std::uint8_t> frame =
@@ -43,25 +53,30 @@ TEST(NetProtocol, HeaderRejectsBadMagicVersionOpcodeFlagsAndOversize) {
   const std::vector<std::uint8_t> good =
       encode_frame(Op::kKnnRequest, 1, std::vector<std::uint8_t>(4, 0));
 
-  auto mutated = [&](std::size_t offset, std::uint8_t value) {
-    std::vector<std::uint8_t> bad = good;
-    bad[offset] = value;
-    return bad;
+  auto mutated = [](std::vector<std::uint8_t> frame, std::size_t offset,
+                    std::uint8_t value) {
+    frame[offset] = value;
+    return frame;
   };
-  EXPECT_THROW((void)parse_header(mutated(0, 0xFF)), ProtocolError);  // magic
-  EXPECT_THROW((void)parse_header(mutated(5, 0)), ProtocolError);    // opcode
-  EXPECT_THROW((void)parse_header(mutated(5, 200)), ProtocolError);  // opcode
-  EXPECT_THROW((void)parse_header(mutated(6, 1)), ProtocolError);    // flags
+  EXPECT_THROW((void)parse_header(mutated(good, 0, 0xFF)), ProtocolError);
+  EXPECT_THROW((void)parse_header(mutated(good, 5, 0)), ProtocolError);
+  EXPECT_THROW((void)parse_header(mutated(good, 5, 200)), ProtocolError);
+  EXPECT_THROW((void)parse_header(mutated(good, 6, 1)), ProtocolError);
 
-  // The accepted version band is [kNetVersionMin, kNetVersion]; both ends
-  // parse, everything outside throws.
-  EXPECT_THROW((void)parse_header(mutated(4, 0)), ProtocolError);
-  EXPECT_THROW((void)parse_header(mutated(4, kNetVersion + 1)), ProtocolError);
-  EXPECT_THROW((void)parse_header(mutated(4, 99)), ProtocolError);
-  for (std::uint8_t v = kNetVersionMin; v <= kNetVersion; ++v) {
-    const auto header = parse_header(mutated(4, v));
-    ASSERT_TRUE(header.has_value());
-    EXPECT_EQ(header->version, v);
+  // kNetVersion is the only version that parses, whatever the opcode: the
+  // retired version-1 and version-2 layouts (and any later one) are refused
+  // at the header rather than misparsed.
+  const Matrix<float> queries = testutil::random_matrix(1, 2, 31);
+  for (const std::vector<std::uint8_t>& frame :
+       {good, encode_knn_payload_request(2, {"q"}, 1),
+        encode_range_request(3, queries, 1.0f), encode_info_request(4),
+        encode_reload_request(5, "p")}) {
+    ASSERT_TRUE(parse_header(frame).has_value());
+    for (const int v : kOtherVersions)
+      EXPECT_THROW((void)parse_header(
+                       mutated(frame, 4, static_cast<std::uint8_t>(v))),
+                   ProtocolError)
+          << "version " << v;
   }
 
   // payload_len over the configured cap is rejected before any payload read.
@@ -74,7 +89,8 @@ TEST(NetProtocol, HeaderRejectsBadMagicVersionOpcodeFlagsAndOversize) {
 
 TEST(NetProtocol, KnnRequestRoundTrip) {
   const Matrix<float> queries = testutil::random_matrix(7, 5, 11);
-  const std::vector<std::uint8_t> frame = encode_knn_request(42, queries, 3);
+  const std::vector<std::uint8_t> frame =
+      encode_knn_request(42, queries, 3, /*deadline_ms=*/750);
   const auto header = parse_header(frame);
   ASSERT_TRUE(header.has_value());
   EXPECT_EQ(header->op, Op::kKnnRequest);
@@ -82,6 +98,7 @@ TEST(NetProtocol, KnnRequestRoundTrip) {
 
   const KnnRequestMsg msg = decode_knn_request(payload_of(frame));
   EXPECT_EQ(msg.k, 3u);
+  EXPECT_EQ(msg.deadline_ms, 750u);
   ASSERT_EQ(msg.queries.rows(), 7u);
   ASSERT_EQ(msg.queries.cols(), 5u);
   for (index_t i = 0; i < 7; ++i)
@@ -111,9 +128,10 @@ TEST(NetProtocol, KnnResponseRoundTrip) {
 TEST(NetProtocol, RangeRoundTrips) {
   const Matrix<float> queries = testutil::random_matrix(4, 6, 13);
   const std::vector<std::uint8_t> request =
-      encode_range_request(5, queries, 1.25f);
+      encode_range_request(5, queries, 1.25f, /*deadline_ms=*/125);
   const RangeRequestMsg msg = decode_range_request(payload_of(request));
   EXPECT_EQ(msg.radius, 1.25f);
+  EXPECT_EQ(msg.deadline_ms, 125u);
   EXPECT_EQ(msg.queries.rows(), 4u);
   EXPECT_EQ(msg.queries.at(2, 3), queries.at(2, 3));
 
@@ -124,58 +142,140 @@ TEST(NetProtocol, RangeRoundTrips) {
   EXPECT_EQ(back.coverage, (Coverage{1, 1}));
 }
 
-// ------------------------------------------------- v2 / version interop ---
+// ---------------------------------------------------------- golden bytes ---
 
-TEST(NetProtocol, DeadlineRidesV2RequestsAndRoundTrips) {
-  const Matrix<float> queries = testutil::random_matrix(3, 4, 23);
-  const std::vector<std::uint8_t> knn =
-      encode_knn_request(1, queries, 2, /*deadline_ms=*/750, /*version=*/2);
-  const auto knn_header = parse_header(knn);
-  ASSERT_TRUE(knn_header.has_value());
-  EXPECT_EQ(knn_header->version, 2u);
-  const KnnRequestMsg knn_msg =
-      decode_knn_request(payload_of(knn), knn_header->version);
-  EXPECT_EQ(knn_msg.deadline_ms, 750u);
-  EXPECT_EQ(knn_msg.k, 2u);
+// The wire layouts byte for byte: a change to any field's order, width or
+// presence (or to the header) fails here, however the decoders follow it.
+TEST(NetProtocol, FramesMatchGoldenBytes) {
+  Matrix<float> row(1, 2);
+  row.at(0, 0) = 1.0f;
+  row.at(0, 1) = -2.0f;
 
-  const std::vector<std::uint8_t> range = encode_range_request(
-      2, queries, 0.5f, /*deadline_ms=*/125, /*version=*/2);
-  const RangeRequestMsg range_msg = decode_range_request(payload_of(range), 2);
-  EXPECT_EQ(range_msg.deadline_ms, 125u);
-  EXPECT_EQ(range_msg.radius, 0.5f);
-}
+  // Header: magic "RBCN" (LE), version 3, opcode, flags 0, request id (LE
+  // u64), payload length (LE u32).
+  const Bytes knn_payload = {
+      0x03, 0x00, 0x00, 0x00,  // k = 3
+      0x00, 0x00, 0x00, 0x00,  // deadline_ms = 0
+      0x01, 0x00, 0x00, 0x00,  // nq = 1
+      0x02, 0x00, 0x00, 0x00,  // dim = 2
+      0x00, 0x00, 0x80, 0x3F,  // 1.0f
+      0x00, 0x00, 0x00, 0xC0,  // -2.0f
+  };
+  EXPECT_EQ(encode_knn_request(0x0102030405060708ull, row, 3),
+            concat({{0x4E, 0x43, 0x42, 0x52, 0x03, 0x01, 0x00, 0x00,
+                     0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,
+                     0x18, 0x00, 0x00, 0x00},
+                    knn_payload}));
 
-TEST(NetProtocol, Version1FramesAreByteIdenticalToPreV2Protocol) {
-  // The v1 knn request layout was {k, nq, dim, rows...}: no deadline word.
-  // Interop with old peers depends on v1 encodes reproducing it exactly.
-  const Matrix<float> queries = testutil::random_matrix(2, 3, 29);
-  const std::vector<std::uint8_t> v1 =
-      encode_knn_request(7, queries, 4, /*deadline_ms=*/0, /*version=*/1);
-  const auto header = parse_header(v1);
-  ASSERT_TRUE(header.has_value());
-  EXPECT_EQ(header->version, 1u);
-  // Sized exactly as the old layout: k + nq + dim + 2*3 floats.
-  EXPECT_EQ(header->payload_len, 4u + 4u + 4u + 2u * 3u * 4u);
-  const KnnRequestMsg msg = decode_knn_request(payload_of(v1), 1);
-  EXPECT_EQ(msg.k, 4u);
-  EXPECT_EQ(msg.deadline_ms, 0u);  // v1 cannot carry one
-  EXPECT_EQ(msg.queries.at(1, 2), queries.at(1, 2));
+  Bytes with_deadline = knn_payload;
+  with_deadline[4] = 0xEE;  // deadline_ms = 750 = 0x02EE
+  with_deadline[5] = 0x02;
+  EXPECT_EQ(encode_knn_request(9, row, 3, /*deadline_ms=*/750),
+            concat({{0x4E, 0x43, 0x42, 0x52, 0x03, 0x01, 0x00, 0x00,
+                     0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                     0x18, 0x00, 0x00, 0x00},
+                    with_deadline}));
 
-  // Same for the response: v1 carries no coverage trailer, and decodes as
-  // full coverage.
-  KnnResult result(2, 4);
-  const std::vector<std::uint8_t> response =
-      encode_knn_response(7, result, {1, 1}, /*version=*/1);
-  const auto response_header = parse_header(response);
-  ASSERT_TRUE(response_header.has_value());
-  EXPECT_EQ(response_header->payload_len,
-            4u + 4u + 2u * 4u * 4u + 2u * 4u * 4u);
-  EXPECT_EQ(decode_knn_response(payload_of(response), 1).coverage,
-            (Coverage{1, 1}));
+  KnnResult result(1, 2);
+  result.ids.at(0, 0) = 7;
+  result.ids.at(0, 1) = 300;
+  result.dists.at(0, 0) = 0.5f;
+  result.dists.at(0, 1) = 2.0f;
+  const Bytes knn_response_header = {
+      0x4E, 0x43, 0x42, 0x52, 0x03, 0x02, 0x00, 0x00,
+      0x0A, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x20, 0x00, 0x00, 0x00};
+  const Bytes knn_response_rows = {
+      0x01, 0x00, 0x00, 0x00,  // nq = 1
+      0x02, 0x00, 0x00, 0x00,  // k = 2
+      0x07, 0x00, 0x00, 0x00,  // id 7
+      0x2C, 0x01, 0x00, 0x00,  // id 300
+      0x00, 0x00, 0x00, 0x3F,  // 0.5f
+      0x00, 0x00, 0x00, 0x40,  // 2.0f
+  };
+  EXPECT_EQ(encode_knn_response(10, result, {1, 1}),
+            concat({knn_response_header, knn_response_rows,
+                    {0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00}}));
+  EXPECT_EQ(encode_knn_response(10, result, {0, 2}),
+            concat({knn_response_header, knn_response_rows,
+                    {0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00}}));
 
-  // Decoding a v1 payload as v2 (or vice versa) is a framing bug and must
-  // fail loudly, not misparse rows as deadlines.
-  EXPECT_THROW((void)decode_knn_request(payload_of(v1), 2), ProtocolError);
+  Matrix<float> range_row(1, 2);
+  range_row.at(0, 0) = 0.25f;
+  range_row.at(0, 1) = 4.0f;
+  EXPECT_EQ(encode_range_request(11, range_row, 1.5f, /*deadline_ms=*/125),
+            (Bytes{0x4E, 0x43, 0x42, 0x52, 0x03, 0x03, 0x00, 0x00,
+                   0x0B, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                   0x18, 0x00, 0x00, 0x00,
+                   0x00, 0x00, 0xC0, 0x3F,    // radius 1.5f
+                   0x7D, 0x00, 0x00, 0x00,    // deadline_ms = 125
+                   0x01, 0x00, 0x00, 0x00,    // nq = 1
+                   0x02, 0x00, 0x00, 0x00,    // dim = 2
+                   0x00, 0x00, 0x80, 0x3E,    // 0.25f
+                   0x00, 0x00, 0x80, 0x40}));  // 4.0f
+
+  EXPECT_EQ(encode_range_response(12, {{1, 2}, {}}, {1, 1}),
+            (Bytes{0x4E, 0x43, 0x42, 0x52, 0x03, 0x04, 0x00, 0x00,
+                   0x0C, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                   0x1C, 0x00, 0x00, 0x00,
+                   0x02, 0x00, 0x00, 0x00,    // nq = 2
+                   0x02, 0x00, 0x00, 0x00,    // row 0: 2 hits
+                   0x01, 0x00, 0x00, 0x00,    //   id 1
+                   0x02, 0x00, 0x00, 0x00,    //   id 2
+                   0x00, 0x00, 0x00, 0x00,    // row 1: no hits
+                   0x01, 0x00, 0x00, 0x00,    // covered = 1
+                   0x01, 0x00, 0x00, 0x00}));  // total = 1
+
+  EXPECT_EQ(encode_knn_payload_request(13, {"ab"}, 1),
+            (Bytes{0x4E, 0x43, 0x42, 0x52, 0x03, 0x0A, 0x00, 0x00,
+                   0x0D, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                   0x12, 0x00, 0x00, 0x00,
+                   0x01, 0x00, 0x00, 0x00,           // k = 1
+                   0x00, 0x00, 0x00, 0x00,           // deadline_ms = 0
+                   0x01, 0x00, 0x00, 0x00,           // nq = 1
+                   0x02, 0x00, 0x00, 0x00, 'a', 'b'}));  // "ab"
+
+  InfoMsg info;
+  info.backend = "bf";
+  info.metric = "l2";
+  info.size = 10;
+  info.dim = 4;
+  info.completed = 5;
+  info.rejected = 1;
+  info.p50_ms = 0.5;
+  info.p99_ms = 2.0;
+  info.conn_requests = 3;
+  info.conn_rejected = 0;
+  info.conn_bytes_in = 0x100;
+  info.conn_bytes_out = 0x200;
+  info.cost_unit = "";
+  info.metric_cost = 9;
+  EXPECT_EQ(encode_info_response(14, info),
+            (Bytes{0x4E, 0x43, 0x42, 0x52, 0x03, 0x06, 0x00, 0x00,
+                   0x0E, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                   0x60, 0x00, 0x00, 0x00,
+                   0x02, 0x00, 0x00, 0x00, 'b', 'f',  // backend
+                   0x02, 0x00, 0x00, 0x00, 'l', '2',  // metric
+                   0x0A, 0x00, 0x00, 0x00,            // size = 10
+                   0x04, 0x00, 0x00, 0x00,            // dim = 4
+                   0x05, 0, 0, 0, 0, 0, 0, 0,         // completed = 5
+                   0x01, 0, 0, 0, 0, 0, 0, 0,         // rejected = 1
+                   0, 0, 0, 0, 0, 0, 0xE0, 0x3F,      // p50_ms = 0.5
+                   0, 0, 0, 0, 0, 0, 0x00, 0x40,      // p99_ms = 2.0
+                   0x03, 0, 0, 0, 0, 0, 0, 0,         // conn_requests = 3
+                   0x00, 0, 0, 0, 0, 0, 0, 0,         // conn_rejected = 0
+                   0x00, 0x01, 0, 0, 0, 0, 0, 0,      // conn_bytes_in
+                   0x00, 0x02, 0, 0, 0, 0, 0, 0,      // conn_bytes_out
+                   0x00, 0x00, 0x00, 0x00,            // cost_unit ""
+                   0x09, 0, 0, 0, 0, 0, 0, 0}));      // metric_cost = 9
+
+  EXPECT_EQ(encode_error(15, {ErrorCode::kOverloaded, 75, "full"}),
+            (Bytes{0x4E, 0x43, 0x42, 0x52, 0x03, 0x09, 0x00, 0x00,
+                   0x0F, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                   0x0E, 0x00, 0x00, 0x00,
+                   0x02, 0x00,                                 // OVERLOADED
+                   0x4B, 0x00, 0x00, 0x00,                     // 75 ms
+                   0x04, 0x00, 0x00, 0x00, 'f', 'u', 'l', 'l'}));
 }
 
 TEST(NetProtocol, CoverageTrailerRoundTripsAndRejectsGarbage) {
@@ -202,27 +302,44 @@ TEST(NetProtocol, CoverageTrailerRoundTripsAndRejectsGarbage) {
     std::memcpy(bad.data() + bad.size() - 4, &zero, 4);  // total = 0
     EXPECT_THROW((void)decode_knn_response(payload_of(bad)), ProtocolError);
   }
-
-  // v1 must not accept (or emit) a partial trailer: encoding a partial
-  // coverage under version 1 would silently drop it, so it throws.
-  EXPECT_THROW((void)encode_knn_response(5, result, {0, 2}, /*version=*/1),
-               ProtocolError);
-  EXPECT_THROW((void)encode_range_response(5, {{1}}, {0, 2}, /*version=*/1),
-               ProtocolError);
 }
 
-TEST(NetProtocol, CodecsRejectVersionsOutsideTheBand) {
+TEST(NetProtocol, DecodersRefuseEveryOtherVersion) {
+  // Valid payloads, so the version byte is the only thing wrong with them.
   const Matrix<float> queries = testutil::random_matrix(1, 2, 31);
-  for (const std::uint8_t v :
-       {std::uint8_t{0}, std::uint8_t{kNetVersion + 1}}) {
-    EXPECT_THROW((void)encode_knn_request(1, queries, 1, 0, v), ProtocolError);
-    EXPECT_THROW((void)decode_knn_request({}, v), ProtocolError);
-    EXPECT_THROW((void)encode_knn_response(1, KnnResult(1, 1), {}, v),
-                 ProtocolError);
-    EXPECT_THROW((void)decode_range_response({}, v), ProtocolError);
-    EXPECT_THROW((void)encode_frame(Op::kInfoRequest, 1, {}, v),
-                 ProtocolError);
+  const Bytes knn = encode_knn_request(1, queries, 1);
+  const Bytes knn_response = encode_knn_response(2, KnnResult(1, 1));
+  const Bytes payload = encode_knn_payload_request(3, {"q"}, 1);
+  const Bytes range = encode_range_request(4, queries, 1.0f);
+  const Bytes range_response = encode_range_response(5, {{1}});
+  const Bytes info = encode_info_response(6, InfoMsg{});
+  for (const int version : kOtherVersions) {
+    const auto v = static_cast<std::uint8_t>(version);
+    EXPECT_THROW((void)decode_knn_request(payload_of(knn), v), ProtocolError)
+        << version;
+    EXPECT_THROW((void)decode_knn_response(payload_of(knn_response), v),
+                 ProtocolError)
+        << version;
+    EXPECT_THROW((void)decode_knn_payload_request(payload_of(payload), v),
+                 ProtocolError)
+        << version;
+    EXPECT_THROW((void)decode_range_request(payload_of(range), v),
+                 ProtocolError)
+        << version;
+    EXPECT_THROW((void)decode_range_response(payload_of(range_response), v),
+                 ProtocolError)
+        << version;
+    EXPECT_THROW((void)decode_info_response(payload_of(info), v),
+                 ProtocolError)
+        << version;
   }
+  const std::uint8_t v = kNetVersion;
+  EXPECT_NO_THROW((void)decode_knn_request(payload_of(knn), v));
+  EXPECT_NO_THROW((void)decode_knn_response(payload_of(knn_response), v));
+  EXPECT_NO_THROW((void)decode_knn_payload_request(payload_of(payload), v));
+  EXPECT_NO_THROW((void)decode_range_request(payload_of(range), v));
+  EXPECT_NO_THROW((void)decode_range_response(payload_of(range_response), v));
+  EXPECT_NO_THROW((void)decode_info_response(payload_of(info), v));
 }
 
 TEST(NetProtocol, InfoRoundTrip) {
@@ -257,18 +374,9 @@ TEST(NetProtocol, InfoRoundTrip) {
   EXPECT_EQ(back.conn_bytes_out, info.conn_bytes_out);
   EXPECT_EQ(back.cost_unit, info.cost_unit);
   EXPECT_EQ(back.metric_cost, info.metric_cost);
-
-  // v1/v2 info frames have no cost tail; the decoder leaves the defaults.
-  const std::vector<std::uint8_t> v2 =
-      encode_info_response(2, info, /*version=*/2);
-  EXPECT_LT(v2.size(), frame.size());
-  const InfoMsg old = decode_info_response(payload_of(v2), 2);
-  EXPECT_EQ(old.backend, info.backend);
-  EXPECT_EQ(old.cost_unit, "");
-  EXPECT_EQ(old.metric_cost, 0u);
 }
 
-// ------------------------------------------------- v3 / payload queries ---
+// ------------------------------------------------------- payload queries ---
 
 TEST(NetProtocol, KnnPayloadRequestRoundTrip) {
   const std::vector<std::string> queries = {"kitten", "", "a\0b\x7f"s};
@@ -277,28 +385,11 @@ TEST(NetProtocol, KnnPayloadRequestRoundTrip) {
   const auto header = parse_header(frame);
   ASSERT_TRUE(header.has_value());
   EXPECT_EQ(header->op, Op::kKnnPayloadRequest);
-  EXPECT_EQ(header->version, kNetVersion);
   const KnnPayloadRequestMsg msg =
       decode_knn_payload_request(payload_of(frame), header->version);
   EXPECT_EQ(msg.k, 4u);
   EXPECT_EQ(msg.deadline_ms, 300u);
   EXPECT_EQ(msg.queries, queries);  // embedded NUL and all
-}
-
-TEST(NetProtocol, PayloadRequestsAreV3Only) {
-  const std::vector<std::string> queries = {"q"};
-  // Neither side can express a payload query in an older frame.
-  EXPECT_THROW(
-      (void)encode_knn_payload_request(1, queries, 1, 0, /*version=*/2),
-      ProtocolError);
-  EXPECT_THROW((void)decode_knn_payload_request({}, /*version=*/2),
-               ProtocolError);
-
-  // A frame claiming the payload opcode under v1/v2 is malformed at the
-  // header: the opcode did not exist in those versions.
-  std::vector<std::uint8_t> frame = encode_knn_payload_request(1, queries, 1);
-  frame[4] = 2;  // version byte
-  EXPECT_THROW((void)parse_header(frame), ProtocolError);
 }
 
 TEST(NetProtocol, PayloadRequestRejectsGarbageCounts) {
@@ -351,26 +442,21 @@ TEST(NetProtocol, ReloadAndErrorRoundTrip) {
 TEST(NetProtocol, EveryPayloadTruncationThrowsCleanly) {
   const Matrix<float> queries = testutil::random_matrix(3, 4, 17);
   KnnResult result(2, 3);
-  std::vector<std::vector<std::uint8_t>> frames = {
-      encode_info_response(5, {"b", "l2", 10, 4, 0, 0, 0, 0, 0, 0, 0, 0}),
+  const InfoMsg info{"b", "l2", 10, 4, 0, 0, 0, 0, 0, 0, 0, 0,
+                     "chars_compared", 0};
+  const std::vector<std::vector<std::uint8_t>> frames = {
+      encode_info_response(5, info),
       encode_reload_request(6, "some/path"),
       encode_error(7, {ErrorCode::kInternal, 0, "boom"}),
+      encode_knn_request(1, queries, 2, 30),
+      encode_knn_response(2, result, {1, 1}),
+      encode_range_request(3, queries, 2.0f, 30),
+      encode_range_response(4, {{1, 2}, {3}}, {1, 1}),
+      encode_knn_payload_request(8, {"ab", "", "cde"}, 2, 30),
   };
-  // Both wire versions of every versioned codec join the sweep: the v2
-  // layouts (deadline word, coverage trailer) must be as truncation-proof
-  // as the v1 ones.
-  for (std::uint8_t v = kNetVersionMin; v <= kNetVersion; ++v) {
-    frames.push_back(encode_knn_request(1, queries, 2, 30, v));
-    frames.push_back(encode_knn_response(2, result, {1, 1}, v));
-    frames.push_back(encode_range_request(3, queries, 2.0f, 30, v));
-    frames.push_back(encode_range_response(4, {{1, 2}, {3}}, {1, 1}, v));
-  }
-  // v3-only codec: one frame version to sweep.
-  frames.push_back(encode_knn_payload_request(8, {"ab", "", "cde"}, 2, 30));
   for (const std::vector<std::uint8_t>& frame : frames) {
     const auto header = parse_header(frame);
     ASSERT_TRUE(header.has_value());
-    const std::uint8_t v = header->version;
     const std::span<const std::uint8_t> payload = payload_of(frame);
     // Cut the payload at EVERY length short of complete: the decoder must
     // throw ProtocolError each time, never read out of bounds (ASan-checked
@@ -379,20 +465,19 @@ TEST(NetProtocol, EveryPayloadTruncationThrowsCleanly) {
       const std::span<const std::uint8_t> sub = payload.subspan(0, cut);
       switch (header->op) {
         case Op::kKnnRequest:
-          EXPECT_THROW((void)decode_knn_request(sub, v), ProtocolError);
+          EXPECT_THROW((void)decode_knn_request(sub), ProtocolError);
           break;
         case Op::kKnnPayloadRequest:
-          EXPECT_THROW((void)decode_knn_payload_request(sub, v),
-                       ProtocolError);
+          EXPECT_THROW((void)decode_knn_payload_request(sub), ProtocolError);
           break;
         case Op::kKnnResponse:
-          EXPECT_THROW((void)decode_knn_response(sub, v), ProtocolError);
+          EXPECT_THROW((void)decode_knn_response(sub), ProtocolError);
           break;
         case Op::kRangeRequest:
-          EXPECT_THROW((void)decode_range_request(sub, v), ProtocolError);
+          EXPECT_THROW((void)decode_range_request(sub), ProtocolError);
           break;
         case Op::kRangeResponse:
-          EXPECT_THROW((void)decode_range_response(sub, v), ProtocolError);
+          EXPECT_THROW((void)decode_range_response(sub), ProtocolError);
           break;
         case Op::kInfoResponse:
           EXPECT_THROW((void)decode_info_response(sub), ProtocolError);
@@ -417,6 +502,11 @@ TEST(NetProtocol, TrailingBytesAreRejected) {
   const std::span<const std::uint8_t> payload{frame.data() + kHeaderSize,
                                               frame.size() - kHeaderSize};
   EXPECT_THROW((void)decode_knn_request(payload), ProtocolError);
+
+  // An info request has no payload, so any byte in it is trailing.
+  EXPECT_NO_THROW(decode_info_request(payload_of(encode_info_request(2))));
+  const std::uint8_t stray = 0x42;
+  EXPECT_THROW(decode_info_request({&stray, 1}), ProtocolError);
 }
 
 TEST(NetProtocol, GarbageCountsNeverDriveAllocation) {
@@ -462,14 +552,11 @@ TEST(NetProtocol, RandomGarbagePayloadsThrowOrDecode) {
       } catch (const ProtocolError&) {
       }
     };
-    for (std::uint8_t v = kNetVersionMin; v <= kNetVersion; ++v) {
-      poke([v](auto b) { return decode_knn_request(b, v); });
-      poke([v](auto b) { return decode_knn_response(b, v); });
-      poke([v](auto b) { return decode_range_request(b, v); });
-      poke([v](auto b) { return decode_range_response(b, v); });
-      if (v >= 3)
-        poke([v](auto b) { return decode_knn_payload_request(b, v); });
-    }
+    poke([](auto b) { return decode_knn_request(b); });
+    poke([](auto b) { return decode_knn_response(b); });
+    poke([](auto b) { return decode_range_request(b); });
+    poke([](auto b) { return decode_range_response(b); });
+    poke([](auto b) { return decode_knn_payload_request(b); });
     poke([](auto b) { return decode_info_response(b); });
     poke([](auto b) { return decode_reload_request(b); });
     poke([](auto b) { return decode_error(b); });

@@ -1,8 +1,10 @@
 // End-to-end tests of the network serving subsystem (serve/net/ +
 // dist/net_router) over real loopback sockets:
 //   * client answers are bit-identical to direct Index::knn_search;
-//   * malformed frames, oversized frames and bad requests get error frames
-//     without killing the server;
+//   * malformed frames (frames of retired wire versions included),
+//     oversized frames and bad requests get error frames without killing
+//     the server;
+//   * RbcClient sends every call at the current wire version;
 //   * admission control rejects knn and range frames with retry_after
 //     under overload;
 //   * stalled connections are closed by the read timeout;
@@ -25,7 +27,9 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <mutex>
 #include <netinet/in.h>
+#include <optional>
 #include <string>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -46,6 +50,7 @@ namespace {
 
 using serve::SearchService;
 using serve::net::ErrorCode;
+using serve::net::FrameHeader;
 using serve::net::InfoMsg;
 using serve::net::RbcClient;
 using serve::net::RbcServer;
@@ -120,6 +125,30 @@ bool read_exact(int fd, std::uint8_t* out, std::size_t n) {
   return true;
 }
 
+struct Frame {
+  FrameHeader header;
+  std::vector<std::uint8_t> payload;
+};
+
+/// Reads one whole frame from a raw socket; nullopt if the peer closed or
+/// the receive timed out first.
+std::optional<Frame> read_frame(int fd) {
+  std::uint8_t raw[serve::net::kHeaderSize];
+  if (!read_exact(fd, raw, sizeof raw)) return std::nullopt;
+  Frame frame;
+  frame.header = *serve::net::parse_header({raw, sizeof raw});
+  frame.payload.resize(frame.header.payload_len);
+  if (!read_exact(fd, frame.payload.data(), frame.payload.size()))
+    return std::nullopt;
+  return frame;
+}
+
+/// True once the peer has closed the connection (recv sees end of stream).
+bool peer_closed(int fd) {
+  std::uint8_t byte = 0;
+  return recv(fd, &byte, 1, 0) == 0;
+}
+
 /// An exact index whose searches take at least `delay_ms`: makes admission-
 /// control overload deterministic to provoke.
 class DelayIndex final : public Index {
@@ -191,7 +220,7 @@ TEST(NetServer, KnnAndRangeMatchDirectSearchBitwise) {
 TEST(NetServer, PayloadKnnOverWireMatchesDirectSearchBitwise) {
   // A string dictionary under "edit", served over loopback: wire answers
   // must be bit-identical to direct knn_search_payload, INFO must carry the
-  // v3 cost tail, and a dense knn against the payload index must get a
+  // cost tail, and a dense knn against the payload index must get a
   // clean kBadRequest without killing the connection.
   const std::vector<std::string> words = {"kitten", "sitting", "kitchen",
                                           "mitten", "sit",     "knitting",
@@ -238,53 +267,45 @@ TEST(NetServer, PayloadKnnOverWireMatchesDirectSearchBitwise) {
   EXPECT_EQ(dense_client.info().cost_unit, "");  // dense: no payload unit
 }
 
-TEST(NetServer, MixedVersionFramesInteropOnOneConnection) {
-  // The server answers each frame under the frame's own version: a v1
-  // request (what a pre-deadline client emits) gets a byte-layout-v1
-  // response with no coverage trailer; a v2 request on the same connection
-  // gets the trailer. No handshake, no connection state.
+TEST(NetServer, RetiredVersionFramesAreRefusedAndTheServerKeepsServing) {
+  // Knn frames of the retired layouts, headers built by hand: version 1 had
+  // no deadline word, version 2 had today's request layout. Each gets one
+  // MALFORMED_FRAME error stamped kNetVersion, then its connection closes;
+  // a fresh connection is still served.
   auto index = built_index("bruteforce");
   const Matrix<float> queries = test_queries(4);
   const index_t k = 3;
   SearchRequest request{.queries = &queries, .k = k, .options = {}};
   const SearchResponse direct = index->knn_search(request);
-
   RbcServer server(std::move(index));
-  const int fd = raw_connect(server.port());
-  const auto exchange = [&](const std::vector<std::uint8_t>& frame) {
-    EXPECT_GT(send(fd, frame.data(), frame.size(), MSG_NOSIGNAL), 0);
-    std::uint8_t raw[serve::net::kHeaderSize];
-    EXPECT_TRUE(read_exact(fd, raw, sizeof raw));
-    const auto header = serve::net::parse_header({raw, sizeof raw});
-    EXPECT_TRUE(header.has_value());
-    std::vector<std::uint8_t> payload(header->payload_len);
-    EXPECT_TRUE(read_exact(fd, payload.data(), payload.size()));
-    return std::pair(*header, payload);
-  };
 
-  {  // v1 in, v1 out.
-    const auto [header, payload] =
-        exchange(serve::net::encode_knn_request(1, queries, k,
-                                                /*deadline_ms=*/0,
-                                                /*version=*/1));
-    EXPECT_EQ(header.version, 1u);
-    ASSERT_EQ(header.op, serve::net::Op::kKnnResponse);
-    const auto msg = serve::net::decode_knn_response(payload, header.version);
-    expect_same_knn(direct.knn, msg.result);
-    EXPECT_TRUE(msg.coverage.full());
+  constexpr std::size_t kHeader = serve::net::kHeaderSize;
+  const std::vector<std::uint8_t> current =
+      serve::net::encode_knn_request(1, queries, k);
+  std::vector<std::uint8_t> v1 = current;
+  v1.erase(v1.begin() + kHeader + 4, v1.begin() + kHeader + 8);
+  const auto v1_len = static_cast<std::uint32_t>(v1.size() - kHeader);
+  std::memcpy(v1.data() + 16, &v1_len, 4);
+  v1[4] = 1;
+  std::vector<std::uint8_t> v2 = current;
+  v2[4] = 2;
+
+  for (const std::vector<std::uint8_t>& frame : {v1, v2}) {
+    const int fd = raw_connect(server.port());
+    ASSERT_GT(send(fd, frame.data(), frame.size(), MSG_NOSIGNAL), 0);
+    const std::optional<Frame> reply = read_frame(fd);
+    ASSERT_TRUE(reply.has_value()) << "version " << int{frame[4]};
+    EXPECT_EQ(reply->header.version, serve::net::kNetVersion);
+    ASSERT_EQ(reply->header.op, serve::net::Op::kError);
+    EXPECT_EQ(serve::net::decode_error(reply->payload).code,
+              ErrorCode::kMalformedFrame);
+    EXPECT_TRUE(peer_closed(fd)) << "version " << int{frame[4]};
+    close(fd);
   }
-  {  // v2 in (deadline riding along), v2 out (coverage trailer present).
-    const auto [header, payload] =
-        exchange(serve::net::encode_knn_request(2, queries, k,
-                                                /*deadline_ms=*/60'000,
-                                                /*version=*/2));
-    EXPECT_EQ(header.version, 2u);
-    ASSERT_EQ(header.op, serve::net::Op::kKnnResponse);
-    const auto msg = serve::net::decode_knn_response(payload, header.version);
-    expect_same_knn(direct.knn, msg.result);
-    EXPECT_EQ(msg.coverage, (serve::net::Coverage{1, 1}));
-  }
-  close(fd);
+  EXPECT_EQ(server.stats().protocol_errors, 2u);
+
+  RbcClient client("127.0.0.1", server.port());
+  expect_same_knn(direct.knn, client.knn(queries, k));
 }
 
 TEST(NetServer, ExpiredDeadlineIsShedWithDeadlineExceeded) {
@@ -300,14 +321,10 @@ TEST(NetServer, ExpiredDeadlineIsShedWithDeadlineExceeded) {
   const std::vector<std::uint8_t> frame =
       serve::net::encode_knn_request(1, queries, 3, /*deadline_ms=*/1);
   ASSERT_GT(send(fd, frame.data(), frame.size(), MSG_NOSIGNAL), 0);
-  std::uint8_t raw[serve::net::kHeaderSize];
-  ASSERT_TRUE(read_exact(fd, raw, sizeof raw));
-  const auto header = serve::net::parse_header({raw, sizeof raw});
-  ASSERT_TRUE(header.has_value());
-  ASSERT_EQ(header->op, serve::net::Op::kError);
-  std::vector<std::uint8_t> payload(header->payload_len);
-  ASSERT_TRUE(read_exact(fd, payload.data(), payload.size()));
-  EXPECT_EQ(serve::net::decode_error(payload).code,
+  const std::optional<Frame> reply = read_frame(fd);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->header.op, serve::net::Op::kError);
+  EXPECT_EQ(serve::net::decode_error(reply->payload).code,
             ErrorCode::kDeadlineExceeded);
   close(fd);
   EXPECT_GE(server.stats().deadline_exceeded, 1u);
@@ -436,6 +453,25 @@ TEST(NetServer, MalformedAndOversizedFramesGetErrorThenCloseNotCrash) {
         {reply, static_cast<std::size_t>(n)});
     ASSERT_TRUE(header.has_value());
     EXPECT_EQ(header->op, serve::net::Op::kError);
+    close(fd);
+  }
+
+  // An INFO request carrying payload bytes: its payload is empty by
+  // definition, so the bytes are trailing, as for any other decoder.
+  {
+    std::vector<std::uint8_t> frame = serve::net::encode_info_request(5);
+    frame.insert(frame.end(), {0xDE, 0xAD});
+    const std::uint32_t len = 2;
+    std::memcpy(frame.data() + 16, &len, 4);
+    const int fd = raw_connect(server.port());
+    ASSERT_GT(send(fd, frame.data(), frame.size(), MSG_NOSIGNAL), 0);
+    const std::optional<Frame> reply = read_frame(fd);
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->header.op, serve::net::Op::kError);
+    EXPECT_EQ(reply->header.request_id, 5u);
+    EXPECT_EQ(serve::net::decode_error(reply->payload).code,
+              ErrorCode::kMalformedFrame);
+    EXPECT_TRUE(peer_closed(fd));
     close(fd);
   }
 
@@ -569,22 +605,17 @@ TEST(NetServer, PipelinedRangeFramesBeyondTheQueueBoundAreRefused) {
             static_cast<ssize_t>(burst.size()));
 
   std::uint64_t answered = 0, overloaded = 0;
-  for (std::uint64_t reply = 0; reply < kFrames; ++reply) {
-    std::uint8_t raw[serve::net::kHeaderSize];
-    ASSERT_TRUE(read_exact(fd, raw, sizeof raw));
-    const auto header = serve::net::parse_header({raw, sizeof raw});
-    ASSERT_TRUE(header.has_value());
-    std::vector<std::uint8_t> payload(header->payload_len);
-    ASSERT_TRUE(read_exact(fd, payload.data(), payload.size()));
-    if (header->op == serve::net::Op::kError) {
-      const auto error = serve::net::decode_error(payload);
+  for (std::uint64_t i = 0; i < kFrames; ++i) {
+    const std::optional<Frame> reply = read_frame(fd);
+    ASSERT_TRUE(reply.has_value());
+    if (reply->header.op == serve::net::Op::kError) {
+      const auto error = serve::net::decode_error(reply->payload);
       EXPECT_EQ(error.code, ErrorCode::kOverloaded);
       EXPECT_EQ(error.retry_after_ms, 20u);
       overloaded += 1;
     } else {
-      ASSERT_EQ(header->op, serve::net::Op::kRangeResponse);
-      EXPECT_EQ(serve::net::decode_range_response(payload, header->version)
-                    .ids,
+      ASSERT_EQ(reply->header.op, serve::net::Op::kRangeResponse);
+      EXPECT_EQ(serve::net::decode_range_response(reply->payload).ids,
                 direct.ids);
       answered += 1;
     }
@@ -819,16 +850,24 @@ TEST(NetRouterTest, TwoProcessScatterGatherIsBitIdenticalToShardedIndex) {
   for (const std::string& file : port_files) std::remove(file.c_str());
 }
 
-/// A wire-correct but lying shard server: answers INFO like a real
-/// `rows`-row shard, then knn/range responses whose shape or shard-local
-/// ids violate the contract. Exercises NetRouter's trust boundary — wire
-/// data from a buggy shard must raise ProtocolError, never index
-/// global_ids_ or the merge inputs out of bounds.
-class EvilShard {
+/// A shard server written against the raw socket API. It records the
+/// version byte of every request it reads, answers INFO like a real
+/// `rows`-row shard and RELOAD with success, and answers knn/range per
+/// `mode`: honestly, or with responses whose shape or shard-local ids
+/// violate the contract. The lying modes exercise NetRouter's trust
+/// boundary — wire data from a buggy shard must raise ProtocolError, never
+/// index global_ids_ or the merge inputs out of bounds.
+class RawShard {
  public:
-  enum class Mode { kWrongRows, kWrongCols, kIdOutOfRange, kRangeIdOutOfRange };
+  enum class Mode {
+    kHonest,
+    kWrongRows,
+    kWrongCols,
+    kIdOutOfRange,
+    kRangeIdOutOfRange
+  };
 
-  EvilShard(Mode mode, index_t rows) : mode_(mode), rows_(rows) {
+  RawShard(Mode mode, index_t rows) : mode_(mode), rows_(rows) {
     listen_fd_ = socket(AF_INET, SOCK_STREAM, 0);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
@@ -842,13 +881,22 @@ class EvilShard {
     thread_ = std::thread([this] { serve(); });
   }
 
-  ~EvilShard() {
+  ~RawShard() {
     shutdown(listen_fd_, SHUT_RDWR);  // wakes a still-pending accept
     thread_.join();
     close(listen_fd_);
   }
 
+  RawShard(const RawShard&) = delete;
+  RawShard& operator=(const RawShard&) = delete;
+
   std::uint16_t port() const { return port_; }
+
+  /// The version byte of each request read so far, in arrival order.
+  std::vector<std::uint8_t> versions() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return versions_;
+  }
 
  private:
   void serve() {
@@ -857,54 +905,20 @@ class EvilShard {
     for (;;) {
       std::uint8_t raw[serve::net::kHeaderSize];
       if (!read_exact(fd, raw, sizeof raw)) break;
-      const auto header = serve::net::parse_header({raw, sizeof raw});
-      if (!header) break;
-      std::vector<std::uint8_t> payload(header->payload_len);
-      if (!read_exact(fd, payload.data(), payload.size())) break;
-
-      std::vector<std::uint8_t> reply;
-      switch (header->op) {
-        case serve::net::Op::kInfoRequest: {
-          InfoMsg info;
-          info.backend = "bruteforce";
-          info.metric = "l2";
-          info.size = rows_;
-          info.dim = kDim;
-          reply = serve::net::encode_info_response(header->request_id, info,
-                                                   header->version);
-          break;
-        }
-        case serve::net::Op::kKnnRequest: {
-          // Decode (and answer) under the *request's* version: the router's
-          // client speaks v1 when no deadline rides the call.
-          const auto request =
-              serve::net::decode_knn_request(payload, header->version);
-          const index_t nq = request.queries.rows();
-          KnnResult bad(mode_ == Mode::kWrongRows ? nq + 1 : nq,
-                        mode_ == Mode::kWrongCols ? request.k + 1
-                                                  : request.k);
-          for (index_t i = 0; i < bad.ids.rows(); ++i)
-            for (index_t j = 0; j < bad.ids.cols(); ++j) {
-              // kIdOutOfRange: rows_ is one past the last valid local id.
-              bad.ids.at(i, j) = mode_ == Mode::kIdOutOfRange ? rows_ : j;
-              bad.dists.at(i, j) = 0.0f;
-            }
-          reply = serve::net::encode_knn_response(header->request_id, bad,
-                                                  {1, 1}, header->version);
-          break;
-        }
-        case serve::net::Op::kRangeRequest: {
-          const auto request =
-              serve::net::decode_range_request(payload, header->version);
-          std::vector<std::vector<index_t>> bad(request.queries.rows());
-          if (!bad.empty()) bad.front().push_back(rows_);  // out of range
-          reply = serve::net::encode_range_response(header->request_id, bad,
-                                                    {1, 1}, header->version);
-          break;
-        }
-        default:
-          return;
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        versions_.push_back(raw[4]);
       }
+      std::vector<std::uint8_t> reply;
+      try {
+        const auto header = serve::net::parse_header({raw, sizeof raw});
+        std::vector<std::uint8_t> payload(header->payload_len);
+        if (!read_exact(fd, payload.data(), payload.size())) break;
+        reply = answer(*header, payload);
+      } catch (const serve::net::ProtocolError&) {
+        break;  // a frame this shard cannot read: hang up, as a server does
+      }
+      if (reply.empty()) break;
       std::size_t sent = 0;
       while (sent < reply.size()) {
         const ssize_t w =
@@ -916,28 +930,86 @@ class EvilShard {
     close(fd);
   }
 
+  std::vector<std::uint8_t> answer(const FrameHeader& header,
+                                   std::span<const std::uint8_t> payload) {
+    switch (header.op) {
+      case serve::net::Op::kInfoRequest: {
+        InfoMsg info;
+        info.backend = "bruteforce";
+        info.metric = "l2";
+        info.size = rows_;
+        info.dim = kDim;
+        return serve::net::encode_info_response(header.request_id, info);
+      }
+      case serve::net::Op::kKnnRequest: {
+        const auto request = serve::net::decode_knn_request(payload);
+        const index_t nq = request.queries.rows();
+        KnnResult result(mode_ == Mode::kWrongRows ? nq + 1 : nq,
+                         mode_ == Mode::kWrongCols ? request.k + 1
+                                                   : request.k);
+        for (index_t i = 0; i < result.ids.rows(); ++i)
+          for (index_t j = 0; j < result.ids.cols(); ++j) {
+            // kIdOutOfRange: rows_ is one past the last valid local id.
+            result.ids.at(i, j) = mode_ == Mode::kIdOutOfRange ? rows_ : j;
+            result.dists.at(i, j) = 0.0f;
+          }
+        return serve::net::encode_knn_response(header.request_id, result,
+                                               {1, 1});
+      }
+      case serve::net::Op::kRangeRequest: {
+        const auto request = serve::net::decode_range_request(payload);
+        std::vector<std::vector<index_t>> ids(request.queries.rows());
+        if (mode_ == Mode::kRangeIdOutOfRange && !ids.empty())
+          ids.front().push_back(rows_);
+        return serve::net::encode_range_response(header.request_id, ids,
+                                                 {1, 1});
+      }
+      case serve::net::Op::kReloadRequest:
+        (void)serve::net::decode_reload_request(payload);
+        return serve::net::encode_reload_response(header.request_id);
+      default:
+        return {};
+    }
+  }
+
   Mode mode_;
   index_t rows_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
+  mutable std::mutex mutex_;
+  std::vector<std::uint8_t> versions_;
   std::thread thread_;
 };
 
 TEST(NetRouterTest, RejectsMalformedShardResponses) {
   const Matrix<float> queries = test_queries(3);
-  for (const EvilShard::Mode mode :
-       {EvilShard::Mode::kWrongRows, EvilShard::Mode::kWrongCols,
-        EvilShard::Mode::kIdOutOfRange}) {
-    EvilShard shard(mode, /*rows=*/100);
+  for (const RawShard::Mode mode :
+       {RawShard::Mode::kWrongRows, RawShard::Mode::kWrongCols,
+        RawShard::Mode::kIdOutOfRange}) {
+    RawShard shard(mode, /*rows=*/100);
     dist::NetRouter router({{"127.0.0.1", shard.port()}});
     EXPECT_THROW((void)router.knn(queries, 5), serve::net::ProtocolError);
   }
   {
-    EvilShard shard(EvilShard::Mode::kRangeIdOutOfRange, /*rows=*/100);
+    RawShard shard(RawShard::Mode::kRangeIdOutOfRange, /*rows=*/100);
     dist::NetRouter router({{"127.0.0.1", shard.port()}});
     EXPECT_THROW((void)router.range(queries, 1.0f),
                  serve::net::ProtocolError);
   }
+}
+
+TEST(NetClient, EveryCallSendsTheCurrentVersionWithOrWithoutADeadline) {
+  RawShard shard(RawShard::Mode::kHonest, /*rows=*/100);
+  RbcClient client("127.0.0.1", shard.port());
+  const Matrix<float> queries = test_queries(3);
+  EXPECT_EQ(client.knn(queries, 5).ids.rows(), 3u);
+  EXPECT_EQ(client.knn(queries, 5, /*deadline_ms=*/60'000).ids.rows(), 3u);
+  EXPECT_EQ(client.range(queries, 1.0f).size(), 3u);
+  EXPECT_EQ(client.range(queries, 1.0f, /*deadline_ms=*/60'000).size(), 3u);
+  EXPECT_EQ(client.info().size, 100u);
+  client.reload("index.rbc");
+  EXPECT_EQ(shard.versions(),
+            std::vector<std::uint8_t>(6, serve::net::kNetVersion));
 }
 
 }  // namespace
