@@ -1,6 +1,6 @@
-// Micro-benchmarks of the search primitives: the brute-force primitive in
-// batch and stream mode, TopK selection, and single-query latency of each
-// index type (google-benchmark).
+// Micro-benchmarks of the search primitives: the brute-force primitive per
+// batch size (one query, partial tiles, whole tiles), TopK selection, and
+// single-query latency of each index type (google-benchmark).
 #include <benchmark/benchmark.h>
 
 #include "baselines/balltree.hpp"
@@ -33,28 +33,24 @@ Matrix<float> clustered(index_t rows, index_t cols, std::uint64_t seed) {
 constexpr index_t kN = 20'000;
 constexpr index_t kD = 21;
 
+// bf_knn over the batch size, with the row norms built once as the
+// bruteforce backend builds them: one query splits the rows across the
+// team; from 8 queries a group runs as one tile_gemm tile; 64 and 512 rows
+// give the team several tiles each.
 void BM_BruteForceBatch(benchmark::State& state) {
+  const auto nq = static_cast<index_t>(state.range(0));
   const Matrix<float> db = clustered(kN, kD, 1);
-  const Matrix<float> q = clustered(64, kD, 2);
+  const Matrix<float> q = clustered(nq, kD, 2);
+  const RowNormsCache norms = make_row_norms_cache(db);
   for (auto _ : state) {
-    const KnnResult r = bf_knn(q, db, 1);
+    const KnnResult r = bf_knn(q, db, 1, Euclidean{}, &norms);
     benchmark::DoNotOptimize(r.ids.data());
   }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 64);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * nq);
 }
-BENCHMARK(BM_BruteForceBatch)->Unit(benchmark::kMillisecond);
-
-void BM_BruteForceStream(benchmark::State& state) {
-  const Matrix<float> db = clustered(kN, kD, 1);
-  const Matrix<float> q = clustered(1, kD, 2);
-  TopK top(1);
-  for (auto _ : state) {
-    top.reset();
-    bf_knn_stream(q.row(0), db, Euclidean{}, top);
-    benchmark::DoNotOptimize(top.worst());
-  }
-}
-BENCHMARK(BM_BruteForceStream)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_BruteForceBatch)
+    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(64)->Arg(512)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_RbcExactQuery(benchmark::State& state) {
   const Matrix<float> db = clustered(kN, kD, 1);

@@ -60,14 +60,11 @@ inline std::vector<std::string> scan_storage_names(metric::Kind kind) {
 template <class SearchOne>
 KnnResult batch_knn(const Matrix<float>& Q, index_t k, SearchOne&& one) {
   KnnResult result(Q.rows(), k);
-  parallel_for_dynamic(
-      0, Q.rows(),
-      [&](index_t qi) {
-        TopK top(k);
-        one(Q.row(qi), top);
-        top.extract_sorted(result.dists.row(qi), result.ids.row(qi));
-      },
-      /*chunk=*/1);
+  parallel_for_dynamic(0, Q.rows(), [&](index_t qi) {
+    TopK top(k);
+    one(Q.row(qi), top);
+    top.extract_sorted(result.dists.row(qi), result.ids.row(qi));
+  });
   return result;
 }
 

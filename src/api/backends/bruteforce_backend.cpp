@@ -36,7 +36,7 @@ class BruteForceBackend final : public Index {
     db_ = X.clone();
     // Cosine = L2 on unit rows: the one-time build transform.
     if (kind_ == metric::Kind::kCosine) metric::normalize_rows(db_);
-    // Row norms once at build: the tiled batch path's GEMM-form corrections
+    // Row norms once at build: the GEMM-form corrections of bf_knn's tiles
     // and the ip prefilter's max-norm slack (an O(n d) pass that must not
     // be paid per search).
     norms_ = make_row_norms_cache(db_);

@@ -3,17 +3,19 @@
 // "Given a set of queries Q and a database X ... finding the NNs for all q
 //  can be achieved by a series of linear scans."
 //
-// Both of the paper's parallel decompositions are implemented:
-//   * batch mode  — many queries: parallelize across queries (the
-//     matrix-matrix-multiply-shaped case);
-//   * stream mode — one query: parallelize across database chunks with
-//     per-thread heaps and a final reduce (the matrix-vector case plus the
-//     inverted-binary-tree comparison step).
+// The paper's two parallel decompositions are one loop here: batch mode
+// (parallel across queries, the matrix-matrix-multiply-shaped case) and
+// stream mode (parallel across database chunks, with a final reduce over
+// per-chunk heaps) are the two axes of the (query group, row chunk) items
+// bf_knn hands to the team. A query group is a 16-query tile_gemm tile for
+// the squared-L2 family and a single query otherwise; a batch of fewer
+// groups than threads splits the rows into chunks, so one query still fills
+// the team.
 //
 // Subset search BF(q, X[L]) — the building block of both RBC search
-// algorithms — is provided in subset form (indirect ids into X) and in
-// contiguous form (a packed row range), the latter being what the RBC
-// indexes use on their permuted copies of the database.
+// algorithms — runs on a contiguous packed row range (bf_scan_rows and the
+// kernelized scans of kernel_scan.hpp), which is what the RBC indexes keep
+// their permuted copies of the database in.
 #pragma once
 
 #include <cstdint>
@@ -50,20 +52,8 @@ void bf_scan_rows(const float* q, const Matrix<float>& X, index_t x_begin,
   counters::add_dist_evals(x_end - x_begin);
 }
 
-/// BF(q, X[subset]): scans the `count` database rows whose indices are given
-/// by `subset`, pushing (distance, subset[j]) pairs. Serial.
-template <DenseMetric M>
-void bf_scan_subset(const float* q, const Matrix<float>& X,
-                    const index_t* subset, index_t count, M metric,
-                    TopK& out) {
-  const index_t d = X.cols();
-  for (index_t j = 0; j < count; ++j)
-    out.push(metric(q, X.row(subset[j]), d), subset[j]);
-  counters::add_dist_evals(count);
-}
-
 /// Precomputed squared row norms of a database — the rank-1 corrections of
-/// the paper's §3 GEMM formulation, consumed by bf_knn's tiled batch path.
+/// the paper's §3 GEMM formulation, consumed by bf_knn's tiles.
 /// Callers that search one immutable database repeatedly (the bruteforce
 /// backend, serving workloads) build this once at index time instead of
 /// paying an O(n d) pass per batch.
@@ -75,10 +65,11 @@ struct RowNormsCache {
 /// Builds a RowNormsCache for X through the dispatched kernels.
 RowNormsCache make_row_norms_cache(const Matrix<float>& X);
 
-/// BF(Q, X) for a batch of queries; parallel across queries.
-/// The default metric is Euclidean, as in all of the paper's experiments.
-/// `norms`, when non-null, must be make_row_norms_cache(X) — it spares the
-/// tiled batch path its per-call norms pass (ignored by other paths).
+/// BF(Q, X) for a batch of any size, one query or many: parallel across
+/// (query group, row chunk) items (file comment). The default metric is
+/// Euclidean, as in all of the paper's experiments. `norms`, when non-null,
+/// must be make_row_norms_cache(X) — it spares the tiles and the
+/// InnerProduct slack their per-call norms pass.
 template <DenseMetric M = Euclidean>
 KnnResult bf_knn(const Matrix<float>& Q, const Matrix<float>& X, index_t k,
                  M metric = {}, const RowNormsCache* norms = nullptr);
@@ -87,17 +78,11 @@ KnnResult bf_knn(const Matrix<float>& Q, const Matrix<float>& X, index_t k,
 /// distance/quantized.hpp): the hot scan reads fp16/int8 codes, candidates
 /// surviving the error-inflated bound are re-measured against the float
 /// rows of X — results identical to bf_knn. L2 family only
-/// (quantized_metric<M>); parallel across queries.
+/// (quantized_metric<M>); one query per group on bf_knn's loop.
 template <DenseMetric M = Euclidean>
 KnnResult bf_knn_quantized(const Matrix<float>& Q, const Matrix<float>& X,
                            const quant::QuantizedStore& store, index_t k,
                            M metric = {});
-
-/// BF(q, X) for a single (streaming) query; parallel across database chunks
-/// with per-thread heaps merged by a reduction.
-template <DenseMetric M = Euclidean>
-void bf_knn_stream(const float* q, const Matrix<float>& X, M metric,
-                   TopK& out);
 
 /// Convenience: 1-NN of a single query, serial. Returns (distance, id).
 template <DenseMetric M = Euclidean>

@@ -2,6 +2,8 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "bruteforce/kernel_scan.hpp"
@@ -12,97 +14,110 @@ namespace rbc {
 
 namespace detail {
 
-/// Squared row norms through the dispatched row-block kernel (a zero query
-/// turns ||q - x||^2 into ||x||^2) — the cached corrections of the §3 GEMM
-/// formulation. Parallel over row blocks.
-inline std::vector<float> kernel_row_sq_norms(const Matrix<float>& X) {
-  std::vector<float> norms(X.rows());
-  if (X.rows() == 0) return norms;
-  const std::vector<float> zero(X.cols(), 0.0f);
-  parallel_for_blocked(0, X.rows(), 4096, [&](index_t lo, index_t hi) {
-    dispatch::ops().rows(zero.data(), X.cols(), X.data(), X.stride(), lo, hi,
-                         norms.data() + lo);
+/// Fewest queries a group scans as one tile; smaller groups scan each query
+/// with the row-block kernel. A tile computes all 16 lanes whatever its
+/// count, and costs 1.7 to 2.5 single-query row passes when the rows
+/// stream from memory (200k rows of width 21 to 54), but 5 to 7 when a
+/// team reads its chunks from L2 (20k rows, 4 threads). Half a tile pays
+/// in both.
+inline constexpr index_t kMinTileQueries = dispatch::kTile / 2;
+
+/// The one brute-force loop (paper §3). The queries form groups of `group`
+/// rows and the database rows form chunks; every (group, chunk) pair is one
+/// item on the team. scan(q_lo, q_hi, x_lo, x_hi, tops) offers rows
+/// [x_lo, x_hi) to tops[0, q_hi - q_lo), the chunk's heaps of queries
+/// [q_lo, q_hi). The rows split into ceil(team / groups) chunks, so a batch
+/// of fewer groups than threads still fills the team (the paper's stream
+/// mode); one chunk inside an active OpenMP region, where the loop runs
+/// serially. The chunks' heaps merge per query under (distance, id), so the
+/// result is the single scan's. The items cost alike (a tile costs the same
+/// for any number of queries), so they are scheduled statically: a dynamic
+/// grab costs more than a small item's scan when the team wakes. Counts
+/// nq * n distance evaluations.
+template <class Scan>
+KnnResult bf_items(const Matrix<float>& Q, index_t n, index_t k,
+                   index_t group, Scan&& scan) {
+  const index_t nq = Q.rows();
+  if (nq == 0) return KnnResult(0, k);
+  const index_t groups = (nq + group - 1) / group;
+  const index_t team = in_parallel() ? 1 : max_threads();
+  const index_t chunks = (team + groups - 1) / groups;
+  KnnResult result(nq, k);
+  std::vector<TopK> heaps(static_cast<std::size_t>(chunks) * nq, TopK(k));
+
+  parallel_for(0, groups * chunks, [&](index_t item) {
+    const index_t g = item / chunks, c = item % chunks;
+    const index_t q_lo = g * group, q_hi = std::min(nq, q_lo + group);
+    const auto row_at = [&](index_t i) {
+      return static_cast<index_t>(static_cast<std::uint64_t>(n) * i / chunks);
+    };
+    TopK* tops = heaps.data() + c * nq + q_lo;
+    scan(q_lo, q_hi, row_at(c), row_at(c + 1), tops);
+    if (chunks > 1) return;
+    // One chunk: the answers are final. Extract them on the team and free
+    // each heap, so a large batch holds its heaps only while scanning.
+    for (index_t qi = q_lo; qi < q_hi; ++qi) {
+      tops[qi - q_lo].extract_sorted(result.dists.row(qi), result.ids.row(qi));
+      tops[qi - q_lo] = TopK(0);
+    }
   });
-  return norms;
+  counters::add_dist_evals(static_cast<std::uint64_t>(nq) * n);
+
+  if (chunks == 1) return result;
+  for (index_t qi = 0; qi < nq; ++qi) {
+    for (index_t c = 1; c < chunks; ++c)
+      heaps[qi].merge_from(heaps[c * nq + qi]);
+    heaps[qi].extract_sorted(result.dists.row(qi), result.ids.row(qi));
+  }
+  return result;
 }
 
-/// Batch-mode BF(Q, X) in the paper's §3 GEMM form: 16-query tiles through
-/// the dispatched tile_gemm kernel with the row norms computed once for
-/// the whole batch (or passed in precomputed — see RowNormsCache). Queries
-/// beyond the last full tile run the row-block kernel path as individual
-/// work items instead of wasting 15/16 of a tile. Results are identical to
-/// the per-query loop (prefilter + scalar re-measure; kernel_scan.hpp).
+/// BF(Q[q_lo, q_hi), X[x_lo, x_hi)) as one §3 GEMM-form tile: the
+/// dispatched tile_gemm kernel over the rows, `norms` the cached row
+/// corrections. Lanes past q_hi duplicate the first query and are never
+/// read. Each lane is filtered against its own heap and survivors are
+/// re-measured with `metric`, so the heaps equal the per-query loop's
+/// (prefilter + scalar re-measure; kernel_scan.hpp).
 template <DenseMetric M>
-void bf_knn_tiled(const Matrix<float>& Q, const Matrix<float>& X, index_t k,
-                  M metric, const RowNormsCache* norms, KnnResult& result) {
-  const index_t nq = Q.rows(), n = X.rows(), d = X.cols();
-  RowNormsCache local;
-  if (norms == nullptr) {
-    local = make_row_norms_cache(X);
-    norms = &local;
-  }
-  const std::vector<float>& x_sq = norms->sq;
-  const float x_sq_max = norms->max;
-  const index_t full_tiles = nq / dispatch::kTile;
-  // One work item per full tile plus one per tail query: tails stay as
-  // finely parallel as the per-query path. One heap per thread, reused
-  // across tail items (no allocation per query).
-  const index_t items = full_tiles + nq % dispatch::kTile;
-  std::vector<TopK> heaps(static_cast<std::size_t>(max_threads()), TopK(k));
+void tile_scan(const Matrix<float>& Q, index_t q_lo, index_t q_hi,
+               const Matrix<float>& X, index_t x_lo, index_t x_hi, M metric,
+               const RowNormsCache& norms, TopK* tops) {
+  const index_t count = q_hi - q_lo, d = X.cols();
+  const float* qrows[dispatch::kTile];
+  for (index_t t = 0; t < dispatch::kTile; ++t)
+    qrows[t] = Q.row(q_lo + (t < count ? t : 0));
+  std::vector<float> qt(static_cast<std::size_t>(d) * dispatch::kTile);
+  dispatch::pack_tile(qrows, count, d, qt.data());
+  float q_sq[dispatch::kTile];
+  for (index_t t = 0; t < dispatch::kTile; ++t)
+    q_sq[t] = kernels::dot(qrows[t], qrows[t], d);
 
-  parallel_for_dynamic(0, items, [&](index_t item) {
-    if (item >= full_tiles) {  // tail query: single-query row-block scan
-      const index_t qi =
-          full_tiles * dispatch::kTile + (item - full_tiles);
-      TopK& top = heaps[static_cast<std::size_t>(thread_id())];
-      top.reset();
-      kernel_scan_rows(Q.row(qi), X, 0, n, metric, top);
-      counters::add_dist_evals(n);
-      top.extract_sorted(result.dists.row(qi), result.ids.row(qi));
-      return;
-    }
-
-    const index_t t_lo = item * dispatch::kTile;
-    const float* qrows[dispatch::kTile];
-    for (index_t t = 0; t < dispatch::kTile; ++t) qrows[t] = Q.row(t_lo + t);
-    std::vector<float> qt(static_cast<std::size_t>(d) * dispatch::kTile);
-    dispatch::pack_tile(qrows, dispatch::kTile, d, qt.data());
-    float q_sq[dispatch::kTile];
-    for (index_t t = 0; t < dispatch::kTile; ++t)
-      q_sq[t] = kernels::dot(qrows[t], qrows[t], d);
-
-    std::vector<TopK> tops(dispatch::kTile, TopK(k));
-    constexpr index_t kChunk = 256;  // 16 KB of distances per chunk
-    float buf[kChunk * dispatch::kTile];
-    float lane_min[dispatch::kTile];
-    const dispatch::KernelOps& ops = dispatch::ops();
-    const float mrel = 1.0f + dispatch::tile_margin(d);
-    const float mabs = dispatch::gemm_margin_scale(d);
-    for (index_t c = 0; c < n; c += kChunk) {
-      const index_t ce = std::min<index_t>(n, c + kChunk);
-      ops.tile_gemm(qt.data(), q_sq, d, X.data(), X.stride(), x_sq.data(), c,
-                    ce, buf, lane_min);
-      // Lane-major filter with the per-lane kernel minimum: a warmed-up
-      // lane usually has no candidate in the chunk and skips it without
-      // reading the distance buffer at all.
-      for (index_t t = 0; t < dispatch::kTile; ++t) {
-        const float skip_bound = sq_threshold<M>(tops[t].worst());
-        if (lane_min[t] > skip_bound * mrel + mabs * (q_sq[t] + x_sq_max))
-          continue;
-        for (index_t p = c; p < ce; ++p) {
-          const float v =
-              buf[static_cast<std::size_t>(p - c) * dispatch::kTile + t];
-          const float bound = sq_threshold<M>(tops[t].worst());
-          if (v > bound * mrel + mabs * (q_sq[t] + x_sq[p])) continue;
-          tops[t].push(metric(qrows[t], X.row(p), d), p);
-        }
+  constexpr index_t kChunk = 256;  // 16 KB of distances per block
+  float buf[kChunk * dispatch::kTile];
+  float lane_min[dispatch::kTile];
+  const dispatch::KernelOps& ops = dispatch::ops();
+  const float mrel = 1.0f + dispatch::tile_margin(d);
+  const float mabs = dispatch::gemm_margin_scale(d);
+  for (index_t c = x_lo; c < x_hi; c += kChunk) {
+    const index_t ce = std::min<index_t>(x_hi, c + kChunk);
+    ops.tile_gemm(qt.data(), q_sq, d, X.data(), X.stride(), norms.sq.data(), c,
+                  ce, buf, lane_min);
+    // Lane-major filter with the per-lane kernel minimum: a warmed-up
+    // lane usually has no candidate in the block and skips it without
+    // reading the distance buffer at all.
+    for (index_t t = 0; t < count; ++t) {
+      const float skip_bound = sq_threshold<M>(tops[t].worst());
+      if (lane_min[t] > skip_bound * mrel + mabs * (q_sq[t] + norms.max))
+        continue;
+      for (index_t p = c; p < ce; ++p) {
+        const float v =
+            buf[static_cast<std::size_t>(p - c) * dispatch::kTile + t];
+        const float bound = sq_threshold<M>(tops[t].worst());
+        if (v > bound * mrel + mabs * (q_sq[t] + norms.sq[p])) continue;
+        tops[t].push(metric(qrows[t], X.row(p), d), p);
       }
     }
-    counters::add_dist_evals(static_cast<std::uint64_t>(dispatch::kTile) * n);
-    for (index_t t = 0; t < dispatch::kTile; ++t)
-      tops[t].extract_sorted(result.dists.row(t_lo + t),
-                             result.ids.row(t_lo + t));
-  });
+  }
 }
 
 }  // namespace detail
@@ -110,78 +125,56 @@ void bf_knn_tiled(const Matrix<float>& Q, const Matrix<float>& X, index_t k,
 template <DenseMetric M>
 KnnResult bf_knn(const Matrix<float>& Q, const Matrix<float>& X, index_t k,
                  M metric, const RowNormsCache* norms) {
-  KnnResult result(Q.rows(), k);
-  const int nt = max_threads();
-
-  if (Q.rows() == 0) return result;
-
-  // Few queries relative to cores: stream mode per query.
-  if (Q.rows() < static_cast<index_t>(2 * nt)) {
-    for (index_t qi = 0; qi < Q.rows(); ++qi) {
-      TopK top(k);
-      bf_knn_stream(Q.row(qi), X, metric, top);
-      top.extract_sorted(result.dists.row(qi), result.ids.row(qi));
-    }
-    return result;
-  }
-
+  const index_t d = X.cols();
   if constexpr (gemm_metric<M>) {
-    // Batch mode, §3 GEMM form, when the tiles alone can occupy the
-    // thread pool: dispatched 16-query tiles with cached row norms — same
-    // results, the matrix-multiply-shaped inner loop. Otherwise keep
-    // per-query granularity (still kernelized) so no core idles.
-    if (Q.rows() / dispatch::kTile >= static_cast<index_t>(nt)) {
-      detail::bf_knn_tiled(Q, X, k, metric, norms, result);
-      return result;
-    }
-    std::vector<TopK> heaps(static_cast<std::size_t>(nt), TopK(k));
-    parallel_for_dynamic(0, Q.rows(), [&](index_t qi) {
-      TopK& top = heaps[static_cast<std::size_t>(thread_id())];
-      top.reset();
-      kernel_scan_rows(Q.row(qi), X, 0, X.rows(), metric, top);
-      counters::add_dist_evals(X.rows());
-      top.extract_sorted(result.dists.row(qi), result.ids.row(qi));
-    });
-    return result;
-  } else if constexpr (kernel_metric<M>) {
-    // L1 / InnerProduct: per-query scans through the metric's dispatched
-    // row-block kernel. The negated-dot prefilter needs an absolute
-    // re-measure slack (its rounding error scales with ||q||*||x||, not
-    // with the possibly-cancelling result); the squared row norms already
-    // cached for the GEMM path supply max||x|| for free.
+    // 16-query tiles through tile_gemm; a group of fewer than
+    // kMinTileQueries queries runs the row-block kernel per query. Without
+    // cached norms a batch of less than one tile scans rows too: the norms
+    // pass costs a row pass, which a partial tile does not earn back.
     RowNormsCache local;
-    float x_norm_max = 0.0f;
-    if constexpr (std::is_same_v<M, InnerProduct>) {
-      if (norms == nullptr) {
-        local = make_row_norms_cache(X);
-        norms = &local;
-      }
-      x_norm_max = std::sqrt(norms->max);
+    if (norms == nullptr && Q.rows() >= dispatch::kTile) {
+      local = make_row_norms_cache(X);
+      norms = &local;
     }
-    const index_t d = X.cols();
-    std::vector<TopK> heaps(static_cast<std::size_t>(nt), TopK(k));
-    parallel_for_dynamic(0, Q.rows(), [&](index_t qi) {
-      TopK& top = heaps[static_cast<std::size_t>(thread_id())];
-      top.reset();
-      float slack = 0.0f;
-      if constexpr (std::is_same_v<M, InnerProduct>)
-        slack = dispatch::tile_margin(d) *
-                std::sqrt(kernels::dot(Q.row(qi), Q.row(qi), d)) * x_norm_max;
-      kernel_scan_rows(Q.row(qi), X, 0, X.rows(), metric, top, {}, slack);
-      counters::add_dist_evals(X.rows());
-      top.extract_sorted(result.dists.row(qi), result.ids.row(qi));
-    });
-    return result;
+    return detail::bf_items(
+        Q, X.rows(), k, dispatch::kTile,
+        [&](index_t q_lo, index_t q_hi, index_t x_lo, index_t x_hi,
+            TopK* tops) {
+          if (norms != nullptr && q_hi - q_lo >= detail::kMinTileQueries) {
+            detail::tile_scan(Q, q_lo, q_hi, X, x_lo, x_hi, metric, *norms,
+                              tops);
+            return;
+          }
+          for (index_t qi = q_lo; qi < q_hi; ++qi)
+            kernel_scan_rows(Q.row(qi), X, x_lo, x_hi, metric,
+                             tops[qi - q_lo]);
+        });
+  } else if constexpr (kernel_metric<M>) {
+    // L1 / InnerProduct: one query per group through the metric's row-block
+    // kernel. The negated-dot prefilter needs an absolute re-measure slack
+    // (its rounding error scales with ||q||*||x||, not with the possibly
+    // cancelling result); the squared row norms supply max||x||.
+    float x_norm_max = 0.0f;
+    if constexpr (std::is_same_v<M, InnerProduct>)
+      x_norm_max = std::sqrt(norms != nullptr ? norms->max
+                                              : make_row_norms_cache(X).max);
+    return detail::bf_items(
+        Q, X.rows(), k, 1,
+        [&](index_t qi, index_t, index_t x_lo, index_t x_hi, TopK* top) {
+          float slack = 0.0f;
+          if constexpr (std::is_same_v<M, InnerProduct>)
+            slack = dispatch::tile_margin(d) *
+                    std::sqrt(kernels::dot(Q.row(qi), Q.row(qi), d)) *
+                    x_norm_max;
+          kernel_scan_rows(Q.row(qi), X, x_lo, x_hi, metric, *top, {}, slack);
+        });
   } else {
-    // Batch mode: one heap per thread, queries distributed dynamically.
-    std::vector<TopK> heaps(static_cast<std::size_t>(nt), TopK(k));
-    parallel_for_dynamic(0, Q.rows(), [&](index_t qi) {
-      TopK& top = heaps[static_cast<std::size_t>(thread_id())];
-      top.reset();
-      bf_scan_rows(Q.row(qi), X, 0, X.rows(), metric, top);
-      top.extract_sorted(result.dists.row(qi), result.ids.row(qi));
-    });
-    return result;
+    return detail::bf_items(
+        Q, X.rows(), k, 1,
+        [&](index_t qi, index_t, index_t x_lo, index_t x_hi, TopK* top) {
+          for (index_t j = x_lo; j < x_hi; ++j)
+            top->push(metric(Q.row(qi), X.row(j), d), j);
+        });
   }
 }
 
@@ -190,57 +183,11 @@ KnnResult bf_knn_quantized(const Matrix<float>& Q, const Matrix<float>& X,
                            const quant::QuantizedStore& store, index_t k,
                            M metric) {
   static_assert(quantized_metric<M>);
-  KnnResult result(Q.rows(), k);
-  if (Q.rows() == 0) return result;
-  const int nt = max_threads();
-  std::vector<TopK> heaps(static_cast<std::size_t>(nt), TopK(k));
-  parallel_for_dynamic(0, Q.rows(), [&](index_t qi) {
-    TopK& top = heaps[static_cast<std::size_t>(thread_id())];
-    top.reset();
-    quantized_scan_rows(Q.row(qi), X, store, 0, X.rows(), metric, top);
-    counters::add_dist_evals(X.rows());
-    top.extract_sorted(result.dists.row(qi), result.ids.row(qi));
-  });
-  return result;
-}
-
-template <DenseMetric M>
-void bf_knn_stream(const float* q, const Matrix<float>& X, M metric,
-                   TopK& out) {
-  const int nt = max_threads();
-  const index_t n = X.rows();
-  if (n == 0) return;
-
-  // Chunk the database so each thread gets a contiguous slice (predictable
-  // access, Per.19); merge per-thread heaps afterwards (the paper's
-  // parallel-reduce comparison step). Euclidean/SqEuclidean chunks run the
-  // dispatched row-block kernel — eight independent accumulator chains
-  // instead of the latency-bound single-query scan.
-  std::vector<TopK> partials(static_cast<std::size_t>(nt), TopK(out.k()));
-#pragma omp parallel
-  {
-    TopK& mine = partials[static_cast<std::size_t>(thread_id())];
-#pragma omp for schedule(static)
-    for (std::int64_t chunk = 0; chunk < nt; ++chunk) {
-      const index_t lo = static_cast<index_t>(
-          static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(chunk) /
-          static_cast<std::uint64_t>(nt));
-      const index_t hi = static_cast<index_t>(
-          static_cast<std::uint64_t>(n) *
-          static_cast<std::uint64_t>(chunk + 1) /
-          static_cast<std::uint64_t>(nt));
-      // InnerProduct stays on the functor loop here: the kernel prefilter
-      // would need a max-row-norm slack this one-shot path has no cache
-      // for.
-      if constexpr (kernel_metric<M> && !std::is_same_v<M, InnerProduct>) {
-        kernel_scan_rows(q, X, lo, hi, metric, mine);
-        counters::add_dist_evals(hi - lo);
-      } else {
-        bf_scan_rows(q, X, lo, hi, metric, mine);
-      }
-    }
-  }
-  for (const TopK& partial : partials) out.merge_from(partial);
+  return detail::bf_items(
+      Q, X.rows(), k, 1,
+      [&](index_t qi, index_t, index_t x_lo, index_t x_hi, TopK* top) {
+        quantized_scan_rows(Q.row(qi), X, store, x_lo, x_hi, metric, *top);
+      });
 }
 
 }  // namespace rbc

@@ -30,8 +30,8 @@
 //                 allowed to drop true neighbors.
 //
 // kernel_metric<M> says whether a ScanTraits specialization exists;
-// gemm_metric<M> marks the (squared-L2) subset bf_knn's tile_gemm batch path
-// additionally accepts. Unlike bf_scan_rows, these helpers do NOT touch the
+// gemm_metric<M> marks the (squared-L2) subset bf_knn's tile_gemm tiles
+// additionally accept. Unlike bf_scan_rows, these helpers do NOT touch the
 // global distance-eval counters: callers account one eval per row scanned.
 #pragma once
 
@@ -113,15 +113,15 @@ inline constexpr bool
 template <class M>
 inline constexpr bool kernel_metric = detail::has_scan_traits<M>;
 
-/// The squared-L2 subset additionally eligible for bf_knn's tile_gemm batch
-/// path (the GEMM formulation has no analogue for other metrics).
+/// The squared-L2 subset additionally eligible for bf_knn's tile_gemm tiles
+/// (the GEMM formulation has no analogue for other metrics).
 template <class M>
 inline constexpr bool gemm_metric =
     std::is_same_v<M, Euclidean> || std::is_same_v<M, SqEuclidean>;
 
 /// Maps a heap bound (metric space) into squared-L2 space for the tile_gemm
 /// filter passes — the same map ScanTraits defines, restricted to the gemm
-/// subset so the batch and row paths can never disagree on it.
+/// subset so the tiles and the row scans can never disagree on it.
 template <class M>
 inline float sq_threshold(float bound) noexcept {
   static_assert(gemm_metric<M>);

@@ -128,16 +128,18 @@ void NetRouter::validate_topology(const std::vector<InfoMsg>& infos) {
 // ------------------------------------------------------- replica lifecycle --
 
 RbcClient& NetRouter::ensure_connected(std::size_t s, Replica& replica,
-                                       RouterStats& local) {
+                                       RouterStats& local,
+                                       std::uint32_t budget_ms) {
   const bool fresh = !replica.client;
   if (fresh)
     replica.client = std::make_unique<RbcClient>(
-        replica.endpoint.host, replica.endpoint.port, options_.client);
+        replica.endpoint.host, replica.endpoint.port, options_.client,
+        budget_ms);
   if (!replica.validated) {
     // A replica that was down (or never seen) may have been restarted with
     // the wrong index: re-check its identity against the topology before
     // trusting a single answer from it.
-    const InfoMsg info = replica.client->info();
+    const InfoMsg info = replica.client->info(budget_ms);
     if (info.dim != dim_ || info.metric != metric_ ||
         info.size != global_ids_[s].size()) {
       replica.client.reset();
@@ -263,7 +265,7 @@ auto NetRouter::with_failover(std::size_t s,
     if (replica.open_count > 0) local.breaker_probes += 1;
     local.requests += 1;
     try {
-      RbcClient& client = ensure_connected(s, replica, local);
+      RbcClient& client = ensure_connected(s, replica, local, remaining_ms());
       auto result = attempt(client, remaining_ms());
       record_success(replica);
       shard.preferred = pick;

@@ -33,7 +33,8 @@
 //     skipped on the hot path.
 //   * Deadlines: knn/range take a deadline_ms budget; every attempt's
 //     timeout is the *remaining* budget (propagated on the wire so servers
-//     shed work past it), and failover stops when the budget does.
+//     shed work past it), a reconnect's connect and INFO included, and
+//     failover stops when the budget does.
 //   * Graceful degradation (opt-in allow_partial): when every replica of a
 //     shard is down within the deadline, knn_partial/range_partial return
 //     the exact merge over the covered shards plus a per-shard coverage
@@ -221,9 +222,11 @@ class NetRouter {
                      RouterStats& local, Fn&& attempt);
 
   // Connects (or reuses) replica r of shard s and re-validates its INFO
-  // after a reconnect. Throws std::runtime_error on failure.
+  // after a reconnect, both within `budget_ms` (0 = the client timeout
+  // alone). Throws std::runtime_error on failure.
   serve::net::RbcClient& ensure_connected(std::size_t s, Replica& replica,
-                                          RouterStats& local);
+                                          RouterStats& local,
+                                          std::uint32_t budget_ms);
   void record_failure(std::size_t s, Replica& replica, RouterStats& local);
   void record_success(Replica& replica);
   // Deterministic jitter for the breaker's open window: a hash of the

@@ -20,7 +20,7 @@
 //    are bit-identical to the never-vectorized path under every ISA. Used
 //    by every candidate scan: brute force, RBC stage-3 list scans, one-shot
 //    probes, the compressed tier and MutableIndex's delta scan (through
-//    bruteforce/kernel_scan.hpp or bf_knn's batch path).
+//    bruteforce/kernel_scan.hpp or bf_knn's tiles).
 //    tests/test_kernels.cpp fuzzes the raw kernels against their margins;
 //    tests/test_rbc_exact.cpp's ForcedIsaParity cases pin end-to-end parity
 //    per ISA.
@@ -40,18 +40,22 @@
 //
 //   tile       16 transposed queries x database rows. Each row load is
 //              amortized 16 ways across independent FMA chains. No library
-//              scan calls it (bf_knn's batch path runs tile_gemm); the
-//              kernel tests and the micro bench measure it.
+//              scan calls it (bf_knn's tiles run tile_gemm); the kernel
+//              tests and the micro bench measure it.
 //   tile_gemm  the same tile in the GEMM formulation of §3,
 //              ||q||^2 + ||x||^2 - 2 q.x, with both norms precomputed.
 //              Drops the per-element subtract, the fastest form when row
 //              norms can be cached (the bruteforce backend caches them at
-//              build, RowNormsCache); bf_knn's batch path is its caller.
+//              build, RowNormsCache). bf_knn is its one caller: every
+//              squared-L2 group of 8 to 16 queries runs one tile per row
+//              chunk, a partial tile included.
 //   rows       one query x a block of 8 consecutive rows, each row with its
-//              own accumulator chain. What makes SMALL batches and stream
-//              mode stop being latency-bound: a single-query scan has one
-//              dependent FMA chain, this one has eight. Every single-query
-//              scan reads contiguous rows, so there is no index-array form.
+//              own accumulator chain. What makes single-query scans stop
+//              being latency-bound: a plain scan has one dependent FMA
+//              chain, this one has eight. Its callers: bf_knn's groups of
+//              fewer than 8 queries and its L1/ip/quantized groups, the RBC
+//              list scans and the delta scan. Every single-query scan reads
+//              contiguous rows, so there is no index-array form.
 //
 // Metric variants (the unified API's runtime-selectable metrics,
 // api/metrics.hpp): the single-query shape additionally ships as

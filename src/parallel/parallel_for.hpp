@@ -23,13 +23,13 @@ void parallel_for(std::int64_t begin, std::int64_t end, F&& f) {
   for (std::int64_t i = begin; i < end; ++i) f(static_cast<index_t>(i));
 }
 
-/// Calls f(i) for every i in [begin, end), dynamically scheduled with the
-/// given chunk size. Best for irregular bodies (e.g. one RBC query, whose
-/// cost depends on how many representatives survive pruning).
+/// Calls f(i) for every i in [begin, end), dynamically scheduled one
+/// iteration at a time, so a loop of a few iterations still spreads over
+/// the team. Best for irregular bodies (e.g. one RBC query, whose cost
+/// depends on how many representatives survive pruning).
 template <class F>
-void parallel_for_dynamic(std::int64_t begin, std::int64_t end, F&& f,
-                          int chunk = 8) {
-#pragma omp parallel for schedule(dynamic, chunk) if (end - begin > 1)
+void parallel_for_dynamic(std::int64_t begin, std::int64_t end, F&& f) {
+#pragma omp parallel for schedule(dynamic, 1) if (end - begin > 1)
   for (std::int64_t i = begin; i < end; ++i) f(static_cast<index_t>(i));
 }
 

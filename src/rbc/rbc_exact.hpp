@@ -235,18 +235,13 @@ class RbcExactIndex {
     std::vector<SearchStats> tstats(static_cast<std::size_t>(nt));
     std::vector<TopK> heaps(static_cast<std::size_t>(nt), TopK(k));
 
-    // Chunk 1: a row costs what its surviving lists cost, and a batch of a
-    // few times the team would otherwise run on one or two threads.
-    parallel_for_dynamic(
-        0, Q.rows(),
-        [&](index_t qi) {
-          const auto tid = static_cast<std::size_t>(thread_id());
-          TopK& top = heaps[tid];
-          top.reset();
-          search_one(Q.row(qi), k, top, scratch[tid], &tstats[tid]);
-          top.extract_sorted(result.dists.row(qi), result.ids.row(qi));
-        },
-        /*chunk=*/1);
+    parallel_for_dynamic(0, Q.rows(), [&](index_t qi) {
+      const auto tid = static_cast<std::size_t>(thread_id());
+      TopK& top = heaps[tid];
+      top.reset();
+      search_one(Q.row(qi), k, top, scratch[tid], &tstats[tid]);
+      top.extract_sorted(result.dists.row(qi), result.ids.row(qi));
+    });
 
     if (stats != nullptr)
       for (const SearchStats& s : tstats) stats->merge(s);

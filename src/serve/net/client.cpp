@@ -39,10 +39,10 @@ int poll_timeout(Clock::time_point deadline) {
 }  // namespace
 
 RbcClient::RbcClient(const std::string& host, std::uint16_t port,
-                     ClientOptions options)
+                     ClientOptions options, std::uint32_t budget_ms)
     : options_(options) {
   // Non-blocking from birth: connect() below returns EINPROGRESS and the
-  // poll bounds the handshake by timeout_ms, so a blackholed endpoint
+  // poll bounds the handshake by the call budget, so a blackholed endpoint
   // (filtered port, dead host) fails fast instead of riding out the
   // kernel's minutes-long SYN retry schedule. The socket then stays
   // non-blocking; all later waits go through poll() with per-call budgets.
@@ -69,7 +69,8 @@ RbcClient::RbcClient(const std::string& host, std::uint16_t port,
     fail("connect to " + where);
   }
   try {
-    wait_ready(POLLOUT, call_deadline(0), ("connect to " + where).c_str());
+    wait_ready(POLLOUT, call_deadline(budget_ms),
+               ("connect to " + where).c_str());
   } catch (...) {
     close(fd_);
     fd_ = -1;
@@ -222,10 +223,10 @@ std::vector<std::vector<index_t>> RbcClient::range(
   return std::move(decode_range_response(payload).ids);
 }
 
-InfoMsg RbcClient::info() {
+InfoMsg RbcClient::info(std::uint32_t budget_ms) {
   const std::uint64_t id = next_request_id_++;
   return decode_info_response(
-      roundtrip(encode_info_request(id), id, Op::kInfoResponse, 0));
+      roundtrip(encode_info_request(id), id, Op::kInfoResponse, budget_ms));
 }
 
 void RbcClient::reload(const std::string& path) {

@@ -63,10 +63,11 @@ struct ClientOptions {
 
 class RbcClient {
  public:
-  /// Connects immediately (bounded by options.timeout_ms); throws
-  /// std::runtime_error on failure or timeout.
+  /// Connects immediately, bounded by min(options.timeout_ms, budget_ms)
+  /// (0 = options.timeout_ms alone); throws std::runtime_error on failure
+  /// or timeout. `budget_ms` bounds this connect only.
   RbcClient(const std::string& host, std::uint16_t port,
-            ClientOptions options = {});
+            ClientOptions options = {}, std::uint32_t budget_ms = 0);
   ~RbcClient();
 
   RbcClient(const RbcClient&) = delete;
@@ -94,8 +95,9 @@ class RbcClient {
                                           std::uint32_t deadline_ms = 0);
 
   /// Index identity + serving counters, including this connection's own
-  /// ConnCounters as the server sees them.
-  InfoMsg info();
+  /// ConnCounters as the server sees them. `budget_ms` > 0 caps the wait
+  /// like knn()'s deadline_ms, but stays local: INFO carries no deadline.
+  InfoMsg info(std::uint32_t budget_ms = 0);
 
   /// Asks the server to hot-swap its index from `path` (a server-side
   /// filesystem path). Returns when the swap is complete.

@@ -112,11 +112,9 @@ void ShardedIndex::build_id_native(const Matrix<float>& X,
   }
 
   parallel_for_dynamic(
-      0, static_cast<std::int64_t>(shards.size()),
-      [&](index_t s) {
+      0, static_cast<std::int64_t>(shards.size()), [&](index_t s) {
         build_shard_with_ids(X, assignment[s], shard_ids[s], shards[s]);
-      },
-      /*chunk=*/1);
+      });
 
   std::unordered_map<index_t, std::uint32_t> owners;
   owners.reserve(ids.size());
@@ -166,8 +164,7 @@ void ShardedIndex::build(const Matrix<float>& X) {
   // (nested regions serialize, so cores split across shards cleanly).
   parallel_for_dynamic(
       0, static_cast<std::int64_t>(shards.size()),
-      [&](index_t s) { build_shard(X, shards[s].global_ids, shards[s]); },
-      /*chunk=*/1);
+      [&](index_t s) { build_shard(X, shards[s].global_ids, shards[s]); });
 
   std::lock_guard compacting(compact_mutex_);
   std::unique_lock lock(mutex_);
@@ -224,11 +221,9 @@ void ShardedIndex::build_payload(const metricspace::DatasetHandle& data) {
   }
 
   parallel_for_dynamic(
-      0, static_cast<std::int64_t>(shards.size()),
-      [&](index_t s) {
+      0, static_cast<std::int64_t>(shards.size()), [&](index_t s) {
         shards[s].index->build_payload(data->subset(shards[s].global_ids));
-      },
-      /*chunk=*/1);
+      });
 
   std::lock_guard compacting(compact_mutex_);
   std::unique_lock lock(mutex_);
@@ -340,10 +335,10 @@ void ShardedIndex::knn_rows_fanout(const SearchRequest& request,
                                    const std::vector<index_t>& shard_k,
                                    std::vector<SearchResponse>& fanout) const {
   // Fewer rows than threads: the per-query loop inside one shard's search
-  // would leave threads idle (and its chunk of 8 puts up to 8 rows on one
-  // thread), so the team splits (shard, row) pairs instead. Each pair is a
-  // one-row search on its shard; the inner backend's own OpenMP loops nest
-  // inside this region and run serially, as in the parallel shard builds.
+  // would leave threads idle, so the team splits (shard, row) pairs
+  // instead. Each pair is a one-row search on its shard; the inner
+  // backend's own OpenMP loops nest inside this region and run serially, as
+  // in the parallel shard builds.
   const Matrix<float>& Q = *request.queries;
   const index_t nq = Q.rows();
   std::vector<Matrix<float>> rows(nq);
@@ -358,25 +353,21 @@ void ShardedIndex::knn_rows_fanout(const SearchRequest& request,
   // An exception escaping an OpenMP region terminates the process: each
   // pair parks its own, and the first (in pair order) is rethrown below.
   std::vector<std::exception_ptr> errors(pairs);
-  parallel_for_dynamic(
-      0, static_cast<std::int64_t>(pairs),
-      [&](index_t p) {
-        const std::size_t s = live[p / nq];
-        const index_t qi = p % nq;
-        try {
-          SearchRequest sub = request;
-          sub.queries = &rows[qi];
-          sub.k = shard_k[s];
-          const SearchResponse r = shards_[s].index->knn_search(sub);
-          std::copy_n(r.knn.dists.row(0), shard_k[s],
-                      fanout[s].knn.dists.row(qi));
-          std::copy_n(r.knn.ids.row(0), shard_k[s], fanout[s].knn.ids.row(qi));
-          stats[p] = r.stats;
-        } catch (...) {
-          errors[p] = std::current_exception();
-        }
-      },
-      /*chunk=*/1);
+  parallel_for_dynamic(0, static_cast<std::int64_t>(pairs), [&](index_t p) {
+    const std::size_t s = live[p / nq];
+    const index_t qi = p % nq;
+    try {
+      SearchRequest sub = request;
+      sub.queries = &rows[qi];
+      sub.k = shard_k[s];
+      const SearchResponse r = shards_[s].index->knn_search(sub);
+      std::copy_n(r.knn.dists.row(0), shard_k[s], fanout[s].knn.dists.row(qi));
+      std::copy_n(r.knn.ids.row(0), shard_k[s], fanout[s].knn.ids.row(qi));
+      stats[p] = r.stats;
+    } catch (...) {
+      errors[p] = std::current_exception();
+    }
+  });
   for (const std::exception_ptr& error : errors)
     if (error) std::rethrow_exception(error);
   for (std::size_t p = 0; p < pairs; ++p)

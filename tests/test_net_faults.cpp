@@ -331,15 +331,28 @@ TEST(NetFaults, PartitionedShardYieldsCoverageFlagsNotException) {
   // Total partition: bytes vanish in both directions, connections stay up.
   proxy.set_plan({.mode = rbc::testing::FaultPlan::Mode::kBlackhole});
 
+  // Each call keeps its 150 ms deadline through the failover: the reconnect
+  // to the blackholed shard and its INFO wait out the remaining budget, not
+  // the 2 s client timeout.
+  using Clock = std::chrono::steady_clock;
+  const auto elapsed_ms = [](Clock::time_point since) {
+    return std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
+                                                                 since)
+        .count();
+  };
+  auto start = Clock::now();
   const dist::PartialKnnResult knn =
       router.knn_partial(queries, k, /*deadline_ms=*/150);
+  EXPECT_LT(elapsed_ms(start), 1'000);
   EXPECT_TRUE(knn.shards[0].covered);
   EXPECT_FALSE(knn.shards[1].covered);
   expect_same_knn(expected_partial_knn(queries, k, kShards, {true, false}),
                   knn.result, "blackholed knn");
 
+  start = Clock::now();
   const dist::PartialRangeResult range =
       router.range_partial(queries, radius, /*deadline_ms=*/150);
+  EXPECT_LT(elapsed_ms(start), 1'000);
   EXPECT_TRUE(range.shards[0].covered);
   EXPECT_FALSE(range.shards[1].covered);
   EXPECT_FALSE(range.complete());

@@ -29,7 +29,7 @@ TEST(ParallelFor, EmptyRangeIsNoop) {
 TEST(ParallelForDynamic, VisitsEveryIndexExactlyOnce) {
   const index_t n = 5'000;
   std::vector<std::atomic<int>> visits(n);
-  parallel_for_dynamic(0, n, [&](index_t i) { visits[i].fetch_add(1); }, 3);
+  parallel_for_dynamic(0, n, [&](index_t i) { visits[i].fetch_add(1); });
   for (index_t i = 0; i < n; ++i) EXPECT_EQ(visits[i].load(), 1);
 }
 
