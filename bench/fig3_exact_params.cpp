@@ -3,10 +3,14 @@
 // search algorithm ... Note that the search time is relatively stable to
 // this setting." Each row also reports the build: its time and its
 // counted distance evaluations per database row (nr for BF(X, R), fewer
-// from RbcExactIndex::kNestedOwnersMinReps representatives on, where the
-// owners come from an exact RBC over the representatives).
+// where the owners come through the cover of the representatives). The
+// `auto` row per dataset builds with num_reps = 0 and prints the nr the
+// build drew (2 ceil(sqrt(n)) or ceil(sqrt(n))) and its sampled
+// evaluations per row as a share of that nr (`share`), the count that
+// chose nr and the owner path.
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "bench_util.hpp"
 #include "bruteforce/bf.hpp"
@@ -19,9 +23,9 @@ int main() {
 
   const index_t nq = bench::num_queries();
 
-  std::printf("%-8s %8s %10s %15s %9s %11s %11s %10s\n", "dataset", "nr",
-              "t_build(s)", "build_evals/row", "t_rbc(s)", "speedup_t",
-              "speedup_w", "evals/q");
+  std::printf("%-8s %8s %10s %15s %9s %11s %11s %10s %6s\n", "dataset",
+              "nr", "t_build(s)", "build_evals/row", "t_rbc(s)", "speedup_t",
+              "speedup_w", "evals/q", "share");
 
   for (const auto& name : bench::all_names()) {
     const bench::BenchData bd = bench::load(name, nq);
@@ -29,11 +33,13 @@ int main() {
         bench::timed([&] { (void)bf_knn(bd.queries, bd.database, 1); });
 
     // The paper sweeps nr linearly (e.g. 0..10k for bio, 0..30k for tiny);
-    // sweep proportionally around sqrt(n) at our scale.
+    // sweep proportionally around sqrt(n) at our scale. Factor 0 is the
+    // library default (num_reps = 0).
     const auto root = std::sqrt(static_cast<double>(bd.n));
-    for (const double factor : {0.25, 0.5, 1.0, 2.0, 4.0, 8.0}) {
-      const auto nr =
-          static_cast<index_t>(std::max(2.0, factor * root));
+    for (const double factor : {0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0}) {
+      const auto nr = factor == 0.0 ? index_t{0}
+                                    : static_cast<index_t>(
+                                          std::max(2.0, factor * root));
       if (nr > bd.n) continue;
 
       RbcExactIndex<> index;
@@ -43,12 +49,16 @@ int main() {
       const auto [t_rbc, w_rbc] = bench::timed(
           [&] { (void)index.search(bd.queries, 1, &stats); });
 
-      std::printf("%-8s %8u %10.3f %15.1f %9.3f %10.1fx %10.1fx %10.0f\n",
-                  name.c_str(), nr, t_build,
+      const std::string label =
+          nr == 0 ? "auto " + std::to_string(index.num_reps())
+                  : std::to_string(nr);
+      std::printf("%-8s %8s %10.3f %15.1f %9.3f %10.1fx %10.1fx %10.0f %5.1f%%\n",
+                  name.c_str(), label.c_str(), t_build,
                   static_cast<double>(w_build) / static_cast<double>(bd.n),
                   t_rbc, t_bf / t_rbc,
                   static_cast<double>(w_bf) / static_cast<double>(w_rbc),
-                  stats.dist_evals_per_query());
+                  stats.dist_evals_per_query(),
+                  100.0 * index.owner_sample_share());
     }
     std::printf("\n");
   }

@@ -26,7 +26,7 @@ int main() {
       100, dim, 30, 3, 0.05f, /*seed=*/43);  // distribution match, fresh draw
 
   // 2. Exact index: always returns the true nearest neighbors.
-  auto exact = make_index("rbc-exact");  // auto params: nr = ceil(sqrt(n))
+  auto exact = make_index("rbc-exact");  // auto params (nr picked at build)
   exact->build(database);
   const IndexInfo info = exact->info();
   std::printf("%s index over %u points in %u dims (%.1f MB)\n",

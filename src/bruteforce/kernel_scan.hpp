@@ -176,6 +176,29 @@ void kernel_scan_rows(const float* q, const Matrix<float>& X, index_t lo,
   }
 }
 
+/// Range form of kernel_scan_rows: calls emit(p) for every row p in
+/// [lo, hi) with metric(q, x_p) <= radius, in row order. Rows inside the
+/// margin-inflated radius are re-measured with the scalar metric, so the
+/// emitted set equals the plain loop's. Caller accounts hi - lo evals.
+template <DenseMetric M, class Emit>
+void kernel_range_rows(const float* q, const Matrix<float>& X, index_t lo,
+                       index_t hi, M metric, float radius, Emit emit) {
+  static_assert(kernel_metric<M> && ScanTraits<M>::relative_margin);
+  constexpr index_t kChunk = 512;
+  float buf[kChunk];
+  const dispatch::KernelOps& ops = dispatch::ops();
+  const index_t d = X.cols();
+  const float bound = scan_bound<M>(radius, d);
+  for (index_t c = lo; c < hi; c += kChunk) {
+    const index_t ce = std::min<index_t>(hi, c + kChunk);
+    if (ScanTraits<M>::rows(ops, q, d, X.data(), X.stride(), c, ce, buf) >
+        bound)
+      continue;
+    for (index_t p = c; p < ce; ++p)
+      if (buf[p - c] <= bound && metric(q, X.row(p), d) <= radius) emit(p);
+  }
+}
+
 // ------------------------------------------------------ quantized scans ---
 //
 // The compressed scan tier (distance/quantized.hpp): the kernel reads fp16

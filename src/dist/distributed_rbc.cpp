@@ -42,7 +42,8 @@ void DistributedRbc::build(const Matrix<float>& X, index_t workers,
   // Coordinator state: the same representative draw and ownership
   // assignment as RbcExactIndex with these params (same sampling, ties to
   // the lowest rep index), so a one-worker cluster degenerates to the
-  // single-node exact search.
+  // single-node exact search. num_reps == 0 draws ceil(sqrt(n)) here;
+  // RbcExactIndex may draw twice that (params.hpp).
   rep_ids_ = choose_representatives(n_, params);
   const index_t nr = static_cast<index_t>(rep_ids_.size());
   reps_ = Matrix<float>(nr, dim_);

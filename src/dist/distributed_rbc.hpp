@@ -111,8 +111,9 @@ class DistributedRbc {
 
   /// Shards X over `workers` workers. Representatives, ownership lists and
   /// pruning bounds match RbcExactIndex built with the same params (same
-  /// sampling), so the single-worker configuration degenerates to the
-  /// single-node exact search.
+  /// sampling; an explicit num_reps, since for 0 the exact index may draw
+  /// 2 ceil(sqrt(n))), so the single-worker configuration degenerates to
+  /// the single-node exact search.
   void build(const Matrix<float>& X, index_t workers, RbcParams params = {},
              Sharding sharding = Sharding::kByRepresentative);
 

@@ -470,11 +470,31 @@ float rows_int8_avx512(const float* q, index_t d, const std::int8_t* x,
 // with a separate multiply and add (rbc_core's -ffp-contract=off keeps GCC
 // from fusing them), so every lane repeats Euclidean{}'s per-pair rounding.
 // Four blocks run at once: four independent add chains hide the add
-// latency, and the broadcast query feature is shared by all four.
+// latency, and the broadcast query feature is shared by all four. The last
+// one to four blocks, the final one partial or not, run together too
+// (lanes_tail): the exact index's cover scans runs of only a few blocks.
 
 inline __m512 lanes_step(__m512 acc, __m512 qi, const float* x) {
   const __m512 diff = _mm512_sub_ps(qi, _mm512_loadu_ps(x));
   return _mm512_add_ps(acc, _mm512_mul_ps(diff, diff));
+}
+
+/// The last R blocks of a run, whose final block holds `live` rows.
+template <int R>
+void lanes_tail(const float* q, index_t d, const float* x, std::size_t block,
+                index_t live, float* out) {
+  __m512 acc[R];
+  for (int r = 0; r < R; ++r) acc[r] = _mm512_setzero_ps();
+  for (index_t i = 0; i < d; ++i) {
+    const __m512 qi = _mm512_set1_ps(q[i]);
+    const float* xi = x + static_cast<std::size_t>(i) * kLanes;
+    for (int r = 0; r < R; ++r) acc[r] = lanes_step(acc[r], qi, xi + r * block);
+  }
+  for (int r = 0; r + 1 < R; ++r)
+    _mm512_storeu_ps(out + r * kLanes, _mm512_sqrt_ps(acc[r]));
+  _mm512_mask_storeu_ps(out + (R - 1) * kLanes,
+                        static_cast<__mmask16>((1u << live) - 1u),
+                        _mm512_sqrt_ps(acc[R - 1]));
 }
 
 void l2_lanes_avx512(const float* q, index_t d, const float* lanes,
@@ -499,17 +519,25 @@ void l2_lanes_avx512(const float* q, index_t d, const float* lanes,
     _mm512_storeu_ps(o + 2 * kLanes, _mm512_sqrt_ps(a2));
     _mm512_storeu_ps(o + 3 * kLanes, _mm512_sqrt_ps(a3));
   }
-  for (; b < blocks; ++b) {
-    const float* x = lanes + b * block;
-    __m512 acc = _mm512_setzero_ps();
-    for (index_t i = 0; i < d; ++i)
-      acc = lanes_step(acc, _mm512_set1_ps(q[i]),
-                       x + static_cast<std::size_t>(i) * kLanes);
-    // The last block may be partial: store its live lanes only.
-    const index_t live = std::min<index_t>(kLanes, n - b * kLanes);
-    _mm512_mask_storeu_ps(out + static_cast<std::size_t>(b) * kLanes,
-                          static_cast<__mmask16>((1u << live) - 1u),
-                          _mm512_sqrt_ps(acc));
+  // The last block may be partial: store its live lanes only.
+  const index_t live = n - (blocks - 1) * kLanes;
+  const float* x = lanes + b * block;
+  float* o = out + static_cast<std::size_t>(b) * kLanes;
+  switch (blocks - b) {
+    case 1:
+      lanes_tail<1>(q, d, x, block, live, o);
+      break;
+    case 2:
+      lanes_tail<2>(q, d, x, block, live, o);
+      break;
+    case 3:
+      lanes_tail<3>(q, d, x, block, live, o);
+      break;
+    case 4:  // three full blocks and a partial one
+      lanes_tail<4>(q, d, x, block, live, o);
+      break;
+    default:  // n == 0, or every block ran in the groups of four
+      break;
   }
 }
 

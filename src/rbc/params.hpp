@@ -26,8 +26,12 @@ enum class Sampling : std::uint8_t {
 /// for exact search (Theorem 1) and nr = s = c sqrt(n ln(1/delta)) for
 /// one-shot (Theorem 2); num_reps == 0 defaults to ceil(sqrt(n)), the
 /// c-agnostic baseline the experiments sweep around (Fig. 3, Appendix C).
+/// The exact index (RbcExactIndex) reads num_reps == 0 its own way: it
+/// draws 2 ceil(sqrt(n)) representatives and keeps them where its build's
+/// sampled owner search shows they prune, and ceil(sqrt(n)) otherwise.
 struct RbcParams {
-  /// Expected number of representatives nr. 0 = auto (ceil(sqrt(n))).
+  /// Expected number of representatives nr. 0 = auto: ceil(sqrt(n)), or
+  /// for the exact index 2 ceil(sqrt(n)) where its sample shows it pays.
   index_t num_reps = 0;
 
   /// One-shot only: list length s (number of points owned per
@@ -75,7 +79,7 @@ struct RbcParams {
   /// recall, like IVF nprobe). 1 = the paper's algorithm.
   index_t num_probes = 1;
 
-  /// Resolves num_reps for a database of n points.
+  /// Resolves num_reps for a database of n points (ceil(sqrt(n)) for 0).
   index_t resolve_num_reps(index_t n) const;
 
   /// Resolves the one-shot list length s for a database of n points.

@@ -3,21 +3,34 @@
 // Build: every database point joins its nearest representative (paper §4:
 // BF(X, R)); ownership lists partition the database, each list stored sorted
 // by distance to its representative, with radius psi_r = max_{x in L_r}
-// rho(x, r). From kNestedOwnersMinReps representatives on, the owners can
-// come from the paper's own decomposition applied to the build: a 1-NN
-// search of an exact RBC over R, with the same owners and distance bits as
-// BF(X, R) at about sqrt(nr) representative distances plus the surviving
-// list rows per point instead of nr (101 instead of 1,000 at 1M `cov`
-// rows). A strided sample of rows measures that count first, and rows of
-// high intrinsic dimension, where the search prunes little, stay on
-// BF(X, R).
+// rho(x, r). Both of the paper's brute-force calls over R — BF(X, R) here and
+// BF(q, R) in stage 1 — run through one two-level cover of R, the paper's
+// decomposition applied to R itself: ceil(sqrt(nr)) inner representatives
+// S drawn from R, every r in R in the list of its nearest s, each inner list
+// sorted by rho(s, r) and scanned in runs of lane blocks. A 1-NN search
+// through it gives each row the same owner and distance bits as BF(X, R) at
+// about sqrt(nr) plus the surviving list rows per point instead of nr. A
+// strided sample of rows measures that count first; rows of high intrinsic
+// dimension, where the cover prunes little, stay on BF(X, R).
+//
+// nr: num_reps when given. For num_reps == 0 the build draws 2 ceil(sqrt(n))
+// representatives and keeps them when the sample shows the cover prunes (at
+// most nr / kDoubledRepsShare evaluations per sampled row); otherwise it
+// redraws ceil(sqrt(n)), the paper's c-agnostic default, and finds every
+// owner with BF(X, R). Counts decide, so the seed alone fixes the index on
+// every ISA.
 //
 // Search (1-NN, generalized here to k-NN and range):
-//   1. brute-force scan of the representatives -> distances rho(q, r), the
-//      bound gamma (distance to nearest rep; for k-NN, gamma_k = k-th
-//      smallest rep distance is the upper bound on the k-th NN distance);
+//   1. the k nearest representatives through the cover -> the bound gamma
+//      (distance to the nearest rep; for k-NN, gamma_k = k-th smallest rep
+//      distance is the upper bound on the k-th NN distance), bit-identical
+//      to BF(q, R)'s;
 //   2. prune representatives with rule (1) rho(q,r) > gamma + psi_r and
-//      rule (2) rho(q,r) > 3 gamma (k-NN: rho(q,r) > 2 gamma_k + gamma_1);
+//      rule (2) rho(q,r) > 3 gamma (k-NN: rho(q,r) > 2 gamma_k + gamma_1).
+//      Inner lists whose triangle bound rho(q,s) - rho(s,r) already passes
+//      an enabled rule are skipped unevaluated; the others' members take
+//      the rules exactly as BF(q, R) would, so the survivors, their
+//      distances and their order equal the flat scan's;
 //   3. brute-force scan of the surviving ownership lists, visiting closest
 //      representatives first, with the Claim-2 sorted-list early exit.
 //
@@ -34,6 +47,8 @@
 // brute-force k-set under the (distance, id) order — ties included. All
 // pruning comparisons are strict, so a point is only ever skipped when it is
 // *strictly* worse than the k-th best (see comments at each prune site).
+// The cover's prunes combine several rounded distances, so each must also
+// clear a rounding margin (beyond()).
 //
 // The index owns a permuted copy of the database (rows grouped by owner,
 // sorted by distance-to-owner), so the second-stage scan is a contiguous
@@ -77,51 +92,56 @@ class RbcExactIndex {
                 "SqEuclidean)");
 
  public:
-  /// One query's stages 1 and 2 (plan_query): its representative
-  /// distances, bounds and surviving lists. Reusable across queries so the
-  /// hot path never allocates (Per.15).
+  /// One query's stages 1 and 2 (plan_query): its bounds and surviving
+  /// lists, and the cover search's working state. Reusable across queries
+  /// so the hot path never allocates (Per.15).
   struct Scratch {
-    std::vector<dist_t> rep_dists;
+    std::vector<dist_t> rep_dists;   // rho(q, r) by representative; survivors
     std::vector<index_t> survivors;  // nearest representative first
     dist_t gamma1 = kInfDist;        // distance to the nearest representative
     dist_t rep_bound = kInfDist;     // k-th smallest representative distance
+    std::vector<dist_t> inner_dists;  // rho(q, s) per inner list
+    std::vector<dist_t> slot_dists;   // rho(q, r) by cover slot, where scanned
+    std::vector<std::pair<index_t, index_t>> scanned;  // stage 1's slots
+    std::vector<std::pair<dist_t, index_t>> order;  // inner lists, nearest first
+    TopK rep_top{1};                                // stage 1's k nearest
   };
 
   RbcExactIndex() = default;
 
-  /// Representative count from which build() may find owners with an
-  /// exact RBC over the representatives instead of BF(X, R). Measured on
-  /// `cov` rows, n = nr^2, 4 threads, AVX-512, inner build included,
-  /// medians of 7, rows in generator order / shuffled as perfbench draws
-  /// them:
-  ///   nr 224:   BF(X, R) 0.015 / 0.015 s, search 0.025-0.027 / 0.013 s;
-  ///   nr 288:   0.031-0.032 / 0.028 s, search 0.028-0.030 / 0.028 s;
-  ///   nr 304:   0.036-0.038 / 0.034-0.036 s, search 0.050-0.054 /
-  ///             0.029-0.037 s;
-  ///   nr 320:   0.042 / 0.037-0.043 s, search 0.036-0.039 / 0.025-0.033 s;
-  ///   nr 1,000: 1.26 s, search 0.37 s (shuffled).
-  /// Below 320 the faster path depends on the row order; from 320 on the
-  /// search won every probe on `cov`. Its gain needs low intrinsic
-  /// dimension: at nr 448 it took 97 evaluations per `cov` row, but 313
-  /// per `bio` row and 453 per `robot` row, whose whole builds it made 2x
-  /// and 3x slower. So the count is sampled first (kOwnerSampleRows).
-  static constexpr index_t kNestedOwnersMinReps = 320;
-
-  /// From kNestedOwnersMinReps representatives on, build() first finds the
-  /// owners of a fixed strided sample of this many rows with the search
-  /// and keeps them. The other rows take the search as well when the
-  /// sample used at most nr / kSearchEvalCost evaluations per row, and
-  /// BF(X, R) otherwise.
+  /// build() finds the owners of a fixed strided sample of this many rows
+  /// through the cover and keeps them. The sample's evaluation count picks
+  /// nr (when num_reps is 0) and the owner path of the other rows.
   static constexpr index_t kOwnerSampleRows = 1024;
-  /// The cost of one owner-search evaluation in BF(X, R) evaluations: the
-  /// search ran at about 3x the time per evaluation of the l2_lanes shape
-  /// (1M `cov` rows, nr 1,000, 4 threads, AVX-512).
-  static constexpr std::uint64_t kSearchEvalCost = 3;
+  /// num_reps == 0 keeps 2 ceil(sqrt(n)) representatives when the sample
+  /// used at most nr / kDoubledRepsShare evaluations per row; otherwise it
+  /// redraws ceil(sqrt(n)) and every row takes BF(X, R), since the same
+  /// count is then past kCoverMaxPercent of the new nr. Sampled
+  /// shares at 2 ceil(sqrt(n)) (200k rows, nr 896; four row draws):
+  /// `cov` 10-15%, `phy` 22-36%, `bio` 37-44%, `robot` 90%; 1M `cov` rows,
+  /// nr 2,000: 7.7-8.6%. Doubling pays where stage 3 shrinks, on rows of
+  /// low intrinsic dimension: per query at 200k rows, list evaluations
+  /// fell 3,938 -> 2,566 on `cov`, but 6,665 -> 6,662 on `phy` and
+  /// 3,995 -> 3,992 on `bio`, where the larger stage 1 made it slower.
+  static constexpr std::uint64_t kDoubledRepsShare = 5;
+  /// The other rows take the cover too when the sample used at most
+  /// kCoverMaxPercent percent of nr evaluations per row, and BF(X, R)
+  /// otherwise: the cover scans short runs of lane blocks, at 2-4x the
+  /// time per evaluation of BF(X, R)'s long one. Owners per row, 200k
+  /// rows, 1 thread, cover against BF(X, R), two row draws: `cov` at
+  /// 11-15% of nr 896 0.7-1.4 against 3.7-4.8 us, `phy` at 27-36% 2.0-3.3
+  /// against 4.5-5.0, `bio` at 38-46% 3.3-4.1 against 4.5-5.5; `phy` at
+  /// 49-55% of nr 448 2.1-2.6 against 2.3-2.5, `bio` at 54-64% 2.4-2.9
+  /// against 2.3-2.8, `robot` at 89-98% 1.7-5.0 against 1.1-3.2. The
+  /// crossover drifts between 50% and 65% with the host; 40%, twice
+  /// 1 / kDoubledRepsShare, also lets a redraw skip a second sample.
+  static constexpr std::uint64_t kCoverMaxPercent = 40;
 
-  /// How build() found the owners of the rows outside the sample.
+  /// How build() found the owners of the rows outside the sample (every
+  /// row after a redraw).
   enum class OwnerPath : std::uint8_t {
     kBruteForce,  ///< BF(X, R)
-    kSearch,      ///< a 1-NN search of the exact RBC over R
+    kCover,       ///< a 1-NN search through the cover of R
   };
 
   /// Builds the index over X. X must outlive nothing — the index copies the
@@ -131,24 +151,44 @@ class RbcExactIndex {
     params_ = params;
     n_ = X.rows();
     dim_ = X.cols();
-
-    rep_ids_ = choose_representatives(n_, params);
-    const index_t nr = static_cast<index_t>(rep_ids_.size());
-
-    reps_ = Matrix<float>(nr, dim_);
-    for (index_t r = 0; r < nr; ++r) reps_.copy_row_from(X, rep_ids_[r], r);
-    pack_rep_lanes();
+    margin_ = 2 * dispatch::tile_margin(dim_);
 
     // The owner of every database point: its nearest representative, the
     // lowest index on ties, at the metric functor's bits (paper §4: "this
     // routine is simply a call to BF(X, R)").
     std::vector<index_t> owner(n_);
     std::vector<dist_t> owner_dist(n_);
-    if (nr < kNestedOwnersMinReps) {
-      owners_by_brute_force(X, {}, owner, owner_dist);
-      owner_path_ = OwnerPath::kBruteForce;
-    } else {
-      owner_path_ = owners_by_search(X, owner, owner_dist);
+    const index_t count = std::min(n_, kOwnerSampleRows);
+    OwnerSample sample{count > 0 ? n_ / count : 1, count};
+    const index_t root = RbcParams{}.resolve_num_reps(n_);
+    RbcParams draw = params;
+    if (params.num_reps == 0) draw.num_reps = std::min(n_, 2 * root);
+    build_cover(X, draw);
+    const std::uint64_t evals = owners_of_sample(X, sample, owner, owner_dist);
+    const std::uint64_t sampled = std::uint64_t{num_reps()} * count;
+    sample_share_ = count > 0 ? static_cast<double>(evals) /
+                                    static_cast<double>(sampled)
+                              : 0.0;
+    bool brute = evals * 100 > kCoverMaxPercent * sampled;
+    if (params.num_reps == 0 && draw.num_reps > root &&
+        evals * kDoubledRepsShare > sampled) {
+      // The same count, past nr / 5 at twice ceil(sqrt(n)), is past
+      // kCoverMaxPercent of ceil(sqrt(n)): the redraw samples nothing and
+      // every row takes BF(X, R).
+      draw.num_reps = root;
+      build_cover(X, draw);
+      sample = {};
+      brute = true;
+    }
+    const index_t nr = num_reps();
+    owner_path_ = OwnerPath::kCover;
+    if (sample.count < n_) {
+      if (brute) {
+        owners_by_brute_force(X, sample, owner, owner_dist);
+        owner_path_ = OwnerPath::kBruteForce;
+      } else {
+        owners_by_cover(X, sample, owner, owner_dist);
+      }
     }
 
     // CSR layout: offsets_[r] .. offsets_[r+1] delimit L_r in the packed
@@ -187,6 +227,13 @@ class RbcExactIndex {
     for (index_t r = 0; r < nr; ++r)
       psi_[r] = offsets_[r + 1] > offsets_[r] ? packed_dist_[offsets_[r + 1] - 1]
                                               : dist_t{0};
+    slot_psi_.resize(nr);
+    max_psi_.assign(num_inner(), dist_t{0});
+    for (index_t j = 0; j < num_inner(); ++j)
+      for (index_t s = list_lo_[j]; s < list_lo_[j + 1]; ++s) {
+        slot_psi_[s] = psi_[slot_rep_[s]];
+        max_psi_[j] = std::max(max_psi_[j], slot_psi_[s]);
+      }
 
     packed_ = gather_rows(X, n_, [this](index_t p) { return packed_ids_[p]; });
 
@@ -350,38 +397,164 @@ class RbcExactIndex {
   }
 
   /// Exact range search: returns the ids of all points x with
-  /// rho(q, x) <= radius, sorted ascending by id.
+  /// rho(q, x) <= radius, sorted ascending by id. Stage 1 runs through the
+  /// cover: a representative's list can hold a hit only when rho(q, r) <=
+  /// radius + psi_r, so an inner list is evaluated only where its triangle
+  /// bound allows that for its largest psi.
   std::vector<index_t> range_search(const float* q, dist_t radius) const {
-    const index_t nr = reps_.rows();
-    std::vector<dist_t> rep_dists(nr);
-    rep_distances(q, rep_dists.data());
-    counters::add_dist_evals(nr);
+    const index_t ns = num_inner();
+    std::vector<dist_t> inner(ns);
+    std::vector<dist_t> slots(num_reps());
+    inner_distances(q, inner.data());
+    std::uint64_t evals = ns;
     std::vector<index_t> hits;
-    for (index_t r = 0; r < nr; ++r) {
-      const dist_t dr = rep_dists[r];
-      // Every member of L_r is within psi_r of r, so the closest any member
-      // can be to q is dr - psi_r.
-      if (dr > radius + psi_[r]) continue;
-      const index_t lo = offsets_[r], hi = offsets_[r + 1];
-      std::uint64_t computed = 0;
-      for (index_t p = lo; p < hi; ++p) {
-        if (packed_dist_[p] > dr + radius) break;  // sorted-list early exit
-        const dist_t d = metric_(q, packed_.row(p), dim_);
-        ++computed;
-        if (d <= radius) hits.push_back(packed_ids_[p]);
+    for (index_t j = 0; j < ns; ++j) {
+      const dist_t dq = inner[j], t = radius + max_psi_[j];
+      const auto [a, e] = block_window(j, dq, widen(t, dq, radius_[j]));
+      if (a == e) continue;
+      eval_slots(q, a, e, slots.data());
+      evals += e - a;
+      for (index_t s = a; s < e; ++s) {
+        // Every member of L_r is within psi_r of r, so the closest any
+        // member can be to q is rho(q, r) - psi_r.
+        if (slots[s] > radius + slot_psi_[s]) continue;
+        scan_range_list(q, slot_rep_[s], slots[s], radius, hits);
       }
-      counters::add_dist_evals(computed);
     }
+    counters::add_dist_evals(evals);
     std::sort(hits.begin(), hits.end());
     return hits;
+  }
+
+  /// Stages 1 and 2 for one query, shared by search_one and search_team:
+  /// the k nearest representatives through the cover give the bounds
+  /// (gamma1, rep_bound), then every representative that survives rules 1
+  /// and 2 lands in `plan.survivors`, nearest first, with its distance in
+  /// `plan.rep_dists`. Both bounds, the survivors, their distances and
+  /// their order are bit-identical to BF(q, R)'s followed by the rules;
+  /// only the representative evaluations differ.
+  void plan_query(const float* q, index_t k, Scratch& plan,
+                  SearchStats& local) const {
+    const index_t nr = num_reps(), ns = num_inner();
+    plan.rep_dists.resize(nr);
+    plan.slot_dists.resize(nr);
+    plan.inner_dists.resize(ns);
+    plan.order.resize(ns);
+    plan.scanned.resize(ns);
+    if (plan.rep_top.k() == k)
+      plan.rep_top.reset();
+    else
+      plan.rep_top = TopK(k);
+    inner_distances(q, plan.inner_dists.data());
+    std::uint64_t evals = ns;
+
+    // ---- stage 1: the k nearest representatives -----------------------
+    // A k-NN search of R through the cover, nearest inner list first.
+    // gamma_1 = distance to the nearest representative; rep_bound = k-th
+    // smallest representative distance (an upper bound on the k-th NN
+    // distance, since representatives are database points). The search is
+    // exact, so both equal BF(q, R)'s bit for bit.
+    dist_t inner_gamma = kInfDist;
+    for (index_t j = 0; j < ns; ++j) {
+      plan.order[j] = {plan.inner_dists[j], j};
+      plan.scanned[j] = {list_lo_[j], list_lo_[j]};
+      inner_gamma = std::min(inner_gamma, plan.inner_dists[j]);
+    }
+    std::sort(plan.order.begin(), plan.order.end());
+    TopK& top = plan.rep_top;
+    dist_t gamma1 = kInfDist;
+    for (const auto& [dq, j] : plan.order) {
+      const dist_t b = top.worst();
+      // Lemma 1 over the cover: a list farther than 2 b + gamma_S holds no
+      // representative within b, nor does any later (farther) list.
+      if (beyond(dq, 2 * b + inner_gamma, dq)) break;
+      // Rule 1 and Claim 2 over the cover: the members within b of q.
+      const auto [a, e] = block_window(j, dq, widen(b, dq, radius_[j]));
+      if (a == e) continue;
+      eval_slots(q, a, e, plan.slot_dists.data());
+      evals += e - a;
+      plan.scanned[j] = {a, e};
+      for (index_t s = a; s < e; ++s) {
+        top.push(plan.slot_dists[s], slot_rep_[s]);
+        gamma1 = std::min(gamma1, plan.slot_dists[s]);
+      }
+    }
+    const dist_t rep_bound = top.worst();
+    plan.gamma1 = gamma1;
+    plan.rep_bound = rep_bound;
+
+    // ---- stage 2: prune representatives ------------------------------
+    // All comparisons are strict: a representative (or point) is discarded
+    // only when every member is *strictly* worse than the current k-th
+    // best, so ties at the boundary are preserved and the result matches
+    // brute force exactly. A member of inner list j lies at least
+    // |rho(q, s) - rho(s, r)| from q; the members whose bound already
+    // passes an enabled rule (rule 1 at the list's largest psi) are pruned
+    // unevaluated, counted under that rule, and the rest take the rules
+    // at their own distance, exactly as BF(q, R) would.
+    const bool overlap = params_.use_overlap_rule;
+    const bool lemma = params_.use_lemma_rule;
+    const dist_t lemma_bound = 2 * rep_bound + gamma1;
+    plan.survivors.clear();
+    for (index_t j = 0; j < ns; ++j) {
+      const dist_t overlap_bound = rep_bound + max_psi_[j];
+      dist_t t = kInfDist;
+      if (overlap) t = overlap_bound;
+      if (lemma) t = std::min(t, lemma_bound);
+      const dist_t dq = plan.inner_dists[j];
+      const auto [a, e] = block_window(j, dq, widen(t, dq, radius_[j]));
+      const index_t unseen = list_lo_[j + 1] - list_lo_[j] - (e - a);
+      if (overlap && !(lemma && lemma_bound < overlap_bound))
+        local.reps_pruned_overlap += unseen;
+      else
+        local.reps_pruned_lemma += unseen;
+      // Evaluate the window less the slots stage 1 already holds.
+      const auto [sa, se] = plan.scanned[j];
+      if (a < std::min(sa, e)) {
+        eval_slots(q, a, std::min(sa, e), plan.slot_dists.data());
+        evals += std::min(sa, e) - a;
+      }
+      if (std::max(se, a) < e) {
+        eval_slots(q, std::max(se, a), e, plan.slot_dists.data());
+        evals += e - std::max(se, a);
+      }
+      for (index_t s = a; s < e; ++s) {
+        const dist_t dr = plan.slot_dists[s];
+        if (overlap && dr > rep_bound + slot_psi_[s]) {
+          ++local.reps_pruned_overlap;  // rule (1)
+          continue;
+        }
+        if (lemma && dr > lemma_bound) {
+          ++local.reps_pruned_lemma;  // rule (2), k-NN form
+          continue;
+        }
+        plan.rep_dists[slot_rep_[s]] = dr;
+        plan.survivors.push_back(slot_rep_[s]);
+      }
+    }
+    counters::add_dist_evals(evals);
+    ++local.queries;
+    local.rep_dist_evals += evals;
+
+    // Visit nearest representatives first so the bound tightens early.
+    std::sort(plan.survivors.begin(), plan.survivors.end(),
+              [&](index_t a, index_t b) {
+                const dist_t da = plan.rep_dists[a];
+                const dist_t db = plan.rep_dists[b];
+                return da < db || (da == db && a < b);
+              });
   }
 
   // ------------------------------------------------------ introspection ---
 
   index_t size() const { return n_; }
   index_t dim() const { return dim_; }
-  index_t num_reps() const { return reps_.rows(); }
+  index_t num_reps() const { return cover_rows_.rows(); }
   OwnerPath owner_path() const { return owner_path_; }
+  /// The build's sampled evaluations per row as a share of the nr it
+  /// sampled at (2 ceil(sqrt(n)) for num_reps == 0, even when it then
+  /// redrew): the count that picked nr and the owner path.
+  double owner_sample_share() const { return sample_share_; }
   const std::vector<index_t>& rep_ids() const { return rep_ids_; }
   dist_t psi(index_t r) const { return psi_[r]; }
 
@@ -404,70 +577,21 @@ class RbcExactIndex {
 
   /// Memory footprint of the index in bytes (excluding the caller's X).
   std::size_t memory_bytes() const {
-    return packed_.size() * sizeof(float) + reps_.size() * sizeof(float) +
+    return packed_.size() * sizeof(float) +
            packed_ids_.size() * sizeof(index_t) +
            packed_dist_.size() * sizeof(dist_t) +
            offsets_.size() * sizeof(index_t) + psi_.size() * sizeof(dist_t) +
-           rep_ids_.size() * sizeof(index_t) +
-           rep_lanes_.size() * sizeof(float) + qstore_.memory_bytes();
+           rep_ids_.size() * sizeof(index_t) + qstore_.memory_bytes() +
+           cover_rows_.size() * sizeof(float) + lanes_.size() * sizeof(float) +
+           inner_rows_.size() * sizeof(float) +
+           inner_lanes_.size() * sizeof(float) +
+           list_lo_.size() * sizeof(index_t) +
+           (radius_.size() + max_psi_.size()) * sizeof(dist_t) +
+           slot_rep_.size() * sizeof(index_t) +
+           (slot_dist_.size() + slot_psi_.size()) * sizeof(dist_t);
   }
 
  private:
-  /// Stages 1 and 2 for one query, shared by search_one and search_team:
-  /// BF(q, R), the bounds, and the representatives that survive rules 1 and
-  /// 2, nearest first.
-  void plan_query(const float* q, index_t k, Scratch& plan,
-                  SearchStats& local) const {
-    const index_t nr = reps_.rows();
-    plan.rep_dists.resize(nr);
-
-    // ---- stage 1: BF(q, R) -------------------------------------------
-    // gamma_1 = distance to the nearest representative; rep_bound = k-th
-    // smallest representative distance (an upper bound on the k-th NN
-    // distance, since representatives are database points).
-    rep_distances(q, plan.rep_dists.data());
-    TopK rep_top(k);
-    dist_t gamma1 = kInfDist;
-    for (index_t r = 0; r < nr; ++r) {
-      const dist_t d = plan.rep_dists[r];
-      rep_top.push(d, r);
-      if (d < gamma1) gamma1 = d;
-    }
-    counters::add_dist_evals(nr);
-    const dist_t rep_bound = rep_top.worst();
-    plan.gamma1 = gamma1;
-    plan.rep_bound = rep_bound;
-    ++local.queries;
-    local.rep_dist_evals += nr;
-
-    // ---- stage 2: prune representatives ------------------------------
-    // All comparisons are strict: a representative (or point) is discarded
-    // only when every member is *strictly* worse than the current k-th
-    // best, so ties at the boundary are preserved and the result matches
-    // brute force exactly.
-    plan.survivors.clear();
-    for (index_t r = 0; r < nr; ++r) {
-      const dist_t dr = plan.rep_dists[r];
-      if (params_.use_overlap_rule && dr > rep_bound + psi_[r]) {
-        ++local.reps_pruned_overlap;  // rule (1)
-        continue;
-      }
-      if (params_.use_lemma_rule && dr > 2 * rep_bound + gamma1) {
-        ++local.reps_pruned_lemma;  // rule (2), k-NN form
-        continue;
-      }
-      plan.survivors.push_back(r);
-    }
-
-    // Visit nearest representatives first so the bound tightens early.
-    std::sort(plan.survivors.begin(), plan.survivors.end(),
-              [&](index_t a, index_t b) {
-                const dist_t da = plan.rep_dists[a];
-                const dist_t db = plan.rep_dists[b];
-                return da < db || (da == db && a < b);
-              });
-  }
-
   /// Stage 3 for one surviving list of a planned query: re-checks rules 1
   /// and 2 against the *current* bound min(cap, out.worst() * inv), which
   /// may have tightened since the filter pass, then scans L_r under it.
@@ -579,7 +703,7 @@ class RbcExactIndex {
     return result;
   }
 
-  /// The fixed strided sample of owners_by_search: rows 0, step, 2 step,
+  /// The fixed strided sample of the owner search: rows 0, step, 2 step,
   /// ... (count rows). The default holds no row.
   struct OwnerSample {
     index_t step = 1;
@@ -587,23 +711,129 @@ class RbcExactIndex {
     bool holds(index_t x) const { return x % step == 0 && x / step < count; }
   };
 
+  /// The owners of the sample's rows through the cover. Returns the
+  /// sample's evaluation count.
+  std::uint64_t owners_of_sample(const Matrix<float>& X, OwnerSample sample,
+                                 std::vector<index_t>& owner,
+                                 std::vector<dist_t>& owner_dist) const {
+    std::atomic<std::uint64_t> evals{0};
+    parallel_for_blocked(0, sample.count, 64, [&](index_t lo, index_t hi) {
+      evals += owners_through_cover(X, lo, hi, owner, owner_dist,
+                                    [&](index_t i) { return i * sample.step; });
+    });
+    return evals.load();
+  }
+
+  /// The owners of the rows outside `sample` through the cover.
+  void owners_by_cover(const Matrix<float>& X, OwnerSample sample,
+                       std::vector<index_t>& owner,
+                       std::vector<dist_t>& owner_dist) const {
+    parallel_for_blocked(0, n_, 256, [&](index_t lo, index_t hi) {
+      owners_through_cover(X, lo, hi, owner, owner_dist, [&](index_t x) {
+        return sample.holds(x) ? kInvalidIndex : x;
+      });
+    });
+  }
+
+  /// 1-NN over R of X row row(i) for each i in [lo, hi), skipping an i
+  /// whose row(i) is kInvalidIndex, written straight into owner and
+  /// owner_dist. The nearest inner list goes first; rule 1 and Claim 2
+  /// (block_window) and Lemma 1 (rule 2) skip lists and runs that cannot
+  /// hold a representative within the best distance so far, with rounding
+  /// margin, so the (distance, id) minimum — the lowest-index nearest
+  /// representative at the functor's bits — equals BF(X, R)'s. Returns the
+  /// evaluations it counted.
+  template <class Row>
+  std::uint64_t owners_through_cover(const Matrix<float>& X, index_t lo,
+                                     index_t hi, std::vector<index_t>& owner,
+                                     std::vector<dist_t>& owner_dist,
+                                     Row row) const {
+    const index_t ns = num_inner();
+    std::vector<dist_t> inner(ns);
+    std::vector<index_t> lists(ns);
+    std::vector<dist_t> slots(num_reps());
+    TopK top(1);
+    std::uint64_t evals = 0;
+    for (index_t i = lo; i < hi; ++i) {
+      const index_t x = row(i);
+      if (x == kInvalidIndex) continue;
+      const float* q = X.row(x);
+      inner_distances(q, inner.data());
+      evals += ns;
+      const index_t first = static_cast<index_t>(
+          std::min_element(inner.begin(), inner.end()) - inner.begin());
+      const dist_t gamma = inner[first];
+      top.reset();
+      const auto [fa, fe] = block_window(first, gamma, kInfDist);  // all
+      evals += fe - fa;
+      nearest_in_slots(q, fa, fe, slots.data(), top);
+      // Every other list that the bound after it does not rule out (rule 1
+      // at the list radius, Lemma 1), found in one branch-free pass; each is
+      // re-checked below under the best so far.
+      const dist_t bound = top.worst();
+      index_t count = 0;
+      for (index_t j = 0; j < ns; ++j) {
+        const dist_t dq = inner[j];
+        lists[count] = j;
+        count += j != first &&
+                 dq - widen(bound, dq, radius_[j]) <= radius_[j] &&
+                 !beyond(dq, 2 * bound + gamma, dq);
+      }
+      for (index_t c = 0; c < count; ++c) {
+        const index_t j = lists[c];
+        const dist_t dq = inner[j], best = top.worst();
+        if (beyond(dq, 2 * best + gamma, dq)) continue;  // Lemma 1
+        const auto [a, e] = block_window(j, dq, widen(best, dq, radius_[j]));
+        if (a == e) continue;
+        evals += e - a;
+        nearest_in_slots(q, a, e, slots.data(), top);
+      }
+      top.extract_sorted(&owner_dist[x], &owner[x]);
+    }
+    counters::add_dist_evals(evals);
+    return evals;
+  }
+
+  /// Offers the representatives in slots [a, e) to the 1-NN heap `top` at
+  /// the functor's bits: the lane shape, the metric's row-kernel prefilter
+  /// plus a functor re-measure (kernel_scan_rows), or the functor loop.
+  void nearest_in_slots(const float* q, index_t a, index_t e, dist_t* slots,
+                        TopK& top) const {
+    if (lanes_active()) {
+      eval_slots(q, a, e, slots);
+      for (index_t s = a; s < e; ++s)
+        if (slots[s] <= top.worst()) top.push(slots[s], slot_rep_[s]);
+      return;
+    }
+    if constexpr (kernel_metric<M>) {
+      if (e - a >= kKernelMinSegment) {
+        kernel_scan_rows(q, cover_rows_, a, e, metric_, top,
+                         [this](index_t s) { return slot_rep_[s]; });
+        return;
+      }
+    }
+    for (index_t s = a; s < e; ++s)
+      top.push(metric_(q, cover_rows_.row(s), dim_), slot_rep_[s]);
+  }
+
   /// BF(X, R) for the rows outside `sample`: every representative distance
-  /// of every row, the recursion's base case. Parallel over X, one distance
-  /// buffer per block of rows.
+  /// of every row. Parallel over X, one distance buffer per block of rows.
   void owners_by_brute_force(const Matrix<float>& X, OwnerSample sample,
                              std::vector<index_t>& owner,
                              std::vector<dist_t>& owner_dist) const {
-    const index_t nr = reps_.rows();
+    const index_t nr = num_reps();
     parallel_for_blocked(0, n_, 256, [&](index_t lo, index_t hi) {
       std::vector<dist_t> dists(nr);
       for (index_t x = lo; x < hi; ++x) {
         if (sample.holds(x)) continue;
-        rep_distances(X.row(x), dists.data());
+        eval_slots(X.row(x), 0, nr, dists.data());
         dist_t best = kInfDist;
-        index_t best_rep = 0;
-        for (index_t r = 0; r < nr; ++r) {
-          if (dists[r] < best) {  // ties resolve to the lowest rep index
-            best = dists[r];
+        index_t best_rep = kInvalidIndex;
+        for (index_t s = 0; s < nr; ++s) {
+          const index_t r = slot_rep_[s];
+          // Ties resolve to the lowest representative index.
+          if (dists[s] < best || (dists[s] == best && r < best_rep)) {
+            best = dists[s];
             best_rep = r;
           }
         }
@@ -615,102 +845,206 @@ class RbcExactIndex {
                              nr);
   }
 
-  /// The same owners by the paper's own decomposition: 1-NN of each row in
-  /// an exact RBC over R, written straight into owner and owner_dist. Its
-  /// (distance, id) order returns the lowest-index nearest representative
-  /// at the functor's bits, so owners and distances equal BF(X, R)'s. The
-  /// strided sample runs first and counts its evaluations; past
-  /// nr / kSearchEvalCost per row the other rows take BF(X, R) instead.
-  /// Either way the sample keeps its owners. The inner index takes default
-  /// params under the outer seed: exact, every rule on, float32. The outer
-  /// approx_eps, prune flags, sampling and storage never reach it, since
-  /// rule 2 (Lemma 1) needs exact owners.
-  OwnerPath owners_by_search(const Matrix<float>& X,
-                             std::vector<index_t>& owner,
-                             std::vector<dist_t>& owner_dist) const {
-    RbcExactIndex inner;
+  /// Draws the representatives R under `draw` and builds their two-level
+  /// cover: ceil(sqrt(nr)) inner representatives drawn from R under the
+  /// index seed (default params, so the outer approx_eps, rules, sampling
+  /// and storage never reach it), every representative in the list of its
+  /// nearest one (BF(R, S), lowest index on ties), lists
+  /// end to end in inner order, each sorted by (rho(s, r), r). The rows
+  /// are copied in that order, row-major and lane-blocked; a list starts
+  /// wherever the previous one ends, so BF(X, R) reads no padding lanes.
+  void build_cover(const Matrix<float>& X, const RbcParams& draw) {
+    rep_ids_ = choose_representatives(n_, draw);
+    const index_t nr = static_cast<index_t>(rep_ids_.size());
     RbcParams inner_params;
     inner_params.seed = params_.seed;
-    inner.build(reps_, inner_params, metric_);
-    // 1-NN of X row row(i) for each i in [lo, hi), skipping an i whose
-    // row(i) is kInvalidIndex; returns the evaluations it counted.
-    const auto search = [&](index_t lo, index_t hi, auto row) {
-      Scratch scratch;
-      TopK top(1);
-      SearchStats stats;
-      for (index_t i = lo; i < hi; ++i) {
-        const index_t x = row(i);
-        if (x == kInvalidIndex) continue;
-        top.reset();
-        inner.search_one(X.row(x), 1, top, scratch, &stats);
-        top.extract_sorted(&owner_dist[x], &owner[x]);
+    const std::vector<index_t> inner = choose_representatives(nr, inner_params);
+    const index_t ns = static_cast<index_t>(inner.size());
+    inner_rows_ = Matrix<float>(ns, dim_);
+    for (index_t j = 0; j < ns; ++j)
+      inner_rows_.copy_row_from(X, rep_ids_[inner[j]], j);
+    inner_lanes_ = pack(inner_rows_);
+
+    std::vector<index_t> own(nr);
+    std::vector<dist_t> own_dist(nr);
+    parallel_for_blocked(0, nr, 64, [&](index_t lo, index_t hi) {
+      std::vector<dist_t> dists(ns);
+      for (index_t r = lo; r < hi; ++r) {
+        inner_distances(X.row(rep_ids_[r]), dists.data());
+        const auto nearest = std::min_element(dists.begin(), dists.end());
+        own[r] = static_cast<index_t>(nearest - dists.begin());
+        own_dist[r] = *nearest;
       }
-      return stats.rep_dist_evals + stats.list_dist_evals;
-    };
+    });
+    counters::add_dist_evals(std::uint64_t{nr} * ns);
 
-    const index_t count = std::min(n_, kOwnerSampleRows);
-    const OwnerSample sample{n_ / count, count};
-    std::atomic<std::uint64_t> sample_evals{0};
-    parallel_for_blocked(0, count, 64, [&](index_t lo, index_t hi) {
-      sample_evals +=
-          search(lo, hi, [&](index_t i) { return i * sample.step; });
-    });
-    if (count == n_) return OwnerPath::kSearch;  // the sample was every row
-    if (sample_evals.load() * kSearchEvalCost >
-        std::uint64_t{reps_.rows()} * count) {
-      owners_by_brute_force(X, sample, owner, owner_dist);
-      return OwnerPath::kBruteForce;
+    std::vector<std::pair<dist_t, index_t>> items(nr);
+    list_lo_.assign(ns + 1, 0);
+    for (index_t r = 0; r < nr; ++r) ++list_lo_[own[r] + 1];
+    for (index_t j = 0; j < ns; ++j) list_lo_[j + 1] += list_lo_[j];
+    {
+      std::vector<index_t> cursor(list_lo_.begin(), list_lo_.end() - 1);
+      for (index_t r = 0; r < nr; ++r) items[cursor[own[r]]++] = {own_dist[r], r};
     }
-    parallel_for_blocked(0, n_, 256, [&](index_t lo, index_t hi) {
-      search(lo, hi, [&](index_t x) {
-        return sample.holds(x) ? kInvalidIndex : x;
-      });
-    });
-    return OwnerPath::kSearch;
+    slot_rep_.resize(nr);
+    slot_dist_.resize(nr);
+    radius_.assign(ns, dist_t{0});
+    for (index_t j = 0; j < ns; ++j) {
+      std::sort(items.begin() + list_lo_[j], items.begin() + list_lo_[j + 1]);
+      for (index_t s = list_lo_[j]; s < list_lo_[j + 1]; ++s) {
+        slot_dist_[s] = items[s].first;
+        slot_rep_[s] = items[s].second;
+        radius_[j] = slot_dist_[s];
+      }
+    }
+    cover_rows_ = Matrix<float>(nr, dim_);
+    for (index_t s = 0; s < nr; ++s)
+      cover_rows_.copy_row_from(X, rep_ids_[slot_rep_[s]], s);
+    lanes_ = pack(cover_rows_);
   }
 
-  /// Derives the lane-blocked copy of the representatives that
-  /// rep_distances reads (Euclidean only; other metrics keep it empty).
-  void pack_rep_lanes() {
+  /// The lane-blocked copy of `rows` that the l2_lanes shape reads
+  /// (Euclidean only; other metrics keep it empty).
+  AlignedBuffer<float> pack(const Matrix<float>& rows) const {
+    AlignedBuffer<float> lanes;
     if constexpr (std::is_same_v<M, Euclidean>) {
-      rep_lanes_ = AlignedBuffer<float>(
-          dispatch::lanes_size(reps_.rows(), dim_), /*zero=*/true);
-      dispatch::pack_lanes(reps_.data(), reps_.stride(), reps_.rows(), dim_,
-                           rep_lanes_.data());
+      lanes = AlignedBuffer<float>(dispatch::lanes_size(rows.rows(), dim_),
+                                   /*zero=*/true);
+      dispatch::pack_lanes(rows.data(), rows.stride(), rows.rows(), dim_,
+                           lanes.data());
     }
+    return lanes;
   }
 
-  /// BF(q, R): out[r] = metric_(q, rep r) for every representative, in the
-  /// metric functor's exact bits. Euclidean runs the dispatched bit-exact
-  /// l2_lanes shape over rep_lanes_ on a SIMD table; other metrics, and the
-  /// scalar table (whose l2_lanes is this same loop, only strided, and
+  index_t num_inner() const { return inner_rows_.rows(); }
+
+  /// True when representative distances run the dispatched bit-exact
+  /// l2_lanes shape: Euclidean on a SIMD table. Other metrics, and the
+  /// scalar table (whose l2_lanes is the functor loop, only strided, and
   /// slower), run the per-pair functor over the row-major copies.
-  /// Callers account the nr distance evaluations.
-  void rep_distances(const float* q, dist_t* out) const {
-    const index_t nr = reps_.rows();
-    if constexpr (std::is_same_v<M, Euclidean>) {
-      if (dispatch::fast_kernel()) {
-        dispatch::ops().l2_lanes(q, dim_, rep_lanes_.data(), nr, out);
+  bool lanes_active() const {
+    if constexpr (std::is_same_v<M, Euclidean>)
+      return dispatch::fast_kernel();
+    else
+      return false;
+  }
+
+  /// out[j] = metric_(q, s_j) for every inner representative.
+  void inner_distances(const float* q, dist_t* out) const {
+    const index_t ns = num_inner();
+    if (lanes_active()) {
+      dispatch::ops().l2_lanes(q, dim_, inner_lanes_.data(), ns, out);
+      return;
+    }
+    for (index_t j = 0; j < ns; ++j)
+      out[j] = metric_(q, inner_rows_.row(j), dim_);
+  }
+
+  /// out[s] = metric_(q, representative in slot s) for s in [a, e), in the
+  /// metric functor's exact bits. The lane shape starts at a's lane block,
+  /// so it also writes the slots before a in that block (with their own
+  /// exact distances). Callers account e - a evaluations.
+  void eval_slots(const float* q, index_t a, index_t e, dist_t* out) const {
+    if (lanes_active()) {
+      const index_t a0 = a - a % dispatch::kLanes;
+      dispatch::ops().l2_lanes(q, dim_, lanes_.data() + std::size_t{a0} * dim_,
+                               e - a0, out + a0);
+      return;
+    }
+    for (index_t s = a; s < e; ++s)
+      out[s] = metric_(q, cover_rows_.row(s), dim_);
+  }
+
+  /// The slots of inner list j whose distance to s_j lies within w of dq
+  /// = rho(q, s_j): by the triangle inequality no other member is within
+  /// w - (rounding) of q. Widened to whole lane blocks inside the list, which
+  /// the lane shape computes anyway; every ISA takes the same window, so
+  /// work counts do not depend on the ISA. Empty when no member qualifies.
+  std::pair<index_t, index_t> block_window(index_t j, dist_t dq,
+                                           dist_t w) const {
+    const index_t lo = list_lo_[j], hi = list_lo_[j + 1];
+    const dist_t* sd = slot_dist_.data();
+    // Most lists miss or cover the window whole: test its ends first.
+    if (lo == hi || dq - w > radius_[j] || dq + w < sd[lo]) return {lo, lo};
+    const auto a = dq - w <= sd[lo] ? lo
+                                    : static_cast<index_t>(std::lower_bound(
+                                          sd + lo, sd + hi, dq - w) - sd);
+    const auto e = dq + w >= radius_[j]
+                       ? hi
+                       : static_cast<index_t>(
+                             std::upper_bound(sd + a, sd + hi, dq + w) - sd);
+    if (a == e) return {a, a};
+    constexpr index_t kL = dispatch::kLanes;
+    return {std::max(lo, a - a % kL), std::min(hi, e + (kL - e % kL) % kL)};
+  }
+
+  /// Every cover prune compares a bound built from several rounded
+  /// distances, each within a few ulps per feature of the real value. A
+  /// prune must clear a margin relative to the magnitudes involved
+  /// (margin_, as the kernel prefilter's tile_margin), so it never drops a
+  /// representative that the flat scan's float comparison would keep.
+  /// widen(t, dq, radius): the half-width of a window of members within t of
+  /// q, for an inner list at dq with radius `radius`.
+  dist_t widen(dist_t t, dist_t dq, dist_t radius) const {
+    return t + margin_ * (dq + radius + t);
+  }
+  /// True when dq exceeds the bound by more than the margin.
+  bool beyond(dist_t dq, dist_t bound, dist_t mag) const {
+    return dq > bound + margin_ * (mag + bound);
+  }
+
+  /// Range search's stage 3 for list L_r at rho(q, r) = dr: the window of
+  /// members whose sorted distance to r lies within radius of dr (Claim 2
+  /// and its annulus, with rounding margin), prefiltered by the metric's
+  /// row kernel at the margin-inflated radius and re-measured with the
+  /// functor, so the hits equal a functor scan's.
+  void scan_range_list(const float* q, index_t r, dist_t dr, dist_t radius,
+                       std::vector<index_t>& hits) const {
+    const index_t lo = offsets_[r], hi = offsets_[r + 1];
+    const dist_t w = widen(radius, dr, psi_[r]);
+    const dist_t* pd = packed_dist_.data();
+    const auto a =
+        static_cast<index_t>(std::lower_bound(pd + lo, pd + hi, dr - w) - pd);
+    const auto e =
+        static_cast<index_t>(std::upper_bound(pd + a, pd + hi, dr + w) - pd);
+    counters::add_dist_evals(e - a);
+    const auto emit = [&](index_t p) { hits.push_back(packed_ids_[p]); };
+    if constexpr (kernel_metric<M>) {
+      if (e - a >= kKernelMinSegment) {
+        kernel_range_rows(q, packed_, a, e, metric_, radius, emit);
         return;
       }
     }
-    for (index_t r = 0; r < nr; ++r) out[r] = metric_(q, reps_.row(r), dim_);
+    for (index_t p = a; p < e; ++p)
+      if (metric_(q, packed_.row(p), dim_) <= radius) emit(p);
   }
 
   M metric_{};
   RbcParams params_{};
   index_t n_ = 0;
   index_t dim_ = 0;
+  float margin_ = 0.0f;  // relative rounding margin of the cover's prunes
   OwnerPath owner_path_ = OwnerPath::kBruteForce;
+  double sample_share_ = 0.0;
 
-  Matrix<float> reps_;              // nr x d copies of representative rows
-  AlignedBuffer<float> rep_lanes_;  // reps_ lane-blocked (pack_rep_lanes)
-  std::vector<index_t> rep_ids_;    // original ids of representatives
-  std::vector<dist_t> psi_;         // list radii
-  std::vector<index_t> offsets_;    // CSR: nr + 1
-  Matrix<float> packed_;            // n x d rows grouped by owner
+  std::vector<index_t> rep_ids_;  // original ids of representatives
+  std::vector<dist_t> psi_;       // list radii
+  std::vector<index_t> offsets_;  // CSR: nr + 1
+  Matrix<float> packed_;          // n x d rows grouped by owner
   std::vector<index_t> packed_ids_;  // original id of each packed row
   std::vector<dist_t> packed_dist_;  // rho(x, owner(x)), sorted per list
+
+  // ---- the cover of R (build_cover; derived at build, never saved) ----
+  Matrix<float> inner_rows_;          // ns x d inner representatives S
+  AlignedBuffer<float> inner_lanes_;  // inner_rows_ lane-blocked
+  std::vector<index_t> list_lo_;      // inner list j: slots [lo[j], lo[j+1])
+  std::vector<dist_t> radius_;        // per inner list: max rho(s, r)
+  std::vector<dist_t> max_psi_;       // per inner list: max psi_r
+  Matrix<float> cover_rows_;          // nr x d representatives by slot
+  AlignedBuffer<float> lanes_;        // cover_rows_ lane-blocked
+  std::vector<index_t> slot_rep_;     // representative index of each slot
+  std::vector<dist_t> slot_dist_;     // rho(s, r), sorted per inner list
+  std::vector<dist_t> slot_psi_;      // psi_r of each slot
 
   // ---- compressed scan tier (see "compressed tier" section above) ----
   quant::Storage storage_req_ = quant::Storage::kFloat32;  // build request

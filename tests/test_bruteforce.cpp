@@ -130,6 +130,29 @@ TEST(BruteForce, Bf1nnConvenience) {
   EXPECT_EQ(d, expected.dists.at(0, 0));
 }
 
+// make_row_norms_cache splits the rows by the team: every norm, and the
+// largest, must carry the same bits at one thread and on the full team, at
+// sizes around the block floor and the kernel's row block.
+TEST(BruteForce, RowNormsDoNotDependOnTheTeam) {
+  for (const index_t n : {1u, 7u, 1023u, 1025u, 4099u, 20000u}) {
+    const Matrix<float> X = testutil::random_matrix(n, 21, 70 + n, -4.0f, 4.0f);
+    RowNormsCache one;
+    {
+      ThreadLimit limit(1);
+      one = make_row_norms_cache(X);
+    }
+    const RowNormsCache team = make_row_norms_cache(X);
+    ASSERT_EQ(team.sq.size(), one.sq.size()) << n << " rows";
+    for (std::size_t i = 0; i < one.sq.size(); ++i)
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(team.sq[i]),
+                std::bit_cast<std::uint32_t>(one.sq[i]))
+          << n << " rows, row " << i;
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(team.max),
+              std::bit_cast<std::uint32_t>(one.max))
+        << n << " rows";
+  }
+}
+
 TEST(BruteForce, CountsDistanceEvaluations) {
   const Matrix<float> X = testutil::random_matrix(123, 5, 22);
   // 45 rows: whole tiles plus a row-scanned group; 1 row: split into row

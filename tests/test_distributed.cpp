@@ -119,7 +119,9 @@ TEST(Distributed, NetworkMetersQueriesAndResponses) {
 
 TEST(Distributed, SingleWorkerMatchesSingleNodeWork) {
   // With one worker the distributed search degenerates to the single-node
-  // exact search (same pruning, same scans).
+  // exact search over the same ceil(sqrt(n)) representatives (same
+  // pruning, same scans), except for stage 1: the single node's runs
+  // through its cover of R, the simulator's stays the flat BF(q, R).
   const auto [X, Q] =
       testutil::split_rows(testutil::clustered_matrix(2'030, 9, 6, 16),
                            2'000);
@@ -129,7 +131,8 @@ TEST(Distributed, SingleWorkerMatchesSingleNodeWork) {
   const KnnResult dist_result = cluster.search(Q, 1, &stats);
 
   RbcExactIndex<> single;
-  single.build(X, {.seed = 17});
+  single.build(X, {.num_reps = RbcParams{}.resolve_num_reps(X.rows()),
+                   .seed = 17});
   // Per-query reference (search_one): the schedule the workers actually
   // run. Batch search() would take the query-tile blocked path for this
   // many queries, whose frozen-bound windows count work differently.
@@ -147,7 +150,8 @@ TEST(Distributed, SingleWorkerMatchesSingleNodeWork) {
   }
 
   EXPECT_TRUE(testutil::knn_equal(dist_result, single_result));
-  EXPECT_EQ(stats.rep_dist_evals, single_stats.rep_dist_evals);
+  EXPECT_EQ(stats.rep_dist_evals,
+            std::uint64_t{Q.rows()} * single.num_reps());
   // The worker cannot see the coordinator's dynamically-tightening bound,
   // so it may scan somewhat more than the single-node search — but never
   // an order of magnitude more.

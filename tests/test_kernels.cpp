@@ -335,7 +335,7 @@ TEST_P(LanesFuzzTest, L2LanesEqualsEuclideanBitwise) {
                                 -40,  -20,  0,    20,   40,  62,  63,
                                 64,   70};
   constexpr int kQueryScales[] = {-140, -70, 0, 60, 70};
-  constexpr index_t kRowCounts[] = {1, 15, 16, 17, 47, 100, 131};
+  constexpr index_t kRowCounts[] = {1, 15, 16, 17, 32, 47, 48, 52, 63, 100, 131};
   const Euclidean euclid{};
   for (const int qs : kQueryScales) {
     Rng rng(static_cast<std::uint64_t>(d) * 1'000 + qs + 200);

@@ -21,6 +21,7 @@
 #include "distance/dispatch.hpp"
 #include "parallel/runtime.hpp"
 #include "rbc/rbc.hpp"
+#include "rbc/serialize_io.hpp"
 #include "test_util.hpp"
 
 namespace rbc {
@@ -193,30 +194,26 @@ TEST(RbcExactBuild, EveryPointOwnedByItsNearestRepresentative) {
                        dispatch::isa_name(dispatch::active_isa()));
 }
 
-constexpr index_t kNested = RbcExactIndex<>::kNestedOwnersMinReps;
 using OwnerPath = RbcExactIndex<>::OwnerPath;
 
-// Owners come from BF(X, R) below kNestedOwnersMinReps representatives.
-// From it on a strided sample of kOwnerSampleRows rows takes an exact RBC
-// over R, and the other rows take it too unless the sample showed it
-// costly, when they take BF(X, R); stage 1 and BF(X, R) run the dispatched
-// bit-exact l2_lanes shape. Under every runnable ISA the built structure
-// must equal a scalar BF(X, R) — owners with ties to the lowest
-// representative, list distances and psi bitwise — and the
-// representatives, the answers and the per-query work counts must be
-// identical across ISAs. Each case pins the owner path it ran: above the
-// crossover, clustered rows keep the search and uniform rows of high
-// dimension fall back to BF(X, R) after the sample. Representative counts
-// leave partial lane blocks and cover the 4-block groups of the AVX-512
-// kernel; one sits exactly at the crossover. The lattice data makes exact
-// distance ties between distinct representatives common; above the
-// crossover it has more representatives than distinct points, so the inner
-// index's own representatives and lists hold duplicates too (and fewer
-// rows than the sample, which then covers them all). The last case's outer
-// search knobs (every rule off, Bernoulli sampling, and approx_eps 100,
-// which would make an inner 1-NN all but greedy) must not reach the owner
-// search: leaked whole, the inner index would recurse without end; its
-// approx_eps alone would give some rows the wrong owner.
+// Owners come through the two-level cover of R: a strided sample of
+// kOwnerSampleRows rows takes a 1-NN search through it, and the other rows
+// take it too unless the sample showed it costly, when they take BF(X, R);
+// the cover and BF(X, R) run the dispatched bit-exact l2_lanes shape. Under
+// every runnable ISA the built structure must equal a scalar BF(X, R) —
+// owners with ties to the lowest representative, list distances and psi
+// bitwise — and the representatives, the answers and the per-query work
+// counts must be identical across ISAs. Each case pins the owner path it
+// ran: clustered rows keep the cover and uniform rows of high dimension
+// fall back to BF(X, R) after the sample; databases no larger than the
+// sample take the cover for every row. Representative counts leave partial
+// lane blocks and cover the 4-block groups of the AVX-512 kernel. The
+// lattice data makes exact distance ties between distinct representatives
+// common; at 352 representatives it has more of them than distinct points,
+// so the cover's inner representatives and lists hold duplicates too (and
+// fewer rows than the sample, which then covers them all). The last case's
+// outer search knobs (every rule off, Bernoulli sampling, and approx_eps
+// 100) must not reach the cover, whose prunes need exact owners.
 TEST(RbcExactBuild, EveryIsaBuildsTheScalarModelBitForBit) {
   struct Case {
     const char* name;
@@ -229,32 +226,33 @@ TEST(RbcExactBuild, EveryIsaBuildsTheScalarModelBitForBit) {
        testutil::with_duplicates(testutil::clustered_matrix(900, 21, 6, 31),
                                  300),
        {.num_reps = 75, .seed = 1234},
-       OwnerPath::kBruteForce},
+       OwnerPath::kCover},
       {"lattice+dups", lattice_with_duplicates(),
        {.num_reps = 37, .seed = 1234},
-       OwnerPath::kBruteForce},
+       OwnerPath::kCover},
       {"high_dim", testutil::clustered_matrix(500, 74, 5, 32),
        {.num_reps = 16, .seed = 1234},
-       OwnerPath::kBruteForce},
-      {"clustered at the crossover",
-       testutil::clustered_matrix(1200, 21, 8, 34),
-       {.num_reps = kNested, .seed = 1234},
-       OwnerPath::kSearch},
-      {"clustered+dups above the crossover",
+       OwnerPath::kCover},
+      {"clustered at nr 320", testutil::clustered_matrix(1200, 21, 8, 34),
+       {.num_reps = 320, .seed = 1234},
+       OwnerPath::kCover},
+      {"clustered+dups at nr 413",
        testutil::with_duplicates(testutil::clustered_matrix(1500, 13, 7, 35),
                                  500),
-       {.num_reps = kNested + 93, .seed = 1234},
-       OwnerPath::kSearch},
-      {"lattice+dups above the crossover", lattice_with_duplicates(700),
-       {.num_reps = kNested + 32, .seed = 1234},
-       OwnerPath::kSearch},
-      {"uniform high_dim above the crossover",
-       testutil::random_matrix(1500, 40, 39),
-       {.num_reps = kNested + 16, .seed = 1234},
+       {.num_reps = 413, .seed = 1234},
+       OwnerPath::kCover},
+      {"lattice+dups at nr 352", lattice_with_duplicates(700),
+       {.num_reps = 352, .seed = 1234},
+       OwnerPath::kCover},
+      {"uniform high_dim at nr 336", testutil::random_matrix(1500, 40, 39),
+       {.num_reps = 336, .seed = 1234},
        OwnerPath::kBruteForce},
-      {"approx, no rules, bernoulli above the crossover",
+      {"uniform high_dim at nr 40", testutil::random_matrix(3000, 40, 40),
+       {.num_reps = 40, .seed = 1234},
+       OwnerPath::kBruteForce},
+      {"approx, no rules, bernoulli at nr 432",
        testutil::clustered_matrix(2000, 12, 6, 37),
-       {.num_reps = kNested + 112,  // draws 401 representatives
+       {.num_reps = 432,  // draws 401 representatives
         .seed = 5,
         .sampling = Sampling::kBernoulli,
         .use_overlap_rule = false,
@@ -262,7 +260,7 @@ TEST(RbcExactBuild, EveryIsaBuildsTheScalarModelBitForBit) {
         .use_early_exit = false,
         .use_annulus_bound = false,
         .approx_eps = 100.0f},
-       OwnerPath::kSearch},
+       OwnerPath::kCover},
   };
   const dispatch::Isa entry_isa = dispatch::active_isa();
   for (const Case& c : cases) {
@@ -284,8 +282,6 @@ TEST(RbcExactBuild, EveryIsaBuildsTheScalarModelBitForBit) {
                            what);
       EXPECT_EQ(index.owner_path(), c.path) << what;
 
-      // Per-query path on every ISA (search() would switch to the blocked
-      // batch path on SIMD ISAs, whose work counts differ by design).
       SearchStats stats;
       KnnResult result = serial_rows(index, Q, 5, &stats);
       if (first_reps.empty()) {
@@ -297,21 +293,15 @@ TEST(RbcExactBuild, EveryIsaBuildsTheScalarModelBitForBit) {
       EXPECT_EQ(index.rep_ids(), first_reps)
           << what << ": representatives differ";
       EXPECT_TRUE(testutil::knn_equal(first_result, result)) << what;
-      EXPECT_EQ(stats.rep_dist_evals, first_stats.rep_dist_evals) << what;
-      EXPECT_EQ(stats.list_dist_evals, first_stats.list_dist_evals) << what;
-      EXPECT_EQ(stats.reps_pruned_overlap, first_stats.reps_pruned_overlap)
-          << what;
-      EXPECT_EQ(stats.reps_pruned_lemma, first_stats.reps_pruned_lemma)
-          << what;
-      EXPECT_EQ(stats.reps_scanned, first_stats.reps_scanned) << what;
+      expect_same_work(first_stats, stats, what);
     }
   }
   dispatch::force_isa(entry_isa);
 }
 
-// Above the crossover the inner search runs the metric's own kernels: the
-// L1 build must equal the scalar L1 model too, on every ISA.
-TEST(RbcExactBuild, NestedOwnersMatchTheL1ModelOnEveryIsa) {
+// The cover runs the metric's own kernels off the lane shape: the L1 build
+// must equal the scalar L1 model too, on every ISA.
+TEST(RbcExactBuild, CoverOwnersMatchTheL1ModelOnEveryIsa) {
   const Matrix<float> X = testutil::with_duplicates(
       testutil::clustered_matrix(1400, 17, 6, 36), 200);
   const dispatch::Isa entry_isa = dispatch::active_isa();
@@ -320,51 +310,128 @@ TEST(RbcExactBuild, NestedOwnersMatchTheL1ModelOnEveryIsa) {
     if (!dispatch::isa_available(isa)) continue;
     dispatch::force_isa(isa);
     RbcExactIndex<L1> index;
-    index.build(X, {.num_reps = kNested + 40, .seed = 77});
+    index.build(X, {.num_reps = 360, .seed = 77});
     expect_matches_model(index, scalar_build_model<L1>(X, index.rep_ids()),
                          std::string("l1 under ") + dispatch::isa_name(isa));
-    EXPECT_EQ(index.owner_path(), RbcExactIndex<L1>::OwnerPath::kSearch);
+    EXPECT_EQ(index.owner_path(), RbcExactIndex<L1>::OwnerPath::kCover);
   }
   dispatch::force_isa(entry_isa);
 }
 
-// BF(X, R) counts n * nr evaluations; from the crossover on the owner
-// search counts the inner build plus the inner searches, fewer.
-TEST(RbcExactBuild, NestedOwnersCountFewerEvaluationsThanBruteForce) {
+/// ceil(sqrt(v)), the cover's inner representative count for v
+/// representatives.
+std::uint64_t ceil_sqrt(index_t v) {
+  return static_cast<std::uint64_t>(std::ceil(std::sqrt(static_cast<double>(v))));
+}
+
+// The cover path counts BF(R, S) (nr * ceil(sqrt(nr))) plus, per row, the
+// inner distances and the list windows it scans: on clustered rows at most
+// half of BF(X, R)'s n * nr (two fifths to a seventh here).
+TEST(RbcExactBuild, CoverOwnersCountFewerEvaluationsThanBruteForce) {
   const Matrix<float> X = testutil::clustered_matrix(3000, 8, 10, 38);
-  for (const index_t nr : {kNested - 1, kNested, kNested + 100}) {
+  for (const index_t nr : {64u, 319u, 420u}) {
     counters::Scope scope;
     RbcExactIndex<> index;
     index.build(X, {.num_reps = nr, .seed = 3});
-    const std::uint64_t brute = std::uint64_t{X.rows()} * nr;
-    if (nr < kNested) {
-      EXPECT_EQ(scope.delta(), brute) << "nr " << nr;
-    } else {
-      EXPECT_EQ(index.owner_path(), OwnerPath::kSearch) << "nr " << nr;
-      EXPECT_LT(scope.delta(), brute) << "nr " << nr;
-    }
+    EXPECT_EQ(index.owner_path(), OwnerPath::kCover) << "nr " << nr;
+    const std::uint64_t cover = std::uint64_t{nr} * ceil_sqrt(nr);
+    EXPECT_LE(scope.delta(), cover + std::uint64_t{X.rows()} * nr / 2)
+        << "nr " << nr;
   }
 }
 
-// On uniform rows of high dimension the owner search prunes little: it
-// costs about nr + ceil(sqrt(nr)) evaluations per row, more than BF(X, R).
-// The sample shows that, the other rows take BF(X, R), and the build counts
-// at most n * nr plus the sample's evaluations: the inner build over R
-// (nr * ceil(sqrt(nr)), itself a BF) and at most ceil(sqrt(nr)) + nr per
-// sampled row. Searching every row instead counts about 10.99M here,
-// against a bound of 10.84M.
+// On uniform rows of high dimension the cover prunes little: the sample
+// shows that, the other rows take BF(X, R), and the build counts exactly
+// BF(X, R) for them plus the cover's BF(R, S) and the sample's search, at
+// most ceil(sqrt(nr)) + nr per sampled row: n * nr + nr * ceil(sqrt(nr)) +
+// kOwnerSampleRows * ceil(sqrt(nr)) in all.
 TEST(RbcExactBuild, HighDimensionalRowsKeepBruteForceOwners) {
   const Matrix<float> X = testutil::random_matrix(32768, 32, 39);
-  const index_t nr = kNested;
+  const index_t nr = 320;
   counters::Scope scope;
   RbcExactIndex<> index;
   index.build(X, {.num_reps = nr, .seed = 3});
   EXPECT_EQ(index.owner_path(), OwnerPath::kBruteForce);
-  const auto inner_reps = static_cast<std::uint64_t>(
-      std::ceil(std::sqrt(static_cast<double>(nr))));
-  const std::uint64_t sample =
-      nr * inner_reps + RbcExactIndex<>::kOwnerSampleRows * (inner_reps + nr);
-  EXPECT_LE(scope.delta(), std::uint64_t{X.rows()} * nr + sample);
+  const std::uint64_t inner = ceil_sqrt(nr);
+  const std::uint64_t rows = RbcExactIndex<>::kOwnerSampleRows;
+  EXPECT_GE(scope.delta(), (X.rows() - rows) * std::uint64_t{nr});
+  EXPECT_LE(scope.delta(),
+            std::uint64_t{X.rows()} * nr + nr * inner + rows * inner);
+}
+
+// num_reps == 0: the exact index draws 2 ceil(sqrt(n)) representatives and
+// keeps them where the sampled cover search prunes (clustered rows of low
+// dimension), and redraws ceil(sqrt(n)) where it does not (uniform rows of
+// high dimension), whose owners all come from BF(X, R); an explicit
+// num_reps is kept as given. Counts decide, so
+// the representatives are the same on every ISA, in a second build, and
+// in the index a dense save -> load rebuilds from the saved rows and
+// params.
+TEST(RbcExactBuild, NumRepsZeroDoublesWhereTheCoverPrunes) {
+  struct Case {
+    const char* name;
+    Matrix<float> X;
+    RbcParams params;
+    index_t want;
+    OwnerPath path;
+  };
+  Case cases[] = {
+      {"clustered low-dim", testutil::clustered_matrix(20000, 6, 12, 41),
+       {.seed = 9}, 2 * 142, OwnerPath::kCover},
+      {"uniform high-dim", testutil::random_matrix(20000, 48, 42),
+       {.seed = 9}, 142, OwnerPath::kBruteForce},
+      {"explicit", testutil::clustered_matrix(20000, 6, 12, 41),
+       {.num_reps = 100, .seed = 9}, 100, OwnerPath::kCover},
+  };
+  const dispatch::Isa entry_isa = dispatch::active_isa();
+  for (const Case& c : cases) {
+    std::vector<index_t> first;
+    for (const dispatch::Isa isa : runnable_isas()) {
+      dispatch::force_isa(isa);
+      const std::string what =
+          std::string(c.name) + " under " + dispatch::isa_name(isa);
+      RbcExactIndex<> a, b;
+      a.build(c.X, c.params);
+      b.build(c.X, c.params);
+      EXPECT_EQ(a.num_reps(), c.want) << what;
+      EXPECT_EQ(a.owner_path(), c.path) << what;
+      expect_matches_model(a, scalar_build_model(c.X, a.rep_ids()), what);
+      EXPECT_EQ(a.rep_ids(), b.rep_ids()) << what;
+      if (first.empty()) first = a.rep_ids();
+      EXPECT_EQ(a.rep_ids(), first) << what;
+    }
+    dispatch::force_isa(entry_isa);
+
+    // The dense stream keeps num_reps as given (0), and a load rebuilds
+    // from the saved rows under the saved params.
+    auto index = make_index("rbc-exact", {.rbc = c.params});
+    index->build(c.X);
+    std::stringstream stream;
+    index->save(stream);
+    io::read_header(stream, io::kMagicDense, "dense index");
+    for (int tag = 0; tag < 3; ++tag) (void)io::read_string(stream);
+    const RbcParams saved = io::read_params(stream);
+    EXPECT_EQ(saved.num_reps, c.params.num_reps) << c.name;
+    IndexOptions knobs;
+    io::read_pod(stream, knobs.leaf_size);
+    io::read_pod(stream, knobs.seed);
+    io::read_pod(stream, knobs.max_delta);
+    std::uint8_t background_merge = 0;
+    io::read_pod(stream, background_merge);
+    index_t dim = 0;
+    io::read_pod(stream, dim);
+    std::vector<index_t> ids;
+    io::read_vec(stream, ids);
+    const Matrix<float> rows = io::read_matrix(stream);
+    RbcExactIndex<> reloaded;
+    reloaded.build(rows, saved);
+    EXPECT_EQ(reloaded.rep_ids(), first) << c.name << " after save -> load";
+    stream.clear();
+    stream.seekg(0);
+    const auto again = load_index(stream);
+    EXPECT_EQ(again->info().memory_bytes, index->info().memory_bytes)
+        << c.name;
+  }
 }
 
 TEST(RbcExactBuild, ListsSortedAndPsiIsMaxMemberDistance) {
@@ -380,13 +447,6 @@ TEST(RbcExactBuild, ListsSortedAndPsiIsMaxMemberDistance) {
         dists.empty() ? 0.0f : *std::max_element(dists.begin(), dists.end());
     EXPECT_EQ(index.psi(r), max_member);
   }
-}
-
-TEST(RbcExactBuild, AutoParamsChooseSqrtN) {
-  const Matrix<float> X = testutil::random_matrix(400, 5, 4);
-  RbcExactIndex<> index;
-  index.build(X);  // num_reps = 0 -> ceil(sqrt(400)) = 20
-  EXPECT_EQ(index.num_reps(), 20u);
 }
 
 TEST(RbcExactBuild, BernoulliSamplingBuildsWorkingIndex) {
@@ -410,6 +470,137 @@ TEST(RbcExactBuild, DeterministicForFixedSeed) {
     ASSERT_EQ(la.size(), lb.size());
     for (std::size_t j = 0; j < la.size(); ++j) EXPECT_EQ(la[j], lb[j]);
   }
+}
+
+// -------------------------------------------------------------- stage 1 ---
+//
+// Stages 1 and 2 run through the cover of R: the k nearest representatives
+// give gamma1 and rep_bound, and inner lists whose triangle bound passes an
+// enabled rule are pruned unevaluated. The result must be exactly what a
+// flat BF(q, R) followed by rules 1 and 2 gives: the same survivors, at the
+// same distance bits, in the same nearest-first order, and the same bounds.
+
+/// The flat stage 1 and 2 of paper §5.2 over `index`'s representatives.
+template <class M>
+void expect_flat_plan(const RbcExactIndex<M>& index, const Matrix<float>& X,
+                      const RbcParams& params, const float* q, index_t k,
+                      const std::string& what) {
+  const M m{};
+  const index_t nr = index.num_reps();
+  std::vector<dist_t> d(nr);
+  for (index_t r = 0; r < nr; ++r)
+    d[r] = m(q, X.row(index.rep_ids()[r]), X.cols());
+  std::vector<dist_t> sorted = d;
+  std::sort(sorted.begin(), sorted.end());
+  const dist_t gamma1 = sorted[0];
+  const dist_t rep_bound = k <= nr ? sorted[k - 1] : kInfDist;
+  std::vector<index_t> want;
+  for (index_t r = 0; r < nr; ++r) {
+    if (params.use_overlap_rule && d[r] > rep_bound + index.psi(r)) continue;
+    if (params.use_lemma_rule && d[r] > 2 * rep_bound + gamma1) continue;
+    want.push_back(r);
+  }
+  std::sort(want.begin(), want.end(), [&](index_t a, index_t b) {
+    return d[a] < d[b] || (d[a] == d[b] && a < b);
+  });
+
+  typename RbcExactIndex<M>::Scratch plan;
+  SearchStats stats;
+  index.plan_query(q, k, plan, stats);
+  EXPECT_EQ(bits(plan.gamma1), bits(gamma1)) << what;
+  EXPECT_EQ(bits(plan.rep_bound), bits(rep_bound)) << what;
+  ASSERT_EQ(plan.survivors, want) << what;
+  for (const index_t r : want)
+    EXPECT_EQ(bits(plan.rep_dists[r]), bits(d[r])) << what << " rep " << r;
+  EXPECT_EQ(stats.reps_pruned_overlap + stats.reps_pruned_lemma + want.size(),
+            std::uint64_t{nr})
+      << what;
+}
+
+/// n points on a line through the origin, at integer multiples of one
+/// direction, and the queries on it too: every triangle is flat, so every
+/// triangle bound of the cover is tight up to rounding, and the rules'
+/// bounds (sums of list distances) meet representative distances exactly.
+Matrix<float> points_on_a_line(index_t n, index_t d, std::uint64_t seed) {
+  const Matrix<float> dir = testutil::random_matrix(1, d, seed, 0.1f, 1.0f);
+  Rng rng(seed + 1);
+  Matrix<float> X(n, d);
+  for (index_t i = 0; i < n; ++i) {
+    const auto t = static_cast<float>(rng.uniform_index(2 * n)) - n;
+    for (index_t j = 0; j < d; ++j) X.at(i, j) = t * dir.at(0, j);
+  }
+  return X;
+}
+
+template <class M>
+void check_stage1(const char* name, const Matrix<float>& X,
+                  const Matrix<float>& Q) {
+  RbcParams variants[] = {
+      {},
+      {.use_overlap_rule = false},
+      {.use_lemma_rule = false},
+      {.approx_eps = 0.5f},
+  };
+  const dispatch::Isa entry_isa = dispatch::active_isa();
+  for (const dispatch::Isa isa : runnable_isas()) {
+    dispatch::force_isa(isa);
+    for (const index_t nr : {1u, 2u, 15u, 16u, 17u, 33u, X.rows()}) {
+      for (RbcParams params : variants) {
+        params.num_reps = nr;
+        params.seed = 61;
+        RbcExactIndex<M> index;
+        index.build(X, params);
+        for (const index_t k : {1u, 10u, nr + 3}) {
+          for (index_t qi = 0; qi < Q.rows(); ++qi) {
+            std::ostringstream what;
+            what << name << " under " << dispatch::isa_name(isa) << ", nr "
+                 << nr << " k " << k << " rules " << params.use_overlap_rule
+                 << params.use_lemma_rule << " eps " << params.approx_eps
+                 << ", query " << qi;
+            expect_flat_plan(index, X, params, Q.row(qi), k, what.str());
+            if (testing::Test::HasFatalFailure()) return;
+          }
+        }
+      }
+    }
+  }
+  dispatch::force_isa(entry_isa);
+}
+
+TEST(RbcExactStage1, ClusteredRowsWithDuplicatesMatchTheFlatScan) {
+  const Matrix<float> X = testutil::with_duplicates(
+      testutil::clustered_matrix(240, 9, 5, 62), 60);
+  check_stage1<Euclidean>("clustered+dups", X,
+                          testutil::random_matrix(12, 9, 63, -6.0f, 6.0f));
+}
+
+TEST(RbcExactStage1, LatticeTiesMatchTheFlatScan) {
+  const Matrix<float> X = lattice_with_duplicates();
+  check_stage1<Euclidean>("lattice+dups", X, lattice_with_duplicates(0));
+}
+
+// Uniform rows of high dimension: no inner list prunes, every
+// representative is evaluated.
+TEST(RbcExactStage1, UniformHighDimensionalRowsMatchTheFlatScan) {
+  const Matrix<float> X = testutil::random_matrix(300, 64, 64);
+  check_stage1<Euclidean>("uniform high-dim", X,
+                          testutil::random_matrix(12, 64, 65));
+}
+
+// Flat triangles make the cover's bounds tight to the last ulp: a prune
+// without the rounding margin drops survivors here.
+TEST(RbcExactStage1, PointsOnALineMatchTheFlatScan) {
+  const Matrix<float> X = points_on_a_line(400, 7, 66);
+  check_stage1<Euclidean>("line", X, points_on_a_line(40, 7, 66));
+}
+
+TEST(RbcExactStage1, L1MatchesTheFlatScan) {
+  const Matrix<float> X = testutil::with_duplicates(
+      testutil::clustered_matrix(240, 9, 5, 67), 60);
+  check_stage1<L1>("l1 clustered+dups", X,
+                   testutil::random_matrix(12, 9, 68, -6.0f, 6.0f));
+  check_stage1<L1>("l1 line", points_on_a_line(400, 7, 69),
+                   points_on_a_line(40, 7, 69));
 }
 
 // ----------------------------------------------- exactness property sweep ---
@@ -649,8 +840,9 @@ TEST(RbcExactTeam, ApproxEpsKeepsTheOnePlusEpsGuarantee) {
 // On the default team (OMP_NUM_THREADS decides it), batches of 1 and
 // nt - 1 rows carry the serial answer. Work counts on the team path depend
 // on the schedule, but each evaluation is counted once in the stats and once
-// in the global counters, and every representative of every row is either
-// pruned or scanned exactly once.
+// in the global counters, stages 1 and 2 (one plan per row, on the calling
+// thread) count what the serial rows count, and every representative of
+// every row is either pruned or scanned exactly once.
 TEST(RbcExactTeam, DefaultTeamCountsMatchTheCountersAndVisitEachListOnce) {
   const Matrix<float> X = testutil::clustered_matrix(3'000, 12, 8, 51);
   const index_t nt = static_cast<index_t>(max_threads());
@@ -670,7 +862,9 @@ TEST(RbcExactTeam, DefaultTeamCountsMatchTheCountersAndVisitEachListOnce) {
     expect_rows_match(serial, 0, got, what);
     EXPECT_EQ(scope.delta(), stats.dist_evals()) << what;
     EXPECT_EQ(stats.queries, batch);
-    EXPECT_EQ(stats.rep_dist_evals, batch * nr);
+    SearchStats planned;
+    serial_rows(index, slice_rows(Q, 0, batch), k, &planned);
+    EXPECT_EQ(stats.rep_dist_evals, planned.rep_dist_evals) << what;
     EXPECT_EQ(stats.reps_pruned_overlap + stats.reps_pruned_lemma +
                   stats.reps_scanned,
               batch * nr)
@@ -759,7 +953,7 @@ TEST(RbcExactStats, PruningReducesWorkOnClusteredData) {
   const Matrix<float> X = testutil::clustered_matrix(n, 16, 10, 55);
   const Matrix<float> Q = testutil::random_matrix(50, 16, 56, -6.0f, 6.0f);
   RbcExactIndex<> index;
-  index.build(X, {.seed = 2});  // auto nr = ceil(sqrt(n))
+  index.build(X, {.seed = 2});  // auto nr (num_reps = 0)
 
   SearchStats stats;
   index.search(Q, 1, &stats);

@@ -2,6 +2,7 @@
 // every radius, including boundary-inclusive hits.
 #include <gtest/gtest.h>
 
+#include "distance/dispatch.hpp"
 #include "rbc/rbc.hpp"
 #include "test_util.hpp"
 
@@ -76,6 +77,41 @@ TEST(RangeSearch, PruningStillExactWithL1) {
       if (m(Q.row(qi), X.row(j), 9) <= 2.0f) expected.push_back(j);
     EXPECT_EQ(expected, index.range_search(Q.row(qi), 2.0f));
   }
+}
+
+// Stage 1 runs through the cover of R and each list's window through the
+// row-kernel prefilter: under every runnable ISA the hits must equal a
+// linear scan, on flat triangles (points on a line, where every triangle
+// bound is tight) and lattice ties, with lists long enough for the kernel
+// and representative counts from one to every row.
+TEST(RangeSearch, EveryIsaMatchesTheLinearScan) {
+  Matrix<float> line(600, 5);
+  for (index_t i = 0; i < line.rows(); ++i)
+    for (index_t j = 0; j < line.cols(); ++j)
+      line.at(i, j) = static_cast<float>(i % 300) * (0.1f + 0.37f * j);
+  Matrix<float> lattice(256, 4);
+  for (index_t p = 0; p < lattice.rows(); ++p)
+    for (index_t j = 0; j < 4; ++j)
+      lattice.at(p, j) = static_cast<float>((p >> (2 * j)) & 3u);
+  const dispatch::Isa entry_isa = dispatch::active_isa();
+  for (const dispatch::Isa isa :
+       {dispatch::Isa::kScalar, dispatch::Isa::kAvx2, dispatch::Isa::kAvx512}) {
+    if (!dispatch::isa_available(isa)) continue;
+    dispatch::force_isa(isa);
+    for (const Matrix<float>* X : {&line, &lattice}) {
+      for (const index_t nr : {1u, 17u, X->rows()}) {
+        RbcExactIndex<> index;
+        index.build(*X, {.num_reps = nr, .seed = 15});
+        for (index_t qi = 0; qi < X->rows(); qi += 37)
+          for (const float radius : {0.0f, 1.0f, 1.4142135f, 3.0f, 40.0f})
+            EXPECT_EQ(testutil::naive_range(X->row(qi), *X, radius),
+                      index.range_search(X->row(qi), radius))
+                << dispatch::isa_name(isa) << ", nr " << nr << ", row " << qi
+                << ", radius " << radius;
+      }
+    }
+  }
+  dispatch::force_isa(entry_isa);
 }
 
 }  // namespace
