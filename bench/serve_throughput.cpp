@@ -531,8 +531,7 @@ int main(int argc, char** argv) {
       fault_queries, dim, 30, 3, 0.05f, /*seed=*/5);
   std::vector<std::unique_ptr<Index>> fault_shards;
   {
-    const auto assignment = shard::partition_rows(
-        database.rows(), 2, shard::Partition::kContiguous);
+    const auto assignment = shard::partition_rows(database.rows(), 2);
     for (const std::vector<index_t>& mine : assignment) {
       Matrix<float> rows(static_cast<index_t>(mine.size()), database.cols());
       for (index_t i = 0; i < rows.rows(); ++i)

@@ -84,16 +84,10 @@ struct IndexOptions {
   int gpu_workers = 0;
 
   /// sharded:<inner>: number of row partitions the database is split into
-  /// (>= 1; a count larger than the database leaves the excess shards
-  /// empty and unbuilt).
+  /// (>= 1). Shard s owns one block of consecutive rows
+  /// (shard::partition_rows); a count larger than the database leaves the
+  /// excess shards empty, and later inserts go to the least-full shard.
   index_t num_shards = 4;
-
-  /// sharded:<inner>: how rows are assigned to shards — "contiguous"
-  /// (shard s owns one block of consecutive rows) or "strided" (row i goes
-  /// to shard i % num_shards). Both remap shard-local ids back to global
-  /// row ids, so results are identical; they differ only in which rows
-  /// land together (strided spreads clustered inserts evenly).
-  std::string partition = "contiguous";
 
   /// Mutation-capable backends: delta-shard row count that triggers a
   /// rebuild of the main structure (insert() buffers rows in a small

@@ -109,18 +109,16 @@ void NetRouter::validate_topology(const std::vector<InfoMsg>& infos) {
   }
   size_ = static_cast<index_t>(total);
 
-  // The id mapping is a pure function of (total, S, partition): re-derive it
-  // and check the shards actually hold those row counts, which is the only
-  // part of the contract observable over the wire.
-  global_ids_ =
-      shard::partition_rows(size_, num_shards(), options_.partition);
+  // The id mapping is a pure function of (total, S): re-derive it and check
+  // the shards actually hold those row counts, which is the only part of
+  // the contract observable over the wire.
+  global_ids_ = shard::partition_rows(size_, num_shards());
   for (std::size_t s = 0; s < infos.size(); ++s)
     if (global_ids_[s].size() != infos[s].size)
       throw std::runtime_error(
           "rbc::dist::NetRouter: shard " + std::to_string(s) + " holds " +
-          std::to_string(infos[s].size) + " rows but the " +
-          std::string(shard::partition_name(options_.partition)) +
-          " partition of " + std::to_string(size_) + " rows over " +
+          std::to_string(infos[s].size) + " rows but the contiguous "
+          "partition of " + std::to_string(size_) + " rows over " +
           std::to_string(shards_.size()) + " shards assigns it " +
           std::to_string(global_ids_[s].size()));
 }

@@ -42,7 +42,7 @@
 //     uncovered shards — bit-identical answers stay the default contract.
 //
 // The global-id mapping is derived, not transmitted: shard s's servers must
-// hold exactly the rows shard::partition_rows(total, S, partition) assigns
+// hold exactly the contiguous rows shard::partition_rows(total, S) assigns
 // to s (ascending), which the router validates against each replica's INFO
 // at connect time (sizes and dims must line up). Overload rejections from a
 // shard are retried with the server's retry_after_ms hint.
@@ -59,7 +59,7 @@
 #include <vector>
 
 #include "serve/net/client.hpp"
-#include "shard/sharded_index.hpp"  // Partition, partition_rows
+#include "shard/sharded_index.hpp"  // partition_rows
 
 namespace rbc::dist {
 
@@ -69,9 +69,6 @@ struct Endpoint {
 };
 
 struct RouterOptions {
-  /// Row-partition scheme the shard servers were built with; the router
-  /// re-derives the local->global id maps from it.
-  shard::Partition partition = shard::Partition::kContiguous;
   /// Retries per shard request on kOverloaded before giving up (each sleeps
   /// the server's retry_after_ms hint first, capped by the deadline).
   int max_retries = 8;

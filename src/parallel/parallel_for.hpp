@@ -3,10 +3,11 @@
 // These are thin, zero-allocation wrappers around OpenMP worksharing; they
 // exist so call sites express *what* is parallel (a range and a body) rather
 // than *how* (pragmas), and so a non-OpenMP build still compiles and runs
-// serially. Bodies must not share mutable state (CP.2) — use parallel_reduce
-// for accumulations. A loop of one iteration (one block) runs on the calling
-// thread without forking the team; thread_id() is then 0, so per-thread
-// arrays sized by max_threads() stay valid.
+// serially. Bodies must not share mutable state (CP.2): give each iteration
+// its own output slot and combine the slots after the loop. A loop of one
+// iteration (one block) runs on the calling thread without forking the
+// team; thread_id() is then 0, so per-thread arrays sized by max_threads()
+// stay valid.
 #pragma once
 
 #include <cstdint>

@@ -4,6 +4,7 @@
 #include <exception>
 #include <istream>
 #include <mutex>
+#include <numeric>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
@@ -12,49 +13,67 @@
 #include "metricspace/dataset.hpp"
 #include "metricspace/space.hpp"
 #include "parallel/parallel_for.hpp"
+#include "parallel/rows.hpp"
 #include "parallel/runtime.hpp"
 #include "rbc/serialize_io.hpp"
 #include "shard/merge.hpp"
 
 namespace rbc::shard {
 
-Partition parse_partition(std::string_view name) {
-  if (name == "contiguous") return Partition::kContiguous;
-  if (name == "strided") return Partition::kStrided;
-  throw std::invalid_argument(
-      "rbc::ShardedIndex: unknown partition scheme '" + std::string(name) +
-      "' (expected \"contiguous\" or \"strided\")");
-}
+namespace {
 
-const char* partition_name(Partition p) noexcept {
-  return p == Partition::kContiguous ? "contiguous" : "strided";
-}
-
-std::vector<std::vector<index_t>> partition_rows(index_t n, index_t num_shards,
-                                                 Partition partition) {
-  std::vector<std::vector<index_t>> rows(num_shards);
-  if (partition == Partition::kContiguous) {
-    // Shard s owns [s*n/S, (s+1)*n/S): sizes differ by at most one row and
-    // the mapping is a pure function of (n, S), so save/load re-derives it.
-    for (index_t s = 0; s < num_shards; ++s) {
-      const auto lo = static_cast<index_t>(
-          static_cast<std::uint64_t>(s) * n / num_shards);
-      const auto hi = static_cast<index_t>(
-          static_cast<std::uint64_t>(s + 1) * n / num_shards);
-      rows[s].reserve(hi - lo);
-      for (index_t i = lo; i < hi; ++i) rows[s].push_back(i);
+/// Calls body(i) for every i in [0, count) on the team. An exception
+/// escaping an OpenMP region terminates the process, so each item parks its
+/// own, and the first in item order is rethrown after the region. A single
+/// item runs outside any region: inside even a one-thread region its own
+/// parallel loops would nest, and a nested team starts fresh threads on
+/// every call.
+template <class Body>
+void for_each_item(std::size_t count, Body&& body) {
+  if (count == 1) {
+    body(0);
+    return;
+  }
+  std::vector<std::exception_ptr> errors(count);
+  parallel_for_dynamic(0, static_cast<std::int64_t>(count), [&](index_t i) {
+    try {
+      body(i);
+    } catch (...) {
+      errors[i] = std::current_exception();
     }
-  } else {
-    for (index_t i = 0; i < n; ++i) rows[i % num_shards].push_back(i);
+  });
+  for (const std::exception_ptr& error : errors)
+    if (error) std::rethrow_exception(error);
+}
+
+/// Query rows [lo, hi) of Q, as one matrix. A serial copy: it runs inside
+/// the fan-out's region, and a block holds a few rows.
+Matrix<float> row_block(const Matrix<float>& Q, index_t lo, index_t hi) {
+  Matrix<float> rows = Matrix<float>::uninitialized(hi - lo, Q.cols());
+  for (index_t i = lo; i < hi; ++i) rows.set_row(i - lo, Q.row(i));
+  return rows;
+}
+
+}  // namespace
+
+std::vector<std::vector<index_t>> partition_rows(index_t n,
+                                                 index_t num_shards) {
+  // Sizes differ by at most one row, and the mapping is a pure function of
+  // (n, num_shards), so save/load and NetRouter re-derive it.
+  std::vector<std::vector<index_t>> rows(num_shards);
+  for (index_t s = 0; s < num_shards; ++s) {
+    const auto lo = static_cast<index_t>(
+        static_cast<std::uint64_t>(s) * n / num_shards);
+    const auto hi = static_cast<index_t>(
+        static_cast<std::uint64_t>(s + 1) * n / num_shards);
+    rows[s].reserve(hi - lo);
+    for (index_t i = lo; i < hi; ++i) rows[s].push_back(i);
   }
   return rows;
 }
 
 ShardedIndex::ShardedIndex(std::string_view inner, const IndexOptions& options)
-    : inner_(inner),
-      name_("sharded:" + std::string(inner)),
-      options_(options),
-      partition_(parse_partition(options.partition)) {
+    : inner_(inner), name_("sharded:" + std::string(inner)), options_(options) {
   if (options.num_shards < 1 || options.num_shards > kMaxShards)
     throw std::invalid_argument(
         "rbc::ShardedIndex: num_shards must be in [1, " +
@@ -74,59 +93,61 @@ void ShardedIndex::fail(const std::string& what) const {
   throw std::invalid_argument("rbc::Index[" + name_ + "]: " + what);
 }
 
-void ShardedIndex::build_shard(const Matrix<float>& X,
-                               const std::vector<index_t>& rows,
-                               Shard& shard) const {
-  Matrix<float> part(static_cast<index_t>(rows.size()), X.cols());
-  for (index_t local = 0; local < part.rows(); ++local)
-    part.copy_row_from(X, rows[local], local);
-  shard.index->build(part);
-}
+void ShardedIndex::build_shards(const Matrix<float>* X,
+                                const metricspace::DatasetHandle& data,
+                                std::span<const index_t> ids) {
+  // Id-native shards all exist — an initially empty one (num_shards > n)
+  // is built over zero rows so it can still absorb inserts later; a
+  // positional composite leaves its excess shards out.
+  std::vector<std::vector<index_t>> rows =
+      partition_rows(static_cast<index_t>(ids.size()), options_.num_shards);
+  if (!mutable_mode_)
+    std::erase_if(rows, [](const auto& set) { return set.empty(); });
 
-void ShardedIndex::build_shard_with_ids(const Matrix<float>& X,
-                                        const std::vector<index_t>& positions,
-                                        const std::vector<index_t>& ids,
-                                        Shard& shard) const {
-  Matrix<float> part(static_cast<index_t>(positions.size()), X.cols());
-  for (index_t local = 0; local < part.rows(); ++local)
-    part.copy_row_from(X, positions[local], local);
-  shard.index->build_with_ids(part, ids);
-}
-
-void ShardedIndex::build_id_native(const Matrix<float>& X,
-                                   const std::vector<index_t>& ids) {
-  // Positions are partitioned exactly as the legacy path partitions rows;
-  // each shard is built id-native over its positional slice of `ids`. All
-  // num_shards shards exist — an initially empty shard (num_shards > n) is
-  // built over zero rows so it can still absorb inserts later.
-  const std::vector<std::vector<index_t>> assignment =
-      partition_rows(X.rows(), options_.num_shards, partition_);
-
-  std::vector<Shard> shards(options_.num_shards);
-  std::vector<std::vector<index_t>> shard_ids(options_.num_shards);
-  for (index_t s = 0; s < options_.num_shards; ++s) {
+  std::vector<Shard> shards(rows.size());
+  std::vector<std::vector<index_t>> labels(rows.size());
+  for (std::size_t s = 0; s < rows.size(); ++s) {
     shards[s].index = make_index(inner_, options_);
-    shard_ids[s].reserve(assignment[s].size());
-    for (index_t pos : assignment[s]) shard_ids[s].push_back(ids[pos]);
-    shards[s].live = static_cast<index_t>(assignment[s].size());
+    shards[s].live = static_cast<index_t>(rows[s].size());
+    labels[s].reserve(rows[s].size());
+    for (const index_t row : rows[s]) labels[s].push_back(ids[row]);
   }
 
-  parallel_for_dynamic(
-      0, static_cast<std::int64_t>(shards.size()), [&](index_t s) {
-        build_shard_with_ids(X, assignment[s], shard_ids[s], shards[s]);
-      });
+  // Shard builds are independent; each inner build's own OpenMP loops run
+  // within the worker it landed on (nested regions serialize, so cores
+  // split across shards cleanly). Payload shards build over dataset subsets,
+  // whose ascending order keeps the merge's monotone remap.
+  for_each_item(shards.size(), [&](index_t s) {
+    Index& index = *shards[s].index;
+    if (X == nullptr) {
+      index.build_payload(data->subset(rows[s]));
+      return;
+    }
+    const Matrix<float> part = gather_rows(
+        *X, shards[s].live, [&](index_t i) { return rows[s][i]; });
+    if (mutable_mode_)
+      index.build_with_ids(part, labels[s]);
+    else
+      index.build(part);
+  });
 
+  // Positional shards keep their labels as the local -> global remap;
+  // id-native shards answer in global ids, routed through the owner map.
   std::unordered_map<index_t, std::uint32_t> owners;
-  owners.reserve(ids.size());
-  for (index_t s = 0; s < options_.num_shards; ++s)
-    for (index_t id : shard_ids[s]) owners.emplace(id, s);
+  if (mutable_mode_) owners.reserve(ids.size());
+  for (std::uint32_t s = 0; s < shards.size(); ++s) {
+    if (mutable_mode_)
+      for (const index_t id : labels[s]) owners.emplace(id, s);
+    else
+      shards[s].global_ids = std::move(labels[s]);
+  }
 
   std::lock_guard compacting(compact_mutex_);
   std::unique_lock lock(mutex_);
   shards_ = std::move(shards);
   id_to_shard_ = std::move(owners);
-  size_ = X.rows();
-  dim_ = X.cols();
+  size_ = static_cast<index_t>(ids.size());
+  dim_ = X == nullptr ? 0 : X->cols();
   built_ = true;
 }
 
@@ -134,45 +155,12 @@ void ShardedIndex::build(const Matrix<float>& X) {
   if (payload_)
     fail("dense build() on payload metric '" + metric_ +
          "' (use build_payload)");
-  // Before the fan-out: a shard's own rejection would be thrown inside the
-  // OpenMP region below, where it terminates the process.
+  // Before the fan-out, so a rejected build names the composite and builds
+  // no shard.
   validate_rows(X, name_.c_str());
-  if (mutable_mode_) {
-    // build(X) is build_with_ids with the identity labelling.
-    std::vector<index_t> ids(X.rows());
-    for (index_t i = 0; i < X.rows(); ++i) ids[i] = i;
-    build_id_native(X, ids);
-    return;
-  }
-
-  std::vector<std::vector<index_t>> assignment =
-      partition_rows(X.rows(), options_.num_shards, partition_);
-
-  std::vector<Shard> shards;
-  shards.reserve(assignment.size());
-  for (std::vector<index_t>& rows : assignment) {
-    if (rows.empty()) continue;  // num_shards > n: excess shards stay unbuilt
-    Shard shard;
-    shard.index = make_index(inner_, options_);
-    shard.global_ids = std::move(rows);
-    shard.live = static_cast<index_t>(shard.global_ids.size());
-    shards.push_back(std::move(shard));
-  }
-
-  // Shard builds are independent; the loop parallelizes across them while
-  // each inner build's own OpenMP loops run within the worker it landed on
-  // (nested regions serialize, so cores split across shards cleanly).
-  parallel_for_dynamic(
-      0, static_cast<std::int64_t>(shards.size()),
-      [&](index_t s) { build_shard(X, shards[s].global_ids, shards[s]); });
-
-  std::lock_guard compacting(compact_mutex_);
-  std::unique_lock lock(mutex_);
-  shards_ = std::move(shards);
-  id_to_shard_.clear();
-  size_ = X.rows();
-  dim_ = X.cols();
-  built_ = true;
+  std::vector<index_t> ids(X.rows());
+  std::iota(ids.begin(), ids.end(), index_t{0});
+  build_shards(&X, nullptr, ids);
 }
 
 void ShardedIndex::build_with_ids(const Matrix<float>& X,
@@ -188,86 +176,85 @@ void ShardedIndex::build_with_ids(const Matrix<float>& X,
       fail("build_with_ids ids must be strictly ascending");
   }
   validate_rows(X, name_.c_str());  // before the fan-out, as in build()
-  build_id_native(X, std::vector<index_t>(ids.begin(), ids.end()));
+  build_shards(&X, nullptr, ids);
 }
 
 void ShardedIndex::build_payload(const metricspace::DatasetHandle& data) {
   if (!payload_) return Index::build_payload(data);  // uniform unsupported
   if (data == nullptr) fail("dataset handle is null");
-  // Kind-check before the fan-out: the per-shard builds below run inside an
-  // OpenMP region, where an inner backend's mismatch exception would
-  // terminate the process instead of reaching the caller.
+  // Kind-check before the fan-out, so the mismatch names the composite.
   if (const metricspace::SpaceEntry* entry = metricspace::find_space(metric_);
       entry != nullptr && data->kind() != entry->dataset_kind)
     fail("metric '" + metric_ + "' requires a '" + entry->dataset_kind +
          "' dataset, got '" + std::string(data->kind()) + "'");
-
-  // The legacy (immutable) layout, over dataset subsets instead of row
-  // copies: shard s's element j is global element global_ids[j], and
-  // subset() preserves ascending order, so the merge remap below is the
-  // same monotone map the dense path relies on.
-  std::vector<std::vector<index_t>> assignment =
-      partition_rows(data->size(), options_.num_shards, partition_);
-
-  std::vector<Shard> shards;
-  shards.reserve(assignment.size());
-  for (std::vector<index_t>& rows : assignment) {
-    if (rows.empty()) continue;  // num_shards > n: excess shards stay unbuilt
-    Shard shard;
-    shard.index = make_index(inner_, options_);
-    shard.global_ids = std::move(rows);
-    shard.live = static_cast<index_t>(shard.global_ids.size());
-    shards.push_back(std::move(shard));
-  }
-
-  parallel_for_dynamic(
-      0, static_cast<std::int64_t>(shards.size()), [&](index_t s) {
-        shards[s].index->build_payload(data->subset(shards[s].global_ids));
-      });
-
-  std::lock_guard compacting(compact_mutex_);
-  std::unique_lock lock(mutex_);
-  shards_ = std::move(shards);
-  id_to_shard_.clear();
-  size_ = data->size();
-  dim_ = 0;
-  built_ = true;
+  std::vector<index_t> ids(data->size());
+  std::iota(ids.begin(), ids.end(), index_t{0});
+  build_shards(nullptr, data, ids);
 }
 
-SearchResponse ShardedIndex::knn_search_payload(
-    const PayloadSearchRequest& request) const {
-  if (!payload_) return Index::knn_search_payload(request);  // unsupported
-  std::shared_lock lock(mutex_);
-  validate_knn_payload(request, size_, built_, name_.c_str(), metric_);
-  const index_t nq = static_cast<index_t>(request.queries->size());
-  const index_t k = request.k;
+template <class Item>
+SearchStats ShardedIndex::fan_out(index_t nq, Item&& item) const {
+  // Shards with zero live rows (drained by remove(), or excess shards
+  // awaiting inserts) are skipped: they have nothing to contribute, and
+  // k >= 1 would fail their validation.
+  std::vector<std::size_t> live;
+  for (std::size_t s = 0; s < shards_.size(); ++s)
+    if (shards_[s].live > 0) live.push_back(s);
+  // One block per thread and shard; a batch smaller than the team runs one
+  // row per item. The inner backends' own OpenMP loops nest inside this
+  // region and run serially. A lone live shard takes the whole batch as one
+  // item, which runs on the calling thread (for_each_item) and spreads its
+  // rows over the team by the inner backend's own schedule.
+  const auto team = static_cast<index_t>(max_threads());
+  const index_t block =
+      std::max<index_t>(1, live.size() == 1 ? nq : (nq + team - 1) / team);
+  const index_t blocks = (nq + block - 1) / block;
+  std::vector<SearchStats> stats(live.size() * blocks);
+  for_each_item(stats.size(), [&](index_t p) {
+    const index_t lo = static_cast<index_t>(p / live.size()) * block;
+    stats[p] = item(live[p % live.size()], lo, std::min(nq, lo + block));
+  });
+  SearchStats total;
+  for (const SearchStats& s : stats) total.merge(s);
+  total.queries = nq;  // each query answered once, not once per item
+  return total;
+}
 
-  // Fan-out / exact k-way merge, exactly as the dense path below: k is
-  // clamped to each shard's live count so every returned row is fully
-  // populated, and shard-local ids remap to global ids monotonically.
-  std::vector<SearchResponse> fanout(shards_.size());
-  std::vector<index_t> shard_k(shards_.size(), 0);
+template <class Search>
+SearchResponse ShardedIndex::knn_fan_out(index_t nq, index_t k,
+                                         bool collect_stats,
+                                         Search&& search) const {
+  // k is clamped to each shard's live count so every returned row is fully
+  // populated — no padding reaches the merge.
+  std::vector<KnnResult> parts(shards_.size());
+  std::vector<MergeInput> inputs;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     if (shards_[s].live == 0) continue;
-    PayloadSearchRequest sub = request;
-    shard_k[s] = std::min<index_t>(k, shards_[s].live);
-    sub.k = shard_k[s];
-    fanout[s] = shards_[s].index->knn_search_payload(sub);
+    const index_t shard_k = std::min(k, shards_[s].live);
+    parts[s] = KnnResult(nq, shard_k);
+    inputs.push_back({&parts[s], shard_k,
+                      mutable_mode_ ? nullptr : &shards_[s].global_ids});
   }
+  const SearchStats stats = fan_out(nq, [&](std::size_t s, index_t lo,
+                                            index_t hi) {
+    KnnResult& part = parts[s];
+    const SearchResponse r =
+        search(*shards_[s].index, lo, hi, part.dists.cols());
+    for (index_t i = lo; i < hi; ++i) {
+      std::copy_n(r.knn.dists.row(i - lo), part.dists.cols(),
+                  part.dists.row(i));
+      std::copy_n(r.knn.ids.row(i - lo), part.ids.cols(), part.ids.row(i));
+    }
+    return r.stats;
+  });
 
-  std::vector<MergeInput> inputs;
-  inputs.reserve(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (shard_k[s] == 0) continue;
-    inputs.push_back({&fanout[s].knn, shard_k[s], &shards_[s].global_ids});
-  }
+  // Exact k-way merge under the global (distance, id) order — shared with
+  // the multi-process NetRouter (see shard/merge.hpp for the exactness
+  // argument). Id-native shards already answer in global ids (identity
+  // remap); positional shards' local ids map to global ids monotonically.
   SearchResponse response;
   response.knn = merge_shard_topk(nq, k, inputs);
-
-  if (request.options.collect_stats) {
-    for (const SearchResponse& r : fanout) response.stats.merge(r.stats);
-    response.stats.queries = nq;  // each query answered once, not once/shard
-  }
+  if (collect_stats) response.stats = stats;
   return response;
 }
 
@@ -278,100 +265,42 @@ SearchResponse ShardedIndex::knn_search(const SearchRequest& request) const {
   std::shared_lock lock(mutex_);
   validate_knn(request, dim_, size_, built_, name_.c_str(), metric_);
   const Matrix<float>& Q = *request.queries;
-  const index_t nq = Q.rows();
-  const index_t k = request.k;
-
-  // Fan-out: every live shard answers the query block, with k clamped to
-  // its live row count so every returned row is fully populated — no
-  // padding reaches the merge. Shards with zero live rows (drained by
-  // remove(), or excess shards awaiting inserts) are skipped: they have
-  // nothing to contribute and k >= 1 would fail their validation. Each
-  // (query, shard) pair fills its own top-k (inner backends never share
-  // state), so the fan-out is lock-free whichever way it is scheduled.
-  std::vector<SearchResponse> fanout(shards_.size());
-  std::vector<index_t> shard_k(shards_.size(), 0);
-  std::vector<std::size_t> live;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (shards_[s].live == 0) continue;
-    shard_k[s] = std::min<index_t>(k, shards_[s].live);
-    live.push_back(s);
-  }
-  if (live.size() > 1 && nq < static_cast<index_t>(max_threads())) {
-    knn_rows_fanout(request, live, shard_k, fanout);
-  } else {
-    // Shard after shard, each searching the whole block with the team's
-    // query-level parallelism.
-    for (const std::size_t s : live) {
-      SearchRequest sub = request;
-      sub.k = shard_k[s];
-      fanout[s] = shards_[s].index->knn_search(sub);
-    }
-  }
-
-  // Exact k-way merge under the global (distance, id) order — shared with
-  // the multi-process NetRouter (see shard/merge.hpp for the exactness
-  // argument). In id-native (mutable) mode the shards already answer in
-  // global ids (identity remap); otherwise shard-local ids map to global
-  // ids monotonically (both partition schemes assign ascending local ->
-  // ascending global). validate_knn guarantees k <= live size, so the
-  // merge preconditions hold either way.
-  std::vector<MergeInput> inputs;
-  inputs.reserve(live.size());
-  for (const std::size_t s : live)
-    inputs.push_back({&fanout[s].knn, shard_k[s],
-                      mutable_mode_ ? nullptr : &shards_[s].global_ids});
-  SearchResponse response;
-  response.knn = merge_shard_topk(nq, k, inputs);
-
-  if (request.options.collect_stats) {
-    for (const SearchResponse& r : fanout) response.stats.merge(r.stats);
-    response.stats.queries = nq;  // each query answered once, not once/shard
-  }
-  return response;
+  return knn_fan_out(
+      Q.rows(), request.k, request.options.collect_stats,
+      [&](const Index& shard, index_t lo, index_t hi, index_t k) {
+        const Matrix<float> rows = row_block(Q, lo, hi);
+        SearchRequest sub = request;
+        sub.queries = &rows;
+        sub.k = k;
+        return shard.knn_search(sub);
+      });
 }
 
-void ShardedIndex::knn_rows_fanout(const SearchRequest& request,
-                                   const std::vector<std::size_t>& live,
-                                   const std::vector<index_t>& shard_k,
-                                   std::vector<SearchResponse>& fanout) const {
-  // Fewer rows than threads: the per-query loop inside one shard's search
-  // would leave threads idle, so the team splits (shard, row) pairs
-  // instead. Each pair is a one-row search on its shard; the inner
-  // backend's own OpenMP loops nest inside this region and run serially, as
-  // in the parallel shard builds.
-  const Matrix<float>& Q = *request.queries;
-  const index_t nq = Q.rows();
-  std::vector<Matrix<float>> rows(nq);
-  for (index_t qi = 0; qi < nq; ++qi) {
-    rows[qi] = Matrix<float>(1, Q.cols());
-    rows[qi].copy_row_from(Q, qi, 0);
-  }
-  for (const std::size_t s : live) fanout[s].knn = KnnResult(nq, shard_k[s]);
-
-  const std::size_t pairs = live.size() * nq;
-  std::vector<SearchStats> stats(pairs);
-  // An exception escaping an OpenMP region terminates the process: each
-  // pair parks its own, and the first (in pair order) is rethrown below.
-  std::vector<std::exception_ptr> errors(pairs);
-  parallel_for_dynamic(0, static_cast<std::int64_t>(pairs), [&](index_t p) {
-    const std::size_t s = live[p / nq];
-    const index_t qi = p % nq;
-    try {
-      SearchRequest sub = request;
-      sub.queries = &rows[qi];
-      sub.k = shard_k[s];
-      const SearchResponse r = shards_[s].index->knn_search(sub);
-      std::copy_n(r.knn.dists.row(0), shard_k[s], fanout[s].knn.dists.row(qi));
-      std::copy_n(r.knn.ids.row(0), shard_k[s], fanout[s].knn.ids.row(qi));
-      stats[p] = r.stats;
-    } catch (...) {
-      errors[p] = std::current_exception();
-    }
-  });
-  for (const std::exception_ptr& error : errors)
-    if (error) std::rethrow_exception(error);
-  for (std::size_t p = 0; p < pairs; ++p)
-    fanout[live[p / nq]].stats.merge(stats[p]);
+SearchResponse ShardedIndex::knn_search_payload(
+    const PayloadSearchRequest& request) const {
+  if (!payload_) return Index::knn_search_payload(request);  // unsupported
+  std::shared_lock lock(mutex_);
+  validate_knn_payload(request, size_, built_, name_.c_str(), metric_);
+  const std::vector<std::string>& queries = *request.queries;
+  return knn_fan_out(
+      static_cast<index_t>(queries.size()), request.k,
+      request.options.collect_stats,
+      [&](const Index& shard, index_t lo, index_t hi, index_t k) {
+        const std::vector<std::string> rows(queries.begin() + lo,
+                                            queries.begin() + hi);
+        PayloadSearchRequest sub = request;
+        sub.queries = &rows;
+        sub.k = k;
+        try {
+          return shard.knn_search_payload(sub);
+        } catch (const std::invalid_argument& e) {
+          // Shards check each query's payload, numbering the block's
+          // queries from 0: name the block's place in the batch.
+          throw std::invalid_argument(
+              std::string(e.what()) + " (queries [" + std::to_string(lo) +
+              ", " + std::to_string(hi) + ") of the batch)");
+        }
+      });
 }
 
 RangeResponse ShardedIndex::range_search(const RangeRequest& request) const {
@@ -381,30 +310,35 @@ RangeResponse ShardedIndex::range_search(const RangeRequest& request) const {
     return Index::range_search(request);  // uniform unsupported error
   std::shared_lock lock(mutex_);
   validate_range(request, dim_, built_, name_.c_str(), metric_);
-  const index_t nq = request.queries->rows();
+  const Matrix<float>& Q = *request.queries;
+  const index_t nq = Q.rows();
 
-  std::vector<RangeResponse> fanout(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (shards_[s].live == 0) continue;
-    fanout[s] = shards_[s].index->range_search(request);
-  }
+  // hits[s][qi]: shard s's hits for query qi, in global ids.
+  std::vector<std::vector<std::vector<index_t>>> hits(
+      shards_.size(), std::vector<std::vector<index_t>>(nq));
+  const SearchStats stats = fan_out(nq, [&](std::size_t s, index_t lo,
+                                            index_t hi) {
+    const Matrix<float> rows = row_block(Q, lo, hi);
+    RangeRequest sub = request;
+    sub.queries = &rows;
+    RangeResponse r = shards_[s].index->range_search(sub);
+    for (index_t i = lo; i < hi; ++i) {
+      hits[s][i] = std::move(r.ids[i - lo]);
+      if (!mutable_mode_)
+        for (index_t& id : hits[s][i]) id = shards_[s].global_ids[id];
+    }
+    return r.stats;
+  });
 
   RangeResponse response;
   response.ids.resize(nq);
   parallel_for_dynamic(0, nq, [&](index_t qi) {
-    std::vector<index_t>& hits = response.ids[qi];
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (shards_[s].live == 0) continue;
-      for (index_t local : fanout[s].ids[qi])
-        hits.push_back(mutable_mode_ ? local : shards_[s].global_ids[local]);
-    }
-    std::sort(hits.begin(), hits.end());
+    std::vector<index_t>& out = response.ids[qi];
+    for (const auto& shard_hits : hits)
+      out.insert(out.end(), shard_hits[qi].begin(), shard_hits[qi].end());
+    std::sort(out.begin(), out.end());
   });
-
-  if (request.options.collect_stats) {
-    for (const RangeResponse& r : fanout) response.stats.merge(r.stats);
-    response.stats.queries = nq;
-  }
+  if (request.options.collect_stats) response.stats = stats;
   return response;
 }
 
@@ -515,13 +449,13 @@ void ShardedIndex::save(std::ostream& os) const {
   io::write_header(os, io::kMagicSharded);
   io::write_string(os, metric_);
   io::write_string(os, inner_);
-  io::write_string(os, partition_name(partition_));
+  io::write_string(os, "contiguous");  // the one partition scheme
   io::write_pod(os, options_.num_shards);
   io::write_pod(os, size_);
   io::write_pod(os, dim_);
   io::write_pod(os, static_cast<std::uint64_t>(shards_.size()));
   // Positional (immutable) shards store no ids — the row assignment is a
-  // pure function of (size, num_shards, partition) that load() re-derives.
+  // pure function of (size, num_shards) that load() re-derives.
   // Id-native shards persist their own id sets inside the nested dense
   // streams, so arbitrary post-mutation assignments round-trip.
   for (const Shard& shard : shards_) shard.index->save(os);
@@ -533,14 +467,17 @@ std::unique_ptr<Index> ShardedIndex::load(std::istream& is) {
   const std::string metric = io::read_string(is);
   const std::string inner = io::read_string(is);
   const std::string partition = io::read_string(is);
+  if (partition != "contiguous")
+    throw std::runtime_error(
+        "rbc::ShardedIndex: corrupt stream (unknown partition scheme '" +
+        partition + "')");
 
   IndexOptions options;
   options.metric = metric;
-  options.partition = partition;
   io::read_pod(is, options.num_shards);
 
-  // A garbage inner/partition string is a corrupt *file*, not a caller
-  // error: surface it as the runtime_error every load path throws.
+  // A garbage inner string is a corrupt *file*, not a caller error:
+  // surface it as the runtime_error every load path throws.
   std::unique_ptr<ShardedIndex> index;
   try {
     index = std::make_unique<ShardedIndex>(inner, options);
@@ -615,8 +552,8 @@ std::unique_ptr<Index> ShardedIndex::load(std::istream& is) {
   } else {
     // Positional shards: re-derive the assignment and keep the remap
     // tables.
-    std::vector<std::vector<index_t>> assignment = partition_rows(
-        index->size_, options.num_shards, index->partition_);
+    std::vector<std::vector<index_t>> assignment =
+        partition_rows(index->size_, options.num_shards);
     std::size_t next = 0;
     for (std::vector<index_t>& rows : assignment) {
       if (rows.empty()) continue;

@@ -4,20 +4,21 @@
 // The paper's manycore argument is that RBC search decomposes into
 // independent brute-force pieces; sharding applies the same decomposition
 // one level up (cf. buffer k-d trees and NCAM in PAPERS.md): the database is
-// split into `num_shards` disjoint row sets, any registered backend is built
-// per shard (in parallel via src/parallel/), and a query fans out to every
-// shard. Each (query, shard) pair fills its own top-k — shard results never
+// split into `num_shards` contiguous row sets, any registered backend is
+// built per shard (in parallel via src/parallel/), and a query fans out to
+// every shard. Every search — k-NN, payload k-NN and range — runs one
+// fan-out: one task per (live shard, block of query rows) pair, with
+// ceil(nq / max_threads()) rows per block, so a batch smaller than the team
+// (a served read of one or two rows) still runs one row per task and every
+// thread has work; a lone live shard gets the whole batch and spreads it
+// over the team itself. Each task fills its own rows — shard results never
 // share mutable state, so the fan-out is lock-free by construction — and an
-// exact k-way merge remaps shard-local row ids to global ids under the
-// library-wide (distance, id) order. The fan-out follows the batch size: a
-// block of at least max_threads() rows (or a single live shard) searches
-// shard after shard, each shard parallel over its queries; a smaller block
-// over several shards (a served read of one or two rows) runs one task per
-// (shard, row) pair, so every thread of the team has work. Because every
+// exact k-way merge (or, for range, a per-row union) remaps shard-local row
+// ids to global ids under the library-wide (distance, id) order. Because every
 // inner backend re-measures candidates with the same scalar metric over the
 // same row bytes, the merged answer is bit-identical (ids, distances, tie
 // order) to the wrapped backend run unsharded, for every shard count and
-// partition scheme.
+// batch size.
 //
 //   auto index = rbc::make_index("sharded:rbc-exact", {.num_shards = 8});
 //   index->build(database);               // 8 rbc-exact indices, built in
@@ -59,23 +60,16 @@
 
 namespace rbc::shard {
 
-/// How rows are assigned to shards (see IndexOptions::partition).
-enum class Partition { kContiguous, kStrided };
-
 /// Upper bound on IndexOptions::num_shards: far beyond any useful
 /// configuration, and small enough that a corrupt shard-count field in a
 /// serialized file can never drive a giant partition-table allocation.
 inline constexpr index_t kMaxShards = 1u << 20;
 
-/// Parses "contiguous" / "strided"; throws std::invalid_argument otherwise.
-Partition parse_partition(std::string_view name);
-const char* partition_name(Partition p) noexcept;
-
-/// The row sets of a (n, num_shards, partition) split. Element s lists the
-/// *global* row ids shard s owns, in ascending order; shards whose set is
-/// empty (num_shards > n) are left out of the built index entirely.
-std::vector<std::vector<index_t>> partition_rows(index_t n, index_t num_shards,
-                                                 Partition partition);
+/// The row sets of an (n, num_shards) split: shard s owns the rows
+/// [s*n/num_shards, (s+1)*n/num_shards), listed as *global* row ids in
+/// ascending order. Shards whose set is empty (num_shards > n) are left out
+/// of a positional build entirely.
+std::vector<std::vector<index_t>> partition_rows(index_t n, index_t num_shards);
 
 /// A row-partitioned composite over any registered inner backend. Validates
 /// the inner name and shard parameters at construction; build() copies each
@@ -87,8 +81,8 @@ std::vector<std::vector<index_t>> partition_rows(index_t n, index_t num_shards,
 class ShardedIndex final : public Index {
  public:
   /// `inner` must name a registered backend ("rbc-exact", ...); `options`
-  /// supplies both the shard parameters (num_shards, partition) and the
-  /// inner backend's own knobs, forwarded to every shard unchanged.
+  /// supplies both the shard count (num_shards) and the inner backend's own
+  /// knobs, forwarded to every shard unchanged.
   ShardedIndex(std::string_view inner, const IndexOptions& options);
 
   void build(const Matrix<float>& X) override;
@@ -130,21 +124,25 @@ class ShardedIndex final : public Index {
     index_t live = 0;  ///< rows this shard currently answers for
   };
 
-  void build_shard(const Matrix<float>& X, const std::vector<index_t>& rows,
-                   Shard& shard) const;
-  void build_shard_with_ids(const Matrix<float>& X,
-                            const std::vector<index_t>& positions,
-                            const std::vector<index_t>& ids,
-                            Shard& shard) const;
-  void build_id_native(const Matrix<float>& X,
-                       const std::vector<index_t>& ids);
-  /// knn_search's path for batches of fewer rows than threads: one task per
-  /// (live shard, query row) pair. Fills fanout[s] (all nq rows, shard_k[s]
-  /// columns, stats) for every s in `live`, as a block search would.
-  void knn_rows_fanout(const SearchRequest& request,
-                       const std::vector<std::size_t>& live,
-                       const std::vector<index_t>& shard_k,
-                       std::vector<SearchResponse>& fanout) const;
+  /// The one build path: splits the n = ids.size() build rows over the
+  /// shards, builds each shard on the team from `X`'s rows (dense) or
+  /// `data`'s subset (payload, X == nullptr), and installs them. ids[i] is
+  /// row i's global id: id-native shards are built with theirs, positional
+  /// ones keep them as the local -> global remap table.
+  void build_shards(const Matrix<float>* X,
+                    const metricspace::DatasetHandle& data,
+                    std::span<const index_t> ids);
+  /// The one search fan-out: calls item(s, lo, hi) — live shard s answering
+  /// query rows [lo, hi) — for every (live shard, row block) pair on the
+  /// team, and returns the items' merged stats, each query counted once.
+  template <class Item>
+  SearchStats fan_out(index_t nq, Item&& item) const;
+  /// knn_search's and knn_search_payload's shared half: fans out
+  /// search(shard, lo, hi, k) with k clamped to each shard's live count,
+  /// then merges the shards' rows exactly (merge_shard_topk).
+  template <class Search>
+  SearchResponse knn_fan_out(index_t nq, index_t k, bool collect_stats,
+                             Search&& search) const;
   IndexInfo info_locked() const;
   [[noreturn]] void fail(const std::string& what) const;
 
@@ -155,7 +153,6 @@ class ShardedIndex final : public Index {
   /// Unbuilt inner instance kept from the constructor's name validation;
   /// answers capability queries (info()) until the real shards exist.
   std::unique_ptr<Index> probe_;
-  Partition partition_ = Partition::kContiguous;
   /// Inner backend supports mutation => the composite runs id-native and
   /// mutation entry points are live.
   bool mutable_mode_ = false;

@@ -109,6 +109,41 @@ inline std::unique_ptr<Index> build_index(const std::string& backend,
   return index;
 }
 
+/// Splits an nq-row query block into consecutive batches of 1, 2 and 8
+/// rows — one row, fewer rows than a four-thread team, and more — and calls
+/// check(lo, hi) on each, so a sharded composite's fan-out runs both its
+/// one-row items and its row blocks.
+template <class Check>
+void for_each_small_batch(index_t nq, const Check& check) {
+  for (const index_t rows : {index_t{1}, index_t{2}, index_t{8}})
+    for (index_t lo = 0; lo < nq; lo += rows)
+      check(lo, std::min(nq, lo + rows));
+}
+
+/// Query rows [lo, hi) of Q.
+inline Matrix<float> query_rows(const Matrix<float>& Q, index_t lo,
+                                index_t hi) {
+  Matrix<float> rows(hi - lo, Q.cols());
+  for (index_t i = lo; i < hi; ++i) rows.copy_row_from(Q, i, i - lo);
+  return rows;
+}
+
+/// `batch` equals rows [lo, lo + batch rows) of `block`: ids and distance
+/// bits, slot for slot.
+inline void expect_knn_rows(const KnnResult& block, index_t lo,
+                            const KnnResult& batch, const std::string& what) {
+  ASSERT_EQ(batch.ids.cols(), block.ids.cols()) << what;
+  for (index_t i = 0; i < batch.ids.rows(); ++i) {
+    for (index_t j = 0; j < batch.ids.cols(); ++j) {
+      EXPECT_EQ(batch.ids.at(i, j), block.ids.at(lo + i, j))
+          << what << ": row " << lo + i << ", slot " << j;
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(batch.dists.at(i, j)),
+                std::bit_cast<std::uint32_t>(block.dists.at(lo + i, j)))
+          << what << ": row " << lo + i << ", slot " << j;
+    }
+  }
+}
+
 // ---------------------------------------------------------------- checks ---
 
 /// Exact backends must equal the naive reference including tie order;
@@ -296,15 +331,18 @@ inline void check_concurrent_search(const std::string& backend) {
 }
 
 /// The sharded composites' extra obligation: bit-identical (ids, distances,
-/// tie order) to the wrapped backend at shard counts {1, 2, 7} under both
-/// partition schemes, on every dataset — enforced for exact inners, where
-/// the answer is unique. (Approximate inners legitimately answer from a
-/// different per-shard structure; check_answers already bounds their
-/// recall.) No-op for non-sharded backends.
+/// tie order) to the wrapped backend at shard counts {1, 2, 4, 7}, on every
+/// dataset — enforced for exact inners, where the answer is unique.
+/// (Approximate inners legitimately answer from a different per-shard
+/// structure; check_answers already bounds their recall.) On four threads
+/// the whole block and its batches of 1, 2 and 8 rows must give the
+/// unsharded answer, for k-NN and, where the inner serves it, range search.
+/// No-op for non-sharded backends.
 inline void check_sharded_bit_parity(const std::string& backend) {
   constexpr std::string_view kPrefix = "sharded:";
   if (backend.substr(0, kPrefix.size()) != kPrefix) return;
   const std::string inner = backend.substr(kPrefix.size());
+  const ThreadLimit threads(4);
 
   for (const Dataset& data : datasets()) {
     auto reference_index = build_index(inner, data.X);
@@ -312,22 +350,47 @@ inline void check_sharded_bit_parity(const std::string& backend) {
     const index_t k = 5;
     const KnnResult reference =
         reference_index->knn_search({.queries = &data.Q, .k = k}).knn;
+    // Range radius: query 0's k-th distance, so hit lists are not empty.
+    const bool range = reference_index->info().supports_range;
+    const dist_t radius = reference.dists.at(0, k - 1);
+    const std::vector<std::vector<index_t>> hits =
+        range ? reference_index
+                    ->range_search({.queries = &data.Q, .radius = radius})
+                    .ids
+              : std::vector<std::vector<index_t>>{};
 
-    for (index_t shards : {index_t{1}, index_t{2}, index_t{7}}) {
-      for (const char* partition : {"contiguous", "strided"}) {
-        SCOPED_TRACE(backend + " on " + data.name + " shards=" +
-                     std::to_string(shards) + " partition=" + partition);
-        IndexOptions options = suite_options();
-        options.num_shards = shards;
-        options.partition = partition;
-        auto sharded = make_index(backend, options);
-        sharded->build(data.X);
-        EXPECT_EQ(sharded->info().shards, std::min(shards, data.X.rows()));
-        const KnnResult result =
-            sharded->knn_search({.queries = &data.Q, .k = k}).knn;
-        EXPECT_TRUE(testutil::knn_equal(reference, result))
-            << backend << " is not bit-identical to " << inner;
+    for (index_t shards : {index_t{1}, index_t{2}, index_t{4}, index_t{7}}) {
+      SCOPED_TRACE(backend + " on " + data.name + " shards=" +
+                   std::to_string(shards));
+      IndexOptions options = suite_options();
+      options.num_shards = shards;
+      auto sharded = make_index(backend, options);
+      sharded->build(data.X);
+      EXPECT_EQ(sharded->info().shards, std::min(shards, data.X.rows()));
+      const KnnResult result =
+          sharded->knn_search({.queries = &data.Q, .k = k}).knn;
+      EXPECT_TRUE(testutil::knn_equal(reference, result))
+          << backend << " is not bit-identical to " << inner;
+      if (range) {
+        EXPECT_EQ(
+            sharded->range_search({.queries = &data.Q, .radius = radius}).ids,
+            hits)
+            << backend << " range differs from " << inner;
       }
+
+      for_each_small_batch(data.Q.rows(), [&](index_t lo, index_t hi) {
+        const Matrix<float> rows = query_rows(data.Q, lo, hi);
+        const std::string what = backend + " batch of " +
+                                 std::to_string(hi - lo) + " rows";
+        expect_knn_rows(reference, lo,
+                        sharded->knn_search({.queries = &rows, .k = k}).knn,
+                        what);
+        if (!range) return;
+        const RangeResponse batch =
+            sharded->range_search({.queries = &rows, .radius = radius});
+        for (index_t i = lo; i < hi; ++i)
+          EXPECT_EQ(batch.ids[i - lo], hits[i]) << what << ": row " << i;
+      });
     }
   }
 }
@@ -463,22 +526,19 @@ inline void check_sharded_metric_parity(const std::string& backend) {
     const KnnResult reference =
         reference_index->knn_search({.queries = &data.Q, .k = k}).knn;
 
-    for (index_t shards : {index_t{2}, index_t{7}}) {
-      for (const char* partition : {"contiguous", "strided"}) {
-        SCOPED_TRACE(backend + " cosine on " + data.name + " shards=" +
-                     std::to_string(shards) + " partition=" + partition);
-        IndexOptions options = suite_options();
-        options.metric = "cosine";
-        options.num_shards = shards;
-        options.partition = partition;
-        auto sharded = make_index(backend, options);
-        sharded->build(data.X);
-        EXPECT_EQ(sharded->info().metric, "cosine");
-        const KnnResult result =
-            sharded->knn_search({.queries = &data.Q, .k = k}).knn;
-        EXPECT_TRUE(testutil::knn_equal(reference, result))
-            << backend << " cosine is not bit-identical to " << inner;
-      }
+    for (index_t shards : {index_t{1}, index_t{2}, index_t{7}}) {
+      SCOPED_TRACE(backend + " cosine on " + data.name + " shards=" +
+                   std::to_string(shards));
+      IndexOptions options = suite_options();
+      options.metric = "cosine";
+      options.num_shards = shards;
+      auto sharded = make_index(backend, options);
+      sharded->build(data.X);
+      EXPECT_EQ(sharded->info().metric, "cosine");
+      const KnnResult result =
+          sharded->knn_search({.queries = &data.Q, .k = k}).knn;
+      EXPECT_TRUE(testutil::knn_equal(reference, result))
+          << backend << " cosine is not bit-identical to " << inner;
     }
   }
 }
@@ -786,9 +846,10 @@ inline std::unique_ptr<Index> rebuild_from_mirror(const std::string& backend,
 /// unsharded: the merge assembles rows in ascending-id order, exactly the
 /// scratch build's input, under the same seed) and satisfy the result
 /// invariants (live ids only, sorted, no duplicates) otherwise. Every
-/// backend must also answer each query row searched alone with the block
-/// answer's exact bits, and an unsharded index's dense stream must hold the
-/// mirror's rows (expect_stream_rows_match).
+/// backend must also answer the query rows searched in batches of 1, 2 and
+/// 8 with the block answer's exact bits, for k-NN and, where served, range
+/// search, and an unsharded index's dense stream must hold the mirror's
+/// rows (expect_stream_rows_match).
 inline void verify_mutation_checkpoint(Index& index,
                                        const std::string& backend,
                                        const IndexOptions& options,
@@ -807,22 +868,28 @@ inline void verify_mutation_checkpoint(Index& index,
       std::min<std::size_t>(5, mirror.size()));
   ASSERT_GE(k, 1u);
   // Four threads on any runner: the block (more rows than threads) takes
-  // the per-query loop, and each one-row search the sharded composite's
-  // (shard, row) fan-out.
+  // the per-query loop, or the sharded composite's row blocks, and the small
+  // batches its one-row items.
   const ThreadLimit threads(4);
   const KnnResult result = index.knn_search({.queries = &Q, .k = k}).knn;
-  for (index_t qi = 0; qi < Q.rows(); ++qi) {
-    Matrix<float> one(1, dim);
-    one.copy_row_from(Q, qi, 0);
-    const KnnResult alone = index.knn_search({.queries = &one, .k = k}).knn;
-    for (index_t j = 0; j < k; ++j) {
-      EXPECT_EQ(alone.ids.at(0, j), result.ids.at(qi, j))
-          << backend << ": row " << qi << " searched alone, slot " << j;
-      EXPECT_EQ(std::bit_cast<std::uint32_t>(alone.dists.at(0, j)),
-                std::bit_cast<std::uint32_t>(result.dists.at(qi, j)))
-          << backend << ": row " << qi << " searched alone, slot " << j;
-    }
-  }
+  // Range radius: query 0's k-th distance, so hit lists are not empty.
+  const dist_t radius = result.dists.at(0, k - 1);
+  const std::vector<std::vector<index_t>> hits =
+      info.supports_range
+          ? index.range_search({.queries = &Q, .radius = radius}).ids
+          : std::vector<std::vector<index_t>>{};
+  for_each_small_batch(Q.rows(), [&](index_t lo, index_t hi) {
+    const Matrix<float> rows = query_rows(Q, lo, hi);
+    const std::string what =
+        backend + " batch of " + std::to_string(hi - lo) + " rows";
+    expect_knn_rows(result, lo,
+                    index.knn_search({.queries = &rows, .k = k}).knn, what);
+    if (!info.supports_range) return;
+    const RangeResponse batch =
+        index.range_search({.queries = &rows, .radius = radius});
+    for (index_t i = lo; i < hi; ++i)
+      EXPECT_EQ(batch.ids[i - lo], hits[i]) << what << ": row " << i;
+  });
 
   const bool sharded = backend.rfind("sharded:", 0) == 0;
   if (!sharded && info.supports_save)
@@ -1316,16 +1383,25 @@ inline void check_payload_error_contract(const std::string& backend) {
   EXPECT_NO_THROW((void)index->knn_search_payload(asserted))
       << backend << ": asserting the built metric must pass";
 
-  // Per-space query validation: a graph query must be an 8-byte node id.
+  // Per-space query validation: a graph query must be an 8-byte node id,
+  // alone or in a batch — on four threads, where a sharded composite
+  // searches each of the three rows as its own item.
   auto graph_index = make_index(backend, payload_suite_options("graph-sp"));
   graph_index->build_payload(graph);
-  const std::vector<std::string> bad_queries{"xyz"};
-  try {
-    (void)graph_index->knn_search_payload({.queries = &bad_queries, .k = 1});
-    FAIL() << backend << " accepted a malformed graph query payload";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("query"), std::string::npos)
-        << backend << " threw a different message: " << e.what();
+  const ThreadLimit threads(4);
+  for (const std::vector<std::string>& bad_queries :
+       {std::vector<std::string>{"xyz"},
+        std::vector<std::string>{encoded_node(1), "xyz", encoded_node(5)}}) {
+    try {
+      (void)graph_index->knn_search_payload(
+          {.queries = &bad_queries, .k = 1});
+      ADD_FAILURE() << backend
+                    << " accepted a malformed graph query payload in a "
+                    << bad_queries.size() << "-query batch";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("query"), std::string::npos)
+          << backend << " threw a different message: " << e.what();
+    }
   }
 
   // The reverse direction: a dense build rejects the payload entry points
@@ -1379,15 +1455,17 @@ inline void check_payload_serialize_roundtrip(const std::string& backend) {
 }
 
 /// The sharded composites' payload obligation: bit-identical (ids,
-/// distances, tie order) to the wrapped backend at shard counts {1, 2, 7}
-/// under both partition schemes, on every dataset of every supported space
-/// — enforced for exact inners, exactly like the dense parity check.
+/// distances, tie order) to the wrapped backend at shard counts
+/// {1, 2, 4, 7}, on every dataset of every supported space — enforced for
+/// exact inners, exactly like the dense parity check, for the whole block
+/// and its batches of 1, 2 and 8 queries on four threads.
 inline void check_payload_sharded_parity(const std::string& backend) {
   constexpr std::string_view kPrefix = "sharded:";
   if (backend.substr(0, kPrefix.size()) != kPrefix) return;
   const std::string inner = backend.substr(kPrefix.size());
   const std::vector<std::string> supported =
       make_index(inner, suite_options())->info().supported_spaces;
+  const ThreadLimit threads(4);
 
   for (const std::string& name : supported) {
     const metricspace::SpaceEntry* entry = metricspace::find_space(name);
@@ -1401,22 +1479,29 @@ inline void check_payload_sharded_parity(const std::string& backend) {
           reference_index->knn_search_payload({.queries = &data.queries,
                                                .k = k}).knn;
 
-      for (index_t shards : {index_t{1}, index_t{2}, index_t{7}}) {
-        for (const char* partition : {"contiguous", "strided"}) {
-          SCOPED_TRACE(backend + " space=" + name + " on " + data.name +
-                       " shards=" + std::to_string(shards) + " partition=" +
-                       partition);
-          IndexOptions options = payload_suite_options(name);
-          options.num_shards = shards;
-          options.partition = partition;
-          auto sharded = make_index(backend, options);
-          sharded->build_payload(data.data);
-          const KnnResult result =
-              sharded->knn_search_payload({.queries = &data.queries,
-                                           .k = k}).knn;
-          EXPECT_TRUE(testutil::knn_equal(reference, result))
-              << backend << " is not bit-identical to " << inner;
-        }
+      for (index_t shards :
+           {index_t{1}, index_t{2}, index_t{4}, index_t{7}}) {
+        SCOPED_TRACE(backend + " space=" + name + " on " + data.name +
+                     " shards=" + std::to_string(shards));
+        IndexOptions options = payload_suite_options(name);
+        options.num_shards = shards;
+        auto sharded = make_index(backend, options);
+        sharded->build_payload(data.data);
+        const KnnResult result =
+            sharded->knn_search_payload({.queries = &data.queries,
+                                         .k = k}).knn;
+        EXPECT_TRUE(testutil::knn_equal(reference, result))
+            << backend << " is not bit-identical to " << inner;
+
+        const auto nq = static_cast<index_t>(data.queries.size());
+        for_each_small_batch(nq, [&](index_t lo, index_t hi) {
+          const std::vector<std::string> rows(data.queries.begin() + lo,
+                                              data.queries.begin() + hi);
+          expect_knn_rows(
+              reference, lo,
+              sharded->knn_search_payload({.queries = &rows, .k = k}).knn,
+              backend + " batch of " + std::to_string(hi - lo) + " queries");
+        });
       }
     }
   }

@@ -474,6 +474,32 @@ TEST(CorruptFiles, PayloadTableWithGarbageCountFailsBeforeAllocating) {
   EXPECT_THROW((void)load_index(absurd), std::runtime_error);
 }
 
+TEST(CorruptFiles, ShardedStreamWithAnotherPartitionSchemeThrows) {
+  // The sharded header keeps its partition field, and "contiguous" is the
+  // one row split there is: any other scheme is a corrupt file, for the
+  // id-native (dense) and the positional (payload) shard layouts alike.
+  for (const std::string& bytes : {saved_bytes("sharded:rbc-exact"),
+                                   saved_payload_bytes("sharded:rbc-exact")}) {
+    SplitStream sharded(bytes, 3);
+    ASSERT_EQ(sharded.tags[2], "contiguous");
+    sharded.tags[2] = "strided";
+    expect_corrupt(sharded.bytes(), "partition scheme 'strided'");
+  }
+}
+
+TEST(CorruptFiles, ShardedSaveLoadSaveGivesTheSameBytes) {
+  for (const std::string& bytes :
+       {saved_bytes("sharded:rbc-exact"), saved_bytes("sharded:kdtree"),
+        saved_payload_bytes("sharded:rbc-exact")}) {
+    ASSERT_FALSE(bytes.empty());
+    std::stringstream in(bytes);
+    const auto restored = load_index(in);
+    std::stringstream out;
+    restored->save(out);
+    EXPECT_EQ(out.str(), bytes) << restored->info().backend;
+  }
+}
+
 TEST(CorruptFiles, OversizedStringLengthIsRejectedAsCorruption) {
   // One stored string whose length field exceeds kMaxPayloadBytes: the
   // loader must refuse the allocation, naming the oversized length.

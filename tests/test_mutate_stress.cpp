@@ -115,7 +115,7 @@ void run_stress(const std::string& backend) {
   std::vector<int> searches(kReaders, 0);
   readers.reserve(kReaders);
   // Sharded readers alternate four-row blocks with one-row ones, so the
-  // composite's small-batch (shard, row) fan-out races the writer too.
+  // composite's (shard, row block) fan-out races the writer at both sizes.
   const bool sharded = backend.rfind("sharded:", 0) == 0;
   for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&, t] {

@@ -157,8 +157,7 @@ KnnResult expected_partial_knn(const Matrix<float>& queries, index_t k,
                                index_t num_shards,
                                const std::vector<bool>& covered) {
   const Matrix<float> database = test_database();
-  const auto assignment = shard::partition_rows(
-      database.rows(), num_shards, shard::Partition::kContiguous);
+  const auto assignment = shard::partition_rows(database.rows(), num_shards);
   std::vector<KnnResult> per_shard;
   std::vector<index_t> ks;
   std::vector<const std::vector<index_t>*> maps;
@@ -503,8 +502,7 @@ void worker_signal(int) {
 int run_fault_shard_worker(index_t shard, index_t num_shards,
                            const std::string& port_file) {
   const Matrix<float> database = test_database();
-  const auto assignment = shard::partition_rows(database.rows(), num_shards,
-                                                shard::Partition::kContiguous);
+  const auto assignment = shard::partition_rows(database.rows(), num_shards);
   const std::vector<index_t>& mine = assignment[shard];
   Matrix<float> rows(static_cast<index_t>(mine.size()), database.cols());
   for (index_t i = 0; i < rows.rows(); ++i)

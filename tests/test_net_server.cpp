@@ -1032,8 +1032,8 @@ void worker_signal(int) {
 int run_shard_worker(index_t shard, index_t num_shards,
                      const std::string& port_file) {
   const Matrix<float> database = test_database();
-  const std::vector<std::vector<index_t>> assignment = shard::partition_rows(
-      database.rows(), num_shards, shard::Partition::kContiguous);
+  const std::vector<std::vector<index_t>> assignment =
+      shard::partition_rows(database.rows(), num_shards);
   const std::vector<index_t>& mine = assignment[shard];
   Matrix<float> rows(static_cast<index_t>(mine.size()), database.cols());
   for (index_t i = 0; i < rows.rows(); ++i)

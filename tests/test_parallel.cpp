@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "parallel/parallel_for.hpp"
-#include "parallel/parallel_reduce.hpp"
 #include "parallel/rows.hpp"
 #include "parallel/runtime.hpp"
 
@@ -53,38 +52,6 @@ TEST(ParallelForBlocked, GrainBelowOneIsClamped) {
     total.fetch_add(static_cast<int>(hi - lo));
   });
   EXPECT_EQ(total.load(), 10);
-}
-
-TEST(ParallelReduce, SumMatchesSerial) {
-  const index_t n = 100'000;
-  const auto sum = parallel_reduce<std::uint64_t>(
-      0, n, 0,
-      [](std::uint64_t acc, index_t i) { return acc + i; },
-      [](std::uint64_t a, std::uint64_t b) { return a + b; });
-  EXPECT_EQ(sum, static_cast<std::uint64_t>(n - 1) * n / 2);
-}
-
-TEST(ParallelArgmin, FindsGlobalMinimum) {
-  const index_t n = 50'000;
-  std::vector<float> values(n);
-  for (index_t i = 0; i < n; ++i)
-    values[i] = static_cast<float>((i * 2654435761u) % 100'000);
-  values[31'337] = -5.0f;
-  const auto result = parallel_argmin<float>(
-      0, n, std::numeric_limits<float>::infinity(),
-      [&](index_t i) { return values[i]; });
-  EXPECT_EQ(result.index, 31'337u);
-  EXPECT_EQ(result.value, -5.0f);
-}
-
-TEST(ParallelArgmin, TiesResolveToSmallestIndex) {
-  std::vector<float> values(1000, 1.0f);
-  values[100] = 0.5f;
-  values[900] = 0.5f;
-  const auto result = parallel_argmin<float>(
-      0, 1000, std::numeric_limits<float>::infinity(),
-      [&](index_t i) { return values[i]; });
-  EXPECT_EQ(result.index, 100u);
 }
 
 // Both row passes span several blocks of kRowPassGrain rows here.

@@ -873,9 +873,9 @@ TEST(RbcExactTeam, DefaultTeamCountsMatchTheCountersAndVisitEachListOnce) {
   }
 }
 
-// Inside an active OpenMP region (ShardedIndex's (shard, row) fan-out, any
-// outer loop) a small batch keeps the serial per-row search: the same
-// answer and the same work counts as search_one.
+// Inside an active OpenMP region (ShardedIndex's (shard, row block)
+// fan-out, any outer loop) a small batch keeps the serial per-row search:
+// the same answer and the same work counts as search_one.
 TEST(RbcExactTeam, InsideAnOpenMpRegionRowsRunSerially) {
   const Matrix<float> X = testutil::clustered_matrix(3'000, 12, 8, 54);
   const Matrix<float> Q = testutil::random_matrix(3, 12, 55, -6.0f, 6.0f);

@@ -1,10 +1,10 @@
 // Determinism of the sharded composite across shard counts and kernel
 // ISAs: the same dataset and seed must produce the identical SearchResponse
 // — ids, distances, and tie order — for sharded:rbc-exact at shards
-// {1, 2, 7}, for the unsharded backend, and under every available forced
-// ISA (the dispatched kernels are prefilters whose survivors are
-// re-measured with the scalar metric, so vectorization must never leak
-// into results).
+// {1, 2, 7} and at every team size, for the unsharded backend, and under
+// every available forced ISA (the dispatched kernels are prefilters whose
+// survivors are re-measured with the scalar metric, so vectorization must
+// never leak into results).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,6 +12,7 @@
 
 #include "api/api.hpp"
 #include "distance/dispatch.hpp"
+#include "parallel/runtime.hpp"
 #include "test_util.hpp"
 
 namespace rbc {
@@ -75,23 +76,25 @@ TEST(ShardDeterminism, SameSeedSameResponseAcrossShardCountsAndIsas) {
   dispatch::clear_forced_isa();
 }
 
-TEST(ShardDeterminism, StridedAndContiguousPartitionsAgree) {
+TEST(ShardDeterminism, SameResponseOnEveryTeamSize) {
+  // The fan-out gives each item ceil(nq / threads) query rows, so every
+  // team size splits the block differently; the answer must not move.
   const auto [X, Q] =
       testutil::split_rows(testutil::clustered_matrix(640, 10, 5, 33), 600);
   const index_t k = 4;
-  KnnResult previous;
-  bool have_previous = false;
-  for (const char* partition : {"contiguous", "strided"}) {
-    auto index = make_index(
-        "sharded:rbc-exact",
-        {.rbc = {.seed = 34}, .num_shards = 5, .partition = partition});
-    index->build(X);
-    KnnResult result = index->knn_search({.queries = &Q, .k = k}).knn;
-    if (have_previous)
-      EXPECT_TRUE(testutil::knn_equal(previous, result))
-          << "partition schemes returned different answers";
-    previous = std::move(result);
-    have_previous = true;
+  auto unsharded = make_index("rbc-exact", {.rbc = {.seed = 34}});
+  unsharded->build(X);
+  const KnnResult reference =
+      unsharded->knn_search({.queries = &Q, .k = k}).knn;
+
+  auto index = make_index("sharded:rbc-exact",
+                          {.rbc = {.seed = 34}, .num_shards = 5});
+  index->build(X);
+  for (const int team : {1, 2, 3, 4, 7}) {
+    const ThreadLimit threads(team);
+    EXPECT_TRUE(testutil::knn_equal(
+        reference, index->knn_search({.queries = &Q, .k = k}).knn))
+        << team << " threads";
   }
 }
 

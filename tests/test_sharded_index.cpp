@@ -2,7 +2,8 @@
 // partition math, k clamping when shards are smaller than k, range-search
 // fan-out, IndexInfo aggregation, shard-parameter validation, the generic
 // "sharded:<inner>" factory fallback for user-registered backends, and a
-// shard's search failure reaching the caller from either fan-out.
+// shard's k-NN, range or payload failure reaching the caller from the
+// fan-out.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,6 +12,7 @@
 #include <stdexcept>
 
 #include "api/api.hpp"
+#include "metricspace/dataset.hpp"
 #include "parallel/runtime.hpp"
 #include "rbc/serialize_io.hpp"
 #include "shard/sharded_index.hpp"
@@ -23,16 +25,21 @@ struct ShardFault : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// A read-only bruteforce whose every k-NN search throws ShardFault.
+/// A read-only bruteforce whose every k-NN and range search throws
+/// ShardFault.
 class FaultyIndex final : public Index {
  public:
   void build(const Matrix<float>& X) override { inner_->build(X); }
   SearchResponse knn_search(const SearchRequest&) const override {
     throw ShardFault("faulty-knn: shard search failed");
   }
+  RangeResponse range_search(const RangeRequest&) const override {
+    throw ShardFault("faulty-knn: shard range search failed");
+  }
   IndexInfo info() const override {
     IndexInfo info = inner_->info();
     info.backend = "faulty-knn";
+    info.supports_range = true;
     info.supports_mutation = false;
     return info;
   }
@@ -44,8 +51,7 @@ class FaultyIndex final : public Index {
 TEST(ShardPartition, ContiguousCoversEveryRowOnceInOrder) {
   for (index_t n : {0u, 1u, 5u, 7u, 100u}) {
     for (index_t shards : {1u, 2u, 7u, 13u}) {
-      const auto rows =
-          shard::partition_rows(n, shards, shard::Partition::kContiguous);
+      const auto rows = shard::partition_rows(n, shards);
       ASSERT_EQ(rows.size(), shards);
       std::vector<index_t> flat;
       for (const auto& set : rows)
@@ -64,14 +70,6 @@ TEST(ShardPartition, ContiguousCoversEveryRowOnceInOrder) {
   }
 }
 
-TEST(ShardPartition, StridedAssignsRowIModShards) {
-  const auto rows =
-      shard::partition_rows(10, 3, shard::Partition::kStrided);
-  EXPECT_EQ(rows[0], (std::vector<index_t>{0, 3, 6, 9}));
-  EXPECT_EQ(rows[1], (std::vector<index_t>{1, 4, 7}));
-  EXPECT_EQ(rows[2], (std::vector<index_t>{2, 5, 8}));
-}
-
 TEST(ShardedIndex, KLargerThanEveryShardClampsAndMergesExactly) {
   // 10 points over 7 shards: every shard holds 1-2 rows, so k = 8 forces
   // the per-shard clamp on every shard and the merge must still equal the
@@ -82,14 +80,11 @@ TEST(ShardedIndex, KLargerThanEveryShardClampsAndMergesExactly) {
   const index_t k = 8;
   const KnnResult reference = testutil::naive_knn(Q, X, k);
 
-  for (const char* partition : {"contiguous", "strided"}) {
-    auto index = make_index("sharded:bruteforce",
-                            {.num_shards = 7, .partition = partition});
-    index->build(X);
-    EXPECT_EQ(index->info().shards, 7u);
-    const KnnResult result = index->knn_search({.queries = &Q, .k = k}).knn;
-    EXPECT_TRUE(testutil::knn_equal(reference, result)) << partition;
-  }
+  auto index = make_index("sharded:bruteforce", {.num_shards = 7});
+  index->build(X);
+  EXPECT_EQ(index->info().shards, 7u);
+  const KnnResult result = index->knn_search({.queries = &Q, .k = k}).knn;
+  EXPECT_TRUE(testutil::knn_equal(reference, result));
 }
 
 TEST(ShardedIndex, MoreShardsThanRowsLeavesExcessShardsUnbuilt) {
@@ -109,18 +104,15 @@ TEST(ShardedIndex, RangeSearchUnionsShardsAndRemapsIds) {
   const Matrix<float> Q = testutil::random_matrix(12, 6, 6, -6.0f, 6.0f);
   const dist_t radius = 2.5f;
 
-  for (const char* partition : {"contiguous", "strided"}) {
-    auto index = make_index("sharded:rbc-exact",
-                            {.num_shards = 5, .partition = partition});
-    index->build(X);
-    ASSERT_TRUE(index->info().supports_range);
-    const RangeResponse response =
-        index->range_search({.queries = &Q, .radius = radius});
-    ASSERT_EQ(response.ids.size(), Q.rows());
-    for (index_t qi = 0; qi < Q.rows(); ++qi)
-      EXPECT_EQ(response.ids[qi], testutil::naive_range(Q.row(qi), X, radius))
-          << partition << " query " << qi;
-  }
+  auto index = make_index("sharded:rbc-exact", {.num_shards = 5});
+  index->build(X);
+  ASSERT_TRUE(index->info().supports_range);
+  const RangeResponse response =
+      index->range_search({.queries = &Q, .radius = radius});
+  ASSERT_EQ(response.ids.size(), Q.rows());
+  for (index_t qi = 0; qi < Q.rows(); ++qi)
+    EXPECT_EQ(response.ids[qi], testutil::naive_range(Q.row(qi), X, radius))
+        << "query " << qi;
 }
 
 TEST(ShardedIndex, RangeSearchOverTreeInnerThrowsUnsupported) {
@@ -160,8 +152,7 @@ TEST(ShardedIndex, InfoAggregatesOverShards) {
 TEST(ShardedIndex, SaveLoadRoundTripsThroughAFile) {
   const Matrix<float> X = testutil::clustered_matrix(250, 7, 4, 11);
   const Matrix<float> Q = testutil::random_matrix(15, 7, 12);
-  auto index = make_index("sharded:rbc-exact",
-                          {.num_shards = 3, .partition = "strided"});
+  auto index = make_index("sharded:rbc-exact", {.num_shards = 3});
   index->build(X);
   const KnnResult before = index->knn_search({.queries = &Q, .k = 4}).knn;
 
@@ -178,9 +169,6 @@ TEST(ShardedIndex, SaveLoadRoundTripsThroughAFile) {
 TEST(ShardedIndex, InvalidShardParametersThrowAtMakeTime) {
   EXPECT_THROW((void)make_index("sharded:rbc-exact", {.num_shards = 0}),
                std::invalid_argument);
-  EXPECT_THROW(
-      (void)make_index("sharded:rbc-exact", {.partition = "hashed"}),
-      std::invalid_argument);
   EXPECT_THROW((void)make_index("sharded:no-such-backend"),
                std::invalid_argument);
 }
@@ -204,11 +192,11 @@ TEST(ShardedIndex, UserRegisteredBackendsShardThroughTheGenericFallback) {
       index->knn_search({.queries = &Q, .k = 2}).knn));
 }
 
-TEST(ShardedIndex, ShardSearchFailureReachesTheCallerFromEitherFanOut) {
-  // A one-row batch on four threads runs one task per (shard, row) pair
-  // inside an OpenMP region, where an escaping exception would terminate
-  // the process; the block takes the shard-after-shard loop. Both must
-  // hand the caller the shard's own exception.
+TEST(ShardedIndex, ShardSearchFailureReachesTheCaller) {
+  // On four threads a one-row batch runs one item per shard and an 8-row
+  // batch two row blocks per shard, each item inside an OpenMP region,
+  // where an escaping exception would terminate the process. Both must
+  // hand the caller the shard's own exception, for k-NN and range.
   register_backend({.name = "faulty-knn",
                     .create = [](const IndexOptions&) -> std::unique_ptr<Index> {
                       return std::make_unique<FaultyIndex>();
@@ -224,10 +212,38 @@ TEST(ShardedIndex, ShardSearchFailureReachesTheCallerFromEitherFanOut) {
     const Matrix<float> Q = testutil::random_matrix(rows, 5, 16);
     try {
       (void)index->knn_search({.queries = &Q, .k = 2});
-      FAIL() << rows << "-row search swallowed the shard's exception";
+      ADD_FAILURE() << rows << "-row search swallowed the shard's exception";
     } catch (const ShardFault& e) {
       EXPECT_STREQ(e.what(), "faulty-knn: shard search failed") << rows;
     }
+    try {
+      (void)index->range_search({.queries = &Q, .radius = 1.0f});
+      ADD_FAILURE() << rows << "-row range swallowed the shard's exception";
+    } catch (const ShardFault& e) {
+      EXPECT_STREQ(e.what(), "faulty-knn: shard range search failed") << rows;
+    }
+  }
+}
+
+TEST(ShardedIndex, MalformedPayloadQueryErrorNamesItsPlaceInTheBatch) {
+  // On four threads a 3-query batch runs one query per item. A shard
+  // numbers its block's queries from 0, so the composite adds where the
+  // block sits in the batch.
+  IndexOptions options;
+  options.metric = "graph-sp";
+  auto index = make_index("sharded:rbc-exact", options);
+  index->build_payload(metricspace::make_graph_dataset(
+      4, {{0, 1, 1.0f}, {1, 2, 1.0f}, {2, 3, 1.0f}}));
+  const std::string node0(8, '\0');  // little-endian node id 0
+  const std::vector<std::string> queries{node0, "xyz", node0};
+  const ThreadLimit threads(4);
+  try {
+    (void)index->knn_search_payload({.queries = &queries, .k = 1});
+    ADD_FAILURE() << "a malformed graph query was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("queries [1, 2) of the batch"),
+              std::string::npos)
+        << e.what();
   }
 }
 
