@@ -7,7 +7,9 @@
 // `auto` row per dataset builds with num_reps = 0 and prints the nr the
 // build drew (2 ceil(sqrt(n)) or ceil(sqrt(n))) and its sampled
 // evaluations per row as a share of that nr (`share`), the count that
-// chose nr and the owner path.
+// chose nr and the owner path. Searches run the library's default rule
+// set, which adds the annulus bound to the paper's §5.2 rules (Fig. 2's
+// bench prints both side by side).
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -20,6 +22,9 @@ int main() {
   using namespace rbc;
   bench::print_header(
       "Figure 3: exact-search speedup vs number of representatives");
+  std::printf("rule set: rules 1 and 2, Claim 2's early exit and the annulus "
+              "bound\n(the library default; the paper's §5.2 set has the "
+              "annulus off)\n\n");
 
   const index_t nq = bench::num_queries();
 

@@ -37,6 +37,7 @@ void DistributedRbc::build(const Matrix<float>& X, index_t workers,
   sharding_ = sharding;
   n_ = X.rows();
   dim_ = X.cols();
+  margin_ = PruneMargin(dim_);
   network_.reset();
 
   // Coordinator state: the same representative draw and ownership
@@ -159,24 +160,29 @@ std::uint64_t DistributedRbc::scan_worker(
     // Workers cannot see the coordinator's (or each other's) tightening
     // bound; min(rep_bound, local worst) is still an upper bound on the
     // true k-th NN distance, so every strict prune below is exact-safe.
+    // Each clears the single-node index's rounding margin.
     const dist_t list_bound = std::min(rep_bound, out.worst());
-    if (params_.use_overlap_rule && dr > list_bound + psi_[r]) continue;
-    if (params_.use_lemma_rule && dr > 2 * list_bound + gamma1) continue;
+    if (params_.use_overlap_rule &&
+        margin_.overlap_prunes(dr, list_bound, psi_[r]))
+      continue;
+    if (params_.use_lemma_rule && margin_.lemma_prunes(dr, list_bound, gamma1))
+      continue;
     if (hi - lo >= RbcExactIndex<>::kKernelMinSegment) {
       // Kernelized portion scan, same pattern as the single-node index:
-      // freeze the early-exit / annulus window from the entry bound
-      // (binary search over the sorted portion distances), run the window
-      // through the dispatched row-block kernel, re-measure prefilter
-      // survivors with the scalar metric. Superset of the adaptive scan =>
-      // identical results.
+      // freeze the early-exit / annulus window [dr - w, dr + w] from the
+      // entry bound (binary search over the sorted portion distances), run
+      // the window through the dispatched row-block kernel, re-measure
+      // prefilter survivors with the scalar metric. Superset of the
+      // adaptive scan => identical results.
+      const dist_t w = margin_.widen(list_bound, dr, psi_[r]);
       const dist_t* pd = worker.packed_dist.data();
       index_t seg_hi = hi, seg_lo = lo;
       if (params_.use_early_exit)
         seg_hi = static_cast<index_t>(
-            std::upper_bound(pd + lo, pd + hi, dr + list_bound) - pd);
+            std::upper_bound(pd + lo, pd + hi, dr + w) - pd);
       if (params_.use_annulus_bound)
         seg_lo = static_cast<index_t>(
-            std::lower_bound(pd + lo, pd + seg_hi, dr - list_bound) - pd);
+            std::lower_bound(pd + lo, pd + seg_hi, dr - w) - pd);
       kernel_scan_rows(
           q, worker.packed, seg_lo, seg_hi, metric_, out,
           [&worker](index_t p) { return worker.packed_ids[p]; });
@@ -184,10 +190,11 @@ std::uint64_t DistributedRbc::scan_worker(
       continue;
     }
     for (index_t p = lo; p < hi; ++p) {
-      const dist_t b = std::min(rep_bound, out.worst());
+      const dist_t w =
+          margin_.widen(std::min(rep_bound, out.worst()), dr, psi_[r]);
       // Claim-2 early exit: portions keep the sorted-by-rho(x,r) order.
-      if (params_.use_early_exit && worker.packed_dist[p] > dr + b) break;
-      if (params_.use_annulus_bound && worker.packed_dist[p] < dr - b)
+      if (params_.use_early_exit && worker.packed_dist[p] > dr + w) break;
+      if (params_.use_annulus_bound && worker.packed_dist[p] < dr - w)
         continue;
       out.push(metric_(q, worker.packed.row(p), dim_), worker.packed_ids[p]);
       ++computed;
@@ -238,8 +245,11 @@ KnnResult DistributedRbc::search(const Matrix<float>& Q, index_t k,
     s.survivors.clear();
     for (index_t r = 0; r < nr; ++r) {
       const dist_t dr = s.rep_dists[r];
-      if (params_.use_overlap_rule && dr > rep_bound + psi_[r]) continue;
-      if (params_.use_lemma_rule && dr > 2 * rep_bound + gamma1) continue;
+      if (params_.use_overlap_rule &&
+          margin_.overlap_prunes(dr, rep_bound, psi_[r]))
+        continue;
+      if (params_.use_lemma_rule && margin_.lemma_prunes(dr, rep_bound, gamma1))
+        continue;
       s.survivors.push_back(r);
     }
     // Nearest representatives first, so every worker's local bound

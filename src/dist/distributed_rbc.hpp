@@ -169,6 +169,7 @@ class DistributedRbc {
   Sharding sharding_ = Sharding::kByRepresentative;
   index_t n_ = 0;
   index_t dim_ = 0;
+  PruneMargin margin_;  // the single-node index's, for every prune
 
   Matrix<float> reps_;            // nr x d coordinator-resident rows
   std::vector<index_t> rep_ids_;  // original ids of representatives

@@ -60,8 +60,13 @@ struct RbcParams {
 
   /// Extension (not in the paper's algorithm, implied by the same triangle
   /// bound): skip an individual member without computing its distance when
-  /// rho(x,r) < rho(q,r) - gamma. Off by default to match the paper.
-  bool use_annulus_bound = false;
+  /// rho(x,r) < rho(q,r) - gamma, so a scan reads the two-sided window
+  /// [rho(q,r) - w, rho(q,r) + w] of each sorted list. Every window end and
+  /// every rule clears a relative rounding margin (w = gamma + m (rho(q,r)
+  /// + psi_r + gamma), m = 2 tile_margin(d); PruneMargin in rbc_exact.hpp),
+  /// so the skipped members are strictly worse than the k-th best, ties
+  /// included. Set it false for the paper's one-sided rule set.
+  bool use_annulus_bound = true;
 
   /// (1+eps)-approximate exact search (paper §5, footnote 1: the exact
   /// algorithm "can be easily modified so that it only guarantees an

@@ -32,7 +32,9 @@
 //      the rules exactly as BF(q, R) would, so the survivors, their
 //      distances and their order equal the flat scan's;
 //   3. brute-force scan of the surviving ownership lists, visiting closest
-//      representatives first, with the Claim-2 sorted-list early exit.
+//      representatives first. Each sorted list is read only in its window
+//      [rho(q,r) - w, rho(q,r) + w], w the current bound plus the margin:
+//      Claim 2's early exit above it and the annulus below it.
 //
 // Parallelism: a batch with at least as many rows as threads runs one query
 // per thread, handed out one row at a time (search_one); a smaller batch — a
@@ -47,8 +49,9 @@
 // brute-force k-set under the (distance, id) order — ties included. All
 // pruning comparisons are strict, so a point is only ever skipped when it is
 // *strictly* worse than the k-th best (see comments at each prune site).
-// The cover's prunes combine several rounded distances, so each must also
-// clear a rounding margin (beyond()).
+// Every prune combines several rounded distances, so each must also clear
+// a rounding margin (PruneMargin): rules 1 and 2, both ends of the Claim-2
+// window, and the cover's and the range scan's prunes.
 //
 // The index owns a permuted copy of the database (rows grouped by owner,
 // sorted by distance-to-owner), so the second-stage scan is a contiguous
@@ -83,6 +86,43 @@
 #include "rbc/stats.hpp"
 
 namespace rbc {
+
+/// The rounding margin of the exact search's prunes. Each prune compares a
+/// bound built from several rounded distances, each within a few ulps per
+/// feature of the real value, so it must clear a margin relative to the
+/// magnitudes involved (twice the kernel prefilter's tile_margin): then it
+/// never drops a row that a functor scan's float comparison would keep, a
+/// row tied with the k-th distance included.
+class PruneMargin {
+ public:
+  PruneMargin() = default;
+  explicit PruneMargin(index_t dim) : rel_(2 * dispatch::tile_margin(dim)) {}
+
+  /// The half-width of the window of a list's members within t of q, for a
+  /// list at dq = rho(q, center) whose members lie within `radius` of its
+  /// center: no member whose distance to the center lies outside
+  /// [dq - w, dq + w] is within t of q.
+  dist_t widen(dist_t t, dist_t dq, dist_t radius) const {
+    return t + rel_ * (dq + radius + t);
+  }
+  /// True when d exceeds `bound` by more than the margin of mag + bound,
+  /// mag the magnitude of the distances that d is built from.
+  bool beyond(dist_t d, dist_t bound, dist_t mag) const {
+    return d > bound + rel_ * (mag + bound);
+  }
+  /// Rule (1): every member of a list at rho(q, r) = dr with radius psi is
+  /// farther from q than `bound`.
+  bool overlap_prunes(dist_t dr, dist_t bound, dist_t psi) const {
+    return beyond(dr, bound + psi, dr);
+  }
+  /// Rule (2), k-NN form: rho(q, r) > 2 bound + gamma1.
+  bool lemma_prunes(dist_t dr, dist_t bound, dist_t gamma1) const {
+    return beyond(dr, 2 * bound + gamma1, dr);
+  }
+
+ private:
+  float rel_ = 0.0f;
+};
 
 template <DenseMetric M = Euclidean>
 class RbcExactIndex {
@@ -151,7 +191,7 @@ class RbcExactIndex {
     params_ = params;
     n_ = X.rows();
     dim_ = X.cols();
-    margin_ = 2 * dispatch::tile_margin(dim_);
+    margin_ = PruneMargin(dim_);
 
     // The owner of every database point: its nearest representative, the
     // lowest index on ties, at the metric functor's bits (paper §4: "this
@@ -332,16 +372,17 @@ class RbcExactIndex {
     std::uint64_t computed = 0;
     for (index_t p = lo; p < hi; ++p) {
       const dist_t b = std::min(rep_bound, out.worst() * inv);
+      const dist_t w = margin_.widen(b, dr, psi_[r]);
       // Claim 2 / footnote 2: members are sorted by rho(x, r); once
       // rho(x,r) > rho(q,r) + b, the triangle inequality gives
       // rho(q,x) >= rho(x,r) - rho(q,r) > b for this and all later
-      // members — stop scanning this list.
-      if (params_.use_early_exit && packed_dist_[p] > dr + b) {
+      // members — stop scanning this list. w is b plus the margin.
+      if (params_.use_early_exit && packed_dist_[p] > dr + w) {
         local.points_skipped_early_exit += hi - p;
         break;
       }
       // Annulus lower bound (extension): rho(q,x) >= rho(q,r) - rho(x,r).
-      if (params_.use_annulus_bound && packed_dist_[p] < dr - b) {
+      if (params_.use_annulus_bound && packed_dist_[p] < dr - w) {
         ++local.points_skipped_annulus;
         continue;
       }
@@ -352,31 +393,32 @@ class RbcExactIndex {
     local.list_dist_evals += computed;
   }
 
-  /// Kernelized scan_rep_list: the early-exit / annulus window is frozen
-  /// from the bound at entry (binary search over the sorted member
-  /// distances), the window runs through the dispatched row-block kernel, and
-  /// survivors of the margin-inflated heap bound are re-measured with the
-  /// scalar metric. Identical results to the adaptive loop: freezing the
-  /// bound only loosens the window (a candidate superset preserves the
-  /// unique (distance, id) k-set), and the heap orders re-measured values
-  /// only.
+  /// Kernelized scan_rep_list: the early-exit / annulus window
+  /// [dr - w, dr + w] is frozen from the bound at entry, widened by the
+  /// margin (binary search over the sorted member distances), the window
+  /// runs through the dispatched row-block kernel, and survivors of the
+  /// margin-inflated heap bound are re-measured with the scalar metric.
+  /// Identical results to the adaptive loop: freezing the bound only
+  /// loosens the window (a candidate superset preserves the unique
+  /// (distance, id) k-set), and the heap orders re-measured values only.
   void scan_rep_list_kernel(const float* q, index_t r, dist_t dr,
                             dist_t rep_bound, float inv, TopK& out,
                             SearchStats& local) const
     requires(kernel_metric<M>)
   {
     const index_t lo = offsets_[r], hi = offsets_[r + 1];
-    const dist_t b = std::min(rep_bound, out.worst() * inv);
+    const dist_t w =
+        margin_.widen(std::min(rep_bound, out.worst() * inv), dr, psi_[r]);
     const dist_t* pd = packed_dist_.data();
     index_t seg_hi = hi, seg_lo = lo;
     if (params_.use_early_exit) {
       seg_hi = static_cast<index_t>(
-          std::upper_bound(pd + lo, pd + hi, dr + b) - pd);
+          std::upper_bound(pd + lo, pd + hi, dr + w) - pd);
       local.points_skipped_early_exit += hi - seg_hi;
     }
     if (params_.use_annulus_bound) {
       seg_lo = static_cast<index_t>(
-          std::lower_bound(pd + lo, pd + seg_hi, dr - b) - pd);
+          std::lower_bound(pd + lo, pd + seg_hi, dr - w) - pd);
       local.points_skipped_annulus += seg_lo - lo;
     }
     counters::add_dist_evals(seg_hi - seg_lo);
@@ -410,7 +452,8 @@ class RbcExactIndex {
     std::vector<index_t> hits;
     for (index_t j = 0; j < ns; ++j) {
       const dist_t dq = inner[j], t = radius + max_psi_[j];
-      const auto [a, e] = block_window(j, dq, widen(t, dq, radius_[j]));
+      const auto [a, e] =
+          block_window(j, dq, margin_.widen(t, dq, radius_[j]));
       if (a == e) continue;
       eval_slots(q, a, e, slots.data());
       evals += e - a;
@@ -467,9 +510,10 @@ class RbcExactIndex {
       const dist_t b = top.worst();
       // Lemma 1 over the cover: a list farther than 2 b + gamma_S holds no
       // representative within b, nor does any later (farther) list.
-      if (beyond(dq, 2 * b + inner_gamma, dq)) break;
+      if (margin_.beyond(dq, 2 * b + inner_gamma, dq)) break;
       // Rule 1 and Claim 2 over the cover: the members within b of q.
-      const auto [a, e] = block_window(j, dq, widen(b, dq, radius_[j]));
+      const auto [a, e] =
+          block_window(j, dq, margin_.widen(b, dq, radius_[j]));
       if (a == e) continue;
       eval_slots(q, a, e, plan.slot_dists.data());
       evals += e - a;
@@ -484,14 +528,16 @@ class RbcExactIndex {
     plan.rep_bound = rep_bound;
 
     // ---- stage 2: prune representatives ------------------------------
-    // All comparisons are strict: a representative (or point) is discarded
-    // only when every member is *strictly* worse than the current k-th
-    // best, so ties at the boundary are preserved and the result matches
-    // brute force exactly. A member of inner list j lies at least
-    // |rho(q, s) - rho(s, r)| from q; the members whose bound already
-    // passes an enabled rule (rule 1 at the list's largest psi) are pruned
-    // unevaluated, counted under that rule, and the rest take the rules
-    // at their own distance, exactly as BF(q, R) would.
+    // A representative (or point) is discarded only when a rule shows
+    // every member *strictly* worse than the current k-th best, by more
+    // than the rounding margin, so ties at the boundary are preserved and
+    // the result matches brute force exactly. A member of inner list j lies
+    // at least |rho(q, s) - rho(s, r)| from q; the members whose bound
+    // already passes an enabled rule (rule 1 at the list's largest psi) are
+    // pruned unevaluated, counted under that rule, and the rest take the
+    // rules at their own distance, exactly as BF(q, R) would. The rules
+    // keep a representative up to widen(t) from q, so the window widens t
+    // twice: for the rules' margin, then for the triangle bound's rounding.
     const bool overlap = params_.use_overlap_rule;
     const bool lemma = params_.use_lemma_rule;
     const dist_t lemma_bound = 2 * rep_bound + gamma1;
@@ -501,8 +547,9 @@ class RbcExactIndex {
       dist_t t = kInfDist;
       if (overlap) t = overlap_bound;
       if (lemma) t = std::min(t, lemma_bound);
-      const dist_t dq = plan.inner_dists[j];
-      const auto [a, e] = block_window(j, dq, widen(t, dq, radius_[j]));
+      const dist_t dq = plan.inner_dists[j], radius = radius_[j];
+      const auto [a, e] = block_window(
+          j, dq, margin_.widen(margin_.widen(t, dq, radius), dq, radius));
       const index_t unseen = list_lo_[j + 1] - list_lo_[j] - (e - a);
       if (overlap && !(lemma && lemma_bound < overlap_bound))
         local.reps_pruned_overlap += unseen;
@@ -520,11 +567,11 @@ class RbcExactIndex {
       }
       for (index_t s = a; s < e; ++s) {
         const dist_t dr = plan.slot_dists[s];
-        if (overlap && dr > rep_bound + slot_psi_[s]) {
+        if (overlap && margin_.overlap_prunes(dr, rep_bound, slot_psi_[s])) {
           ++local.reps_pruned_overlap;  // rule (1)
           continue;
         }
-        if (lemma && dr > lemma_bound) {
+        if (lemma && margin_.lemma_prunes(dr, rep_bound, gamma1)) {
           ++local.reps_pruned_lemma;  // rule (2), k-NN form
           continue;
         }
@@ -557,6 +604,8 @@ class RbcExactIndex {
   double owner_sample_share() const { return sample_share_; }
   const std::vector<index_t>& rep_ids() const { return rep_ids_; }
   dist_t psi(index_t r) const { return psi_[r]; }
+  /// The rounding margin that every prune clears.
+  const PruneMargin& margin() const { return margin_; }
 
   /// Original-database ids of the members of L_r (sorted by distance to r).
   std::span<const index_t> list_ids(index_t r) const {
@@ -603,11 +652,13 @@ class RbcExactIndex {
                      SearchStats& local) const {
     const dist_t dr = plan.rep_dists[r];
     const dist_t bound = std::min(cap, out.worst() * inv);
-    if (params_.use_overlap_rule && dr > bound + psi_[r]) {
+    if (params_.use_overlap_rule &&
+        margin_.overlap_prunes(dr, bound, psi_[r])) {
       ++local.reps_pruned_overlap;
       return false;
     }
-    if (params_.use_lemma_rule && dr > 2 * bound + plan.gamma1) {
+    if (params_.use_lemma_rule &&
+        margin_.lemma_prunes(dr, bound, plan.gamma1)) {
       ++local.reps_pruned_lemma;
       return false;
     }
@@ -776,14 +827,15 @@ class RbcExactIndex {
         const dist_t dq = inner[j];
         lists[count] = j;
         count += j != first &&
-                 dq - widen(bound, dq, radius_[j]) <= radius_[j] &&
-                 !beyond(dq, 2 * bound + gamma, dq);
+                 dq - margin_.widen(bound, dq, radius_[j]) <= radius_[j] &&
+                 !margin_.beyond(dq, 2 * bound + gamma, dq);
       }
       for (index_t c = 0; c < count; ++c) {
         const index_t j = lists[c];
         const dist_t dq = inner[j], best = top.worst();
-        if (beyond(dq, 2 * best + gamma, dq)) continue;  // Lemma 1
-        const auto [a, e] = block_window(j, dq, widen(best, dq, radius_[j]));
+        if (margin_.beyond(dq, 2 * best + gamma, dq)) continue;  // Lemma 1
+        const auto [a, e] =
+            block_window(j, dq, margin_.widen(best, dq, radius_[j]));
         if (a == e) continue;
         evals += e - a;
         nearest_in_slots(q, a, e, slots.data(), top);
@@ -978,21 +1030,6 @@ class RbcExactIndex {
     return {std::max(lo, a - a % kL), std::min(hi, e + (kL - e % kL) % kL)};
   }
 
-  /// Every cover prune compares a bound built from several rounded
-  /// distances, each within a few ulps per feature of the real value. A
-  /// prune must clear a margin relative to the magnitudes involved
-  /// (margin_, as the kernel prefilter's tile_margin), so it never drops a
-  /// representative that the flat scan's float comparison would keep.
-  /// widen(t, dq, radius): the half-width of a window of members within t of
-  /// q, for an inner list at dq with radius `radius`.
-  dist_t widen(dist_t t, dist_t dq, dist_t radius) const {
-    return t + margin_ * (dq + radius + t);
-  }
-  /// True when dq exceeds the bound by more than the margin.
-  bool beyond(dist_t dq, dist_t bound, dist_t mag) const {
-    return dq > bound + margin_ * (mag + bound);
-  }
-
   /// Range search's stage 3 for list L_r at rho(q, r) = dr: the window of
   /// members whose sorted distance to r lies within radius of dr (Claim 2
   /// and its annulus, with rounding margin), prefiltered by the metric's
@@ -1001,7 +1038,7 @@ class RbcExactIndex {
   void scan_range_list(const float* q, index_t r, dist_t dr, dist_t radius,
                        std::vector<index_t>& hits) const {
     const index_t lo = offsets_[r], hi = offsets_[r + 1];
-    const dist_t w = widen(radius, dr, psi_[r]);
+    const dist_t w = margin_.widen(radius, dr, psi_[r]);
     const dist_t* pd = packed_dist_.data();
     const auto a =
         static_cast<index_t>(std::lower_bound(pd + lo, pd + hi, dr - w) - pd);
@@ -1023,7 +1060,7 @@ class RbcExactIndex {
   RbcParams params_{};
   index_t n_ = 0;
   index_t dim_ = 0;
-  float margin_ = 0.0f;  // relative rounding margin of the cover's prunes
+  PruneMargin margin_;  // rounding margin of every prune
   OwnerPath owner_path_ = OwnerPath::kBruteForce;
   double sample_share_ = 0.0;
 

@@ -3,6 +3,8 @@
 // random-sharding contrast.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <tuple>
 
 #include "dist/distributed_rbc.hpp"
@@ -46,6 +48,43 @@ TEST(Distributed, DuplicateHeavyDataStaysExact) {
   cluster.build(X, 4, {.num_reps = 16, .seed = 6});
   EXPECT_TRUE(testutil::knn_equal(testutil::naive_knn(Q, X, 5),
                                   cluster.search(Q, 5)));
+}
+
+// The lattice tie sweep (testutil::lattice_tie_case, the seeds of
+// test_rbc_exact's RbcExactTies): rounded distances tie to the last ulp, so
+// the coordinator's rules and every worker's rules and Claim-2 window must
+// clear the single-node index's rounding margin to keep a tied row with
+// the lower id. One worker and four randomly sharded ones, annulus off and
+// on; every query carries the functor scan's ids and distance bits.
+TEST(Distributed, LatticeTiesMatchTheFunctorScan) {
+  std::uint64_t queries = 0, wrong = 0;
+  std::string first;
+  for (std::uint64_t seed = 3'000; seed < 4'000; ++seed) {
+    const testutil::TieCase c = testutil::lattice_tie_case(seed);
+    const KnnResult want = testutil::naive_knn(c.Q, c.X, c.k);
+    for (const bool annulus : {false, true})
+      for (const index_t workers : {1u, 4u}) {
+        DistributedRbc cluster;
+        cluster.build(c.X, workers,
+                      {.num_reps = c.num_reps,
+                       .seed = seed,
+                       .use_annulus_bound = annulus},
+                      workers == 1 ? Sharding::kByRepresentative
+                                   : Sharding::kRandomPoints);
+        const KnnResult got = cluster.search(c.Q, c.k);
+        for (index_t row = 0; row < c.Q.rows(); ++row) {
+          ++queries;
+          if (testutil::rows_identical(want, row, got, row) || wrong++ > 0)
+            continue;
+          first = c.name + ", " + std::to_string(workers) + " workers" +
+                  (annulus ? ", annulus on" : ", annulus off") + ", query " +
+                  std::to_string(row);
+        }
+      }
+  }
+  EXPECT_EQ(wrong, 0u) << wrong << " of " << queries
+                       << " queries differ from the functor scan; first: "
+                       << first;
 }
 
 TEST(Distributed, EveryPointStoredExactlyOnceUnderRepSharding) {

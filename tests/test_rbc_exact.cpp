@@ -479,6 +479,8 @@ TEST(RbcExactBuild, DeterministicForFixedSeed) {
 // enabled rule are pruned unevaluated. The result must be exactly what a
 // flat BF(q, R) followed by rules 1 and 2 gives: the same survivors, at the
 // same distance bits, in the same nearest-first order, and the same bounds.
+// Both sides apply the rules through the index's rounding margin, which
+// keeps a representative whose distance passes a rule by less than it.
 
 /// The flat stage 1 and 2 of paper §5.2 over `index`'s representatives.
 template <class M>
@@ -494,10 +496,14 @@ void expect_flat_plan(const RbcExactIndex<M>& index, const Matrix<float>& X,
   std::sort(sorted.begin(), sorted.end());
   const dist_t gamma1 = sorted[0];
   const dist_t rep_bound = k <= nr ? sorted[k - 1] : kInfDist;
+  const PruneMargin& margin = index.margin();
   std::vector<index_t> want;
   for (index_t r = 0; r < nr; ++r) {
-    if (params.use_overlap_rule && d[r] > rep_bound + index.psi(r)) continue;
-    if (params.use_lemma_rule && d[r] > 2 * rep_bound + gamma1) continue;
+    if (params.use_overlap_rule &&
+        margin.overlap_prunes(d[r], rep_bound, index.psi(r)))
+      continue;
+    if (params.use_lemma_rule && margin.lemma_prunes(d[r], rep_bound, gamma1))
+      continue;
     want.push_back(r);
   }
   std::sort(want.begin(), want.end(), [&](index_t a, index_t b) {
@@ -701,6 +707,74 @@ INSTANTIATE_TEST_SUITE_P(Flags, RbcExactPruneFlags,
                                             ::testing::Bool(),
                                             ::testing::Bool(),
                                             ::testing::Bool()));
+
+// ------------------------------------------------------------------ ties ---
+//
+// The lattice tie sweep (testutil::lattice_tie_case): the bounds of rules 1
+// and 2 and both ends of the Claim-2 window are sums of rounded distances
+// that meet a tied row's distance to the last ulp, so a prune without the
+// rounding margin can drop the tied row with the lower id. Each
+// configuration runs with the annulus off and on, and every query must carry
+// the functor scan's ids and distance bits. Without the margins this seed's
+// sweep returns a tied row's larger id on both paths, annulus off and on.
+
+constexpr std::uint64_t kTieSeed = 3'000;
+constexpr std::uint64_t kTieCases = 1'000;
+
+/// Calls search(index, c, check) for every configuration of the sweep and
+/// annulus setting; search passes each answer to check(lo, got), got
+/// holding the answers to rows [lo, lo + got.ids.rows()) of c.Q. Counts the
+/// queries whose answer differs from the functor scan's and names the
+/// first.
+template <class Search>
+void expect_tie_sweep_exact(Search search) {
+  std::uint64_t queries = 0, wrong = 0;
+  std::string first;
+  for (std::uint64_t i = 0; i < kTieCases; ++i) {
+    const testutil::TieCase c = testutil::lattice_tie_case(kTieSeed + i);
+    const KnnResult want = testutil::naive_knn(c.Q, c.X, c.k);
+    for (const bool annulus : {false, true}) {
+      RbcExactIndex<> index;
+      index.build(c.X, {.num_reps = c.num_reps,
+                        .seed = kTieSeed + i,
+                        .use_annulus_bound = annulus});
+      search(index, c, [&](index_t lo, const KnnResult& got) {
+        for (index_t row = 0; row < got.ids.rows(); ++row) {
+          ++queries;
+          if (testutil::rows_identical(want, lo + row, got, row) ||
+              wrong++ > 0)
+            continue;
+          first = c.name + (annulus ? ", annulus on" : ", annulus off") +
+                  ", query " + std::to_string(lo + row);
+        }
+      });
+    }
+  }
+  EXPECT_EQ(wrong, 0u) << wrong << " of " << queries
+                       << " queries differ from the functor scan; first: "
+                       << first;
+}
+
+// The per-row path: 16-row batches on four threads, one row per task.
+TEST(RbcExactTies, PerRowPathMatchesTheFunctorScan) {
+  const ThreadLimit threads(4);
+  expect_tie_sweep_exact(
+      [](const RbcExactIndex<>& index, const testutil::TieCase& c,
+         auto check) { check(0, index.search(c.Q, c.k)); });
+}
+
+// The team path: batches of 1, 2 and 3 rows in turn on four threads.
+TEST(RbcExactTies, TeamPathMatchesTheFunctorScan) {
+  const ThreadLimit threads(4);
+  expect_tie_sweep_exact([](const RbcExactIndex<>& index,
+                            const testutil::TieCase& c, auto check) {
+    for (index_t lo = 0, rows = 1; lo < c.Q.rows();
+         lo += rows, rows = rows % 3 + 1) {
+      rows = std::min(rows, c.Q.rows() - lo);
+      check(lo, index.search(slice_rows(c.Q, lo, rows), c.k));
+    }
+  });
+}
 
 // ------------------------------------------------------- other metrics ---
 
@@ -991,12 +1065,9 @@ TEST(RbcExactStats, AnnulusBoundSkipsWithoutChangingResults) {
   const Matrix<float> X = testutil::clustered_matrix(2'000, 10, 8, 61);
   const Matrix<float> Q = testutil::random_matrix(30, 10, 62, -6.0f, 6.0f);
 
-  RbcParams with;
-  with.seed = 4;
-  with.use_annulus_bound = true;
   RbcExactIndex<> a, b;
-  a.build(X, with);
-  b.build(X, {.seed = 4});
+  a.build(X, {.seed = 4, .use_annulus_bound = true});
+  b.build(X, {.seed = 4, .use_annulus_bound = false});
 
   SearchStats stats_a, stats_b;
   const KnnResult ra = a.search(Q, 2, &stats_a);

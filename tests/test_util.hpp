@@ -4,7 +4,10 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "bruteforce/bf.hpp"
@@ -86,6 +89,52 @@ KnnResult naive_knn(const Matrix<float>& Q, const Matrix<float>& X, index_t k,
   return result;
 }
 
+/// One configuration of the lattice tie sweep, drawn from `seed`: n rows
+/// (30 to 430) on the lattice offset + step {0..m}^d (d 2 to 8, m 1 to 4)
+/// at a step that is no dyadic fraction (0.1, 1/3, 1.1, 1.7), so every
+/// distance rounds and many tie, between rows and between representatives;
+/// 16 queries on the half-step lattice; an explicit num_reps in [1, n/3];
+/// k in {1, 2, 3, 5, 10}. The bounds of exact search's prunes (sums of
+/// rounded distances) meet row distances to the last ulp here.
+struct TieCase {
+  Matrix<float> X, Q;
+  index_t num_reps = 1;
+  index_t k = 1;
+  std::string name;  // the drawn shape, for failure messages
+};
+
+inline TieCase lattice_tie_case(std::uint64_t seed) {
+  constexpr float kSteps[] = {0.1f, 1.0f / 3.0f, 1.1f, 1.7f};
+  constexpr index_t kKs[] = {1, 2, 3, 5, 10};
+  Rng rng(seed);
+  const index_t d = 2 + rng.uniform_index(7);
+  const index_t m = 1 + rng.uniform_index(4);
+  const float step = kSteps[rng.uniform_index(4)];
+  const float offset =
+      0.1f * static_cast<float>(rng.uniform_index(21)) - 1.0f;
+  const index_t n = 30 + rng.uniform_index(401);
+  TieCase c;
+  c.num_reps = 1 + rng.uniform_index(n / 3);
+  c.k = kKs[rng.uniform_index(5)];
+  c.X = Matrix<float>(n, d);
+  for (index_t i = 0; i < n; ++i)
+    for (index_t j = 0; j < d; ++j)
+      c.X.at(i, j) =
+          offset + step * static_cast<float>(rng.uniform_index(m + 1));
+  c.Q = Matrix<float>(16, d);
+  for (index_t i = 0; i < c.Q.rows(); ++i)
+    for (index_t j = 0; j < d; ++j)
+      c.Q.at(i, j) =
+          offset +
+          0.5f * step * static_cast<float>(rng.uniform_index(2 * m + 1));
+  c.name = "tie seed " + std::to_string(seed) + " (d " + std::to_string(d) +
+           ", m " + std::to_string(m) + ", step " + std::to_string(step) +
+           ", offset " + std::to_string(offset) + ", n " + std::to_string(n) +
+           ", nr " + std::to_string(c.num_reps) + ", k " +
+           std::to_string(c.k) + ")";
+  return c;
+}
+
 /// Naive range search reference: sorted ids of points within radius.
 inline std::vector<index_t> naive_range(const float* q,
                                         const Matrix<float>& X, dist_t radius) {
@@ -94,6 +143,19 @@ inline std::vector<index_t> naive_range(const float* q,
   for (index_t j = 0; j < X.rows(); ++j)
     if (metric(q, X.row(j), X.cols()) <= radius) hits.push_back(j);
   return hits;
+}
+
+/// True when row ra of `a` and row rb of `b` hold the same ids and the
+/// same distance bits in every slot.
+inline bool rows_identical(const KnnResult& a, index_t ra, const KnnResult& b,
+                           index_t rb) {
+  if (a.ids.cols() != b.ids.cols()) return false;
+  for (index_t j = 0; j < a.ids.cols(); ++j)
+    if (a.ids.at(ra, j) != b.ids.at(rb, j) ||
+        std::bit_cast<std::uint32_t>(a.dists.at(ra, j)) !=
+            std::bit_cast<std::uint32_t>(b.dists.at(rb, j)))
+      return false;
+  return true;
 }
 
 /// Asserts (via gtest-compatible bool) that two KnnResults are identical.
