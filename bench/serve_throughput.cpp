@@ -35,6 +35,7 @@
 #include "data/generators.hpp"
 #include "dist/net_router.hpp"
 #include "fault_proxy.hpp"
+#include "parallel/rows.hpp"
 #include "rbc/rbc.hpp"
 #include "serve/net/client.hpp"
 #include "serve/net/server.hpp"
@@ -531,13 +532,11 @@ int main(int argc, char** argv) {
       fault_queries, dim, 30, 3, 0.05f, /*seed=*/5);
   std::vector<std::unique_ptr<Index>> fault_shards;
   {
-    const auto assignment = shard::partition_rows(database.rows(), 2);
-    for (const std::vector<index_t>& mine : assignment) {
-      Matrix<float> rows(static_cast<index_t>(mine.size()), database.cols());
-      for (index_t i = 0; i < rows.rows(); ++i)
-        rows.copy_row_from(database, mine[i], i);
+    for (index_t s = 0; s < 2; ++s) {
+      const shard::RowRange mine = shard::partition_rows(database.rows(), 2, s);
       fault_shards.push_back(make_index("rbc-exact", {.rbc = {.seed = 3}}));
-      fault_shards.back()->build(rows);
+      fault_shards.back()->build(gather_rows(
+          database, mine.size(), [&](index_t i) { return mine.lo + i; }));
     }
   }
   std::printf("\nfault scaling (2 shards via NetRouter, closed-loop "

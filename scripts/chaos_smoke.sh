@@ -7,8 +7,8 @@
 # (tests/test_net_faults.cpp + tests/fault_proxy.cpp): real shard-owner
 # server processes are SIGKILLed mid-load while a router streams queries
 # (zero lost answers, bit-identical results via replica failover), a shard
-# is network-partitioned behind the FaultProxy (allow_partial returns
-# coverage flags, never an exception), and a crashed shard is restarted
+# is network-partitioned behind the FaultProxy (knn_partial/range_partial
+# return coverage flags, never an exception), and a crashed shard is restarted
 # behind the proxy's stable port (breaker half-open probe recovers it).
 # The headline kill-a-replica scenario repeats 3x so a timing-dependent
 # regression fails here rather than flaking in the full suite.

@@ -1,5 +1,6 @@
 #include "api/index.hpp"
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -146,7 +147,8 @@ void Index::validate_range(const RangeRequest& request, index_t dim,
   // Under "ip" the radius is a negated-dot threshold (hits satisfy
   // dot(q, x) >= -radius), so every useful similarity cutoff is a
   // *negative* radius — the non-negativity rule applies to real metrics
-  // only.
+  // only. A NaN radius passes no comparison, so it is refused by name.
+  if (std::isnan(request.radius)) fail(backend, "request.radius is NaN");
   if (request.radius < 0 && metric != "ip")
     fail(backend, "request.radius must be >= 0");
 }

@@ -272,7 +272,8 @@ class Index {
   // assertion check (a request whose options.metric names a different
   // metric than the index was built with is a caller error, caught here
   // once instead of per backend). Both refuse a query row holding a NaN or
-  // an infinity, naming the first, as validate_rows refuses such a row.
+  // an infinity, naming the first, as validate_rows refuses such a row;
+  // validate_range also refuses a NaN radius.
   static void validate_knn(const SearchRequest& request, index_t dim,
                            index_t size, bool built, const char* backend,
                            std::string_view metric);

@@ -77,7 +77,7 @@ struct SearchResponse {
 /// `radius` must be >= 0 for every real metric; under "ip" (where
 /// "distance" is the negated dot product) it is a threshold on -dot —
 /// pass radius = -t to select all points with dot(q, x) >= t, so negative
-/// values are legal and are the useful case.
+/// values are legal and are the useful case. A NaN radius is refused.
 struct RangeRequest {
   const Matrix<float>* queries = nullptr;  // nq x d, borrowed
   dist_t radius = 0.0f;

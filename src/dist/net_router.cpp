@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <exception>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "common/rng.hpp"
@@ -60,7 +62,7 @@ NetRouter::NetRouter(const std::vector<std::vector<Endpoint>>& shard_replicas,
       throw std::invalid_argument("rbc::dist::NetRouter: shard " +
                                   std::to_string(s) + " has no replicas");
     for (const Endpoint& ep : shard_replicas[s])
-      shards_[s].replicas.push_back(Replica{.endpoint = ep});
+      shards_[s].replicas.emplace_back().endpoint = ep;
   }
 
   // One live replica per shard is required up front: its INFO is the only
@@ -82,7 +84,7 @@ NetRouter::NetRouter(const std::vector<std::vector<Endpoint>>& shard_replicas,
         live = true;
       } catch (const std::exception& e) {
         last_error = e.what();
-        record_failure(s, replica, stats_);
+        record_failure(replica, stats_);
       }
     }
     if (!live)
@@ -90,37 +92,34 @@ NetRouter::NetRouter(const std::vector<std::vector<Endpoint>>& shard_replicas,
           "rbc::dist::NetRouter: shard " + std::to_string(s) +
           " has no live replica (" + last_error + ")");
   }
-  validate_topology(infos);
-}
 
-void NetRouter::validate_topology(const std::vector<InfoMsg>& infos) {
+  // The topology: shard 0's dim and metric, and each shard's rows, a pure
+  // function of (total, S). Every shard must match it.
   dim_ = infos.front().dim;
   metric_ = infos.front().metric;
   backend_ = infos.front().backend;
   std::uint64_t total = 0;
-  for (std::size_t s = 0; s < infos.size(); ++s) {
-    if (infos[s].dim != dim_ || infos[s].metric != metric_)
-      throw std::runtime_error(
-          "rbc::dist::NetRouter: shard " + std::to_string(s) +
-          " disagrees on dim/metric (dim " + std::to_string(infos[s].dim) +
-          " metric '" + infos[s].metric + "' vs dim " + std::to_string(dim_) +
-          " metric '" + metric_ + "')");
-    total += infos[s].size;
-  }
+  for (const InfoMsg& info : infos) total += info.size;
   size_ = static_cast<index_t>(total);
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    shards_[s].rows = shard::partition_rows(
+        size_, num_shards(), static_cast<index_t>(s));
+    check_info(s, shards_[s].replicas[shards_[s].preferred], infos[s]);
+  }
+}
 
-  // The id mapping is a pure function of (total, S): re-derive it and check
-  // the shards actually hold those row counts, which is the only part of
-  // the contract observable over the wire.
-  global_ids_ = shard::partition_rows(size_, num_shards());
-  for (std::size_t s = 0; s < infos.size(); ++s)
-    if (global_ids_[s].size() != infos[s].size)
-      throw std::runtime_error(
-          "rbc::dist::NetRouter: shard " + std::to_string(s) + " holds " +
-          std::to_string(infos[s].size) + " rows but the contiguous "
-          "partition of " + std::to_string(size_) + " rows over " +
-          std::to_string(shards_.size()) + " shards assigns it " +
-          std::to_string(global_ids_[s].size()));
+void NetRouter::check_info(std::size_t s, const Replica& replica,
+                           const InfoMsg& info) const {
+  const index_t rows = shards_[s].rows.size();
+  if (info.dim == dim_ && info.metric == metric_ && info.size == rows) return;
+  throw std::runtime_error(
+      "rbc::dist::NetRouter: replica " + endpoint_name(replica.endpoint) +
+      " of shard " + std::to_string(s) + " reports dim " +
+      std::to_string(info.dim) + " metric '" + info.metric + "' size " +
+      std::to_string(info.size) + ", expected dim " + std::to_string(dim_) +
+      " metric '" + metric_ + "' and the " + std::to_string(rows) +
+      " rows the contiguous partition of " + std::to_string(size_) +
+      " rows over " + std::to_string(num_shards()) + " shards assigns it");
 }
 
 // ------------------------------------------------------- replica lifecycle --
@@ -136,28 +135,16 @@ RbcClient& NetRouter::ensure_connected(std::size_t s, Replica& replica,
   if (!replica.validated) {
     // A replica that was down (or never seen) may have been restarted with
     // the wrong index: re-check its identity against the topology before
-    // trusting a single answer from it.
-    const InfoMsg info = replica.client->info(budget_ms);
-    if (info.dim != dim_ || info.metric != metric_ ||
-        info.size != global_ids_[s].size()) {
-      replica.client.reset();
-      throw std::runtime_error(
-          "rbc::dist::NetRouter: replica " + endpoint_name(replica.endpoint) +
-          " of shard " + std::to_string(s) +
-          " reports dim " + std::to_string(info.dim) + " metric '" +
-          info.metric + "' size " + std::to_string(info.size) +
-          ", expected dim " + std::to_string(dim_) + " metric '" + metric_ +
-          "' size " + std::to_string(global_ids_[s].size()));
-    }
+    // trusting a single answer from it. A mismatch fails the attempt, and
+    // with_failover drops the connection.
+    check_info(s, replica, replica.client->info(budget_ms));
     replica.validated = true;
   }
   if (fresh) local.reconnects += 1;
   return *replica.client;
 }
 
-void NetRouter::record_failure(std::size_t s, Replica& replica,
-                               RouterStats& local) {
-  (void)s;
+void NetRouter::record_failure(Replica& replica, RouterStats& local) {
   local.transport_errors += 1;
   replica.client.reset();
   replica.validated = false;  // whatever comes back up must re-prove itself
@@ -282,13 +269,14 @@ auto NetRouter::with_failover(std::size_t s,
       if (e.code() == ErrorCode::kDeadlineExceeded) {
         // The server shed the request: the budget is gone everywhere.
         local.deadline_exceeded += 1;
-        throw;
+        throw std::runtime_error(shard_tag() + " shed at its deadline (" +
+                                 e.what() + ")");
       }
       if (e.code() == ErrorCode::kShuttingDown) {
         // Graceful drain: this replica is leaving; move on like any other
         // transport-level loss.
         last_error = endpoint_name(replica.endpoint) + ": " + e.what();
-        record_failure(s, replica, local);
+        record_failure(replica, local);
       } else {
         // kBadRequest/kInternal: the server executed-and-refused; another
         // replica would refuse identically. Caller's problem.
@@ -298,7 +286,7 @@ auto NetRouter::with_failover(std::size_t s,
       // Transport or framing failure: connect refused, reset, timeout,
       // malformed frame, topology mismatch on revalidation.
       last_error = endpoint_name(replica.endpoint) + ": " + e.what();
-      record_failure(s, replica, local);
+      record_failure(replica, local);
     }
 
     if (failovers_left-- <= 0)
@@ -312,27 +300,28 @@ auto NetRouter::with_failover(std::size_t s,
 
 // -------------------------------------------------------- scatter/gather --
 
-PartialKnnResult NetRouter::scatter_knn(const Matrix<float>& queries,
-                                        index_t k, std::uint32_t deadline_ms,
-                                        bool partial) {
+void NetRouter::check_local_id(std::size_t s, index_t id) const {
+  if (id >= shards_[s].rows.size())
+    throw serve::net::ProtocolError(
+        "rbc::dist::NetRouter: shard " + std::to_string(s) +
+        " answered local id " + std::to_string(id) + " but holds only " +
+        std::to_string(shards_[s].rows.size()) + " rows");
+}
+
+template <class Attempt, class Accept>
+void NetRouter::scatter(const Matrix<float>& queries,
+                        std::uint32_t deadline_ms, bool partial,
+                        PartialCoverage& out, Attempt&& attempt,
+                        Accept&& accept) {
   const index_t nq = queries.rows();
   if (nq > 0 && queries.cols() != dim_)
     throw std::invalid_argument(
         "rbc::dist::NetRouter: query dimension " +
         std::to_string(queries.cols()) + " != shard dimension " +
         std::to_string(dim_));
-  if (k == 0 || k > size_)
-    throw std::invalid_argument("rbc::dist::NetRouter: k = " +
-                                std::to_string(k) +
-                                " out of range for total size " +
-                                std::to_string(size_));
   const std::size_t S = shards_.size();
-  PartialKnnResult out;
   out.shards.assign(S, {});
-  if (nq == 0) {
-    out.result = KnnResult(0, k);
-    return out;
-  }
+  if (nq == 0) return;
   const std::optional<Clock::time_point> deadline =
       deadline_ms > 0 ? std::optional(Clock::now() + std::chrono::milliseconds(
                                                          deadline_ms))
@@ -340,10 +329,12 @@ PartialKnnResult NetRouter::scatter_knn(const Matrix<float>& queries,
 
   // Scatter: one thread per shard (each drives its own replicas; RbcClient
   // is single-threaded but exclusively owned here). Request-level failures
-  // (bad request, internal, persistent overload) are fatal in every mode
-  // and carried back whole; availability failures mark the shard uncovered.
-  std::vector<KnnResult> fanout(S);
-  std::vector<index_t> shard_k(S);
+  // (a RemoteError: bad request, internal, persistent overload) are fatal
+  // in every mode and carried back whole; availability failures (any other
+  // runtime_error) mark the shard uncovered.
+  using Answer =
+      std::invoke_result_t<Attempt&, std::size_t, RbcClient&, std::uint32_t>;
+  std::vector<Answer> answers(S);
   std::vector<std::exception_ptr> fatal(S);
   std::vector<RouterStats> local(S);  // per-thread counters, summed after join
   {
@@ -352,19 +343,13 @@ PartialKnnResult NetRouter::scatter_knn(const Matrix<float>& queries,
     for (std::size_t s = 0; s < S; ++s)
       threads.emplace_back([&, s] {
         try {
-          shard_k[s] = std::min<index_t>(
-              k, static_cast<index_t>(global_ids_[s].size()));
-          fanout[s] = with_failover(
+          answers[s] = with_failover(
               s, deadline, local[s],
               [&](RbcClient& client, std::uint32_t remaining) {
-                return client.knn(queries, shard_k[s], remaining);
+                return attempt(s, client, remaining);
               });
-        } catch (const RemoteError& e) {
-          if (e.code() == ErrorCode::kDeadlineExceeded) {
-            out.shards[s] = {false, e.what()};
-          } else {
-            fatal[s] = std::current_exception();
-          }
+        } catch (const RemoteError&) {
+          fatal[s] = std::current_exception();
         } catch (const std::runtime_error& e) {
           out.shards[s] = {false, e.what()};
         } catch (...) {
@@ -385,156 +370,95 @@ PartialKnnResult NetRouter::scatter_knn(const Matrix<float>& queries,
   }
   for (const std::exception_ptr& e : fatal)
     if (e) std::rethrow_exception(e);
-  if (!partial && !out.complete())
-    for (std::size_t s = 0; s < S; ++s)
-      if (!out.shards[s].covered)
-        throw std::runtime_error("rbc::dist::NetRouter: shard " +
-                                 std::to_string(s) +
-                                 " uncovered: " + out.shards[s].error);
-
-  // Trust boundary: a shard's answer is wire data. Validate its shape and
-  // every shard-local id before the merge indexes global_ids_ and the
-  // result matrices with them (Matrix::at is assert-only in release), so a
-  // mismatched or buggy shard yields a clean error, never an out-of-bounds
-  // read.
-  for (std::size_t s = 0; s < S; ++s) {
-    if (!out.shards[s].covered) continue;
-    const KnnResult& r = fanout[s];
-    if (r.ids.rows() != nq || r.ids.cols() != shard_k[s] ||
-        r.dists.rows() != nq || r.dists.cols() != shard_k[s])
-      throw serve::net::ProtocolError(
-          "rbc::dist::NetRouter: shard " + std::to_string(s) +
-          " answered a " + std::to_string(r.ids.rows()) + " x " +
-          std::to_string(r.ids.cols()) + " knn block for a " +
-          std::to_string(nq) + " x " + std::to_string(shard_k[s]) +
-          " request");
-    const index_t rows_held = static_cast<index_t>(global_ids_[s].size());
-    for (index_t qi = 0; qi < nq; ++qi) {
-      const index_t* row = r.ids.row(qi);
-      for (index_t j = 0; j < shard_k[s]; ++j)
-        if (row[j] >= rows_held)
-          throw serve::net::ProtocolError(
-              "rbc::dist::NetRouter: shard " + std::to_string(s) +
-              " answered local id " + std::to_string(row[j]) +
-              " but holds only " + std::to_string(rows_held) + " rows");
-    }
-  }
-
-  // Gather: the same exact merge the in-process composite runs, over the
-  // covered shards. With every shard covered this is bit-identical to
-  // sharded:<inner>; with fewer, exact over what answered (short rows pad
-  // with kInvalidIndex/kInfDist like any k > coverage query).
-  std::vector<shard::MergeInput> inputs;
-  inputs.reserve(S);
   for (std::size_t s = 0; s < S; ++s)
-    if (out.shards[s].covered)
-      inputs.push_back({&fanout[s], shard_k[s], &global_ids_[s]});
-  out.result = shard::merge_shard_topk(nq, k, inputs);
+    if (!partial && !out.shards[s].covered)
+      throw std::runtime_error("rbc::dist::NetRouter: shard " +
+                               std::to_string(s) +
+                               " uncovered: " + out.shards[s].error);
+
+  // accept() checks each covered shard's answer and keeps it to gather.
+  for (std::size_t s = 0; s < S; ++s)
+    if (out.shards[s].covered) accept(s, std::move(answers[s]));
   stats_.queries += nq;
   if (!out.complete()) stats_.partial_answers += 1;
+}
+
+PartialKnnResult NetRouter::route_knn(const Matrix<float>& queries,
+                                      index_t k, std::uint32_t deadline_ms,
+                                      bool partial) {
+  if (k == 0 || k > size_)
+    throw std::invalid_argument("rbc::dist::NetRouter: k = " +
+                                std::to_string(k) +
+                                " out of range for total size " +
+                                std::to_string(size_));
+  const index_t nq = queries.rows();
+  const auto shard_k = [&](std::size_t s) {
+    return std::min(k, shards_[s].rows.size());
+  };
+  PartialKnnResult out;
+  std::vector<KnnResult> parts(shards_.size());
+  std::vector<shard::MergeInput> inputs;
+  scatter(
+      queries, deadline_ms, partial, out,
+      [&](std::size_t s, RbcClient& client, std::uint32_t remaining) {
+        return client.knn(queries, shard_k(s), remaining);
+      },
+      [&](std::size_t s, KnnResult r) {
+        // Trust boundary: a shard's answer is wire data. Check its shape
+        // and every shard-local id before the merge reads them (Matrix::at
+        // is assert-only in release), so a mismatched or buggy shard yields
+        // a clean error, never an out-of-bounds read.
+        if (r.ids.rows() != nq || r.ids.cols() != shard_k(s) ||
+            r.dists.rows() != nq || r.dists.cols() != shard_k(s))
+          throw serve::net::ProtocolError(
+              "rbc::dist::NetRouter: shard " + std::to_string(s) +
+              " answered a " + std::to_string(r.ids.rows()) + " x " +
+              std::to_string(r.ids.cols()) + " knn block for a " +
+              std::to_string(nq) + " x " + std::to_string(shard_k(s)) +
+              " request");
+        for (index_t qi = 0; qi < nq; ++qi)
+          for (index_t j = 0; j < shard_k(s); ++j)
+            check_local_id(s, r.ids.at(qi, j));
+        parts[s] = std::move(r);
+        inputs.push_back({&parts[s], shards_[s].rows.lo});
+      });
+  // The same exact merge the in-process composite runs, over the covered
+  // shards: bit-identical to sharded:<inner> when every shard answered;
+  // otherwise short rows pad with kInvalidIndex/kInfDist like any
+  // k > coverage query.
+  out.result = shard::merge_shard_topk(nq, k, inputs);
   return out;
 }
 
-PartialRangeResult NetRouter::scatter_range(const Matrix<float>& queries,
-                                            dist_t radius,
-                                            std::uint32_t deadline_ms,
-                                            bool partial) {
+PartialRangeResult NetRouter::route_range(const Matrix<float>& queries,
+                                          dist_t radius,
+                                          std::uint32_t deadline_ms,
+                                          bool partial) {
+  if (std::isnan(radius))
+    throw std::invalid_argument("rbc::dist::NetRouter: radius is NaN");
   const index_t nq = queries.rows();
-  if (nq > 0 && queries.cols() != dim_)
-    throw std::invalid_argument(
-        "rbc::dist::NetRouter: query dimension " +
-        std::to_string(queries.cols()) + " != shard dimension " +
-        std::to_string(dim_));
-  const std::size_t S = shards_.size();
   PartialRangeResult out;
-  out.shards.assign(S, {});
-  out.ids.assign(nq, {});
-  if (nq == 0) return out;
-  const std::optional<Clock::time_point> deadline =
-      deadline_ms > 0 ? std::optional(Clock::now() + std::chrono::milliseconds(
-                                                         deadline_ms))
-                      : std::nullopt;
-
-  std::vector<std::vector<std::vector<index_t>>> fanout(S);
-  std::vector<std::exception_ptr> fatal(S);
-  std::vector<RouterStats> local(S);
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(S);
-    for (std::size_t s = 0; s < S; ++s)
-      threads.emplace_back([&, s] {
-        try {
-          fanout[s] = with_failover(
-              s, deadline, local[s],
-              [&](RbcClient& client, std::uint32_t remaining) {
-                return client.range(queries, radius, remaining);
-              });
-        } catch (const RemoteError& e) {
-          if (e.code() == ErrorCode::kDeadlineExceeded) {
-            out.shards[s] = {false, e.what()};
-          } else {
-            fatal[s] = std::current_exception();
-          }
-        } catch (const std::runtime_error& e) {
-          out.shards[s] = {false, e.what()};
-        } catch (...) {
-          fatal[s] = std::current_exception();
-        }
-      });
-    for (std::thread& t : threads) t.join();
-  }
-  for (const RouterStats& l : local) {
-    stats_.requests += l.requests;
-    stats_.retries += l.retries;
-    stats_.transport_errors += l.transport_errors;
-    stats_.failovers += l.failovers;
-    stats_.reconnects += l.reconnects;
-    stats_.breaker_opens += l.breaker_opens;
-    stats_.breaker_probes += l.breaker_probes;
-    stats_.deadline_exceeded += l.deadline_exceeded;
-  }
-  for (const std::exception_ptr& e : fatal)
-    if (e) std::rethrow_exception(e);
-  if (!partial)
-    for (std::size_t s = 0; s < S; ++s)
-      if (!out.shards[s].covered)
-        throw std::runtime_error("rbc::dist::NetRouter: shard " +
-                                 std::to_string(s) +
-                                 " uncovered: " + out.shards[s].error);
-
-  // Same trust boundary as knn(): check shape and id ranges before the
-  // remap indexes global_ids_ with wire-supplied shard-local ids.
-  for (std::size_t s = 0; s < S; ++s) {
-    if (!out.shards[s].covered) continue;
-    if (fanout[s].size() != static_cast<std::size_t>(nq))
-      throw serve::net::ProtocolError(
-          "rbc::dist::NetRouter: shard " + std::to_string(s) + " answered " +
-          std::to_string(fanout[s].size()) + " range rows for " +
-          std::to_string(nq) + " queries");
-    const index_t rows_held = static_cast<index_t>(global_ids_[s].size());
-    for (const std::vector<index_t>& hits : fanout[s])
-      for (index_t local_id : hits)
-        if (local_id >= rows_held)
+  std::vector<std::vector<std::vector<index_t>>> parts(shards_.size());
+  std::vector<shard::RangeInput> inputs;
+  scatter(
+      queries, deadline_ms, partial, out,
+      [&](std::size_t, RbcClient& client, std::uint32_t remaining) {
+        return client.range(queries, radius, remaining);
+      },
+      [&](std::size_t s, std::vector<std::vector<index_t>> hits) {
+        // Same trust boundary as route_knn: check the row count and every
+        // shard-local id before the union remaps them.
+        if (hits.size() != static_cast<std::size_t>(nq))
           throw serve::net::ProtocolError(
               "rbc::dist::NetRouter: shard " + std::to_string(s) +
-              " answered local id " + std::to_string(local_id) +
-              " but holds only " + std::to_string(rows_held) + " rows");
-  }
-
-  // Shard servers answer with shard-local ids sorted ascending; remapping
-  // through the monotone global_ids keeps each shard's run sorted, and a
-  // k-way append + sort matches the in-process composite's output exactly.
-  for (index_t qi = 0; qi < nq; ++qi) {
-    std::vector<index_t>& hits = out.ids[qi];
-    for (std::size_t s = 0; s < S; ++s) {
-      if (!out.shards[s].covered) continue;
-      for (index_t local_id : fanout[s][qi])
-        hits.push_back(global_ids_[s][local_id]);
-    }
-    std::sort(hits.begin(), hits.end());
-  }
-  stats_.queries += nq;
-  if (!out.complete()) stats_.partial_answers += 1;
+              " answered " + std::to_string(hits.size()) +
+              " range rows for " + std::to_string(nq) + " queries");
+        for (const std::vector<index_t>& row : hits)
+          for (const index_t id : row) check_local_id(s, id);
+        parts[s] = std::move(hits);
+        inputs.push_back({&parts[s], shards_[s].rows.lo});
+      });
+  out.ids = shard::merge_shard_range(nq, inputs);
   return out;
 }
 
@@ -542,34 +466,24 @@ PartialRangeResult NetRouter::scatter_range(const Matrix<float>& queries,
 
 KnnResult NetRouter::knn(const Matrix<float>& queries, index_t k,
                          std::uint32_t deadline_ms) {
-  return std::move(
-      scatter_knn(queries, k, deadline_ms, /*partial=*/false).result);
+  return std::move(route_knn(queries, k, deadline_ms, false).result);
 }
 
 std::vector<std::vector<index_t>> NetRouter::range(
     const Matrix<float>& queries, dist_t radius, std::uint32_t deadline_ms) {
-  return std::move(
-      scatter_range(queries, radius, deadline_ms, /*partial=*/false).ids);
+  return std::move(route_range(queries, radius, deadline_ms, false).ids);
 }
 
 PartialKnnResult NetRouter::knn_partial(const Matrix<float>& queries,
                                         index_t k,
                                         std::uint32_t deadline_ms) {
-  if (!options_.allow_partial)
-    throw std::invalid_argument(
-        "rbc::dist::NetRouter: knn_partial requires "
-        "RouterOptions::allow_partial");
-  return scatter_knn(queries, k, deadline_ms, /*partial=*/true);
+  return route_knn(queries, k, deadline_ms, true);
 }
 
 PartialRangeResult NetRouter::range_partial(const Matrix<float>& queries,
                                             dist_t radius,
                                             std::uint32_t deadline_ms) {
-  if (!options_.allow_partial)
-    throw std::invalid_argument(
-        "rbc::dist::NetRouter: range_partial requires "
-        "RouterOptions::allow_partial");
-  return scatter_range(queries, radius, deadline_ms, /*partial=*/true);
+  return route_range(queries, radius, deadline_ms, true);
 }
 
 }  // namespace rbc::dist

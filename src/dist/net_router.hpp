@@ -35,17 +35,19 @@
 //     timeout is the *remaining* budget (propagated on the wire so servers
 //     shed work past it), a reconnect's connect and INFO included, and
 //     failover stops when the budget does.
-//   * Graceful degradation (opt-in allow_partial): when every replica of a
-//     shard is down within the deadline, knn_partial/range_partial return
-//     the exact merge over the covered shards plus a per-shard coverage
-//     report instead of throwing. The strict knn()/range() always throw on
-//     uncovered shards — bit-identical answers stay the default contract.
+//   * Graceful degradation: when every replica of a shard is down within
+//     the deadline, knn_partial/range_partial (the calls that opt in by
+//     name) return the exact merge over the covered shards plus a
+//     per-shard coverage report instead of throwing. The strict
+//     knn()/range() always throw on uncovered shards — bit-identical
+//     answers stay the default contract.
 //
-// The global-id mapping is derived, not transmitted: shard s's servers must
-// hold exactly the contiguous rows shard::partition_rows(total, S) assigns
-// to s (ascending), which the router validates against each replica's INFO
-// at connect time (sizes and dims must line up). Overload rejections from a
-// shard are retried with the server's retry_after_ms hint.
+// The global ids are derived, not transmitted: shard s's servers must hold
+// exactly the contiguous rows [lo, hi) that shard::partition_rows(total, S,
+// s) assigns to s, in order, so shard-local id i is global row lo + i. The
+// router validates each replica's INFO against that at connect time (sizes
+// and dims must line up). Overload rejections from a shard are retried with
+// the server's retry_after_ms hint.
 //
 // Not thread-safe: a router owns one connection per replica, and RbcClient
 // is single-threaded. Run one router per routing thread.
@@ -59,7 +61,7 @@
 #include <vector>
 
 #include "serve/net/client.hpp"
-#include "shard/sharded_index.hpp"  // partition_rows
+#include "shard/sharded_index.hpp"  // RowRange, partition_rows
 
 namespace rbc::dist {
 
@@ -81,10 +83,6 @@ struct RouterOptions {
   /// plus a deterministic per-endpoint jitter of up to 25%.
   std::uint32_t breaker_base_ms = 50;
   std::uint32_t breaker_max_ms = 2'000;
-  /// Permit knn_partial/range_partial to answer from surviving shards when
-  /// a shard has no live replica (see class comment). Off by default: the
-  /// strict bit-identical contract stays opt-out-only.
-  bool allow_partial = false;
   serve::net::ClientOptions client;
 };
 
@@ -109,15 +107,11 @@ struct ShardCoverage {
   std::string error;  ///< last failure when !covered
 };
 
-struct PartialKnnResult {
-  KnnResult result{0, 0};
+/// The shards behind a degraded answer.
+struct PartialCoverage {
   std::vector<ShardCoverage> shards;  ///< one entry per shard
 
-  bool complete() const {
-    for (const ShardCoverage& s : shards)
-      if (!s.covered) return false;
-    return true;
-  }
+  bool complete() const { return coverage().full(); }
   serve::net::Coverage coverage() const {
     serve::net::Coverage c{0, static_cast<std::uint32_t>(shards.size())};
     for (const ShardCoverage& s : shards) c.covered += s.covered ? 1 : 0;
@@ -125,15 +119,12 @@ struct PartialKnnResult {
   }
 };
 
-struct PartialRangeResult {
-  std::vector<std::vector<index_t>> ids;
-  std::vector<ShardCoverage> shards;
+struct PartialKnnResult : PartialCoverage {
+  KnnResult result{0, 0};
+};
 
-  bool complete() const {
-    for (const ShardCoverage& s : shards)
-      if (!s.covered) return false;
-    return true;
-  }
+struct PartialRangeResult : PartialCoverage {
+  std::vector<std::vector<index_t>> ids;
 };
 
 class NetRouter {
@@ -157,18 +148,17 @@ class NetRouter {
   /// whole call and rides the wire (0 = unbounded). Throws
   /// std::invalid_argument on a malformed request (wrong dim, k == 0 or >
   /// total size) and RemoteError/std::runtime_error when any shard stays
-  /// unreachable (regardless of allow_partial — use knn_partial to
-  /// degrade).
+  /// unreachable (use knn_partial to degrade).
   KnnResult knn(const Matrix<float>& queries, index_t k,
                 std::uint32_t deadline_ms = 0);
 
-  /// All global ids within `radius` of each query, ascending by id.
+  /// All global ids within `radius` of each query, ascending by id. Throws
+  /// std::invalid_argument on a wrong dim or a NaN radius.
   std::vector<std::vector<index_t>> range(const Matrix<float>& queries,
                                           dist_t radius,
                                           std::uint32_t deadline_ms = 0);
 
-  /// Degraded variants (require options.allow_partial, else
-  /// std::invalid_argument): shards whose every replica failed within the
+  /// Degraded variants: shards whose every replica failed within the
   /// deadline are reported uncovered instead of throwing, and the merge
   /// runs over the covered shards — exact on what it covers.
   PartialKnnResult knn_partial(const Matrix<float>& queries, index_t k,
@@ -201,19 +191,32 @@ class NetRouter {
   struct Shard {
     std::vector<Replica> replicas;
     std::size_t preferred = 0;  // last replica that answered (sticky)
+    shard::RowRange rows;       // the global rows this shard holds
   };
 
-  // Scatter/gather over all shards with per-shard failover; the core of
-  // both the strict (`partial` false: uncovered shards throw) and the
-  // degraded (`partial` true: uncovered shards are reported) paths.
-  PartialKnnResult scatter_knn(const Matrix<float>& queries, index_t k,
-                               std::uint32_t deadline_ms, bool partial);
-  PartialRangeResult scatter_range(const Matrix<float>& queries, dist_t radius,
-                                   std::uint32_t deadline_ms, bool partial);
+  // The one scatter: checks the queries' dim, calls attempt(s, client,
+  // remaining_ms) for every shard on its own thread, with per-shard
+  // failover, then accept(s, answer) for each covered shard. Availability
+  // failures mark a shard uncovered in `out` and throw unless `partial`;
+  // request-level failures always throw.
+  template <class Attempt, class Accept>
+  void scatter(const Matrix<float>& queries, std::uint32_t deadline_ms,
+               bool partial, PartialCoverage& out, Attempt&& attempt,
+               Accept&& accept);
+  // knn's and range's attempt, answer check and gather around scatter():
+  // `partial` false backs the strict calls, true the degraded ones.
+  PartialKnnResult route_knn(const Matrix<float>& queries, index_t k,
+                             std::uint32_t deadline_ms, bool partial);
+  PartialRangeResult route_range(const Matrix<float>& queries, dist_t radius,
+                                 std::uint32_t deadline_ms, bool partial);
+  // Throws ProtocolError unless `id` is one of shard s's local ids.
+  void check_local_id(std::size_t s, index_t id) const;
 
   // Runs `attempt(client, remaining_ms)` against shard s with overload
   // retries, replica failover, breaker bookkeeping, and the deadline
-  // budget. Defined in the .cpp (used only there).
+  // budget. Throws RemoteError when a server refused the request and
+  // std::runtime_error when the shard stayed unavailable, deadline
+  // included. Defined in the .cpp (used only there).
   template <class Fn>
   auto with_failover(std::size_t s, std::optional<Clock::time_point> deadline,
                      RouterStats& local, Fn&& attempt);
@@ -224,18 +227,21 @@ class NetRouter {
   serve::net::RbcClient& ensure_connected(std::size_t s, Replica& replica,
                                           RouterStats& local,
                                           std::uint32_t budget_ms);
-  void record_failure(std::size_t s, Replica& replica, RouterStats& local);
+  void record_failure(Replica& replica, RouterStats& local);
   void record_success(Replica& replica);
   // Deterministic jitter for the breaker's open window: a hash of the
   // endpoint and its open count, no global RNG (CP.3 stance of
   // common/rng.hpp).
   std::uint32_t open_window_ms(const Replica& replica) const;
 
-  void validate_topology(const std::vector<serve::net::InfoMsg>& infos);
+  // Throws std::runtime_error unless `info`, the INFO of a replica of shard
+  // s, matches the topology: the common dim and metric, and the shard's
+  // row count.
+  void check_info(std::size_t s, const Replica& replica,
+                  const serve::net::InfoMsg& info) const;
 
   RouterOptions options_;
   std::vector<Shard> shards_;
-  std::vector<std::vector<index_t>> global_ids_;  // per shard, ascending
   index_t size_ = 0;
   index_t dim_ = 0;
   std::string metric_;

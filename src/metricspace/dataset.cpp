@@ -35,11 +35,9 @@ class StringDataset final : public Dataset {
   std::string_view kind() const override { return "strings"; }
   std::string_view item(index_t i) const override { return items_[i]; }
 
-  DatasetHandle subset(std::span<const index_t> rows) const override {
-    std::vector<std::string> picked;
-    picked.reserve(rows.size());
-    for (const index_t r : rows) picked.push_back(items_[r]);
-    return std::make_shared<StringDataset>(std::move(picked));
+  DatasetHandle subset(index_t lo, index_t hi) const override {
+    return std::make_shared<StringDataset>(
+        std::vector<std::string>(items_.begin() + lo, items_.begin() + hi));
   }
 
   void save(std::ostream& os) const override {
@@ -80,13 +78,11 @@ class GraphDataset final : public Dataset {
     return std::string_view(blob_.data() + static_cast<std::size_t>(i) * 8, 8);
   }
 
-  DatasetHandle subset(std::span<const index_t> rows) const override {
-    std::vector<index_t> picked;
-    picked.reserve(rows.size());
-    for (const index_t r : rows) picked.push_back(nodes_[r]);
+  DatasetHandle subset(index_t lo, index_t hi) const override {
     // The graph core is shared: subset distances are global shortest paths,
     // so a sharded build answers bit-identically to the unsharded one.
-    return std::make_shared<GraphDataset>(core_, std::move(picked));
+    return std::make_shared<GraphDataset>(
+        core_, std::vector<index_t>(nodes_.begin() + lo, nodes_.begin() + hi));
   }
 
   void save(std::ostream& os) const override {

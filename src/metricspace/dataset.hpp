@@ -68,11 +68,9 @@ class Dataset {
   /// Payload bytes of element i (borrowed; valid while the dataset lives).
   virtual std::string_view item(index_t i) const = 0;
 
-  /// The sub-dataset holding exactly `rows` (ascending global positions of
-  /// this dataset), sharing the underlying store. Element j of the subset
-  /// is element rows[j] of this dataset — ascending order is preserved, so
-  /// the sharded composite's global-id remap stays valid.
-  virtual DatasetHandle subset(std::span<const index_t> rows) const = 0;
+  /// The sub-dataset holding rows [lo, hi) of this dataset, sharing the
+  /// underlying store: element j of the subset is element lo + j here.
+  virtual DatasetHandle subset(index_t lo, index_t hi) const = 0;
 
   /// Serializes the payload (kind tag + store); load_dataset restores it.
   virtual void save(std::ostream& os) const = 0;

@@ -361,12 +361,10 @@ SearchResponse MutableIndex::knn_search(const SearchRequest& request) const {
     const std::array<shard::MergeCursorInput, 2> streams{{
         {.dists = main_d.data(),
          .ids = main_i.data(),
-         .k = static_cast<index_t>(main_i.size()),
-         .global_ids = nullptr},
+         .k = static_cast<index_t>(main_i.size())},
         {.dists = delta_d.data(),
          .ids = delta_i.data(),
-         .k = k_delta,
-         .global_ids = nullptr},
+         .k = k_delta},
     }};
     shard::merge_topk_row(k, streams, response.knn.dists.row(qi),
                           response.knn.ids.row(qi));

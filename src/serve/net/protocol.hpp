@@ -153,7 +153,8 @@ struct RangeRequestMsg {
 
 /// Response trailer: how many of the shards behind this answer actually
 /// contributed. A single-process server is its own single shard ({1, 1});
-/// a router in allow_partial mode may forward covered < total.
+/// a router forwarding a degraded answer (NetRouter::knn_partial) may carry
+/// covered < total.
 struct Coverage {
   std::uint32_t covered = 1;
   std::uint32_t total = 1;

@@ -1,5 +1,5 @@
-// Exact k-way merge of per-shard top-k blocks — the gather half of every
-// scatter/gather composite in the library.
+// Exact k-way merge of per-shard top-k blocks and per-row union of range
+// hits — the gather half of every scatter/gather composite in the library.
 //
 // Two layers share this code path bit-for-bit: ShardedIndex (in-process
 // row-partitioned fan-out, shard/sharded_index.cpp) and NetRouter
@@ -13,9 +13,10 @@
 //   * each shard's row holds its `k` nearest under ascending (distance, id)
 //     order; an *approximate* shard may under-fill the row, padding the
 //     tail with (kInfDist, kInvalidIndex) entries;
-//   * global_ids maps shard-local row ids to global row ids monotonically
-//     (ascending local -> ascending global), so each sorted shard row stays
-//     sorted after remapping (padding ids are never remapped);
+//   * a shard's ids become global ids by adding its first_row (a
+//     positional shard holds the global rows from first_row on, in order;
+//     an id-native shard answers global ids and passes 0), so each sorted
+//     row stays sorted (padding ids are never remapped);
 //   * for exact shards the k's sum to at least the output k (guaranteed
 //     when k <= total database size, which the unified API validates).
 // Under those, a cursor-per-shard merge is exact: ties break on the global
@@ -25,6 +26,7 @@
 // backends themselves use.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -39,9 +41,9 @@ struct MergeCursorInput {
   const dist_t* dists = nullptr;  ///< k ascending (distance, id) entries
   const index_t* ids = nullptr;   ///< matching local (or global) ids
   index_t k = 0;                  ///< valid entries (no padding)
-  /// Local id -> global id, ascending; nullptr means ids are already
-  /// global (identity remap).
-  const std::vector<index_t>* global_ids = nullptr;
+  /// Added to every id: a positional shard's first global row; 0 for ids
+  /// that are already global.
+  index_t first_row = 0;
 };
 
 /// Merges the streams' sorted rows into one k-entry output row under the
@@ -59,12 +61,10 @@ inline void merge_topk_row(index_t k,
       const index_t local = streams[s].ids[cursor[s]];
       // Approximate shards pad under-filled rows with (kInfDist,
       // kInvalidIndex); the padding is a sorted tail, so the stream is
-      // exhausted here — and must never reach the global_ids remap.
+      // exhausted here — and must never be remapped.
       if (local == kInvalidIndex) continue;
       const dist_t d = streams[s].dists[cursor[s]];
-      const index_t gid = streams[s].global_ids == nullptr
-                              ? local
-                              : (*streams[s].global_ids)[local];
+      const index_t gid = local + streams[s].first_row;
       if (d < best_d || (d == best_d && gid < best_id)) {
         best_s = s;
         best_d = d;
@@ -86,11 +86,8 @@ inline void merge_topk_row(index_t k,
 
 /// One shard's contribution to the merge.
 struct MergeInput {
-  const KnnResult* knn = nullptr;  ///< per-query top-k block (nq rows)
-  index_t k = 0;                   ///< valid entries per row (<= knn cols)
-  /// Shard-local row id -> global row id, ascending; nullptr = ids are
-  /// already global.
-  const std::vector<index_t>* global_ids = nullptr;
+  const KnnResult* knn = nullptr;  ///< nq rows of its shard's top-k
+  index_t first_row = 0;           ///< as in MergeCursorInput
 };
 
 /// Merges the shards' top-k rows into one nq x k result under the global
@@ -104,9 +101,28 @@ inline KnnResult merge_shard_topk(index_t nq, index_t k,
     for (std::size_t s = 0; s < shards.size(); ++s)
       streams[s] = {.dists = shards[s].knn->dists.row(qi),
                     .ids = shards[s].knn->ids.row(qi),
-                    .k = shards[s].k,
-                    .global_ids = shards[s].global_ids};
+                    .k = shards[s].knn->ids.cols(),
+                    .first_row = shards[s].first_row};
     merge_topk_row(k, streams, out.dists.row(qi), out.ids.row(qi));
+  });
+  return out;
+}
+
+/// One shard's range hits.
+struct RangeInput {
+  const std::vector<std::vector<index_t>>* hits = nullptr;  ///< per query
+  index_t first_row = 0;  ///< as in MergeCursorInput
+};
+
+/// Unions the shards' hits per query row, in global ids ascending.
+inline std::vector<std::vector<index_t>> merge_shard_range(
+    index_t nq, std::span<const RangeInput> shards) {
+  std::vector<std::vector<index_t>> out(nq);
+  parallel_for_dynamic(0, nq, [&](index_t qi) {
+    for (const RangeInput& shard : shards)
+      for (const index_t id : (*shard.hits)[qi])
+        out[qi].push_back(id + shard.first_row);
+    std::sort(out[qi].begin(), out[qi].end());
   });
   return out;
 }

@@ -24,16 +24,9 @@ namespace {
 
 /// Calls body(i) for every i in [0, count) on the team. An exception
 /// escaping an OpenMP region terminates the process, so each item parks its
-/// own, and the first in item order is rethrown after the region. A single
-/// item runs outside any region: inside even a one-thread region its own
-/// parallel loops would nest, and a nested team starts fresh threads on
-/// every call.
+/// own, and the first in item order is rethrown after the region.
 template <class Body>
 void for_each_item(std::size_t count, Body&& body) {
-  if (count == 1) {
-    body(0);
-    return;
-  }
   std::vector<std::exception_ptr> errors(count);
   parallel_for_dynamic(0, static_cast<std::int64_t>(count), [&](index_t i) {
     try {
@@ -46,31 +39,7 @@ void for_each_item(std::size_t count, Body&& body) {
     if (error) std::rethrow_exception(error);
 }
 
-/// Query rows [lo, hi) of Q, as one matrix. A serial copy: it runs inside
-/// the fan-out's region, and a block holds a few rows.
-Matrix<float> row_block(const Matrix<float>& Q, index_t lo, index_t hi) {
-  Matrix<float> rows = Matrix<float>::uninitialized(hi - lo, Q.cols());
-  for (index_t i = lo; i < hi; ++i) rows.set_row(i - lo, Q.row(i));
-  return rows;
-}
-
 }  // namespace
-
-std::vector<std::vector<index_t>> partition_rows(index_t n,
-                                                 index_t num_shards) {
-  // Sizes differ by at most one row, and the mapping is a pure function of
-  // (n, num_shards), so save/load and NetRouter re-derive it.
-  std::vector<std::vector<index_t>> rows(num_shards);
-  for (index_t s = 0; s < num_shards; ++s) {
-    const auto lo = static_cast<index_t>(
-        static_cast<std::uint64_t>(s) * n / num_shards);
-    const auto hi = static_cast<index_t>(
-        static_cast<std::uint64_t>(s + 1) * n / num_shards);
-    rows[s].reserve(hi - lo);
-    for (index_t i = lo; i < hi; ++i) rows[s].push_back(i);
-  }
-  return rows;
-}
 
 ShardedIndex::ShardedIndex(std::string_view inner, const IndexOptions& options)
     : inner_(inner), name_("sharded:" + std::string(inner)), options_(options) {
@@ -93,60 +62,59 @@ void ShardedIndex::fail(const std::string& what) const {
   throw std::invalid_argument("rbc::Index[" + name_ + "]: " + what);
 }
 
+std::vector<RowRange> ShardedIndex::shard_ranges(index_t n) const {
+  std::vector<RowRange> ranges;
+  for (index_t s = 0; s < options_.num_shards; ++s) {
+    const RowRange range = partition_rows(n, options_.num_shards, s);
+    if (range.size() > 0 || mutable_mode_) ranges.push_back(range);
+  }
+  return ranges;
+}
+
 void ShardedIndex::build_shards(const Matrix<float>* X,
                                 const metricspace::DatasetHandle& data,
                                 std::span<const index_t> ids) {
-  // Id-native shards all exist — an initially empty one (num_shards > n)
-  // is built over zero rows so it can still absorb inserts later; a
-  // positional composite leaves its excess shards out.
-  std::vector<std::vector<index_t>> rows =
-      partition_rows(static_cast<index_t>(ids.size()), options_.num_shards);
-  if (!mutable_mode_)
-    std::erase_if(rows, [](const auto& set) { return set.empty(); });
-
-  std::vector<Shard> shards(rows.size());
-  std::vector<std::vector<index_t>> labels(rows.size());
-  for (std::size_t s = 0; s < rows.size(); ++s) {
-    shards[s].index = make_index(inner_, options_);
-    shards[s].live = static_cast<index_t>(rows[s].size());
-    labels[s].reserve(rows[s].size());
-    for (const index_t row : rows[s]) labels[s].push_back(ids[row]);
-  }
+  const index_t n = X != nullptr ? X->rows() : data->size();
+  const std::vector<RowRange> rows = shard_ranges(n);
+  std::vector<Shard> shards;
+  for (const RowRange& range : rows)
+    shards.push_back({.index = make_index(inner_, options_),
+                      .first_row = mutable_mode_ ? 0 : range.lo,
+                      .live = range.size()});
+  const auto labels = [&](std::size_t s) {
+    return ids.subspan(rows[s].lo, rows[s].size());
+  };
 
   // Shard builds are independent; each inner build's own OpenMP loops run
   // within the worker it landed on (nested regions serialize, so cores
-  // split across shards cleanly). Payload shards build over dataset subsets,
-  // whose ascending order keeps the merge's monotone remap.
+  // split across shards cleanly).
   for_each_item(shards.size(), [&](index_t s) {
     Index& index = *shards[s].index;
     if (X == nullptr) {
-      index.build_payload(data->subset(rows[s]));
+      index.build_payload(data->subset(rows[s].lo, rows[s].hi));
       return;
     }
     const Matrix<float> part = gather_rows(
-        *X, shards[s].live, [&](index_t i) { return rows[s][i]; });
+        *X, shards[s].live, [&](index_t i) { return rows[s].lo + i; });
     if (mutable_mode_)
-      index.build_with_ids(part, labels[s]);
+      index.build_with_ids(part, labels(s));
     else
       index.build(part);
   });
 
-  // Positional shards keep their labels as the local -> global remap;
-  // id-native shards answer in global ids, routed through the owner map.
+  // Id-native shards answer in global ids, routed through the owner map.
   std::unordered_map<index_t, std::uint32_t> owners;
-  if (mutable_mode_) owners.reserve(ids.size());
-  for (std::uint32_t s = 0; s < shards.size(); ++s) {
-    if (mutable_mode_)
-      for (const index_t id : labels[s]) owners.emplace(id, s);
-    else
-      shards[s].global_ids = std::move(labels[s]);
+  if (!ids.empty()) {
+    owners.reserve(ids.size());
+    for (std::uint32_t s = 0; s < shards.size(); ++s)
+      for (const index_t id : labels(s)) owners.emplace(id, s);
   }
 
   std::lock_guard compacting(compact_mutex_);
   std::unique_lock lock(mutex_);
   shards_ = std::move(shards);
   id_to_shard_ = std::move(owners);
-  size_ = static_cast<index_t>(ids.size());
+  size_ = n;
   dim_ = X == nullptr ? 0 : X->cols();
   built_ = true;
 }
@@ -158,7 +126,7 @@ void ShardedIndex::build(const Matrix<float>& X) {
   // Before the fan-out, so a rejected build names the composite and builds
   // no shard.
   validate_rows(X, name_.c_str());
-  std::vector<index_t> ids(X.rows());
+  std::vector<index_t> ids(mutable_mode_ ? X.rows() : 0);  // row i: id i
   std::iota(ids.begin(), ids.end(), index_t{0});
   build_shards(&X, nullptr, ids);
 }
@@ -187,9 +155,7 @@ void ShardedIndex::build_payload(const metricspace::DatasetHandle& data) {
       entry != nullptr && data->kind() != entry->dataset_kind)
     fail("metric '" + metric_ + "' requires a '" + entry->dataset_kind +
          "' dataset, got '" + std::string(data->kind()) + "'");
-  std::vector<index_t> ids(data->size());
-  std::iota(ids.begin(), ids.end(), index_t{0});
-  build_shards(nullptr, data, ids);
+  build_shards(nullptr, data, {});
 }
 
 template <class Item>
@@ -203,8 +169,9 @@ SearchStats ShardedIndex::fan_out(index_t nq, Item&& item) const {
   // One block per thread and shard; a batch smaller than the team runs one
   // row per item. The inner backends' own OpenMP loops nest inside this
   // region and run serially. A lone live shard takes the whole batch as one
-  // item, which runs on the calling thread (for_each_item) and spreads its
-  // rows over the team by the inner backend's own schedule.
+  // item, which runs on the calling thread (outside an active region, a
+  // one-iteration loop opens none) and spreads its rows over the team by
+  // the inner backend's own schedule.
   const auto team = static_cast<index_t>(max_threads());
   const index_t block =
       std::max<index_t>(1, live.size() == 1 ? nq : (nq + team - 1) / team);
@@ -230,10 +197,8 @@ SearchResponse ShardedIndex::knn_fan_out(index_t nq, index_t k,
   std::vector<MergeInput> inputs;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     if (shards_[s].live == 0) continue;
-    const index_t shard_k = std::min(k, shards_[s].live);
-    parts[s] = KnnResult(nq, shard_k);
-    inputs.push_back({&parts[s], shard_k,
-                      mutable_mode_ ? nullptr : &shards_[s].global_ids});
+    parts[s] = KnnResult(nq, std::min(k, shards_[s].live));
+    inputs.push_back({&parts[s], shards_[s].first_row});
   }
   const SearchStats stats = fan_out(nq, [&](std::size_t s, index_t lo,
                                             index_t hi) {
@@ -250,8 +215,7 @@ SearchResponse ShardedIndex::knn_fan_out(index_t nq, index_t k,
 
   // Exact k-way merge under the global (distance, id) order — shared with
   // the multi-process NetRouter (see shard/merge.hpp for the exactness
-  // argument). Id-native shards already answer in global ids (identity
-  // remap); positional shards' local ids map to global ids monotonically.
+  // argument).
   SearchResponse response;
   response.knn = merge_shard_topk(nq, k, inputs);
   if (collect_stats) response.stats = stats;
@@ -268,7 +232,8 @@ SearchResponse ShardedIndex::knn_search(const SearchRequest& request) const {
   return knn_fan_out(
       Q.rows(), request.k, request.options.collect_stats,
       [&](const Index& shard, index_t lo, index_t hi, index_t k) {
-        const Matrix<float> rows = row_block(Q, lo, hi);
+        const Matrix<float> rows =
+            gather_rows(Q, hi - lo, [&](index_t i) { return lo + i; });
         SearchRequest sub = request;
         sub.queries = &rows;
         sub.k = k;
@@ -313,31 +278,25 @@ RangeResponse ShardedIndex::range_search(const RangeRequest& request) const {
   const Matrix<float>& Q = *request.queries;
   const index_t nq = Q.rows();
 
-  // hits[s][qi]: shard s's hits for query qi, in global ids.
+  // hits[s][qi]: shard s's hits for query qi, in its own ids.
   std::vector<std::vector<std::vector<index_t>>> hits(
       shards_.size(), std::vector<std::vector<index_t>>(nq));
   const SearchStats stats = fan_out(nq, [&](std::size_t s, index_t lo,
                                             index_t hi) {
-    const Matrix<float> rows = row_block(Q, lo, hi);
+    const Matrix<float> rows =
+        gather_rows(Q, hi - lo, [&](index_t i) { return lo + i; });
     RangeRequest sub = request;
     sub.queries = &rows;
     RangeResponse r = shards_[s].index->range_search(sub);
-    for (index_t i = lo; i < hi; ++i) {
-      hits[s][i] = std::move(r.ids[i - lo]);
-      if (!mutable_mode_)
-        for (index_t& id : hits[s][i]) id = shards_[s].global_ids[id];
-    }
+    for (index_t i = lo; i < hi; ++i) hits[s][i] = std::move(r.ids[i - lo]);
     return r.stats;
   });
 
+  std::vector<RangeInput> inputs;
+  for (std::size_t s = 0; s < shards_.size(); ++s)
+    inputs.push_back({&hits[s], shards_[s].first_row});
   RangeResponse response;
-  response.ids.resize(nq);
-  parallel_for_dynamic(0, nq, [&](index_t qi) {
-    std::vector<index_t>& out = response.ids[qi];
-    for (const auto& shard_hits : hits)
-      out.insert(out.end(), shard_hits[qi].begin(), shard_hits[qi].end());
-    std::sort(out.begin(), out.end());
-  });
+  response.ids = merge_shard_range(nq, inputs);
   if (request.options.collect_stats) response.stats = stats;
   return response;
 }
@@ -486,28 +445,23 @@ std::unique_ptr<Index> ShardedIndex::load(std::istream& is) {
         std::string("rbc::ShardedIndex: corrupt stream (") + e.what() + ")");
   }
   io::read_pod(is, index->size_);
-  // A corrupt row count must fail here, before the partition tables (the
-  // global-id remap alone is 4 bytes/row) are allocated for it. Every
-  // shipped inner format stores well over a byte per indexed row, so the
-  // remaining stream length is a sound plausibility floor.
+  // The row count is outside input: check it against the bytes left before
+  // it drives the shard count and ranges below. Every shipped inner format
+  // stores well over a byte per indexed row, so the remaining stream
+  // length is a sound plausibility floor.
   io::require_bytes(is, index->size_, "sharded row count");
   io::read_pod(is, index->dim_);
   std::uint64_t stored = 0;
   io::read_pod(is, stored);
 
-  // Id-native (mutable) saves persist all num_shards shards, empty ones
-  // included; positional saves (a payload or user inner, which does not
-  // mutate) persist exactly the min(num_shards, n) non-empty shards.
-  // Anything else is corrupt. The 8 bytes of stream per shard — every
+  // A save persists exactly the shards a build makes (shard_ranges):
+  // anything else is corrupt. The 8 bytes of stream per shard — every
   // inner format's magic + version — is another floor.
-  const std::uint64_t expected =
-      index->mutable_mode_
-          ? options.num_shards
-          : std::min<std::uint64_t>(options.num_shards, index->size_);
-  if (stored != expected)
+  const std::vector<RowRange> rows = index->shard_ranges(index->size_);
+  if (stored != rows.size())
     throw std::runtime_error(
         "rbc::ShardedIndex: corrupt stream (stored shard count " +
-        std::to_string(stored) + " != " + std::to_string(expected) + ")");
+        std::to_string(stored) + " != " + std::to_string(rows.size()) + ")");
   io::require_bytes(is, stored * 8, "sharded shard table");
 
   std::vector<Shard> shards(stored);
@@ -550,19 +504,13 @@ std::unique_ptr<Index> ShardedIndex::load(std::istream& is) {
           std::to_string(index->id_to_shard_.size()) +
           " != stored row count " + std::to_string(index->size_) + ")");
   } else {
-    // Positional shards: re-derive the assignment and keep the remap
-    // tables.
-    std::vector<std::vector<index_t>> assignment =
-        partition_rows(index->size_, options.num_shards);
-    std::size_t next = 0;
-    for (std::vector<index_t>& rows : assignment) {
-      if (rows.empty()) continue;
-      Shard& shard = shards[next++];
-      if (shard.index->info().size != rows.size())
+    // Positional shards: re-derive each one's rows.
+    for (std::size_t s = 0; s < shards.size(); ++s) {
+      if (shards[s].index->info().size != rows[s].size())
         throw std::runtime_error(
             "rbc::ShardedIndex: corrupt stream (shard size mismatch)");
-      shard.live = static_cast<index_t>(rows.size());
-      shard.global_ids = std::move(rows);
+      shards[s].first_row = rows[s].lo;
+      shards[s].live = rows[s].size();
     }
   }
 
@@ -606,8 +554,7 @@ IndexInfo ShardedIndex::info_locked() const {
     info.exact = info.exact && si.exact;
     info.delta_rows += si.delta_rows;
     info.tombstones += si.tombstones;
-    info.memory_bytes +=
-        si.memory_bytes + shard.global_ids.size() * sizeof(index_t);
+    info.memory_bytes += si.memory_bytes;
   }
   info.shards = answering;
   info.memory_bytes +=

@@ -13,8 +13,9 @@
 // thread has work; a lone live shard gets the whole batch and spreads it
 // over the team itself. Each task fills its own rows — shard results never
 // share mutable state, so the fan-out is lock-free by construction — and an
-// exact k-way merge (or, for range, a per-row union) remaps shard-local row
-// ids to global ids under the library-wide (distance, id) order. Because every
+// exact k-way merge (or, for range, a per-row union) turns shard-local row
+// ids into global ids by adding each shard's first global row, under the
+// library-wide (distance, id) order (shard/merge.hpp). Because every
 // inner backend re-measures candidates with the same scalar metric over the
 // same row bytes, the merged answer is bit-identical (ids, distances, tie
 // order) to the wrapped backend run unsharded, for every shard count and
@@ -39,12 +40,13 @@
 // delta-shard adapter, mutate/mutable_index.hpp), the composite runs
 // *id-native*: every shard — including initially empty ones, which is why
 // all num_shards are instantiated up front — is built with its global row
-// ids via build_with_ids, answers in global ids directly (no remap table),
-// and the composite routes each insert batch to the least-full shard and
+// ids via build_with_ids, answers in global ids directly (first row 0), and
+// the composite routes each insert batch to the least-full shard and
 // each remove to the shard that owns the id. Searches stay exact: the
 // per-shard live counts clamp k, and the same k-way merge applies.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
@@ -62,14 +64,26 @@ namespace rbc::shard {
 
 /// Upper bound on IndexOptions::num_shards: far beyond any useful
 /// configuration, and small enough that a corrupt shard-count field in a
-/// serialized file can never drive a giant partition-table allocation.
+/// serialized file can never drive a giant shard-table allocation.
 inline constexpr index_t kMaxShards = 1u << 20;
 
-/// The row sets of an (n, num_shards) split: shard s owns the rows
-/// [s*n/num_shards, (s+1)*n/num_shards), listed as *global* row ids in
-/// ascending order. Shards whose set is empty (num_shards > n) are left out
-/// of a positional build entirely.
-std::vector<std::vector<index_t>> partition_rows(index_t n, index_t num_shards);
+/// A shard's contiguous global rows [lo, hi).
+struct RowRange {
+  index_t lo = 0;
+  index_t hi = 0;
+  index_t size() const { return hi - lo; }
+};
+
+/// Shard s's rows of an (n, num_shards) split: [s*n/num_shards,
+/// (s+1)*n/num_shards). Sizes differ by at most one row, and the split is a
+/// pure function of (n, num_shards), so save/load and NetRouter re-derive
+/// it. Shards whose range is empty (num_shards > n) are left out of a
+/// positional build entirely.
+inline RowRange partition_rows(index_t n, index_t num_shards, index_t s) {
+  const std::uint64_t rows = n;  // s * n overflows 32 bits
+  return {static_cast<index_t>(s * rows / num_shards),
+          static_cast<index_t>((s + 1) * rows / num_shards)};
+}
 
 /// A row-partitioned composite over any registered inner backend. Validates
 /// the inner name and shard parameters at construction; build() copies each
@@ -93,10 +107,9 @@ class ShardedIndex final : public Index {
 
   /// Payload (generic metric-space) composites: live when the inner backend
   /// resolved IndexOptions::metric to a payload space. Each shard is built
-  /// over Dataset::subset of its row set — ascending order is preserved, so
-  /// the same global-id remap and k-way merge the dense path uses apply
-  /// unchanged, and the composite stays bit-identical to the inner backend
-  /// run unsharded.
+  /// over Dataset::subset of its contiguous rows, so the same first-row
+  /// remap and k-way merge the dense path uses apply unchanged, and the
+  /// composite stays bit-identical to the inner backend run unsharded.
   void build_payload(const metricspace::DatasetHandle& data) override;
   SearchResponse knn_search_payload(
       const PayloadSearchRequest& request) const override;
@@ -118,17 +131,21 @@ class ShardedIndex final : public Index {
  private:
   struct Shard {
     std::unique_ptr<Index> index;
-    /// Global row id of each shard-local row (local id -> global id).
-    /// Empty in id-native (mutable) mode: the shard answers global ids.
-    std::vector<index_t> global_ids;
+    /// Global row of local row 0: a positional shard holds the global rows
+    /// [first_row, first_row + live). 0 in id-native (mutable) mode, where
+    /// the shard answers global ids.
+    index_t first_row = 0;
     index_t live = 0;  ///< rows this shard currently answers for
   };
 
-  /// The one build path: splits the n = ids.size() build rows over the
-  /// shards, builds each shard on the team from `X`'s rows (dense) or
-  /// `data`'s subset (payload, X == nullptr), and installs them. ids[i] is
-  /// row i's global id: id-native shards are built with theirs, positional
-  /// ones keep them as the local -> global remap table.
+  /// Each shard's rows of an n-row build: all num_shards ranges when
+  /// id-native (empty ones absorb inserts later), else the non-empty ones.
+  std::vector<RowRange> shard_ranges(index_t n) const;
+  /// The one build path: splits the build rows over the shards, builds
+  /// each shard on the team from `X`'s rows (dense) or `data`'s subset
+  /// (payload, X == nullptr), and installs them. ids[i] is row i's global
+  /// id, which id-native shards are built with; positional builds pass no
+  /// ids, and each shard keeps its first row.
   void build_shards(const Matrix<float>* X,
                     const metricspace::DatasetHandle& data,
                     std::span<const index_t> ids);

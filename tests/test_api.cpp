@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "api/api.hpp"
 #include "baselines/balltree.hpp"
@@ -283,6 +286,42 @@ TEST(ApiRangeSearch, IpRadiusIsANegatedDotThresholdAndMayBeNegative) {
   l2->build(X);
   EXPECT_THROW((void)l2->range_search({.queries = &Q, .radius = -1.0f}),
                std::invalid_argument);
+}
+
+TEST(ApiRangeSearch, NanRadiusIsRefusedByEveryRangeBackend) {
+  // A NaN passes no comparison, so a `radius < 0` check alone lets it
+  // through to a scan that finds nothing. Under "ip", where a negative
+  // radius is legal, it is refused all the same.
+  const Matrix<float> X = testutil::clustered_matrix(40, 6, 3, 16);
+  const Matrix<float> Q = testutil::random_matrix(2, 6, 17);
+  const IndexOptions base{.rbc = {.num_reps = 4, .seed = 18},
+                          .num_shards = 2};
+  std::vector<std::string> checked;
+  for (const std::string& name : registered_backends()) {
+    const IndexInfo capabilities = make_index(name, base)->info();
+    if (!capabilities.supports_range) continue;
+    for (const std::string& metric : capabilities.supported_metrics) {
+      SCOPED_TRACE(name + " (" + metric + ")");
+      IndexOptions options = base;
+      options.metric = metric;
+      auto index = make_index(name, options);
+      index->build(X);
+      try {
+        (void)index->range_search(
+            {.queries = &Q, .radius = std::numeric_limits<float>::quiet_NaN()});
+        ADD_FAILURE() << "a NaN radius was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("radius is NaN"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+    checked.push_back(name);
+  }
+  std::sort(checked.begin(), checked.end());
+  EXPECT_EQ(checked, (std::vector<std::string>{"bruteforce", "rbc-exact",
+                                               "sharded:bruteforce",
+                                               "sharded:rbc-exact"}));
 }
 
 TEST(ApiRangeSearch, UnsupportedBackendThrows) {

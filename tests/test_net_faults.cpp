@@ -10,9 +10,9 @@
 //   * crash + restart — a restarted shard (fronted by the proxy's stable
 //     port) is re-validated and serves again, closing the breaker;
 //   * deadlines — a slow shard is abandoned when the budget expires;
-//   * graceful degradation — with allow_partial, a dead/partitioned shard
-//     yields coverage flags, never an exception, and the merged answer is
-//     exact over the covered shards;
+//   * graceful degradation — through knn_partial/range_partial, a
+//     dead/partitioned shard yields coverage flags, never an exception, and
+//     the merged answer is exact over the covered shards;
 //   * transport abuse — mid-frame truncation and byte corruption are
 //     survivable transport failures, not crashes or wrong answers.
 #include <gtest/gtest.h>
@@ -34,6 +34,7 @@
 #include "api/api.hpp"
 #include "dist/net_router.hpp"
 #include "fault_proxy.hpp"
+#include "parallel/rows.hpp"
 #include "serve/net/server.hpp"
 #include "shard/merge.hpp"
 #include "test_util.hpp"
@@ -52,6 +53,16 @@ Matrix<float> test_database() {
 
 Matrix<float> test_queries(index_t nq = 16) {
   return testutil::clustered_matrix(nq, kDim, 4, 321);
+}
+
+/// Shard `shard`'s rows of the database: the contiguous rows
+/// shard::partition_rows assigns it, as ShardedIndex does.
+Matrix<float> shard_rows(index_t shard, index_t num_shards) {
+  const Matrix<float> database = test_database();
+  const shard::RowRange mine =
+      shard::partition_rows(database.rows(), num_shards, shard);
+  return gather_rows(database, mine.size(),
+                     [&](index_t i) { return mine.lo + i; });
 }
 
 IndexOptions shard_options(index_t num_shards) {
@@ -156,28 +167,21 @@ std::unique_ptr<Index> reference_index(index_t num_shards) {
 KnnResult expected_partial_knn(const Matrix<float>& queries, index_t k,
                                index_t num_shards,
                                const std::vector<bool>& covered) {
-  const Matrix<float> database = test_database();
-  const auto assignment = shard::partition_rows(database.rows(), num_shards);
   std::vector<KnnResult> per_shard;
-  std::vector<index_t> ks;
-  std::vector<const std::vector<index_t>*> maps;
+  std::vector<index_t> first_rows;
   for (index_t s = 0; s < num_shards; ++s) {
     if (!covered[s]) continue;
-    const std::vector<index_t>& mine = assignment[s];
-    Matrix<float> rows(static_cast<index_t>(mine.size()), database.cols());
-    for (index_t i = 0; i < rows.rows(); ++i)
-      rows.copy_row_from(database, mine[i], i);
+    const Matrix<float> rows = shard_rows(s, num_shards);
     auto index = make_index("rbc-exact", shard_options(num_shards));
     index->build(rows);
     const index_t shard_k = std::min<index_t>(k, rows.rows());
     SearchRequest request{.queries = &queries, .k = shard_k, .options = {}};
     per_shard.push_back(index->knn_search(request).knn);
-    ks.push_back(shard_k);
-    maps.push_back(&assignment[s]);
+    first_rows.push_back(shard::partition_rows(kRows, num_shards, s).lo);
   }
   std::vector<shard::MergeInput> inputs;
   for (std::size_t i = 0; i < per_shard.size(); ++i)
-    inputs.push_back({&per_shard[i], ks[i], maps[i]});
+    inputs.push_back({&per_shard[i], first_rows[i]});
   return shard::merge_shard_topk(queries.rows(), k, inputs);
 }
 
@@ -265,11 +269,9 @@ TEST(NetFaults, SlowShardIsAbandonedOnDeadlineAndCoveredShardsStayExact) {
   ASSERT_NE(s1.port, 0);
 
   rbc::testing::FaultProxy proxy("127.0.0.1", s1.port);
-  dist::RouterOptions options = fast_options();
-  options.allow_partial = true;
   const std::vector<std::vector<dist::Endpoint>> topology = {
       {{"127.0.0.1", s0.port}}, {{"127.0.0.1", proxy.port()}}};
-  dist::NetRouter router(topology, options);
+  dist::NetRouter router(topology, fast_options());
 
   const Matrix<float> queries = test_queries();
   const index_t k = 10;
@@ -316,16 +318,40 @@ TEST(NetFaults, PartitionedShardYieldsCoverageFlagsNotException) {
   ASSERT_NE(s0.port, 0);
   ASSERT_NE(s1.port, 0);
 
-  rbc::testing::FaultProxy proxy("127.0.0.1", s1.port);
-  dist::RouterOptions options = fast_options();
-  options.allow_partial = true;
+  // Shard 0 goes dark, so the covered shard's ids must be shifted by a
+  // non-zero first row.
+  rbc::testing::FaultProxy proxy("127.0.0.1", s0.port);
   const std::vector<std::vector<dist::Endpoint>> topology = {
-      {{"127.0.0.1", s0.port}}, {{"127.0.0.1", proxy.port()}}};
-  dist::NetRouter router(topology, options);
+      {{"127.0.0.1", proxy.port()}}, {{"127.0.0.1", s1.port}}};
+  dist::NetRouter router(topology, fast_options());
 
   const Matrix<float> queries = test_queries();
   const index_t k = 8;
-  const dist_t radius = 1.5f;
+  // The largest 10th-neighbour distance: every query has 10 or more hits.
+  const auto reference = reference_index(kShards);
+  const KnnResult tenth =
+      reference->knn_search({.queries = &queries, .k = 10, .options = {}}).knn;
+  dist_t radius = 0.0f;
+  for (index_t qi = 0; qi < queries.rows(); ++qi)
+    radius = std::max(radius, tenth.dists.at(qi, 9));
+
+  // Shard 1's own range answer, in global ids: what the degraded union
+  // must return while shard 0 is partitioned away.
+  const index_t first_row = shard::partition_rows(kRows, kShards, 1).lo;
+  ASSERT_GT(first_row, 0u);
+  auto covered_index = make_index("rbc-exact", shard_options(kShards));
+  covered_index->build(shard_rows(1, kShards));
+  std::vector<std::vector<index_t>> covered_hits =
+      covered_index
+          ->range_search({.queries = &queries, .radius = radius, .options = {}})
+          .ids;
+  std::size_t hits = 0;
+  for (std::vector<index_t>& row : covered_hits) {
+    for (index_t& id : row) id += first_row;
+    std::sort(row.begin(), row.end());
+    hits += row.size();
+  }
+  ASSERT_GT(hits, 0u);  // the radius reaches the covered shard's rows
 
   // Total partition: bytes vanish in both directions, connections stay up.
   proxy.set_plan({.mode = rbc::testing::FaultPlan::Mode::kBlackhole});
@@ -343,25 +369,25 @@ TEST(NetFaults, PartitionedShardYieldsCoverageFlagsNotException) {
   const dist::PartialKnnResult knn =
       router.knn_partial(queries, k, /*deadline_ms=*/150);
   EXPECT_LT(elapsed_ms(start), 1'000);
-  EXPECT_TRUE(knn.shards[0].covered);
-  EXPECT_FALSE(knn.shards[1].covered);
-  expect_same_knn(expected_partial_knn(queries, k, kShards, {true, false}),
+  EXPECT_FALSE(knn.shards[0].covered);
+  EXPECT_TRUE(knn.shards[1].covered);
+  expect_same_knn(expected_partial_knn(queries, k, kShards, {false, true}),
                   knn.result, "blackholed knn");
 
   start = Clock::now();
   const dist::PartialRangeResult range =
       router.range_partial(queries, radius, /*deadline_ms=*/150);
   EXPECT_LT(elapsed_ms(start), 1'000);
-  EXPECT_TRUE(range.shards[0].covered);
-  EXPECT_FALSE(range.shards[1].covered);
+  EXPECT_FALSE(range.shards[0].covered);
+  EXPECT_TRUE(range.shards[1].covered);
   EXPECT_FALSE(range.complete());
+  EXPECT_EQ(range.ids, covered_hits);
 
   // Heal the partition: coverage returns without constructing anything new.
   proxy.set_plan({});
   proxy.drop_connections();
   const dist::PartialKnnResult healed = router.knn_partial(queries, k);
   EXPECT_TRUE(healed.complete());
-  const auto reference = reference_index(kShards);
   SearchRequest request{.queries = &queries, .k = k, .options = {}};
   expect_same_knn(reference->knn_search(request).knn, healed.result,
                   "healed partition");
@@ -420,11 +446,9 @@ TEST(NetFaults, SeededFaultScheduleKeepsEveryCoveredAnswerExact) {
   ASSERT_NE(s1.port, 0);
 
   rbc::testing::FaultProxy proxy("127.0.0.1", s1.port);
-  dist::RouterOptions options = fast_options();
-  options.allow_partial = true;
   const std::vector<std::vector<dist::Endpoint>> topology = {
       {{"127.0.0.1", s0.port}}, {{"127.0.0.1", proxy.port()}}};
-  dist::NetRouter router(topology, options);
+  dist::NetRouter router(topology, fast_options());
 
   const auto reference = reference_index(kShards);
   const Matrix<float> queries = test_queries();
@@ -501,15 +525,8 @@ void worker_signal(int) {
 /// them identical).
 int run_fault_shard_worker(index_t shard, index_t num_shards,
                            const std::string& port_file) {
-  const Matrix<float> database = test_database();
-  const auto assignment = shard::partition_rows(database.rows(), num_shards);
-  const std::vector<index_t>& mine = assignment[shard];
-  Matrix<float> rows(static_cast<index_t>(mine.size()), database.cols());
-  for (index_t i = 0; i < rows.rows(); ++i)
-    rows.copy_row_from(database, mine[i], i);
-
   auto index = make_index("rbc-exact", shard_options(num_shards));
-  index->build(rows);
+  index->build(shard_rows(shard, num_shards));
   serve::net::RbcServer server(std::move(index));
   g_worker_stop_fd = server.stop_fd();
   std::signal(SIGTERM, worker_signal);

@@ -12,13 +12,16 @@
 //   * graceful drain via the async-signal-safe stop_fd;
 //   * a NetRouter over TWO real shard-owner server processes returns
 //     bit-identical results (ids, dists, tie order) to the in-process
-//     sharded:<inner> composite over the same partition.
+//     sharded:<inner> composite over the same partition, as it does over
+//     three in-process servers of unequal size, strict and degraded calls
+//     alike.
 //
 // The multi-process test re-executes this binary with --net-shard-worker
 // (fork + immediate execv of /proc/self/exe, which is safe from a threaded
 // parent), so this TU defines its own main() instead of gtest_main's.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <arpa/inet.h>
 #include <atomic>
 #include <chrono>
@@ -40,6 +43,7 @@
 #include "api/api.hpp"
 #include "dist/net_router.hpp"
 #include "metricspace/dataset.hpp"
+#include "parallel/rows.hpp"
 #include "serve/net/client.hpp"
 #include "serve/net/server.hpp"
 #include "shard/sharded_index.hpp"
@@ -85,6 +89,16 @@ std::unique_ptr<Index> built_index(const std::string& backend) {
   auto index = make_index(backend, shard_options());
   index->build(test_database());
   return index;
+}
+
+/// Shard `shard`'s rows of `database`: the contiguous rows
+/// shard::partition_rows assigns it, as ShardedIndex does.
+Matrix<float> shard_rows(const Matrix<float>& database, index_t shard,
+                         index_t num_shards) {
+  const shard::RowRange mine =
+      shard::partition_rows(database.rows(), num_shards, shard);
+  return gather_rows(database, mine.size(),
+                     [&](index_t i) { return mine.lo + i; });
 }
 
 void expect_same_knn(const KnnResult& a, const KnnResult& b) {
@@ -399,6 +413,36 @@ TEST(NetServer, BadRequestGetsErrorFrameAndConnectionSurvives) {
 
   // The same connection still answers a valid request.
   EXPECT_EQ(client.knn(queries, 3).ids.rows(), 2u);
+}
+
+TEST(NetServer, NanRadiusRangeFrameGetsBadRequestAndConnectionSurvives) {
+  RbcServer server(built_index("bruteforce"));
+  const Matrix<float> queries = test_queries(2);
+  const int fd = raw_connect(server.port());
+  const auto send_frame = [&](const std::vector<std::uint8_t>& frame) {
+    ASSERT_EQ(send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(frame.size()));
+  };
+
+  // The frame carries the NaN as any float; the index refuses it.
+  send_frame(serve::net::encode_range_request(
+      1, queries, std::numeric_limits<float>::quiet_NaN()));
+  std::optional<Frame> reply = read_frame(fd);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->header.op, serve::net::Op::kError);
+  const auto error = serve::net::decode_error(reply->payload);
+  EXPECT_EQ(error.code, ErrorCode::kBadRequest);
+  EXPECT_NE(error.message.find("radius is NaN"), std::string::npos)
+      << error.message;
+
+  // The same connection answers the next range frame.
+  send_frame(serve::net::encode_range_request(2, queries, 1.0f));
+  reply = read_frame(fd);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->header.op, serve::net::Op::kRangeResponse);
+  EXPECT_EQ(serve::net::decode_range_response(reply->payload).ids.size(), 2u);
+  close(fd);
+  EXPECT_EQ(server.stats().protocol_errors, 0u);
 }
 
 TEST(NetServer, MalformedAndOversizedFramesGetErrorThenCloseNotCrash) {
@@ -850,13 +894,79 @@ TEST(NetRouterTest, TwoProcessScatterGatherIsBitIdenticalToShardedIndex) {
   for (const std::string& file : port_files) std::remove(file.c_str());
 }
 
+TEST(NetRouterTest, UnevenShardsMatchShardedIndexOnEveryCall) {
+  // 542 rows over 3 shards hold 180, 181 and 181 rows: shard 2's first row
+  // (361) is neither 2 * floor(542 / 3) nor 2 * ceil(542 / 3). The
+  // duplicated rows (500-541 copy 0-41) tie rows of shard 0 with rows of
+  // shard 2.
+  constexpr index_t kShards = 3;
+  const Matrix<float> database = testutil::with_duplicates(
+      testutil::clustered_matrix(500, kDim, 5, 77), 42);
+  IndexOptions options = shard_options();
+  options.num_shards = kShards;
+  auto reference = make_index("sharded:rbc-exact", options);
+  reference->build(database);
+
+  std::vector<std::unique_ptr<RbcServer>> servers;
+  std::vector<dist::Endpoint> endpoints;
+  for (index_t s = 0; s < kShards; ++s) {
+    auto index = make_index("rbc-exact", options);
+    index->build(shard_rows(database, s, kShards));
+    servers.push_back(std::make_unique<RbcServer>(std::move(index)));
+    endpoints.push_back({"127.0.0.1", servers.back()->port()});
+  }
+  dist::NetRouter router(endpoints);
+  ASSERT_EQ(router.size(), database.rows());
+
+  const Matrix<float> queries = test_queries(40);
+  // k = 200 is above every shard's size, so each shard's k is clamped.
+  for (const index_t k : {index_t{1}, index_t{10}, index_t{200}}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    SearchRequest request{.queries = &queries, .k = k, .options = {}};
+    const SearchResponse expected = reference->knn_search(request);
+    expect_same_knn(expected.knn, router.knn(queries, k));
+    const dist::PartialKnnResult partial = router.knn_partial(queries, k);
+    EXPECT_TRUE(partial.complete());
+    expect_same_knn(expected.knn, partial.result);
+  }
+
+  // The largest 10th-neighbour distance: every query has 10 or more hits.
+  SearchRequest request{.queries = &queries, .k = 10, .options = {}};
+  const KnnResult tenth = reference->knn_search(request).knn;
+  dist_t radius = 0.0f;
+  for (index_t qi = 0; qi < queries.rows(); ++qi)
+    radius = std::max(radius, tenth.dists.at(qi, 9));
+  const std::vector<std::vector<index_t>> expected =
+      reference
+          ->range_search({.queries = &queries, .radius = radius, .options = {}})
+          .ids;
+  // The radius reaches rows of every shard, so each first row is exercised.
+  std::vector<bool> reached(kShards, false);
+  for (const std::vector<index_t>& hits : expected)
+    for (const index_t id : hits) reached[(id >= 180) + (id >= 361)] = true;
+  EXPECT_EQ(reached, std::vector<bool>(kShards, true));
+  EXPECT_EQ(router.range(queries, radius), expected);
+  const dist::PartialRangeResult partial =
+      router.range_partial(queries, radius);
+  EXPECT_TRUE(partial.complete());
+  EXPECT_EQ(partial.ids, expected);
+
+  // A NaN radius is refused before any shard is asked.
+  const std::uint64_t requests = router.stats().requests;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_THROW((void)router.range(queries, nan), std::invalid_argument);
+  EXPECT_THROW((void)router.range_partial(queries, nan),
+               std::invalid_argument);
+  EXPECT_EQ(router.stats().requests, requests);
+}
+
 /// A shard server written against the raw socket API. It records the
 /// version byte of every request it reads, answers INFO like a real
 /// `rows`-row shard and RELOAD with success, and answers knn/range per
 /// `mode`: honestly, or with responses whose shape or shard-local ids
 /// violate the contract. The lying modes exercise NetRouter's trust
 /// boundary — wire data from a buggy shard must raise ProtocolError, never
-/// index global_ids_ or the merge inputs out of bounds.
+/// reach the merge with ids outside the shard's rows.
 class RawShard {
  public:
   enum class Mode {
@@ -1031,16 +1141,8 @@ void worker_signal(int) {
 /// SIGTERM.
 int run_shard_worker(index_t shard, index_t num_shards,
                      const std::string& port_file) {
-  const Matrix<float> database = test_database();
-  const std::vector<std::vector<index_t>> assignment =
-      shard::partition_rows(database.rows(), num_shards);
-  const std::vector<index_t>& mine = assignment[shard];
-  Matrix<float> rows(static_cast<index_t>(mine.size()), database.cols());
-  for (index_t i = 0; i < rows.rows(); ++i)
-    rows.copy_row_from(database, mine[i], i);
-
   auto index = make_index("rbc-exact", shard_options());
-  index->build(rows);
+  index->build(shard_rows(test_database(), shard, num_shards));
   RbcServer server(std::move(index));
   g_worker_stop_fd = server.stop_fd();
   std::signal(SIGTERM, worker_signal);

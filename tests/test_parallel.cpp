@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include <atomic>
 #include <limits>
 #include <numeric>
@@ -53,6 +57,53 @@ TEST(ParallelForBlocked, GrainBelowOneIsClamped) {
   });
   EXPECT_EQ(total.load(), 10);
 }
+
+#ifdef _OPENMP
+// Called outside any region, a loop of one iteration (one block) runs its
+// body outside any region too, so a parallel loop in the body forks the team
+// rather than nesting, where libgomp would start fresh threads for it on
+// every call.
+TEST(ParallelFor, OneIterationRunsOutsideAnyRegion) {
+  std::vector<int> levels;
+  parallel_for(4, 5, [&](index_t i) {
+    EXPECT_EQ(i, 4u);
+    levels.push_back(omp_get_level());
+  });
+  parallel_for_dynamic(4, 5, [&](index_t i) {
+    EXPECT_EQ(i, 4u);
+    levels.push_back(omp_get_level());
+  });
+  parallel_for_blocked(4, 9, 100, [&](index_t lo, index_t hi) {
+    EXPECT_EQ(lo, 4u);
+    EXPECT_EQ(hi, 9u);
+    levels.push_back(omp_get_level());
+  });
+  EXPECT_EQ(levels, std::vector<int>(3, 0));
+}
+
+// Inside an active region a one-iteration loop still runs its body as
+// thread 0 of a one-thread nested team, never with the enclosing team's
+// thread number: per-thread arrays sized by max_threads() (the nested
+// thread count, here smaller than the enclosing team) must stay in bounds.
+TEST(ParallelFor, OneIterationInsideARegionRunsAsThreadZero) {
+  const int requested = max_threads() + 1;
+  std::vector<int> ids(3 * static_cast<std::size_t>(requested), -1);
+  int team = 0;
+#pragma omp parallel num_threads(requested)
+  {
+    const auto t = static_cast<std::size_t>(omp_get_thread_num());
+#pragma omp single
+    team = omp_get_num_threads();
+    parallel_for(4, 5, [&](index_t) { ids[3 * t] = thread_id(); });
+    parallel_for_dynamic(4, 5, [&](index_t) { ids[3 * t + 1] = thread_id(); });
+    parallel_for_blocked(4, 9, 100, [&](index_t, index_t) {
+      ids[3 * t + 2] = thread_id();
+    });
+  }
+  ids.resize(3 * static_cast<std::size_t>(team));
+  EXPECT_EQ(ids, std::vector<int>(ids.size(), 0));
+}
+#endif
 
 // Both row passes span several blocks of kRowPassGrain rows here.
 TEST(RowPasses, GatherWritesEveryRowAndZeroPadding) {

@@ -6,10 +6,11 @@
 // fan-out.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
-#include <numeric>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "api/api.hpp"
 #include "metricspace/dataset.hpp"
@@ -49,23 +50,24 @@ class FaultyIndex final : public Index {
 };
 
 TEST(ShardPartition, ContiguousCoversEveryRowOnceInOrder) {
-  for (index_t n : {0u, 1u, 5u, 7u, 100u}) {
+  // 4e9 rows: s * n overflows 32 bits, so the split must not.
+  for (index_t n : {0u, 1u, 5u, 7u, 100u, 4'000'000'000u}) {
     for (index_t shards : {1u, 2u, 7u, 13u}) {
-      const auto rows = shard::partition_rows(n, shards);
-      ASSERT_EQ(rows.size(), shards);
-      std::vector<index_t> flat;
-      for (const auto& set : rows)
-        flat.insert(flat.end(), set.begin(), set.end());
-      std::vector<index_t> expected(n);
-      std::iota(expected.begin(), expected.end(), 0u);
-      EXPECT_EQ(flat, expected) << "n=" << n << " shards=" << shards;
-      // Balance: contiguous shard sizes differ by at most one row.
-      std::size_t lo = n, hi = 0;
-      for (const auto& set : rows) {
-        lo = std::min(lo, set.size());
-        hi = std::max(hi, set.size());
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " shards=" + std::to_string(shards));
+      // The ranges tile [0, n) in shard order, and (balance) their sizes
+      // differ by at most one row.
+      index_t next = 0, smallest = n, largest = 0;
+      for (index_t s = 0; s < shards; ++s) {
+        const shard::RowRange rows = shard::partition_rows(n, shards, s);
+        EXPECT_EQ(rows.lo, next) << "shard " << s;
+        EXPECT_LE(rows.lo, rows.hi) << "shard " << s;
+        next = rows.hi;
+        smallest = std::min(smallest, rows.size());
+        largest = std::max(largest, rows.size());
       }
-      EXPECT_LE(hi - lo, 1u);
+      EXPECT_EQ(next, n);
+      EXPECT_LE(largest - smallest, 1u);
     }
   }
 }
